@@ -7,166 +7,3 @@ idiosyncratic laws as p-boxes and propagates it to generator envelopes,
 an imprecise copula, and bivariate distribution bounds, verifying every
 structural property of the construction along the way.
 """
-
-from .copulas import (
-    BivariateBound,
-    CopulaSpec,
-    MarshallCopula,
-    MaxminCopula,
-    Rect,
-    TabulatedCopula,
-    check_copula_axioms,
-    copula_grid,
-    eval_copula,
-    h_volume,
-    sklar_compose,
-)
-from .distfn import (
-    ANALYTIC_TOL,
-    EXACT_TOL,
-    INF,
-    DistFn,
-    ParamSpec,
-    blend,
-    comix,
-    discretize,
-    from_spec,
-    leq,
-    max_abs_difference,
-    paramspec_from_json,
-    paramspec_to_json,
-    product,
-    reverse,
-    step_approximation,
-    step_cdf,
-)
-from .errors import (
-    ConfigError,
-    InvalidParameterError,
-    InvalidRangeError,
-    MassSumError,
-    NonProperInputError,
-    NotAWitnessError,
-    OrderViolationError,
-    ShockboxError,
-    UnsupportedSegmentPairError,
-)
-from .generators import (
-    Generator,
-    blend_generators,
-    build_chi,
-    build_phi,
-    build_psi,
-    check_association,
-    check_generator,
-    check_order,
-    chi_star,
-    envelope_generators,
-    eval_gen,
-    formula_chi,
-    formula_phi,
-    phi_star,
-)
-from .imprecise import (
-    CopulaFamily,
-    CopulaPair,
-    ViolationWitness,
-    check_bivariate_pbox_conditions,
-    check_imprecise_copula,
-    coherence_witness,
-    search_ic_violation,
-    verify_witness,
-)
-from .pbox import FactorizingBivariatePBox, PBox, factorizing, make_pbox, max_pbox, min_pbox
-from .reports import Check, all_passed, failed_names
-from .shockmodel import (
-    JointTable,
-    Scenario,
-    ScenarioResult,
-    compare_oracle,
-    oracle_joint,
-    random_discrete_scenario,
-    run_marshall,
-    run_maxmin,
-    run_scenario,
-)
-
-__all__ = [
-    "ANALYTIC_TOL",
-    "EXACT_TOL",
-    "INF",
-    "BivariateBound",
-    "Check",
-    "ConfigError",
-    "CopulaFamily",
-    "CopulaPair",
-    "CopulaSpec",
-    "DistFn",
-    "FactorizingBivariatePBox",
-    "Generator",
-    "InvalidParameterError",
-    "InvalidRangeError",
-    "JointTable",
-    "MarshallCopula",
-    "MassSumError",
-    "MaxminCopula",
-    "NonProperInputError",
-    "NotAWitnessError",
-    "OrderViolationError",
-    "PBox",
-    "ParamSpec",
-    "Rect",
-    "Scenario",
-    "ScenarioResult",
-    "ShockboxError",
-    "TabulatedCopula",
-    "UnsupportedSegmentPairError",
-    "ViolationWitness",
-    "all_passed",
-    "blend",
-    "blend_generators",
-    "build_chi",
-    "build_phi",
-    "build_psi",
-    "check_association",
-    "check_bivariate_pbox_conditions",
-    "check_copula_axioms",
-    "check_generator",
-    "check_imprecise_copula",
-    "check_order",
-    "chi_star",
-    "coherence_witness",
-    "comix",
-    "compare_oracle",
-    "copula_grid",
-    "discretize",
-    "envelope_generators",
-    "eval_copula",
-    "eval_gen",
-    "factorizing",
-    "failed_names",
-    "formula_chi",
-    "formula_phi",
-    "from_spec",
-    "h_volume",
-    "leq",
-    "make_pbox",
-    "max_abs_difference",
-    "max_pbox",
-    "min_pbox",
-    "oracle_joint",
-    "paramspec_from_json",
-    "paramspec_to_json",
-    "phi_star",
-    "product",
-    "random_discrete_scenario",
-    "reverse",
-    "run_marshall",
-    "run_maxmin",
-    "run_scenario",
-    "search_ic_violation",
-    "sklar_compose",
-    "step_approximation",
-    "step_cdf",
-    "verify_witness",
-]

@@ -52,10 +52,10 @@ from .pbox import PBox
 from .shockmodel import (
     Scenario,
     ScenarioResult,
-    _probe_xs,
-    _thin,
+    probe_xs,
     random_discrete_scenario,
     run_scenario,
+    thin,
 )
 
 COMMANDS = ("pipeline", "search", "emit")
@@ -193,7 +193,7 @@ def _write_surfaces(res: ScenarioResult, out: Path, n: int) -> list[Path]:
             _surface_rows(res.imprecise_pair.low, res.imprecise_pair.up, us, us),
         ),
     )
-    xs = _thin(_probe_xs([res.low_f, res.up_f, res.low_second, res.up_second]), n)
+    xs = thin(probe_xs([res.low_f, res.up_f, res.low_second, res.up_second]), n)
     rows = []
     low_hx = [[res.low_h.at(float(x), float(y)) for y in xs] for x in xs]
     up_hx = [[res.up_h.at(float(x), float(y)) for y in xs] for x in xs]
@@ -281,8 +281,8 @@ def cmd_emit(cfg: RunConfig) -> int:
         us = np.unique(np.concatenate([grid_us, np.asarray(gen.knot_us)]))
         rows = [(float(u), float(gen.eval(float(u)))) for u in us]
         _write_atomic(cfg.out / f"generator_{name}.csv", _csv_text(["u", "value"], rows))
-    xs = _thin(
-        _probe_xs([result.low_f, result.up_f, result.low_second, result.up_second]), max(n, 101)
+    xs = thin(
+        probe_xs([result.low_f, result.up_f, result.low_second, result.up_second]), max(n, 101)
     )
     rows = [
         (

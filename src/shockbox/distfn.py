@@ -597,7 +597,7 @@ def _interval_probes(f: DistFn, g: DistFn, lo: float, hi: float) -> list[float]:
     return [lo + (hi - lo) * j / (n + 1) for j in range(1, n + 1)]
 
 
-def _ordered_probes(f: DistFn, g: DistFn):
+def ordered_probes(f: DistFn, g: DistFn):
     """Yield (x, side) probes in increasing x order; side in {-1, 0, +1}."""
     xs = sorted(set(f._xs).union(g._xs))
     bounds = [-INF] + xs + [INF]
@@ -612,7 +612,8 @@ def _ordered_probes(f: DistFn, g: DistFn):
     yield (INF, 0)
 
 
-def _side_eval(f: DistFn, x: float, side: int) -> float:
+def side_eval(f: DistFn, x: float, side: int) -> float:
+    """f's left limit, value or right limit at x for side -1, 0 or +1."""
     if side < 0:
         return f.left_limit(x)
     if side > 0:
@@ -626,9 +627,9 @@ def first_violation(f: DistFn, g: DistFn, tol: float = 0.0):
     Exact for constant/affine pairs (endpoint comparison decides); intervals
     touching an exponential piece are sampled at 17 interior points.
     """
-    for x, side in _ordered_probes(f, g):
-        fv = _side_eval(f, x, side)
-        gv = _side_eval(g, x, side)
+    for x, side in ordered_probes(f, g):
+        fv = side_eval(f, x, side)
+        gv = side_eval(g, x, side)
         if fv > gv + tol:
             return (x, side, fv, gv)
     return None
@@ -641,8 +642,8 @@ def leq(f: DistFn, g: DistFn, tol: float = 0.0) -> bool:
 
 def max_abs_difference(f: DistFn, g: DistFn, extra_points=()) -> float:
     worst = 0.0
-    for x, side in _ordered_probes(f, g):
-        worst = max(worst, abs(_side_eval(f, x, side) - _side_eval(g, x, side)))
+    for x, side in ordered_probes(f, g):
+        worst = max(worst, abs(side_eval(f, x, side) - side_eval(g, x, side)))
     for x in extra_points:
         worst = max(worst, abs(f.eval(x) - g.eval(x)))
     return worst

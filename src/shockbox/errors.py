@@ -38,9 +38,5 @@ class MassSumError(ShockboxError, ValueError):
     """Atom masses of a discrete law do not sum to 1 within tolerance."""
 
 
-class NotAWitnessError(ShockboxError):
-    """A claimed envelope bound fails the copula axioms, so it cannot certify coherence."""
-
-
 class ConfigError(ShockboxError):
     """A scenario/CLI configuration file is malformed."""

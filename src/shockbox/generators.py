@@ -37,11 +37,11 @@ from .distfn import (
     ConstSeg,
     DistFn,
     ExpSeg,
-    _ordered_probes,
-    _side_eval,
     comix,
     comix_value,
+    ordered_probes,
     product,
+    side_eval,
 )
 from .errors import (
     InvalidParameterError,
@@ -105,10 +105,6 @@ class Generator:
     @classmethod
     def from_knots(cls, kind: str, knots) -> "Generator":
         return cls(kind, tuple((float(u), float(y)) for u, y in knots))
-
-
-def eval_gen(g: Generator, u: float) -> float:
-    return g.eval(u)
 
 
 def phi_star(g: Generator, u: float) -> float:
@@ -202,14 +198,14 @@ def check_association(
     """
     worst = 0.0
     where = None
-    for x, side in _ordered_probes(base, target):
-        b = _side_eval(base, x, side)
+    for x, side in ordered_probes(base, target):
+        b = side_eval(base, x, side)
         if g.kind in ("phi", "psi"):
             if b <= 0.0:
                 continue
         elif b >= 1.0:
             continue
-        dev = abs(g.eval(b) - _side_eval(target, x, side))
+        dev = abs(g.eval(b) - side_eval(target, x, side))
         if dev > worst:
             worst = dev
             where = (x, side)
@@ -418,7 +414,7 @@ def _invert_segment(seg, u: float, lo: float, hi: float) -> float:
     raise InvalidRangeError(f"value {u} not attained on a flat segment ({lo}, {hi})")
 
 
-def _locate(f: DistFn, u: float) -> float:
+def locate(f: DistFn, u: float) -> float:
     """Smallest x0 with f(x0-) <= u <= f(x0+); breakpoints win ties."""
     xs = f.breakpoints
     for i, x in enumerate(xs):
@@ -442,7 +438,7 @@ def formula_phi(fx: DistFn, fz: DistFn, u: float, x0: float | None = None) -> fl
         return 1.0
     f = product(fx, fz)
     if x0 is None:
-        x0 = _locate(f, u)
+        x0 = locate(f, u)
     fxl, _, fxr = fx.triple(x0)
     fzv = fz.eval(x0)
     u_l = fxl * fzv
@@ -465,7 +461,7 @@ def formula_chi(fy: DistFn, fz: DistFn, w: float, y0: float | None = None) -> fl
         return 1.0
     k = comix(fy, fz)
     if y0 is None:
-        y0 = _locate(k, w)
+        y0 = locate(k, w)
     fyl, _, fyr = fy.triple(y0)
     fzv = fz.eval(y0)
     w_l = comix_value(fyl, fzv)

@@ -10,7 +10,6 @@ is the only independence notion that survives at p-box level.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .distfn import DistFn, comix, first_violation, product
@@ -19,7 +18,11 @@ from .errors import OrderViolationError
 
 @dataclass(frozen=True)
 class PBox:
-    """Pair of distribution functions with lower <= upper pointwise."""
+    """Pair of distribution functions with lower <= upper pointwise.
+
+    Construction raises OrderViolationError with a witness abscissa when the
+    bounds cross.
+    """
 
     lower: DistFn
     upper: DistFn
@@ -47,11 +50,6 @@ class PBox:
             first_violation(self.lower, f, tol) is None
             and first_violation(f, self.upper, tol) is None
         )
-
-
-def make_pbox(lower: DistFn, upper: DistFn) -> PBox:
-    """Validated p-box; raises OrderViolationError with a witness abscissa."""
-    return PBox(lower, upper)
 
 
 def max_pbox(a: PBox, b: PBox) -> PBox:
@@ -84,8 +82,3 @@ class FactorizingBivariatePBox:
 
     def upper_at(self, x: float, y: float) -> float:
         return self.x.upper.eval(x) * self.y.upper.eval(y)
-
-
-def factorizing(xp: PBox, yp: PBox) -> FactorizingBivariatePBox:
-    """The independent (factorizing) bivariate p-box of two marginal p-boxes."""
-    return FactorizingBivariatePBox(xp, yp)

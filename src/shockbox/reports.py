@@ -40,11 +40,3 @@ def _witness_to_json(w):
     if isinstance(w, (list, tuple)):
         return [_witness_to_json(v) for v in w]
     return w
-
-
-def all_passed(checks) -> bool:
-    return all(c.passed for c in checks)
-
-
-def failed_names(checks) -> list[str]:
-    return [c.name for c in checks if not c.passed]

@@ -31,14 +31,13 @@ CDF increment, which dominates the sup-norm discretization error.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .copulas import (
     BivariateBound,
-    CopulaSpec,
     MarshallCopula,
     MaxminCopula,
     check_copula_axioms,
@@ -65,22 +64,21 @@ from .errors import (
     InvalidParameterError,
     MassSumError,
     NonProperInputError,
-    NotAWitnessError,
     UnsupportedSegmentPairError,
 )
 from .generators import (
     Generator,
-    _locate,
     associated_envelope_gaps,
-    blend_generators,
     build_chi,
     build_phi,
     build_psi,
     check_association,
     check_generator,
     check_order,
+    locate,
 )
 from .imprecise import (
+    MEMBER_WEIGHTS,
     CopulaFamily,
     CopulaPair,
     check_bivariate_pbox_conditions,
@@ -93,10 +91,6 @@ from .pbox import PBox
 from .reports import Check
 
 MODELS = ("marshall", "maxmin")
-
-# Interpolation weights for interior members in sandwich and containment
-# checks; each resulting generator or law is re-validated, not assumed valid.
-MEMBER_WEIGHTS = (0.25, 0.5, 0.75)
 
 DISCRETIZATION_ATOMS = 10_000
 
@@ -182,29 +176,6 @@ class ScenarioResult:
     def failed(self) -> list[str]:
         return [c.name for c in self.checks if not c.passed]
 
-    def _second(self, which: str, model: str) -> DistFn:
-        if self.model != model:
-            raise InvalidParameterError(
-                f"{self.model} result stores no {which}; use the other accessor"
-            )
-        return self.low_second if which.startswith("low") else self.up_second
-
-    @property
-    def low_g(self) -> DistFn:
-        return self._second("low_g", "marshall")
-
-    @property
-    def up_g(self) -> DistFn:
-        return self._second("up_g", "marshall")
-
-    @property
-    def low_k(self) -> DistFn:
-        return self._second("low_k", "maxmin")
-
-    @property
-    def up_k(self) -> DistFn:
-        return self._second("up_k", "maxmin")
-
     def to_report(self) -> dict:
         return {
             "model": self.model,
@@ -219,7 +190,7 @@ class ScenarioResult:
 # probe grids and member sampling
 
 
-def _probe_xs(fns, n: int = 201) -> np.ndarray:
+def probe_xs(fns, n: int = 201) -> np.ndarray:
     """Abscissas exercising every DistFn in fns: breakpoints with nearby
     offsets, an even sweep across the joint effective support, and padding
     beyond it so the zero and saturated regions are probed too."""
@@ -227,8 +198,8 @@ def _probe_xs(fns, n: int = 201) -> np.ndarray:
     for f in fns:
         points.extend(f.breakpoints)
         if f.final > 0.0:
-            points.append(_locate(f, min(1e-9, f.final / 2.0)))
-            points.append(_locate(f, f.final * (1.0 - 1e-9)))
+            points.append(locate(f, min(1e-9, f.final / 2.0)))
+            points.append(locate(f, f.final * (1.0 - 1e-9)))
     if not points:
         points = [0.0]
     lo, hi = min(points), max(points)
@@ -244,7 +215,7 @@ def _probe_xs(fns, n: int = 201) -> np.ndarray:
     return np.unique(np.concatenate(parts))
 
 
-def _thin(xs: np.ndarray, cap: int) -> np.ndarray:
+def thin(xs: np.ndarray, cap: int) -> np.ndarray:
     """At most cap probes, keeping the endpoints and an even spread; needed
     when a discretized input contributes thousands of breakpoints."""
     if len(xs) <= cap:
@@ -447,7 +418,7 @@ def _resolve_inputs(s: Scenario) -> tuple[dict[str, DistFn], dict]:
         return fns, {"discretized": False}
     except UnsupportedSegmentPairError:
         pass
-    xs = _probe_xs(fns.values(), n=2)
+    xs = probe_xs(fns.values(), n=2)
     lo, hi = float(xs[0]), float(xs[-1])
     if s.model == "maxmin":
         hi = _saturation_cap((fns["y_lo"], fns["y_up"]), fns["z"], lo, hi)
@@ -513,7 +484,7 @@ def _run(s: Scenario, tol: float) -> ScenarioResult:
     low_h = sklar_compose(h_pair.low, low_f, low_second)
     up_h = sklar_compose(h_pair.up, up_f, up_second)
 
-    xs = _thin(_probe_xs([fx_lo, fx_up, fy_lo, fy_up, fz]), 4001)
+    xs = thin(probe_xs([fx_lo, fx_up, fy_lo, fy_up, fz]), 4001)
     checks: list[Check] = []
 
     gen_subs = []
@@ -523,16 +494,15 @@ def _run(s: Scenario, tol: float) -> ScenarioResult:
         ("low_companion", low_comp),
         ("up_companion", up_comp),
     ):
-        for c in check_generator(g, tol=tol):
-            gen_subs.append(Check(f"{label}:{c.name}", c.passed, value=c.value, witness=c.witness))
+        gen_subs.extend(replace(c, name=f"{label}:{c.name}") for c in check_generator(g, tol=tol))
     checks.append(_fold("generator-validity", gen_subs))
 
     checks.append(
         _fold(
             "generator-order",
             [
-                Check("phi", *_order_parts(low_phi, up_phi, tol)),
-                Check("companion", *_order_parts(low_comp, up_comp, tol)),
+                replace(check_order(low_phi, up_phi, tol=tol), name="phi"),
+                replace(check_order(low_comp, up_comp, tol=tol), name="companion"),
             ],
         )
     )
@@ -573,49 +543,14 @@ def _run(s: Scenario, tol: float) -> ScenarioResult:
     y_members, y_note = _member_distfns(fy_lo, fy_up)
     member_note = f"x: {x_note}; y: {y_note}"
 
-    us = np.linspace(0.0, 1.0, s.grid)
-    low_c_grid = copula_grid(imprecise_pair.low, us, us)
-    up_c_grid = copula_grid(imprecise_pair.up, us, us)
-    member_copulas: list[CopulaSpec] = []
-    skipped_blends = 0
-    for t_phi in MEMBER_WEIGHTS:
-        for t_comp in MEMBER_WEIGHTS:
-            phi_m = blend_generators(low_phi, up_phi, t_phi)
-            comp_m = blend_generators(low_comp, up_comp, t_comp)
-            ok = all(c.passed for g in (phi_m, comp_m) for c in check_generator(g, tol=max(tol, 1e-9)))
-            if not ok:
-                skipped_blends += 1
-                continue
-            member_copulas.append(
-                MaxminCopula(phi_m, comp_m) if maxmin else MarshallCopula(phi_m, comp_m)
-            )
-    for fx_m, fy_m in zip(x_members, y_members):
-        phi_m = build_phi(fx_m, fz)
-        comp_m = build_chi(fy_m, fz) if maxmin else build_psi(fy_m, fz)
-        member_copulas.append(
-            MaxminCopula(phi_m, comp_m) if maxmin else MarshallCopula(phi_m, comp_m)
+    input_members = [
+        (MaxminCopula if maxmin else MarshallCopula)(
+            build_phi(fx_m, fz), build_chi(fy_m, fz) if maxmin else build_psi(fy_m, fz)
         )
-    worst_escape = 0.0
-    escape_at = None
-    for cop in member_copulas:
-        grid = copula_grid(cop, us, us)
-        escape = np.maximum(low_c_grid - grid, grid - up_c_grid)
-        i, j = np.unravel_index(int(np.argmax(escape)), escape.shape)
-        if float(escape[i, j]) > worst_escape:
-            worst_escape = float(escape[i, j])
-            escape_at = (float(us[i]), float(us[j]))
-    checks.append(
-        Check(
-            "copula-sandwich",
-            worst_escape <= tol,
-            value=worst_escape,
-            witness=escape_at,
-            note=(
-                f"{len(member_copulas)} members ({skipped_blends} invalid blends skipped); "
-                + member_note
-            ),
-        )
-    )
+        for fx_m, fy_m in zip(x_members, y_members)
+    ]
+    sandwich = coherence_witness(family, input_members, n=s.grid, tol=tol)
+    checks.append(replace(sandwich, note=f"{sandwich.note}; {member_note}"))
 
     formula_subs = []
     for label, composed, factor in (
@@ -643,8 +578,7 @@ def _run(s: Scenario, tol: float) -> ScenarioResult:
         ("low_companion", low_comp, low_second, fy_lo),
         ("up_companion", up_comp, up_second, fy_up),
     ):
-        c = check_association(g, base, target, tol=tol)
-        assoc_subs.append(Check(label, c.passed, value=c.value, witness=c.witness))
+        assoc_subs.append(replace(check_association(g, base, target, tol=tol), name=label))
     checks.append(_fold("association", assoc_subs))
 
     order_subs = []
@@ -681,8 +615,8 @@ def _run(s: Scenario, tol: float) -> ScenarioResult:
     )
 
     n9 = max(200, s.grid)
-    gx = _thin(_probe_xs([fx_lo, fx_up, fz], n=n9), 3 * n9)
-    gy = _thin(_probe_xs([fy_lo, fy_up, fz], n=n9), 3 * n9)
+    gx = thin(probe_xs([fx_lo, fx_up, fz], n=n9), 3 * n9)
+    gy = thin(probe_xs([fy_lo, fy_up, fz], n=n9), 3 * n9)
     low_h_grid = copula_grid(h_pair.low, low_f.eval_many(gx), low_second.eval_many(gy))
     up_h_grid = copula_grid(h_pair.up, up_f.eval_many(gx), up_second.eval_many(gy))
     bound_dev = float(np.max(low_h_grid - up_h_grid))
@@ -728,20 +662,16 @@ def _run(s: Scenario, tol: float) -> ScenarioResult:
 
     axiom_subs = []
     for label, cop in (("low", imprecise_pair.low), ("up", imprecise_pair.up)):
-        for c in check_copula_axioms(cop, n=s.grid, tol=tol):
-            axiom_subs.append(Check(f"{label}:{c.name}", c.passed, value=c.value, witness=c.witness))
+        axiom_subs.extend(
+            replace(c, name=f"{label}:{c.name}") for c in check_copula_axioms(cop, n=s.grid, tol=tol)
+        )
     checks.append(_fold("copula-axioms", axiom_subs))
 
     checks.append(
         _fold("imprecise-copula", check_imprecise_copula(imprecise_pair, n=s.grid, tol=tol))
     )
 
-    try:
-        checks.append(_fold("coherence", coherence_witness(family, n=s.grid, tol=max(tol, 1e-9))))
-    except NotAWitnessError as e:
-        checks.append(Check("coherence", False, note=str(e)))
-
-    xs_pb = _thin(xs, 160)
+    xs_pb = thin(xs, 160)
     checks.append(
         _fold("bivariate-pbox", check_bivariate_pbox_conditions(low_h, up_h, xs_pb, xs_pb, tol=tol))
     )
@@ -757,8 +687,7 @@ def _run(s: Scenario, tol: float) -> ScenarioResult:
             ("up", up_h, fx_up, fy_up),
         ):
             table = oracle_joint(_step_atoms(fx_m), _step_atoms(fy_m), _step_atoms(fz), s.model)
-            c = compare_oracle(bound_m, table, tol=tol)
-            oracle_subs.append(Check(label, c.passed, value=c.value, witness=c.witness))
+            oracle_subs.append(replace(compare_oracle(bound_m, table, tol=tol), name=label))
         checks.append(
             _fold("oracle-agreement", oracle_subs, "corner members vs triple enumeration")
         )
@@ -766,6 +695,9 @@ def _run(s: Scenario, tol: float) -> ScenarioResult:
         info["oracle"] = "skipped: inputs not discrete with small support"
 
     if maxmin:
+        us = np.linspace(0.0, 1.0, s.grid)
+        low_c_grid = copula_grid(imprecise_pair.low, us, us)
+        up_c_grid = copula_grid(imprecise_pair.up, us, us)
         same_low = copula_grid(h_pair.low, us, us)
         same_up = copula_grid(h_pair.up, us, us)
         dev_low = float(np.max(low_c_grid - same_low))
@@ -824,28 +756,13 @@ def _run(s: Scenario, tol: float) -> ScenarioResult:
     )
 
 
-def _order_parts(g1: Generator, g2: Generator, tol: float):
-    c = check_order(g1, g2, tol=tol)
-    return c.passed, c.value, c.witness
-
-
-def run_marshall(s: Scenario, tol: float = EXACT_TOL) -> ScenarioResult:
-    """Run a max/max scenario and verify every promised property."""
-    if s.model != "marshall":
-        raise InvalidParameterError("run_marshall needs a marshall scenario")
-    return _run(s, tol)
-
-
-def run_maxmin(s: Scenario, tol: float = EXACT_TOL) -> ScenarioResult:
-    """Run a max/min scenario; additionally reports the outer-pair gap and an
-    exploratory violation scan of the same-corner pair."""
-    if s.model != "maxmin":
-        raise InvalidParameterError("run_maxmin needs a maxmin scenario")
-    return _run(s, tol)
-
-
 def run_scenario(s: Scenario, tol: float = EXACT_TOL) -> ScenarioResult:
-    return run_maxmin(s, tol) if s.model == "maxmin" else run_marshall(s, tol)
+    """Run a scenario and verify every promised property.
+
+    Max/min runs additionally report the outer-pair gap and an exploratory
+    violation scan of the same-corner pair.
+    """
+    return _run(s, tol)
 
 
 # ---------------------------------------------------------------------------

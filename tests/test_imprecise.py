@@ -10,7 +10,7 @@ from shockbox.copulas import (
     sklar_compose,
 )
 from shockbox.distfn import INF, ParamSpec, from_spec, product, step_cdf
-from shockbox.errors import InvalidParameterError, NotAWitnessError
+from shockbox.errors import InvalidParameterError
 from shockbox.generators import Generator, build_chi, build_phi, build_psi
 from shockbox.imprecise import (
     CopulaFamily,
@@ -206,23 +206,33 @@ def test_family_validation():
 
 
 def test_coherence_witness_passes_for_the_example_family():
-    checks = coherence_witness(exp_maxmin_family(), n=51, tol=1e-9, members=6, seed=7)
-    assert all(c.passed for c in checks), [c.name for c in checks if not c.passed]
-    names = [c.name for c in checks]
-    assert names == [
-        "low-bound-axioms",
-        "up-bound-axioms",
-        "envelope-generators-valid",
-        "members-within-bounds",
-        "bounds-attained",
-    ]
-    within = next(c for c in checks if c.name == "members-within-bounds")
-    assert "sampled members" in within.note
+    check = coherence_witness(exp_maxmin_family(), n=51, tol=1e-9)
+    assert check.name == "copula-sandwich"
+    assert check.passed, check
+    assert check.value <= 1e-9 and check.witness is None
+    # 3 x 3 weight grid plus 5 seeded draws, none skipped
+    assert check.note == "14 members (0 invalid blends skipped)"
 
 
-def test_coherence_witness_refuses_a_defective_bound():
+def test_coherence_witness_counts_extra_members():
+    fam = exp_maxmin_family()
+    check = coherence_witness(fam, [fam.low_copula, fam.up_copula], n=31)
+    assert check.passed
+    assert check.note.startswith("16 members ")
+
+
+def test_coherence_witness_skips_blends_of_a_defective_bound():
+    # phi(u)/u rises on (0.5, 1]: every blend with this bound is invalid too
     bad_phi = Generator("phi", ((0.0, 0.0), (0.5, 0.25), (1.0, 1.0)))
     fam = CopulaFamily("marshall", LOW_PHI, bad_phi, LOW_PSI, UP_PSI)
-    with pytest.raises(NotAWitnessError) as exc:
-        coherence_witness(fam, n=31)
-    assert "up bound fails copula axioms" in str(exc.value)
+    check = coherence_witness(fam, n=31)
+    assert check.note == "0 members (14 invalid blends skipped)"
+
+
+def test_coherence_witness_flags_swapped_envelopes():
+    fam = CopulaFamily("marshall", UP_PHI, LOW_PHI, UP_PSI, LOW_PSI)
+    check = coherence_witness(fam, n=31)
+    assert not check.passed
+    assert check.value > 0.01
+    u, v = check.witness
+    assert 0.0 <= u <= 1.0 and 0.0 <= v <= 1.0

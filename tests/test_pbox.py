@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from shockbox.distfn import INF, blend, comix, comix_value, product, step_cdf
 from shockbox.errors import OrderViolationError
-from shockbox.pbox import PBox, factorizing, make_pbox, max_pbox, min_pbox
+from shockbox.pbox import FactorizingBivariatePBox, PBox, max_pbox, min_pbox
 
 
 LOW = step_cdf([(1.0, 0.2), (2.0, 0.8)])
@@ -16,7 +16,7 @@ Y = step_cdf([(0.5, 0.4), (3.0, 0.6)])
 
 def test_rejects_crossed_bounds_with_witness():
     with pytest.raises(OrderViolationError) as exc:
-        make_pbox(UP, LOW)
+        PBox(UP, LOW)
     x, side, lo, hi = exc.value.witness
     assert x == 1.0 and lo == 0.5 and hi == 0.2
 
@@ -29,7 +29,7 @@ def test_precise_box_contains_exactly_its_own_cdf():
 
 
 def test_containment_of_blends():
-    box = make_pbox(LOW, UP)
+    box = PBox(LOW, UP)
     assert not box.is_precise
     for t in (0.0, 0.25, 0.5, 1.0):
         assert box.contains(blend(LOW, UP, t))
@@ -38,7 +38,7 @@ def test_containment_of_blends():
 
 
 def test_containment_tolerance():
-    box = make_pbox(LOW, UP)
+    box = PBox(LOW, UP)
     barely_out = step_cdf([(1.0, 0.5 + 1e-13), (2.0, 0.5 - 1e-13)])
     assert not box.contains(barely_out)
     assert box.contains(barely_out, tol=1e-12)
@@ -64,7 +64,7 @@ def boxes(draw):
     lo[-1] = up[-1] = 1.0
     low = step_cdf(list(zip(xs, [a - b for a, b in zip(lo, [0.0] + lo[:-1])] )))
     high = step_cdf(list(zip(xs, [a - b for a, b in zip(up, [0.0] + up[:-1])] )))
-    return make_pbox(low, high)
+    return PBox(low, high)
 
 
 @given(boxes(), boxes())
@@ -96,7 +96,7 @@ def test_extrema_of_members_stay_inside_the_result_box(a, b):
 
 
 def test_factorizing_bivariate_values():
-    biv = factorizing(make_pbox(LOW, UP), PBox.precise(Y))
+    biv = FactorizingBivariatePBox(PBox(LOW, UP), PBox.precise(Y))
     assert biv.lower_at(1.5, 0.7) == 0.2 * 0.4
     assert biv.upper_at(1.5, 0.7) == 0.5 * 0.4
     assert biv.lower_at(-INF, 0.7) == 0.0

@@ -19,8 +19,6 @@ from shockbox.shockmodel import (
     compare_oracle,
     oracle_joint,
     random_discrete_scenario,
-    run_marshall,
-    run_maxmin,
     run_scenario,
 )
 
@@ -42,7 +40,6 @@ MARSHALL_CHECKS = {
     "direct-formula",
     "copula-axioms",
     "imprecise-copula",
-    "coherence",
     "bivariate-pbox",
 }
 
@@ -109,7 +106,7 @@ def test_joint_table_below_support():
 
 
 def test_compare_oracle_flags_a_wrong_composition():
-    res = run_marshall(discrete_scenario("marshall"))
+    res = run_scenario(discrete_scenario("marshall"))
     up_table = oracle_joint(X_ATOMS_UP, Y_ATOMS, Z_ATOMS, "marshall")
     assert compare_oracle(res.up_h, up_table).passed
     mismatch = compare_oracle(res.low_h, up_table)
@@ -120,7 +117,7 @@ def test_compare_oracle_flags_a_wrong_composition():
 
 
 def test_discrete_marshall_run():
-    res = run_marshall(discrete_scenario("marshall"))
+    res = run_scenario(discrete_scenario("marshall"))
     assert res.all_passed, res.failed
     names = {c.name for c in res.checks}
     assert names == MARSHALL_CHECKS | {"oracle-agreement"}
@@ -134,13 +131,10 @@ def test_discrete_marshall_run():
             1.0 if x >= 1.5 else 0.0, 1.0 if y >= 1.5 else 0.0
         )
         assert res.low_h.at(x, y) == want
-    assert res.low_g is res.low_second
-    with pytest.raises(InvalidParameterError):
-        res.low_k
 
 
 def test_discrete_maxmin_run():
-    res = run_maxmin(discrete_scenario("maxmin"))
+    res = run_scenario(discrete_scenario("maxmin"))
     assert res.all_passed, res.failed
     names = {c.name for c in res.checks}
     assert names == MARSHALL_CHECKS | {"oracle-agreement", "outer-containment"}
@@ -148,13 +142,10 @@ def test_discrete_maxmin_run():
     assert "same_corner_gap" in res.info
     scan = res.info["same_corner_scan"]
     assert scan["reverified"] is True
-    assert res.low_k is res.low_second
-    with pytest.raises(InvalidParameterError):
-        res.up_g
 
 
 def test_generator_gap_summary_is_reported():
-    res = run_marshall(discrete_scenario("marshall"))
+    res = run_scenario(discrete_scenario("marshall"))
     gaps = res.info["generator_gaps"]
     assert set(gaps) == {"low_phi", "up_phi", "low_companion", "up_companion"}
     assert gaps["up_phi"]["max_slack_below"] == 0.25
@@ -170,7 +161,7 @@ def test_precise_inputs_collapse_the_bounds():
         "maxmin",
         grid=31,
     )
-    res = run_maxmin(s)
+    res = run_scenario(s)
     assert res.all_passed, res.failed
     assert res.info["same_corner_gap"] == {"low": 0.0, "up": 0.0}
     for x in (0.5, 1.0, 1.5, 2.0, 3.0):
@@ -182,7 +173,7 @@ def test_precise_inputs_collapse_the_bounds():
 
 
 def test_exponential_marshall_run():
-    res = run_marshall(exponential_scenario("marshall"))
+    res = run_scenario(exponential_scenario("marshall"))
     assert res.all_passed, res.failed
     assert res.info["discretized"] is False
     assert res.low_phi.eval(0.25) == pytest.approx(0.5, abs=1e-12)
@@ -193,7 +184,7 @@ def test_exponential_marshall_run():
 
 
 def test_exponential_maxmin_run():
-    res = run_maxmin(exponential_scenario("maxmin"))
+    res = run_scenario(exponential_scenario("maxmin"))
     assert res.all_passed, res.failed
     assert res.low_companion.eval(0.75) == pytest.approx(0.5, abs=1e-12)
     assert res.up_companion.eval(0.75) == pytest.approx(0.75, abs=1e-12)
@@ -215,7 +206,7 @@ def test_discretization_fallback_for_continuous_common_shock(monkeypatch):
         "maxmin",
         grid=31,
     )
-    res = run_maxmin(s)
+    res = run_scenario(s)
     assert res.info["discretized"] is True
     # the widest atom of the rate-3 bound carries about 3 * (range / atoms)
     assert 0.0 < res.info["discretization_bound"] < 0.05
@@ -237,15 +228,11 @@ def test_scenario_validation():
 
 
 def test_run_dispatch_guards():
-    with pytest.raises(InvalidParameterError):
-        run_marshall(discrete_scenario("maxmin"))
-    with pytest.raises(InvalidParameterError):
-        run_maxmin(discrete_scenario("marshall"))
     assert run_scenario(discrete_scenario("marshall")).model == "marshall"
 
 
 def test_report_shape():
-    res = run_maxmin(discrete_scenario("maxmin"))
+    res = run_scenario(discrete_scenario("maxmin"))
     report = res.to_report()
     assert report["model"] == "maxmin" and report["grid"] == 51
     assert report["all_passed"] is True
