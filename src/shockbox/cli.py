@@ -175,12 +175,12 @@ def _unit_grid(n: int) -> np.ndarray:
     return np.arange(n, dtype=float) / (n - 1)
 
 
-def _surface_rows(pair_low, pair_up, us, vs):
-    low = copula_grid(pair_low, us, vs)
-    up = copula_grid(pair_up, us, vs)
-    for i, u in enumerate(us):
-        for j, v in enumerate(vs):
-            yield (float(u), float(v), float(low[i, j]), float(up[i, j]))
+def _surface_rows(low, up, us, vs):
+    # one row per grid point, u-major: (u, v, low[u, v], up[u, v])
+    low, up = low.tolist(), up.tolist()
+    for i, u in enumerate(us.tolist()):
+        for j, v in enumerate(vs.tolist()):
+            yield (u, v, low[i][j], up[i][j])
 
 
 def _write_surfaces(res: ScenarioResult, out: Path, n: int) -> list[Path]:
@@ -190,16 +190,16 @@ def _write_surfaces(res: ScenarioResult, out: Path, n: int) -> list[Path]:
         paths[0],
         _csv_text(
             ["u", "v", "low_c", "up_c"],
-            _surface_rows(res.imprecise_pair.low, res.imprecise_pair.up, us, us),
+            _surface_rows(
+                copula_grid(res.imprecise_pair.low, us, us),
+                copula_grid(res.imprecise_pair.up, us, us),
+                us,
+                us,
+            ),
         ),
     )
     xs = thin(probe_xs([res.low_f, res.up_f, res.low_second, res.up_second]), n)
-    rows = []
-    low_hx = [[res.low_h.at(float(x), float(y)) for y in xs] for x in xs]
-    up_hx = [[res.up_h.at(float(x), float(y)) for y in xs] for x in xs]
-    for i, x in enumerate(xs):
-        for j, y in enumerate(xs):
-            rows.append((float(x), float(y), float(low_hx[i][j]), float(up_hx[i][j])))
+    rows = _surface_rows(res.low_h.at_many(xs, xs), res.up_h.at_many(xs, xs), xs, xs)
     paths.append(out / "h_surface.csv")
     _write_atomic(paths[1], _csv_text(["x", "y", "low_h", "up_h"], rows))
     return paths

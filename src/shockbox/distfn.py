@@ -17,8 +17,10 @@ else raises ``UnsupportedSegmentPairError`` and the caller discretizes.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
 from typing import Callable, Union
 
 import numpy as np
@@ -40,6 +42,14 @@ ANALYTIC_TOL = 1e-9
 # comparison; affine/constant pairs are decided exactly at the endpoints.
 _EXP_SAMPLES = 17
 
+# eval_many side argument giving left limits, values and right limits as rows
+LIMIT_SIDES = np.array([[-1], [0], [1]])
+LIMIT_SIDES.setflags(write=False)
+
+_X = attrgetter("x")
+_ROW = attrgetter("x", "left", "value", "right")
+_PAD = (math.nan, 1.0, 1.0, 1.0)
+
 
 def _exp_term(t: float) -> float:
     # exp() that saturates instead of raising; out-of-range values only occur
@@ -51,19 +61,19 @@ def _exp_term(t: float) -> float:
 # segments
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConstSeg:
     level: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AffineSeg:
     x0: float
     y0: float
     slope: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExpSeg:
     """scale*(1 - exp(-rate*(x - origin))) + offset.
 
@@ -117,7 +127,7 @@ def _seg_monotone(seg: Segment) -> bool:
 # the distribution function itself
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Breakpoint:
     x: float
     left: float
@@ -141,51 +151,92 @@ class DistFn:
     segments: tuple[Segment, ...]
 
     def __post_init__(self):
-        xs = tuple(p.x for p in self.points)
+        pts, segs = self.points, self.segments
+        n = len(pts)
+        xs = tuple(map(_X, pts))
         object.__setattr__(self, "_xs", xs)
-        if len(self.segments) != len(self.points) + 1:
+        if len(segs) != n + 1:
             raise InvalidParameterError("need exactly len(points)+1 segments")
-        for x in xs:
-            if not math.isfinite(x):
-                raise InvalidParameterError("breakpoints must be finite")
-        if any(a >= b for a, b in zip(xs, xs[1:])):
+        # array views, kept outside the fields so equality and hashing ignore
+        # them: rows x, left, value, right with a pad column (x = nan, limits
+        # 1) appended, so a lookup past the last breakpoint matches nothing;
+        # and per segment whether it is constant and its level (nan if not)
+        rows = np.fromiter(chain.from_iterable([*map(_ROW, pts), _PAD]), float, 4 * n + 4)
+        rows = rows.reshape(n + 1, 4).T.copy()
+        const = np.array([isinstance(seg, ConstSeg) for seg in segs])
+        levels = np.array([seg.level if c else np.nan for seg, c in zip(segs, const.tolist())])
+        object.__setattr__(self, "_xp", rows[0])
+        object.__setattr__(self, "_xa", rows[0, :-1])
+        object.__setattr__(self, "_tri", rows[1:])
+        object.__setattr__(self, "_const", const)
+        object.__setattr__(self, "_levels", levels)
+        object.__setattr__(self, "_curved", np.count_nonzero(const) <= n)
+        self._validate()
+
+    def _validate(self) -> None:
+        # the exact validity conditions, raising on the first violation in
+        # the order: finiteness, order of x, each triple, monotonicity across
+        # breakpoints, then each segment in interval order
+        pts, n = self.points, len(self.points)
+        xa, (left, value, right) = self._xa, self._tri[:, :-1]
+        if np.count_nonzero(np.isfinite(xa)) < n:
+            raise InvalidParameterError("breakpoints must be finite")
+        if np.count_nonzero(xa[1:] > xa[:-1]) < n - 1:
             raise InvalidParameterError("breakpoints must be strictly increasing")
-        for p in self.points:
-            if not (0.0 <= p.left <= p.value <= p.right <= 1.0):
-                raise InvalidParameterError(
-                    f"breakpoint at {p.x}: need 0 <= left <= value <= right <= 1"
-                )
-        for a, b in zip(self.points, self.points[1:]):
-            if a.right > b.left + EXACT_TOL:
-                raise InvalidParameterError(
-                    f"not monotone across ({a.x}, {b.x}): {a.right} > {b.left}"
-                )
-        if not xs:
+        ordered = (0.0 <= left) & (left <= value) & (value <= right) & (right <= 1.0)
+        if np.count_nonzero(ordered) < n:
+            p = pts[int((~ordered).argmax())]
+            raise InvalidParameterError(
+                f"breakpoint at {p.x}: need 0 <= left <= value <= right <= 1"
+            )
+        crossing = right[:-1] > left[1:] + EXACT_TOL
+        if np.count_nonzero(crossing):
+            a, b = pts[int(crossing.argmax())], pts[int(crossing.argmax()) + 1]
+            raise InvalidParameterError(
+                f"not monotone across ({a.x}, {b.x}): {a.right} > {b.left}"
+            )
+        if not n:
             seg = self.segments[0]
             if not isinstance(seg, ConstSeg) or not (0.0 <= seg.level <= 1.0):
                 raise InvalidParameterError("a breakpoint-free DistFn must be a constant in [0,1]")
             return
-        bounds = (-INF,) + xs + (INF,)
-        for i, seg in enumerate(self.segments):
-            lo, hi = bounds[i], bounds[i + 1]
-            if not _seg_monotone(seg):
-                raise InvalidParameterError(f"segment on ({lo}, {hi}) is decreasing")
-            tol = EXACT_TOL if isinstance(seg, ConstSeg) else ANALYTIC_TOL
-            lo_val = _seg_end(seg, lo, -1)
-            hi_val = _seg_end(seg, hi, +1)
-            want_lo = 0.0 if i == 0 else self.points[i - 1].right
-            if abs(lo_val - want_lo) > tol:
+        # a constant segment must meet the limits on both of its ends; the
+        # first one that does not is re-run by _check_segment for its
+        # message, after every analytic segment before it
+        const, levels = self._const, self._levels
+        off = np.abs(levels - np.concatenate(([0.0], right))) > EXACT_TOL
+        off[:-1] |= np.abs(levels[:-1] - left) > EXACT_TOL
+        off[-1] |= levels[-1] > 1.0 + EXACT_TOL
+        off &= const
+        first_bad = int(off.argmax()) if np.count_nonzero(off) else n + 1
+        for i in (~const[:first_bad]).nonzero()[0].tolist():
+            self._check_segment(i)
+        if first_bad <= n:
+            self._check_segment(first_bad)
+
+    def _check_segment(self, i: int) -> None:
+        # monotonicity and end values of segment i against the adjacent limits
+        bounds = (-INF,) + self._xs + (INF,)
+        lo, hi = bounds[i], bounds[i + 1]
+        seg = self.segments[i]
+        if not _seg_monotone(seg):
+            raise InvalidParameterError(f"segment on ({lo}, {hi}) is decreasing")
+        tol = EXACT_TOL if isinstance(seg, ConstSeg) else ANALYTIC_TOL
+        lo_val = _seg_end(seg, lo, -1)
+        hi_val = _seg_end(seg, hi, +1)
+        want_lo = 0.0 if i == 0 else self.points[i - 1].right
+        if abs(lo_val - want_lo) > tol:
+            raise InvalidParameterError(
+                f"segment on ({lo}, {hi}) starts at {lo_val}, expected {want_lo}"
+            )
+        if i < len(self._xs):
+            if abs(hi_val - self.points[i].left) > tol:
                 raise InvalidParameterError(
-                    f"segment on ({lo}, {hi}) starts at {lo_val}, expected {want_lo}"
+                    f"segment on ({lo}, {hi}) ends at {hi_val}, "
+                    f"expected {self.points[i].left}"
                 )
-            if i < len(xs):
-                if abs(hi_val - self.points[i].left) > tol:
-                    raise InvalidParameterError(
-                        f"segment on ({lo}, {hi}) ends at {hi_val}, "
-                        f"expected {self.points[i].left}"
-                    )
-            elif hi_val > 1.0 + tol:
-                raise InvalidParameterError("upper tail exceeds 1")
+        elif hi_val > 1.0 + tol:
+            raise InvalidParameterError("upper tail exceeds 1")
 
     # -- evaluation ---------------------------------------------------------
 
@@ -220,10 +271,22 @@ class DistFn:
     def triple(self, x: float) -> tuple[float, float, float]:
         return (self.left_limit(x), self.eval(x), self.right_limit(x))
 
-    def eval_many(self, xs) -> np.ndarray:
+    def eval_many(self, xs, side=0) -> np.ndarray:
+        """Elementwise left limits, values or right limits (side -1, 0, +1).
+
+        side broadcasts against xs. Constant segments are looked up, points
+        on analytic segments go through the scalar formula one by one, so
+        every entry equals eval/left_limit/right_limit bit for bit.
+        """
         arr = np.asarray(xs, dtype=float)
-        out = np.fromiter((self.eval(float(x)) for x in arr.ravel()), dtype=float, count=arr.size)
-        return out.reshape(arr.shape)
+        i = self._xa.searchsorted(arr)
+        seg_vals = np.asarray(self._levels[i])
+        if self._curved:
+            curve = (~self._const[i]).ravel().nonzero()[0]
+            flat, idx = arr.ravel(), i.ravel()
+            for k, x, j in zip(curve.tolist(), flat[curve].tolist(), idx[curve].tolist()):
+                seg_vals.flat[k] = _seg_end(self.segments[j], x, 1 if x > 0.0 else -1)
+        return np.where(self._xp[i] == arr, self._tri[side + 1, i], seg_vals)
 
     # -- structure ----------------------------------------------------------
 
@@ -233,7 +296,7 @@ class DistFn:
 
     @property
     def is_step(self) -> bool:
-        return all(isinstance(s, ConstSeg) for s in self.segments)
+        return bool(self._const.all())
 
     @property
     def final(self) -> float:
@@ -394,7 +457,7 @@ def paramspec_from_json(obj) -> ParamSpec:
             return ParamSpec.exponential(obj["rate"], obj.get("shift", 0.0))
         if kind == "piecewise":
             return ParamSpec.piecewise(obj["breakpoints"], obj["segments"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InvalidParameterError(f"malformed {kind!r} law: {exc}") from exc
     raise InvalidParameterError(f"unknown family {kind!r}")
 
@@ -408,12 +471,17 @@ def step_cdf(atoms) -> DistFn:
 # pointwise combinations
 
 
-def _segment_over(f: DistFn, lo: float, hi: float) -> Segment:
-    # the unique segment of f covering the open interval (lo, hi); callers
-    # guarantee no breakpoint of f lies inside
-    if not f.points or lo == -INF:
-        return f.segments[0]
-    return f.segments[bisect_right(f._xs, lo)]
+def _merged_xs(f: DistFn, g: DistFn) -> np.ndarray:
+    """Sorted union of both breakpoint sets, as sorted(set(f) | set(g)).
+
+    Where 0.0 meets -0.0 the set keeps f's zero; dropping g's copies of f's
+    breakpoints before sorting keeps the same one.
+    """
+    fa, ga = f._xa, g._xa
+    if not fa.size:
+        return ga.copy()
+    pos = np.minimum(np.searchsorted(fa, ga), fa.size - 1)
+    return np.sort(np.concatenate((fa, ga[fa[pos] != ga])))
 
 
 def _scale_shift(seg: Segment, k: float, d: float) -> Segment:
@@ -427,33 +495,51 @@ def _scale_shift(seg: Segment, k: float, d: float) -> Segment:
     return ExpSeg(k * seg.scale, seg.rate, seg.origin, k * seg.offset + d)
 
 
+# Each pointwise op is affine in its second operand when the first is a
+# constant c: op(c, s) = k*s + d. The op's coefficient function maps c to
+# (k, d), elementwise on arrays; its segment op and _combine's constant
+# pairs both take (k, d) from it.
+
+
+def _product_coef(c):
+    return c, 0.0
+
+
 def _product_segs(a: Segment, b: Segment, lo: float, hi: float) -> Segment:
     if isinstance(a, ConstSeg):
-        return _scale_shift(b, a.level, 0.0)
+        return _scale_shift(b, *_product_coef(a.level))
     if isinstance(b, ConstSeg):
-        return _scale_shift(a, b.level, 0.0)
+        return _scale_shift(a, *_product_coef(b.level))
     raise UnsupportedSegmentPairError(
         f"product of {type(a).__name__} and {type(b).__name__} on ({lo}, {hi}) "
         "leaves the closed segment family; discretize one operand"
     )
 
 
+def _comix_coef(c):
+    # a + b - a*b == c + (1-c)*other when one side is the constant c
+    return 1.0 - c, c
+
+
 def _comix_segs(a: Segment, b: Segment, lo: float, hi: float) -> Segment:
-    # a + b - a*b == k + (1-k)*other when one side is the constant k
     if isinstance(a, ConstSeg):
-        return _scale_shift(b, 1.0 - a.level, a.level)
+        return _scale_shift(b, *_comix_coef(a.level))
     if isinstance(b, ConstSeg):
-        return _scale_shift(a, 1.0 - b.level, b.level)
+        return _scale_shift(a, *_comix_coef(b.level))
     raise UnsupportedSegmentPairError(
         f"comixture of {type(a).__name__} and {type(b).__name__} on ({lo}, {hi}) "
         "leaves the closed segment family; discretize one operand"
     )
 
 
-def _blend_segs_factory(t: float):
+def _blend_ops(t: float):
+    # the coefficient function and the segment op of t*a + (1-t)*b
+    def coef(c):
+        return 1.0 - t, t * c
+
     def op(a: Segment, b: Segment, lo: float, hi: float) -> Segment:
         if isinstance(a, ConstSeg):
-            return _scale_shift(b, 1.0 - t, t * a.level)
+            return _scale_shift(b, *coef(a.level))
         if isinstance(b, ConstSeg):
             return _scale_shift(a, t, (1.0 - t) * b.level)
         if isinstance(a, AffineSeg) and isinstance(b, AffineSeg):
@@ -480,7 +566,7 @@ def _blend_segs_factory(t: float):
             "leaves the closed segment family; discretize one operand"
         )
 
-    return op
+    return coef, op
 
 
 def _simplified(d: DistFn) -> DistFn:
@@ -489,74 +575,81 @@ def _simplified(d: DistFn) -> DistFn:
     # triple, so no value re-check is needed)
     if not d.points:
         return d
-    pts: list[Breakpoint] = []
-    segs: list[Segment] = [d.segments[0]]
-    for i, p in enumerate(d.points):
-        nxt = d.segments[i + 1]
-        if p.left == p.value == p.right and segs[-1] == nxt:
-            continue
-        pts.append(p)
-        segs.append(nxt)
-    if len(pts) == len(d.points):
+    left, value, right = d._tri[:, :-1]
+    flat = (left == value) & (value == right)
+    if not np.count_nonzero(flat):
         return d
-    if not pts:
-        return DistFn((), segs[:1]) if isinstance(segs[0], ConstSeg) else d
-    return DistFn(tuple(pts), tuple(segs))
+    const, levels = d._const, d._levels
+    same = const[:-1] & const[1:] & (levels[:-1] == levels[1:])
+    for i in (flat & ~const[:-1] & ~const[1:]).nonzero()[0].tolist():
+        same[i] = d.segments[i] == d.segments[i + 1]
+    keep = (~(flat & same)).nonzero()[0].tolist()
+    if len(keep) == len(d.points):
+        return d
+    if not keep:
+        return DistFn((), d.segments[:1]) if const[0] else d
+    pts = tuple(map(d.points.__getitem__, keep))
+    segs = (d.segments[0], *map(d.segments.__getitem__, [i + 1 for i in keep]))
+    return DistFn(pts, segs)
 
 
-def _combine(f: DistFn, g: DistFn, value_op: Callable, seg_op: Callable) -> DistFn:
-    xs = sorted(set(f._xs).union(g._xs))
-    pts = []
-    for x in xs:
-        fl, fv, fr = f.triple(x)
-        gl, gv, gr = g.triple(x)
-        left = value_op(fl, gl)
-        # every value_op is monotone in both arguments, so any disorder in
-        # the combined triple is last-ulp rounding; restore the invariant
-        value = max(value_op(fv, gv), left)
-        right = max(value_op(fr, gr), value)
-        pts.append(Breakpoint(x, left, value, right))
-    bounds = [-INF] + xs + [INF]
-    segs = [
-        seg_op(_segment_over(f, lo, hi), _segment_over(g, lo, hi), lo, hi)
-        for lo, hi in zip(bounds, bounds[1:])
-    ]
-    return _simplified(DistFn(tuple(pts), tuple(segs)))
+def _combine(f: DistFn, g: DistFn, value_op: Callable, coef: Callable, seg_op: Callable) -> DistFn:
+    # value_op acts elementwise on arrays of limits; coef is seg_op's
+    # coefficient function for a constant f segment, so a pair of constant
+    # segments gets the level seg_op would give it
+    xs = _merged_xs(f, g)
+    left, value, right = value_op(f.eval_many(xs, LIMIT_SIDES), g.eval_many(xs, LIMIT_SIDES))
+    # every value_op is monotone in both arguments, so any disorder in
+    # the combined triple is last-ulp rounding; restore the invariant
+    np.maximum(value, left, out=value)
+    np.maximum(right, value, out=right)
+    pts = tuple(map(Breakpoint, xs.tolist(), left.tolist(), value.tolist(), right.tolist()))
+    # the segment of f (and of g) on each interval of the partition
+    # -inf < xs[0] < ... < xs[-1] < inf: xs contains f's breakpoints, so
+    # those below an interval's right end count the segments before it
+    his = np.append(xs, INF)
+    fi, gi = f._xa.searchsorted(his), g._xa.searchsorted(his)
+    both_const = f._const[fi] & g._const[gi]
+    k, d = coef(f._levels[fi])
+    segs = list(map(ConstSeg, (k * g._levels[gi] + d).tolist()))
+    bounds = [-INF, *xs.tolist(), INF]
+    for j in (~both_const).nonzero()[0].tolist():
+        segs[j] = seg_op(f.segments[fi[j]], g.segments[gi[j]], bounds[j], bounds[j + 1])
+    return _simplified(DistFn(pts, tuple(segs)))
 
 
-def comix_value(a: float, b: float) -> float:
-    """a + b - a*b, exact at the boundary cases that drive knot placement.
+def comix_value(a, b):
+    """a + b - a*b elementwise, exact at the boundary cases that drive knot placement.
 
     The naive expression rounds 0.4 + 1.0 - 0.4 to 1 - 2**-53; values that
     should sit exactly on 0 or 1 must do so, since downstream constructions
-    branch on them.
+    branch on them. Scalars give a numpy scalar, arrays an array.
     """
-    if a == 0.0:
-        return b
-    if b == 0.0:
-        return a
-    if a == 1.0 or b == 1.0:
-        return 1.0
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
     # (a+b) - a*b can round one ulp above 1 when a or b is within rounding
     # of 1; the exact value never exceeds 1 on [0,1]^2
-    return min(1.0, a + b - a * b)
+    out = np.minimum(1.0, a + b - a * b)
+    out = np.where((a == 1.0) | (b == 1.0), 1.0, out)
+    out = np.where(b == 0.0, a, out)
+    return np.where(a == 0.0, b, out)[()]
 
 
 def product(f: DistFn, g: DistFn) -> DistFn:
     """Pointwise product; the law of max{X, Z} for independent X ~ f, Z ~ g."""
-    return _combine(f, g, lambda a, b: a * b, _product_segs)
+    return _combine(f, g, np.multiply, _product_coef, _product_segs)
 
 
 def comix(f: DistFn, g: DistFn) -> DistFn:
     """Pointwise f + g - f*g; the law of min{Y, Z} for independent Y ~ f, Z ~ g."""
-    return _combine(f, g, comix_value, _comix_segs)
+    return _combine(f, g, comix_value, _comix_coef, _comix_segs)
 
 
 def blend(f: DistFn, g: DistFn, t: float) -> DistFn:
     """Pointwise convex combination t*f + (1-t)*g."""
     if not (0.0 <= t <= 1.0):
         raise InvalidParameterError("blend weight must lie in [0, 1]")
-    return _combine(f, g, lambda a, b: t * a + (1.0 - t) * b, _blend_segs_factory(t))
+    return _combine(f, g, lambda a, b: t * a + (1.0 - t) * b, *_blend_ops(t))
 
 
 def reverse(f: DistFn) -> DistFn:
@@ -585,40 +678,48 @@ def _reverse_seg(seg: Segment) -> Segment:
 # comparison and probing
 
 
-def _interval_probes(f: DistFn, g: DistFn, lo: float, hi: float) -> list[float]:
-    sf, sg = _segment_over(f, lo, hi), _segment_over(g, lo, hi)
-    n = _EXP_SAMPLES if isinstance(sf, ExpSeg) or isinstance(sg, ExpSeg) else 1
-    if lo == -INF and hi == INF:
-        return [0.0]
-    if lo == -INF:
-        return [hi - 2.0**j for j in reversed(range(n))]
-    if hi == INF:
-        return [lo + 2.0**j for j in range(n)]
-    return [lo + (hi - lo) * j / (n + 1) for j in range(1, n + 1)]
+def ordered_probes(f: DistFn, g: DistFn) -> tuple[np.ndarray, np.ndarray]:
+    """Probe abscissas in increasing order with their sides in {-1, 0, +1}.
 
-
-def ordered_probes(f: DistFn, g: DistFn):
-    """Yield (x, side) probes in increasing x order; side in {-1, 0, +1}."""
-    xs = sorted(set(f._xs).union(g._xs))
-    bounds = [-INF] + xs + [INF]
-    yield (-INF, 0)
-    for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        for x in _interval_probes(f, g, lo, hi):
-            yield (x, 0)
-        if i < len(xs):
-            yield (xs[i], -1)
-            yield (xs[i], 0)
-            yield (xs[i], +1)
-    yield (INF, 0)
-
-
-def side_eval(f: DistFn, x: float, side: int) -> float:
-    """f's left limit, value or right limit at x for side -1, 0 or +1."""
-    if side < 0:
-        return f.left_limit(x)
-    if side > 0:
-        return f.right_limit(x)
-    return f.eval(x)
+    -inf first, then per interval of the merged breakpoints its interior
+    samples followed by the breakpoint's left limit, value and right limit,
+    and +inf last. An interval gets one sample (its midpoint, or 1 beyond
+    the outermost breakpoint) unless an exponential piece of f or g lives
+    on it; then it gets 17 (evenly spaced, or 2**j beyond the ends).
+    """
+    xs = _merged_xs(f, g)
+    k = xs.size
+    lo = np.concatenate(([-INF], xs))[:, None]
+    hi = np.append(xs, INF)[:, None]
+    n = np.ones(k + 1, dtype=int)
+    for fn in (f, g):
+        if fn._curved and k:
+            is_exp = np.array([isinstance(seg, ExpSeg) for seg in fn.segments])
+            n[is_exp[fn._xa.searchsorted(hi[:, 0])]] = _EXP_SAMPLES
+    # one row per interval: its samples j = 1..n (padded to the longest
+    # row), then the three probes of the breakpoint closing it
+    width = int(n.max())
+    j = np.arange(1, width + 1)
+    nn = n[:, None]
+    with np.errstate(invalid="ignore"):
+        samples = np.where(
+            lo == -INF,
+            hi - 2.0 ** (nn - j),
+            np.where(hi == INF, lo + 2.0 ** (j - 1), lo + (hi - lo) * j / (nn + 1)),
+        )
+    if not k:
+        samples[:] = 0.0
+    probe_x = np.empty((k + 1, width + 3))
+    probe_x[:, :width] = samples
+    probe_x[:, width:] = hi
+    probe_s = np.zeros(probe_x.shape, dtype=int)
+    probe_s[:, width:] = (-1, 0, 1)
+    used = np.arange(width + 3) < nn
+    used[:-1, width:] = True
+    return (
+        np.concatenate(([-INF], probe_x[used], [INF])),
+        np.concatenate(([0], probe_s[used], [0])),
+    )
 
 
 def first_violation(f: DistFn, g: DistFn, tol: float = 0.0):
@@ -627,12 +728,14 @@ def first_violation(f: DistFn, g: DistFn, tol: float = 0.0):
     Exact for constant/affine pairs (endpoint comparison decides); intervals
     touching an exponential piece are sampled at 17 interior points.
     """
-    for x, side in ordered_probes(f, g):
-        fv = side_eval(f, x, side)
-        gv = side_eval(g, x, side)
-        if fv > gv + tol:
-            return (x, side, fv, gv)
-    return None
+    xs, sides = ordered_probes(f, g)
+    fv = f.eval_many(xs, sides)
+    gv = g.eval_many(xs, sides)
+    bad = fv > gv + tol
+    if not np.count_nonzero(bad):
+        return None
+    k = int(bad.argmax())
+    return (float(xs[k]), int(sides[k]), float(fv[k]), float(gv[k]))
 
 
 def leq(f: DistFn, g: DistFn, tol: float = 0.0) -> bool:
@@ -641,9 +744,8 @@ def leq(f: DistFn, g: DistFn, tol: float = 0.0) -> bool:
 
 
 def max_abs_difference(f: DistFn, g: DistFn, extra_points=()) -> float:
-    worst = 0.0
-    for x, side in ordered_probes(f, g):
-        worst = max(worst, abs(side_eval(f, x, side) - side_eval(g, x, side)))
+    xs, sides = ordered_probes(f, g)
+    worst = float(np.max(np.abs(f.eval_many(xs, sides) - g.eval_many(xs, sides))))
     for x in extra_points:
         worst = max(worst, abs(f.eval(x) - g.eval(x)))
     return worst
@@ -669,15 +771,14 @@ def step_approximation(f: DistFn, n: int, lo: float, hi: float) -> DistFn:
         raise InvalidParameterError("discretize needs at least 2 grid points")
     if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
         raise InvalidRangeError(f"bad discretization range ({lo}, {hi})")
-    atoms = []
-    prev = 0.0
-    for i in range(n):
-        x = lo + (hi - lo) * i / (n - 1)
-        c = f.eval(x)
-        if c - prev > 0.0:
-            atoms.append((x, c - prev))
-            prev = c
-    tail = f.final - prev
+    xs = lo + (hi - lo) * np.arange(n) / (n - 1)
+    cs = f.eval_many(xs)
+    # an atom wherever the CDF rises above every earlier grid value
+    prev = np.maximum.accumulate(np.concatenate(([0.0], cs)))
+    rise = cs - prev[:-1]
+    up = rise > 0.0
+    atoms = list(zip(xs[up].tolist(), rise[up].tolist()))
+    tail = f.final - float(prev[-1])
     if tail > 0.0:
         if atoms:
             x_last, m_last = atoms[-1]

@@ -33,6 +33,7 @@ from .distfn import (
     ANALYTIC_TOL,
     EXACT_TOL,
     INF,
+    LIMIT_SIDES,
     AffineSeg,
     ConstSeg,
     DistFn,
@@ -41,7 +42,6 @@ from .distfn import (
     comix_value,
     ordered_probes,
     product,
-    side_eval,
 )
 from .errors import (
     InvalidParameterError,
@@ -65,13 +65,12 @@ class Generator:
             raise InvalidParameterError(f"unknown generator kind {self.kind!r}")
         if len(self.knots) < 2:
             raise InvalidParameterError("a generator needs at least 2 knots")
-        us = np.array([u for u, _ in self.knots], dtype=float)
-        ys = np.array([y for _, y in self.knots], dtype=float)
+        us, ys = np.array(self.knots, dtype=float).reshape(-1, 2).T.copy()
         if us[0] != 0.0 or us[-1] != 1.0:
             raise InvalidParameterError("generator knots must span [0, 1]")
-        if np.any(np.diff(us) <= 0.0):
+        if np.count_nonzero(us[1:] <= us[:-1]):
             raise InvalidParameterError("knot abscissas must be strictly increasing")
-        if np.any(ys < 0.0) or np.any(ys > 1.0):
+        if np.count_nonzero(ys < 0.0) or np.count_nonzero(ys > 1.0):
             raise InvalidParameterError("knot values must lie in [0, 1]")
         object.__setattr__(self, "_us", us)
         object.__setattr__(self, "_ys", ys)
@@ -96,7 +95,7 @@ class Generator:
 
     @property
     def knot_us(self) -> tuple[float, ...]:
-        return tuple(float(u) for u in self._us)
+        return tuple(self._us.tolist())
 
     @classmethod
     def identity(cls, kind: str) -> "Generator":
@@ -127,18 +126,25 @@ def chi_star(g: Generator, w: float) -> float:
 # validity checks
 
 
-def _probe_grid(g: Generator) -> list[float]:
-    us = list(g._us)
-    mids = [(a + b) / 2.0 for a, b in zip(us, us[1:])]
-    return sorted(set(us).union(mids))
+def _with_midpoints(us: np.ndarray) -> np.ndarray:
+    """Sorted strictly increasing us with every adjacent midpoint added.
+
+    A midpoint of two adjacent floats rounds onto one of them and is then
+    dropped, as in sorted(set(us) | set(mids)).
+    """
+    out = np.empty(2 * us.size - 1)
+    out[0::2] = us
+    out[1::2] = (us[:-1] + us[1:]) / 2.0
+    return out[np.concatenate(([True], out[1:] != out[:-1]))]
 
 
-def _non_increasing(values: list[float], points: list[float], tol: float):
+def _first_rise(values: np.ndarray, points: np.ndarray, tol: float):
     # first adjacent rise beyond tol; inf may only appear as a prefix
-    for i in range(1, len(values)):
-        if values[i] > values[i - 1] + tol:
-            return (points[i - 1], points[i])
-    return None
+    rises = np.flatnonzero(values[1:] > values[:-1] + tol)
+    if not rises.size:
+        return None
+    i = rises[0]
+    return (float(points[i]), float(points[i + 1]))
 
 
 def check_generator(g: Generator, tol: float = EXACT_TOL) -> list[Check]:
@@ -147,15 +153,12 @@ def check_generator(g: Generator, tol: float = EXACT_TOL) -> list[Check]:
     Piecewise-affine pieces make every scanned quantity monotone between
     consecutive probe points, so the scan is exact, not a sampling heuristic.
     """
-    probes = _probe_grid(g)
-    vals = [g.eval(u) for u in probes]
+    probes = _with_midpoints(g._us)
+    vals = g.eval_many(probes)
     checks = []
 
-    witness = None
-    for i in range(1, len(vals)):
-        if vals[i] < vals[i - 1] - tol:
-            witness = (probes[i - 1], probes[i])
-            break
+    drops = np.flatnonzero(vals[1:] < vals[:-1] - tol)
+    witness = (float(probes[drops[0]]), float(probes[drops[0] + 1])) if drops.size else None
     checks.append(Check("non-decreasing", witness is None, witness=witness))
 
     end_dev = max(abs(g.eval(0.0)), abs(g.eval(1.0) - 1.0))
@@ -164,20 +167,19 @@ def check_generator(g: Generator, tol: float = EXACT_TOL) -> list[Check]:
     )
 
     if g.kind in ("phi", "psi"):
-        pts = [u for u in probes if u > 0.0]
-        stars = [phi_star(g, u) for u in pts]
-        w = _non_increasing(stars, pts, tol)
+        inner = probes > 0.0
+        pts = probes[inner]
+        w = _first_rise(vals[inner] / pts, pts, tol)
         checks.append(Check("star-non-increasing", w is None, witness=w))
     else:
-        below = None
-        for u, y in zip(probes, vals):
-            if y > u + tol:
-                below = u
-                break
+        above = np.flatnonzero(vals > probes + tol)
+        below = float(probes[above[0]]) if above.size else None
         checks.append(Check("below-identity", below is None, witness=below))
-        pts = [u for u in probes if u < 1.0]
-        stars = [chi_star(g, u) for u in pts]
-        w = _non_increasing(stars, pts, tol)
+        inner = probes < 1.0
+        pts, ys = probes[inner], vals[inner]
+        den = pts - ys
+        stars = np.divide(1.0 - ys, den, out=np.full_like(den, INF), where=den > 0.0)
+        w = _first_rise(stars, pts, tol)
         checks.append(Check("star-non-increasing", w is None, witness=w))
 
     return checks
@@ -196,19 +198,13 @@ def check_association(
     defining relation places no constraint. Probes cover all breakpoints of
     both inputs, their one-sided limits, and segment-interior samples.
     """
-    worst = 0.0
-    where = None
-    for x, side in ordered_probes(base, target):
-        b = side_eval(base, x, side)
-        if g.kind in ("phi", "psi"):
-            if b <= 0.0:
-                continue
-        elif b >= 1.0:
-            continue
-        dev = abs(g.eval(b) - side_eval(target, x, side))
-        if dev > worst:
-            worst = dev
-            where = (x, side)
+    xs, sides = ordered_probes(base, target)
+    b = base.eval_many(xs, sides)
+    admissible = b > 0.0 if g.kind in ("phi", "psi") else b < 1.0
+    devs = np.where(admissible, np.abs(g.eval_many(b) - target.eval_many(xs, sides)), 0.0)
+    k = int(np.argmax(devs))
+    worst = float(devs[k])
+    where = (float(xs[k]), int(sides[k])) if worst > 0.0 else None
     return Check("association", worst <= tol, value=worst, witness=where)
 
 
@@ -216,12 +212,12 @@ def check_order(g1: Generator, g2: Generator, tol: float = 0.0) -> Check:
     """Pointwise g1 <= g2; exact via merged knots and midpoints."""
     if g1.kind != g2.kind:
         raise InvalidParameterError("can only order generators of the same kind")
-    us = sorted(set(g1.knot_us).union(g2.knot_us))
-    us = sorted(set(us).union((a + b) / 2.0 for a, b in zip(us, us[1:])))
-    for u in us:
-        a, b = g1.eval(u), g2.eval(u)
-        if a > b + tol:
-            return Check("order", False, value=a - b, witness=u)
+    us = _with_midpoints(np.union1d(g1._us, g2._us))
+    a, b = g1.eval_many(us), g2.eval_many(us)
+    above = np.flatnonzero(a > b + tol)
+    if above.size:
+        k = above[0]
+        return Check("order", False, value=float(a[k] - b[k]), witness=float(us[k]))
     return Check("order", True, value=0.0)
 
 
@@ -237,13 +233,11 @@ def blend_generators(a: Generator, b: Generator, t: float) -> Generator:
         raise InvalidParameterError("can only blend generators of the same kind")
     if not 0.0 <= t <= 1.0:
         raise InvalidParameterError(f"blend weight {t} outside [0, 1]")
-    us = sorted(set(a.knot_us).union(b.knot_us))
-    knots = []
-    for u in us:
-        ya = float(np.interp(u, a._us, a._ys))
-        yb = float(np.interp(u, b._us, b._ys))
-        knots.append((u, t * ya + (1.0 - t) * yb))
-    return Generator(a.kind, tuple(knots))
+    us = np.union1d(a._us, b._us)
+    ya = np.interp(us, a._us, a._ys)
+    yb = np.interp(us, b._us, b._ys)
+    ys = t * ya + (1.0 - t) * yb
+    return Generator(a.kind, tuple(zip(us.tolist(), ys.tolist())))
 
 
 def envelope_generators(gs) -> tuple[Generator, Generator]:
@@ -258,35 +252,28 @@ def envelope_generators(gs) -> tuple[Generator, Generator]:
     kind = gs[0].kind
     if any(g.kind != kind for g in gs):
         raise InvalidParameterError("mixed generator kinds")
-    base = sorted(set().union(*(g.knot_us for g in gs)))
-    cross: set[float] = set(base)
-    for lo, hi in zip(base, base[1:]):
-        # interpolate the continuous branch; eval() would inject the jump
-        # convention at the endpoints and distort the chords
-        lines = []
-        for g in gs:
-            y0 = float(np.interp(lo, g._us, g._ys))
-            y1 = float(np.interp(hi, g._us, g._ys))
-            slope = (y1 - y0) / (hi - lo)
-            lines.append((y0 - slope * lo, slope))
-        for i in range(len(lines)):
-            for j in range(i + 1, len(lines)):
-                ci, si = lines[i]
-                cj, sj = lines[j]
-                if si == sj:
-                    continue
-                u = (cj - ci) / (si - sj)
-                if lo < u < hi:
-                    cross.add(u)
-    us = sorted(cross)
-    lo_knots = []
-    hi_knots = []
-    for u in us:
-        vals = [np.interp(u, g._us, g._ys) for g in gs]
-        lo_knots.append((u, float(min(vals))))
-        hi_knots.append((u, float(max(vals))))
-    gmin = Generator(kind, tuple(lo_knots))
-    gmax = Generator(kind, tuple(hi_knots))
+    base = np.unique(np.concatenate([g._us for g in gs]))
+    lo, hi = base[:-1], base[1:]
+    # interpolate the continuous branch; eval() would inject the jump
+    # convention at the endpoints and distort the chords
+    slopes, intercepts = [], []
+    for g in gs:
+        y0 = np.interp(lo, g._us, g._ys)
+        y1 = np.interp(hi, g._us, g._ys)
+        slope = (y1 - y0) / (hi - lo)
+        slopes.append(slope)
+        intercepts.append(y0 - slope * lo)
+    cross = [base]
+    for i in range(len(gs)):
+        for j in range(i + 1, len(gs)):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                u = (intercepts[j] - intercepts[i]) / (slopes[i] - slopes[j])
+            inside = (slopes[i] != slopes[j]) & (lo < u) & (u < hi)
+            cross.append(u[inside])
+    us = np.unique(np.concatenate(cross))
+    vals = np.array([np.interp(us, g._us, g._ys) for g in gs])
+    gmin = Generator(kind, tuple(zip(us.tolist(), vals.min(axis=0).tolist())))
+    gmax = Generator(kind, tuple(zip(us.tolist(), vals.max(axis=0).tolist())))
     for g in (gmin, gmax):
         bad = [c.name for c in check_generator(g, ANALYTIC_TOL) if not c.passed]
         if bad:
@@ -300,34 +287,33 @@ def envelope_generators(gs) -> tuple[Generator, Generator]:
 # construction from shock distribution functions
 
 
-def _monotone_us(raw: list[tuple[float, float]]) -> list[tuple[float, float]]:
+def _monotone_us(us: np.ndarray) -> np.ndarray:
     # cluster corners are recomputed from the factor CDFs while the anchors
     # come from the composite; the two arithmetic paths may disagree in the
     # last ulp, so restore the non-decreasing abscissa invariant
-    out: list[tuple[float, float]] = []
-    for u, y in raw:
-        if out and u < out[-1][0]:
-            u = out[-1][0]
-        out.append((u, y))
-    return out
+    return np.maximum.accumulate(us)
 
 
-def _dedupe_knots(raw: list[tuple[float, float]]) -> tuple[tuple[float, float], ...]:
+def _dedupe_knots(us: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # collisions at 0 keep the last value (the right limit of the jump), at 1
     # the first (the left limit); interior collisions must agree
-    out: list[tuple[float, float]] = []
-    for u, y in raw:
-        if out and out[-1][0] == u:
-            if u == 0.0:
-                out[-1] = (u, y)
-            elif u != 1.0 and abs(out[-1][1] - y) > ANALYTIC_TOL:
-                raise InvalidParameterError(
-                    f"inconsistent generator value at interior knot u={u}: "
-                    f"{out[-1][1]} vs {y}"
-                )
-            continue
-        out.append((u, y))
-    return tuple(out)
+    new_run = np.empty(us.size, dtype=bool)
+    new_run[0] = True
+    np.not_equal(us[1:], us[:-1], out=new_run[1:])
+    starts = new_run.nonzero()[0]
+    run_first = starts[new_run.cumsum() - 1]
+    clash = np.abs(ys[run_first] - ys) > ANALYTIC_TOL
+    clash &= (us != 0.0) & (us != 1.0)
+    if np.count_nonzero(clash):
+        k = int(clash.argmax())
+        raise InvalidParameterError(
+            f"inconsistent generator value at interior knot u={float(us[k])}: "
+            f"{float(ys[run_first[k]])} vs {float(ys[k])}"
+        )
+    # the last knot of the run at 0, the first of every other run
+    if us[0] == 0.0:
+        starts[0] = starts[1] - 1 if starts.size > 1 else us.size - 1
+    return us[starts], ys[starts]
 
 
 def _require_proper(f: DistFn, label: str) -> None:
@@ -348,20 +334,18 @@ def build_phi(fx: DistFn, fz: DistFn, kind: str = "phi") -> Generator:
     _require_proper(f, "the composite max-type CDF")
     if not f.points:
         return Generator.identity(kind)
-    raw = [(0.0, fx.eval(-INF))]
-    for x0 in f.breakpoints:
-        fxl, fxv, fxr = fx.triple(x0)
-        fl, fv, fr = f.triple(x0)
-        fzv = fz.eval(x0)
-        # anchor the cluster on the composite's own stored values so the
-        # association holds bit-for-bit at every one-sided limit
-        raw.append((fl, fxl))
-        raw.append((fxl * fzv, fxl))
-        raw.append((fv, fxv))
-        raw.append((fxr * fzv, fxr))
-        raw.append((fr, fxr))
-    raw.append((1.0, 1.0))
-    return Generator(kind, _dedupe_knots(_monotone_us(raw)))
+    xs = np.array(f.breakpoints)
+    fl, fv, fr = f.eval_many(xs, LIMIT_SIDES)
+    fxl, fxv, fxr = fx.eval_many(xs, LIMIT_SIDES)
+    fzv = fz.eval_many(xs)
+    # anchor each cluster on the composite's own stored values so the
+    # association holds bit-for-bit at every one-sided limit
+    us = np.array([fl, fxl * fzv, fv, fxr * fzv, fr]).T.ravel()
+    ys = np.array([fxl, fxl, fxv, fxr, fxr]).T.ravel()
+    us = np.concatenate(([0.0], us, [1.0]))
+    ys = np.concatenate(([fx.eval(-INF)], ys, [1.0]))
+    us, ys = _dedupe_knots(_monotone_us(us), ys)
+    return Generator(kind, tuple(zip(us.tolist(), ys.tolist())))
 
 
 def build_psi(fy: DistFn, fz: DistFn) -> Generator:
@@ -382,20 +366,19 @@ def build_chi(fy: DistFn, fz: DistFn) -> Generator:
     _require_proper(k, "the composite min-type CDF")
     if not k.points:
         return Generator.identity("chi")
-    raw = [(0.0, 0.0)]
-    for y0 in k.breakpoints:
-        fyl, fyv, fyr = fy.triple(y0)
-        kl, kv, kr = k.triple(y0)
-        fzv = fz.eval(y0)
-        # same anchoring as build_phi: composite values verbatim, the two
-        # z-jump corners recomputed, abscissae restored to monotone
-        raw.append((kl, fyl))
-        raw.append((comix_value(fyl, fzv), fyl))
-        raw.append((kv, fyv))
-        raw.append((comix_value(fyr, fzv), fyr))
-        raw.append((kr, fyr))
-    raw.append((1.0, fy.eval(INF)))
-    return Generator("chi", _dedupe_knots(_monotone_us(raw)))
+    xs = np.array(k.breakpoints)
+    kl, kv, kr = k.eval_many(xs, LIMIT_SIDES)
+    fyl, fyv, fyr = fy.eval_many(xs, LIMIT_SIDES)
+    fzv = fz.eval_many(xs)
+    # same anchoring as build_phi: composite values verbatim, the two
+    # z-jump corners recomputed, abscissae restored to monotone
+    wl, wr = comix_value(np.array([fyl, fyr]), fzv)
+    us = np.array([kl, wl, kv, wr, kr]).T.ravel()
+    ys = np.array([fyl, fyl, fyv, fyr, fyr]).T.ravel()
+    us = np.concatenate(([0.0], us, [1.0]))
+    ys = np.concatenate(([0.0], ys, [fy.eval(INF)]))
+    us, ys = _dedupe_knots(_monotone_us(us), ys)
+    return Generator("chi", tuple(zip(us.tolist(), ys.tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -417,13 +400,13 @@ def _invert_segment(seg, u: float, lo: float, hi: float) -> float:
 def locate(f: DistFn, u: float) -> float:
     """Smallest x0 with f(x0-) <= u <= f(x0+); breakpoints win ties."""
     xs = f.breakpoints
-    for i, x in enumerate(xs):
-        if f.right_limit(x) >= u:
-            if f.left_limit(x) <= u:
-                return x
-            lo = xs[i - 1] if i > 0 else -INF
-            return _invert_segment(f.segments[i], u, lo, x)
-    return _invert_segment(f.segments[-1], u, xs[-1] if xs else -INF, INF)
+    reached = np.flatnonzero(f.eval_many(xs, 1) >= u)
+    if not reached.size:
+        return _invert_segment(f.segments[-1], u, xs[-1] if xs else -INF, INF)
+    i = int(reached[0])
+    if f.left_limit(xs[i]) <= u:
+        return xs[i]
+    return _invert_segment(f.segments[i], u, xs[i - 1] if i > 0 else -INF, xs[i])
 
 
 def formula_phi(fx: DistFn, fz: DistFn, u: float, x0: float | None = None) -> float:
@@ -532,46 +515,39 @@ class GapRecord:
         return self.greatest - self.canonical
 
 
-def _phi_gap_extremes(fx, fz, x0, a, b, left_of_value):
-    # extremes over associated phis on the open gap (a, b) at midpoint
+def _phi_gap_extremes(fx, fz, xs, a, b, left_of_value):
+    # extremes over associated phis on the open gaps (a, b) at their
+    # midpoints; xs are the anchoring breakpoints, one per gap
     u = (a + b) / 2.0
-    fxl, fxv, fxr = fx.triple(x0)
-    fzl, fzv, fzr = fz.triple(x0)
-    if left_of_value:
-        y_lo, y_hi = fxl, fxv
-        z_lo, z_hi = fzl, fzv
-    else:
-        y_lo, y_hi = fxv, fxr
-        z_lo, z_hi = fzv, fzr
-    least = u / z_hi if z_hi > 0.0 else 1.0
-    if a > 0.0:
-        least = max(least, y_lo)
-    greatest = min(1.0, y_hi)
-    if a > 0.0 and z_lo > 0.0:
-        greatest = min(greatest, u / z_lo)
+    fxl, fxv, fxr = fx.eval_many(xs, LIMIT_SIDES)
+    fzl, fzv, fzr = fz.eval_many(xs, LIMIT_SIDES)
+    y_lo = np.where(left_of_value, fxl, fxv)
+    y_hi = np.where(left_of_value, fxv, fxr)
+    z_lo = np.where(left_of_value, fzl, fzv)
+    z_hi = np.where(left_of_value, fzv, fzr)
+    least = np.divide(u, z_hi, out=np.ones_like(u), where=z_hi > 0.0)
+    least = np.where(a > 0.0, np.maximum(least, y_lo), least)
+    cap = np.divide(u, z_lo, out=np.full_like(u, INF), where=(a > 0.0) & (z_lo > 0.0))
+    greatest = np.minimum(np.minimum(1.0, y_hi), cap)
     return u, least, greatest
 
 
-def _chi_gap_extremes(fy, _fz, y0, a, b, left_of_value):
+def _chi_gap_extremes(fy, _fz, xs, a, b, left_of_value):
     w = (a + b) / 2.0
-    fyl, fyv, fyr = fy.triple(y0)
-    if left_of_value:
-        y_lo, y_hi = fyl, fyv
-    else:
-        y_lo, y_hi = fyv, fyr
-    least = y_lo
-    if b < 1.0:
-        if b > y_hi:
-            # star constraint anchored at the attained pair (b, y_hi): the
-            # admissible floor is the chord through (b, y_hi) and (1, 1)
-            s = (1.0 - y_hi) / (b - y_hi)
-            least = max(least, (s * w - 1.0) / (s - 1.0))
-        else:
-            least = max(least, w)
-    greatest = min(w, y_hi if b < 1.0 else 1.0)
-    if a > y_lo:
+    fyl, fyv, fyr = fy.eval_many(xs, LIMIT_SIDES)
+    y_lo = np.where(left_of_value, fyl, fyv)
+    y_hi = np.where(left_of_value, fyv, fyr)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # star constraint anchored at the attained pair (b, y_hi): the
+        # admissible floor is the chord through (b, y_hi) and (1, 1)
+        s = (1.0 - y_hi) / (b - y_hi)
+        chord_floor = (s * w - 1.0) / (s - 1.0)
         t = (1.0 - y_lo) / (a - y_lo)
-        greatest = min(greatest, (t * w - 1.0) / (t - 1.0))
+        chord_cap = (t * w - 1.0) / (t - 1.0)
+    floor = np.where(b > y_hi, chord_floor, w)
+    least = np.where(b < 1.0, np.maximum(y_lo, floor), y_lo)
+    greatest = np.minimum(w, np.where(b < 1.0, y_hi, 1.0))
+    greatest = np.where(a > y_lo, np.minimum(greatest, chord_cap), greatest)
     return w, least, greatest
 
 
@@ -593,14 +569,22 @@ def associated_envelope_gaps(
     else:
         base = comix(first, fz)
         extremes = _chi_gap_extremes
-    records = []
-    for x0 in base.breakpoints:
-        left, val, right = base.triple(x0)
-        for a, b, left_of_value in ((left, val, True), (val, right, False)):
-            if b - a <= 0.0 or a >= 1.0 or b <= 0.0:
-                continue
-            mid, least, greatest = extremes(first, fz, x0, a, b, left_of_value)
-            records.append(
-                GapRecord(a, b, canonical=g.eval(mid), least=least, greatest=greatest)
-            )
-    return records
+    # two gaps per breakpoint, (left, value) then (value, right)
+    xs = np.array(base.breakpoints)
+    left, val, right = base.eval_many(xs, LIMIT_SIDES)
+    lo = np.column_stack((left, val)).ravel()
+    hi = np.column_stack((val, right)).ravel()
+    left_of_value = np.tile([True, False], xs.size)
+    keep = (hi - lo > 0.0) & (lo < 1.0) & (hi > 0.0)
+    lo, hi, left_of_value = lo[keep], hi[keep], left_of_value[keep]
+    mid, least, greatest = extremes(first, fz, np.repeat(xs, 2)[keep], lo, hi, left_of_value)
+    return list(
+        map(
+            GapRecord,
+            lo.tolist(),
+            hi.tolist(),
+            g.eval_many(mid).tolist(),
+            least.tolist(),
+            greatest.tolist(),
+        )
+    )

@@ -270,8 +270,8 @@ def check_bivariate_pbox_conditions(
     """
     xs = np.concatenate(([-INF], np.asarray(xs, dtype=float), [INF]))
     ys = np.concatenate(([-INF], np.asarray(ys, dtype=float), [INF]))
-    low = np.array([[low_h.at(x, y) for y in ys] for x in xs])
-    up = np.array([[up_h.at(x, y) for y in ys] for x in xs])
+    low = low_h.at_many(xs, ys)
+    up = up_h.at_many(xs, ys)
 
     checks = []
     for name, grid in (("standardized-low", low), ("standardized-up", up)):

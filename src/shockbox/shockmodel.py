@@ -341,19 +341,21 @@ def oracle_joint(xs, ys, zs, model: str) -> JointTable:
 
 
 def compare_oracle(bound: BivariateBound, table: JointTable, tol: float = EXACT_TOL) -> Check:
-    """Max |composed - enumerated| over the oracle's support corners."""
-    worst = 0.0
-    where = None
-    for x, y, expected in table.corners():
-        dev = abs(bound.at(x, y) - expected)
-        if dev > worst:
-            worst = dev
-            where = (x, y)
+    """Max |composed - enumerated| over the oracle's support corners.
+
+    The witness is the first corner in row-major order attaining the
+    maximum, or None when every corner agrees exactly.
+    """
+    devs = np.abs(bound.at_many(table.xs, table.ys) - np.array(table.values))
+    i, j = np.unravel_index(int(np.argmax(devs)), devs.shape)
+    worst = float(devs[i, j])
+    where = (table.xs[i], table.ys[j]) if worst > 0.0 else None
     return Check("oracle-agreement", worst <= tol, value=worst, witness=where)
 
 
 def _step_atoms(f: DistFn) -> list[tuple[float, float]]:
-    return [(x, f.right_limit(x) - f.left_limit(x)) for x in f.breakpoints]
+    masses = f.eval_many(f.breakpoints, 1) - f.eval_many(f.breakpoints, -1)
+    return list(zip(f.breakpoints, masses.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +564,7 @@ def _run(s: Scenario, tol: float) -> ScenarioResult:
         direct = factor.eval_many(xs)
         zs_v = fz.eval_many(xs)
         if maxmin and label.endswith("second"):
-            direct = np.array([comix_value(a, b) for a, b in zip(direct, zs_v)])
+            direct = comix_value(direct, zs_v)
         else:
             direct = direct * zs_v
         dev = float(np.max(np.abs(composed.eval_many(xs) - direct)))

@@ -7,6 +7,7 @@ module entry point itself.
 
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -140,6 +141,27 @@ def test_unknown_law_type_exits_two(tmp_path):
     assert main(["pipeline", "--scenario", str(bad), "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "key, law",
+    [
+        ("x", {"type": "discrete", "atoms": [[1, "a"]]}),
+        ("x", {"type": "discrete", "atoms": [[1]]}),
+        ("z", {"type": "pointmass", "at": "abc"}),
+    ],
+    ids=["non-numeric-mass", "atom-without-mass", "non-numeric-location"],
+)
+def test_malformed_law_values_exit_two(tmp_path, capsys, key, law):
+    raw = read_json(SCENARIOS / "d1_discrete.json")
+    raw[key] = law
+    bad = tmp_path / "law.json"
+    bad.write_text(json.dumps(raw))
+    assert main(["pipeline", "--scenario", str(bad), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("shockbox: ") and f"law for {key}: malformed" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_scenario_must_hold_an_object(tmp_path):
     bad = tmp_path / "list.json"
     bad.write_text("[1, 2, 3]")
@@ -269,6 +291,9 @@ def test_emit_two_point_surface(tmp_path):
 
 
 def test_module_entry_point(tmp_path):
+    # the child imports the same shockbox as this test, however it was found
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [
             sys.executable,
@@ -284,6 +309,7 @@ def test_module_entry_point(tmp_path):
         ],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "report.json").exists()

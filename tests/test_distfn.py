@@ -1,6 +1,8 @@
 """Distribution-function algebra: exactness and structure of DistFn."""
 
+import dataclasses
 import math
+from bisect import bisect_left
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from shockbox.distfn import (
     EXACT_TOL,
     INF,
+    ConstSeg,
     DistFn,
     ParamSpec,
     blend,
@@ -32,6 +35,7 @@ from shockbox.errors import (
     InvalidRangeError,
     UnsupportedSegmentPairError,
 )
+from shockbox.distfn import _blend_ops, _comix_segs, _product_segs
 
 
 # dyadic masses keep every cumulative sum exactly representable
@@ -233,3 +237,138 @@ def test_constant_distfn_edge_case():
     zero = DistFn.constant(0.0)
     assert zero.eval(-INF) == zero.eval(INF) == 0.0
     assert not zero.is_proper()
+
+
+# -- array kernels against scalar evaluation -----------------------------------
+
+
+@given(steps())
+@settings(max_examples=60, deadline=None)
+def test_step_eval_many_matches_scalar_evaluation(f):
+    xs = probe_points(f)
+    assert f.eval_many(xs).tolist() == [f.eval(x) for x in xs]
+    assert f.eval_many(xs, -1).tolist() == [f.left_limit(x) for x in xs]
+    assert f.eval_many(xs, 1).tolist() == [f.right_limit(x) for x in xs]
+    sides = np.array([[-1], [0], [1]])
+    assert f.eval_many(xs, sides).T.tolist() == [list(f.triple(x)) for x in xs]
+
+
+def test_eval_many_on_exponential_pieces_matches_scalar_evaluation():
+    f = product(from_spec(ParamSpec.exponential(1.5, shift=0.5)), step_cdf([(1.0, 0.5), (2.0, 0.5)]))
+    xs = [-INF, 0.0, 0.5, 0.75, 1.0, 1.3, 2.0, 7.0, INF]
+    assert f.eval_many(xs).tolist() == [f.eval(x) for x in xs]
+    assert f.eval_many(xs, -1).tolist() == [f.left_limit(x) for x in xs]
+    assert f.eval_many(np.array(xs).reshape(3, 3)).ravel().tolist() == [f.eval(x) for x in xs]
+    assert f.eval_many(1.3).shape == () and f.eval_many(1.3) == f.eval(1.3)
+
+
+@given(steps(), steps(), st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]))
+@settings(max_examples=60, deadline=None)
+def test_combined_triples_apply_the_value_op_to_scalar_triples(f, g, t):
+    # dyadic inputs make every reference operation below exact
+    cases = (
+        (product(f, g), lambda a, b: a * b),
+        (comix(f, g), lambda a, b: a + b - a * b),
+        (blend(f, g, t), lambda a, b: t * a + (1.0 - t) * b),
+    )
+    for h, op in cases:
+        for x in probe_points(f, g):
+            want = tuple(op(a, b) for a, b in zip(f.triple(x), g.triple(x)))
+            assert h.triple(x) == want
+
+
+# masses in 47ths: cumulative levels are inexact, so a constant level
+# computed in another operation order than its segment op's would differ
+odd_steps = st.lists(
+    st.tuples(st.integers(-6, 6).map(lambda i: i / 2.0), st.integers(1, 9)),
+    min_size=1,
+    max_size=5,
+    unique_by=lambda atom: atom[0],
+).map(lambda atoms: step_cdf([(x, k / 47.0) for x, k in atoms]))
+
+
+@given(odd_steps, odd_steps, st.sampled_from([0.1, 0.3, 0.7]))
+@settings(max_examples=60, deadline=None)
+def test_constant_levels_match_the_segment_ops(f, g, t):
+    cases = ((product(f, g), _product_segs), (comix(f, g), _comix_segs))
+    for h, seg_op in (*cases, (blend(f, g, t), _blend_ops(t)[1])):
+        for x in probe_points(f, g):
+            if x in f.breakpoints or x in g.breakpoints or math.isinf(x):
+                continue
+            a = f.segments[bisect_left(f.breakpoints, x)]
+            b = g.segments[bisect_left(g.breakpoints, x)]
+            assert h.eval(x) == seg_op(a, b, -INF, INF).level
+
+
+@given(steps(), steps())
+@settings(max_examples=60, deadline=None)
+def test_first_violation_matches_a_scalar_probe_scan(f, g):
+    xs = sorted(set(f.breakpoints) | set(g.breakpoints))
+    probes = [(-INF, 0)]
+    for i, x in enumerate(xs):
+        probes.append((xs[i - 1] + (x - xs[i - 1]) / 2 if i else x - 1.0, 0))
+        probes += [(x, -1), (x, 0), (x, 1)]
+    probes += [(xs[-1] + 1.0, 0), (INF, 0)]
+    side_fn = {-1: "left_limit", 0: "eval", 1: "right_limit"}
+    want = None
+    for x, side in probes:
+        fv, gv = getattr(f, side_fn[side])(x), getattr(g, side_fn[side])(x)
+        if fv > gv:
+            want = (x, side, fv, gv)
+            break
+    assert first_violation(f, g) == want
+
+
+def reference_validation_error(points, segments):
+    """The DistFn validity conditions as a scalar scan; the first message or None."""
+    xs = [p.x for p in points]
+    if len(segments) != len(points) + 1:
+        return "need exactly len(points)+1 segments"
+    if not all(math.isfinite(x) for x in xs):
+        return "breakpoints must be finite"
+    if any(a >= b for a, b in zip(xs, xs[1:])):
+        return "breakpoints must be strictly increasing"
+    for p in points:
+        if not (0.0 <= p.left <= p.value <= p.right <= 1.0):
+            return f"breakpoint at {p.x}: need 0 <= left <= value <= right <= 1"
+    for a, b in zip(points, points[1:]):
+        if a.right > b.left + EXACT_TOL:
+            return f"not monotone across ({a.x}, {b.x}): {a.right} > {b.left}"
+    bounds = [-INF, *xs, INF]
+    for i, seg in enumerate(segments):
+        lo, hi = bounds[i], bounds[i + 1]
+        want_lo = 0.0 if i == 0 else points[i - 1].right
+        if not xs:
+            return None if 0.0 <= seg.level <= 1.0 else "a breakpoint-free DistFn must be a constant in [0,1]"
+        if abs(seg.level - want_lo) > EXACT_TOL:
+            return f"segment on ({lo}, {hi}) starts at {seg.level}, expected {want_lo}"
+        if i < len(xs) and abs(seg.level - points[i].left) > EXACT_TOL:
+            return f"segment on ({lo}, {hi}) ends at {seg.level}, expected {points[i].left}"
+        if i == len(xs) and seg.level > 1.0 + EXACT_TOL:
+            return "upper tail exceeds 1"
+    return None
+
+
+@given(
+    steps(),
+    st.sampled_from(["x", "left", "value", "right", "level"]),
+    st.integers(0, 6),
+    st.sampled_from([-0.5, -1e-13, 1e-13, 0.25, 2.0, math.nan]),
+)
+@settings(max_examples=300, deadline=None)
+def test_validation_matches_the_reference_scan(f, field, k, delta):
+    points, segments = list(f.points), list(f.segments)
+    if field == "level":
+        k %= len(segments)
+        segments[k] = ConstSeg(segments[k].level + delta)
+    else:
+        k %= len(points)
+        p = points[k]
+        points[k] = dataclasses.replace(p, **{field: getattr(p, field) + delta})
+    want = reference_validation_error(points, segments)
+    if want is None:
+        DistFn(tuple(points), tuple(segments))
+    else:
+        with pytest.raises(InvalidParameterError) as got:
+            DistFn(tuple(points), tuple(segments))
+        assert str(got.value) == want

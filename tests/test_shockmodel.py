@@ -1,18 +1,23 @@
 """End-to-end scenario runs, the enumeration oracle, and random scenarios."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import shockbox.shockmodel as sm
-from shockbox.distfn import INF, ParamSpec, from_spec, step_cdf
+from shockbox.cli import load_scenario
+from shockbox.copulas import BivariateBound
+from shockbox.distfn import EXACT_TOL, INF, ParamSpec, from_spec, step_cdf
 from shockbox.errors import (
     InvalidParameterError,
     MassSumError,
     NonProperInputError,
 )
+from shockbox.imprecise import check_bivariate_pbox_conditions
 from shockbox.pbox import PBox
+from shockbox.reports import Check
 from shockbox.shockmodel import (
     JointTable,
     Scenario,
@@ -258,3 +263,59 @@ def test_random_scenarios_verify_for_both_models():
             assert res.all_passed, (model, index, res.failed)
             oracle = next((c for c in res.checks if c.name == "oracle-agreement"), None)
             assert oracle is not None and oracle.value <= 1e-12
+
+
+# -- array evaluation against element-wise BivariateBound.at -------------------
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def elementwise_at_many(bound, xs, ys):
+    return np.array([[bound.at(float(x), float(y)) for y in ys] for x in xs])
+
+
+def elementwise_compare_oracle(bound, table, tol):
+    # first strict maximum in row-major order; no witness when all agree
+    worst, where = 0.0, None
+    for x, y, expected in table.corners():
+        dev = abs(bound.at(x, y) - expected)
+        if dev > worst:
+            worst, where = dev, (x, y)
+    return Check("oracle-agreement", worst <= tol, value=worst, witness=where)
+
+
+def step_atoms(f):
+    return [(x, f.right_limit(x) - f.left_limit(x)) for x in f.breakpoints]
+
+
+@pytest.mark.parametrize("name", ["d1_discrete", "d1_maxmin"])
+def test_array_checks_equal_elementwise_at(name, monkeypatch):
+    res = run_scenario(load_scenario(SCENARIO_DIR / f"{name}.json"))
+    s = res.scenario
+    fns = [s.x_pbox.lower, s.x_pbox.upper, s.y_pbox.lower, s.y_pbox.upper, s.z]
+    xs = sm.thin(sm.probe_xs(fns), 160)
+    fast = check_bivariate_pbox_conditions(res.low_h, res.up_h, xs, xs)
+
+    oracle_cases = []
+    for bound in (res.low_h, res.up_h):
+        for fx, fy in ((s.x_pbox.lower, s.y_pbox.lower), (s.x_pbox.upper, s.y_pbox.upper)):
+            table = oracle_joint(step_atoms(fx), step_atoms(fy), step_atoms(s.z), s.model)
+            oracle_cases.append((bound, table))
+    fast_oracle = [compare_oracle(b, t) for b, t in oracle_cases]
+    # the mismatched corner pairings must produce a positive deviation
+    assert any(c.witness is not None for c in fast_oracle)
+    assert any(c.witness is None and c.value == 0.0 for c in fast_oracle)
+    assert fast_oracle == [elementwise_compare_oracle(b, t, EXACT_TOL) for b, t in oracle_cases]
+
+    monkeypatch.setattr(BivariateBound, "at_many", elementwise_at_many)
+    assert fast == check_bivariate_pbox_conditions(res.low_h, res.up_h, xs, xs)
+
+
+def test_compare_oracle_witness_is_the_first_worst_corner():
+    # the bound is 0 left of every support point, so both tampered corners
+    # deviate by exactly 0.5 and the row-major first one is the witness
+    res = run_scenario(discrete_scenario("marshall"))
+    table = JointTable((-10.0, -9.0), (1.0, 2.0), ((0.0, 0.5), (0.5, 0.0)))
+    check = compare_oracle(res.low_h, table)
+    assert check == elementwise_compare_oracle(res.low_h, table, EXACT_TOL)
+    assert check.witness == (-10.0, 2.0) and check.value == 0.5
