@@ -50,6 +50,7 @@ from .generators import build_chi, build_phi
 from .imprecise import CopulaPair, search_ic_violation, verify_witness
 from .pbox import PBox
 from .shockmodel import (
+    MAX_GRID,
     Scenario,
     ScenarioResult,
     probe_xs,
@@ -65,6 +66,11 @@ DEFAULT_TOL = 1e-9
 DEFAULT_SEED = 42
 DEFAULT_SEARCH_COUNT = 1000
 DEFAULT_SEARCH_GRID = 51
+# search rescans every finding on a 2 * grid - 1 grid, which must fit MAX_GRID
+MAX_SEARCH_GRID = (MAX_GRID + 1) // 2
+# search keeps every finding (about 1.3 KB of JSON each) until it writes the
+# summary, and scans about 100 scenarios a second at the default grid
+MAX_SEARCH_COUNT = 100_000
 
 
 @dataclass(frozen=True)
@@ -81,14 +87,15 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.command not in COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
-        if self.grid is not None and self.grid < 2:
-            raise ConfigError("grid must be at least 2")
+        max_grid = MAX_SEARCH_GRID if self.command == "search" else MAX_GRID
+        if self.grid is not None and not 2 <= self.grid <= max_grid:
+            raise ConfigError(f"grid must be between 2 and {max_grid}")
         if not self.tol > 0.0:
             raise ConfigError("tolerance must be positive")
         if self.fmt not in FORMATS:
             raise ConfigError(f"format must be one of {FORMATS}")
-        if self.count < 0:
-            raise ConfigError("count must be non-negative")
+        if not 0 <= self.count <= MAX_SEARCH_COUNT:
+            raise ConfigError(f"count must be between 0 and {MAX_SEARCH_COUNT}")
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +229,9 @@ def cmd_search(cfg: RunConfig) -> int:
     The same-corner pair composes into the bivariate bounds but is not in
     general an imprecise copula on the unit square; this command gathers
     grid evidence. Each witness is re-verified two ways: recomputed directly
-    on its rectangle, and re-found by a scan at doubled resolution.
+    on its rectangle, and re-found by a scan at doubled resolution. That
+    scan only has to say which conditions fail, so its rectangle scan stops
+    once all four rectangle conditions are violated.
     """
     grid = cfg.grid if cfg.grid is not None else DEFAULT_SEARCH_GRID
     findings = []
@@ -237,7 +246,8 @@ def cmd_search(cfg: RunConfig) -> int:
         witnesses = search_ic_violation(pair, n=grid, tol=cfg.tol)
         if not witnesses:
             continue
-        doubled = {w.condition for w in search_ic_violation(pair, n=2 * grid - 1, tol=cfg.tol)}
+        rescan = search_ic_violation(pair, n=2 * grid - 1, tol=cfg.tol, first=True)
+        doubled = {w.condition for w in rescan}
         findings.append(
             {
                 "scenario_index": index,

