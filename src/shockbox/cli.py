@@ -33,8 +33,10 @@ precise. A --grid flag overrides the file's grid.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -69,7 +71,8 @@ DEFAULT_SEARCH_GRID = 51
 # search rescans every finding on a 2 * grid - 1 grid, which must fit MAX_GRID
 MAX_SEARCH_GRID = (MAX_GRID + 1) // 2
 # search keeps every finding (about 1.3 KB of JSON each) until it writes the
-# summary, and scans about 100 scenarios a second at the default grid
+# summary, and scans about 200 scenarios a second per worker process (one per
+# usable CPU) at the default grid
 MAX_SEARCH_COUNT = 100_000
 
 
@@ -90,8 +93,10 @@ class RunConfig:
         max_grid = MAX_SEARCH_GRID if self.command == "search" else MAX_GRID
         if self.grid is not None and not 2 <= self.grid <= max_grid:
             raise ConfigError(f"grid must be between 2 and {max_grid}")
-        if not self.tol > 0.0:
-            raise ConfigError("tolerance must be positive")
+        if not (self.tol > 0.0 and math.isfinite(self.tol)):
+            raise ConfigError("tolerance must be positive and finite")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         if self.fmt not in FORMATS:
             raise ConfigError(f"format must be one of {FORMATS}")
         if not 0 <= self.count <= MAX_SEARCH_COUNT:
@@ -223,6 +228,38 @@ def cmd_pipeline(cfg: RunConfig) -> int:
     return 0 if result.all_passed else 1
 
 
+def search_scenario(seed: int, index: int, grid: int, tol: float) -> dict | None:
+    """Scan search scenario ``index`` of ``seed``; its finding, or None if it passes.
+
+    The scenario is seeded by ``[seed, index]`` and shares no state with any
+    other, so scenarios can run in any order and in any process.
+    """
+    scenario = random_discrete_scenario([seed, index], model="maxmin", grid=grid)
+    low_phi = build_phi(scenario.x_pbox.lower, scenario.z)
+    up_phi = build_phi(scenario.x_pbox.upper, scenario.z)
+    low_chi = build_chi(scenario.y_pbox.lower, scenario.z)
+    up_chi = build_chi(scenario.y_pbox.upper, scenario.z)
+    pair = CopulaPair(MaxminCopula(low_phi, low_chi), MaxminCopula(up_phi, up_chi))
+    witnesses = search_ic_violation(pair, n=grid, tol=tol)
+    if not witnesses:
+        return None
+    rescan = search_ic_violation(pair, n=2 * grid - 1, tol=tol, first=True)
+    doubled = {w.condition for w in rescan}
+    return {
+        "scenario_index": index,
+        "witnesses": [w.to_dict() for w in witnesses],
+        "reverified_exact": all(verify_witness(pair, w, tol=tol) for w in witnesses),
+        "reverified_doubled_grid": all(w.condition in doubled for w in witnesses),
+    }
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def cmd_search(cfg: RunConfig) -> int:
     """Scan seeded random max/min scenarios for same-corner pair violations.
 
@@ -232,32 +269,33 @@ def cmd_search(cfg: RunConfig) -> int:
     on its rectangle, and re-found by a scan at doubled resolution. That
     scan only has to say which conditions fail, so its rectangle scan stops
     once all four rectangle conditions are violated.
+
+    The scenarios run on forked worker processes, one per usable CPU, in
+    ordered chunks; the findings are merged by scenario index, so the
+    summary is the same bytes as a single-process run. With one usable CPU,
+    fewer than two scenarios or no fork start method they run in this
+    process. An error in any scenario ends the search before anything is
+    written.
     """
+    import multiprocessing
+
     grid = cfg.grid if cfg.grid is not None else DEFAULT_SEARCH_GRID
-    findings = []
+    scan = functools.partial(search_scenario, cfg.seed, grid=grid, tol=cfg.tol)
+    workers = min(_usable_cpus(), cfg.count)
+    # fork, not spawn: a worker starts from this process's memory instead of
+    # importing numpy and shockbox again. The scan makes no BLAS call, so a
+    # BLAS thread pool running at fork time is never used in a worker.
+    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+        chunk = max(1, cfg.count // (8 * workers))
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
+            results = pool.map(scan, range(cfg.count), chunksize=chunk)
+    else:
+        results = list(map(scan, range(cfg.count)))
+    findings = [finding for finding in results if finding is not None]
     by_condition: dict[str, int] = {}
-    for index in range(cfg.count):
-        scenario = random_discrete_scenario([cfg.seed, index], model="maxmin", grid=grid)
-        low_phi = build_phi(scenario.x_pbox.lower, scenario.z)
-        up_phi = build_phi(scenario.x_pbox.upper, scenario.z)
-        low_chi = build_chi(scenario.y_pbox.lower, scenario.z)
-        up_chi = build_chi(scenario.y_pbox.upper, scenario.z)
-        pair = CopulaPair(MaxminCopula(low_phi, low_chi), MaxminCopula(up_phi, up_chi))
-        witnesses = search_ic_violation(pair, n=grid, tol=cfg.tol)
-        if not witnesses:
-            continue
-        rescan = search_ic_violation(pair, n=2 * grid - 1, tol=cfg.tol, first=True)
-        doubled = {w.condition for w in rescan}
-        findings.append(
-            {
-                "scenario_index": index,
-                "witnesses": [w.to_dict() for w in witnesses],
-                "reverified_exact": all(verify_witness(pair, w, tol=cfg.tol) for w in witnesses),
-                "reverified_doubled_grid": all(w.condition in doubled for w in witnesses),
-            }
-        )
-        for w in witnesses:
-            by_condition[w.condition] = by_condition.get(w.condition, 0) + 1
+    for finding in findings:
+        for w in finding["witnesses"]:
+            by_condition[w["condition"]] = by_condition.get(w["condition"], 0) + 1
     summary = {
         "command": "search",
         "model": "maxmin",

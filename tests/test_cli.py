@@ -18,7 +18,7 @@ import pytest
 import shockbox.cli as cli
 from shockbox.cli import load_scenario, main
 from shockbox.distfn import step_cdf
-from shockbox.errors import ConfigError, NonProperInputError
+from shockbox.errors import ConfigError, InvalidParameterError, NonProperInputError
 from shockbox.pbox import PBox
 from shockbox.reports import Check
 from shockbox.shockmodel import Scenario, run_scenario
@@ -30,6 +30,13 @@ D1 = SCENARIOS / "d1_discrete.json"
 
 def read_json(path: Path):
     return json.loads(path.read_text())
+
+
+def _entry_point_env() -> dict:
+    # a child process imports the same shockbox as this test, however it was found
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 def test_packaged_scenarios_are_present():
@@ -289,6 +296,55 @@ def test_search_rejects_negative_count(tmp_path):
     assert main(["search", "--count", "-3", "--out", str(tmp_path)]) == 2
 
 
+def test_negative_seed_exits_two_before_any_scenario(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "random_discrete_scenario", _refuse_to_run)
+    assert main(["search", "--count", "2", "--seed", "-1", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "shockbox: seed must be non-negative\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1e-9"])
+@pytest.mark.parametrize(
+    "argv",
+    [["pipeline", "--scenario", str(D1)], ["search", "--count", "2"]],
+    ids=["pipeline", "search"],
+)
+def test_non_finite_or_non_positive_tolerance_exits_two(tmp_path, capsys, monkeypatch, argv, tol):
+    monkeypatch.setattr(cli, "run_scenario", _refuse_to_run)
+    monkeypatch.setattr(cli, "random_discrete_scenario", _refuse_to_run)
+    assert main(argv + [f"--tol={tol}", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "shockbox: tolerance must be positive and finite\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("seed", [42, 7, 2026])
+def test_worker_processes_and_one_process_write_the_same_summary(tmp_path, monkeypatch, seed):
+    args = ["search", "--count", "60", "--grid", "21", "--seed", str(seed)]
+    # two workers even on a one-CPU machine, so the pool path always runs
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    assert main(args + ["--out", str(tmp_path / "pool")]) == 0
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    assert main(args + ["--out", str(tmp_path / "single")]) == 0
+    pooled = (tmp_path / "pool" / "search_summary.json").read_bytes()
+    assert pooled == (tmp_path / "single" / "search_summary.json").read_bytes()
+    assert read_json(tmp_path / "pool" / "search_summary.json")["scenarios_with_violations"] > 0
+
+
+def test_an_error_in_a_worker_exits_two_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    real = cli.random_discrete_scenario
+
+    def fail_at_index_17(seed, *args, **kwargs):
+        if seed[1] == 17:
+            raise InvalidParameterError("scenario 17 is malformed")
+        return real(seed, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(cli, "random_discrete_scenario", fail_at_index_17)
+    assert main(["search", "--count", "40", "--grid", "21", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "shockbox: scenario 17 is malformed\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 # -- emit ------------------------------------------------------------------------
 
 
@@ -363,9 +419,6 @@ def test_emit_two_point_surface(tmp_path):
 
 
 def test_module_entry_point(tmp_path):
-    # the child imports the same shockbox as this test, however it was found
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [
             sys.executable,
@@ -381,7 +434,23 @@ def test_module_entry_point(tmp_path):
         ],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=_entry_point_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "report.json").exists()
+
+
+def test_module_entry_point_search_matches_the_in_process_call(tmp_path):
+    # under `python -m` the worker function lives in __main__, and the
+    # workers must still find it
+    args = ["search", "--count", "30", "--grid", "21"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "shockbox.cli", *args, "--out", str(tmp_path / "child")],
+        capture_output=True,
+        text=True,
+        env=_entry_point_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert main(args + ["--out", str(tmp_path / "here")]) == 0
+    child = (tmp_path / "child" / "search_summary.json").read_bytes()
+    assert child == (tmp_path / "here" / "search_summary.json").read_bytes()
