@@ -132,10 +132,25 @@ def copula_grid(c, us, vs) -> np.ndarray:
     raise InvalidParameterError(f"not a copula specification: {type(c).__name__}")
 
 
+def _np_min(a: float, b: float) -> float:
+    # np.minimum on two floats: a only when a < b or a is nan, so a tie of
+    # 0.0 and -0.0 gives b (min() would give a)
+    return a if a < b or a != a else b
+
+
+def _copula_at(c, u: float, v: float) -> float:
+    """copula_grid(c, [u], [v])[0, 0] with float arithmetic, bit for bit."""
+    if isinstance(c, MarshallCopula):
+        return _np_min(c.phi._value(u) * v, u * c.psi._value(v))
+    if isinstance(c, MaxminCopula):
+        return u * v + _np_min(u * (1.0 - v), (c.phi._value(u) - u) * (v - c.chi._value(v)))
+    return float(copula_grid(c, [u], [v])[0, 0])
+
+
 def eval_copula(c, u: float, v: float) -> float:
     if not (0.0 <= u <= 1.0 and 0.0 <= v <= 1.0):
         raise InvalidRangeError(f"copula argument ({u}, {v}) outside the unit square")
-    return float(copula_grid(c, [u], [v])[0, 0])
+    return _copula_at(c, float(u), float(v))
 
 
 def h_volume(c, r: Rect) -> float:
@@ -195,7 +210,7 @@ class BivariateBound:
     g: DistFn
 
     def at(self, x: float, y: float) -> float:
-        return float(copula_grid(self.copula, [self.f.eval(x)], [self.g.eval(y)])[0, 0])
+        return _copula_at(self.copula, self.f.eval(x), self.g.eval(y))
 
     def at_many(self, xs, ys) -> np.ndarray:
         return copula_grid(self.copula, self.f.eval_many(xs), self.g.eval_many(ys))

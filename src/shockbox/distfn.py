@@ -12,6 +12,16 @@ comixtures, blends, reversals and order checks on them are carried out in
 closed form with no sampling error. Exponential pieces stay exact as long as
 every pointwise combination keeps one factor constant per interval; anything
 else raises ``UnsupportedSegmentPairError`` and the caller discretizes.
+
+A ``DistFn`` is stored as numpy arrays: breakpoints, left limits, values and
+right limits, a kind code per segment and the segment parameters in columns.
+The combinations and the step discretization build their results as arrays
+and pass them to the array constructor, so a 10^4-atom step function costs
+no Python object per breakpoint. ``Breakpoint`` and segment objects exist
+for the public constructor, JSON and code that works on analytic pieces;
+``points`` and ``segments`` build them on first use. Points on exponential
+pieces are evaluated one at a time with ``math.exp``, so array and scalar
+evaluation agree bit for bit.
 """
 
 from __future__ import annotations
@@ -46,9 +56,7 @@ _EXP_SAMPLES = 17
 LIMIT_SIDES = np.array([[-1], [0], [1]])
 LIMIT_SIDES.setflags(write=False)
 
-_X = attrgetter("x")
 _ROW = attrgetter("x", "left", "value", "right")
-_PAD = (math.nan, 1.0, 1.0, 1.0)
 
 
 def _exp_term(t: float) -> float:
@@ -135,7 +143,34 @@ class Breakpoint:
     right: float
 
 
-@dataclass(frozen=True)
+# Segment kind codes of the array storage. The parameters of segment i fill
+# column i of a (4, segments) array: (level, 0, 0, 0) for a constant,
+# (x0, y0, slope, 0) for an affine and (scale, rate, origin, offset) for an
+# exponential piece, so equal columns and codes mean equal segments.
+_CONST, _AFFINE, _EXP = 0, 1, 2
+
+
+def _seg_row(seg: Segment) -> tuple:
+    """Kind code and parameter column of a segment."""
+    if isinstance(seg, ConstSeg):
+        return (_CONST, seg.level, 0.0, 0.0, 0.0)
+    if isinstance(seg, AffineSeg):
+        return (_AFFINE, seg.x0, seg.y0, seg.slope, 0.0)
+    return (_EXP, seg.scale, seg.rate, seg.origin, seg.offset)
+
+
+def _seg_obj(code: int, a: float, b: float, c: float, d: float) -> Segment:
+    if code == _CONST:
+        return ConstSeg(a)
+    if code == _AFFINE:
+        return AffineSeg(a, b, c)
+    return ExpSeg(a, b, c, d)
+
+
+def _nan_error() -> InvalidRangeError:
+    return InvalidRangeError("a distribution function cannot be evaluated at nan")
+
+
 class DistFn:
     """Piecewise-analytic monotone function with explicit one-sided limits.
 
@@ -145,39 +180,90 @@ class DistFn:
     -inf (c = 1: a shock that is almost surely below everything) and is the
     only standardization exception, every non-constant DistFn has limit 0 at
     -inf. The limit at +inf may be below 1 (defective upper tail).
+
+    Arrays are the storage of record: the breakpoint abscissas, a (left,
+    value, right) row each, one kind code per segment and the segment
+    parameters in columns. ``points`` and ``segments`` are tuples of
+    ``Breakpoint`` and segment objects, built on first use (or kept as
+    given to the constructor), and the scalar evaluators read Python lists
+    that are also built on first use. Equality compares the arrays, which
+    is the same as comparing ``points`` and ``segments``; the hash agrees
+    with it, 0.0 and -0.0 included.
     """
 
-    points: tuple[Breakpoint, ...]
-    segments: tuple[Segment, ...]
+    __slots__ = (
+        "_xp", "_xa", "_tri", "_kind", "_par", "_const", "_levels", "_curved",
+        "_points", "_segments", "_xs", "_lists", "_hash",
+    )
 
-    def __post_init__(self):
-        pts, segs = self.points, self.segments
+    def __init__(self, points, segments):
+        pts, segs = tuple(points), tuple(segments)
         n = len(pts)
-        xs = tuple(map(_X, pts))
-        object.__setattr__(self, "_xs", xs)
         if len(segs) != n + 1:
             raise InvalidParameterError("need exactly len(points)+1 segments")
-        # array views, kept outside the fields so equality and hashing ignore
-        # them: rows x, left, value, right with a pad column (x = nan, limits
-        # 1) appended, so a lookup past the last breakpoint matches nothing;
-        # and per segment whether it is constant and its level (nan if not)
-        rows = np.fromiter(chain.from_iterable([*map(_ROW, pts), _PAD]), float, 4 * n + 4)
-        rows = rows.reshape(n + 1, 4).T.copy()
-        const = np.array([isinstance(seg, ConstSeg) for seg in segs])
-        levels = np.array([seg.level if c else np.nan for seg, c in zip(segs, const.tolist())])
-        object.__setattr__(self, "_xp", rows[0])
-        object.__setattr__(self, "_xa", rows[0, :-1])
-        object.__setattr__(self, "_tri", rows[1:])
-        object.__setattr__(self, "_const", const)
-        object.__setattr__(self, "_levels", levels)
-        object.__setattr__(self, "_curved", np.count_nonzero(const) <= n)
+        rows = np.fromiter(chain.from_iterable(map(_ROW, pts)), float, 4 * n).reshape(n, 4).T
+        cols = np.array(list(map(_seg_row, segs)), dtype=float).T.copy()
+        self._store(rows[0], rows[1:], cols[0].astype(np.int8), cols[1:])
+        self._points, self._segments = pts, segs
         self._validate()
+
+    @classmethod
+    def _from_arrays(cls, xs, limits, kind, par) -> "DistFn":
+        """The array constructor: breakpoints xs, the (3, breakpoints) array
+        of their left limits, values and right limits, segment kind codes
+        and the (4, segments) parameter array."""
+        d = cls.__new__(cls)
+        d._store(xs, limits, kind, par)
+        d._validate()
+        return d
+
+    def _store(self, xs, limits, kind, par) -> None:
+        # x and the three limit rows get a pad column (x = nan, limits 1),
+        # so a lookup past the last breakpoint matches nothing; _levels holds
+        # each constant segment's level, nan on analytic ones
+        n = len(xs)
+        xp = np.empty(n + 1)
+        xp[:n] = xs
+        xp[n] = np.nan
+        tri = np.ones((3, n + 1))
+        tri[:, :n] = limits
+        const = kind == _CONST
+        curved = np.count_nonzero(const) <= n
+        self._xp, self._xa, self._tri = xp, xp[:n], tri
+        self._kind, self._par, self._const, self._curved = kind, par, const, curved
+        self._levels = np.where(const, par[0], np.nan) if curved else par[0]
+        self._points = self._segments = self._xs = self._lists = self._hash = None
+
+    def _plainly_valid(self) -> bool:
+        # a sufficient condition for a valid step function, in few array
+        # operations: finite, increasing breakpoints and a non-decreasing
+        # sequence 0, level_0, left_0, value_0, right_0, level_1, ...,
+        # level_n, 1 in which each level is within EXACT_TOL of its
+        # neighbours; a valid function failing it takes the full check
+        xa, n = self._xa, self._xa.size
+        if n and not (math.isfinite(xa[0]) and math.isfinite(xa[-1])):
+            return False
+        if np.count_nonzero(xa[1:] > xa[:-1]) < n - 1:
+            return False
+        seq = np.empty((n + 1, 4))
+        seq[:, 0] = self._levels
+        seq[:, 1:] = self._tri.T
+        seq = seq.ravel()
+        steps = np.empty((n + 1, 4))
+        steps.flat[0] = seq[0]
+        np.subtract(seq[1:], seq[:-1], out=steps.ravel()[1:])
+        return (
+            np.count_nonzero(steps >= 0.0) == steps.size
+            and np.count_nonzero(steps[:, :2] <= EXACT_TOL) == 2 * n + 2
+        )
 
     def _validate(self) -> None:
         # the exact validity conditions, raising on the first violation in
         # the order: finiteness, order of x, each triple, monotonicity across
         # breakpoints, then each segment in interval order
-        pts, n = self.points, len(self.points)
+        if not self._curved and self._plainly_valid():
+            return
+        n = self._xa.size
         xa, (left, value, right) = self._xa, self._tri[:, :-1]
         if np.count_nonzero(np.isfinite(xa)) < n:
             raise InvalidParameterError("breakpoints must be finite")
@@ -185,25 +271,24 @@ class DistFn:
             raise InvalidParameterError("breakpoints must be strictly increasing")
         ordered = (0.0 <= left) & (left <= value) & (value <= right) & (right <= 1.0)
         if np.count_nonzero(ordered) < n:
-            p = pts[int((~ordered).argmax())]
+            p = self._point(int((~ordered).argmax()))
             raise InvalidParameterError(
                 f"breakpoint at {p.x}: need 0 <= left <= value <= right <= 1"
             )
         crossing = right[:-1] > left[1:] + EXACT_TOL
         if np.count_nonzero(crossing):
-            a, b = pts[int(crossing.argmax())], pts[int(crossing.argmax()) + 1]
+            a, b = self._point(int(crossing.argmax())), self._point(int(crossing.argmax()) + 1)
             raise InvalidParameterError(
                 f"not monotone across ({a.x}, {b.x}): {a.right} > {b.left}"
             )
+        const, levels = self._const, self._levels
         if not n:
-            seg = self.segments[0]
-            if not isinstance(seg, ConstSeg) or not (0.0 <= seg.level <= 1.0):
+            if not const[0] or not (0.0 <= levels[0] <= 1.0):
                 raise InvalidParameterError("a breakpoint-free DistFn must be a constant in [0,1]")
             return
         # a constant segment must meet the limits on both of its ends; the
         # first one that does not is re-run by _check_segment for its
         # message, after every analytic segment before it
-        const, levels = self._const, self._levels
         off = np.abs(levels - np.concatenate(([0.0], right))) > EXACT_TOL
         off[:-1] |= np.abs(levels[:-1] - left) > EXACT_TOL
         off[-1] |= levels[-1] > 1.0 + EXACT_TOL
@@ -216,57 +301,134 @@ class DistFn:
 
     def _check_segment(self, i: int) -> None:
         # monotonicity and end values of segment i against the adjacent limits
-        bounds = (-INF,) + self._xs + (INF,)
-        lo, hi = bounds[i], bounds[i + 1]
-        seg = self.segments[i]
+        n = self._xa.size
+        lo = self._point(i - 1).x if i else -INF
+        hi = self._point(i).x if i < n else INF
+        seg = self._segment(i)
         if not _seg_monotone(seg):
             raise InvalidParameterError(f"segment on ({lo}, {hi}) is decreasing")
         tol = EXACT_TOL if isinstance(seg, ConstSeg) else ANALYTIC_TOL
         lo_val = _seg_end(seg, lo, -1)
         hi_val = _seg_end(seg, hi, +1)
-        want_lo = 0.0 if i == 0 else self.points[i - 1].right
+        want_lo = 0.0 if i == 0 else self._point(i - 1).right
         if abs(lo_val - want_lo) > tol:
             raise InvalidParameterError(
                 f"segment on ({lo}, {hi}) starts at {lo_val}, expected {want_lo}"
             )
-        if i < len(self._xs):
-            if abs(hi_val - self.points[i].left) > tol:
+        if i < n:
+            if abs(hi_val - self._point(i).left) > tol:
                 raise InvalidParameterError(
                     f"segment on ({lo}, {hi}) ends at {hi_val}, "
-                    f"expected {self.points[i].left}"
+                    f"expected {self._point(i).left}"
                 )
         elif hi_val > 1.0 + tol:
             raise InvalidParameterError("upper tail exceeds 1")
 
+    # -- equality and the object views --------------------------------------
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._xp.size == other._xp.size and not (
+            np.count_nonzero(self._xa != other._xa)
+            or np.count_nonzero(self._tri != other._tri)
+            or np.count_nonzero(self._kind != other._kind)
+            or np.count_nonzero(self._par != other._par)
+        )
+
+    def __hash__(self):
+        if self._hash is None:
+            # adding 0.0 turns -0.0 into 0.0, which it compares equal to
+            arrays = (self._xa, self._tri, self._par)
+            self._hash = hash((self._kind.tobytes(), *[(a + 0.0).tobytes() for a in arrays]))
+        return self._hash
+
+    def __repr__(self):
+        return f"DistFn(points={self.points!r}, segments={self.segments!r})"
+
+    @property
+    def points(self) -> tuple[Breakpoint, ...]:
+        if self._points is None:
+            self._points = tuple(map(Breakpoint, self._xa.tolist(), *self._tri[:, :-1].tolist()))
+        return self._points
+
+    @property
+    def segments(self) -> tuple[Segment, ...]:
+        if self._segments is None:
+            if self._curved:
+                self._segments = tuple(map(_seg_obj, self._kind.tolist(), *self._par.tolist()))
+            else:
+                self._segments = tuple(map(ConstSeg, self._par[0].tolist()))
+        return self._segments
+
+    def _point(self, k: int) -> Breakpoint:
+        # one breakpoint, without building all of them
+        if self._points is not None:
+            return self._points[k]
+        return Breakpoint(float(self._xa[k]), *self._tri[:, k].tolist())
+
+    def _segment(self, i: int) -> Segment:
+        if self._segments is not None:
+            return self._segments[i]
+        return _seg_obj(int(self._kind[i]), *self._par[:, i].tolist())
+
     # -- evaluation ---------------------------------------------------------
 
+    def _scalars(self) -> tuple:
+        # breakpoints, left limits, values, right limits, segment levels and
+        # (on curved functions) segments as Python sequences: bisect and
+        # list indexing beat numpy scalar access
+        if self._lists is None:
+            segs = self.segments if self._curved else None
+            self._lists = (self.breakpoints, *self._tri.tolist(), self._levels.tolist(), segs)
+        return self._lists
+
+    # eval, left_limit and right_limit differ only in the row they read at a
+    # breakpoint; they are spelled out because a shared helper would add a
+    # call to each of their millions of invocations. ±inf needs no special
+    # case: it lands on the outer segments, whose levels are the tails.
+
     def eval(self, x: float) -> float:
-        if not self.points:
-            return self.segments[0].level
-        if x == -INF:
-            return _seg_end(self.segments[0], -INF, -1)
-        if x == INF:
-            return _seg_end(self.segments[-1], INF, +1)
-        i = bisect_left(self._xs, x)
-        if i < len(self._xs) and self._xs[i] == x:
-            return self.points[i].value
-        return seg_value(self.segments[i], x)
+        if x != x:
+            raise _nan_error()
+        lists = self._lists or self._scalars()
+        xs = lists[0]
+        i = bisect_left(xs, x)
+        if i < len(xs) and xs[i] == x:
+            return lists[2][i]
+        level = lists[4][i]
+        if level == level:
+            return level
+        seg = lists[5][i]
+        return seg_value(seg, x) if math.isfinite(x) else seg_tail(seg, 1 if x > 0.0 else -1)
 
     def left_limit(self, x: float) -> float:
-        if not self.points or math.isinf(x):
-            return self.eval(x)
-        i = bisect_left(self._xs, x)
-        if i < len(self._xs) and self._xs[i] == x:
-            return self.points[i].left
-        return seg_value(self.segments[i], x)
+        if x != x:
+            raise _nan_error()
+        lists = self._lists or self._scalars()
+        xs = lists[0]
+        i = bisect_left(xs, x)
+        if i < len(xs) and xs[i] == x:
+            return lists[1][i]
+        level = lists[4][i]
+        if level == level:
+            return level
+        seg = lists[5][i]
+        return seg_value(seg, x) if math.isfinite(x) else seg_tail(seg, 1 if x > 0.0 else -1)
 
     def right_limit(self, x: float) -> float:
-        if not self.points or math.isinf(x):
-            return self.eval(x)
-        i = bisect_left(self._xs, x)
-        if i < len(self._xs) and self._xs[i] == x:
-            return self.points[i].right
-        return seg_value(self.segments[i], x)
+        if x != x:
+            raise _nan_error()
+        lists = self._lists or self._scalars()
+        xs = lists[0]
+        i = bisect_left(xs, x)
+        if i < len(xs) and xs[i] == x:
+            return lists[3][i]
+        level = lists[4][i]
+        if level == level:
+            return level
+        seg = lists[5][i]
+        return seg_value(seg, x) if math.isfinite(x) else seg_tail(seg, 1 if x > 0.0 else -1)
 
     def triple(self, x: float) -> tuple[float, float, float]:
         return (self.left_limit(x), self.eval(x), self.right_limit(x))
@@ -276,31 +438,40 @@ class DistFn:
 
         side broadcasts against xs. Constant segments are looked up, points
         on analytic segments go through the scalar formula one by one, so
-        every entry equals eval/left_limit/right_limit bit for bit.
+        every entry equals eval/left_limit/right_limit bit for bit. nan
+        raises InvalidRangeError, as in the scalar evaluators.
         """
         arr = np.asarray(xs, dtype=float)
+        if np.count_nonzero(np.isnan(arr)):
+            raise _nan_error()
         i = self._xa.searchsorted(arr)
         seg_vals = np.asarray(self._levels[i])
         if self._curved:
+            segs = self.segments
             curve = (~self._const[i]).ravel().nonzero()[0]
             flat, idx = arr.ravel(), i.ravel()
             for k, x, j in zip(curve.tolist(), flat[curve].tolist(), idx[curve].tolist()):
-                seg_vals.flat[k] = _seg_end(self.segments[j], x, 1 if x > 0.0 else -1)
+                seg_vals.flat[k] = _seg_end(segs[j], x, 1 if x > 0.0 else -1)
         return np.where(self._xp[i] == arr, self._tri[side + 1, i], seg_vals)
 
     # -- structure ----------------------------------------------------------
 
     @property
     def breakpoints(self) -> tuple[float, ...]:
+        if self._xs is None:
+            self._xs = tuple(self._xa.tolist())
         return self._xs
 
     @property
     def is_step(self) -> bool:
-        return bool(self._const.all())
+        return not self._curved
 
     @property
     def final(self) -> float:
-        return self.eval(INF)
+        # the limit at +inf, read without building the scalar lists
+        if self._kind[-1] == _CONST:
+            return float(self._par[0, -1])
+        return seg_tail(self._segment(-1), +1)
 
     def is_proper(self, tol: float = EXACT_TOL) -> bool:
         return self.final >= 1.0 - tol
@@ -401,18 +572,7 @@ def from_spec(s: ParamSpec) -> DistFn:
                 raise InvalidParameterError("atom masses must be positive")
             merged[x] = merged.get(x, 0.0) + m
         xs = sorted(merged)
-        total = math.fsum(merged.values())
-        if total > 1.0 + EXACT_TOL:
-            raise InvalidParameterError(f"atom masses sum to {total} > 1")
-        pts = []
-        segs = [ConstSeg(0.0)]
-        cum = 0.0
-        for x in xs:
-            nxt = min(cum + merged[x], 1.0)
-            pts.append(Breakpoint(x, cum, nxt, nxt))
-            segs.append(ConstSeg(nxt))
-            cum = nxt
-        return DistFn(tuple(pts), tuple(segs))
+        return _atom_cdf(np.array(xs, dtype=float), np.array([merged[x] for x in xs]))
     if s.kind == "exponential":
         if s.rate is None or not (s.rate > 0.0) or not math.isfinite(s.rate):
             raise InvalidParameterError("exponential rate must be positive and finite")
@@ -428,6 +588,25 @@ def from_spec(s: ParamSpec) -> DistFn:
     pts = tuple(Breakpoint(*bp) for bp in s.breakpoints)
     segs = tuple(_seg_from_tuple(t) for t in s.segments)
     return DistFn(pts, segs)
+
+
+def _atom_cdf(xs: np.ndarray, masses: np.ndarray) -> DistFn:
+    """Cadlag step CDF of positive masses at sorted, distinct, finite xs.
+
+    The running sum is clamped at 1; a clamp only ever fires from the first
+    sum above 1 on, so clamping the plain cumulative sum gives the same
+    levels as clamping at every step.
+    """
+    total = math.fsum(masses.tolist())
+    if total > 1.0 + EXACT_TOL:
+        raise InvalidParameterError(f"atom masses sum to {total} > 1")
+    par = np.zeros((4, xs.size + 1))
+    levels = par[0]
+    np.minimum(np.cumsum(masses), 1.0, out=levels[1:])
+    limits = np.empty((3, xs.size))
+    limits[0] = levels[:-1]
+    limits[1:] = levels[1:]
+    return DistFn._from_arrays(xs, limits, np.zeros(xs.size + 1, dtype=np.int8), par)
 
 
 def paramspec_to_json(s: ParamSpec) -> dict:
@@ -573,24 +752,20 @@ def _simplified(d: DistFn) -> DistFn:
     # drop breakpoints that carry no information: flat triple and the same
     # analytic piece on both sides (validity already ties the piece to the
     # triple, so no value re-check is needed)
-    if not d.points:
-        return d
-    left, value, right = d._tri[:, :-1]
-    flat = (left == value) & (value == right)
+    tri = d._tri[:, :-1]
+    flat = (tri[0] == tri[1]) & (tri[1] == tri[2])
     if not np.count_nonzero(flat):
         return d
-    const, levels = d._const, d._levels
-    same = const[:-1] & const[1:] & (levels[:-1] == levels[1:])
-    for i in (flat & ~const[:-1] & ~const[1:]).nonzero()[0].tolist():
-        same[i] = d.segments[i] == d.segments[i + 1]
-    keep = (~(flat & same)).nonzero()[0].tolist()
-    if len(keep) == len(d.points):
+    # equal kind codes and parameter columns: equal segments
+    kind, par = d._kind, d._par
+    same = (kind[:-1] == kind[1:]) & (par[:, :-1] == par[:, 1:]).all(axis=0)
+    keep = (~(flat & same)).nonzero()[0]
+    if keep.size == d._xa.size:
         return d
-    if not keep:
-        return DistFn((), d.segments[:1]) if const[0] else d
-    pts = tuple(map(d.points.__getitem__, keep))
-    segs = (d.segments[0], *map(d.segments.__getitem__, [i + 1 for i in keep]))
-    return DistFn(pts, segs)
+    if not keep.size and not d._const[0]:
+        return d
+    segs = np.concatenate(([0], keep + 1))
+    return DistFn._from_arrays(d._xa[keep], tri[:, keep], kind[segs], par[:, segs])
 
 
 def _combine(f: DistFn, g: DistFn, value_op: Callable, coef: Callable, seg_op: Callable) -> DistFn:
@@ -598,24 +773,28 @@ def _combine(f: DistFn, g: DistFn, value_op: Callable, coef: Callable, seg_op: C
     # coefficient function for a constant f segment, so a pair of constant
     # segments gets the level seg_op would give it
     xs = _merged_xs(f, g)
-    left, value, right = value_op(f.eval_many(xs, LIMIT_SIDES), g.eval_many(xs, LIMIT_SIDES))
+    limits = value_op(f.eval_many(xs, LIMIT_SIDES), g.eval_many(xs, LIMIT_SIDES))
+    left, value, right = limits
     # every value_op is monotone in both arguments, so any disorder in
     # the combined triple is last-ulp rounding; restore the invariant
     np.maximum(value, left, out=value)
     np.maximum(right, value, out=right)
-    pts = tuple(map(Breakpoint, xs.tolist(), left.tolist(), value.tolist(), right.tolist()))
     # the segment of f (and of g) on each interval of the partition
     # -inf < xs[0] < ... < xs[-1] < inf: xs contains f's breakpoints, so
     # those below an interval's right end count the segments before it
     his = np.append(xs, INF)
     fi, gi = f._xa.searchsorted(his), g._xa.searchsorted(his)
-    both_const = f._const[fi] & g._const[gi]
     k, d = coef(f._levels[fi])
-    segs = list(map(ConstSeg, (k * g._levels[gi] + d).tolist()))
-    bounds = [-INF, *xs.tolist(), INF]
-    for j in (~both_const).nonzero()[0].tolist():
-        segs[j] = seg_op(f.segments[fi[j]], g.segments[gi[j]], bounds[j], bounds[j + 1])
-    return _simplified(DistFn(pts, tuple(segs)))
+    kind = np.zeros(his.size, dtype=np.int8)
+    par = np.zeros((4, his.size))
+    par[0] = k * g._levels[gi] + d
+    if f._curved or g._curved:
+        for j in (~(f._const[fi] & g._const[gi])).nonzero()[0].tolist():
+            lo = float(xs[j - 1]) if j else -INF
+            seg = seg_op(f._segment(int(fi[j])), g._segment(int(gi[j])), lo, float(his[j]))
+            code, *column = _seg_row(seg)
+            kind[j], par[:, j] = code, column
+    return _simplified(DistFn._from_arrays(xs, limits, kind, par))
 
 
 def comix_value(a, b):
@@ -694,7 +873,7 @@ def ordered_probes(f: DistFn, g: DistFn) -> tuple[np.ndarray, np.ndarray]:
     n = np.ones(k + 1, dtype=int)
     for fn in (f, g):
         if fn._curved and k:
-            is_exp = np.array([isinstance(seg, ExpSeg) for seg in fn.segments])
+            is_exp = fn._kind == _EXP
             n[is_exp[fn._xa.searchsorted(hi[:, 0])]] = _EXP_SAMPLES
     # one row per interval: its samples j = 1..n (padded to the longest
     # row), then the three probes of the breakpoint closing it
@@ -777,14 +956,13 @@ def step_approximation(f: DistFn, n: int, lo: float, hi: float) -> DistFn:
     prev = np.maximum.accumulate(np.concatenate(([0.0], cs)))
     rise = cs - prev[:-1]
     up = rise > 0.0
-    atoms = list(zip(xs[up].tolist(), rise[up].tolist()))
+    at, masses = xs[up], rise[up]
     tail = f.final - float(prev[-1])
     if tail > 0.0:
-        if atoms:
-            x_last, m_last = atoms[-1]
-            atoms[-1] = (x_last, m_last + tail)
+        if at.size:
+            masses[-1] += tail
         else:
-            atoms = [(hi, tail)]
-    if not atoms:
+            at, masses = np.array([float(hi)]), np.array([tail])
+    if not at.size:
         return DistFn.constant(0.0)
-    return from_spec(ParamSpec.discrete(atoms))
+    return _atom_cdf(at, masses)

@@ -25,6 +25,7 @@ directly from the inputs and serve as an independent cross-check.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,36 +54,101 @@ from .reports import Check
 _KINDS = ("phi", "psi", "chi")
 
 
-@dataclass(frozen=True)
 class Generator:
-    """Piecewise-affine generator on [0, 1] with a one-sided jump convention."""
+    """Piecewise-affine generator on [0, 1] with a one-sided jump convention.
 
-    kind: str
-    knots: tuple[tuple[float, float], ...]
+    The knot abscissas and values are stored as two arrays. ``knots`` is a
+    tuple of (u, y) pairs built on first use (or kept as given to the
+    constructor); scalar evaluation reads Python lists, also built on first
+    use. Equality compares kind and arrays, and the hash agrees with it.
+    """
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise InvalidParameterError(f"unknown generator kind {self.kind!r}")
-        if len(self.knots) < 2:
+    __slots__ = ("kind", "_us", "_ys", "_knots", "_lists", "_hash")
+
+    def __init__(self, kind: str, knots):
+        if kind not in _KINDS:
+            raise InvalidParameterError(f"unknown generator kind {kind!r}")
+        if len(knots) < 2:
             raise InvalidParameterError("a generator needs at least 2 knots")
-        us, ys = np.array(self.knots, dtype=float).reshape(-1, 2).T.copy()
+        us, ys = np.array(knots, dtype=float).reshape(-1, 2).T.copy()
+        self._store(kind, us, ys)
+        self._knots = tuple(knots)
+
+    @classmethod
+    def _from_arrays(cls, kind: str, us: np.ndarray, ys: np.ndarray) -> "Generator":
+        """The array constructor: knot abscissas us and values ys."""
+        g = cls.__new__(cls)
+        g._store(kind, us, ys)
+        return g
+
+    def _store(self, kind: str, us: np.ndarray, ys: np.ndarray) -> None:
         if us[0] != 0.0 or us[-1] != 1.0:
             raise InvalidParameterError("generator knots must span [0, 1]")
         if np.count_nonzero(us[1:] <= us[:-1]):
             raise InvalidParameterError("knot abscissas must be strictly increasing")
         if np.count_nonzero(ys < 0.0) or np.count_nonzero(ys > 1.0):
             raise InvalidParameterError("knot values must lie in [0, 1]")
-        object.__setattr__(self, "_us", us)
-        object.__setattr__(self, "_ys", ys)
+        self.kind, self._us, self._ys = kind, us, ys
+        self._knots = self._lists = self._hash = None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.kind == other.kind
+            and self._us.size == other._us.size
+            and not np.count_nonzero(self._us != other._us)
+            and not np.count_nonzero(self._ys != other._ys)
+        )
+
+    def __hash__(self):
+        if self._hash is None:
+            # adding 0.0 turns -0.0 into 0.0, which it compares equal to
+            self._hash = hash((self.kind, (self._us + 0.0).tobytes(), (self._ys + 0.0).tobytes()))
+        return self._hash
+
+    def __repr__(self):
+        return f"Generator(kind={self.kind!r}, knots={self.knots!r})"
+
+    @property
+    def knots(self) -> tuple[tuple[float, float], ...]:
+        if self._knots is None:
+            self._knots = tuple(zip(self._us.tolist(), self._ys.tolist()))
+        return self._knots
 
     def eval(self, u: float) -> float:
         if not (0.0 <= u <= 1.0):
             raise InvalidRangeError(f"generator argument {u} outside [0, 1]")
-        if u == 0.0 and self.kind in ("phi", "psi"):
-            return 0.0
-        if u == 1.0 and self.kind == "chi":
-            return 1.0
-        return float(np.interp(u, self._us, self._ys))
+        return self._value(u)
+
+    def _value(self, u: float) -> float:
+        # eval_many for one float, without the range check: np.interp's
+        # arithmetic and end cases written out, bit for bit; the ends need
+        # no knot lists
+        if u == 0.0:
+            return float(self._ys[0]) if self.kind == "chi" else 0.0
+        if u == 1.0:
+            return 1.0 if self.kind == "chi" else float(self._ys[-1])
+        if u != u:
+            return u
+        us, ys = self._lists or self._knot_lists()
+        j = bisect_right(us, u) - 1
+        if j < 0:
+            return ys[0]
+        if j == len(us) - 1 or us[j] == u:
+            return ys[j]
+        slope = (ys[j + 1] - ys[j]) / (us[j + 1] - us[j])
+        y = slope * (u - us[j]) + ys[j]
+        if y != y:
+            y = slope * (u - us[j + 1]) + ys[j + 1]
+            if y != y and ys[j] == ys[j + 1]:
+                y = ys[j]
+        return y
+
+    def _knot_lists(self) -> tuple:
+        if self._lists is None:
+            self._lists = (tuple(self._us.tolist()), self._ys.tolist())
+        return self._lists
 
     def eval_many(self, us) -> np.ndarray:
         arr = np.asarray(us, dtype=float)
@@ -95,7 +161,7 @@ class Generator:
 
     @property
     def knot_us(self) -> tuple[float, ...]:
-        return tuple(self._us.tolist())
+        return self._knot_lists()[0]
 
     @classmethod
     def identity(cls, kind: str) -> "Generator":
@@ -237,7 +303,7 @@ def blend_generators(a: Generator, b: Generator, t: float) -> Generator:
     ya = np.interp(us, a._us, a._ys)
     yb = np.interp(us, b._us, b._ys)
     ys = t * ya + (1.0 - t) * yb
-    return Generator(a.kind, tuple(zip(us.tolist(), ys.tolist())))
+    return Generator._from_arrays(a.kind, us, ys)
 
 
 def envelope_generators(gs) -> tuple[Generator, Generator]:
@@ -272,8 +338,8 @@ def envelope_generators(gs) -> tuple[Generator, Generator]:
             cross.append(u[inside])
     us = np.unique(np.concatenate(cross))
     vals = np.array([np.interp(us, g._us, g._ys) for g in gs])
-    gmin = Generator(kind, tuple(zip(us.tolist(), vals.min(axis=0).tolist())))
-    gmax = Generator(kind, tuple(zip(us.tolist(), vals.max(axis=0).tolist())))
+    gmin = Generator._from_arrays(kind, us, vals.min(axis=0))
+    gmax = Generator._from_arrays(kind, us, vals.max(axis=0))
     for g in (gmin, gmax):
         bad = [c.name for c in check_generator(g, ANALYTIC_TOL) if not c.passed]
         if bad:
@@ -332,9 +398,9 @@ def build_phi(fx: DistFn, fz: DistFn, kind: str = "phi") -> Generator:
     """
     f = product(fx, fz)
     _require_proper(f, "the composite max-type CDF")
-    if not f.points:
+    if not f._xa.size:
         return Generator.identity(kind)
-    xs = np.array(f.breakpoints)
+    xs = f._xa
     fl, fv, fr = f.eval_many(xs, LIMIT_SIDES)
     fxl, fxv, fxr = fx.eval_many(xs, LIMIT_SIDES)
     fzv = fz.eval_many(xs)
@@ -343,9 +409,9 @@ def build_phi(fx: DistFn, fz: DistFn, kind: str = "phi") -> Generator:
     us = np.array([fl, fxl * fzv, fv, fxr * fzv, fr]).T.ravel()
     ys = np.array([fxl, fxl, fxv, fxr, fxr]).T.ravel()
     us = np.concatenate(([0.0], us, [1.0]))
-    ys = np.concatenate(([fx.eval(-INF)], ys, [1.0]))
+    ys = np.concatenate((fx.eval_many([-INF]), ys, [1.0]))
     us, ys = _dedupe_knots(_monotone_us(us), ys)
-    return Generator(kind, tuple(zip(us.tolist(), ys.tolist())))
+    return Generator._from_arrays(kind, us, ys)
 
 
 def build_psi(fy: DistFn, fz: DistFn) -> Generator:
@@ -364,9 +430,9 @@ def build_chi(fy: DistFn, fz: DistFn) -> Generator:
     """
     k = comix(fy, fz)
     _require_proper(k, "the composite min-type CDF")
-    if not k.points:
+    if not k._xa.size:
         return Generator.identity("chi")
-    xs = np.array(k.breakpoints)
+    xs = k._xa
     kl, kv, kr = k.eval_many(xs, LIMIT_SIDES)
     fyl, fyv, fyr = fy.eval_many(xs, LIMIT_SIDES)
     fzv = fz.eval_many(xs)
@@ -376,9 +442,9 @@ def build_chi(fy: DistFn, fz: DistFn) -> Generator:
     us = np.array([kl, wl, kv, wr, kr]).T.ravel()
     ys = np.array([fyl, fyl, fyv, fyr, fyr]).T.ravel()
     us = np.concatenate(([0.0], us, [1.0]))
-    ys = np.concatenate(([0.0], ys, [fy.eval(INF)]))
+    ys = np.concatenate(([0.0], ys, fy.eval_many([INF])))
     us, ys = _dedupe_knots(_monotone_us(us), ys)
-    return Generator("chi", tuple(zip(us.tolist(), ys.tolist())))
+    return Generator._from_arrays("chi", us, ys)
 
 
 # ---------------------------------------------------------------------------
@@ -399,14 +465,14 @@ def _invert_segment(seg, u: float, lo: float, hi: float) -> float:
 
 def locate(f: DistFn, u: float) -> float:
     """Smallest x0 with f(x0-) <= u <= f(x0+); breakpoints win ties."""
-    xs = f.breakpoints
-    reached = np.flatnonzero(f.eval_many(xs, 1) >= u)
+    xs, (left, _, right) = f._xa, f._tri[:, :-1]
+    reached = np.flatnonzero(right >= u)
     if not reached.size:
-        return _invert_segment(f.segments[-1], u, xs[-1] if xs else -INF, INF)
+        return _invert_segment(f._segment(-1), u, float(xs[-1]) if xs.size else -INF, INF)
     i = int(reached[0])
-    if f.left_limit(xs[i]) <= u:
-        return xs[i]
-    return _invert_segment(f.segments[i], u, xs[i - 1] if i > 0 else -INF, xs[i])
+    if left[i] <= u:
+        return float(xs[i])
+    return _invert_segment(f._segment(i), u, float(xs[i - 1]) if i > 0 else -INF, float(xs[i]))
 
 
 def formula_phi(fx: DistFn, fz: DistFn, u: float, x0: float | None = None) -> float:
@@ -570,7 +636,7 @@ def associated_envelope_gaps(
         base = comix(first, fz)
         extremes = _chi_gap_extremes
     # two gaps per breakpoint, (left, value) then (value, right)
-    xs = np.array(base.breakpoints)
+    xs = base._xa
     left, val, right = base.eval_many(xs, LIMIT_SIDES)
     lo = np.column_stack((left, val)).ravel()
     hi = np.column_stack((val, right)).ravel()

@@ -242,7 +242,7 @@ def thin(xs: np.ndarray, cap: int) -> np.ndarray:
 
 def _exp_params(f: DistFn) -> Optional[tuple[float, float]]:
     """(rate, shift) when f is exactly a shifted exponential CDF, else None."""
-    if len(f.points) == 1 and len(f.segments) == 2:
+    if len(f.breakpoints) == 1:
         bp = f.points[0]
         head, tail = f.segments
         if (

@@ -16,9 +16,10 @@ from shockbox.copulas import (
     h_volume,
     sklar_compose,
 )
-from shockbox.distfn import INF, ParamSpec, from_spec, step_cdf
+from shockbox.distfn import INF, ParamSpec, comix, from_spec, product, step_cdf
 from shockbox.errors import InvalidParameterError, InvalidRangeError
 from shockbox.generators import Generator, build_chi, build_phi, build_psi
+from shockbox.shockmodel import random_discrete_scenario
 
 X_LOW = step_cdf([(1.0, 0.2), (2.0, 0.8)])
 X_UP = step_cdf([(1.0, 0.5), (2.0, 0.5)])
@@ -191,3 +192,40 @@ def test_sklar_composition_reaches_the_marginals():
     grid = h.at_many([1.0, 1.5, 2.0], [0.25, 0.7, 3.0])
     assert grid.shape == (3, 3)
     assert grid[1][1] == h.at(1.5, 0.7)
+
+
+def _formula_rosters():
+    """The (model, F_X, F_Y, F_Z) rosters of acceptance criterion 7."""
+    rosters = [
+        (model, fx, Y_STEP, Z_POINT) for model in ("marshall", "maxmin") for fx in (X_LOW, X_UP)
+    ]
+    for model in ("marshall", "maxmin"):
+        s = random_discrete_scenario([707, 0 if model == "marshall" else 1])
+        rosters.append((model, s.x_pbox.lower, s.y_pbox.lower, s.z))
+        rosters.append((model, s.x_pbox.upper, s.y_pbox.upper, s.z))
+    return rosters
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("roster", range(8))
+def test_scalar_at_matches_at_many_bit_for_bit(roster):
+    model, fx, fy, fz = _formula_rosters()[roster]
+    if model == "marshall":
+        cop = MarshallCopula(build_phi(fx, fz), build_psi(fy, fz))
+        second = product(fy, fz)
+    else:
+        cop = MaxminCopula(build_phi(fx, fz), build_chi(fy, fz))
+        second = comix(fy, fz)
+    h = sklar_compose(cop, product(fx, fz), second)
+    grid = np.linspace(0.0, 7.0, 29)
+    scalar = [[h.at(float(x), float(y)) for y in grid] for x in grid]
+    assert _same_bits(scalar, h.at_many(grid, grid))
+    # -0.0 makes copula_grid's np.minimum meet a tie of 0.0 and -0.0
+    us = np.unique(np.concatenate([np.linspace(0.0, 1.0, 17), cop.phi.knot_us]))
+    us = np.concatenate(([-0.0], us))
+    scalar = [[eval_copula(cop, float(u), float(v)) for v in us] for u in us]
+    assert _same_bits(scalar, copula_grid(cop, us, us))
