@@ -134,7 +134,8 @@ def copula_grid(c, us, vs) -> np.ndarray:
 
 def _np_min(a: float, b: float) -> float:
     # np.minimum on two floats: a only when a < b or a is nan, so a tie of
-    # 0.0 and -0.0 gives b (min() would give a)
+    # 0.0 and -0.0 gives b (min() would give a); the rule of numpy 2.4.6,
+    # against which it was checked in both its scalar and its SIMD loops
     return a if a < b or a != a else b
 
 

@@ -234,35 +234,11 @@ class DistFn:
         self._levels = np.where(const, par[0], np.nan) if curved else par[0]
         self._points = self._segments = self._xs = self._lists = self._hash = None
 
-    def _plainly_valid(self) -> bool:
-        # a sufficient condition for a valid step function, in few array
-        # operations: finite, increasing breakpoints and a non-decreasing
-        # sequence 0, level_0, left_0, value_0, right_0, level_1, ...,
-        # level_n, 1 in which each level is within EXACT_TOL of its
-        # neighbours; a valid function failing it takes the full check
-        xa, n = self._xa, self._xa.size
-        if n and not (math.isfinite(xa[0]) and math.isfinite(xa[-1])):
-            return False
-        if np.count_nonzero(xa[1:] > xa[:-1]) < n - 1:
-            return False
-        seq = np.empty((n + 1, 4))
-        seq[:, 0] = self._levels
-        seq[:, 1:] = self._tri.T
-        seq = seq.ravel()
-        steps = np.empty((n + 1, 4))
-        steps.flat[0] = seq[0]
-        np.subtract(seq[1:], seq[:-1], out=steps.ravel()[1:])
-        return (
-            np.count_nonzero(steps >= 0.0) == steps.size
-            and np.count_nonzero(steps[:, :2] <= EXACT_TOL) == 2 * n + 2
-        )
-
     def _validate(self) -> None:
         # the exact validity conditions, raising on the first violation in
         # the order: finiteness, order of x, each triple, monotonicity across
-        # breakpoints, then each segment in interval order
-        if not self._curved and self._plainly_valid():
-            return
+        # breakpoints, then each segment in interval order; a nan level or end
+        # value fails every tolerance test
         n = self._xa.size
         xa, (left, value, right) = self._xa, self._tri[:, :-1]
         if np.count_nonzero(np.isfinite(xa)) < n:
@@ -289,9 +265,9 @@ class DistFn:
         # a constant segment must meet the limits on both of its ends; the
         # first one that does not is re-run by _check_segment for its
         # message, after every analytic segment before it
-        off = np.abs(levels - np.concatenate(([0.0], right))) > EXACT_TOL
-        off[:-1] |= np.abs(levels[:-1] - left) > EXACT_TOL
-        off[-1] |= levels[-1] > 1.0 + EXACT_TOL
+        off = ~(np.abs(levels - np.concatenate(([0.0], right))) <= EXACT_TOL)
+        off[:-1] |= ~(np.abs(levels[:-1] - left) <= EXACT_TOL)
+        off[-1] |= ~(levels[-1] <= 1.0 + EXACT_TOL)
         off &= const
         first_bad = int(off.argmax()) if np.count_nonzero(off) else n + 1
         for i in (~const[:first_bad]).nonzero()[0].tolist():
@@ -311,17 +287,17 @@ class DistFn:
         lo_val = _seg_end(seg, lo, -1)
         hi_val = _seg_end(seg, hi, +1)
         want_lo = 0.0 if i == 0 else self._point(i - 1).right
-        if abs(lo_val - want_lo) > tol:
+        if not abs(lo_val - want_lo) <= tol:
             raise InvalidParameterError(
                 f"segment on ({lo}, {hi}) starts at {lo_val}, expected {want_lo}"
             )
         if i < n:
-            if abs(hi_val - self._point(i).left) > tol:
+            if not abs(hi_val - self._point(i).left) <= tol:
                 raise InvalidParameterError(
                     f"segment on ({lo}, {hi}) ends at {hi_val}, "
                     f"expected {self._point(i).left}"
                 )
-        elif hi_val > 1.0 + tol:
+        elif not hi_val <= 1.0 + tol:
             raise InvalidParameterError("upper tail exceeds 1")
 
     # -- equality and the object views --------------------------------------

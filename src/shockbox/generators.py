@@ -60,10 +60,11 @@ class Generator:
     The knot abscissas and values are stored as two arrays. ``knots`` is a
     tuple of (u, y) pairs built on first use (or kept as given to the
     constructor); scalar evaluation reads Python lists, also built on first
-    use. Equality compares kind and arrays, and the hash agrees with it.
+    use. Equality compares kind and arrays, and the hash agrees with it;
+    ``kind`` is read-only, so neither can change after construction.
     """
 
-    __slots__ = ("kind", "_us", "_ys", "_knots", "_lists", "_hash")
+    __slots__ = ("_kind", "_us", "_ys", "_knots", "_lists", "_hash")
 
     def __init__(self, kind: str, knots):
         if kind not in _KINDS:
@@ -88,14 +89,18 @@ class Generator:
             raise InvalidParameterError("knot abscissas must be strictly increasing")
         if np.count_nonzero(ys < 0.0) or np.count_nonzero(ys > 1.0):
             raise InvalidParameterError("knot values must lie in [0, 1]")
-        self.kind, self._us, self._ys = kind, us, ys
+        self._kind, self._us, self._ys = kind, us, ys
         self._knots = self._lists = self._hash = None
+
+    @property
+    def kind(self) -> str:
+        return self._kind
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
         return (
-            self.kind == other.kind
+            self._kind == other._kind
             and self._us.size == other._us.size
             and not np.count_nonzero(self._us != other._us)
             and not np.count_nonzero(self._ys != other._ys)
@@ -104,11 +109,11 @@ class Generator:
     def __hash__(self):
         if self._hash is None:
             # adding 0.0 turns -0.0 into 0.0, which it compares equal to
-            self._hash = hash((self.kind, (self._us + 0.0).tobytes(), (self._ys + 0.0).tobytes()))
+            self._hash = hash((self._kind, (self._us + 0.0).tobytes(), (self._ys + 0.0).tobytes()))
         return self._hash
 
     def __repr__(self):
-        return f"Generator(kind={self.kind!r}, knots={self.knots!r})"
+        return f"Generator(kind={self._kind!r}, knots={self.knots!r})"
 
     @property
     def knots(self) -> tuple[tuple[float, float], ...]:
@@ -123,12 +128,12 @@ class Generator:
 
     def _value(self, u: float) -> float:
         # eval_many for one float, without the range check: np.interp's
-        # arithmetic and end cases written out, bit for bit; the ends need
-        # no knot lists
+        # arithmetic and end cases written out, bit for bit (checked against
+        # numpy 2.4.6); the ends need no knot lists
         if u == 0.0:
-            return float(self._ys[0]) if self.kind == "chi" else 0.0
+            return float(self._ys[0]) if self._kind == "chi" else 0.0
         if u == 1.0:
-            return 1.0 if self.kind == "chi" else float(self._ys[-1])
+            return 1.0 if self._kind == "chi" else float(self._ys[-1])
         if u != u:
             return u
         us, ys = self._lists or self._knot_lists()
@@ -153,7 +158,7 @@ class Generator:
     def eval_many(self, us) -> np.ndarray:
         arr = np.asarray(us, dtype=float)
         out = np.interp(arr, self._us, self._ys)
-        if self.kind in ("phi", "psi"):
+        if self._kind in ("phi", "psi"):
             out = np.where(arr == 0.0, 0.0, out)
         else:
             out = np.where(arr == 1.0, 1.0, out)

@@ -7,6 +7,7 @@ and bit-identical arrays, and the scalar evaluators must agree with the
 array ones bit for bit, on nan included.
 """
 
+import json
 import math
 
 import numpy as np
@@ -15,15 +16,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shockbox.distfn import (
+    AffineSeg,
+    Breakpoint,
+    ConstSeg,
     DistFn,
     ParamSpec,
     blend,
     comix,
     from_spec,
+    paramspec_from_json,
     product,
     step_cdf,
 )
-from shockbox.errors import InvalidRangeError
+from shockbox.errors import InvalidParameterError, InvalidRangeError
 from shockbox.generators import (
     Generator,
     blend_generators,
@@ -133,6 +138,14 @@ def test_generator_round_trips_through_knots(g):
     assert tuple(g.knot_us) == tuple(u for u, _ in g.knots)
 
 
+def test_generator_kind_is_read_only():
+    g = build_phi(step_cdf([(1.0, 0.5), (2.0, 0.5)]), step_cdf([(1.5, 1.0)]))
+    before = hash(g)
+    with pytest.raises(AttributeError):
+        g.kind = "chi"
+    assert g.kind == "phi" and hash(g) == before
+
+
 def test_signed_zeros_compare_and_hash_equal():
     f, g = step_cdf([(-0.0, 1.0)]), step_cdf([(0.0, 1.0)])
     assert f == g and hash(f) == hash(g)
@@ -167,3 +180,22 @@ def test_nan_raises_in_scalar_and_array_evaluation(f):
             f.eval_many([0.5, math.nan], side)
     with pytest.raises(InvalidRangeError):
         f.eval_many(math.nan)
+
+
+NAN_LEVEL_LAW = (
+    '{"type": "piecewise", "breakpoints": [[0, 0, 0.5, 0.5], [1, 0.5, 1, 1]],'
+    ' "segments": [["const", 0], ["const", NaN], ["const", 1]]}'
+)
+
+
+def test_nan_levels_and_segment_ends_are_rejected():
+    # json reads NaN; a constant segment at that level must not validate
+    with pytest.raises(InvalidParameterError, match="starts at nan, expected 0.5"):
+        from_spec(paramspec_from_json(json.loads(NAN_LEVEL_LAW)))
+    with pytest.raises(InvalidParameterError, match="a breakpoint-free DistFn"):
+        DistFn((), (ConstSeg(math.nan),))
+    bp = Breakpoint(0.0, 0.0, 1.0, 1.0)
+    with pytest.raises(InvalidParameterError, match="starts at nan, expected 1.0"):
+        DistFn((bp,), (ConstSeg(0.0), ConstSeg(math.nan)))
+    with pytest.raises(InvalidParameterError, match="ends at nan, expected 0.0"):
+        DistFn((bp,), (AffineSeg(math.nan, 0.0, 0.0), ConstSeg(1.0)))

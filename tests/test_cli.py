@@ -252,6 +252,20 @@ def test_defective_law_is_rejected_before_any_check(tmp_path, capsys, model):
     assert capsys.readouterr().err == f"shockbox: {message}\n"
 
 
+def test_nan_level_in_a_scenario_file_exits_two(tmp_path, capsys):
+    raw = read_json(SCENARIOS / "d1_maxmin.json")
+    raw["z"] = {
+        "type": "piecewise",
+        "breakpoints": [[0, 0, 0.5, 0.5], [1, 0.5, 1, 1]],
+        "segments": [["const", 0], ["const", float("nan")], ["const", 1]],
+    }
+    bad = tmp_path / "nan_level.json"
+    bad.write_text(json.dumps(raw))
+    assert main(["pipeline", "--scenario", str(bad), "--out", str(tmp_path / "out")]) == 2
+    assert "starts at nan" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 # -- search ----------------------------------------------------------------------
 
 

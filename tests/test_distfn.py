@@ -340,11 +340,11 @@ def reference_validation_error(points, segments):
         want_lo = 0.0 if i == 0 else points[i - 1].right
         if not xs:
             return None if 0.0 <= seg.level <= 1.0 else "a breakpoint-free DistFn must be a constant in [0,1]"
-        if abs(seg.level - want_lo) > EXACT_TOL:
+        if not abs(seg.level - want_lo) <= EXACT_TOL:
             return f"segment on ({lo}, {hi}) starts at {seg.level}, expected {want_lo}"
-        if i < len(xs) and abs(seg.level - points[i].left) > EXACT_TOL:
+        if i < len(xs) and not abs(seg.level - points[i].left) <= EXACT_TOL:
             return f"segment on ({lo}, {hi}) ends at {seg.level}, expected {points[i].left}"
-        if i == len(xs) and seg.level > 1.0 + EXACT_TOL:
+        if i == len(xs) and not seg.level <= 1.0 + EXACT_TOL:
             return "upper tail exceeds 1"
     return None
 
