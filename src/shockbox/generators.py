@@ -315,7 +315,9 @@ def envelope_generators(gs) -> tuple[Generator, Generator]:
     """Pointwise infimum and supremum of same-kind generators, re-validated.
 
     Knots are the union of all input knots plus every pairwise crossing of
-    the affine pieces, so the envelopes are exact piecewise-affine functions.
+    the affine pieces strictly inside a piece (where the difference of the
+    two chords changes sign), so the envelopes are exact piecewise-affine
+    functions.
     """
     gs = list(gs)
     if not gs:
@@ -327,19 +329,24 @@ def envelope_generators(gs) -> tuple[Generator, Generator]:
     lo, hi = base[:-1], base[1:]
     # interpolate the continuous branch; eval() would inject the jump
     # convention at the endpoints and distort the chords
-    slopes, intercepts = [], []
+    slopes, intercepts, ends = [], [], []
     for g in gs:
         y0 = np.interp(lo, g._us, g._ys)
         y1 = np.interp(hi, g._us, g._ys)
         slope = (y1 - y0) / (hi - lo)
         slopes.append(slope)
         intercepts.append(y0 - slope * lo)
+        ends.append((y0, y1))
     cross = [base]
     for i in range(len(gs)):
         for j in range(i + 1, len(gs)):
+            # chords that only meet at an end of the piece get no knot: the
+            # rounded formula can put one an ulp inside, where the envelope
+            # then takes a kink of rounding error
+            flips = np.sign(ends[i][0] - ends[j][0]) * np.sign(ends[i][1] - ends[j][1]) < 0
             with np.errstate(divide="ignore", invalid="ignore"):
                 u = (intercepts[j] - intercepts[i]) / (slopes[i] - slopes[j])
-            inside = (slopes[i] != slopes[j]) & (lo < u) & (u < hi)
+            inside = flips & (slopes[i] != slopes[j]) & (lo < u) & (u < hi)
             cross.append(u[inside])
     us = np.unique(np.concatenate(cross))
     vals = np.array([np.interp(us, g._us, g._ys) for g in gs])

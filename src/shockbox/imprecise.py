@@ -96,60 +96,117 @@ class ViolationWitness:
         }
 
 
+# Each condition splits on a row pair as p(j2) + q(j1), j1 <= j2, with
+# p = X[i2, j2] - Y[i1, j2] and q = V[i1, j1] - W[i2, j1]; these are the
+# grids (0 = low, 1 = up) X, Y, V, W of each condition.
+_SPLITS = {
+    "IC1": (0, 0, 1, 0),
+    "IC2": (1, 0, 0, 0),
+    "IC3": (1, 0, 1, 1),
+    "IC4": (1, 1, 1, 0),
+}
+# the sweep's four best-value planes: IC1 and IC4 are indexed (i1, i2),
+# IC2 and IC3 (i2, i1)
+_PLANES = ("IC1", "IC4", "IC2", "IC3")
+# the conditions' names on the transposed grids
+_TRANSPOSED = {"IC1": "IC1", "IC2": "IC2", "IC3": "IC4", "IC4": "IC3"}
+
+
 def _ic_scan(
     low: np.ndarray, up: np.ndarray, stop: float = -np.inf
 ) -> dict[str, tuple[float, tuple[int, int, int, int]]]:
     """Minimum of each mixed rectangle inequality over all grid rectangles.
 
-    For fixed u1-index i1 every condition splits as p(i2, j2) + q(i2, j1)
-    with j1 <= j2, so the inner minimum is a running minimum along j; the
-    full scan is O(n^3) instead of O(n^4). IC2 and IC3 share p, IC1 and IC4
-    share q and its running minimum, so each i1 row takes three running
-    minima. Ties resolve to the first worst rectangle in scan order (i1,
-    then i2, then j2, then j1 ascending), which makes reported witnesses
-    deterministic.
+    On the row pair (i1, i2) every condition splits as p(j2) + q(j1) with
+    j1 <= j2 (``_SPLITS``), so its minimum over the pair's rectangles is the
+    minimum over j2 of p(j2) plus the running minimum of q up to j2. The
+    scan sweeps the columns once and keeps n x n planes indexed by row
+    pairs: three running minima and each condition's best value so far. At
+    column j, with D_G[a, b] = G[b, j] - G[a, j] for G in (low, up) and
+    Q[a, b] = up[a, j] - low[b, j], the planes read as a = i1, b = i2 give
+    IC1 = D_low + runmin Q and IC4 = D_up + runmin Q, and read as a = i2,
+    b = i1 they give IC2 = Q + runmin D_low and IC3 = Q + runmin D_up. A
+    column is seven elementwise operations on those planes, so an n x m
+    grid takes O(n^2 m) time and O(n^2 + nm) memory, never an n^3 array.
+    The values are those of the row-by-row split, bit for bit.
 
-    With a finite ``stop`` the scan returns after the first i1 row at which
-    every condition's minimum so far is below ``stop``. The values are then
-    those of violating rectangles, not the minima, and each witness is the
-    first worst rectangle of the rows scanned; with the default ``-inf`` the
-    whole grid is scanned.
+    Ties resolve to the first worst rectangle in scan order (i1, then i2,
+    then j2, then j1 ascending), which makes reported witnesses
+    deterministic: the first row pair in that order whose best value is the
+    minimum is rescanned alone for its j2 and j1.
+
+    With a finite ``stop`` the scan sweeps the transposed grids, so the
+    planes are indexed by column pairs and the sweep runs over u2, and it
+    returns after the first u2 at which every condition's minimum so far is
+    below ``stop``. On the doubled-grid rescans of ``search`` that is a
+    median of 2 of 101 steps; in column order it is 25. The values are then
+    those of violating rectangles, not the minima, added in the transposed
+    order, and each witness is the first worst rectangle of the part swept,
+    in the transposed scan order. With the default ``-inf`` the whole grid
+    is scanned.
 
     Returns condition -> (min value, (i1, i2, j1, j2) attaining it).
     """
-    n = low.shape[0]
-    results: dict[str, tuple[float, tuple[int, int, int, int]]] = {}
-    for name in ("IC1", "IC2", "IC3", "IC4"):
-        results[name] = (np.inf, (0, 0, 0, 0))
-    for i1 in range(n):
-        tail_l = low[i1:, :]
-        tail_u = up[i1:, :]
-        row_l = low[i1][None, :]
-        row_u = up[i1][None, :]
-        # p holds the terms indexed by (i2, j2), q those indexed by (i2, j1),
-        # each split listed with the running minimum of its q along j.
-        p23 = tail_u - row_l
-        q14 = row_u - tail_l
-        q2 = row_l - tail_l
-        q3 = row_u - tail_u
-        run14 = np.minimum.accumulate(q14, axis=1)
-        splits = (
-            ("IC1", tail_l - row_l, q14, run14),
-            ("IC2", p23, q2, np.minimum.accumulate(q2, axis=1)),
-            ("IC3", p23, q3, np.minimum.accumulate(q3, axis=1)),
-            ("IC4", tail_u - row_u, q14, run14),
-        )
-        for name, p, q, run in splits:
-            total = p + run
-            # the first minimum in row-major order: first i2, then first j2
-            at = int(np.argmin(total))
-            value = float(total.flat[at])
-            if value < results[name][0]:
-                k, j2 = divmod(at, n)
-                j1 = int(np.argmin(q[k, : j2 + 1]))
-                results[name] = (value, (i1, i1 + k, j1, j2))
-        if all(v < stop for v, _ in results.values()):
-            break
+    transposed = stop > -np.inf
+    if transposed:
+        low, up = low.T, up.T
+    n, m = low.shape
+    grids = (low, up)
+    # column j of low and of up, contiguous: (m, 2, n)
+    cols = np.stack((low.T, up.T), axis=1)
+    # Q, D_low and D_up at the current column
+    planes = np.empty((3, n, n))
+    q, d = planes[0], planes[1:]
+    # their running minima, then the best IC1, IC4, IC2 and IC3 so far
+    state = np.full((7, n, n), np.inf)
+    run, best = state[:3], state[3:]
+    index = np.arange(n)
+    upper = index[:, None] <= index
+    valid = (upper, upper, upper.T, upper.T)
+    unfound = [0, 1, 2, 3]
+    swept = m
+    for j in range(m):
+        col = cols[j]
+        np.subtract(col[1][:, None], col[0][None, :], out=q)
+        np.subtract(col[:, None, :], col[:, :, None], out=d)
+        np.minimum(run, planes, out=run)
+        np.add(d, run[0], out=d)
+        np.minimum(d, best[:2], out=best[:2])
+        np.add(q, run[1:], out=d)
+        np.minimum(d, best[2:], out=best[2:])
+        if transposed:
+            # found stays found: test each plane only until the first that
+            # has no violation yet
+            while unfound and (
+                np.min(best[unfound[0]], where=valid[unfound[0]], initial=np.inf) < stop
+            ):
+                unfound.pop(0)
+            if not unfound:
+                swept = j + 1
+                break
+
+    # the rectangles that are not i1 <= i2 never win
+    np.copyto(best[:2], np.inf, where=~upper)
+    np.copyto(best[2:], np.inf, where=~upper.T)
+    found = {}
+    for k, name in enumerate(_PLANES):
+        plane = best[k] if k < 2 else best[k].T
+        # the first minimum in row-major order: first i1, then first i2
+        i1, i2 = divmod(int(np.argmin(plane)), n)
+        x, y, v, w = _SPLITS[name]
+        p = grids[x][i2, :swept] - grids[y][i1, :swept]
+        q1 = grids[v][i1, :swept] - grids[w][i2, :swept]
+        total = p + np.minimum.accumulate(q1)
+        j2 = int(np.argmin(total))
+        j1 = int(np.argmin(q1[: j2 + 1]))
+        found[name] = (float(total[j2]), (i1, i2, j1, j2))
+    if not transposed:
+        return {name: found[name] for name in _SPLITS}
+    # back to the caller's grids: swap the rectangle's axes and IC3 with IC4
+    results = {}
+    for name in _SPLITS:
+        value, (i1, i2, j1, j2) = found[_TRANSPOSED[name]]
+        results[name] = (value, (j1, j2, i1, i2))
     return results
 
 
@@ -185,10 +242,13 @@ def check_imprecise_copula(
     are ``ViolationWitness`` records (populated also for passing checks, as
     the attaining rectangle of the minimum).
 
-    With ``first`` the rectangle scan stops as soon as all four mixed
-    inequalities are violated by more than ``tol``. Every verdict is the
-    same as without it, but the rectangle witnesses and values of such a
-    pair are then violations, not the worst ones.
+    With ``first`` the rectangle scan sweeps the grid in u2 order and stops
+    after the first u2 at which all four mixed inequalities are violated by
+    more than ``tol``. The rectangle witnesses and values of such a pair are
+    then violations, not the worst ones. Every verdict is the same as
+    without it, up to rounding: the stopped scan adds each rectangle's four
+    corner values in another order, so a value within rounding error of
+    ``-tol`` can fall on the other side.
     """
     if n < 2:
         raise InvalidParameterError("grid needs at least two points per axis")
@@ -242,10 +302,11 @@ def search_ic_violation(
     here is grid evidence, not a certificate of failure at all scales;
     callers re-verify at higher resolution before treating it as one.
 
-    With ``first`` the set of violated conditions is the same, but the
-    rectangle scan stops once all four mixed inequalities are violated, so
-    their witnesses are violations, not the worst ones (see
-    ``check_imprecise_copula``). Use it when only the conditions matter.
+    With ``first`` the set of violated conditions is the same (up to
+    rounding at ``-tol``), but the rectangle scan stops after the first u2
+    at which all four mixed inequalities are violated, so their witnesses
+    are violations, not the worst ones (see ``check_imprecise_copula``).
+    Use it when only the conditions matter.
     """
     witnesses = []
     for check in check_imprecise_copula(pair, n=n, tol=tol, first=first):

@@ -117,8 +117,8 @@ ORACLE_MAX_ATOMS = 12
 
 # Largest grid resolution a scenario may ask for. The checks hold a few
 # n x n copula surfaces at once (8 MB each at n = 1001), and the rectangle
-# scan takes O(n^3) time: at n = 1001 it took 23 s on a 2-core Xeon VM, and
-# a whole `pipeline --grid 1001` run took 34 s with a 240 MB peak RSS.
+# scan takes O(n^3) time: at n = 1001 it took 19 s on a 2-core Xeon VM, and
+# a whole `pipeline --grid 1001` run took 32 s with a 193 MB peak RSS.
 MAX_GRID = 1001
 
 

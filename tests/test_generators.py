@@ -309,6 +309,19 @@ def test_envelopes_add_crossing_knots():
     assert gmax.eval(0.5) == 0.8
 
 
+def test_envelope_of_chords_meeting_at_a_knot_stays_valid():
+    # on [3/16, 1] the two chi chords meet only at u = 1; the rounded
+    # crossing formula puts a knot at 1 - 2**-52, which broke the envelope
+    g1 = build_chi(step_cdf([(0.5, 1.0)]), step_cdf([(3.25, 1.0)]))
+    g2 = build_chi(step_cdf([(1.5, 1.0)]), step_cdf([(-0.5, 3 / 16), (3.5, 13 / 16)]))
+    gmin, gmax = envelope_generators([g1, g2])
+    assert gmin.knots == ((0.0, 0.0), (0.1875, 0.0), (1.0, 1.0))
+    assert gmax.knots == ((0.0, 0.0), (0.1875, 0.1875), (1.0, 1.0))
+    for g in (g1, g2):
+        assert check_order(gmin, g).passed
+        assert check_order(g, gmax).passed
+
+
 def test_envelope_rejects_empty_and_mixed_input():
     with pytest.raises(InvalidParameterError):
         envelope_generators([])

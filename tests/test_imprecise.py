@@ -1,15 +1,20 @@
 """Imprecise copulas: bound pairs, rectangle conditions, families, coherence."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from shockbox import imprecise
+from shockbox.cli import load_scenario
 from shockbox.copulas import (
     MarshallCopula,
     MaxminCopula,
     Rect,
+    copula_grid,
     sklar_compose,
 )
-from shockbox.distfn import INF, ParamSpec, from_spec, product, step_cdf
+from shockbox.distfn import EXACT_TOL, INF, ParamSpec, from_spec, product, step_cdf
 from shockbox.errors import InvalidParameterError
 from shockbox.generators import Generator, build_chi, build_phi, build_psi
 from shockbox.imprecise import (
@@ -23,6 +28,9 @@ from shockbox.imprecise import (
     search_ic_violation,
     verify_witness,
 )
+from shockbox.shockmodel import random_discrete_scenario, run_scenario
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 # exact generator envelopes of the exponential example (unit-rate vs faster
 # idiosyncratic shocks, common shock at the median of the slowest)
@@ -123,11 +131,11 @@ def reference_ic_scan(low, up):
     """Every rectangle i1 <= i2, j1 <= j2 in the order i1, i2, j2, j1; the
     first strict minimum of each condition wins."""
     low, up = low.tolist(), up.tolist()
-    n = len(low)
+    n, m = len(low), len(low[0])
     best = {name: (float("inf"), None) for name in ("IC1", "IC2", "IC3", "IC4")}
     for i1 in range(n):
         for i2 in range(i1, n):
-            for j2 in range(n):
+            for j2 in range(m):
                 for j1 in range(j2 + 1):
                     for name, value in reference_ic_values(low, up, i1, i2, j1, j2).items():
                         if value < best[name][0]:
@@ -135,24 +143,135 @@ def reference_ic_scan(low, up):
     return best
 
 
+def reference_row_scan(low, up):
+    """The row-by-row scan that the column sweep replaced, kept as its
+    reference for the arithmetic and the tie-break.
+
+    For fixed i1 every condition splits as p(i2, j2) + q(i2, j1) with
+    j1 <= j2, so the inner minimum is a running minimum of q along j; the
+    first worst rectangle in the order i1, i2, j2, j1 wins.
+    """
+    m = low.shape[1]
+    results = {name: (np.inf, (0, 0, 0, 0)) for name in ("IC1", "IC2", "IC3", "IC4")}
+    for i1 in range(low.shape[0]):
+        tail_l = low[i1:, :]
+        tail_u = up[i1:, :]
+        row_l = low[i1][None, :]
+        row_u = up[i1][None, :]
+        p23 = tail_u - row_l
+        q14 = row_u - tail_l
+        q2 = row_l - tail_l
+        q3 = row_u - tail_u
+        run14 = np.minimum.accumulate(q14, axis=1)
+        splits = (
+            ("IC1", tail_l - row_l, q14, run14),
+            ("IC2", p23, q2, np.minimum.accumulate(q2, axis=1)),
+            ("IC3", p23, q3, np.minimum.accumulate(q3, axis=1)),
+            ("IC4", tail_u - row_u, q14, run14),
+        )
+        for name, p, q, run in splits:
+            total = p + run
+            at = int(np.argmin(total))
+            value = float(total.flat[at])
+            if value < results[name][0]:
+                k, j2 = divmod(at, m)
+                j1 = int(np.argmin(q[k, : j2 + 1]))
+                results[name] = (value, (i1, i1 + k, j1, j2))
+    return results
+
+
+def split_value(low, up, name, rect):
+    """One condition on one rectangle in the row scan's arithmetic: the
+    p(i2, j2) term plus the q(i2, j1) term."""
+    i1, i2, j1, j2 = rect
+    l1, l2, u1, u2 = low[i1], low[i2], up[i1], up[i2]
+    p, q = {
+        "IC1": (l2 - l1, u1 - l2),
+        "IC2": (u2 - l1, l1 - l2),
+        "IC3": (u2 - l1, u1 - u2),
+        "IC4": (u2 - u1, u1 - l2),
+    }[name]
+    return float(p[j2] + q[j1])
+
+
+def scan_bits(result):
+    """A scan result with each value as its bytes, so -0.0 != 0.0."""
+    return {name: (np.float64(value).tobytes(), rect) for name, (value, rect) in result.items()}
+
+
+# the conditions' names on the transposed grids
+TRANSPOSED = {"IC1": "IC1", "IC2": "IC2", "IC3": "IC4", "IC4": "IC3"}
+
+
+def assert_stop_scan_confirms(low, up, reference, tol):
+    """A stopped scan finds the violated conditions of the full one, each
+    with a real rectangle's value; returns whether some value is not the
+    worst. The scan sweeps the transposed grids, so a value is the row
+    scan's arithmetic on the transposed rectangle."""
+    scan = _ic_scan(low, up, stop=-tol)
+    violated = {name for name, (value, _) in reference.items() if value < -tol}
+    assert {name for name, (value, _) in scan.items() if value < -tol} == violated
+    for name, (value, (i1, i2, j1, j2)) in scan.items():
+        assert split_value(low.T, up.T, TRANSPOSED[name], (j1, j2, i1, i2)) == value
+    return any(scan[name][0] > reference[name][0] for name in violated)
+
+
 def eighths_grids():
     """Seeded pairs of grids with values in multiples of 1/8, so every sum is
     exact and ties are common: independent pairs (mostly violating), pairs
-    with up >= low, and the degenerate n = 2 case."""
+    with up >= low, and the degenerate n = 2 case; square and not."""
     rng = np.random.default_rng(2015)
     grids = [(np.zeros((2, 2)), np.zeros((2, 2))), (np.eye(2) / 8, np.ones((2, 2)) / 2)]
+
+    def add(shape):
+        low = rng.integers(0, 9, size=shape) / 8
+        grids.append((low, rng.integers(0, 9, size=shape) / 8))
+        grids.append((low, low + rng.integers(0, 3, size=shape) / 8))
+        grids.append((np.sort(np.sort(low, axis=0), axis=1), np.ones(shape)))
+
     for n in (2, 3, 4, 5, 6, 7):
         for _ in range(6):
-            low = rng.integers(0, 9, size=(n, n)) / 8
-            grids.append((low, rng.integers(0, 9, size=(n, n)) / 8))
-            grids.append((low, low + rng.integers(0, 3, size=(n, n)) / 8))
-            grids.append((np.sort(np.sort(low, axis=0), axis=1), np.ones((n, n))))
+            add((n, n))
+    for _ in range(24):
+        add(tuple(rng.choice(np.arange(2, 8), size=2, replace=False)))
+    return grids
+
+
+def random_grids():
+    """Seeded n x m pairs, n and m in 2..40, with non-dyadic values: the
+    sums round, so only the same arithmetic in the same order matches."""
+    rng = np.random.default_rng(278)
+    grids = []
+    for _ in range(20):
+        shape = tuple(rng.integers(2, 41, size=2))
+        low = rng.random(shape)
+        grids.append((low, rng.random(shape)))
+        grids.append((low, low + 0.05 * rng.random(shape)))
+        monotone = np.cumsum(np.cumsum(rng.random(shape), axis=0), axis=1) / 3
+        grids.append((monotone, monotone + rng.random(shape) / 7))
     return grids
 
 
 def test_ic_scan_matches_the_plain_enumeration():
     for low, up in eighths_grids():
-        assert _ic_scan(low, up) == reference_ic_scan(low, up), (low, up)
+        reference = reference_ic_scan(low, up)
+        assert _ic_scan(low, up) == reference, (low, up)
+        assert reference_row_scan(low, up) == reference, (low, up)
+
+
+def test_ic_scan_matches_the_row_scan_bit_for_bit():
+    for low, up in random_grids():
+        assert scan_bits(_ic_scan(low, up)) == scan_bits(reference_row_scan(low, up)), low.shape
+
+
+def swept_minima(low, up, tol):
+    """Each condition's minimum over the rectangles with i2 <= k, for the
+    first k at which all four are below -tol (None if there is none)."""
+    for k in range(low.shape[0]):
+        prefix = reference_ic_scan(low[: k + 1], up[: k + 1])
+        if all(value < -tol for value, _ in prefix.values()):
+            return {name: value for name, (value, _) in prefix.items()}
+    return None
 
 
 # a tolerance of 1/8 puts values exactly at -tol, which are no violations
@@ -160,14 +279,60 @@ def test_ic_scan_matches_the_plain_enumeration():
 def test_ic_scan_with_stop_confirms_the_same_violations(tol):
     stopped_early = 0
     for low, up in eighths_grids():
-        reference = reference_ic_scan(low, up)
-        scan = _ic_scan(low, up, stop=-tol)
-        violated = {name for name, (value, _) in reference.items() if value < -tol}
-        assert {name for name, (value, _) in scan.items() if value < -tol} == violated
-        for name, (value, rect) in scan.items():
-            assert reference_ic_values(low, up, *rect)[name] == value
-        stopped_early += scan != reference
+        stopped_early += assert_stop_scan_confirms(low, up, reference_ic_scan(low, up), tol)
+        # the scan stops after the first u2 that confirms all four
+        minima = swept_minima(low, up, tol)
+        if minima is not None:
+            scan = _ic_scan(low, up, stop=-tol)
+            assert {name: value for name, (value, _) in scan.items()} == minima
+    for low, up in random_grids():
+        stopped_early += assert_stop_scan_confirms(low, up, reference_row_scan(low, up), tol)
     # the stop is exercised: some scans return violations that are not the worst
+    assert stopped_early > 0
+
+
+def test_ic_scan_matches_the_row_scan_on_the_packaged_scenarios(monkeypatch):
+    scanned = []
+
+    def recording_scan(low, up, stop=-np.inf):
+        scanned.append((low, up))
+        return _ic_scan(low, up, stop)
+
+    monkeypatch.setattr(imprecise, "_ic_scan", recording_scan)
+    for path in sorted(SCENARIOS.glob("*.json")):
+        run_scenario(load_scenario(path))
+    # per scenario the imprecise pair, the H grid and, for max/min, the
+    # same-corner search
+    assert len(scanned) == 10
+    for low, up in scanned:
+        assert scan_bits(_ic_scan(low, up)) == scan_bits(reference_row_scan(low, up)), low.shape
+
+
+@pytest.fixture(scope="module")
+def search_grids():
+    """The copula grids of 50 `search` scenarios at the scan and rescan
+    resolutions, each with the row scan's result."""
+    grids = []
+    for index in range(50):
+        s = random_discrete_scenario([2026, index], model="maxmin", grid=51)
+        low = MaxminCopula(build_phi(s.x_pbox.lower, s.z), build_chi(s.y_pbox.lower, s.z))
+        up = MaxminCopula(build_phi(s.x_pbox.upper, s.z), build_chi(s.y_pbox.upper, s.z))
+        for n in (51, 101):
+            us = np.linspace(0.0, 1.0, n)
+            low_grid, up_grid = copula_grid(low, us, us), copula_grid(up, us, us)
+            grids.append((low_grid, up_grid, reference_row_scan(low_grid, up_grid)))
+    return grids
+
+
+def test_ic_scan_matches_the_row_scan_on_search_scenarios(search_grids):
+    for low, up, reference in search_grids:
+        assert scan_bits(_ic_scan(low, up)) == scan_bits(reference)
+
+
+def test_ic_scan_with_stop_on_search_scenarios(search_grids):
+    stopped_early = 0
+    for low, up, reference in search_grids:
+        stopped_early += assert_stop_scan_confirms(low, up, reference, EXACT_TOL)
     assert stopped_early > 0
 
 
@@ -239,6 +404,18 @@ def test_pbox_conditions_flag_defective_marginals():
     checks = {c.name: c for c in check_bivariate_pbox_conditions(bad, low_h, PROBES, PROBES)}
     assert not checks["standardized-low"].passed
     assert checks["standardized-low"].value == pytest.approx(0.1, abs=1e-12)
+
+
+def test_pbox_conditions_on_a_non_square_probe_grid():
+    res = run_scenario(load_scenario(SCENARIOS / "d1_maxmin.json"))
+    xs, ys = np.linspace(0.0, 4.0, 9), np.linspace(0.0, 4.0, 3)
+    checks = {c.name: c for c in check_bivariate_pbox_conditions(res.up_h, res.low_h, xs, ys)}
+    xs = np.concatenate(([-INF], xs, [INF]))
+    ys = np.concatenate(([-INF], ys, [INF]))
+    reference = reference_row_scan(res.up_h.at_many(xs, ys), res.low_h.at_many(xs, ys))
+    for name, (value, (i1, i2, j1, j2)) in reference.items():
+        assert checks[name].value == value
+        assert checks[name].witness == ((xs[i1], xs[i2]), (ys[j1], ys[j2]))
 
 
 # -- copula families and coherence ----------------------------------------------
