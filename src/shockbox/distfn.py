@@ -439,6 +439,11 @@ class DistFn:
         return self._xs
 
     @property
+    def jumps(self) -> np.ndarray:
+        """Right limit minus left limit at each breakpoint."""
+        return self._tri[2, :-1] - self._tri[0, :-1]
+
+    @property
     def is_step(self) -> bool:
         return not self._curved
 

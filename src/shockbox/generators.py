@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -400,7 +399,22 @@ def _require_proper(f: DistFn, label: str) -> None:
 
 
 def build_phi(fx: DistFn, fz: DistFn, kind: str = "phi") -> Generator:
-    """Generator with phi(F) = F_X for F = F_X*F_Z, extended canonically.
+    """Generator with phi(F) = F_X for F = F_X*F_Z, extended canonically."""
+    return phi_from_composite(product(fx, fz), fx, fz, kind)
+
+
+def build_psi(fy: DistFn, fz: DistFn) -> Generator:
+    """Same construction as build_phi for the second max-type marginal."""
+    return build_phi(fy, fz, kind="psi")
+
+
+def build_chi(fy: DistFn, fz: DistFn) -> Generator:
+    """Generator with chi(K) = F_Y for K = F_Y + F_Z - F_Y*F_Z."""
+    return chi_from_composite(comix(fy, fz), fy, fz)
+
+
+def phi_from_composite(f: DistFn, fx: DistFn, fz: DistFn, kind: str = "phi") -> Generator:
+    """build_phi from the composite f = product(fx, fz) the caller already has.
 
     Per breakpoint x0 of F the knots are (F(x0-), F_X(x0-)),
     (F_X(x0-)F_Z(x0), F_X(x0-)), (F_X(x0+)F_Z(x0), F_X(x0+)) and
@@ -408,7 +422,6 @@ def build_phi(fx: DistFn, fz: DistFn, kind: str = "phi") -> Generator:
     Between breakpoints one factor of F is constant, so chords joining
     adjacent clusters reproduce phi exactly as well.
     """
-    f = product(fx, fz)
     _require_proper(f, "the composite max-type CDF")
     if not f._xa.size:
         return Generator.identity(kind)
@@ -426,21 +439,15 @@ def build_phi(fx: DistFn, fz: DistFn, kind: str = "phi") -> Generator:
     return Generator._from_arrays(kind, us, ys)
 
 
-def build_psi(fy: DistFn, fz: DistFn) -> Generator:
-    """Same construction as build_phi for the second max-type marginal."""
-    return build_phi(fy, fz, kind="psi")
+def chi_from_composite(k: DistFn, fy: DistFn, fz: DistFn) -> Generator:
+    """build_chi from the composite k = comix(fy, fz) the caller already has.
 
-
-def build_chi(fy: DistFn, fz: DistFn) -> Generator:
-    """Generator with chi(K) = F_Y for K = F_Y + F_Z - F_Y*F_Z.
-
-    Mirror image of build_phi under x -> -x, g -> 1 - g: per breakpoint y0
-    of K the cluster is (K(y0-), F_Y(y0-)),
+    Mirror image of phi_from_composite under x -> -x, g -> 1 - g: per
+    breakpoint y0 of K the cluster is (K(y0-), F_Y(y0-)),
     (F_Y(y0-) + F_Z(y0) - F_Y(y0-)F_Z(y0), F_Y(y0-)),
     (F_Y(y0+) + F_Z(y0) - F_Y(y0+)F_Z(y0), F_Y(y0+)), (K(y0+), F_Y(y0+));
     the middle chord is the line (w - F_Z(y0)) / (1 - F_Z(y0)).
     """
-    k = comix(fy, fz)
     _require_proper(k, "the composite min-type CDF")
     if not k._xa.size:
         return Generator.identity("chi")
@@ -448,8 +455,8 @@ def build_chi(fy: DistFn, fz: DistFn) -> Generator:
     kl, kv, kr = k.eval_many(xs, LIMIT_SIDES)
     fyl, fyv, fyr = fy.eval_many(xs, LIMIT_SIDES)
     fzv = fz.eval_many(xs)
-    # same anchoring as build_phi: composite values verbatim, the two
-    # z-jump corners recomputed, abscissae restored to monotone
+    # same anchoring as phi_from_composite: composite values verbatim, the
+    # two z-jump corners recomputed, abscissae restored to monotone
     wl, wr = comix_value(np.array([fyl, fyr]), fzv)
     us = np.array([kl, wl, kv, wr, kr]).T.ravel()
     ys = np.array([fyl, fyl, fyv, fyr, fyr]).T.ravel()
@@ -568,31 +575,6 @@ def admissible_anchors(base: DistFn, u: float) -> list[float]:
 # gap probe: canonical construction vs the extremal associated extensions
 
 
-@dataclass(frozen=True)
-class GapRecord:
-    """One jump gap of the composite CDF's image.
-
-    canonical is the built generator's value at the gap midpoint; least and
-    greatest are the pointwise extremes over all generators of the same kind
-    associated to the same inputs, derived from the monotonicity and star
-    constraints anchored at the attained values on both sides of the gap.
-    """
-
-    lo: float
-    hi: float
-    canonical: float
-    least: float
-    greatest: float
-
-    @property
-    def slack_below(self) -> float:
-        return self.canonical - self.least
-
-    @property
-    def slack_above(self) -> float:
-        return self.greatest - self.canonical
-
-
 def _phi_gap_extremes(fx, fz, xs, a, b, left_of_value):
     # extremes over associated phis on the open gaps (a, b) at their
     # midpoints; xs are the anchoring breakpoints, one per gap
@@ -630,23 +612,26 @@ def _chi_gap_extremes(fy, _fz, xs, a, b, left_of_value):
 
 
 def associated_envelope_gaps(
-    g: Generator, first: DistFn, fz: DistFn
-) -> list[GapRecord]:
+    g: Generator, base: DistFn, first: DistFn, fz: DistFn
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Where the canonical construction has room against the literal extremes.
 
     The defining relation pins a generator only on the image of its composite
-    CDF; on jump gaps the admissible values form an interval. This probe
-    computes that interval at every gap midpoint. Purely informational: a
-    positive slack means the canonical extension is not the pointwise least
-    (or greatest) associated generator there, which affects nothing checked
+    CDF base (product(first, fz) for phi/psi, comix(first, fz) for chi); on
+    jump gaps the admissible values form an interval. This probe computes
+    that interval at every gap midpoint. Purely informational: a positive
+    slack means the canonical extension is not the pointwise least (or
+    greatest) associated generator there, which affects nothing checked
     elsewhere but is worth surfacing.
+
+    Returns five arrays with one entry per gap, in breakpoint order:
+    (lo, hi, canonical, least, greatest). The gap is (lo, hi); canonical is
+    g at its midpoint; least and greatest are the pointwise extremes there
+    over all generators of g's kind associated to the same inputs, derived
+    from the monotonicity and star constraints anchored at the attained
+    values on both sides of the gap.
     """
-    if g.kind in ("phi", "psi"):
-        base = product(first, fz)
-        extremes = _phi_gap_extremes
-    else:
-        base = comix(first, fz)
-        extremes = _chi_gap_extremes
+    extremes = _phi_gap_extremes if g.kind in ("phi", "psi") else _chi_gap_extremes
     # two gaps per breakpoint, (left, value) then (value, right)
     xs = base._xa
     left, val, right = base.eval_many(xs, LIMIT_SIDES)
@@ -656,13 +641,4 @@ def associated_envelope_gaps(
     keep = (hi - lo > 0.0) & (lo < 1.0) & (hi > 0.0)
     lo, hi, left_of_value = lo[keep], hi[keep], left_of_value[keep]
     mid, least, greatest = extremes(first, fz, np.repeat(xs, 2)[keep], lo, hi, left_of_value)
-    return list(
-        map(
-            GapRecord,
-            lo.tolist(),
-            hi.tolist(),
-            g.eval_many(mid).tolist(),
-            least.tolist(),
-            greatest.tolist(),
-        )
-    )
+    return lo, hi, g.eval_many(mid), least, greatest

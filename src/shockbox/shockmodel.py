@@ -31,7 +31,7 @@ CDF increment, which dominates the sup-norm discretization error.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -69,13 +69,12 @@ from .errors import (
 from .generators import (
     Generator,
     associated_envelope_gaps,
-    build_chi,
-    build_phi,
-    build_psi,
     check_association,
     check_generator,
     check_order,
+    chi_from_composite,
     locate,
+    phi_from_composite,
 )
 from .imprecise import (
     MEMBER_WEIGHTS,
@@ -370,8 +369,7 @@ def compare_oracle(bound: BivariateBound, table: JointTable, tol: float = EXACT_
 
 
 def _step_atoms(f: DistFn) -> list[tuple[float, float]]:
-    masses = f.eval_many(f.breakpoints, 1) - f.eval_many(f.breakpoints, -1)
-    return list(zip(f.breakpoints, masses.tolist()))
+    return list(zip(f.breakpoints, f.jumps.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -416,9 +414,26 @@ def _onset(f: DistFn, mass: float, lo: float, hi: float) -> float:
     return lo
 
 
-def _resolve_inputs(s: Scenario) -> tuple[dict[str, DistFn], dict]:
-    """Exact inputs when the segment algebra supports all needed pairings,
-    otherwise a common-grid step discretization of the continuous ones."""
+def _composites(fns: dict[str, DistFn], model: str) -> tuple[DistFn, DistFn, DistFn, DistFn]:
+    """low_f, up_f, low_second and up_second: each bound combined with z."""
+    second = comix if model == "maxmin" else product
+    fz = fns["z"]
+    return (
+        product(fns["x_lo"], fz),
+        product(fns["x_up"], fz),
+        second(fns["y_lo"], fz),
+        second(fns["y_up"], fz),
+    )
+
+
+def _resolve_inputs(s: Scenario) -> tuple[dict[str, DistFn], tuple[DistFn, ...], dict]:
+    """The inputs, their four composites and the discretization info.
+
+    The inputs are exact when the segment algebra supports all needed
+    pairings, otherwise a common-grid step discretization of the continuous
+    ones. Products and comixtures fail on the same segment pairs, so
+    building the composites is the support test.
+    """
     fns = {
         "x_lo": s.x_pbox.lower,
         "x_up": s.x_pbox.upper,
@@ -426,14 +441,8 @@ def _resolve_inputs(s: Scenario) -> tuple[dict[str, DistFn], dict]:
         "y_up": s.y_pbox.upper,
         "z": s.z,
     }
-    combine = comix if s.model == "maxmin" else product
     try:
-        for key in ("x_lo", "x_up"):
-            product(fns[key], fns["z"])
-        for key in ("y_lo", "y_up"):
-            combine(fns[key], fns["z"])
-            product(fns[key], fns["z"])
-        return fns, {"discretized": False}
+        return fns, _composites(fns, s.model), {"discretized": False}
     except UnsupportedSegmentPairError:
         pass
     xs = probe_xs(fns.values(), n=2)
@@ -449,9 +458,10 @@ def _resolve_inputs(s: Scenario) -> tuple[dict[str, DistFn], dict]:
         start = _onset(f, Z_ONSET_MASS, lo, hi) if key == "z" else lo
         approx = step_approximation(f, DISCRETIZATION_ATOMS, start, hi)
         out[key] = approx
-        if approx.breakpoints:
-            bound = max(bound, max(m for _, m in _step_atoms(approx)))
-    return out, {"discretized": True, "discretization_bound": bound}
+        jumps = approx.jumps
+        if jumps.size:
+            bound = max(bound, float(jumps.max()))
+    return out, _composites(out, s.model), {"discretized": True, "discretization_bound": bound}
 
 
 def _fold(name: str, subs: list[Check], extra_note: str = "") -> Check:
@@ -472,8 +482,36 @@ def _star_lhs(f_vals: np.ndarray, phi: Generator) -> np.ndarray:
     return np.divide(f_vals, phi_vals, out=np.zeros_like(f_vals), where=phi_vals > 0.0)
 
 
+GAP_FIELDS = ("lo", "hi", "canonical", "least", "greatest")
+
+
+def _first_max(values: np.ndarray) -> float:
+    """max(values, default=0.0) as Python takes it: the first element that
+    no later one exceeds, so a leading nan wins, later nans are passed over,
+    and of 0.0 and -0.0 the earlier one is kept."""
+    if not values.size:
+        return 0.0
+    if np.isnan(values[0]):
+        return float(values[0])
+    return float(values[np.argmax(np.where(np.isnan(values), -np.inf, values))])
+
+
+def _gap_summary(gaps) -> dict:
+    """The report's digest of associated_envelope_gaps: the gap count, the
+    largest slack on either side and the first three gaps."""
+    lo, _, canonical, least, greatest = gaps
+    return {
+        "count": lo.size,
+        "max_slack_below": _first_max(canonical - least),
+        "max_slack_above": _first_max(greatest - canonical),
+        "examples": [
+            dict(zip(GAP_FIELDS, row)) for row in zip(*(column[:3].tolist() for column in gaps))
+        ],
+    }
+
+
 def _run(s: Scenario, tol: float) -> ScenarioResult:
-    fns, info = _resolve_inputs(s)
+    fns, (low_f, up_f, low_second, up_second), info = _resolve_inputs(s)
     if info.get("discretized"):
         # approximated inputs live on rounded float grids; the ratio
         # conditions amplify that rounding up to the analytic tolerance,
@@ -484,14 +522,15 @@ def _run(s: Scenario, tol: float) -> ScenarioResult:
     fz = fns["z"]
     maxmin = s.model == "maxmin"
 
-    low_f, up_f = product(fx_lo, fz), product(fx_up, fz)
-    if maxmin:
-        low_second, up_second = comix(fy_lo, fz), comix(fy_up, fz)
-        low_comp, up_comp = build_chi(fy_lo, fz), build_chi(fy_up, fz)
-    else:
-        low_second, up_second = product(fy_lo, fz), product(fy_up, fz)
-        low_comp, up_comp = build_psi(fy_lo, fz), build_psi(fy_up, fz)
-    low_phi, up_phi = build_phi(fx_lo, fz), build_phi(fx_up, fz)
+    second = comix if maxmin else product
+
+    def companion(k: DistFn, fy: DistFn) -> Generator:
+        if maxmin:
+            return chi_from_composite(k, fy, fz)
+        return phi_from_composite(k, fy, fz, kind="psi")
+
+    low_comp, up_comp = companion(low_second, fy_lo), companion(up_second, fy_up)
+    low_phi, up_phi = phi_from_composite(low_f, fx_lo, fz), phi_from_composite(up_f, fx_up, fz)
 
     family = CopulaFamily(s.model, low_phi, up_phi, low_comp, up_comp)
     imprecise_pair = family.pair
@@ -560,12 +599,14 @@ def _run(s: Scenario, tol: float) -> ScenarioResult:
     x_members, x_note = _member_distfns(fx_lo, fx_up)
     y_members, y_note = _member_distfns(fy_lo, fy_up)
     member_note = f"x: {x_note}; y: {y_note}"
+    x_member_fs = [product(m, fz) for m in x_members]
+    y_member_seconds = [second(m, fz) for m in y_members]
 
     input_members = [
         (MaxminCopula if maxmin else MarshallCopula)(
-            build_phi(fx_m, fz), build_chi(fy_m, fz) if maxmin else build_psi(fy_m, fz)
+            phi_from_composite(f_m, fx_m, fz), companion(k_m, fy_m)
         )
-        for fx_m, fy_m in zip(x_members, y_members)
+        for f_m, fx_m, k_m, fy_m in zip(x_member_fs, x_members, y_member_seconds, y_members)
     ]
     sandwich = coherence_witness(family, input_members, n=s.grid, tol=tol)
     checks.append(replace(sandwich, note=f"{sandwich.note}; {member_note}"))
@@ -608,19 +649,13 @@ def _run(s: Scenario, tol: float) -> ScenarioResult:
     checks.append(_fold("pbox-order", order_subs))
 
     contain_subs = []
-    for label, members, lo_m, up_m, mk in (
-        ("f", x_members, low_f, up_f, lambda m: product(m, fz)),
-        (
-            "second",
-            y_members,
-            low_second,
-            up_second,
-            (lambda m: comix(m, fz)) if maxmin else (lambda m: product(m, fz)),
-        ),
+    for label, member_composites, lo_m, up_m in (
+        ("f", x_member_fs, low_f, up_f),
+        ("second", y_member_seconds, low_second, up_second),
     ):
         worst, where = 0.0, None
-        for m in members:
-            esc, at = _max_escape(mk(m), lo_m, up_m, xs)
+        for m in member_composites:
+            esc, at = _max_escape(m, lo_m, up_m, xs)
             if esc > worst:
                 worst, where = esc, (at,)
         contain_subs.append(Check(label, worst <= tol, value=worst, witness=where))
@@ -738,21 +773,15 @@ def _run(s: Scenario, tol: float) -> ScenarioResult:
             "reverified": all(verify_witness(h_pair, w, tol=tol) for w in scan),
         }
 
-    gaps_info = {}
-    for label, gen, first in (
-        ("low_phi", low_phi, fx_lo),
-        ("up_phi", up_phi, fx_up),
-        ("low_companion", low_comp, fy_lo),
-        ("up_companion", up_comp, fy_up),
-    ):
-        gaps = associated_envelope_gaps(gen, first, fz)
-        gaps_info[label] = {
-            "count": len(gaps),
-            "max_slack_below": max((g.slack_below for g in gaps), default=0.0),
-            "max_slack_above": max((g.slack_above for g in gaps), default=0.0),
-            "examples": [asdict(g) for g in gaps[:3]],
-        }
-    info["generator_gaps"] = gaps_info
+    info["generator_gaps"] = {
+        label: _gap_summary(associated_envelope_gaps(gen, base, first, fz))
+        for label, gen, base, first in (
+            ("low_phi", low_phi, low_f, fx_lo),
+            ("up_phi", up_phi, up_f, fx_up),
+            ("low_companion", low_comp, low_second, fy_lo),
+            ("up_companion", up_comp, up_second, fy_up),
+        )
+    }
 
     return ScenarioResult(
         scenario=s,

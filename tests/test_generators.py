@@ -1,13 +1,26 @@
 """Generator construction, closed forms, validity checks, and gap probes."""
 
 import math
+import struct
+from dataclasses import asdict, dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shockbox.distfn import INF, ParamSpec, from_spec, product, reverse, step_cdf
+from shockbox.cli import load_scenario
+from shockbox.distfn import (
+    INF,
+    LIMIT_SIDES,
+    ParamSpec,
+    comix,
+    from_spec,
+    product,
+    reverse,
+    step_cdf,
+)
 from shockbox.errors import (
     InvalidParameterError,
     InvalidRangeError,
@@ -15,7 +28,9 @@ from shockbox.errors import (
 )
 from shockbox.generators import (
     Generator,
+    _chi_gap_extremes,
     _dedupe_knots,
+    _phi_gap_extremes,
     admissible_anchors,
     associated_envelope_gaps,
     blend_generators,
@@ -25,14 +40,18 @@ from shockbox.generators import (
     check_association,
     check_generator,
     check_order,
+    chi_from_composite,
     chi_star,
     envelope_generators,
     formula_chi,
     formula_phi,
     is_valid_generator,
+    phi_from_composite,
     phi_star,
 )
+from shockbox.pbox import PBox
 from shockbox.reports import Check
+from shockbox.shockmodel import Scenario, _first_max, _gap_summary, _resolve_inputs
 
 LN2 = math.log(2.0)
 
@@ -332,28 +351,179 @@ def test_envelope_rejects_empty_and_mixed_input():
 # -- gap probe -----------------------------------------------------------------
 
 
+def gap_rows(g, base, first, fz):
+    """associated_envelope_gaps as {(lo, hi): (canonical, least, greatest)}."""
+    lo, hi, *rest = (column.tolist() for column in associated_envelope_gaps(g, base, first, fz))
+    return {(a, b): tuple(r) for a, b, *r in zip(lo, hi, *rest)}
+
+
 def test_gap_probe_on_the_discrete_example_max_generator():
     up_phi = build_phi(X_UP, Z_POINT)
-    records = {(r.lo, r.hi): r for r in associated_envelope_gaps(up_phi, X_UP, Z_POINT)}
-    first = records[(0.0, 0.5)]
-    assert first.canonical == 0.5
-    assert first.least == 0.25
-    assert first.greatest == 0.5
-    assert first.slack_below == 0.25 and first.slack_above == 0.0
-    second = records[(0.5, 1.0)]
-    assert second.canonical == second.least == second.greatest == 0.75
+    gaps = gap_rows(up_phi, product(X_UP, Z_POINT), X_UP, Z_POINT)
+    # canonical, least, greatest: slack 0.25 below, none above
+    assert gaps[(0.0, 0.5)] == (0.5, 0.25, 0.5)
+    assert gaps[(0.5, 1.0)] == (0.75, 0.75, 0.75)
 
 
 def test_gap_probe_on_the_discrete_example_min_generator():
     chi = build_chi(Y_STEP, Z_POINT)
-    records = {(r.lo, r.hi): r for r in associated_envelope_gaps(chi, Y_STEP, Z_POINT)}
-    top = records[(0.4, 1.0)]
-    assert top.canonical == 0.4
-    assert top.least == 0.4
-    assert top.greatest == pytest.approx(0.7, abs=1e-15)
-    assert top.slack_above == pytest.approx(0.3, abs=1e-15)
-    low = records[(0.0, 0.4)]
-    assert low.canonical == low.least == low.greatest == 0.2
+    gaps = gap_rows(chi, comix(Y_STEP, Z_POINT), Y_STEP, Z_POINT)
+    canonical, least, greatest = gaps[(0.4, 1.0)]
+    assert canonical == least == 0.4
+    assert greatest == pytest.approx(0.7, abs=1e-15)
+    assert greatest - canonical == pytest.approx(0.3, abs=1e-15)
+    assert gaps[(0.0, 0.4)] == (0.2, 0.2, 0.2)
+
+
+@dataclass(frozen=True)
+class GapRecord:
+    """One jump gap, as the probe returned it before it returned columns."""
+
+    lo: float
+    hi: float
+    canonical: float
+    least: float
+    greatest: float
+
+    @property
+    def slack_below(self) -> float:
+        return self.canonical - self.least
+
+    @property
+    def slack_above(self) -> float:
+        return self.greatest - self.canonical
+
+
+def reference_envelope_gaps(g, first, fz):
+    """The gap probe with one record per gap, building its own composite."""
+    if g.kind in ("phi", "psi"):
+        base = product(first, fz)
+        extremes = _phi_gap_extremes
+    else:
+        base = comix(first, fz)
+        extremes = _chi_gap_extremes
+    xs = base._xa
+    left, val, right = base.eval_many(xs, LIMIT_SIDES)
+    lo = np.column_stack((left, val)).ravel()
+    hi = np.column_stack((val, right)).ravel()
+    left_of_value = np.tile([True, False], xs.size)
+    keep = (hi - lo > 0.0) & (lo < 1.0) & (hi > 0.0)
+    lo, hi, left_of_value = lo[keep], hi[keep], left_of_value[keep]
+    mid, least, greatest = extremes(first, fz, np.repeat(xs, 2)[keep], lo, hi, left_of_value)
+    columns = (lo, hi, g.eval_many(mid), least, greatest)
+    return [GapRecord(*row) for row in zip(*(c.tolist() for c in columns))]
+
+
+def reference_gap_summary(records):
+    return {
+        "count": len(records),
+        "max_slack_below": max((r.slack_below for r in records), default=0.0),
+        "max_slack_above": max((r.slack_above for r in records), default=0.0),
+        "examples": [asdict(r) for r in records[:3]],
+    }
+
+
+def summary_bytes(summary):
+    """A gap summary with every float as its 8 bytes (nan and -0.0 kept)."""
+
+    def raw(x):
+        return struct.pack("<d", x)
+
+    return (
+        summary["count"],
+        raw(summary["max_slack_below"]),
+        raw(summary["max_slack_above"]),
+        [[(key, raw(value)) for key, value in example.items()] for example in summary["examples"]],
+    )
+
+
+def assert_gap_summary_matches_the_reference(g, base, first, fz):
+    got = _gap_summary(associated_envelope_gaps(g, base, first, fz))
+    want = reference_gap_summary(reference_envelope_gaps(g, first, fz))
+    assert type(got["count"]) is int
+    assert summary_bytes(got) == summary_bytes(want)
+    return got
+
+
+def scenario_generators(s):
+    """(generator, composite, first factor, z) for the four generators of s."""
+    fns, (low_f, up_f, low_second, up_second), _ = _resolve_inputs(s)
+    fz = fns["z"]
+    if s.model == "maxmin":
+        def companion(k, fy):
+            return chi_from_composite(k, fy, fz)
+    else:
+        def companion(k, fy):
+            return phi_from_composite(k, fy, fz, kind="psi")
+    return [
+        (phi_from_composite(low_f, fns["x_lo"], fz), low_f, fns["x_lo"], fz),
+        (phi_from_composite(up_f, fns["x_up"], fz), up_f, fns["x_up"], fz),
+        (companion(low_second, fns["y_lo"]), low_second, fns["y_lo"], fz),
+        (companion(up_second, fns["y_up"]), up_second, fns["y_up"], fz),
+    ]
+
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+@pytest.mark.parametrize("name", ["d1_discrete", "d1_maxmin", "marshall_exp", "maxmin_exp"])
+def test_gap_summary_matches_the_record_probe_on_packaged_scenarios(name):
+    for args in scenario_generators(load_scenario(SCENARIO_DIR / f"{name}.json")):
+        assert_gap_summary_matches_the_reference(*args)
+
+
+def exponential_pbox(lower_rate, upper_rate):
+    return PBox(
+        from_spec(ParamSpec.exponential(lower_rate)), from_spec(ParamSpec.exponential(upper_rate))
+    )
+
+
+@pytest.mark.parametrize(
+    "x, y, z_rate, model",
+    [
+        (exponential_pbox(1.3248, 2.4452), exponential_pbox(1.3246, 3.7316), 1.887, "marshall"),
+        (exponential_pbox(1.009, 1.9971), exponential_pbox(0.9635, 3.0844), 1.4247, "maxmin"),
+    ],
+    ids=["marshall", "maxmin"],
+)
+def test_gap_summary_matches_the_record_probe_on_discretized_scenarios(x, y, z_rate, model):
+    # the scenarios of the pinned discretized report digests
+    s = Scenario(x, y, from_spec(ParamSpec.exponential(z_rate)), model)
+    counts = [
+        assert_gap_summary_matches_the_reference(*args)["count"] for args in scenario_generators(s)
+    ]
+    assert min(counts) > 1000
+
+
+@given(st.sampled_from(["phi", "psi", "chi"]), steps(), steps())
+@settings(max_examples=150, deadline=None)
+def test_gap_summary_matches_the_record_probe_on_step_inputs(kind, first, fz):
+    base = comix(first, fz) if kind == "chi" else product(first, fz)
+    if kind == "chi":
+        g = chi_from_composite(base, first, fz)
+    else:
+        g = phi_from_composite(base, first, fz, kind=kind)
+    assert_gap_summary_matches_the_reference(g, base, first, fz)
+
+
+def test_gap_summary_without_gaps_is_zero():
+    # a continuous composite: F_X is 0 where the point mass of Z sits
+    fx, fz = from_spec(ParamSpec.exponential(1.0)), from_spec(ParamSpec.pointmass(0.0))
+    f = product(fx, fz)
+    got = assert_gap_summary_matches_the_reference(phi_from_composite(f, fx, fz), f, fx, fz)
+    assert got["count"] == 0 and got["examples"] == []
+    for key in ("max_slack_below", "max_slack_above"):
+        assert struct.pack("<d", got[key]) == struct.pack("<d", 0.0)
+
+
+SPECIAL = st.sampled_from([math.nan, -0.0, 0.0, 0.5, 1.0, -1.0, INF, -INF])
+
+
+@given(st.lists(SPECIAL, max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_first_max_is_pythons_max(values):
+    got = _first_max(np.array(values, dtype=float))
+    assert struct.pack("<d", got) == struct.pack("<d", max(values, default=0.0))
 
 
 # -- array scans against plain-Python reference scans ----------------------------

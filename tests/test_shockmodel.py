@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import shockbox.distfn as distfn
 import shockbox.shockmodel as sm
 from shockbox.cli import load_scenario
 from shockbox.copulas import BivariateBound
@@ -319,3 +320,56 @@ def test_compare_oracle_witness_is_the_first_worst_corner():
     check = compare_oracle(res.low_h, table)
     assert check == elementwise_compare_oracle(res.low_h, table, EXACT_TOL)
     assert check.witness == (-10.0, 2.0) and check.value == 0.5
+
+
+# -- each composite is built once per run ----------------------------------------
+
+
+def exponential_pbox(lower_rate, upper_rate):
+    return PBox(
+        from_spec(ParamSpec.exponential(lower_rate)), from_spec(ParamSpec.exponential(upper_rate))
+    )
+
+
+# the seed-1 scenarios of the benchmark's `discretized` workload: a continuous
+# Z sends both through the 10^4-atom step discretization
+SEED_1_DISCRETIZED = {
+    "marshall": (exponential_pbox(1.3248, 2.4452), exponential_pbox(1.3246, 3.7316), 1.887),
+    "maxmin": (exponential_pbox(1.009, 1.9971), exponential_pbox(0.9635, 3.0844), 1.4247),
+}
+
+
+def completed_combines(monkeypatch, s):
+    """run_scenario(s) and the number of _combine calls that returned.
+
+    product, comix and blend all go through _combine. A call that raises
+    UnsupportedSegmentPairError (the exact-input attempt before a
+    discretization) builds nothing and is not counted.
+    """
+    original = distfn._combine
+    calls = []
+
+    def counted(*args):
+        out = original(*args)
+        calls.append(None)
+        return out
+
+    monkeypatch.setattr(distfn, "_combine", counted)
+    run_scenario(s)
+    return len(calls)
+
+
+@pytest.mark.parametrize("model", sorted(SEED_1_DISCRETIZED))
+def test_discretized_run_builds_each_composite_once(model, monkeypatch):
+    # 4 composites, 6 member blends and 6 member composites; rebuilding the
+    # composites in the generator builds and the gap probe took 30
+    x, y, z_rate = SEED_1_DISCRETIZED[model]
+    s = Scenario(x, y, from_spec(ParamSpec.exponential(z_rate)), model)
+    assert completed_combines(monkeypatch, s) <= 16
+
+
+@pytest.mark.parametrize("name", ["d1_discrete", "d1_maxmin"])
+def test_packaged_run_builds_each_composite_once(name, monkeypatch):
+    # y is precise here, so only x's members are blends: 4 composites,
+    # 3 blends and 6 member composites; 33 before the composites were shared
+    assert completed_combines(monkeypatch, load_scenario(SCENARIO_DIR / f"{name}.json")) <= 17
