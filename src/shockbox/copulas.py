@@ -1,4 +1,4 @@
-"""Marshall and maxmin copulas: evaluation, volumes, axioms, composition.
+"""Marshall and maxmin copulas: evaluation, axioms, composition.
 
 The Marshall copula of generators (phi, psi) is
 ``uv * min(phi(u)/u, psi(v)/v)`` for uv > 0 and 0 otherwise; it is evaluated
@@ -73,37 +73,6 @@ class MaxminCopula:
             )
 
 
-@dataclass(frozen=True)
-class TabulatedCopula:
-    """Copula known only through values on a rectilinear grid.
-
-    Evaluation is bilinear within cells; the grid must cover [0, 1] in both
-    coordinates.
-    """
-
-    us: tuple[float, ...]
-    vs: tuple[float, ...]
-    values: tuple[tuple[float, ...], ...]
-
-    def __post_init__(self):
-        us = np.array(self.us, dtype=float)
-        vs = np.array(self.vs, dtype=float)
-        vals = np.array(self.values, dtype=float)
-        for name, axis in (("u", us), ("v", vs)):
-            if axis.size < 2 or np.any(np.diff(axis) <= 0.0):
-                raise InvalidParameterError(f"{name}-grid must be strictly increasing")
-            if axis[0] != 0.0 or axis[-1] != 1.0:
-                raise InvalidParameterError(f"{name}-grid must span [0, 1]")
-        if vals.shape != (us.size, vs.size):
-            raise InvalidParameterError(
-                f"value table shape {vals.shape} does not match grid "
-                f"({us.size}, {vs.size})"
-            )
-        object.__setattr__(self, "_us", us)
-        object.__setattr__(self, "_vs", vs)
-        object.__setattr__(self, "_vals", vals)
-
-
 CopulaSpec = Union[MarshallCopula, MaxminCopula]
 
 
@@ -121,14 +90,6 @@ def copula_grid(c, us, vs) -> np.ndarray:
         return np.outer(us, vs) + np.minimum(
             np.outer(us, 1.0 - vs), np.outer(phi - us, vs - chi)
         )
-    if isinstance(c, TabulatedCopula):
-        along_u = np.empty((us.size, c._vs.size))
-        for j in range(c._vs.size):
-            along_u[:, j] = np.interp(us, c._us, c._vals[:, j])
-        out = np.empty((us.size, vs.size))
-        for i in range(us.size):
-            out[i, :] = np.interp(vs, c._vs, along_u[i, :])
-        return out
     raise InvalidParameterError(f"not a copula specification: {type(c).__name__}")
 
 
@@ -145,19 +106,13 @@ def _copula_at(c, u: float, v: float) -> float:
         return _np_min(c.phi._value(u) * v, u * c.psi._value(v))
     if isinstance(c, MaxminCopula):
         return u * v + _np_min(u * (1.0 - v), (c.phi._value(u) - u) * (v - c.chi._value(v)))
-    return float(copula_grid(c, [u], [v])[0, 0])
+    raise InvalidParameterError(f"not a copula specification: {type(c).__name__}")
 
 
 def eval_copula(c, u: float, v: float) -> float:
     if not (0.0 <= u <= 1.0 and 0.0 <= v <= 1.0):
         raise InvalidRangeError(f"copula argument ({u}, {v}) outside the unit square")
     return _copula_at(c, float(u), float(v))
-
-
-def h_volume(c, r: Rect) -> float:
-    """Four-corner alternating sum of c over r."""
-    g = copula_grid(c, [r.u1, r.u2], [r.v1, r.v2])
-    return float(g[1, 1] - g[1, 0] - g[0, 1] + g[0, 0])
 
 
 def check_copula_axioms(c, n: int = 101, tol: float = EXACT_TOL) -> list[Check]:

@@ -85,8 +85,8 @@ class AffineSeg:
 class ExpSeg:
     """scale*(1 - exp(-rate*(x - origin))) + offset.
 
-    rate may be negative (mirrored piece, produced by reverse()); the segment
-    is monotone non-decreasing iff scale*rate >= 0.
+    rate may be negative (a mirrored piece, from reverse() or a piecewise
+    law); the segment is monotone non-decreasing iff scale*rate >= 0.
     """
 
     scale: float
@@ -521,14 +521,6 @@ def _seg_from_tuple(t) -> Segment:
     raise InvalidParameterError(f"unknown segment tag {tag!r}")
 
 
-def _seg_to_tuple(seg: Segment) -> tuple:
-    if isinstance(seg, ConstSeg):
-        return ("const", seg.level)
-    if isinstance(seg, AffineSeg):
-        return ("affine", seg.x0, seg.y0, seg.slope)
-    return ("exp", seg.scale, seg.rate, seg.origin, seg.offset)
-
-
 def from_spec(s: ParamSpec) -> DistFn:
     """Exact DistFn of a parametric family.
 
@@ -588,20 +580,6 @@ def _atom_cdf(xs: np.ndarray, masses: np.ndarray) -> DistFn:
     limits[0] = levels[:-1]
     limits[1:] = levels[1:]
     return DistFn._from_arrays(xs, limits, np.zeros(xs.size + 1, dtype=np.int8), par)
-
-
-def paramspec_to_json(s: ParamSpec) -> dict:
-    if s.kind == "pointmass":
-        return {"type": "pointmass", "at": s.at}
-    if s.kind == "discrete":
-        return {"type": "discrete", "atoms": [[x, m] for x, m in s.atoms]}
-    if s.kind == "exponential":
-        return {"type": "exponential", "rate": s.rate, "shift": s.shift}
-    return {
-        "type": "piecewise",
-        "breakpoints": [list(bp) for bp in s.breakpoints],
-        "segments": [list(t) for t in s.segments],
-    }
 
 
 def paramspec_from_json(obj) -> ParamSpec:
@@ -896,19 +874,6 @@ def first_violation(f: DistFn, g: DistFn, tol: float = 0.0):
         return None
     k = int(bad.argmax())
     return (float(xs[k]), int(sides[k]), float(fv[k]), float(gv[k]))
-
-
-def leq(f: DistFn, g: DistFn, tol: float = 0.0) -> bool:
-    """Pointwise f <= g on the extended line (up to sampling on exp pieces)."""
-    return first_violation(f, g, tol) is None
-
-
-def max_abs_difference(f: DistFn, g: DistFn, extra_points=()) -> float:
-    xs, sides = ordered_probes(f, g)
-    worst = float(np.max(np.abs(f.eval_many(xs, sides) - g.eval_many(xs, sides))))
-    for x in extra_points:
-        worst = max(worst, abs(f.eval(x) - g.eval(x)))
-    return worst
 
 
 # ---------------------------------------------------------------------------

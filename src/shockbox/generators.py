@@ -171,10 +171,6 @@ class Generator:
     def identity(cls, kind: str) -> "Generator":
         return cls(kind, ((0.0, 0.0), (1.0, 1.0)))
 
-    @classmethod
-    def from_knots(cls, kind: str, knots) -> "Generator":
-        return cls(kind, tuple((float(u), float(y)) for u, y in knots))
-
 
 def phi_star(g: Generator, u: float) -> float:
     """g(u)/u, with the value inf at u = 0 (codomain [1, inf])."""
@@ -308,56 +304,6 @@ def blend_generators(a: Generator, b: Generator, t: float) -> Generator:
     yb = np.interp(us, b._us, b._ys)
     ys = t * ya + (1.0 - t) * yb
     return Generator._from_arrays(a.kind, us, ys)
-
-
-def envelope_generators(gs) -> tuple[Generator, Generator]:
-    """Pointwise infimum and supremum of same-kind generators, re-validated.
-
-    Knots are the union of all input knots plus every pairwise crossing of
-    the affine pieces strictly inside a piece (where the difference of the
-    two chords changes sign), so the envelopes are exact piecewise-affine
-    functions.
-    """
-    gs = list(gs)
-    if not gs:
-        raise InvalidParameterError("need at least one generator")
-    kind = gs[0].kind
-    if any(g.kind != kind for g in gs):
-        raise InvalidParameterError("mixed generator kinds")
-    base = np.unique(np.concatenate([g._us for g in gs]))
-    lo, hi = base[:-1], base[1:]
-    # interpolate the continuous branch; eval() would inject the jump
-    # convention at the endpoints and distort the chords
-    slopes, intercepts, ends = [], [], []
-    for g in gs:
-        y0 = np.interp(lo, g._us, g._ys)
-        y1 = np.interp(hi, g._us, g._ys)
-        slope = (y1 - y0) / (hi - lo)
-        slopes.append(slope)
-        intercepts.append(y0 - slope * lo)
-        ends.append((y0, y1))
-    cross = [base]
-    for i in range(len(gs)):
-        for j in range(i + 1, len(gs)):
-            # chords that only meet at an end of the piece get no knot: the
-            # rounded formula can put one an ulp inside, where the envelope
-            # then takes a kink of rounding error
-            flips = np.sign(ends[i][0] - ends[j][0]) * np.sign(ends[i][1] - ends[j][1]) < 0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                u = (intercepts[j] - intercepts[i]) / (slopes[i] - slopes[j])
-            inside = flips & (slopes[i] != slopes[j]) & (lo < u) & (u < hi)
-            cross.append(u[inside])
-    us = np.unique(np.concatenate(cross))
-    vals = np.array([np.interp(us, g._us, g._ys) for g in gs])
-    gmin = Generator._from_arrays(kind, us, vals.min(axis=0))
-    gmax = Generator._from_arrays(kind, us, vals.max(axis=0))
-    for g in (gmin, gmax):
-        bad = [c.name for c in check_generator(g, ANALYTIC_TOL) if not c.passed]
-        if bad:
-            raise InvalidParameterError(
-                f"envelope violates {', '.join(bad)}; inputs were not all valid"
-            )
-    return gmin, gmax
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -40,15 +40,12 @@ from .copulas import (
     MarshallCopula,
     MaxminCopula,
     Rect,
-    TabulatedCopula,
     copula_grid,
 )
 from .distfn import ANALYTIC_TOL, EXACT_TOL, INF
 from .errors import InvalidParameterError
 from .generators import Generator, blend_generators, is_valid_generator
 from .reports import Check
-
-CopulaLike = Union[MarshallCopula, MaxminCopula, TabulatedCopula]
 
 _CONDITIONS = ("IC1", "IC2", "IC3", "IC4", "order", "C3")
 
@@ -65,8 +62,8 @@ class CopulaPair:
     ``check_imprecise_copula`` to test the defining conditions.
     """
 
-    low: CopulaLike
-    up: CopulaLike
+    low: CopulaSpec
+    up: CopulaSpec
 
 
 @dataclass(frozen=True)
@@ -338,12 +335,6 @@ def verify_witness(pair: CopulaPair, witness: ViolationWitness, tol: float = EXA
         "C3": l22 + l11 - l21 - l12,
     }[witness.condition]
     return float(value) < -tol
-
-
-def _h_grid(bound: BivariateBound, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    us = bound.f.eval_many(xs)
-    vs = bound.g.eval_many(ys)
-    return copula_grid(bound.copula, us, vs)
 
 
 def check_bivariate_pbox_conditions(

@@ -280,14 +280,6 @@ def _member_distfns(lo: DistFn, up: DistFn, ts=MEMBER_WEIGHTS) -> tuple[list[Dis
     return [lo for _ in ts], "interior members not representable; lower corner reused"
 
 
-def _max_escape(f: DistFn, lo: DistFn, up: DistFn, xs: np.ndarray) -> tuple[float, float]:
-    """Largest amount by which f leaves [lo, up] on the probes, with where."""
-    fv = f.eval_many(xs)
-    escape = np.maximum(lo.eval_many(xs) - fv, fv - up.eval_many(xs))
-    k = int(np.argmax(escape))
-    return float(escape[k]), float(xs[k])
-
-
 # ---------------------------------------------------------------------------
 # enumeration oracle
 
@@ -415,15 +407,16 @@ def _onset(f: DistFn, mass: float, lo: float, hi: float) -> float:
 
 
 def _composites(fns: dict[str, DistFn], model: str) -> tuple[DistFn, DistFn, DistFn, DistFn]:
-    """low_f, up_f, low_second and up_second: each bound combined with z."""
+    """low_f, up_f, low_second and up_second: each bound combined with z.
+
+    A precise p-box has one composite, built once.
+    """
     second = comix if model == "maxmin" else product
     fz = fns["z"]
-    return (
-        product(fns["x_lo"], fz),
-        product(fns["x_up"], fz),
-        second(fns["y_lo"], fz),
-        second(fns["y_up"], fz),
-    )
+    low_f, low_second = product(fns["x_lo"], fz), second(fns["y_lo"], fz)
+    up_f = low_f if fns["x_up"] == fns["x_lo"] else product(fns["x_up"], fz)
+    up_second = low_second if fns["y_up"] == fns["y_lo"] else second(fns["y_up"], fz)
+    return low_f, up_f, low_second, up_second
 
 
 def _resolve_inputs(s: Scenario) -> tuple[dict[str, DistFn], tuple[DistFn, ...], dict]:
@@ -510,6 +503,186 @@ def _gap_summary(gaps) -> dict:
     }
 
 
+def _companion(k: DistFn, fy: DistFn, fz: DistFn, maxmin: bool) -> Generator:
+    return chi_from_composite(k, fy, fz) if maxmin else phi_from_composite(k, fy, fz, kind="psi")
+
+
+def _h_grids(h_pair: CopulaPair, rows, fz: DistFn, grid: int) -> tuple:
+    """Probe abscissas gx and gy, and low_h and up_h on gx x gy."""
+    (_, _, low_f, fx_lo), (_, _, up_f, fx_up), (_, _, low_k, fy_lo), (_, _, up_k, fy_up) = rows
+    n = max(200, grid)
+    gx = thin(probe_xs([fx_lo, fx_up, fz], n=n), 3 * n)
+    gy = thin(probe_xs([fy_lo, fy_up, fz], n=n), 3 * n)
+    low = copula_grid(h_pair.low, low_f.eval_many(gx), low_k.eval_many(gy))
+    up = copula_grid(h_pair.up, up_f.eval_many(gx), up_k.eval_many(gy))
+    return gx, gy, low, up
+
+
+# ---------------------------------------------------------------------------
+# the reported checks, in report order; rows are _run's generator rows
+# (label, generator, composite, input bound), x side first
+
+
+def _generator_validity(rows, tol: float) -> Check:
+    subs = []
+    for label, g, _, _ in rows:
+        subs.extend(replace(c, name=f"{label}:{c.name}") for c in check_generator(g, tol=tol))
+    return _fold("generator-validity", subs)
+
+
+def _generator_order(rows, tol: float) -> Check:
+    subs = [
+        replace(check_order(lo[1], up[1], tol=tol), name=name)
+        for name, lo, up in (("phi", *rows[:2]), ("companion", *rows[2:]))
+    ]
+    return _fold("generator-order", subs)
+
+
+def _star_identity(rows, xs: np.ndarray, maxmin: bool, tol: float) -> Check:
+    subs = []
+    for label, (_, phi, f, _), (_, comp, k, _) in zip(("low", "up"), rows[:2], rows[2:]):
+        fv = f.eval_many(xs)
+        sv = k.eval_many(xs)
+        lhs = _star_lhs(fv, phi)
+        if maxmin:
+            chi_vals = comp.eval_many(sv)
+            den = 1.0 - chi_vals
+            rhs = np.divide(sv - chi_vals, den, out=np.zeros_like(sv), where=den > 0.0)
+            mask = (fv > 0.0) & (sv < 1.0)
+        else:
+            rhs = _star_lhs(sv, comp)
+            mask = (fv > 0.0) & (sv > 0.0)
+        if mask.any():
+            devs = np.abs(lhs - rhs) * mask
+            i = int(np.argmax(devs))
+            dev = float(devs[i])
+            subs.append(Check(label, dev <= tol, value=dev, witness=(float(xs[i]),)))
+        else:
+            subs.append(Check(label, True, value=0.0, note="empty admissible domain"))
+    note = "compared as the reciprocal ratios, both equal to the common-shock CDF"
+    return _fold("star-identity", subs, note)
+
+
+def _copula_sandwich(family: CopulaFamily, members, note: str, grid: int, tol: float) -> Check:
+    sandwich = coherence_witness(family, members, n=grid, tol=tol)
+    return replace(sandwich, note=f"{sandwich.note}; {note}")
+
+
+def _marginal_formula(rows, fz: DistFn, xs: np.ndarray, maxmin: bool, tol: float) -> Check:
+    zs = fz.eval_many(xs)
+    subs = []
+    for name, (_, _, composed, factor) in zip(("low_f", "up_f", "low_second", "up_second"), rows):
+        direct = factor.eval_many(xs)
+        direct = comix_value(direct, zs) if maxmin and name.endswith("second") else direct * zs
+        dev = float(np.max(np.abs(composed.eval_many(xs) - direct)))
+        subs.append(Check(name, dev <= tol, value=dev))
+    return _fold("marginal-formula", subs, "composed marginal vs pointwise factor formula")
+
+
+def _association(rows, tol: float) -> Check:
+    subs = [replace(check_association(g, k, f, tol=tol), name=label) for label, g, k, f in rows]
+    return _fold("association", subs)
+
+
+def _pbox_order(rows, tol: float) -> Check:
+    subs = []
+    for name, lo, up in (("f", *rows[:2]), ("second", *rows[2:])):
+        w = first_violation(lo[2], up[2], tol=tol)
+        subs.append(Check(name, w is None, value=0.0 if w is None else w[2] - w[3], witness=w))
+    return _fold("pbox-order", subs)
+
+
+def _marginal_pbox(rows, x_fs, y_ks, note: str, xs: np.ndarray, tol: float) -> Check:
+    subs = []
+    for name, composites, lo, up in (("f", x_fs, *rows[:2]), ("second", y_ks, *rows[2:])):
+        lo_v, up_v = lo[2].eval_many(xs), up[2].eval_many(xs)
+        worst, where = 0.0, None
+        for m in composites:
+            mv = m.eval_many(xs)
+            escape = np.maximum(lo_v - mv, mv - up_v)
+            k = int(np.argmax(escape))
+            if escape[k] > worst:
+                worst, where = float(escape[k]), (float(xs[k]),)
+        subs.append(Check(name, worst <= tol, value=worst, witness=where))
+    return _fold("marginal-pbox", subs, "member marginals stay inside the bounds; " + note)
+
+
+def _bound_order(h_grids, tol: float) -> Check:
+    gx, gy, low, up = h_grids
+    excess = low - up
+    i, j = np.unravel_index(int(np.argmax(excess)), excess.shape)
+    dev = float(excess[i, j])
+    return Check("bound-order", dev <= tol, value=dev, witness=(float(gx[i]), float(gy[j])))
+
+
+def _direct_formula(rows, fz: DistFn, h_grids, maxmin: bool, tol: float) -> Check:
+    gx, gy, low, up = h_grids
+    fzx = fz.eval_many(gx)[:, None]
+    fzy = fz.eval_many(gy)[None, :]
+    subs = []
+    for label, grid, x_row, y_row in zip(("low", "up"), (low, up), rows[:2], rows[2:]):
+        fxv = x_row[3].eval_many(gx)[:, None]
+        fyv = y_row[3].eval_many(gy)[None, :]
+        if maxmin:
+            direct = np.where(gx[:, None] <= gy[None, :], fxv * fzx, fxv * (fzy + fyv * (fzx - fzy)))
+        else:
+            direct = fxv * fyv * np.minimum(fzx, fzy)
+        devs = np.abs(grid - direct)
+        i, j = np.unravel_index(int(np.argmax(devs)), devs.shape)
+        dev = float(devs[i, j])
+        subs.append(Check(label, dev <= tol, value=dev, witness=(float(gx[i]), float(gy[j]))))
+    note = f"composed copula vs closed form on a {len(gx)}x{len(gy)} grid"
+    return _fold("direct-formula", subs, note)
+
+
+def _copula_axioms(pair: CopulaPair, grid: int, tol: float) -> Check:
+    subs = []
+    for label, cop in (("low", pair.low), ("up", pair.up)):
+        checks = check_copula_axioms(cop, n=grid, tol=tol)
+        subs.extend(replace(c, name=f"{label}:{c.name}") for c in checks)
+    return _fold("copula-axioms", subs)
+
+
+def _imprecise_copula(pair: CopulaPair, grid: int, tol: float) -> Check:
+    return _fold("imprecise-copula", check_imprecise_copula(pair, n=grid, tol=tol))
+
+
+def _bivariate_pbox(low_h, up_h, xs: np.ndarray, tol: float) -> Check:
+    xs = thin(xs, 160)
+    return _fold("bivariate-pbox", check_bivariate_pbox_conditions(low_h, up_h, xs, xs, tol=tol))
+
+
+def _oracle_agreement(low_h, up_h, rows, fz: DistFn, model: str, tol: float) -> Optional[Check]:
+    """None unless every input is a step CDF with few enough atoms."""
+    inputs = [row[3] for row in rows] + [fz]
+    if not all(f.is_step and len(f.breakpoints) <= ORACLE_MAX_ATOMS for f in inputs):
+        return None
+    subs = []
+    for label, bound, x_row, y_row in zip(("low", "up"), (low_h, up_h), rows[:2], rows[2:]):
+        table = oracle_joint(_step_atoms(x_row[3]), _step_atoms(y_row[3]), _step_atoms(fz), model)
+        subs.append(replace(compare_oracle(bound, table, tol=tol), name=label))
+    return _fold("oracle-agreement", subs, "corner members vs triple enumeration")
+
+
+def _outer_containment(pair: CopulaPair, h_pair: CopulaPair, grid: int, tol: float) -> tuple:
+    """The check, and the same-corner pair's gap inside the envelope pair."""
+    us = np.linspace(0.0, 1.0, grid)
+    low, up = copula_grid(pair.low, us, us), copula_grid(pair.up, us, us)
+    same_low, same_up = copula_grid(h_pair.low, us, us), copula_grid(h_pair.up, us, us)
+    dev = max(float(np.max(low - same_low)), float(np.max(same_up - up)))
+    note = "the same-corner pair sits inside the opposite-corner envelope pair"
+    gap = {"low": float(np.max(same_low - low)), "up": float(np.max(up - same_up))}
+    return Check("outer-containment", dev <= tol, value=dev, note=note), gap
+
+
+def _same_corner_scan(h_pair: CopulaPair, grid: int, tol: float) -> dict:
+    scan = search_ic_violation(h_pair, n=min(51, grid), tol=tol)
+    return {
+        "violations": [w.to_dict() for w in scan],
+        "reverified": all(verify_witness(h_pair, w, tol=tol) for w in scan),
+    }
+
+
 def _run(s: Scenario, tol: float) -> ScenarioResult:
     fns, (low_f, up_f, low_second, up_second), info = _resolve_inputs(s)
     if info.get("discretized"):
@@ -517,21 +690,12 @@ def _run(s: Scenario, tol: float) -> ScenarioResult:
         # conditions amplify that rounding up to the analytic tolerance,
         # which is the precision claimed for this mode anyway
         tol = max(tol, ANALYTIC_TOL)
-    fx_lo, fx_up = fns["x_lo"], fns["x_up"]
-    fy_lo, fy_up = fns["y_lo"], fns["y_up"]
-    fz = fns["z"]
+    fx_lo, fx_up, fy_lo, fy_up, fz = (fns[k] for k in ("x_lo", "x_up", "y_lo", "y_up", "z"))
     maxmin = s.model == "maxmin"
 
-    second = comix if maxmin else product
-
-    def companion(k: DistFn, fy: DistFn) -> Generator:
-        if maxmin:
-            return chi_from_composite(k, fy, fz)
-        return phi_from_composite(k, fy, fz, kind="psi")
-
-    low_comp, up_comp = companion(low_second, fy_lo), companion(up_second, fy_up)
     low_phi, up_phi = phi_from_composite(low_f, fx_lo, fz), phi_from_composite(up_f, fx_up, fz)
-
+    low_comp = _companion(low_second, fy_lo, fz, maxmin)
+    up_comp = _companion(up_second, fy_up, fz, maxmin)
     family = CopulaFamily(s.model, low_phi, up_phi, low_comp, up_comp)
     imprecise_pair = family.pair
     if maxmin:
@@ -540,247 +704,53 @@ def _run(s: Scenario, tol: float) -> ScenarioResult:
         h_pair = imprecise_pair
     low_h = sklar_compose(h_pair.low, low_f, low_second)
     up_h = sklar_compose(h_pair.up, up_f, up_second)
-
-    xs = thin(probe_xs([fx_lo, fx_up, fy_lo, fy_up, fz]), 4001)
-    checks: list[Check] = []
-
-    gen_subs = []
-    for label, g in (
-        ("low_phi", low_phi),
-        ("up_phi", up_phi),
-        ("low_companion", low_comp),
-        ("up_companion", up_comp),
-    ):
-        gen_subs.extend(replace(c, name=f"{label}:{c.name}") for c in check_generator(g, tol=tol))
-    checks.append(_fold("generator-validity", gen_subs))
-
-    checks.append(
-        _fold(
-            "generator-order",
-            [
-                replace(check_order(low_phi, up_phi, tol=tol), name="phi"),
-                replace(check_order(low_comp, up_comp, tol=tol), name="companion"),
-            ],
-        )
-    )
-
-    star_subs = []
-    for label, f_m, phi_g, sec_m, comp_g in (
-        ("low", low_f, low_phi, low_second, low_comp),
-        ("up", up_f, up_phi, up_second, up_comp),
-    ):
-        fv = f_m.eval_many(xs)
-        sv = sec_m.eval_many(xs)
-        lhs = _star_lhs(fv, phi_g)
-        if maxmin:
-            chi_vals = comp_g.eval_many(sv)
-            den = 1.0 - chi_vals
-            rhs = np.divide(sv - chi_vals, den, out=np.zeros_like(sv), where=den > 0.0)
-            mask = (fv > 0.0) & (sv < 1.0)
-        else:
-            rhs = _star_lhs(sv, comp_g)
-            mask = (fv > 0.0) & (sv > 0.0)
-        if mask.any():
-            devs = np.abs(lhs - rhs) * mask
-            k = int(np.argmax(devs))
-            star_subs.append(
-                Check(label, float(devs[k]) <= tol, value=float(devs[k]), witness=(float(xs[k]),))
-            )
-        else:
-            star_subs.append(Check(label, True, value=0.0, note="empty admissible domain"))
-    checks.append(
-        _fold(
-            "star-identity",
-            star_subs,
-            "compared as the reciprocal ratios, both equal to the common-shock CDF",
-        )
+    rows = (
+        ("low_phi", low_phi, low_f, fx_lo),
+        ("up_phi", up_phi, up_f, fx_up),
+        ("low_companion", low_comp, low_second, fy_lo),
+        ("up_companion", up_comp, up_second, fy_up),
     )
 
     x_members, x_note = _member_distfns(fx_lo, fx_up)
     y_members, y_note = _member_distfns(fy_lo, fy_up)
     member_note = f"x: {x_note}; y: {y_note}"
-    x_member_fs = [product(m, fz) for m in x_members]
-    y_member_seconds = [second(m, fz) for m in y_members]
-
+    x_fs = [low_f if m == fx_lo else product(m, fz) for m in x_members]
+    y_ks = [low_second if m == fy_lo else (comix if maxmin else product)(m, fz) for m in y_members]
     input_members = [
         (MaxminCopula if maxmin else MarshallCopula)(
-            phi_from_composite(f_m, fx_m, fz), companion(k_m, fy_m)
+            phi_from_composite(f_m, fx_m, fz), _companion(k_m, fy_m, fz, maxmin)
         )
-        for f_m, fx_m, k_m, fy_m in zip(x_member_fs, x_members, y_member_seconds, y_members)
+        for fx_m, f_m, fy_m, k_m in zip(x_members, x_fs, y_members, y_ks)
     ]
-    sandwich = coherence_witness(family, input_members, n=s.grid, tol=tol)
-    checks.append(replace(sandwich, note=f"{sandwich.note}; {member_note}"))
+    xs = thin(probe_xs([fx_lo, fx_up, fy_lo, fy_up, fz]), 4001)
+    h_grids = _h_grids(h_pair, rows, fz, s.grid)
 
-    formula_subs = []
-    for label, composed, factor in (
-        ("low_f", low_f, fx_lo),
-        ("up_f", up_f, fx_up),
-        ("low_second", low_second, fy_lo),
-        ("up_second", up_second, fy_up),
-    ):
-        direct = factor.eval_many(xs)
-        zs_v = fz.eval_many(xs)
-        if maxmin and label.endswith("second"):
-            direct = comix_value(direct, zs_v)
-        else:
-            direct = direct * zs_v
-        dev = float(np.max(np.abs(composed.eval_many(xs) - direct)))
-        formula_subs.append(Check(label, dev <= tol, value=dev))
-    checks.append(
-        _fold("marginal-formula", formula_subs, "composed marginal vs pointwise factor formula")
-    )
-
-    assoc_subs = []
-    for label, g, base, target in (
-        ("low_phi", low_phi, low_f, fx_lo),
-        ("up_phi", up_phi, up_f, fx_up),
-        ("low_companion", low_comp, low_second, fy_lo),
-        ("up_companion", up_comp, up_second, fy_up),
-    ):
-        assoc_subs.append(replace(check_association(g, base, target, tol=tol), name=label))
-    checks.append(_fold("association", assoc_subs))
-
-    order_subs = []
-    for label, lo_m, up_m in (("f", low_f, up_f), ("second", low_second, up_second)):
-        w = first_violation(lo_m, up_m, tol=tol)
-        order_subs.append(
-            Check(label, w is None, value=0.0 if w is None else w[2] - w[3], witness=w)
-        )
-    checks.append(_fold("pbox-order", order_subs))
-
-    contain_subs = []
-    for label, member_composites, lo_m, up_m in (
-        ("f", x_member_fs, low_f, up_f),
-        ("second", y_member_seconds, low_second, up_second),
-    ):
-        worst, where = 0.0, None
-        for m in member_composites:
-            esc, at = _max_escape(m, lo_m, up_m, xs)
-            if esc > worst:
-                worst, where = esc, (at,)
-        contain_subs.append(Check(label, worst <= tol, value=worst, witness=where))
-    checks.append(
-        _fold(
-            "marginal-pbox",
-            contain_subs,
-            "member marginals stay inside the bounds; " + member_note,
-        )
-    )
-
-    n9 = max(200, s.grid)
-    gx = thin(probe_xs([fx_lo, fx_up, fz], n=n9), 3 * n9)
-    gy = thin(probe_xs([fy_lo, fy_up, fz], n=n9), 3 * n9)
-    low_h_grid = copula_grid(h_pair.low, low_f.eval_many(gx), low_second.eval_many(gy))
-    up_h_grid = copula_grid(h_pair.up, up_f.eval_many(gx), up_second.eval_many(gy))
-    bound_dev = float(np.max(low_h_grid - up_h_grid))
-    i, j = np.unravel_index(int(np.argmax(low_h_grid - up_h_grid)), low_h_grid.shape)
-    checks.append(
-        Check(
-            "bound-order",
-            bound_dev <= tol,
-            value=bound_dev,
-            witness=(float(gx[i]), float(gy[j])),
-        )
-    )
-
-    direct_subs = []
-    for label, grid, fx_m, fy_m in (
-        ("low", low_h_grid, fx_lo, fy_lo),
-        ("up", up_h_grid, fx_up, fy_up),
-    ):
-        fxv = fx_m.eval_many(gx)[:, None]
-        fyv = fy_m.eval_many(gy)[None, :]
-        fzx = fz.eval_many(gx)[:, None]
-        fzy = fz.eval_many(gy)[None, :]
-        if maxmin:
-            direct = np.where(
-                gx[:, None] <= gy[None, :],
-                fxv * fzx,
-                fxv * (fzy + fyv * (fzx - fzy)),
-            )
-        else:
-            direct = fxv * fyv * np.minimum(fzx, fzy)
-        dev = np.abs(grid - direct)
-        i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
-        direct_subs.append(
-            Check(label, float(dev[i, j]) <= tol, value=float(dev[i, j]), witness=(float(gx[i]), float(gy[j])))
-        )
-    checks.append(
-        _fold(
-            "direct-formula",
-            direct_subs,
-            f"composed copula vs closed form on a {len(gx)}x{len(gy)} grid",
-        )
-    )
-
-    axiom_subs = []
-    for label, cop in (("low", imprecise_pair.low), ("up", imprecise_pair.up)):
-        axiom_subs.extend(
-            replace(c, name=f"{label}:{c.name}") for c in check_copula_axioms(cop, n=s.grid, tol=tol)
-        )
-    checks.append(_fold("copula-axioms", axiom_subs))
-
-    checks.append(
-        _fold("imprecise-copula", check_imprecise_copula(imprecise_pair, n=s.grid, tol=tol))
-    )
-
-    xs_pb = thin(xs, 160)
-    checks.append(
-        _fold("bivariate-pbox", check_bivariate_pbox_conditions(low_h, up_h, xs_pb, xs_pb, tol=tol))
-    )
-
-    discrete = all(f.is_step for f in (fx_lo, fx_up, fy_lo, fy_up, fz))
-    small = discrete and all(
-        len(f.breakpoints) <= ORACLE_MAX_ATOMS for f in (fx_lo, fx_up, fy_lo, fy_up, fz)
-    )
-    if small:
-        oracle_subs = []
-        for label, bound_m, fx_m, fy_m in (
-            ("low", low_h, fx_lo, fy_lo),
-            ("up", up_h, fx_up, fy_up),
-        ):
-            table = oracle_joint(_step_atoms(fx_m), _step_atoms(fy_m), _step_atoms(fz), s.model)
-            oracle_subs.append(replace(compare_oracle(bound_m, table, tol=tol), name=label))
-        checks.append(
-            _fold("oracle-agreement", oracle_subs, "corner members vs triple enumeration")
-        )
-    else:
+    checks = [
+        _generator_validity(rows, tol),
+        _generator_order(rows, tol),
+        _star_identity(rows, xs, maxmin, tol),
+        _copula_sandwich(family, input_members, member_note, s.grid, tol),
+        _marginal_formula(rows, fz, xs, maxmin, tol),
+        _association(rows, tol),
+        _pbox_order(rows, tol),
+        _marginal_pbox(rows, x_fs, y_ks, member_note, xs, tol),
+        _bound_order(h_grids, tol),
+        _direct_formula(rows, fz, h_grids, maxmin, tol),
+        _copula_axioms(imprecise_pair, s.grid, tol),
+        _imprecise_copula(imprecise_pair, s.grid, tol),
+        _bivariate_pbox(low_h, up_h, xs, tol),
+    ]
+    oracle = _oracle_agreement(low_h, up_h, rows, fz, s.model, tol)
+    if oracle is None:
         info["oracle"] = "skipped: inputs not discrete with small support"
-
+    else:
+        checks.append(oracle)
     if maxmin:
-        us = np.linspace(0.0, 1.0, s.grid)
-        low_c_grid = copula_grid(imprecise_pair.low, us, us)
-        up_c_grid = copula_grid(imprecise_pair.up, us, us)
-        same_low = copula_grid(h_pair.low, us, us)
-        same_up = copula_grid(h_pair.up, us, us)
-        dev_low = float(np.max(low_c_grid - same_low))
-        dev_up = float(np.max(same_up - up_c_grid))
-        checks.append(
-            Check(
-                "outer-containment",
-                max(dev_low, dev_up) <= tol,
-                value=max(dev_low, dev_up),
-                note="the same-corner pair sits inside the opposite-corner envelope pair",
-            )
-        )
-        info["same_corner_gap"] = {
-            "low": float(np.max(same_low - low_c_grid)),
-            "up": float(np.max(up_c_grid - same_up)),
-        }
-        scan = search_ic_violation(h_pair, n=min(51, s.grid), tol=tol)
-        info["same_corner_scan"] = {
-            "violations": [w.to_dict() for w in scan],
-            "reverified": all(verify_witness(h_pair, w, tol=tol) for w in scan),
-        }
-
+        outer, info["same_corner_gap"] = _outer_containment(imprecise_pair, h_pair, s.grid, tol)
+        checks.append(outer)
+        info["same_corner_scan"] = _same_corner_scan(h_pair, s.grid, tol)
     info["generator_gaps"] = {
-        label: _gap_summary(associated_envelope_gaps(gen, base, first, fz))
-        for label, gen, base, first in (
-            ("low_phi", low_phi, low_f, fx_lo),
-            ("up_phi", up_phi, up_f, fx_up),
-            ("low_companion", low_comp, low_second, fy_lo),
-            ("up_companion", up_comp, up_second, fy_up),
-        )
+        label: _gap_summary(associated_envelope_gaps(g, k, f, fz)) for label, g, k, f in rows
     }
 
     return ScenarioResult(

@@ -34,7 +34,6 @@ from shockbox.generators import (
     blend_generators,
     build_chi,
     build_phi,
-    envelope_generators,
 )
 
 dyadic = st.integers(-8, 16).map(lambda i: i / 4.0)
@@ -118,14 +117,11 @@ def generators(draw):
     g = build(draw(step_fns(4)), draw(step_fns(3)))
     if kind == "psi":
         g = Generator("psi", g.knots)
-    op = draw(st.sampled_from(["none", "blend", "envelope"]))
-    if op == "none":
+    if not draw(st.booleans()):
         return g
     h = build(draw(step_fns(4)), draw(step_fns(3)))
     h = Generator(kind, h.knots)
-    if op == "blend":
-        return blend_generators(g, h, draw(st.sampled_from([0.25, 0.5])))
-    return envelope_generators([g, h])[draw(st.integers(0, 1))]
+    return blend_generators(g, h, draw(st.sampled_from([0.25, 0.5])))
 
 
 @given(generators())

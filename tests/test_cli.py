@@ -266,6 +266,23 @@ def test_nan_level_in_a_scenario_file_exits_two(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_negative_rate_exponential_piece_runs_through_the_pipeline(tmp_path):
+    # x = 0.5 * exp(x) below 0, then a jump to 1
+    raw = read_json(D1)
+    raw["x"] = {
+        "type": "piecewise",
+        "breakpoints": [[0, 0.5, 0.5, 1]],
+        "segments": [["exp", -0.5, -1, 0, 0.5], ["const", 1]],
+    }
+    raw["grid"] = 51
+    path = tmp_path / "negative_rate.json"
+    path.write_text(json.dumps(raw))
+    assert main(["pipeline", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 0
+    report = read_json(tmp_path / "out" / "report.json")
+    assert report["model"] == "marshall" and report["all_passed"] is True
+    assert all(c["passed"] for c in report["checks"])
+
+
 # -- search ----------------------------------------------------------------------
 
 

@@ -1,4 +1,4 @@
-"""Copula evaluation, axioms, volumes, tabulation, and marginal composition."""
+"""Copula evaluation, axioms, and marginal composition."""
 
 import math
 
@@ -9,11 +9,9 @@ from shockbox.copulas import (
     MarshallCopula,
     MaxminCopula,
     Rect,
-    TabulatedCopula,
     check_copula_axioms,
     copula_grid,
     eval_copula,
-    h_volume,
     sklar_compose,
 )
 from shockbox.distfn import INF, ParamSpec, comix, from_spec, product, step_cdf
@@ -62,8 +60,6 @@ def test_product_copula_values_and_volume():
     assert eval_copula(c, 0.3, 0.7) == pytest.approx(0.21, abs=1e-15)
     assert eval_copula(c, 0.0, 0.9) == 0.0
     assert eval_copula(c, 1.0, 0.9) == 0.9
-    vol = h_volume(c, Rect(0.2, 0.6, 0.1, 0.9))
-    assert vol == pytest.approx(0.32, abs=1e-15)
 
 
 def test_identity_maxmin_is_the_product():
@@ -142,43 +138,11 @@ def test_axiom_grid_validation():
         check_copula_axioms(product_copula(), n=1)
 
 
-def test_tabulated_copula_interpolates_bilinearly():
-    us = (0.0, 0.5, 1.0)
-    table = TabulatedCopula(us, us, tuple(tuple(min(u, v) for v in us) for u in us))
-    assert eval_copula(table, 0.25, 1.0) == pytest.approx(0.25, abs=1e-15)
-    assert eval_copula(table, 0.25, 0.75) == pytest.approx(0.25, abs=1e-15)
-    # inside a cell the surface is the bilinear patch of the corner values
-    assert eval_copula(table, 0.25, 0.25) == pytest.approx(0.125, abs=1e-15)
-
-
-def test_tabulated_copula_validation():
-    with pytest.raises(InvalidParameterError):
-        TabulatedCopula((0.0, 1.0), (0.1, 1.0), ((0.0, 0.0), (0.0, 1.0)))
-    with pytest.raises(InvalidParameterError):
-        TabulatedCopula((0.0, 1.0), (0.0, 1.0), ((0.0, 0.0),))
-    with pytest.raises(InvalidParameterError):
-        TabulatedCopula((0.0, 0.5, 0.5, 1.0), (0.0, 1.0), ((0.0,),) * 4)
-
-
-def test_tabulating_a_copula_reproduces_it_on_the_grid():
-    phi = build_phi(X_UP, Z_POINT)
-    chi = build_chi(Y_STEP, Z_POINT)
-    c = MaxminCopula(phi, chi)
-    us = tuple(np.linspace(0.0, 1.0, 21))
-    vals = copula_grid(c, us, us)
-    table = TabulatedCopula(us, us, tuple(map(tuple, vals)))
-    for u in (0.0, 0.05, 0.5, 0.95, 1.0):
-        for v in (0.0, 0.3, 0.65, 1.0):
-            assert eval_copula(table, u, v) == pytest.approx(
-                eval_copula(c, u, v), abs=5e-3
-            )
-    # exact on grid nodes
-    assert eval_copula(table, 0.5, 0.3) == eval_copula(c, 0.5, 0.3)
-
-
 def test_copula_grid_rejects_unknown_objects():
     with pytest.raises(InvalidParameterError):
         copula_grid(object(), [0.0, 1.0], [0.0, 1.0])
+    with pytest.raises(InvalidParameterError):
+        eval_copula(object(), 0.5, 0.5)
 
 
 def test_sklar_composition_reaches_the_marginals():

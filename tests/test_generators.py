@@ -42,7 +42,6 @@ from shockbox.generators import (
     check_order,
     chi_from_composite,
     chi_star,
-    envelope_generators,
     formula_chi,
     formula_phi,
     is_valid_generator,
@@ -311,41 +310,6 @@ def test_blend_of_chi_generators_near_the_identity_stays_valid():
     high = build_chi(step_cdf([(-0.5, 63 / 64), (0.0, 1 / 64)]), fz)
     assert is_valid_generator(low, 1e-12) and is_valid_generator(high, 1e-12)
     assert is_valid_generator(blend_generators(low, high, 0.25), 1e-12)
-
-
-def test_envelopes_add_crossing_knots():
-    g1 = Generator("phi", ((0.0, 0.0), (0.5, 0.8), (1.0, 1.0)))
-    g2 = Generator("phi", ((0.0, 0.0), (0.2, 0.6), (1.0, 1.0)))
-    gmin, gmax = envelope_generators([g1, g2])
-    cross = 0.5 / 1.1
-    assert any(abs(u - cross) < 1e-12 for u in gmin.knot_us)
-    for g in (g1, g2):
-        assert check_order(gmin, g).passed
-        assert check_order(g, gmax).passed
-    assert gmin.eval(0.2) == pytest.approx(0.32, abs=1e-15)
-    assert gmax.eval(0.2) == 0.6
-    assert gmin.eval(0.5) == pytest.approx(0.75, abs=1e-15)
-    assert gmax.eval(0.5) == 0.8
-
-
-def test_envelope_of_chords_meeting_at_a_knot_stays_valid():
-    # on [3/16, 1] the two chi chords meet only at u = 1; the rounded
-    # crossing formula puts a knot at 1 - 2**-52, which broke the envelope
-    g1 = build_chi(step_cdf([(0.5, 1.0)]), step_cdf([(3.25, 1.0)]))
-    g2 = build_chi(step_cdf([(1.5, 1.0)]), step_cdf([(-0.5, 3 / 16), (3.5, 13 / 16)]))
-    gmin, gmax = envelope_generators([g1, g2])
-    assert gmin.knots == ((0.0, 0.0), (0.1875, 0.0), (1.0, 1.0))
-    assert gmax.knots == ((0.0, 0.0), (0.1875, 0.1875), (1.0, 1.0))
-    for g in (g1, g2):
-        assert check_order(gmin, g).passed
-        assert check_order(g, gmax).passed
-
-
-def test_envelope_rejects_empty_and_mixed_input():
-    with pytest.raises(InvalidParameterError):
-        envelope_generators([])
-    with pytest.raises(InvalidParameterError):
-        envelope_generators([Generator.identity("phi"), Generator.identity("chi")])
 
 
 # -- gap probe -----------------------------------------------------------------
