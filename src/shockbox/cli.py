@@ -1,6 +1,6 @@
 """Command-line front end: scenario runs, violation search, table export.
 
-Three subcommands share one configuration surface:
+Three subcommands, each taking only the options it reads:
 
   pipeline  run a scenario file end to end, write the verification report
             (exit 0 only if every check passes, 1 on a failed check);
@@ -46,7 +46,7 @@ from pathlib import Path
 import numpy as np
 
 from .copulas import MaxminCopula, copula_grid
-from .distfn import DistFn, from_spec, paramspec_from_json
+from .distfn import DistFn, law_from_json
 from .errors import ConfigError, ShockboxError
 from .generators import build_chi, build_phi
 from .imprecise import CopulaPair, search_ic_violation, verify_witness
@@ -109,7 +109,7 @@ class RunConfig:
 
 def _law(obj, label: str) -> DistFn:
     try:
-        return from_spec(paramspec_from_json(obj))
+        return law_from_json(obj)
     except ShockboxError as exc:
         raise ConfigError(f"bad law for {label}: {exc}") from exc
 
@@ -354,8 +354,14 @@ def cmd_emit(cfg: RunConfig) -> int:
 # argument parsing
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):
+        # one line through main instead of the usage and an exit
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="shockbox",
         description="Shock-model copula bounds: run, search, export.",
     )
@@ -367,43 +373,33 @@ def _build_parser() -> argparse.ArgumentParser:
     }
     for name, help_text in specs.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--scenario", type=Path, default=None, help="scenario JSON file")
+        if name != "search":
+            p.add_argument("--scenario", type=Path, default=None, help="scenario JSON file")
         p.add_argument("--grid", type=int, default=None, help="grid resolution override")
         p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="check tolerance")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="random seed")
-        p.add_argument("--out", type=Path, default=Path("."), help="output directory")
-        p.add_argument("--format", choices=FORMATS, default="json", dest="fmt")
         if name == "search":
+            p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="random seed")
             p.add_argument(
                 "--count", type=int, default=DEFAULT_SEARCH_COUNT, help="scenarios to scan"
             )
+        p.add_argument("--out", type=Path, default=Path("."), help="output directory")
+        if name == "pipeline":
+            p.add_argument("--format", choices=FORMATS, default="json", dest="fmt")
     return parser
 
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code else 0
-    try:
-        cfg = RunConfig(
-            command=args.command,
-            scenario=args.scenario,
-            grid=args.grid,
-            tol=args.tol,
-            seed=args.seed,
-            out=args.out,
-            fmt=args.fmt,
-            count=getattr(args, "count", DEFAULT_SEARCH_COUNT),
-        )
+        # the parser's destinations are RunConfig's field names; an option a
+        # subcommand does not take keeps the field's default
+        cfg = RunConfig(**vars(_build_parser().parse_args(argv)))
         handler = {"pipeline": cmd_pipeline, "search": cmd_search, "emit": cmd_emit}[cfg.command]
         return handler(cfg)
-    except ConfigError as exc:
-        print(f"shockbox: {exc}", file=sys.stderr)
-        return 2
     except ShockboxError as exc:
         print(f"shockbox: {exc}", file=sys.stderr)
         return 2
+    except SystemExit as exc:  # --help
+        return int(exc.code) if exc.code else 0
 
 
 if __name__ == "__main__":

@@ -159,7 +159,11 @@ def check_copula_axioms(c, n: int = 101, tol: float = EXACT_TOL) -> list[Check]:
 
 @dataclass(frozen=True)
 class BivariateBound:
-    """A copula composed with two marginals: H(x, y) = C(F(x), G(y))."""
+    """A copula composed with two marginals: H(x, y) = C(F(x), G(y)).
+
+    H is 2-increasing and standardized whenever the copula is one, since
+    monotone marginal substitution preserves both.
+    """
 
     copula: object
     f: DistFn
@@ -171,8 +175,3 @@ class BivariateBound:
     def at_many(self, xs, ys) -> np.ndarray:
         return copula_grid(self.copula, self.f.eval_many(xs), self.g.eval_many(ys))
 
-
-def sklar_compose(c, f: DistFn, g: DistFn) -> BivariateBound:
-    """H(x, y) = C(F(x), G(y)); 2-increasing and standardized whenever c is a
-    copula, since monotone marginal substitution preserves both."""
-    return BivariateBound(c, f, g)

@@ -38,6 +38,7 @@ import numpy as np
 from .errors import (
     InvalidParameterError,
     InvalidRangeError,
+    ShockboxError,
     UnsupportedSegmentPairError,
 )
 
@@ -466,48 +467,41 @@ class DistFn:
 # parametric families
 
 
-_FAMILIES = ("pointmass", "discrete", "exponential", "piecewise")
+def pointmass_cdf(at) -> DistFn:
+    """Cumulative function of a point mass at a finite location."""
+    at = float(at)
+    if not math.isfinite(at):
+        raise InvalidParameterError("pointmass needs a finite location")
+    return DistFn((Breakpoint(at, 0.0, 1.0, 1.0),), (ConstSeg(0.0), ConstSeg(1.0)))
 
 
-@dataclass(frozen=True)
-class ParamSpec:
-    """Tagged description of a one-dimensional law.
+def step_cdf(atoms) -> DistFn:
+    """Cadlag cumulative function of a discrete law from (location, mass)
+    atoms; masses at a repeated location add up."""
+    atoms = [(float(x), float(m)) for x, m in atoms]
+    if not atoms:
+        raise InvalidParameterError("discrete law needs at least one atom")
+    merged: dict[float, float] = {}
+    for x, m in atoms:
+        if not math.isfinite(x):
+            raise InvalidParameterError("atom locations must be finite")
+        if m <= 0.0:
+            raise InvalidParameterError("atom masses must be positive")
+        merged[x] = merged.get(x, 0.0) + m
+    xs = sorted(merged)
+    return _atom_cdf(np.array(xs, dtype=float), np.array([merged[x] for x in xs]))
 
-    kind is one of pointmass | discrete | exponential | piecewise. Only the
-    fields of the active family are set.
-    """
 
-    kind: str
-    at: float | None = None
-    atoms: tuple[tuple[float, float], ...] | None = None
-    rate: float | None = None
-    shift: float = 0.0
-    breakpoints: tuple[tuple[float, float, float, float], ...] | None = None
-    segments: tuple[tuple, ...] | None = None
-
-    def __post_init__(self):
-        if self.kind not in _FAMILIES:
-            raise InvalidParameterError(f"unknown family {self.kind!r}")
-
-    @classmethod
-    def pointmass(cls, at: float) -> "ParamSpec":
-        return cls(kind="pointmass", at=float(at))
-
-    @classmethod
-    def discrete(cls, atoms) -> "ParamSpec":
-        return cls(kind="discrete", atoms=tuple((float(x), float(m)) for x, m in atoms))
-
-    @classmethod
-    def exponential(cls, rate: float, shift: float = 0.0) -> "ParamSpec":
-        return cls(kind="exponential", rate=float(rate), shift=float(shift))
-
-    @classmethod
-    def piecewise(cls, breakpoints, segments) -> "ParamSpec":
-        return cls(
-            kind="piecewise",
-            breakpoints=tuple(tuple(float(v) for v in bp) for bp in breakpoints),
-            segments=tuple(tuple(seg) for seg in segments),
-        )
+def exponential_cdf(rate, shift=0.0) -> DistFn:
+    """Cumulative function of an exponential law shifted to start at shift."""
+    rate, shift = float(rate), float(shift)
+    if not (rate > 0.0) or not math.isfinite(rate):
+        raise InvalidParameterError("exponential rate must be positive and finite")
+    if not math.isfinite(shift):
+        raise InvalidParameterError("exponential shift must be finite")
+    return DistFn(
+        (Breakpoint(shift, 0.0, 0.0, 0.0),), (ConstSeg(0.0), ExpSeg(1.0, rate, shift, 0.0))
+    )
 
 
 def _seg_from_tuple(t) -> Segment:
@@ -521,46 +515,13 @@ def _seg_from_tuple(t) -> Segment:
     raise InvalidParameterError(f"unknown segment tag {tag!r}")
 
 
-def from_spec(s: ParamSpec) -> DistFn:
-    """Exact DistFn of a parametric family.
-
-    Discrete families are cadlag at their atoms (value == right limit), since
-    that is how each family's cumulative function is defined.
-    """
-    if s.kind == "pointmass":
-        if s.at is None or not math.isfinite(s.at):
-            raise InvalidParameterError("pointmass needs a finite location")
-        return DistFn(
-            (Breakpoint(s.at, 0.0, 1.0, 1.0),),
-            (ConstSeg(0.0), ConstSeg(1.0)),
-        )
-    if s.kind == "discrete":
-        if not s.atoms:
-            raise InvalidParameterError("discrete law needs at least one atom")
-        merged: dict[float, float] = {}
-        for x, m in s.atoms:
-            if not math.isfinite(x):
-                raise InvalidParameterError("atom locations must be finite")
-            if m <= 0.0:
-                raise InvalidParameterError("atom masses must be positive")
-            merged[x] = merged.get(x, 0.0) + m
-        xs = sorted(merged)
-        return _atom_cdf(np.array(xs, dtype=float), np.array([merged[x] for x in xs]))
-    if s.kind == "exponential":
-        if s.rate is None or not (s.rate > 0.0) or not math.isfinite(s.rate):
-            raise InvalidParameterError("exponential rate must be positive and finite")
-        if not math.isfinite(s.shift):
-            raise InvalidParameterError("exponential shift must be finite")
-        return DistFn(
-            (Breakpoint(s.shift, 0.0, 0.0, 0.0),),
-            (ConstSeg(0.0), ExpSeg(1.0, s.rate, s.shift, 0.0)),
-        )
-    # piecewise
-    if s.breakpoints is None or s.segments is None:
-        raise InvalidParameterError("piecewise needs breakpoints and segments")
-    pts = tuple(Breakpoint(*bp) for bp in s.breakpoints)
-    segs = tuple(_seg_from_tuple(t) for t in s.segments)
-    return DistFn(pts, segs)
+def piecewise_cdf(breakpoints, segments) -> DistFn:
+    """DistFn of (x, left, value, right) breakpoints and one segment more,
+    each ("const", level), ("affine", x0, y0, slope) or ("exp", scale, rate,
+    origin, offset); every number is converted before anything is built."""
+    bps = [tuple(map(float, bp)) for bp in breakpoints]
+    segs = [tuple(seg) for seg in segments]
+    return DistFn([Breakpoint(*bp) for bp in bps], map(_seg_from_tuple, segs))
 
 
 def _atom_cdf(xs: np.ndarray, masses: np.ndarray) -> DistFn:
@@ -582,27 +543,26 @@ def _atom_cdf(xs: np.ndarray, masses: np.ndarray) -> DistFn:
     return DistFn._from_arrays(xs, limits, np.zeros(xs.size + 1, dtype=np.int8), par)
 
 
-def paramspec_from_json(obj) -> ParamSpec:
+def law_from_json(obj) -> DistFn:
+    """The DistFn of a JSON law object; a missing or malformed field raises
+    InvalidParameterError, an invalid value its constructor's error."""
     if not isinstance(obj, dict) or "type" not in obj:
         raise InvalidParameterError("a law must be an object with a 'type' field")
     kind = obj["type"]
     try:
         if kind == "pointmass":
-            return ParamSpec.pointmass(obj["at"])
+            return pointmass_cdf(obj["at"])
         if kind == "discrete":
-            return ParamSpec.discrete(obj["atoms"])
+            return step_cdf(obj["atoms"])
         if kind == "exponential":
-            return ParamSpec.exponential(obj["rate"], obj.get("shift", 0.0))
+            return exponential_cdf(obj["rate"], obj.get("shift", 0.0))
         if kind == "piecewise":
-            return ParamSpec.piecewise(obj["breakpoints"], obj["segments"])
-    except (KeyError, TypeError, ValueError) as exc:
+            return piecewise_cdf(obj["breakpoints"], obj["segments"])
+    except ShockboxError:
+        raise
+    except (LookupError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidParameterError(f"malformed {kind!r} law: {exc}") from exc
     raise InvalidParameterError(f"unknown family {kind!r}")
-
-
-def step_cdf(atoms) -> DistFn:
-    """Shorthand for the cumulative function of a finite discrete law."""
-    return from_spec(ParamSpec.discrete(atoms))
 
 
 # ---------------------------------------------------------------------------
@@ -880,11 +840,6 @@ def first_violation(f: DistFn, g: DistFn, tol: float = 0.0):
 # discretization
 
 
-def discretize(s: ParamSpec, n: int, lo: float, hi: float) -> DistFn:
-    """Step approximation of from_spec(s) matching its CDF at n grid points."""
-    return step_approximation(from_spec(s), n, lo, hi)
-
-
 def step_approximation(f: DistFn, n: int, lo: float, hi: float) -> DistFn:
     """Step function matching f at n grid points of [lo, hi].
 
@@ -893,7 +848,7 @@ def step_approximation(f: DistFn, n: int, lo: float, hi: float) -> DistFn:
     most the largest CDF increment per cell (tail cells included).
     """
     if n < 2:
-        raise InvalidParameterError("discretize needs at least 2 grid points")
+        raise InvalidParameterError("a step approximation needs at least 2 grid points")
     if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
         raise InvalidRangeError(f"bad discretization range ({lo}, {hi})")
     xs = lo + (hi - lo) * np.arange(n) / (n - 1)

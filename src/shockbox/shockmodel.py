@@ -42,7 +42,6 @@ from .copulas import (
     MaxminCopula,
     check_copula_axioms,
     copula_grid,
-    sklar_compose,
 )
 from .distfn import (
     ANALYTIC_TOL,
@@ -50,12 +49,11 @@ from .distfn import (
     ConstSeg,
     DistFn,
     ExpSeg,
-    ParamSpec,
     blend,
     comix,
     comix_value,
+    exponential_cdf,
     first_violation,
-    from_spec,
     product,
     step_approximation,
     step_cdf,
@@ -272,10 +270,7 @@ def _member_distfns(lo: DistFn, up: DistFn, ts=MEMBER_WEIGHTS) -> tuple[list[Dis
         pass
     lo_exp, up_exp = _exp_params(lo), _exp_params(up)
     if lo_exp is not None and up_exp is not None and lo_exp[1] == up_exp[1]:
-        members = [
-            from_spec(ParamSpec.exponential(t * lo_exp[0] + (1.0 - t) * up_exp[0], lo_exp[1]))
-            for t in ts
-        ]
+        members = [exponential_cdf(t * lo_exp[0] + (1.0 - t) * up_exp[0], lo_exp[1]) for t in ts]
         return members, "rate-interpolated members"
     return [lo for _ in ts], "interior members not representable; lower corner reused"
 
@@ -693,17 +688,19 @@ def _run(s: Scenario, tol: float) -> ScenarioResult:
     fx_lo, fx_up, fy_lo, fy_up, fz = (fns[k] for k in ("x_lo", "x_up", "y_lo", "y_up", "z"))
     maxmin = s.model == "maxmin"
 
-    low_phi, up_phi = phi_from_composite(low_f, fx_lo, fz), phi_from_composite(up_f, fx_up, fz)
+    # a composite shared by two bounds or members is one generator too
+    low_phi = phi_from_composite(low_f, fx_lo, fz)
+    up_phi = low_phi if up_f is low_f else phi_from_composite(up_f, fx_up, fz)
     low_comp = _companion(low_second, fy_lo, fz, maxmin)
-    up_comp = _companion(up_second, fy_up, fz, maxmin)
+    up_comp = low_comp if up_second is low_second else _companion(up_second, fy_up, fz, maxmin)
     family = CopulaFamily(s.model, low_phi, up_phi, low_comp, up_comp)
     imprecise_pair = family.pair
     if maxmin:
         h_pair = CopulaPair(MaxminCopula(low_phi, low_comp), MaxminCopula(up_phi, up_comp))
     else:
         h_pair = imprecise_pair
-    low_h = sklar_compose(h_pair.low, low_f, low_second)
-    up_h = sklar_compose(h_pair.up, up_f, up_second)
+    low_h = BivariateBound(h_pair.low, low_f, low_second)
+    up_h = BivariateBound(h_pair.up, up_f, up_second)
     rows = (
         ("low_phi", low_phi, low_f, fx_lo),
         ("up_phi", up_phi, up_f, fx_up),
@@ -718,7 +715,8 @@ def _run(s: Scenario, tol: float) -> ScenarioResult:
     y_ks = [low_second if m == fy_lo else (comix if maxmin else product)(m, fz) for m in y_members]
     input_members = [
         (MaxminCopula if maxmin else MarshallCopula)(
-            phi_from_composite(f_m, fx_m, fz), _companion(k_m, fy_m, fz, maxmin)
+            low_phi if f_m is low_f else phi_from_composite(f_m, fx_m, fz),
+            low_comp if k_m is low_second else _companion(k_m, fy_m, fz, maxmin),
         )
         for fx_m, f_m, fy_m, k_m in zip(x_members, x_fs, y_members, y_ks)
     ]

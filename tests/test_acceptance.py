@@ -15,18 +15,18 @@ import numpy as np
 
 from shockbox.cli import main as cli_main
 from shockbox.copulas import (
+    BivariateBound,
     MarshallCopula,
     MaxminCopula,
     check_copula_axioms,
     copula_grid,
-    sklar_compose,
 )
 from shockbox.distfn import (
-    ParamSpec,
     comix,
-    discretize,
-    from_spec,
+    exponential_cdf,
+    pointmass_cdf,
     product,
+    step_approximation,
     step_cdf,
 )
 from shockbox.generators import (
@@ -88,12 +88,12 @@ D1_Z = step_cdf([(1.5, 1.0)])
 
 def exp_example():
     """Exponential rates (1, 2) for x, (1, 3) for y, common shock at ln 2."""
-    z = from_spec(ParamSpec.pointmass(math.log(2.0)))
+    z = pointmass_cdf(math.log(2.0))
     return (
-        from_spec(ParamSpec.exponential(1.0)),
-        from_spec(ParamSpec.exponential(2.0)),
-        from_spec(ParamSpec.exponential(1.0)),
-        from_spec(ParamSpec.exponential(3.0)),
+        exponential_cdf(1.0),
+        exponential_cdf(2.0),
+        exponential_cdf(1.0),
+        exponential_cdf(3.0),
         z,
     )
 
@@ -116,8 +116,8 @@ def atoms_of(f):
 
 def test_criterion_1_generator_construction_matches_closed_forms():
     with criterion(1, "construction vs closed forms", 1.0) as rec:
-        fx = discretize(ParamSpec.exponential(1.0), 10_000, 0.0, 15.0)
-        z = from_spec(ParamSpec.pointmass(math.log(2.0)))
+        fx = step_approximation(exponential_cdf(1.0), 10_000, 0.0, 15.0)
+        z = pointmass_cdf(math.log(2.0))
         us = np.linspace(0.0, 1.0, 2001)[1:]
         sup_dev = float(np.max(np.abs(build_phi(fx, z).eval_many(us) - np.maximum(0.5, us))))
 
@@ -222,7 +222,7 @@ def test_criterion_5_composed_bounds_match_triple_enumeration():
                 else:
                     cop = MaxminCopula(build_phi(fx, fz), build_chi(fy, fz))
                     second = comix(fy, fz)
-                h = sklar_compose(cop, f, second)
+                h = BivariateBound(cop, f, second)
                 table = oracle_joint(atoms_of(fx), atoms_of(fy), atoms_of(fz), model)
                 worst = max(worst, compare_oracle(h, table, tol=EXACT).value)
         rec.ok = worst <= EXACT
@@ -286,7 +286,7 @@ def test_criterion_7_composed_bounds_equal_direct_formulas():
             else:
                 cop = MaxminCopula(build_phi(fx, fz), build_chi(fy, fz))
                 second = comix(fy, fz)
-            h = sklar_compose(cop, product(fx, fz), second)
+            h = BivariateBound(cop, product(fx, fz), second)
             for x in grid:
                 for y in grid:
                     dev = abs(h.at(float(x), float(y)) - _direct_joint(model, fx, fy, fz, x, y))

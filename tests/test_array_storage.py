@@ -20,11 +20,11 @@ from shockbox.distfn import (
     Breakpoint,
     ConstSeg,
     DistFn,
-    ParamSpec,
     blend,
     comix,
-    from_spec,
-    paramspec_from_json,
+    exponential_cdf,
+    law_from_json,
+    piecewise_cdf,
     product,
     step_cdf,
 )
@@ -53,16 +53,14 @@ def affine_fns(draw):
     # the uniform law on [a, b]
     a = draw(dyadic)
     b = a + draw(st.integers(1, 8)) / 4.0
-    return from_spec(
-        ParamSpec.piecewise(
-            [(a, 0.0, 0.0, 0.0), (b, 1.0, 1.0, 1.0)],
-            [("const", 0.0), ("affine", a, 0.0, 1.0 / (b - a)), ("const", 1.0)],
-        )
+    return piecewise_cdf(
+        [(a, 0.0, 0.0, 0.0), (b, 1.0, 1.0, 1.0)],
+        [("const", 0.0), ("affine", a, 0.0, 1.0 / (b - a)), ("const", 1.0)],
     )
 
 
 exponential_fns = st.builds(
-    lambda rate, shift: from_spec(ParamSpec.exponential(rate, shift)),
+    exponential_cdf,
     st.sampled_from([0.5, 1.0, 1.5, 3.0]),
     dyadic,
 )
@@ -162,7 +160,7 @@ def test_scalar_generator_evaluation_matches_eval_many_bit_for_bit(g, us):
     "f",
     [
         step_cdf([(0.0, 0.5), (1.0, 0.5)]),
-        from_spec(ParamSpec.exponential(1.0)),
+        exponential_cdf(1.0),
         DistFn.constant(0.0),
     ],
     ids=["step", "exponential", "constant"],
@@ -187,7 +185,7 @@ NAN_LEVEL_LAW = (
 def test_nan_levels_and_segment_ends_are_rejected():
     # json reads NaN; a constant segment at that level must not validate
     with pytest.raises(InvalidParameterError, match="starts at nan, expected 0.5"):
-        from_spec(paramspec_from_json(json.loads(NAN_LEVEL_LAW)))
+        law_from_json(json.loads(NAN_LEVEL_LAW))
     with pytest.raises(InvalidParameterError, match="a breakpoint-free DistFn"):
         DistFn((), (ConstSeg(math.nan),))
     bp = Breakpoint(0.0, 0.0, 1.0, 1.0)

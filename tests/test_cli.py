@@ -152,14 +152,37 @@ def test_unknown_law_type_exits_two(tmp_path):
     assert main(["pipeline", "--scenario", str(bad), "--out", str(tmp_path)]) == 2
 
 
+def piecewise_law(first_segment):
+    # a jump to 1 at 0, with the given segment below it
+    return {
+        "type": "piecewise",
+        "breakpoints": [[0, 0, 1, 1]],
+        "segments": [first_segment, ["const", 1]],
+    }
+
+
 @pytest.mark.parametrize(
     "key, law",
     [
         ("x", {"type": "discrete", "atoms": [[1, "a"]]}),
         ("x", {"type": "discrete", "atoms": [[1]]}),
         ("z", {"type": "pointmass", "at": "abc"}),
+        ("z", {"type": "pointmass", "at": 10**400}),
+        ("x", {"type": "piecewise", "breakpoints": [[0, 0, 1]], "segments": [["const", 0]] * 2}),
+        ("x", piecewise_law(["exp", 1])),
+        ("x", piecewise_law(["const", "a"])),
+        ("x", piecewise_law([])),
     ],
-    ids=["non-numeric-mass", "atom-without-mass", "non-numeric-location"],
+    ids=[
+        "non-numeric-mass",
+        "atom-without-mass",
+        "non-numeric-location",
+        "location-beyond-float",
+        "breakpoint-with-three-fields",
+        "segment-missing-parameters",
+        "non-numeric-level",
+        "empty-segment",
+    ],
 )
 def test_malformed_law_values_exit_two(tmp_path, capsys, key, law):
     raw = read_json(SCENARIOS / "d1_discrete.json")
@@ -185,7 +208,7 @@ def test_pipeline_without_scenario_exits_two(tmp_path):
 
 def test_bad_flag_exits_two(capsys):
     assert main(["pipeline", "--bogus"]) == 2
-    capsys.readouterr()
+    assert capsys.readouterr().err == "shockbox: unrecognized arguments: --bogus\n"
 
 
 def test_bad_grid_value_exits_two(tmp_path):
@@ -196,7 +219,27 @@ def test_bad_grid_value_exits_two(tmp_path):
 
 
 def _refuse_to_run(*args, **kwargs):
-    raise AssertionError("an out-of-range size must be rejected before any run")
+    raise AssertionError("malformed input must be rejected before any run")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pipeline", "--scenario", str(D1), "--seed", "7"],
+        ["emit", "--scenario", str(D1), "--seed", "7"],
+        ["emit", "--scenario", str(D1), "--format", "csv"],
+        ["search", "--count", "2", "--scenario", str(D1)],
+        ["search", "--count", "2", "--format", "csv"],
+    ],
+    ids=["pipeline-seed", "emit-seed", "emit-format", "search-scenario", "search-format"],
+)
+def test_an_option_the_subcommand_does_not_read_exits_two(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.setattr(cli, "run_scenario", _refuse_to_run)
+    monkeypatch.setattr(cli, "random_discrete_scenario", _refuse_to_run)
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("shockbox: unrecognized arguments: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(

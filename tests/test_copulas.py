@@ -6,15 +6,15 @@ import numpy as np
 import pytest
 
 from shockbox.copulas import (
+    BivariateBound,
     MarshallCopula,
     MaxminCopula,
     Rect,
     check_copula_axioms,
     copula_grid,
     eval_copula,
-    sklar_compose,
 )
-from shockbox.distfn import INF, ParamSpec, comix, from_spec, product, step_cdf
+from shockbox.distfn import INF, comix, pointmass_cdf, product, step_cdf
 from shockbox.errors import InvalidParameterError, InvalidRangeError
 from shockbox.generators import Generator, build_chi, build_phi, build_psi
 from shockbox.shockmodel import random_discrete_scenario
@@ -22,7 +22,7 @@ from shockbox.shockmodel import random_discrete_scenario
 X_LOW = step_cdf([(1.0, 0.2), (2.0, 0.8)])
 X_UP = step_cdf([(1.0, 0.5), (2.0, 0.5)])
 Y_STEP = step_cdf([(0.5, 0.4), (3.0, 0.6)])
-Z_POINT = from_spec(ParamSpec.pointmass(1.5))
+Z_POINT = pointmass_cdf(1.5)
 
 
 def product_copula():
@@ -148,7 +148,7 @@ def test_copula_grid_rejects_unknown_objects():
 def test_sklar_composition_reaches_the_marginals():
     phi = build_phi(X_LOW, Z_POINT)
     psi = build_psi(Y_STEP, Z_POINT)
-    h = sklar_compose(MarshallCopula(phi, psi), step_cdf([(1.5, 1.0)]), Y_STEP)
+    h = BivariateBound(MarshallCopula(phi, psi), step_cdf([(1.5, 1.0)]), Y_STEP)
     assert h.at(-INF, 2.0) == 0.0
     assert h.at(INF, INF) == 1.0
     assert h.at(INF, 0.7) == Y_STEP.eval(0.7)
@@ -184,7 +184,7 @@ def test_scalar_at_matches_at_many_bit_for_bit(roster):
     else:
         cop = MaxminCopula(build_phi(fx, fz), build_chi(fy, fz))
         second = comix(fy, fz)
-    h = sklar_compose(cop, product(fx, fz), second)
+    h = BivariateBound(cop, product(fx, fz), second)
     grid = np.linspace(0.0, 7.0, 29)
     scalar = [[h.at(float(x), float(y)) for y in grid] for x in grid]
     assert _same_bits(scalar, h.at_many(grid, grid))

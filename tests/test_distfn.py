@@ -14,15 +14,14 @@ from shockbox.distfn import (
     INF,
     ConstSeg,
     DistFn,
-    ParamSpec,
     blend,
     comix,
     comix_value,
-    discretize,
+    exponential_cdf,
     first_violation,
-    from_spec,
+    law_from_json,
     ordered_probes,
-    paramspec_from_json,
+    pointmass_cdf,
     product,
     reverse,
     step_approximation,
@@ -129,7 +128,7 @@ def test_comix_value_is_exact_at_boundaries():
 
 
 def test_pointmass_evaluates_as_indicator():
-    f = from_spec(ParamSpec.pointmass(2.0))
+    f = pointmass_cdf(2.0)
     assert f.eval(1.999) == 0.0
     assert f.eval(2.0) == 1.0
     assert f.left_limit(2.0) == 0.0
@@ -138,7 +137,7 @@ def test_pointmass_evaluates_as_indicator():
 
 
 def test_exponential_matches_closed_form():
-    f = from_spec(ParamSpec.exponential(2.0, shift=1.0))
+    f = exponential_cdf(2.0, shift=1.0)
     assert f.eval(1.0) == 0.0
     assert f.eval(0.5) == 0.0
     for x in (1.1, 2.0, 5.0):
@@ -155,30 +154,30 @@ def test_step_cdf_is_cadlag_at_atoms():
 
 def test_discrete_mass_validation():
     with pytest.raises(InvalidParameterError):
-        from_spec(ParamSpec.discrete([(1.0, 0.6), (2.0, 0.6)]))
+        step_cdf([(1.0, 0.6), (2.0, 0.6)])
     with pytest.raises(InvalidParameterError):
-        from_spec(ParamSpec.discrete([(1.0, -0.1), (2.0, 1.1)]))
+        step_cdf([(1.0, -0.1), (2.0, 1.1)])
     with pytest.raises(InvalidParameterError):
-        from_spec(ParamSpec.discrete([]))
+        step_cdf([])
 
 
 def test_exponential_parameter_validation():
     with pytest.raises(InvalidParameterError):
-        from_spec(ParamSpec.exponential(0.0))
+        exponential_cdf(0.0)
     with pytest.raises(InvalidParameterError):
-        from_spec(ParamSpec.exponential(-1.0))
+        exponential_cdf(-1.0)
 
 
 def test_product_of_two_exponentials_is_unsupported():
-    f = from_spec(ParamSpec.exponential(1.0))
-    g = from_spec(ParamSpec.exponential(2.0))
+    f = exponential_cdf(1.0)
+    g = exponential_cdf(2.0)
     with pytest.raises(UnsupportedSegmentPairError):
         product(f, g)
 
 
 def test_product_of_step_and_exponential_is_exact():
-    f = from_spec(ParamSpec.exponential(1.0))
-    z = from_spec(ParamSpec.pointmass(math.log(2.0)))
+    f = exponential_cdf(1.0)
+    z = pointmass_cdf(math.log(2.0))
     h = product(f, z)
     assert h.eval(0.5) == 0.0
     assert h.eval(math.log(2.0)) == f.eval(math.log(2.0))
@@ -195,9 +194,8 @@ def test_first_violation_and_leq():
 
 
 def test_discretize_tracks_cdf_and_stays_proper():
-    spec = ParamSpec.exponential(1.0)
-    exact = from_spec(spec)
-    approx = discretize(spec, 1000, 0.0, 12.0)
+    exact = exponential_cdf(1.0)
+    approx = step_approximation(exact, 1000, 0.0, 12.0)
     assert approx.is_step and approx.is_proper()
     dev = max(abs(approx.eval(x) - exact.eval(x)) for x in np.linspace(0.0, 12.0, 700))
     assert dev < 0.02
@@ -208,7 +206,7 @@ def test_discretize_tracks_cdf_and_stays_proper():
 
 
 def test_step_approximation_validation():
-    f = from_spec(ParamSpec.exponential(1.0))
+    f = exponential_cdf(1.0)
     with pytest.raises(InvalidParameterError):
         step_approximation(f, 1, 0.0, 1.0)
     with pytest.raises(InvalidRangeError):
@@ -224,7 +222,7 @@ NEGATIVE_RATE_LAW = {
 
 
 def test_negative_rate_exponential_piece_loads_from_json():
-    f = from_spec(paramspec_from_json(NEGATIVE_RATE_LAW))
+    f = law_from_json(NEGATIVE_RATE_LAW)
     assert f.eval(-INF) == 0.0
     assert f.eval(-1.0) == 0.18393972058572117
     for x in (-30.0, -2.5, -1.0, -0.25, -1e-9):
@@ -233,13 +231,16 @@ def test_negative_rate_exponential_piece_loads_from_json():
     assert f.is_proper()
 
 
-def test_paramspec_from_json_rejects_malformed_input():
+def test_law_from_json_rejects_malformed_input():
     with pytest.raises(InvalidParameterError):
-        paramspec_from_json({"rate": 1.0})
+        law_from_json({"rate": 1.0})
     with pytest.raises(InvalidParameterError):
-        paramspec_from_json({"type": "gaussian"})
+        law_from_json({"type": "gaussian"})
     with pytest.raises(InvalidParameterError):
-        paramspec_from_json({"type": "exponential"})
+        law_from_json({"type": "exponential"})
+    law = {"type": "piecewise", "breakpoints": [[0, 0, 1]], "segments": [["const", 0]] * 2}
+    with pytest.raises(InvalidParameterError, match="^malformed 'piecewise' law: "):
+        law_from_json(law)
 
 
 def test_constant_distfn_edge_case():
@@ -263,7 +264,7 @@ def test_step_eval_many_matches_scalar_evaluation(f):
 
 
 def test_eval_many_on_exponential_pieces_matches_scalar_evaluation():
-    f = product(from_spec(ParamSpec.exponential(1.5, shift=0.5)), step_cdf([(1.0, 0.5), (2.0, 0.5)]))
+    f = product(exponential_cdf(1.5, shift=0.5), step_cdf([(1.0, 0.5), (2.0, 0.5)]))
     xs = [-INF, 0.0, 0.5, 0.75, 1.0, 1.3, 2.0, 7.0, INF]
     assert f.eval_many(xs).tolist() == [f.eval(x) for x in xs]
     assert f.eval_many(xs, -1).tolist() == [f.left_limit(x) for x in xs]

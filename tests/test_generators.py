@@ -14,9 +14,9 @@ from shockbox.cli import load_scenario
 from shockbox.distfn import (
     INF,
     LIMIT_SIDES,
-    ParamSpec,
     comix,
-    from_spec,
+    exponential_cdf,
+    pointmass_cdf,
     product,
     reverse,
     step_cdf,
@@ -57,7 +57,7 @@ LN2 = math.log(2.0)
 X_LOW = step_cdf([(1.0, 0.2), (2.0, 0.8)])
 X_UP = step_cdf([(1.0, 0.5), (2.0, 0.5)])
 Y_STEP = step_cdf([(0.5, 0.4), (3.0, 0.6)])
-Z_POINT = from_spec(ParamSpec.pointmass(1.5))
+Z_POINT = pointmass_cdf(1.5)
 
 
 # dyadic masses at half-integer abscissas keep every cumulative value,
@@ -154,18 +154,18 @@ def test_discrete_example_generators():
 
 
 def test_exponential_example_generators_have_exact_knees():
-    z = from_spec(ParamSpec.pointmass(LN2))
+    z = pointmass_cdf(LN2)
     cases = [
-        (build_phi(from_spec(ParamSpec.exponential(1.0)), z), 0.5),
-        (build_phi(from_spec(ParamSpec.exponential(2.0)), z), 0.75),
-        (build_psi(from_spec(ParamSpec.exponential(1.0)), z), 0.5),
-        (build_psi(from_spec(ParamSpec.exponential(3.0)), z), 0.875),
+        (build_phi(exponential_cdf(1.0), z), 0.5),
+        (build_phi(exponential_cdf(2.0), z), 0.75),
+        (build_psi(exponential_cdf(1.0), z), 0.5),
+        (build_psi(exponential_cdf(3.0), z), 0.875),
     ]
     for g, knee in cases:
         for u in (0.1, knee / 2, knee, (knee + 1) / 2, 0.99):
             assert g.eval(u) == pytest.approx(max(knee, u), abs=1e-12)
     for rate, knee in ((1.0, 0.5), (3.0, 0.875)):
-        c = build_chi(from_spec(ParamSpec.exponential(rate)), z)
+        c = build_chi(exponential_cdf(rate), z)
         for w in (0.1, knee / 2, knee, (knee + 1) / 2, 0.99):
             assert c.eval(w) == pytest.approx(min(knee, w), abs=1e-12)
 
@@ -437,9 +437,7 @@ def test_gap_summary_matches_the_record_probe_on_packaged_scenarios(name):
 
 
 def exponential_pbox(lower_rate, upper_rate):
-    return PBox(
-        from_spec(ParamSpec.exponential(lower_rate)), from_spec(ParamSpec.exponential(upper_rate))
-    )
+    return PBox(exponential_cdf(lower_rate), exponential_cdf(upper_rate))
 
 
 @pytest.mark.parametrize(
@@ -452,7 +450,7 @@ def exponential_pbox(lower_rate, upper_rate):
 )
 def test_gap_summary_matches_the_record_probe_on_discretized_scenarios(x, y, z_rate, model):
     # the scenarios of the pinned discretized report digests
-    s = Scenario(x, y, from_spec(ParamSpec.exponential(z_rate)), model)
+    s = Scenario(x, y, exponential_cdf(z_rate), model)
     counts = [
         assert_gap_summary_matches_the_reference(*args)["count"] for args in scenario_generators(s)
     ]
@@ -472,7 +470,7 @@ def test_gap_summary_matches_the_record_probe_on_step_inputs(kind, first, fz):
 
 def test_gap_summary_without_gaps_is_zero():
     # a continuous composite: F_X is 0 where the point mass of Z sits
-    fx, fz = from_spec(ParamSpec.exponential(1.0)), from_spec(ParamSpec.pointmass(0.0))
+    fx, fz = exponential_cdf(1.0), pointmass_cdf(0.0)
     f = product(fx, fz)
     got = assert_gap_summary_matches_the_reference(phi_from_composite(f, fx, fz), f, fx, fz)
     assert got["count"] == 0 and got["examples"] == []

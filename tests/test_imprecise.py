@@ -8,13 +8,13 @@ import pytest
 from shockbox import imprecise
 from shockbox.cli import load_scenario
 from shockbox.copulas import (
+    BivariateBound,
     MarshallCopula,
     MaxminCopula,
     Rect,
     copula_grid,
-    sklar_compose,
 )
-from shockbox.distfn import EXACT_TOL, INF, ParamSpec, from_spec, product, step_cdf
+from shockbox.distfn import EXACT_TOL, INF, pointmass_cdf, product, step_cdf
 from shockbox.errors import InvalidParameterError
 from shockbox.generators import Generator, build_chi, build_phi, build_psi
 from shockbox.imprecise import (
@@ -44,7 +44,7 @@ UP_CHI = Generator("chi", ((0.0, 0.0), (0.875, 0.875), (1.0, 0.875)))
 X_LOW = step_cdf([(1.0, 0.2), (2.0, 0.8)])
 X_UP = step_cdf([(1.0, 0.5), (2.0, 0.5)])
 Y_STEP = step_cdf([(0.5, 0.4), (3.0, 0.6)])
-Z_POINT = from_spec(ParamSpec.pointmass(1.5))
+Z_POINT = pointmass_cdf(1.5)
 
 
 def marshall_pair():
@@ -372,8 +372,8 @@ def test_grid_validation():
 def discrete_h_bounds():
     low_c = MarshallCopula(build_phi(X_LOW, Z_POINT), build_psi(Y_STEP, Z_POINT))
     up_c = MarshallCopula(build_phi(X_UP, Z_POINT), build_psi(Y_STEP, Z_POINT))
-    low_h = sklar_compose(low_c, product(X_LOW, Z_POINT), product(Y_STEP, Z_POINT))
-    up_h = sklar_compose(up_c, product(X_UP, Z_POINT), product(Y_STEP, Z_POINT))
+    low_h = BivariateBound(low_c, product(X_LOW, Z_POINT), product(Y_STEP, Z_POINT))
+    up_h = BivariateBound(up_c, product(X_UP, Z_POINT), product(Y_STEP, Z_POINT))
     return low_h, up_h
 
 
@@ -399,8 +399,8 @@ def test_pbox_conditions_flag_swapped_bounds():
 def test_pbox_conditions_flag_defective_marginals():
     defective = step_cdf([(1.0, 0.45), (2.0, 0.45)])
     low_c = MarshallCopula(build_phi(X_LOW, Z_POINT), build_psi(Y_STEP, Z_POINT))
-    low_h = sklar_compose(low_c, product(X_LOW, Z_POINT), product(Y_STEP, Z_POINT))
-    bad = sklar_compose(low_c, defective, product(Y_STEP, Z_POINT))
+    low_h = BivariateBound(low_c, product(X_LOW, Z_POINT), product(Y_STEP, Z_POINT))
+    bad = BivariateBound(low_c, defective, product(Y_STEP, Z_POINT))
     checks = {c.name: c for c in check_bivariate_pbox_conditions(bad, low_h, PROBES, PROBES)}
     assert not checks["standardized-low"].passed
     assert checks["standardized-low"].value == pytest.approx(0.1, abs=1e-12)

@@ -10,7 +10,7 @@ import shockbox.distfn as distfn
 import shockbox.shockmodel as sm
 from shockbox.cli import load_scenario
 from shockbox.copulas import BivariateBound
-from shockbox.distfn import EXACT_TOL, INF, ParamSpec, from_spec, step_cdf
+from shockbox.distfn import EXACT_TOL, INF, exponential_cdf, pointmass_cdf, step_cdf
 from shockbox.errors import (
     InvalidParameterError,
     MassSumError,
@@ -54,7 +54,7 @@ def discrete_scenario(model, grid=51):
     return Scenario(
         PBox(step_cdf(X_ATOMS_LOW), step_cdf(X_ATOMS_UP)),
         PBox.precise(step_cdf(Y_ATOMS)),
-        from_spec(ParamSpec.pointmass(1.5)),
+        pointmass_cdf(1.5),
         model,
         grid=grid,
     )
@@ -62,9 +62,9 @@ def discrete_scenario(model, grid=51):
 
 def exponential_scenario(model, grid=101):
     return Scenario(
-        PBox(from_spec(ParamSpec.exponential(1.0)), from_spec(ParamSpec.exponential(2.0))),
-        PBox(from_spec(ParamSpec.exponential(1.0)), from_spec(ParamSpec.exponential(3.0))),
-        from_spec(ParamSpec.pointmass(math.log(2.0))),
+        PBox(exponential_cdf(1.0), exponential_cdf(2.0)),
+        PBox(exponential_cdf(1.0), exponential_cdf(3.0)),
+        pointmass_cdf(math.log(2.0)),
         model,
         grid=grid,
     )
@@ -163,7 +163,7 @@ def test_precise_inputs_collapse_the_bounds():
     s = Scenario(
         PBox.precise(step_cdf(X_ATOMS_LOW)),
         PBox.precise(step_cdf(Y_ATOMS)),
-        from_spec(ParamSpec.pointmass(1.5)),
+        pointmass_cdf(1.5),
         "maxmin",
         grid=31,
     )
@@ -206,9 +206,9 @@ def test_exponential_maxmin_run():
 def test_discretization_fallback_for_continuous_common_shock(monkeypatch):
     monkeypatch.setattr(sm, "DISCRETIZATION_ATOMS", 1500)
     s = Scenario(
-        PBox(from_spec(ParamSpec.exponential(1.0)), from_spec(ParamSpec.exponential(2.0))),
-        PBox(from_spec(ParamSpec.exponential(1.0)), from_spec(ParamSpec.exponential(3.0))),
-        from_spec(ParamSpec.exponential(2.0)),
+        PBox(exponential_cdf(1.0), exponential_cdf(2.0)),
+        PBox(exponential_cdf(1.0), exponential_cdf(3.0)),
+        exponential_cdf(2.0),
         "maxmin",
         grid=31,
     )
@@ -224,7 +224,7 @@ def test_discretization_fallback_for_continuous_common_shock(monkeypatch):
 
 def test_scenario_validation():
     box = PBox.precise(step_cdf(Y_ATOMS))
-    z = from_spec(ParamSpec.pointmass(1.5))
+    z = pointmass_cdf(1.5)
     with pytest.raises(InvalidParameterError):
         Scenario(box, box, z, "clayton")
     with pytest.raises(InvalidParameterError):
@@ -326,9 +326,7 @@ def test_compare_oracle_witness_is_the_first_worst_corner():
 
 
 def exponential_pbox(lower_rate, upper_rate):
-    return PBox(
-        from_spec(ParamSpec.exponential(lower_rate)), from_spec(ParamSpec.exponential(upper_rate))
-    )
+    return PBox(exponential_cdf(lower_rate), exponential_cdf(upper_rate))
 
 
 # the seed-1 scenarios of the benchmark's `discretized` workload: a continuous
@@ -364,7 +362,7 @@ def test_discretized_run_builds_each_composite_once(model, monkeypatch):
     # 4 composites, 6 member blends and 6 member composites; rebuilding the
     # composites in the generator builds and the gap probe took 30
     x, y, z_rate = SEED_1_DISCRETIZED[model]
-    s = Scenario(x, y, from_spec(ParamSpec.exponential(z_rate)), model)
+    s = Scenario(x, y, exponential_cdf(z_rate), model)
     assert completed_combines(monkeypatch, s) <= 16
 
 
@@ -375,3 +373,25 @@ def test_packaged_run_builds_each_composite_once(name, monkeypatch):
     # composite; 33 before the composites were shared, 13 before a precise
     # p-box's composite was built once
     assert completed_combines(monkeypatch, load_scenario(SCENARIO_DIR / f"{name}.json")) <= 9
+
+
+def generator_builds(monkeypatch, s):
+    """run_scenario(s) and the number of generators built from composites."""
+    calls = []
+    for name in ("phi_from_composite", "chi_from_composite"):
+
+        def counted(*args, _build=getattr(sm, name), **kwargs):
+            calls.append(None)
+            return _build(*args, **kwargs)
+
+        monkeypatch.setattr(sm, name, counted)
+    run_scenario(s)
+    return len(calls)
+
+
+@pytest.mark.parametrize("name", ["d1_discrete", "d1_maxmin"])
+def test_packaged_run_builds_each_generator_once(name, monkeypatch):
+    # one generator per distinct composite: x's two bounds and its three
+    # members, and y's one precise composite, which its upper bound and its
+    # members share; 10 when every bound and member built its own
+    assert generator_builds(monkeypatch, load_scenario(SCENARIO_DIR / f"{name}.json")) <= 6
