@@ -783,7 +783,9 @@ def ordered_probes(f: DistFn, g: DistFn) -> tuple[np.ndarray, np.ndarray]:
     samples followed by the breakpoint's left limit, value and right limit,
     and +inf last. An interval gets one sample (its midpoint, or 1 beyond
     the outermost breakpoint) unless an exponential piece of f or g lives
-    on it; then it gets 17 (evenly spaced, or 2**j beyond the ends).
+    on it; then it gets 17 (evenly spaced, or 2**j beyond the ends). Beyond
+    an end past 2**53 the steps are ulps of the end. Every sample lies
+    strictly inside its interval, unless no float does.
     """
     xs = _merged_xs(f, g)
     k = xs.size
@@ -799,12 +801,21 @@ def ordered_probes(f: DistFn, g: DistFn) -> tuple[np.ndarray, np.ndarray]:
     width = int(n.max())
     j = np.arange(1, width + 1)
     nn = n[:, None]
-    with np.errstate(invalid="ignore"):
+    # beyond 2**53 a tail step of 1 is below one ulp of the end: step by ulps
+    first, last = (max(1.0, math.ulp(float(x))) for x in (xs[0], xs[-1])) if k else (1.0, 1.0)
+    with np.errstate(invalid="ignore", over="ignore"):
+        # even steps in arithmetic scaled by 2**-6, which cannot overflow
+        # (|hi - lo| < 2**1025 and j <= 17) and, above the subnormal range,
+        # rounds as the unscaled lo + (hi - lo) * j / (n + 1)
+        inner = 64.0 * (lo / 64.0 + (hi / 64.0 - lo / 64.0) * j / (nn + 1))
         samples = np.where(
             lo == -INF,
-            hi - 2.0 ** (nn - j),
-            np.where(hi == INF, lo + 2.0 ** (j - 1), lo + (hi - lo) * j / (nn + 1)),
+            hi - 2.0 ** (nn - j) * first,
+            np.where(hi == INF, lo + 2.0 ** (j - 1) * last, inner),
         )
+        # strictly inside every interval that holds a float; a sample that
+        # rounded onto an end or overflowed moves to the nearest one inside
+        samples = np.minimum(np.maximum(samples, np.nextafter(lo, INF)), np.nextafter(hi, -INF))
     if not k:
         samples[:] = 0.0
     probe_x = np.empty((k + 1, width + 3))

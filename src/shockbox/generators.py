@@ -155,6 +155,8 @@ class Generator:
         return self._lists
 
     def eval_many(self, us) -> np.ndarray:
+        """Elementwise eval without the range check: every entry equals
+        eval bit for bit (``_value`` writes out np.interp's arithmetic)."""
         arr = np.asarray(us, dtype=float)
         out = np.interp(arr, self._us, self._ys)
         if self._kind in ("phi", "psi"):

@@ -337,6 +337,39 @@ def verify_witness(pair: CopulaPair, witness: ViolationWitness, tol: float = EXA
     return float(value) < -tol
 
 
+def _run_starts(low: np.ndarray, up: np.ndarray, axis: int) -> np.ndarray:
+    """First index of each run of consecutive rows (axis 0) or columns
+    (axis 1) that are equal bit for bit in both grids."""
+    same = np.ones(low.shape[axis] - 1, dtype=bool)
+    for grid in (low, up):
+        bits = np.moveaxis(grid.view(np.int64), axis, 0)
+        same &= (bits[1:] == bits[:-1]).all(axis=1)
+    return np.flatnonzero(np.concatenate(([True], ~same)))
+
+
+def _collapsed_scan(
+    low: np.ndarray, up: np.ndarray
+) -> dict[str, tuple[float, tuple[int, int, int, int]]]:
+    """``_ic_scan(low, up)``, run on one row and column per run of repeats.
+
+    A rectangle's value depends only on the contents of its two rows and
+    two columns, and a repeat is equal bit for bit to the start of its run,
+    so the scan's running minima see the same floats, each once per run
+    instead of once per repeat. Each witness index maps back to the first
+    row or column of its run, which is also the first in the scan's tie
+    order (i1, i2, j2, j1): moving any index of a worst rectangle to the
+    start of its run keeps i1 <= i2 and j1 <= j2 (for a degenerate
+    rectangle inside one run too) and the value, so the first worst
+    rectangle of the full grids indexes run starts only.
+    """
+    rows, cols = _run_starts(low, up, 0), _run_starts(low, up, 1)
+    cells = np.ix_(rows, cols)
+    results = {}
+    for name, (value, (i1, i2, j1, j2)) in _ic_scan(low[cells], up[cells]).items():
+        results[name] = (value, (int(rows[i1]), int(rows[i2]), int(cols[j1]), int(cols[j2])))
+    return results
+
+
 def check_bivariate_pbox_conditions(
     low_h: BivariateBound,
     up_h: BivariateBound,
@@ -352,6 +385,13 @@ def check_bivariate_pbox_conditions(
     inequalities must hold on rectangles of the real plane. The supplied
     probe grid is extended with the points at infinity so the standardized
     conditions and unbounded rectangles are exercised.
+
+    With step marginals the bounds are constant between breakpoints, so
+    the probe grid repeats the same few rows and columns. The rectangle
+    scan runs on the grids with each run of consecutive rows that are equal
+    bit for bit in both bounds (int64 views, so 0.0 and -0.0 differ) kept
+    once, and the same for columns (``_collapsed_scan``): its values and
+    witnesses are those of the full scan.
     """
     xs = np.concatenate(([-INF], np.asarray(xs, dtype=float), [INF]))
     ys = np.concatenate(([-INF], np.asarray(ys, dtype=float), [INF]))
@@ -384,7 +424,7 @@ def check_bivariate_pbox_conditions(
         )
     )
 
-    for name, (value, (i1, i2, j1, j2)) in _ic_scan(low, up).items():
+    for name, (value, (i1, i2, j1, j2)) in _collapsed_scan(low, up).items():
         witness = ((float(xs[i1]), float(xs[i2])), (float(ys[j1]), float(ys[j2])))
         checks.append(Check(name, value >= -tol, value=value, witness=witness))
     return checks

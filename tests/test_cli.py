@@ -13,7 +13,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import shockbox.cli as cli
 from shockbox.cli import load_scenario, main
@@ -194,6 +197,48 @@ def test_malformed_law_values_exit_two(tmp_path, capsys, key, law):
     assert err.startswith("shockbox: ") and f"law for {key}: malformed" in err
     assert err.count("\n") == 1
     assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "key, law, message",
+    [
+        (
+            "x",
+            {"lower": {"type": "discrete", "atoms": [[1, "a"]]}, "upper": {"type": "pointmass", "at": 1}},
+            "bad law for x: malformed 'discrete' law: could not convert string to float: 'a'",
+        ),
+        (
+            "y",
+            {"type": "discrete", "atoms": [[1]]},
+            "bad law for y: malformed 'discrete' law: not enough values to unpack (expected 2, got 1)",
+        ),
+        (
+            "x",
+            {"lower": {"type": "pointmass", "at": 1}, "upper": {"type": "pointmass", "at": 2}},
+            "bad p-box for x: lower bound exceeds upper at x=1.0 (side +0): 1.0 > 0.0",
+        ),
+    ],
+    ids=["law-in-a-pbox", "precise-law", "crossing-bounds"],
+)
+def test_a_bad_law_or_pbox_is_labelled_once(tmp_path, capsys, key, law, message):
+    raw = read_json(D1)
+    raw[key] = law
+    bad = tmp_path / "law.json"
+    bad.write_text(json.dumps(raw))
+    assert main(["pipeline", "--scenario", str(bad), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"shockbox: {message}\n"
+
+
+def test_an_exponential_shift_near_the_float_limit_runs(tmp_path, capsys):
+    # the probes of the exponential piece beyond 1e308 used to overflow,
+    # with a RuntimeWarning, which the test configuration turns into an error
+    raw = read_json(D1)
+    raw["z"] = {"type": "exponential", "rate": 1, "shift": 1e308}
+    scenario = tmp_path / "far.json"
+    scenario.write_text(json.dumps(raw))
+    assert main(["pipeline", "--scenario", str(scenario), "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    assert read_json(tmp_path / "report.json")["all_passed"] is True
 
 
 def test_scenario_must_hold_an_object(tmp_path):
@@ -417,6 +462,55 @@ def test_an_error_in_a_worker_exits_two_and_writes_nothing(tmp_path, capsys, mon
     assert main(["search", "--count", "40", "--grid", "21", "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == "shockbox: scenario 17 is malformed\n"
     assert list(tmp_path.iterdir()) == []
+
+
+# -- CSV tables -------------------------------------------------------------------
+
+
+def reference_csv(header, columns) -> str:
+    """The table written row by row, each cell repr of its float."""
+    lines = [",".join(header)]
+    for row in zip(*(np.asarray(col, dtype=float).tolist() for col in columns)):
+        lines.append(",".join(repr(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+# signed zeros, the smallest subnormal, floats on both sides of repr's
+# switch to an exponent, non-finite values and repeats; 10 rows in slabs of 1, 4
+# (a partial last slab) and the default size
+SPECIAL_COLUMNS = (
+    [0.0, -0.0, 5e-324, 1e16, 0.1, 0.1, -0.0, 1e16, np.inf, np.nan],
+    [-0.0, -0.0, -0.0, 0.0, 0.0, 1 / 3, 1 / 3, -np.inf, 1e-05, 0.0001],
+    [1.0] * 10,
+)
+
+
+@pytest.mark.parametrize("slab_rows", [1, 4, cli.CSV_SLAB_ROWS])
+def test_csv_table_matches_the_row_wise_text(monkeypatch, slab_rows):
+    monkeypatch.setattr(cli, "CSV_SLAB_ROWS", slab_rows)
+    table = cli._CsvTable(["a", "b", "c"], SPECIAL_COLUMNS)
+    reference = reference_csv(["a", "b", "c"], SPECIAL_COLUMNS)
+    assert "".join(table) == reference
+    assert len(table) == len(reference)
+
+
+def test_csv_table_streams_slabs_of_rows(tmp_path):
+    rows = cli.CSV_SLAB_ROWS + 1
+    columns = (np.arange(rows) % 3 - 1.0, np.full(rows, -0.0))
+    table = cli._CsvTable(["x", "y"], columns)
+    assert [chunk.count("\n") for chunk in table] == [1, cli.CSV_SLAB_ROWS, 1]
+    cli._write_atomic(tmp_path / "t.csv", table)
+    assert (tmp_path / "t.csv").read_text() == reference_csv(["x", "y"], columns)
+
+
+@given(st.lists(st.tuples(st.floats(), st.floats(width=32)), max_size=30))
+@settings(max_examples=100, deadline=None)
+def test_csv_table_matches_the_row_wise_text_on_any_floats(rows):
+    columns = (np.array([a for a, _ in rows]), np.array([b for _, b in rows]))
+    table = cli._CsvTable(["p", "q"], columns)
+    reference = reference_csv(["p", "q"], columns)
+    assert "".join(table) == reference
+    assert len(table) == len(reference)
 
 
 # -- emit ------------------------------------------------------------------------

@@ -97,6 +97,22 @@ def test_reverse_is_an_involution(f):
     assert np.array_equal(f.eval_many(xs, sides), r.eval_many(xs, sides))
 
 
+@pytest.mark.parametrize("shift", [1.0, 2.0**60, 1e308, -1e308])
+def test_ordered_probes_sample_strictly_inside_every_interval(shift):
+    # 17 distinct samples inside each interval of the exponential piece, one
+    # inside every other; near the float limit the evenly spaced samples
+    # used to overflow and the right-tail ones to round onto the breakpoint
+    f = step_cdf([(1.0, 0.25), (2.0, 0.75)])
+    z = exponential_cdf(1.0, shift)
+    xs, sides = ordered_probes(f, z)
+    assert np.all(xs[1:] >= xs[:-1])
+    ends = [-INF, *sorted({*f.breakpoints, *z.breakpoints}), INF]
+    samples = set(xs[sides == 0].tolist()) - set(ends)
+    for lo, hi in zip(ends, ends[1:]):
+        inside = [x for x in samples if lo < x < hi]
+        assert len(inside) == (17 if lo >= shift else 1), (lo, hi)
+
+
 @given(steps())
 @settings(max_examples=60, deadline=None)
 def test_reverse_swaps_one_sided_limits(f):

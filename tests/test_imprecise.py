@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shockbox import imprecise
 from shockbox.cli import load_scenario
@@ -21,6 +23,7 @@ from shockbox.imprecise import (
     CopulaFamily,
     CopulaPair,
     ViolationWitness,
+    _collapsed_scan,
     _ic_scan,
     check_bivariate_pbox_conditions,
     check_imprecise_copula,
@@ -334,6 +337,37 @@ def test_ic_scan_with_stop_on_search_scenarios(search_grids):
     for low, up, reference in search_grids:
         stopped_early += assert_stop_scan_confirms(low, up, reference, EXACT_TOL)
     assert stopped_early > 0
+
+
+# few values, so that cells tie and whole rows and columns repeat; 0.0 and
+# -0.0 compare equal but are different bits
+CELL_VALUES = (0.0, -0.0, 0.125, 0.25, 1 / 3, 0.5, 1.0)
+
+
+@st.composite
+def repeated_grids(draw):
+    """A pair of grids whose rows and columns come in runs of repeats."""
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    # on grids of signed zeros only the signs decide the values' bits
+    values = draw(st.sampled_from([CELL_VALUES, CELL_VALUES[:2]]))
+    cells = st.lists(st.sampled_from(values), min_size=n * m, max_size=n * m)
+    low = np.array(draw(cells)).reshape(n, m)
+    up = np.array(draw(cells)).reshape(n, m)
+    rows = np.repeat(np.arange(n), draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+    cols = np.repeat(np.arange(m), draw(st.lists(st.integers(1, 3), min_size=m, max_size=m)))
+    if draw(st.booleans()):
+        # a repeat in one grid only is no run
+        up = up[rows][:, cols]
+        up[-1, -1] = -up[-1, -1] if up[-1, -1] == 0.0 else up[-1, -1] + 0.125
+        return low[rows][:, cols], up
+    return low[rows][:, cols], up[rows][:, cols]
+
+
+@given(repeated_grids())
+@settings(max_examples=300, deadline=None)
+def test_collapsed_scan_is_the_full_scan_bit_for_bit(grids):
+    low, up = grids
+    assert scan_bits(_collapsed_scan(low, up)) == scan_bits(_ic_scan(low, up))
 
 
 def test_first_keeps_every_verdict():

@@ -1,4 +1,4 @@
-"""Pinned sha256 digests of the pipeline's output files.
+"""Pinned sha256 digests of the output files of `pipeline` and `emit`.
 
 The digests were recorded before `DistFn` and `Generator` moved to array
 storage and guard the promise that such internal rewrites leave every
@@ -92,3 +92,29 @@ def test_packaged_outputs_match_the_recorded_digests(name, tmp_path):
     assert main(args + ["--format", "csv"]) == 0
     files = ("report.json", "h_surface.csv", "copula_surface.csv")
     assert tuple(_sha256(tmp_path / f) for f in files) == PACKAGED[name]
+
+
+# generator tables and marginals.csv of `emit`, as written when every value
+# was evaluated by a scalar `eval` and each cell formatted row by row
+EMIT = {
+    "d1_maxmin": {
+        "generator_low_phi.csv": "5cb3975a9e961412954b0ddcee34bc99a0c83153c79af6942799480f6e763a5e",
+        "generator_up_phi.csv": "cb93946b2855702fba7448665fd83582bbe0eabd33bf65e110323368d83303f6",
+        "generator_low_companion.csv": "938e089eb9e20935e2c12babc45dc98d2399df7fa8d0ea802ec30d2434681988",
+        "generator_up_companion.csv": "938e089eb9e20935e2c12babc45dc98d2399df7fa8d0ea802ec30d2434681988",
+        "marginals.csv": "d41623b0434a143f9f88929814731ee7738afe918173c91702422fed8ae17420",
+    },
+    "marshall_exp": {
+        "generator_low_phi.csv": "cb93946b2855702fba7448665fd83582bbe0eabd33bf65e110323368d83303f6",
+        "generator_up_phi.csv": "aafaa5424220cad3f7b6fdb45d2728c064bf571c647b15e0de7f2aa65913e4c6",
+        "generator_low_companion.csv": "cb93946b2855702fba7448665fd83582bbe0eabd33bf65e110323368d83303f6",
+        "generator_up_companion.csv": "a1928f668d0f8512dc0ccf3d18186914c5071873b90c7670ce7cef74fea1e8e2",
+        "marginals.csv": "1c03bcd5ddcc8493432d7a7a11f9b2bd2c8b3c283a053fb264dc50ddd87d45da",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(EMIT))
+def test_emit_tables_match_the_recorded_digests(name, tmp_path):
+    assert main(["emit", "--scenario", str(SCENARIOS / f"{name}.json"), "--out", str(tmp_path)]) == 0
+    assert {f: _sha256(tmp_path / f) for f in EMIT[name]} == EMIT[name]
