@@ -360,52 +360,31 @@ class DistFn:
             self._lists = (self.breakpoints, *self._tri.tolist(), self._levels.tolist(), segs)
         return self._lists
 
-    # eval, left_limit and right_limit differ only in the row they read at a
-    # breakpoint; they are spelled out because a shared helper would add a
-    # call to each of their millions of invocations. ±inf needs no special
-    # case: it lands on the outer segments, whose levels are the tails.
+    def _scalar_evaluator(row: int):
+        # left_limit, eval and right_limit: this body with the row of
+        # _scalars read at a breakpoint bound in a closure, since a shared
+        # helper would add a call to each of their millions of invocations.
+        # ±inf lands on the outer segments, whose levels are the tails.
+        def evaluate(self, x: float) -> float:
+            if x != x:
+                raise _nan_error()
+            lists = self._lists or self._scalars()
+            xs = lists[0]
+            i = bisect_left(xs, x)
+            if i < len(xs) and xs[i] == x:
+                return lists[row][i]
+            level = lists[4][i]
+            if level == level:
+                return level
+            seg = lists[5][i]
+            return seg_value(seg, x) if math.isfinite(x) else seg_tail(seg, 1 if x > 0.0 else -1)
 
-    def eval(self, x: float) -> float:
-        if x != x:
-            raise _nan_error()
-        lists = self._lists or self._scalars()
-        xs = lists[0]
-        i = bisect_left(xs, x)
-        if i < len(xs) and xs[i] == x:
-            return lists[2][i]
-        level = lists[4][i]
-        if level == level:
-            return level
-        seg = lists[5][i]
-        return seg_value(seg, x) if math.isfinite(x) else seg_tail(seg, 1 if x > 0.0 else -1)
+        return evaluate
 
-    def left_limit(self, x: float) -> float:
-        if x != x:
-            raise _nan_error()
-        lists = self._lists or self._scalars()
-        xs = lists[0]
-        i = bisect_left(xs, x)
-        if i < len(xs) and xs[i] == x:
-            return lists[1][i]
-        level = lists[4][i]
-        if level == level:
-            return level
-        seg = lists[5][i]
-        return seg_value(seg, x) if math.isfinite(x) else seg_tail(seg, 1 if x > 0.0 else -1)
-
-    def right_limit(self, x: float) -> float:
-        if x != x:
-            raise _nan_error()
-        lists = self._lists or self._scalars()
-        xs = lists[0]
-        i = bisect_left(xs, x)
-        if i < len(xs) and xs[i] == x:
-            return lists[3][i]
-        level = lists[4][i]
-        if level == level:
-            return level
-        seg = lists[5][i]
-        return seg_value(seg, x) if math.isfinite(x) else seg_tail(seg, 1 if x > 0.0 else -1)
+    left_limit = _scalar_evaluator(1)
+    eval = _scalar_evaluator(2)
+    right_limit = _scalar_evaluator(3)
+    del _scalar_evaluator
 
     def triple(self, x: float) -> tuple[float, float, float]:
         return (self.left_limit(x), self.eval(x), self.right_limit(x))
@@ -593,25 +572,16 @@ def _scale_shift(seg: Segment, k: float, d: float) -> Segment:
     return ExpSeg(k * seg.scale, seg.rate, seg.origin, k * seg.offset + d)
 
 
-# Each pointwise op is affine in its second operand when the first is a
-# constant c: op(c, s) = k*s + d. The op's coefficient function maps c to
-# (k, d), elementwise on arrays; its segment op and _combine's constant
-# pairs both take (k, d) from it.
+# Each pointwise op is affine in one operand when the other is a constant
+# c: op(c, s) = k*s + d. An op's coefficient function for a constant f (or
+# g) maps c to (k, d), elementwise on arrays; _combine's constant pairs and
+# _combined_segment both take (k, d) from it. An op's optional pair rule
+# gives the segment of two analytic pieces, or None where it would leave
+# the segment family.
 
 
 def _product_coef(c):
     return c, 0.0
-
-
-def _product_segs(a: Segment, b: Segment, lo: float, hi: float) -> Segment:
-    if isinstance(a, ConstSeg):
-        return _scale_shift(b, *_product_coef(a.level))
-    if isinstance(b, ConstSeg):
-        return _scale_shift(a, *_product_coef(b.level))
-    raise UnsupportedSegmentPairError(
-        f"product of {type(a).__name__} and {type(b).__name__} on ({lo}, {hi}) "
-        "leaves the closed segment family; discretize one operand"
-    )
 
 
 def _comix_coef(c):
@@ -619,52 +589,22 @@ def _comix_coef(c):
     return 1.0 - c, c
 
 
-def _comix_segs(a: Segment, b: Segment, lo: float, hi: float) -> Segment:
+def _combined_segment(
+    a: Segment, b: Segment, lo: float, hi: float,
+    name: str, coef_f: Callable, coef_g: Callable, pair: Callable | None,
+) -> Segment:
+    # the op named name of segment a of f and b of g on (lo, hi)
     if isinstance(a, ConstSeg):
-        return _scale_shift(b, *_comix_coef(a.level))
+        return _scale_shift(b, *coef_f(a.level))
     if isinstance(b, ConstSeg):
-        return _scale_shift(a, *_comix_coef(b.level))
-    raise UnsupportedSegmentPairError(
-        f"comixture of {type(a).__name__} and {type(b).__name__} on ({lo}, {hi}) "
-        "leaves the closed segment family; discretize one operand"
-    )
-
-
-def _blend_ops(t: float):
-    # the coefficient function and the segment op of t*a + (1-t)*b
-    def coef(c):
-        return 1.0 - t, t * c
-
-    def op(a: Segment, b: Segment, lo: float, hi: float) -> Segment:
-        if isinstance(a, ConstSeg):
-            return _scale_shift(b, *coef(a.level))
-        if isinstance(b, ConstSeg):
-            return _scale_shift(a, t, (1.0 - t) * b.level)
-        if isinstance(a, AffineSeg) and isinstance(b, AffineSeg):
-            x0 = lo  # affine pieces only live on bounded intervals
-            return AffineSeg(
-                x0,
-                t * seg_value(a, x0) + (1.0 - t) * seg_value(b, x0),
-                t * a.slope + (1.0 - t) * b.slope,
-            )
-        if (
-            isinstance(a, ExpSeg)
-            and isinstance(b, ExpSeg)
-            and a.rate == b.rate
-            and a.origin == b.origin
-        ):
-            return ExpSeg(
-                t * a.scale + (1.0 - t) * b.scale,
-                a.rate,
-                a.origin,
-                t * a.offset + (1.0 - t) * b.offset,
-            )
+        return _scale_shift(a, *coef_g(b.level))
+    seg = pair(a, b, lo) if pair is not None else None
+    if seg is None:
         raise UnsupportedSegmentPairError(
-            f"blend of {type(a).__name__} and {type(b).__name__} on ({lo}, {hi}) "
+            f"{name} of {type(a).__name__} and {type(b).__name__} on ({lo}, {hi}) "
             "leaves the closed segment family; discretize one operand"
         )
-
-    return coef, op
+    return seg
 
 
 def _simplified(d: DistFn) -> DistFn:
@@ -687,10 +627,12 @@ def _simplified(d: DistFn) -> DistFn:
     return DistFn._from_arrays(d._xa[keep], tri[:, keep], kind[segs], par[:, segs])
 
 
-def _combine(f: DistFn, g: DistFn, value_op: Callable, coef: Callable, seg_op: Callable) -> DistFn:
-    # value_op acts elementwise on arrays of limits; coef is seg_op's
-    # coefficient function for a constant f segment, so a pair of constant
-    # segments gets the level seg_op would give it
+def _combine(
+    f: DistFn, g: DistFn, name: str, value_op: Callable,
+    coef_f: Callable, coef_g: Callable, pair: Callable | None = None,
+) -> DistFn:
+    # value_op acts elementwise on arrays of limits; a pair of constant
+    # segments gets the level _combined_segment would give it
     xs = _merged_xs(f, g)
     limits = value_op(f.eval_many(xs, LIMIT_SIDES), g.eval_many(xs, LIMIT_SIDES))
     left, value, right = limits
@@ -703,14 +645,17 @@ def _combine(f: DistFn, g: DistFn, value_op: Callable, coef: Callable, seg_op: C
     # those below an interval's right end count the segments before it
     his = np.append(xs, INF)
     fi, gi = f._xa.searchsorted(his), g._xa.searchsorted(his)
-    k, d = coef(f._levels[fi])
+    k, d = coef_f(f._levels[fi])
     kind = np.zeros(his.size, dtype=np.int8)
     par = np.zeros((4, his.size))
     par[0] = k * g._levels[gi] + d
     if f._curved or g._curved:
         for j in (~(f._const[fi] & g._const[gi])).nonzero()[0].tolist():
             lo = float(xs[j - 1]) if j else -INF
-            seg = seg_op(f._segment(int(fi[j])), g._segment(int(gi[j])), lo, float(his[j]))
+            seg = _combined_segment(
+                f._segment(int(fi[j])), g._segment(int(gi[j])), lo, float(his[j]),
+                name, coef_f, coef_g, pair,
+            )
             code, *column = _seg_row(seg)
             kind[j], par[:, j] = code, column
     return _simplified(DistFn._from_arrays(xs, limits, kind, par))
@@ -735,19 +680,45 @@ def comix_value(a, b):
 
 def product(f: DistFn, g: DistFn) -> DistFn:
     """Pointwise product; the law of max{X, Z} for independent X ~ f, Z ~ g."""
-    return _combine(f, g, np.multiply, _product_coef, _product_segs)
+    return _combine(f, g, "product", np.multiply, _product_coef, _product_coef)
 
 
 def comix(f: DistFn, g: DistFn) -> DistFn:
     """Pointwise f + g - f*g; the law of min{Y, Z} for independent Y ~ f, Z ~ g."""
-    return _combine(f, g, comix_value, _comix_coef, _comix_segs)
+    return _combine(f, g, "comixture", comix_value, _comix_coef, _comix_coef)
 
 
 def blend(f: DistFn, g: DistFn, t: float) -> DistFn:
     """Pointwise convex combination t*f + (1-t)*g."""
     if not (0.0 <= t <= 1.0):
         raise InvalidParameterError("blend weight must lie in [0, 1]")
-    return _combine(f, g, lambda a, b: t * a + (1.0 - t) * b, *_blend_ops(t))
+
+    def pair(a: Segment, b: Segment, lo: float) -> Segment | None:
+        if isinstance(a, AffineSeg) and isinstance(b, AffineSeg):
+            # affine pieces only live on bounded intervals
+            return AffineSeg(
+                lo,
+                t * seg_value(a, lo) + (1.0 - t) * seg_value(b, lo),
+                t * a.slope + (1.0 - t) * b.slope,
+            )
+        if (
+            isinstance(a, ExpSeg)
+            and isinstance(b, ExpSeg)
+            and a.rate == b.rate
+            and a.origin == b.origin
+        ):
+            return ExpSeg(
+                t * a.scale + (1.0 - t) * b.scale,
+                a.rate,
+                a.origin,
+                t * a.offset + (1.0 - t) * b.offset,
+            )
+        return None
+
+    return _combine(
+        f, g, "blend", lambda a, b: t * a + (1.0 - t) * b,
+        lambda c: (1.0 - t, t * c), lambda c: (t, (1.0 - t) * c), pair,
+    )
 
 
 def reverse(f: DistFn) -> DistFn:

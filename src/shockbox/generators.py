@@ -25,7 +25,6 @@ directly from the inputs and serve as an independent cross-check.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 
 import numpy as np
 
@@ -58,12 +57,13 @@ class Generator:
 
     The knot abscissas and values are stored as two arrays. ``knots`` is a
     tuple of (u, y) pairs built on first use (or kept as given to the
-    constructor); scalar evaluation reads Python lists, also built on first
-    use. Equality compares kind and arrays, and the hash agrees with it;
-    ``kind`` is read-only, so neither can change after construction.
+    constructor). Scalar and array evaluation both interpolate the arrays
+    with ``np.interp``. Equality compares kind and arrays, and the hash
+    agrees with it; ``kind`` is read-only, so neither can change after
+    construction.
     """
 
-    __slots__ = ("_kind", "_us", "_ys", "_knots", "_lists", "_hash")
+    __slots__ = ("_kind", "_us", "_ys", "_knots", "_hash")
 
     def __init__(self, kind: str, knots):
         if kind not in _KINDS:
@@ -89,7 +89,7 @@ class Generator:
         if np.count_nonzero(ys < 0.0) or np.count_nonzero(ys > 1.0):
             raise InvalidParameterError("knot values must lie in [0, 1]")
         self._kind, self._us, self._ys = kind, us, ys
-        self._knots = self._lists = self._hash = None
+        self._knots = self._hash = None
 
     @property
     def kind(self) -> str:
@@ -126,37 +126,16 @@ class Generator:
         return self._value(u)
 
     def _value(self, u: float) -> float:
-        # eval_many for one float, without the range check: np.interp's
-        # arithmetic and end cases written out, bit for bit (checked against
-        # numpy 2.4.6); the ends need no knot lists
+        # eval_many for one float, without the range check
         if u == 0.0:
             return float(self._ys[0]) if self._kind == "chi" else 0.0
         if u == 1.0:
             return 1.0 if self._kind == "chi" else float(self._ys[-1])
-        if u != u:
-            return u
-        us, ys = self._lists or self._knot_lists()
-        j = bisect_right(us, u) - 1
-        if j < 0:
-            return ys[0]
-        if j == len(us) - 1 or us[j] == u:
-            return ys[j]
-        slope = (ys[j + 1] - ys[j]) / (us[j + 1] - us[j])
-        y = slope * (u - us[j]) + ys[j]
-        if y != y:
-            y = slope * (u - us[j + 1]) + ys[j + 1]
-            if y != y and ys[j] == ys[j + 1]:
-                y = ys[j]
-        return y
-
-    def _knot_lists(self) -> tuple:
-        if self._lists is None:
-            self._lists = (tuple(self._us.tolist()), self._ys.tolist())
-        return self._lists
+        return float(np.interp(u, self._us, self._ys))
 
     def eval_many(self, us) -> np.ndarray:
         """Elementwise eval without the range check: every entry equals
-        eval bit for bit (``_value`` writes out np.interp's arithmetic)."""
+        eval bit for bit (both interpolate with ``np.interp``)."""
         arr = np.asarray(us, dtype=float)
         out = np.interp(arr, self._us, self._ys)
         if self._kind in ("phi", "psi"):
@@ -167,7 +146,7 @@ class Generator:
 
     @property
     def knot_us(self) -> tuple[float, ...]:
-        return self._knot_lists()[0]
+        return tuple(self._us.tolist())
 
     @classmethod
     def identity(cls, kind: str) -> "Generator":
@@ -229,10 +208,10 @@ def check_generator(g: Generator, tol: float = EXACT_TOL) -> list[Check]:
     witness = (float(probes[drops[0]]), float(probes[drops[0] + 1])) if drops.size else None
     checks.append(Check("non-decreasing", witness is None, witness=witness))
 
-    end_dev = max(abs(g.eval(0.0)), abs(g.eval(1.0) - 1.0))
-    checks.append(
-        Check("boundary-values", end_dev <= tol, value=end_dev, witness=(g.eval(0.0), g.eval(1.0)))
-    )
+    # the probes start at exactly 0.0 and end at exactly 1.0 (Generator._store)
+    g0, g1 = float(vals[0]), float(vals[-1])
+    end_dev = max(abs(g0), abs(g1 - 1.0))
+    checks.append(Check("boundary-values", end_dev <= tol, value=end_dev, witness=(g0, g1)))
 
     if g.kind in ("phi", "psi"):
         inner = probes > 0.0
@@ -370,21 +349,7 @@ def phi_from_composite(f: DistFn, fx: DistFn, fz: DistFn, kind: str = "phi") -> 
     Between breakpoints one factor of F is constant, so chords joining
     adjacent clusters reproduce phi exactly as well.
     """
-    _require_proper(f, "the composite max-type CDF")
-    if not f._xa.size:
-        return Generator.identity(kind)
-    xs = f._xa
-    fl, fv, fr = f.eval_many(xs, LIMIT_SIDES)
-    fxl, fxv, fxr = fx.eval_many(xs, LIMIT_SIDES)
-    fzv = fz.eval_many(xs)
-    # anchor each cluster on the composite's own stored values so the
-    # association holds bit-for-bit at every one-sided limit
-    us = np.array([fl, fxl * fzv, fv, fxr * fzv, fr]).T.ravel()
-    ys = np.array([fxl, fxl, fxv, fxr, fxr]).T.ravel()
-    us = np.concatenate(([0.0], us, [1.0]))
-    ys = np.concatenate((fx.eval_many([-INF]), ys, [1.0]))
-    us, ys = _dedupe_knots(_monotone_us(us), ys)
-    return Generator._from_arrays(kind, us, ys)
+    return _from_composite(f, fx, fz, kind)
 
 
 def chi_from_composite(k: DistFn, fy: DistFn, fz: DistFn) -> Generator:
@@ -396,22 +361,33 @@ def chi_from_composite(k: DistFn, fy: DistFn, fz: DistFn) -> Generator:
     (F_Y(y0+) + F_Z(y0) - F_Y(y0+)F_Z(y0), F_Y(y0+)), (K(y0+), F_Y(y0+));
     the middle chord is the line (w - F_Z(y0)) / (1 - F_Z(y0)).
     """
-    _require_proper(k, "the composite min-type CDF")
-    if not k._xa.size:
-        return Generator.identity("chi")
-    xs = k._xa
-    kl, kv, kr = k.eval_many(xs, LIMIT_SIDES)
-    fyl, fyv, fyr = fy.eval_many(xs, LIMIT_SIDES)
-    fzv = fz.eval_many(xs)
-    # same anchoring as phi_from_composite: composite values verbatim, the
-    # two z-jump corners recomputed, abscissae restored to monotone
-    wl, wr = comix_value(np.array([fyl, fyr]), fzv)
-    us = np.array([kl, wl, kv, wr, kr]).T.ravel()
-    ys = np.array([fyl, fyl, fyv, fyr, fyr]).T.ravel()
+    return _from_composite(k, fy, fz, "chi")
+
+
+def _from_composite(f: DistFn, first: DistFn, fz: DistFn, kind: str) -> Generator:
+    # the clusters of phi_from_composite and chi_from_composite; the kind
+    # picks the corner op of the composite and the end knots: (0, F_X(-inf))
+    # and (1, 1) for phi/psi, (0, 0) and (1, F_Y(+inf)) for chi
+    chi = kind == "chi"
+    _require_proper(f, f"the composite {'min' if chi else 'max'}-type CDF")
+    if not f._xa.size:
+        return Generator.identity(kind)
+    xs = f._xa
+    fl, fv, fr = f.eval_many(xs, LIMIT_SIDES)
+    yl, yv, yr = first.eval_many(xs, LIMIT_SIDES)
+    # anchor each cluster on the composite's own stored values so the
+    # association holds bit for bit at every one-sided limit; only the two
+    # z-jump corners are recomputed from the factors
+    corner = comix_value if chi else np.multiply
+    wl, wr = corner(np.array([yl, yr]), fz.eval_many(xs))
+    us = np.array([fl, wl, fv, wr, fr]).T.ravel()
+    ys = np.array([yl, yl, yv, yr, yr]).T.ravel()
+    at0 = [0.0] if chi else first.eval_many([-INF])
+    at1 = first.eval_many([INF]) if chi else [1.0]
     us = np.concatenate(([0.0], us, [1.0]))
-    ys = np.concatenate(([0.0], ys, fy.eval_many([INF])))
+    ys = np.concatenate((at0, ys, at1))
     us, ys = _dedupe_knots(_monotone_us(us), ys)
-    return Generator._from_arrays("chi", us, ys)
+    return Generator._from_arrays(kind, us, ys)
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,7 @@ from .errors import InvalidParameterError
 from .generators import Generator, blend_generators, is_valid_generator
 from .reports import Check
 
-_CONDITIONS = ("IC1", "IC2", "IC3", "IC4", "order", "C3")
+_CONDITIONS = ("IC1", "IC2", "IC3", "IC4", "order")
 
 # Interpolation weights for interior members in sandwich and containment
 # checks; each resulting generator or law is re-validated, not assumed valid.
@@ -322,18 +322,14 @@ def verify_witness(pair: CopulaPair, witness: ViolationWitness, tol: float = EXA
         us = np.array([r.u1])
     if r.v1 == r.v2:
         vs_ = np.array([r.v1])
-    low = copula_grid(pair.low, us, vs_)
-    up = copula_grid(pair.up, us, vs_)
-    l11, l12, l21, l22 = low[0, 0], low[0, -1], low[-1, 0], low[-1, -1]
-    u11, u12, u21, u22 = up[0, 0], up[0, -1], up[-1, 0], up[-1, -1]
-    value = {
-        "IC1": l22 + u11 - l21 - l12,
-        "IC2": u22 + l11 - l21 - l12,
-        "IC3": u22 + u11 - u21 - l12,
-        "IC4": u22 + u11 - l21 - u12,
-        "order": u22 - l22,
-        "C3": l22 + l11 - l21 - l12,
-    }[witness.condition]
+    grids = (copula_grid(pair.low, us, vs_), copula_grid(pair.up, us, vs_))
+    if witness.condition == "order":
+        value = grids[1][-1, -1] - grids[0][-1, -1]
+    else:
+        # X22 + V11 - W21 - Y12 on the grids of _SPLITS, added left to right
+        # in the order the module docstring writes each condition
+        x, y, v, w = _SPLITS[witness.condition]
+        value = grids[x][-1, -1] + grids[v][0, 0] - grids[w][-1, 0] - grids[y][0, -1]
     return float(value) < -tol
 
 

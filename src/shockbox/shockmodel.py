@@ -218,9 +218,14 @@ def probe_xs(fns, n: int = 201) -> np.ndarray:
     lo, hi = min(points), max(points)
     if hi <= lo:
         hi = lo + 1.0
+    # the padded ends stop at the largest finite float, and the sweep runs at
+    # half scale, where its width cannot overflow; halving is exact, so on a
+    # range of normal floats it is the unscaled sweep bit for bit
     pad = 0.25 * (hi - lo)
+    top = float(np.finfo(float).max)
+    start, stop = max(lo - pad, -top), min(hi + pad, top)
     parts = [
-        np.linspace(lo - pad, hi + pad, n),
+        2.0 * np.linspace(start / 2.0, stop / 2.0, n),
         np.asarray(points, dtype=float),
         np.asarray(points, dtype=float) - 1e-7,
         np.asarray(points, dtype=float) + 1e-7,

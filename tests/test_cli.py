@@ -241,6 +241,19 @@ def test_an_exponential_shift_near_the_float_limit_runs(tmp_path, capsys):
     assert read_json(tmp_path / "report.json")["all_passed"] is True
 
 
+@pytest.mark.parametrize("shift", [1.5e308, -1.797e308])
+def test_an_exponential_shift_at_the_float_limit_runs(tmp_path, capsys, shift):
+    # the padded probe sweep of the pipeline used to reach ±inf here: a
+    # RuntimeWarning, then exit 2 on a nan probe that named no input
+    raw = read_json(D1)
+    raw["z"] = {"type": "exponential", "rate": 1, "shift": shift}
+    scenario = tmp_path / "far.json"
+    scenario.write_text(json.dumps(raw))
+    assert main(["pipeline", "--scenario", str(scenario), "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    assert read_json(tmp_path / "report.json")["all_passed"] is True
+
+
 def test_scenario_must_hold_an_object(tmp_path):
     bad = tmp_path / "list.json"
     bad.write_text("[1, 2, 3]")

@@ -32,7 +32,7 @@ from shockbox.errors import (
     InvalidRangeError,
     UnsupportedSegmentPairError,
 )
-from shockbox.distfn import _blend_ops, _comix_segs, _product_segs
+from shockbox.distfn import _combined_segment, _comix_coef, _product_coef
 
 
 # dyadic masses keep every cumulative sum exactly representable
@@ -191,6 +191,24 @@ def test_product_of_two_exponentials_is_unsupported():
         product(f, g)
 
 
+@pytest.mark.parametrize(
+    "op, message",
+    [
+        (product, "product of ExpSeg and ExpSeg on (0.5, inf)"),
+        (comix, "comixture of ExpSeg and ExpSeg on (0.5, inf)"),
+        (lambda f, g: blend(f, g, 0.25), "blend of ExpSeg and ExpSeg on (0.5, inf)"),
+    ],
+    ids=["product", "comixture", "blend"],
+)
+def test_an_unsupported_segment_pair_names_the_op_and_the_interval(op, message):
+    # two exponential pieces of different rates leave the segment family
+    # under every op; the message names the op, both pieces and the interval
+    f, g = exponential_cdf(1.0, 0.5), exponential_cdf(2.0, -1.0)
+    with pytest.raises(UnsupportedSegmentPairError) as info:
+        op(f, g)
+    assert str(info.value) == f"{message} leaves the closed segment family; discretize one operand"
+
+
 def test_product_of_step_and_exponential_is_exact():
     f = exponential_cdf(1.0)
     z = pointmass_cdf(math.log(2.0))
@@ -316,8 +334,18 @@ odd_steps = st.lists(
 @given(odd_steps, odd_steps, st.sampled_from([0.1, 0.3, 0.7]))
 @settings(max_examples=60, deadline=None)
 def test_constant_levels_match_the_segment_ops(f, g, t):
-    cases = ((product(f, g), _product_segs), (comix(f, g), _comix_segs))
-    for h, seg_op in (*cases, (blend(f, g, t), _blend_ops(t)[1])):
+    # blend's coefficients for a constant f and for a constant g
+    blend_coefs = (lambda c: (1.0 - t, t * c), lambda c: (t, (1.0 - t) * c))
+    cases = (
+        (product(f, g), "product", (_product_coef, _product_coef)),
+        (comix(f, g), "comixture", (_comix_coef, _comix_coef)),
+        (blend(f, g, t), "blend", blend_coefs),
+    )
+    for h, name, coefs in cases:
+
+        def seg_op(a, b, lo, hi):
+            return _combined_segment(a, b, lo, hi, name, *coefs, None)
+
         for x in probe_points(f, g):
             if x in f.breakpoints or x in g.breakpoints or math.isinf(x):
                 continue

@@ -391,8 +391,59 @@ def test_violation_witness_validation_and_serialization():
 
 def test_verify_witness_rejects_a_non_violating_rectangle():
     pair = maxmin_pair()
-    fake = ViolationWitness(Rect(0.2, 0.6, 0.3, 0.8), "C3", -1.0)
+    fake = ViolationWitness(Rect(0.2, 0.6, 0.3, 0.8), "IC1", -1.0)
     assert not verify_witness(pair, fake)
+
+
+def reference_witness_value(pair, r, condition):
+    """verify_witness's value with each condition written out, corner by
+    corner, in the order the module docstring gives."""
+    us = np.array([r.u1] if r.u1 == r.u2 else [r.u1, r.u2])
+    vs = np.array([r.v1] if r.v1 == r.v2 else [r.v1, r.v2])
+    low, up = copula_grid(pair.low, us, vs), copula_grid(pair.up, us, vs)
+    l11, l12, l21, l22 = low[0, 0], low[0, -1], low[-1, 0], low[-1, -1]
+    u11, u12, u21, u22 = up[0, 0], up[0, -1], up[-1, 0], up[-1, -1]
+    return float({
+        "IC1": l22 + u11 - l21 - l12,
+        "IC2": u22 + l11 - l21 - l12,
+        "IC3": u22 + u11 - u21 - l12,
+        "IC4": u22 + u11 - l21 - u12,
+        "order": u22 - l22,
+    }[condition])
+
+
+unit_floats = st.floats(0.0, 1.0) | st.sampled_from([0.0, 0.1, 0.3, 0.5, 1.0])
+
+
+@st.composite
+def rectangles(draw):
+    # a repeated draw gives a degenerate side (u1 == u2 or v1 == v2)
+    u1, u2 = sorted((draw(unit_floats), draw(unit_floats)))
+    v1, v2 = sorted((draw(unit_floats), draw(unit_floats)))
+    return Rect(u1, u2, v1, v2)
+
+
+WITNESS_PAIRS = (
+    marshall_pair(),
+    maxmin_pair(),
+    same_corner_pair(),
+    CopulaPair(maxmin_pair().up, maxmin_pair().low),
+)
+
+
+@given(
+    st.sampled_from(WITNESS_PAIRS),
+    rectangles(),
+    st.sampled_from(["IC1", "IC2", "IC3", "IC4", "order"]),
+)
+@settings(max_examples=400, deadline=None)
+def test_verify_witness_recomputes_the_written_out_conditions(pair, rect, condition):
+    # verify_witness returns value < -tol: a threshold at the reference
+    # value and one ulp above it pin the value it computes exactly
+    want = reference_witness_value(pair, rect, condition)
+    witness = ViolationWitness(rect, condition, -1.0)
+    assert not verify_witness(pair, witness, tol=-want)
+    assert verify_witness(pair, witness, tol=-np.nextafter(want, np.inf))
 
 
 def test_grid_validation():
