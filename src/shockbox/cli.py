@@ -292,6 +292,15 @@ def cmd_search(cfg: RunConfig) -> int:
     scan only has to say which conditions fail, so its rectangle scan stops
     once all four rectangle conditions are violated.
 
+    The doubled grid, np.linspace(0, 1, 2n - 1), holds the n-point grid bit
+    for bit at its even indices: linspace's points are k * fl(1/(n - 1))
+    with the last set to 1, and fl(1/(2n - 2)) is fl(1/(n - 1))/2 exactly
+    (a test pins this for every n up to MAX_SEARCH_GRID). copula_grid is
+    elementwise, so the rescan sees every witness rectangle with the same
+    corner values. ``reverified_doubled_grid`` can therefore be false only
+    when the rescan's order of addition rounds a witness value that lies
+    within rounding of -tol to the other side.
+
     The scenarios run on forked worker processes, one per usable CPU, in
     ordered chunks; the findings are merged by scenario index, so the
     summary is the same bytes as a single-process run. With one usable CPU,

@@ -16,12 +16,12 @@ else raises ``UnsupportedSegmentPairError`` and the caller discretizes.
 A ``DistFn`` is stored as numpy arrays: breakpoints, left limits, values and
 right limits, a kind code per segment and the segment parameters in columns.
 The combinations and the step discretization build their results as arrays
-and pass them to the array constructor, so a 10^4-atom step function costs
-no Python object per breakpoint. ``Breakpoint`` and segment objects exist
-for the public constructor, JSON and code that works on analytic pieces;
-``points`` and ``segments`` build them on first use. Points on exponential
-pieces are evaluated one at a time with ``math.exp``, so array and scalar
-evaluation agree bit for bit.
+and pass them to the array constructor, so a step function of thousands of
+atoms costs no Python object per breakpoint. ``Breakpoint`` and segment
+objects exist for the public constructor, JSON and code that works on
+analytic pieces; ``points`` and ``segments`` build them on first use.
+Points on exponential pieces are evaluated one at a time with ``math.exp``,
+so array and scalar evaluation agree bit for bit.
 """
 
 from __future__ import annotations
@@ -822,30 +822,27 @@ def first_violation(f: DistFn, g: DistFn, tol: float = 0.0):
 # discretization
 
 
-def step_approximation(f: DistFn, n: int, lo: float, hi: float) -> DistFn:
-    """Step function matching f at n grid points of [lo, hi].
+def step_approximation(f: DistFn, xs) -> DistFn:
+    """Step function matching f at the sorted grid points xs.
 
-    Mass below the grid collapses onto the first grid point, the upper tail
-    onto the last one, so a proper law stays proper. The sup-norm error is at
-    most the largest CDF increment per cell (tail cells included).
+    Each grid point gets the rise of f since the previous one. Mass below
+    the grid collapses onto the first grid point, the upper tail onto the
+    last one, so a proper law stays proper. The step function lags f
+    between grid points, and the sup-norm error is at most the largest
+    atom: the mass of a cell, or a tail.
     """
-    if n < 2:
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 1 or xs.size < 2:
         raise InvalidParameterError("a step approximation needs at least 2 grid points")
-    if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
-        raise InvalidRangeError(f"bad discretization range ({lo}, {hi})")
-    xs = lo + (hi - lo) * np.arange(n) / (n - 1)
+    increasing = np.count_nonzero(xs[1:] > xs[:-1]) == xs.size - 1
+    if not increasing or np.count_nonzero(np.isfinite(xs)) < xs.size:
+        raise InvalidRangeError("discretization grid points must be finite and increasing")
     cs = f.eval_many(xs)
     # an atom wherever the CDF rises above every earlier grid value
     prev = np.maximum.accumulate(np.concatenate(([0.0], cs)))
     rise = cs - prev[:-1]
+    rise[-1] += max(f.final - float(prev[-1]), 0.0)
     up = rise > 0.0
-    at, masses = xs[up], rise[up]
-    tail = f.final - float(prev[-1])
-    if tail > 0.0:
-        if at.size:
-            masses[-1] += tail
-        else:
-            at, masses = np.array([float(hi)]), np.array([tail])
-    if not at.size:
+    if not np.count_nonzero(up):
         return DistFn.constant(0.0)
-    return _atom_cdf(at, masses)
+    return _atom_cdf(xs[up], rise[up])

@@ -418,6 +418,31 @@ def locate(f: DistFn, u: float) -> float:
     return _invert_segment(f._segment(i), u, float(xs[i - 1]) if i > 0 else -INF, float(xs[i]))
 
 
+def locate_many(f: DistFn, us) -> np.ndarray:
+    """locate(f, u) for each u, bit for bit.
+
+    The breakpoint or segment of each u is looked up with array code; each
+    point on a segment is then inverted by ``_invert_segment``, whose
+    ``math.log`` gives the same bits on every machine, where ``np.log`` may
+    round differently with the CPU and the numpy version.
+    """
+    us = np.asarray(us, dtype=float)
+    xs, (left, _, right) = f._xa, f._tri[:, :-1]
+    # the first breakpoint whose right limit reaches u; the running maximum
+    # keeps that order where the limits dip within EXACT_TOL
+    i = np.searchsorted(np.maximum.accumulate(right), us)
+    at_point = i < xs.size
+    at_point[at_point] = left[i[at_point]] <= us[at_point]
+    out = np.empty(us.shape)
+    out[at_point] = xs[i[at_point]]
+    bounds = np.concatenate(([-INF], xs, [INF])).tolist()
+    segments = f.segments
+    for k in np.flatnonzero(~at_point).tolist():
+        j = int(i[k])
+        out[k] = _invert_segment(segments[j], float(us[k]), bounds[j], bounds[j + 1])
+    return out
+
+
 def formula_phi(fx: DistFn, fz: DistFn, u: float, x0: float | None = None) -> float:
     """The five-case closed form for phi, evaluated straight from F_X, F_Z.
 

@@ -23,9 +23,16 @@ same-corner pair is kept separately, never labeled an imprecise copula, and
 an exploratory violation scan for it lands in the result's info mapping.
 
 Scenarios whose input laws the exact piecewise engine cannot multiply (for
-instance two exponential factors) are re-run on a step discretization at
-10^4 atoms per continuous input; the reported bound is the largest single
-CDF increment, which dominates the sup-norm discretization error.
+instance two exponential factors) are re-run on a step discretization with
+equal-mass atoms (Williamson & Downs, Probabilistic arithmetic I, IJAR 4,
+1990). Each continuous law is cut into DISCRETIZATION_ATOMS cells of equal
+mass on its own range [start, hi], where z starts at its onset and every
+other law at the low end of the pooled probe range. The cuts of all laws,
+one more point just below hi and hi itself form one common grid, and each
+law is stepped on the grid points at or above its start. An atom then holds
+at most one cell of its law, the mass below its start, or the tail beyond
+the cap hi. The reported bound is the largest atom, which bounds the
+sup-norm error of each discretized input.
 """
 
 from __future__ import annotations
@@ -72,6 +79,7 @@ from .generators import (
     check_order,
     chi_from_composite,
     locate,
+    locate_many,
     phi_from_composite,
 )
 from .imprecise import (
@@ -89,7 +97,7 @@ from .reports import Check
 
 MODELS = ("marshall", "maxmin")
 
-DISCRETIZATION_ATOMS = 10_000
+DISCRETIZATION_ATOMS = 1_000
 
 # Floor for the joint survival (1 - F_Y)(1 - F_Z) on a discretization grid.
 # The min-type composite maps it to knot abscissae 1 - s; once s shrinks
@@ -224,12 +232,13 @@ def probe_xs(fns, n: int = 201) -> np.ndarray:
     pad = 0.25 * (hi - lo)
     top = float(np.finfo(float).max)
     start, stop = max(lo - pad, -top), min(hi + pad, top)
-    parts = [
-        2.0 * np.linspace(start / 2.0, stop / 2.0, n),
-        np.asarray(points, dtype=float),
-        np.asarray(points, dtype=float) - 1e-7,
-        np.asarray(points, dtype=float) + 1e-7,
-    ]
+    at = np.asarray(points, dtype=float)
+    # from 2**30 on, a 1e-7 offset rounds back onto the point; the next
+    # float on that side (inside the finite range) still probes beside it
+    below, above = at - 1e-7, at + 1e-7
+    below = np.where(below == at, np.nextafter(at, -top), below)
+    above = np.where(above == at, np.nextafter(at, top), above)
+    parts = [2.0 * np.linspace(start / 2.0, stop / 2.0, n), at, below, above]
     return np.unique(np.concatenate(parts))
 
 
@@ -406,6 +415,15 @@ def _onset(f: DistFn, mass: float, lo: float, hi: float) -> float:
     return lo
 
 
+def _equal_mass_cuts(f: DistFn, start: float, hi: float) -> np.ndarray:
+    """start and the cuts that split f's mass on [start, hi] into
+    DISCRETIZATION_ATOMS cells of equal mass, at the points locate gives."""
+    low, high = f.eval(start), f.eval(hi)
+    us = low + (high - low) * (np.arange(1, DISCRETIZATION_ATOMS) / DISCRETIZATION_ATOMS)
+    cuts = locate_many(f, us)
+    return np.concatenate(([start], cuts[(cuts > start) & (cuts < hi)]))
+
+
 def _composites(fns: dict[str, DistFn], model: str) -> tuple[DistFn, DistFn, DistFn, DistFn]:
     """low_f, up_f, low_second and up_second: each bound combined with z.
 
@@ -442,14 +460,21 @@ def _resolve_inputs(s: Scenario) -> tuple[dict[str, DistFn], tuple[DistFn, ...],
     lo, hi = float(xs[0]), float(xs[-1])
     if s.model == "maxmin":
         hi = _saturation_cap((fns["y_lo"], fns["y_up"]), fns["z"], lo, hi)
+    starts = {
+        key: _onset(f, Z_ONSET_MASS, lo, hi) if key == "z" else lo
+        for key, f in fns.items()
+        if not f.is_step
+    }
+    # one grid for all laws: on a grid of its own per law, generator
+    # validity failed on some max/min scenarios through the chi* rounding
+    # defect that a strict xfail in the tests records. The point just below
+    # hi leaves the atom at hi only the tail beyond the cap.
+    cuts = [_equal_mass_cuts(fns[key], start, hi) for key, start in starts.items()]
+    grid = np.unique(np.concatenate([[np.nextafter(hi, -np.inf), hi], *cuts]))
     bound = 0.0
-    out = {}
-    for key, f in fns.items():
-        if f.is_step:
-            out[key] = f
-            continue
-        start = _onset(f, Z_ONSET_MASS, lo, hi) if key == "z" else lo
-        approx = step_approximation(f, DISCRETIZATION_ATOMS, start, hi)
+    out = dict(fns)
+    for key, start in starts.items():
+        approx = step_approximation(fns[key], grid[grid >= start])
         out[key] = approx
         jumps = approx.jumps
         if jumps.size:

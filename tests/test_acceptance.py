@@ -116,7 +116,7 @@ def atoms_of(f):
 
 def test_criterion_1_generator_construction_matches_closed_forms():
     with criterion(1, "construction vs closed forms", 1.0) as rec:
-        fx = step_approximation(exponential_cdf(1.0), 10_000, 0.0, 15.0)
+        fx = step_approximation(exponential_cdf(1.0), np.linspace(0.0, 15.0, 10_000))
         z = pointmass_cdf(math.log(2.0))
         us = np.linspace(0.0, 1.0, 2001)[1:]
         sup_dev = float(np.max(np.abs(build_phi(fx, z).eval_many(us) - np.maximum(0.5, us))))

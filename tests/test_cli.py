@@ -337,6 +337,15 @@ def test_size_limits_are_inclusive_and_fit_the_doubled_search_grid():
     assert 2 * cli.MAX_SEARCH_GRID - 1 <= cli.MAX_GRID
 
 
+def test_the_doubled_search_grid_holds_the_search_grid_bit_for_bit():
+    # search re-scans each finding on 2n - 1 points; every other point of
+    # that grid is the n-point grid, so each witness rectangle is rescanned
+    # at the same corners
+    for n in range(2, cli.MAX_SEARCH_GRID + 1):
+        doubled = np.linspace(0.0, 1.0, 2 * n - 1)[::2]
+        assert doubled.tobytes() == np.linspace(0.0, 1.0, n).tobytes(), n
+
+
 @pytest.mark.parametrize("model", ["marshall", "maxmin"])
 def test_defective_law_is_rejected_before_any_check(tmp_path, capsys, model):
     message = "the lower bound of y must have a proper distribution, its total mass is 0.5"

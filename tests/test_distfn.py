@@ -229,7 +229,7 @@ def test_first_violation_and_leq():
 
 def test_discretize_tracks_cdf_and_stays_proper():
     exact = exponential_cdf(1.0)
-    approx = step_approximation(exact, 1000, 0.0, 12.0)
+    approx = step_approximation(exact, np.linspace(0.0, 12.0, 1000))
     assert approx.is_step and approx.is_proper()
     dev = max(abs(approx.eval(x) - exact.eval(x)) for x in np.linspace(0.0, 12.0, 700))
     assert dev < 0.02
@@ -242,9 +242,10 @@ def test_discretize_tracks_cdf_and_stays_proper():
 def test_step_approximation_validation():
     f = exponential_cdf(1.0)
     with pytest.raises(InvalidParameterError):
-        step_approximation(f, 1, 0.0, 1.0)
-    with pytest.raises(InvalidRangeError):
-        step_approximation(f, 10, 3.0, 1.0)
+        step_approximation(f, [0.0])
+    for grid in ([3.0, 1.0], [1.0, 1.0], [0.0, INF], [0.0, math.nan]):
+        with pytest.raises(InvalidRangeError):
+            step_approximation(f, grid)
 
 
 # 0.5 * exp(x) below 0, then a jump to 1: an exponential piece of negative rate

@@ -10,12 +10,22 @@ import shockbox.distfn as distfn
 import shockbox.shockmodel as sm
 from shockbox.cli import load_scenario
 from shockbox.copulas import BivariateBound
-from shockbox.distfn import EXACT_TOL, INF, exponential_cdf, pointmass_cdf, step_cdf
+from shockbox.distfn import (
+    EXACT_TOL,
+    INF,
+    exponential_cdf,
+    first_violation,
+    piecewise_cdf,
+    pointmass_cdf,
+    step_approximation,
+    step_cdf,
+)
 from shockbox.errors import (
     InvalidParameterError,
     MassSumError,
     NonProperInputError,
 )
+from shockbox.generators import locate, locate_many
 from shockbox.imprecise import check_bivariate_pbox_conditions
 from shockbox.pbox import PBox
 from shockbox.reports import Check
@@ -203,8 +213,7 @@ def test_exponential_maxmin_run():
     assert min(v["value"] for v in scan["violations"]) <= -0.05
 
 
-def test_discretization_fallback_for_continuous_common_shock(monkeypatch):
-    monkeypatch.setattr(sm, "DISCRETIZATION_ATOMS", 1500)
+def test_discretization_fallback_for_continuous_common_shock():
     s = Scenario(
         PBox(exponential_cdf(1.0), exponential_cdf(2.0)),
         PBox(exponential_cdf(1.0), exponential_cdf(3.0)),
@@ -214,9 +223,119 @@ def test_discretization_fallback_for_continuous_common_shock(monkeypatch):
     )
     res = run_scenario(s)
     assert res.info["discretized"] is True
-    # the widest atom of the rate-3 bound carries about 3 * (range / atoms)
+    # the largest atom is the tail of the rate-1 y bound folded at the
+    # saturation cap, about 1e-2; a cell holds at most 1 / atoms
     assert 0.0 < res.info["discretization_bound"] < 0.05
     assert res.all_passed, res.failed
+
+
+# (x lower, x upper), (y lower, y upper) and z rates of the all-exponential
+# scenarios of seeds 1-4 of the benchmark's `discretized` workload
+BENCH_DISCRETIZED = [
+    ("marshall", (1.3248, 2.4452), (1.3246, 3.7316), 1.887),
+    ("maxmin", (1.009, 1.9971), (0.9635, 3.0844), 1.4247),
+    ("marshall", (0.8744, 1.8409), (0.856, 2.7041), 1.3692),
+    ("maxmin", (1.9073, 3.5754), (1.9278, 5.2728), 2.7563),
+    ("marshall", (0.6119, 1.2948), (0.6336, 1.8089), 0.9364),
+    ("maxmin", (0.8717, 1.7318), (0.8735, 2.6499), 1.3735),
+    ("marshall", (1.9168, 4.0115), (1.8343, 5.8054), 2.8364),
+    ("maxmin", (1.9567, 3.7997), (1.8833, 6.0473), 2.8187),
+]
+
+
+def exponential_cdf_values(rate, xs):
+    return np.array([1.0 - math.exp(-rate * x) if x > 0.0 else 0.0 for x in xs.tolist()])
+
+
+@pytest.mark.parametrize("model, x_rates, y_rates, z_rate", BENCH_DISCRETIZED)
+def test_discretized_bounds_are_within_three_deltas_of_the_closed_forms(
+    model, x_rates, y_rates, z_rate
+):
+    # each discretized input is within delta of its law, and H is a product
+    # (max/max) or a product with a convex combination (max/min) of [0, 1]
+    # factors, so the composed bounds are within delta_X + delta_Y + delta_Z
+    x, y = exponential_pbox(*x_rates), exponential_pbox(*y_rates)
+    res = run_scenario(Scenario(x, y, exponential_cdf(z_rate), model), tol=1e-9)
+    assert res.info["discretized"] is True
+    assert res.all_passed, res.failed
+    delta = res.info["discretization_bound"]
+    grid = {x for f in (res.low_f, res.up_f, res.low_second, res.up_second) for x in f.breakpoints}
+    ps = np.concatenate((np.linspace(-0.5, 2.0, 151), np.linspace(2.0, 8.0, 61)[1:])) + 1e-3 / 3.0
+    assert not grid.intersection(ps.tolist())
+    fz = exponential_cdf_values(z_rate, ps)
+    fzx, fzy = fz[:, None], fz[None, :]
+    for bound, x_rate, y_rate in zip((res.low_h, res.up_h), x_rates, y_rates):
+        fx = exponential_cdf_values(x_rate, ps)[:, None]
+        fy = exponential_cdf_values(y_rate, ps)[None, :]
+        if model == "marshall":
+            want = fx * fy * np.minimum(fzx, fzy)
+        else:
+            want = np.where(ps[:, None] <= ps[None, :], fx * fzx, fx * (fzy + fy * (fzx - fzy)))
+        assert np.max(np.abs(bound.at_many(ps, ps) - want)) <= 3.0 * delta
+
+
+# a continuous law, a shifted one, and an affine piece, a jump of 0.3 at 1, a
+# flat piece and an exponential piece, each with a range [start, hi] that
+# cuts off a tail
+CUT_LAWS = {
+    "exponential": (exponential_cdf(1.5), -1.0, 6.0),
+    "shifted": (exponential_cdf(0.7, shift=-2.0), -1.5, 8.0),
+    "jump": (
+        piecewise_cdf(
+            [(0.0, 0.0, 0.0, 0.0), (1.0, 0.4, 0.7, 0.7), (1.5, 0.7, 0.7, 0.7)],
+            [
+                ("const", 0.0),
+                ("affine", 0.0, 0.0, 0.4),
+                ("const", 0.7),
+                ("exp", 0.3, 2.0, 1.5, 0.7),
+            ],
+        ),
+        -0.5,
+        3.0,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CUT_LAWS))
+def test_equal_mass_cuts_are_located_bit_for_bit_and_split_the_mass(name):
+    f, start, hi = CUT_LAWS[name]
+    n = sm.DISCRETIZATION_ATOMS
+    low, high = f.eval(start), f.eval(hi)
+    us = low + (high - low) * (np.arange(1, n) / n)
+    located = np.array([locate(f, u) for u in us.tolist()])
+    assert locate_many(f, us).tobytes() == located.tobytes()
+    # levels equal to a limit at a breakpoint: the ties locate breaks
+    ties = [v for x in f.breakpoints for v in f.triple(x)]
+    assert locate_many(f, ties).tolist() == [locate(f, u) for u in ties]
+    inside = located[(located > start) & (located < hi)]
+    cuts = sm._equal_mass_cuts(f, start, hi)
+    assert cuts.tobytes() == np.concatenate(([start], inside)).tobytes()
+
+    # the mass strictly between two grid points is at most one cell's, up
+    # to two ulps of 1: the rounding of f at either end of the cell
+    grid = np.unique(np.concatenate((cuts, [np.nextafter(hi, -INF), hi])))
+    cells = f.eval_many(grid[1:], -1) - f.eval_many(grid[:-1])
+    assert np.max(cells) <= (high - low) / n + 2.0 * np.spacing(1.0)
+
+    # the step law lags f except at the final atom, which takes the tail
+    approx = step_approximation(f, grid)
+    assert approx.is_proper() and approx.breakpoints[-1] == hi
+    w = first_violation(approx, f, tol=EXACT_TOL)
+    assert w is not None and w[0] == hi
+
+
+def test_probe_xs_probes_beside_far_breakpoints():
+    near = sm.probe_xs([step_cdf([(2.0, 0.5), (3.0, 0.5)])], n=5)
+    assert near.tolist() == [
+        1.75, 2.0 - 1e-7, 2.0, 2.0 + 1e-7, 2.125, 2.5, 2.875, 3.0 - 1e-7, 3.0, 3.0 + 1e-7, 3.25
+    ]
+    # from 2**30 on, x - 1e-7 or x + 1e-7 rounds back to x
+    for a, b in ((1.2e9, 1.5e9), (2.0**30, 2.0**31), (1e300, 1.5e300)):
+        far = sm.probe_xs([step_cdf([(a, 0.5), (b, 0.5)])], n=5)
+        assert far.size == near.size
+        for x in (a, b):
+            k = far.tolist().index(x)
+            assert (far[k - 1], far[k + 1]) == (np.nextafter(x, -INF), np.nextafter(x, INF))
 
 
 # -- validation and dispatch ---------------------------------------------------
@@ -330,7 +449,7 @@ def exponential_pbox(lower_rate, upper_rate):
 
 
 # the seed-1 scenarios of the benchmark's `discretized` workload: a continuous
-# Z sends both through the 10^4-atom step discretization
+# Z sends both through the step discretization
 SEED_1_DISCRETIZED = {
     "marshall": (exponential_pbox(1.3248, 2.4452), exponential_pbox(1.3246, 3.7316), 1.887),
     "maxmin": (exponential_pbox(1.009, 1.9971), exponential_pbox(0.9635, 3.0844), 1.4247),
