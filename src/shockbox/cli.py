@@ -33,6 +33,7 @@ precise. A --grid flag overrides the file's grid.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -44,11 +45,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .copulas import MaxminCopula, copula_grid
+from .copulas import copula_grid
 from .distfn import DistFn, law_from_json
 from .errors import ConfigError, ShockboxError
 from .generators import build_chi, build_phi
-from .imprecise import CopulaPair, search_ic_violation, verify_witness
+from .imprecise import CopulaFamily, search_ic_violation, verify_witness
 from .pbox import PBox
 from .shockmodel import (
     MAX_GRID,
@@ -137,7 +138,7 @@ def load_scenario(path: Path, grid_override: int | None = None) -> Scenario:
     if missing:
         raise ConfigError(f"scenario is missing fields: {', '.join(missing)}")
     grid = grid_override if grid_override is not None else raw.get("grid", 101)
-    if not isinstance(grid, int):
+    if isinstance(grid, bool) or not isinstance(grid, int):
         raise ConfigError("grid must be an integer")
     try:
         return Scenario(
@@ -229,7 +230,7 @@ def _surface_table(header: list[str], low, up, us, vs) -> _CsvTable:
 
 def _write_surfaces(res: ScenarioResult, out: Path, n: int) -> list[Path]:
     us = _unit_grid(n)
-    pair = res.imprecise_pair
+    pair = res.family.pair
     paths = [out / "copula_surface.csv", out / "h_surface.csv"]
     low, up = copula_grid(pair.low, us, us), copula_grid(pair.up, us, us)
     _write_atomic(paths[0], _surface_table(["u", "v", "low_c", "up_c"], low, up, us, us))
@@ -257,11 +258,10 @@ def search_scenario(seed: int, index: int, grid: int, tol: float) -> dict | None
     other, so scenarios can run in any order and in any process.
     """
     scenario = random_discrete_scenario([seed, index], model="maxmin", grid=grid)
-    low_phi = build_phi(scenario.x_pbox.lower, scenario.z)
-    up_phi = build_phi(scenario.x_pbox.upper, scenario.z)
-    low_chi = build_chi(scenario.y_pbox.lower, scenario.z)
-    up_chi = build_chi(scenario.y_pbox.upper, scenario.z)
-    pair = CopulaPair(MaxminCopula(low_phi, low_chi), MaxminCopula(up_phi, up_chi))
+    x, y, z = scenario.x_pbox, scenario.y_pbox, scenario.z
+    phis = build_phi(x.lower, z), build_phi(x.upper, z)
+    chis = build_chi(y.lower, z), build_chi(y.upper, z)
+    pair = CopulaFamily("maxmin", *phis, *chis).same_corner
     witnesses = search_ic_violation(pair, n=grid, tol=tol)
     if not witnesses:
         return None
@@ -269,7 +269,7 @@ def search_scenario(seed: int, index: int, grid: int, tol: float) -> dict | None
     doubled = {w.condition for w in rescan}
     return {
         "scenario_index": index,
-        "witnesses": [w.to_dict() for w in witnesses],
+        "witnesses": [dataclasses.asdict(w) for w in witnesses],
         "reverified_exact": all(verify_witness(pair, w, tol=tol) for w in witnesses),
         "reverified_doubled_grid": all(w.condition in doubled for w in witnesses),
     }
@@ -351,12 +351,9 @@ def cmd_emit(cfg: RunConfig) -> int:
     result = run_scenario(scenario, tol=cfg.tol)
     n = scenario.grid
     grid_us = _unit_grid(n)
-    for name, gen in (
-        ("low_phi", result.low_phi),
-        ("up_phi", result.up_phi),
-        ("low_companion", result.low_companion),
-        ("up_companion", result.up_companion),
-    ):
+    family = result.family
+    generators = (family.low_phi, family.up_phi, family.low_second, family.up_second)
+    for name, gen in zip(("low_phi", "up_phi", "low_companion", "up_companion"), generators):
         us = np.unique(np.concatenate([grid_us, np.asarray(gen.knot_us)]))
         table = _CsvTable(["u", "value"], (us, gen.eval_many(us)))
         _write_atomic(cfg.out / f"generator_{name}.csv", table)

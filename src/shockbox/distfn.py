@@ -522,26 +522,37 @@ def _atom_cdf(xs: np.ndarray, masses: np.ndarray) -> DistFn:
     return DistFn._from_arrays(xs, limits, np.zeros(xs.size + 1, dtype=np.int8), par)
 
 
+def _reject_booleans(value) -> None:
+    """Raise TypeError at a bool anywhere in a JSON value: JSON true and
+    false load as bools, which Python takes for the numbers 1 and 0."""
+    if isinstance(value, bool):
+        raise TypeError(f"{str(value).lower()} is not a number")
+    if isinstance(value, (dict, list)):
+        for item in value.values() if isinstance(value, dict) else value:
+            _reject_booleans(item)
+
+
 def law_from_json(obj) -> DistFn:
     """The DistFn of a JSON law object; a missing or malformed field raises
     InvalidParameterError, an invalid value its constructor's error."""
     if not isinstance(obj, dict) or "type" not in obj:
         raise InvalidParameterError("a law must be an object with a 'type' field")
     kind = obj["type"]
+    if kind not in ("pointmass", "discrete", "exponential", "piecewise"):
+        raise InvalidParameterError(f"unknown family {kind!r}")
     try:
+        _reject_booleans(obj)
         if kind == "pointmass":
             return pointmass_cdf(obj["at"])
         if kind == "discrete":
             return step_cdf(obj["atoms"])
         if kind == "exponential":
             return exponential_cdf(obj["rate"], obj.get("shift", 0.0))
-        if kind == "piecewise":
-            return piecewise_cdf(obj["breakpoints"], obj["segments"])
+        return piecewise_cdf(obj["breakpoints"], obj["segments"])
     except ShockboxError:
         raise
     except (LookupError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidParameterError(f"malformed {kind!r} law: {exc}") from exc
-    raise InvalidParameterError(f"unknown family {kind!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -84,14 +84,6 @@ class ViolationWitness:
                 f"unknown condition {self.condition!r}, expected one of {_CONDITIONS}"
             )
 
-    def to_dict(self) -> dict:
-        r = self.rectangle
-        return {
-            "condition": self.condition,
-            "value": self.value,
-            "rectangle": {"u1": r.u1, "u2": r.u2, "v1": r.v1, "v2": r.v2},
-        }
-
 
 # Each condition splits on a row pair as p(j2) + q(j1), j1 <= j2, with
 # p = X[i2, j2] - Y[i1, j2] and q = V[i1, j1] - W[i2, j1]; these are the
@@ -431,9 +423,10 @@ class CopulaFamily:
     """Two-parameter family of shock-model copulas between generator envelopes.
 
     Members interpolate the first generator between (low_phi, up_phi) and the
-    second between (low_second, up_second). For the max/max model the family
-    minimum and maximum sit at the matching corners; for the max/min model the
-    second generator acts antitone, so the extremes sit at opposite corners.
+    second between (low_second, up_second); ``copula`` builds every member
+    and bound. ``pair`` is the family minimum and maximum: the matching
+    corners ``same_corner`` for the max/max model, the opposite corners for
+    max/min, where the second generator acts antitone.
     """
 
     model: str
@@ -445,40 +438,30 @@ class CopulaFamily:
     def __post_init__(self) -> None:
         if self.model not in ("marshall", "maxmin"):
             raise InvalidParameterError(f"unknown model {self.model!r}")
-        for g in (self.low_phi, self.up_phi):
-            if g.kind not in ("phi", "psi"):
-                raise InvalidParameterError("first-slot generators must be max-type")
-        second_kind = "chi" if self.model == "maxmin" else self.low_second.kind
-        expected = ("chi",) if self.model == "maxmin" else ("phi", "psi")
-        for g in (self.low_second, self.up_second):
-            if g.kind not in expected or g.kind != second_kind:
-                raise InvalidParameterError(
-                    f"second-slot generators must share kind {expected}"
-                )
+        if self.low_second.kind != self.up_second.kind:
+            raise InvalidParameterError("second-slot generators must share their kind")
+        # the copulas check that each generator's kind fits its slot
+        self.same_corner
 
-    def member(self, t_phi: float, t_second: float) -> CopulaSpec:
-        """The copula at interpolation weights (toward the low envelopes)."""
-        phi = blend_generators(self.low_phi, self.up_phi, t_phi)
-        second = blend_generators(self.low_second, self.up_second, t_second)
-        if self.model == "marshall":
-            return MarshallCopula(phi, second)
-        return MaxminCopula(phi, second)
+    def copula(self, phi: Generator, second: Generator) -> CopulaSpec:
+        """The model's copula of a first and a second generator."""
+        if self.model == "maxmin":
+            return MaxminCopula(phi, second)
+        return MarshallCopula(phi, second)
 
     @property
-    def low_copula(self) -> CopulaSpec:
-        if self.model == "marshall":
-            return MarshallCopula(self.low_phi, self.low_second)
-        return MaxminCopula(self.low_phi, self.up_second)
-
-    @property
-    def up_copula(self) -> CopulaSpec:
-        if self.model == "marshall":
-            return MarshallCopula(self.up_phi, self.up_second)
-        return MaxminCopula(self.up_phi, self.low_second)
+    def same_corner(self) -> CopulaPair:
+        return CopulaPair(
+            self.copula(self.low_phi, self.low_second), self.copula(self.up_phi, self.up_second)
+        )
 
     @property
     def pair(self) -> CopulaPair:
-        return CopulaPair(self.low_copula, self.up_copula)
+        if self.model == "marshall":
+            return self.same_corner
+        return CopulaPair(
+            self.copula(self.low_phi, self.up_second), self.copula(self.up_phi, self.low_second)
+        )
 
 
 def coherence_witness(
@@ -505,10 +488,8 @@ def coherence_witness(
         blends = [blend_generators(low, up, float(t)) for t in ts]
         return [g if is_valid_generator(g, gen_tol) else None for g in blends]
 
-    copula = MaxminCopula if family.model == "maxmin" else MarshallCopula
-
     def members(pairs) -> list[CopulaSpec]:
-        return [copula(p, q) for p, q in pairs if p is not None and q is not None]
+        return [family.copula(p, q) for p, q in pairs if p is not None and q is not None]
 
     grid_pairs = list(
         product(
@@ -527,8 +508,8 @@ def coherence_witness(
     stack = members(grid_pairs) + list(extra_members) + members(drawn_pairs)
 
     us = np.linspace(0.0, 1.0, n)
-    low_grid = copula_grid(family.low_copula, us, us)
-    up_grid = copula_grid(family.up_copula, us, us)
+    bounds = family.pair
+    low_grid, up_grid = copula_grid(bounds.low, us, us), copula_grid(bounds.up, us, us)
     worst = 0.0
     where = None
     for member in stack:

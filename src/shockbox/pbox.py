@@ -38,14 +38,3 @@ class PBox:
     @classmethod
     def precise(cls, f: DistFn) -> "PBox":
         return cls(f, f)
-
-    @property
-    def is_precise(self) -> bool:
-        return self.lower == self.upper
-
-    def contains(self, f: DistFn, tol: float = 0.0) -> bool:
-        """Whether lower <= f <= upper pointwise (up to exp-piece sampling)."""
-        return (
-            first_violation(self.lower, f, tol) is None
-            and first_violation(f, self.upper, tol) is None
-        )

@@ -33,8 +33,6 @@ class Check:
 
 
 def _witness_to_json(w):
-    if hasattr(w, "to_dict"):
-        return w.to_dict()
     if dataclasses.is_dataclass(w) and not isinstance(w, type):
         return dataclasses.asdict(w)
     if isinstance(w, (list, tuple)):

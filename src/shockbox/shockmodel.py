@@ -15,12 +15,13 @@ construction:
 Each structural property the construction promises is verified and reported
 as a named Check; `all_passed` summarizes the run.
 
-The max/min model needs care with corners. Members are sandwiched by the
-opposite-corner pair (low_phi, up_chi) / (up_phi, low_chi), which is the
-imprecise copula; the bivariate bounds instead compose the same-corner pair
-(low_phi, low_chi) / (up_phi, up_chi) with the matching marginal bounds. The
-same-corner pair is kept separately, never labeled an imprecise copula, and
-an exploratory violation scan for it lands in the result's info mapping.
+The max/min model needs care with corners (``imprecise.CopulaFamily``).
+Members are sandwiched by the opposite-corner pair (low_phi, up_chi) /
+(up_phi, low_chi), ``family.pair``, which is the imprecise copula; the
+bivariate bounds instead compose the same-corner pair ``family.same_corner``,
+(low_phi, low_chi) / (up_phi, up_chi), with the matching marginal bounds. It
+is never labeled an imprecise copula; an exploratory violation scan for it
+lands in the result's info mapping.
 
 Scenarios whose input laws the exact piecewise engine cannot multiply (for
 instance two exponential factors) are re-run on a step discretization with
@@ -38,18 +39,12 @@ sup-norm error of each discretized input.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .copulas import (
-    BivariateBound,
-    MarshallCopula,
-    MaxminCopula,
-    check_copula_axioms,
-    copula_grid,
-)
+from .copulas import BivariateBound, check_copula_axioms, copula_grid
 from .distfn import (
     ANALYTIC_TOL,
     EXACT_TOL,
@@ -162,10 +157,8 @@ class ScenarioResult:
 
     `low_second`/`up_second` bound the second component's marginal: the
     product form for the max/max model, the comix form for max/min.
-    `imprecise_pair` is the certified copula pair (opposite corners for
-    max/min); `h_pair` is the pair whose compositions give (low_h, up_h)
-    (the same-corner pair for max/min, identical to `imprecise_pair`
-    otherwise).
+    `family` holds the four generators; `family.pair` is the certified copula
+    pair, `family.same_corner` the pair whose compositions give (low_h, up_h).
     """
 
     scenario: Scenario
@@ -173,13 +166,7 @@ class ScenarioResult:
     up_f: DistFn
     low_second: DistFn
     up_second: DistFn
-    low_phi: Generator
-    up_phi: Generator
-    low_companion: Generator
-    up_companion: Generator
     family: CopulaFamily
-    imprecise_pair: CopulaPair
-    h_pair: CopulaPair
     low_h: BivariateBound
     up_h: BivariateBound
     checks: tuple[Check, ...]
@@ -312,11 +299,6 @@ class JointTable:
             return 0.0
         return self.values[i][j]
 
-    def corners(self):
-        for i, x in enumerate(self.xs):
-            for j, y in enumerate(self.ys):
-                yield x, y, self.values[i][j]
-
 
 def _validated_atoms(atoms, label: str) -> list[tuple[float, float]]:
     out = [(float(x), float(m)) for x, m in atoms]
@@ -424,16 +406,20 @@ def _equal_mass_cuts(f: DistFn, start: float, hi: float) -> np.ndarray:
     return np.concatenate(([start], cuts[(cuts > start) & (cuts < hi)]))
 
 
+def _second_composite(fy: DistFn, fz: DistFn, model: str) -> DistFn:
+    """The law of the second component: max{Y, Z} or, under max/min, min{Y, Z}."""
+    return comix(fy, fz) if model == "maxmin" else product(fy, fz)
+
+
 def _composites(fns: dict[str, DistFn], model: str) -> tuple[DistFn, DistFn, DistFn, DistFn]:
     """low_f, up_f, low_second and up_second: each bound combined with z.
 
     A precise p-box has one composite, built once.
     """
-    second = comix if model == "maxmin" else product
-    fz = fns["z"]
-    low_f, low_second = product(fns["x_lo"], fz), second(fns["y_lo"], fz)
-    up_f = low_f if fns["x_up"] == fns["x_lo"] else product(fns["x_up"], fz)
-    up_second = low_second if fns["y_up"] == fns["y_lo"] else second(fns["y_up"], fz)
+    x_lo, x_up, y_lo, y_up, fz = (fns[k] for k in ("x_lo", "x_up", "y_lo", "y_up", "z"))
+    low_f, low_second = product(x_lo, fz), _second_composite(y_lo, fz, model)
+    up_f = low_f if x_up == x_lo else product(x_up, fz)
+    up_second = low_second if y_up == y_lo else _second_composite(y_up, fz, model)
     return low_f, up_f, low_second, up_second
 
 
@@ -532,15 +518,13 @@ def _companion(k: DistFn, fy: DistFn, fz: DistFn, maxmin: bool) -> Generator:
     return chi_from_composite(k, fy, fz) if maxmin else phi_from_composite(k, fy, fz, kind="psi")
 
 
-def _h_grids(h_pair: CopulaPair, rows, fz: DistFn, grid: int) -> tuple:
+def _h_grids(low_h: BivariateBound, up_h: BivariateBound, rows, fz: DistFn, grid: int) -> tuple:
     """Probe abscissas gx and gy, and low_h and up_h on gx x gy."""
-    (_, _, low_f, fx_lo), (_, _, up_f, fx_up), (_, _, low_k, fy_lo), (_, _, up_k, fy_up) = rows
+    fx_lo, fx_up, fy_lo, fy_up = (row[3] for row in rows)
     n = max(200, grid)
     gx = thin(probe_xs([fx_lo, fx_up, fz], n=n), 3 * n)
     gy = thin(probe_xs([fy_lo, fy_up, fz], n=n), 3 * n)
-    low = copula_grid(h_pair.low, low_f.eval_many(gx), low_k.eval_many(gy))
-    up = copula_grid(h_pair.up, up_f.eval_many(gx), up_k.eval_many(gy))
-    return gx, gy, low, up
+    return gx, gy, low_h.at_many(gx, gy), up_h.at_many(gx, gy)
 
 
 # ---------------------------------------------------------------------------
@@ -703,7 +687,7 @@ def _outer_containment(pair: CopulaPair, h_pair: CopulaPair, grid: int, tol: flo
 def _same_corner_scan(h_pair: CopulaPair, grid: int, tol: float) -> dict:
     scan = search_ic_violation(h_pair, n=min(51, grid), tol=tol)
     return {
-        "violations": [w.to_dict() for w in scan],
+        "violations": [asdict(w) for w in scan],
         "reverified": all(verify_witness(h_pair, w, tol=tol) for w in scan),
     }
 
@@ -724,11 +708,7 @@ def _run(s: Scenario, tol: float) -> ScenarioResult:
     low_comp = _companion(low_second, fy_lo, fz, maxmin)
     up_comp = low_comp if up_second is low_second else _companion(up_second, fy_up, fz, maxmin)
     family = CopulaFamily(s.model, low_phi, up_phi, low_comp, up_comp)
-    imprecise_pair = family.pair
-    if maxmin:
-        h_pair = CopulaPair(MaxminCopula(low_phi, low_comp), MaxminCopula(up_phi, up_comp))
-    else:
-        h_pair = imprecise_pair
+    imprecise_pair, h_pair = family.pair, family.same_corner
     low_h = BivariateBound(h_pair.low, low_f, low_second)
     up_h = BivariateBound(h_pair.up, up_f, up_second)
     rows = (
@@ -742,16 +722,16 @@ def _run(s: Scenario, tol: float) -> ScenarioResult:
     y_members, y_note = _member_distfns(fy_lo, fy_up)
     member_note = f"x: {x_note}; y: {y_note}"
     x_fs = [low_f if m == fx_lo else product(m, fz) for m in x_members]
-    y_ks = [low_second if m == fy_lo else (comix if maxmin else product)(m, fz) for m in y_members]
+    y_ks = [low_second if m == fy_lo else _second_composite(m, fz, s.model) for m in y_members]
     input_members = [
-        (MaxminCopula if maxmin else MarshallCopula)(
+        family.copula(
             low_phi if f_m is low_f else phi_from_composite(f_m, fx_m, fz),
             low_comp if k_m is low_second else _companion(k_m, fy_m, fz, maxmin),
         )
         for fx_m, f_m, fy_m, k_m in zip(x_members, x_fs, y_members, y_ks)
     ]
     xs = thin(probe_xs([fx_lo, fx_up, fy_lo, fy_up, fz]), 4001)
-    h_grids = _h_grids(h_pair, rows, fz, s.grid)
+    h_grids = _h_grids(low_h, up_h, rows, fz, s.grid)
 
     checks = [
         _generator_validity(rows, tol),
@@ -787,13 +767,7 @@ def _run(s: Scenario, tol: float) -> ScenarioResult:
         up_f=up_f,
         low_second=low_second,
         up_second=up_second,
-        low_phi=low_phi,
-        up_phi=up_phi,
-        low_companion=low_comp,
-        up_companion=up_comp,
         family=family,
-        imprecise_pair=imprecise_pair,
-        h_pair=h_pair,
         low_h=low_h,
         up_h=up_h,
         checks=tuple(checks),

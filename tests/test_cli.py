@@ -24,7 +24,7 @@ from shockbox.distfn import step_cdf
 from shockbox.errors import ConfigError, InvalidParameterError, NonProperInputError
 from shockbox.pbox import PBox
 from shockbox.reports import Check
-from shockbox.shockmodel import Scenario, run_scenario
+from shockbox.shockmodel import Scenario, random_discrete_scenario, run_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 ALL_SCENARIOS = sorted(SCENARIOS.glob("*.json"))
@@ -254,6 +254,50 @@ def test_an_exponential_shift_at_the_float_limit_runs(tmp_path, capsys, shift):
     assert read_json(tmp_path / "report.json")["all_passed"] is True
 
 
+def piecewise_step_at_zero(level):
+    return {
+        "type": "piecewise",
+        "breakpoints": [[0, 0, 1, 1]],
+        "segments": [["const", level], ["const", 1]],
+    }
+
+
+@pytest.mark.parametrize(
+    "key, law",
+    [
+        ("z", {"type": "exponential", "rate": True}),
+        ("z", {"type": "exponential", "rate": 1.0, "shift": False}),
+        ("z", {"type": "pointmass", "at": True}),
+        ("y", {"type": "discrete", "atoms": [[1.0, True]]}),
+        ("y", {"type": "discrete", "atoms": [[True, 1.0]]}),
+        ("x", {"lower": piecewise_step_at_zero(False), "upper": {"type": "pointmass", "at": 0}}),
+    ],
+    ids=["rate", "shift", "location", "atom-mass", "atom-location", "piecewise-level"],
+)
+def test_a_boolean_in_a_law_exits_two(tmp_path, capsys, key, law):
+    # JSON true and false load as Python bools, which pass for 1 and 0
+    raw = read_json(D1)
+    raw[key] = law
+    bad = tmp_path / "law.json"
+    bad.write_text(json.dumps(raw))
+    assert main(["pipeline", "--scenario", str(bad), "--out", str(tmp_path)]) == 2
+    kind = (law.get("lower") or law)["type"]
+    value = "true" if "true" in json.dumps(law) else "false"
+    message = f"bad law for {key}: malformed {kind!r} law: {value} is not a number"
+    assert capsys.readouterr().err == f"shockbox: {message}\n"
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("grid", [True, False])
+def test_a_boolean_grid_exits_two(tmp_path, capsys, grid):
+    raw = read_json(D1)
+    raw["grid"] = grid
+    bad = tmp_path / "grid.json"
+    bad.write_text(json.dumps(raw))
+    assert main(["pipeline", "--scenario", str(bad), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "shockbox: grid must be an integer\n"
+
+
 def test_scenario_must_hold_an_object(tmp_path):
     bad = tmp_path / "list.json"
     bad.write_text("[1, 2, 3]")
@@ -405,6 +449,42 @@ def test_search_summary_matches_the_recorded_digest(tmp_path):
     assert main(args) == 0
     digest = hashlib.sha256((tmp_path / "search_summary.json").read_bytes()).hexdigest()
     assert digest == SEARCH_DIGEST_SHA256
+
+
+# the summaries of the benchmark's operation, search --count 1000 --grid 51,
+# at two more seeds, as recorded before the search took its copula pair
+# from imprecise.CopulaFamily: (digest, scenarios with violations)
+FULL_SEARCH_DIGESTS = {
+    7: ("04582f48f7625fc118d343865aa9b2e2af11c7ba4a7fd2a2497e6e4436d03ef1", 592),
+    2026: ("68555e68d2bc022433171a75c4cb1d8e62f081134dfd4070867bd3f7f0e844ec", 562),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(FULL_SEARCH_DIGESTS))
+def test_full_search_summaries_match_the_recorded_digests(tmp_path, seed):
+    args = ["search", "--count", "1000", "--grid", "51", "--seed", str(seed)]
+    assert main(args + ["--out", str(tmp_path)]) == 0
+    text = (tmp_path / "search_summary.json").read_bytes()
+    digest, with_violations = FULL_SEARCH_DIGESTS[seed]
+    assert json.loads(text)["scenarios_with_violations"] == with_violations
+    assert hashlib.sha256(text).hexdigest() == digest
+
+
+def test_search_scans_the_pipelines_same_corner_pair(monkeypatch):
+    scanned = []
+
+    def record(pair, **kwargs):
+        scanned.append(pair)
+        return []
+
+    monkeypatch.setattr(cli, "search_ic_violation", record)
+    for i in range(20):
+        assert cli.search_scenario(42, i, grid=51, tol=1e-9) is None
+        scenario = random_discrete_scenario([42, i], model="maxmin", grid=51)
+        expected = run_scenario(scenario).family.same_corner
+        pair = scanned.pop()
+        assert (pair.low.phi, pair.low.chi) == (expected.low.phi, expected.low.chi)
+        assert (pair.up.phi, pair.up.chi) == (expected.up.phi, expected.up.chi)
 
 
 def test_search_is_deterministic_and_reverifies_findings(tmp_path):

@@ -1,5 +1,6 @@
 """Imprecise copulas: bound pairs, rectangle conditions, families, coherence."""
 
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from shockbox.copulas import (
 )
 from shockbox.distfn import EXACT_TOL, INF, pointmass_cdf, product, step_cdf
 from shockbox.errors import InvalidParameterError
-from shockbox.generators import Generator, build_chi, build_phi, build_psi
+from shockbox.generators import Generator, blend_generators, build_chi, build_phi, build_psi
 from shockbox.imprecise import (
     CopulaFamily,
     CopulaPair,
@@ -384,7 +385,7 @@ def test_violation_witness_validation_and_serialization():
     with pytest.raises(InvalidParameterError):
         ViolationWitness(Rect(0.0, 1.0, 0.0, 1.0), "IC9", -1.0)
     w = ViolationWitness(Rect(0.1, 0.2, 0.3, 0.4), "IC2", -0.5)
-    d = w.to_dict()
+    d = asdict(w)
     assert d["condition"] == "IC2" and d["value"] == -0.5
     assert d["rectangle"] == {"u1": 0.1, "u2": 0.2, "v1": 0.3, "v2": 0.4}
 
@@ -512,23 +513,40 @@ def exp_maxmin_family():
 
 def test_family_corners():
     fam = exp_maxmin_family()
-    assert fam.low_copula == MaxminCopula(LOW_PHI, UP_CHI)
-    assert fam.up_copula == MaxminCopula(UP_PHI, LOW_CHI)
+    assert fam.pair.low == MaxminCopula(LOW_PHI, UP_CHI)
+    assert fam.pair.up == MaxminCopula(UP_PHI, LOW_CHI)
     assert fam.pair == maxmin_pair()
+    assert fam.same_corner == same_corner_pair()
     mar = CopulaFamily("marshall", LOW_PHI, UP_PHI, LOW_PSI, UP_PSI)
-    assert mar.low_copula == MarshallCopula(LOW_PHI, LOW_PSI)
-    assert mar.up_copula == MarshallCopula(UP_PHI, UP_PSI)
+    assert mar.pair.low == MarshallCopula(LOW_PHI, LOW_PSI)
+    assert mar.pair.up == MarshallCopula(UP_PHI, UP_PSI)
+    assert mar.same_corner == mar.pair
+
+
+def test_family_copula_is_the_model_copula():
+    assert exp_maxmin_family().copula(UP_PHI, LOW_CHI) == MaxminCopula(UP_PHI, LOW_CHI)
+    mar = CopulaFamily("marshall", LOW_PHI, UP_PHI, LOW_PSI, UP_PSI)
+    assert mar.copula(UP_PHI, LOW_PSI) == MarshallCopula(UP_PHI, LOW_PSI)
+    with pytest.raises(InvalidParameterError):
+        mar.copula(UP_PHI, LOW_CHI)
 
 
 def test_family_member_interpolates():
     fam = exp_maxmin_family()
+
+    def member(t_phi, t_second):
+        return fam.copula(
+            blend_generators(fam.low_phi, fam.up_phi, t_phi),
+            blend_generators(fam.low_second, fam.up_second, t_second),
+        )
+
     # full weight on the low envelopes in both slots reproduces those knots
-    member = fam.member(1.0, 1.0)
-    assert isinstance(member, MaxminCopula)
+    low = member(1.0, 1.0)
+    assert isinstance(low, MaxminCopula)
     for t in np.linspace(0.0, 1.0, 9):
-        assert member.phi.eval(t) == LOW_PHI.eval(t)
-        assert member.chi.eval(t) == LOW_CHI.eval(t)
-    mid = fam.member(0.5, 0.5)
+        assert low.phi.eval(t) == LOW_PHI.eval(t)
+        assert low.chi.eval(t) == LOW_CHI.eval(t)
+    mid = member(0.5, 0.5)
     assert mid.phi.eval(0.25) == pytest.approx(0.625, abs=1e-15)
 
 
@@ -554,7 +572,7 @@ def test_coherence_witness_passes_for_the_example_family():
 
 def test_coherence_witness_counts_extra_members():
     fam = exp_maxmin_family()
-    check = coherence_witness(fam, [fam.low_copula, fam.up_copula], n=31)
+    check = coherence_witness(fam, [fam.pair.low, fam.pair.up], n=31)
     assert check.passed
     assert check.note.startswith("16 members ")
 

@@ -1,0 +1,95 @@
+"""Every public def and class of the package is used by the package.
+
+A public name is a top-level def or class of ``src/shockbox``, or a method
+of one of its classes, whose name does not start with an underscore. It
+counts as used when it is read, as a name, an attribute or an imported
+name, anywhere in ``src/shockbox``, or when ``bench/tracing.py`` wraps it
+(its ``TARGETS``). A method that overrides one of a base class from
+outside the package (``argparse.ArgumentParser.error``) is called by that
+class and is not counted. A name that only tests call is API kept for the
+tests; it goes, and the test states what it needs itself. ``ALLOWED``
+lists the few kept on purpose, each with its reason.
+"""
+
+import ast
+import importlib
+
+from test_bench_targets import load_targets
+from test_no_dead_private_code import PACKAGE, defined_and_used
+
+ALLOWED = {
+    "formula_phi": "closed-form reference of the phi construction, the tests' oracle",
+    "formula_chi": "closed-form reference of the chi construction, the tests' oracle",
+    "admissible_anchors": "the defining anchor set of a generator, stated for the tests",
+    "phi_star": "the star transform of the paper, checked against its identity",
+    "chi_star": "the star transform of the paper, checked against its identity",
+    "reverse": "the reversal of a law, part of the CDF algebra the tests exercise",
+    "eval_copula": "scalar copula evaluation, the tests' reference for copula_grid",
+}
+
+
+def inherited(module: str, name: str) -> set[str]:
+    """The attributes class ``name`` of ``shockbox.<module>`` inherits from
+    classes outside the package; empty when the module does not import."""
+    try:
+        cls = getattr(importlib.import_module(f"shockbox.{module}"), name)
+    except ImportError:
+        return set()
+    outside = [base for base in cls.__mro__[1:] if not base.__module__.startswith("shockbox")]
+    return {attr for base in outside for attr in dir(base)}
+
+
+def public_defs(trees) -> dict[str, str]:
+    """Public top-level defs and classes and their public methods: name -> where."""
+    found = {}
+    for path, tree in trees:
+        for node in tree.body:
+            nodes = [node]
+            if isinstance(node, ast.ClassDef):
+                hooks = inherited(path.stem, node.name)
+                nodes.extend(item for item in node.body if getattr(item, "name", None) not in hooks)
+            for item in nodes:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    if not item.name.startswith("_"):
+                        found.setdefault(item.name, f"{path.name}:{item.lineno}")
+    return found
+
+
+def traced_names() -> set[str]:
+    return {part for _, attr, *_ in load_targets() for part in attr.split(".")}
+
+
+def unused(trees, traced) -> list[str]:
+    _, used = defined_and_used(trees)
+    return sorted(
+        f"{name} ({where})"
+        for name, where in public_defs(trees).items()
+        if name not in used and name not in traced and name not in ALLOWED
+    )
+
+
+def test_every_public_def_is_used_in_the_package():
+    trees = [(path, ast.parse(path.read_text())) for path in sorted(PACKAGE.glob("*.py"))]
+    assert public_defs(trees), "no public names found; is the package path right?"
+    assert not unused(trees, traced_names())
+
+
+def test_every_allowed_name_is_still_defined():
+    trees = [(path, ast.parse(path.read_text())) for path in sorted(PACKAGE.glob("*.py"))]
+    assert sorted(set(ALLOWED) - set(public_defs(trees))) == []
+
+
+def test_the_scan_finds_a_public_method_only_tests_call():
+    source = (
+        "def build():\n    return Box().used()\n\n"
+        "class Box:\n    def used(self):\n        return 1\n\n"
+        "    def spare(self):\n        return 2\n\n"
+        "def traced():\n    pass\n\n"
+        "def spare_function():\n    def inner():\n        pass\n"
+    )
+    trees = [(PACKAGE / "example.py", ast.parse(source))]
+    assert [entry.split()[0] for entry in unused(trees, {"traced"})] == [
+        "build",
+        "spare",
+        "spare_function",
+    ]

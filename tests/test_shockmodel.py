@@ -99,8 +99,9 @@ def test_oracle_with_degenerate_shock_is_the_independent_joint():
     table = oracle_joint(X_ATOMS_UP, Y_ATOMS, [(0.0, 1.0)], "marshall")
     fx = step_cdf(X_ATOMS_UP)
     fy = step_cdf(Y_ATOMS)
-    for x, y, value in table.corners():
-        assert value == pytest.approx(fx.eval(x) * fy.eval(y), abs=1e-15)
+    for x, row in zip(table.xs, table.values):
+        for y, value in zip(table.ys, row):
+            assert value == pytest.approx(fx.eval(x) * fy.eval(y), abs=1e-15)
 
 
 def test_oracle_validation():
@@ -192,18 +193,18 @@ def test_exponential_marshall_run():
     res = run_scenario(exponential_scenario("marshall"))
     assert res.all_passed, res.failed
     assert res.info["discretized"] is False
-    assert res.low_phi.eval(0.25) == pytest.approx(0.5, abs=1e-12)
-    assert res.up_phi.eval(0.25) == pytest.approx(0.75, abs=1e-12)
-    assert res.low_companion.eval(0.25) == pytest.approx(0.5, abs=1e-12)
-    assert res.up_companion.eval(0.25) == pytest.approx(0.875, abs=1e-12)
+    assert res.family.low_phi.eval(0.25) == pytest.approx(0.5, abs=1e-12)
+    assert res.family.up_phi.eval(0.25) == pytest.approx(0.75, abs=1e-12)
+    assert res.family.low_second.eval(0.25) == pytest.approx(0.5, abs=1e-12)
+    assert res.family.up_second.eval(0.25) == pytest.approx(0.875, abs=1e-12)
     assert "oracle" in res.info  # continuous inputs: enumeration not applicable
 
 
 def test_exponential_maxmin_run():
     res = run_scenario(exponential_scenario("maxmin"))
     assert res.all_passed, res.failed
-    assert res.low_companion.eval(0.75) == pytest.approx(0.5, abs=1e-12)
-    assert res.up_companion.eval(0.75) == pytest.approx(0.75, abs=1e-12)
+    assert res.family.low_second.eval(0.75) == pytest.approx(0.5, abs=1e-12)
+    assert res.family.up_second.eval(0.75) == pytest.approx(0.75, abs=1e-12)
     gap = res.info["same_corner_gap"]
     assert gap["low"] == pytest.approx(0.0625, abs=2e-3)
     assert gap["up"] == pytest.approx(0.0936, abs=2e-3)
@@ -397,10 +398,11 @@ def elementwise_at_many(bound, xs, ys):
 def elementwise_compare_oracle(bound, table, tol):
     # first strict maximum in row-major order; no witness when all agree
     worst, where = 0.0, None
-    for x, y, expected in table.corners():
-        dev = abs(bound.at(x, y) - expected)
-        if dev > worst:
-            worst, where = dev, (x, y)
+    for x, row in zip(table.xs, table.values):
+        for y, expected in zip(table.ys, row):
+            dev = abs(bound.at(x, y) - expected)
+            if dev > worst:
+                worst, where = dev, (x, y)
     return Check("oracle-agreement", worst <= tol, value=worst, witness=where)
 
 
