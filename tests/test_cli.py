@@ -229,6 +229,21 @@ def test_a_bad_law_or_pbox_is_labelled_once(tmp_path, capsys, key, law, message)
     assert capsys.readouterr().err == f"shockbox: {message}\n"
 
 
+def test_a_decreasing_exponential_piece_exits_two(tmp_path, capsys):
+    raw = read_json(D1)
+    raw["y"] = {
+        "type": "piecewise",
+        "breakpoints": [[0, 0, 0, 0]],
+        "segments": [["const", 0], ["exp", -1, 1, 0, 0]],
+    }
+    bad = tmp_path / "law.json"
+    bad.write_text(json.dumps(raw))
+    assert main(["pipeline", "--scenario", str(bad), "--out", str(tmp_path)]) == 2
+    message = "bad law for y: segment on (0.0, inf) is decreasing"
+    assert capsys.readouterr().err == f"shockbox: {message}\n"
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_an_exponential_shift_near_the_float_limit_runs(tmp_path, capsys):
     # the probes of the exponential piece beyond 1e308 used to overflow,
     # with a RuntimeWarning, which the test configuration turns into an error

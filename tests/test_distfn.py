@@ -266,6 +266,47 @@ def test_negative_rate_exponential_piece_loads_from_json():
     assert f.is_proper()
 
 
+def piecewise_law(breakpoints, segments):
+    return {"type": "piecewise", "breakpoints": breakpoints, "segments": segments}
+
+
+# analytic pieces that no DistFn can hold, and the message each one gets
+REJECTED_PIECES = [
+    (
+        # exp(800) overflows at the breakpoint
+        piecewise_law([[-800, 0, 0, 0]], [["const", 0], ["exp", 1, 1, 0, 0]]),
+        "segment on (-800.0, inf) starts at -inf, expected 0.0",
+    ),
+    (
+        piecewise_law([], [["exp", 1, 1, 0, 0]]),
+        "a breakpoint-free DistFn must be a constant in [0,1]",
+    ),
+    (
+        piecewise_law([[0, 0, 0, 0]], [["const", 0], ["affine", 0, 0, 1]]),
+        "affine segment on an unbounded interval",
+    ),
+    (
+        piecewise_law([[0, 0, 0, 0]], [["const", 0], ["exp", -1, 1, 0, 0]]),
+        "segment on (0.0, inf) is decreasing",
+    ),
+    (
+        piecewise_law([[0, 0, 0, 0]], [["const", 0], ["weird", 1]]),
+        "unknown segment tag 'weird'",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "law, message",
+    REJECTED_PIECES,
+    ids=["exp-overflow", "exp-without-breakpoints", "unbounded-affine", "decreasing-exp", "unknown-tag"],
+)
+def test_law_from_json_rejects_invalid_analytic_pieces(law, message):
+    with pytest.raises(InvalidParameterError) as info:
+        law_from_json(law)
+    assert str(info.value) == message
+
+
 def test_law_from_json_rejects_malformed_input():
     with pytest.raises(InvalidParameterError):
         law_from_json({"rate": 1.0})
@@ -305,6 +346,18 @@ def test_eval_many_on_exponential_pieces_matches_scalar_evaluation():
     assert f.eval_many(xs, -1).tolist() == [f.left_limit(x) for x in xs]
     assert f.eval_many(np.array(xs).reshape(3, 3)).ravel().tolist() == [f.eval(x) for x in xs]
     assert f.eval_many(1.3).shape == () and f.eval_many(1.3) == f.eval(1.3)
+    # about 1,000 points on each of two exponential pieces, bit for bit
+    # against the piece's closed form written out with math.exp
+    negative = law_from_json(NEGATIVE_RATE_LAW)
+    xs = np.linspace(-60.0, -1e-9, 1000)
+    want = np.array([-0.5 * (1.0 - math.exp(x)) + 0.5 for x in xs.tolist()])
+    assert negative.eval_many(xs).tobytes() == want.tobytes()
+    assert [negative.eval(x) for x in xs.tolist()] == want.tolist()
+    shifted = exponential_cdf(1.7, shift=0.3)
+    xs = np.linspace(0.3, 40.0, 1001)[1:]
+    want = np.array([1.0 - math.exp(-1.7 * (x - 0.3)) for x in xs.tolist()])
+    assert shifted.eval_many(xs).tobytes() == want.tobytes()
+    assert [shifted.eval(x) for x in xs.tolist()] == want.tolist()
 
 
 @given(steps(), steps(), st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]))

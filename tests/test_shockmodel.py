@@ -275,6 +275,32 @@ def test_discretized_bounds_are_within_three_deltas_of_the_closed_forms(
         assert np.max(np.abs(bound.at_many(ps, ps) - want)) <= 3.0 * delta
 
 
+def scaled_bench_scenario(model, x_rates, y_rates, z_rate, factor):
+    x = exponential_pbox(*(rate * factor for rate in x_rates))
+    y = exponential_pbox(*(rate * factor for rate in y_rates))
+    return Scenario(x, y, exponential_cdf(z_rate * factor), model)
+
+
+@pytest.mark.parametrize("model, x_rates, y_rates, z_rate", BENCH_DISCRETIZED[:4])
+def test_power_of_two_rate_scaling_leaves_every_check_value_unchanged(
+    model, x_rates, y_rates, z_rate
+):
+    # multiplying every rate by 2**k divides every x by 2**k, exactly: the
+    # equal-mass cuts, the composites and the discretization scale, and
+    # everything on [0, 1] (the generators and every check value) is unchanged
+    base = run_scenario(scaled_bench_scenario(model, x_rates, y_rates, z_rate, 1.0), tol=1e-9)
+    assert base.info["discretized"] is True
+    for factor in (2.0, 0.25):
+        res = run_scenario(scaled_bench_scenario(model, x_rates, y_rates, z_rate, factor), tol=1e-9)
+        assert [(c.name, c.passed, c.value) for c in res.checks] == [
+            (c.name, c.passed, c.value) for c in base.checks
+        ]
+        assert res.info["discretization_bound"] == base.info["discretization_bound"]
+        assert res.family == base.family
+        scaled = np.array(base.low_f.breakpoints) / factor
+        assert np.array(res.low_f.breakpoints).tobytes() == scaled.tobytes()
+
+
 # a continuous law, a shifted one, and an affine piece, a jump of 0.3 at 1, a
 # flat piece and an exponential piece, each with a range [start, hi] that
 # cuts off a tail
