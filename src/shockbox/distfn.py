@@ -15,23 +15,19 @@ else raises ``UnsupportedSegmentPairError`` and the caller discretizes.
 
 A ``DistFn`` is stored as numpy arrays: breakpoints, left limits, values and
 right limits, a kind code per segment and the segment parameters in columns.
-The combinations and the step discretization build their results as arrays
-and pass them to the array constructor, so a step function of thousands of
-atoms costs no Python object per breakpoint. ``Breakpoint`` and segment
-objects exist for the public constructor, JSON and code that works on
-analytic pieces; ``points`` and ``segments`` build them on first use.
-Points on exponential pieces are evaluated one at a time with ``math.exp``,
-so array and scalar evaluation agree bit for bit.
+That is the only form of a segment. Each segment rule (value, tail,
+monotonicity, scale-shift, the pair rules, reversal, inversion) is written
+once on the kind code and the parameter column; every constructor builds
+arrays and passes them to ``DistFn._from_arrays``. Exponential pieces are
+evaluated with array arithmetic around ``math.exp``, so array and scalar
+evaluation agree bit for bit, on every machine.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
-from itertools import chain
-from operator import attrgetter
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
@@ -57,7 +53,21 @@ _EXP_SAMPLES = 17
 LIMIT_SIDES = np.array([[-1], [0], [1]])
 LIMIT_SIDES.setflags(write=False)
 
-_ROW = attrgetter("x", "left", "value", "right")
+
+# ---------------------------------------------------------------------------
+# segments
+#
+# A segment is a kind code and a column of four parameters: (level, 0, 0, 0)
+# for a constant, (x0, y0, slope, 0) for an affine piece and (scale, rate,
+# origin, offset) for an exponential piece, so equal columns and codes mean
+# equal segments. The rate of an exponential piece may be negative (a
+# mirrored piece, from reverse() or a piecewise law); the piece is monotone
+# non-decreasing iff scale*rate >= 0. _TAGS are the JSON tags of the kinds and
+# _WIDTHS the number of parameters each tag takes.
+
+_CONST, _AFFINE, _EXP = 0, 1, 2
+_TAGS = ("const", "affine", "exp")
+_WIDTHS = (1, 3, 4)
 
 
 def _exp_term(t: float) -> float:
@@ -66,153 +76,97 @@ def _exp_term(t: float) -> float:
     return math.exp(t) if t < 700.0 else INF
 
 
-# ---------------------------------------------------------------------------
-# segments
+def _exp_terms(t: np.ndarray) -> np.ndarray:
+    # _exp_term elementwise: np.exp may round differently from math.exp
+    return np.array(list(map(_exp_term, t.tolist())), dtype=float)
 
 
-@dataclass(frozen=True, slots=True)
-class ConstSeg:
-    level: float
+def _seg_value(kind: int, a, b, c, d, x, exp: Callable = _exp_term):
+    """Value at finite x of a segment, on floats or elementwise on arrays
+    (then with exp=_exp_terms): one formula for both."""
+    if kind == _AFFINE:
+        return b + c * (x - a)
+    if kind == _EXP:
+        return a * (1.0 - exp(-b * (x - c))) + d
+    return a
 
 
-@dataclass(frozen=True, slots=True)
-class AffineSeg:
-    x0: float
-    y0: float
-    slope: float
-
-
-@dataclass(frozen=True, slots=True)
-class ExpSeg:
-    """scale*(1 - exp(-rate*(x - origin))) + offset.
-
-    rate may be negative (a mirrored piece, from reverse() or a piecewise
-    law); the segment is monotone non-decreasing iff scale*rate >= 0.
-    """
-
-    scale: float
-    rate: float
-    origin: float
-    offset: float
-
-
-Segment = Union[ConstSeg, AffineSeg, ExpSeg]
-
-
-def seg_value(seg: Segment, x: float) -> float:
-    if isinstance(seg, ConstSeg):
-        return seg.level
-    if isinstance(seg, AffineSeg):
-        return seg.y0 + seg.slope * (x - seg.x0)
-    return seg.scale * (1.0 - _exp_term(-seg.rate * (x - seg.origin))) + seg.offset
-
-
-def seg_tail(seg: Segment, side: int) -> float:
+def _seg_tail(kind: int, a, b, c, d, side: float) -> float:
     """Limit of a segment toward -inf (side < 0) or +inf (side > 0)."""
-    if isinstance(seg, ConstSeg):
-        return seg.level
-    if isinstance(seg, AffineSeg):
-        if seg.slope == 0.0:
-            return seg.y0
+    if kind == _AFFINE:
+        if c == 0.0:
+            return b
         raise InvalidParameterError("affine segment on an unbounded interval")
-    if (side > 0) == (seg.rate > 0):
-        return seg.scale + seg.offset
-    raise InvalidParameterError("exponential segment is unbounded on this side")
+    if kind == _EXP:
+        if (side > 0) == (b > 0):
+            return a + d
+        raise InvalidParameterError("exponential segment is unbounded on this side")
+    return a
 
 
-def _seg_end(seg: Segment, x: float, side: int) -> float:
-    return seg_tail(seg, side) if math.isinf(x) else seg_value(seg, x)
+def _seg_end(kind: int, a, b, c, d, x: float) -> float:
+    # the value at x, or at x = ±inf the tail on that side
+    return _seg_tail(kind, a, b, c, d, x) if math.isinf(x) else _seg_value(kind, a, b, c, d, x)
 
 
-def _seg_monotone(seg: Segment) -> bool:
-    if isinstance(seg, ConstSeg):
-        return True
-    if isinstance(seg, AffineSeg):
-        return seg.slope >= 0.0
-    return seg.scale * seg.rate >= 0.0
+def _seg_values(kind: np.ndarray, par: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """_seg_value at finite points x of the segments given by a kind code
+    and a parameter column per point. Like Python floats, the arithmetic
+    overflows to inf and nan without a warning."""
+    out = par[0].copy()
+    with np.errstate(all="ignore"):
+        for code in (_AFFINE, _EXP):
+            on = kind == code
+            if np.count_nonzero(on):
+                out[on] = _seg_value(code, *par[:, on], x[on], _exp_terms)
+    return out
 
 
-# ---------------------------------------------------------------------------
-# the distribution function itself
-
-
-@dataclass(frozen=True, slots=True)
-class Breakpoint:
-    x: float
-    left: float
-    value: float
-    right: float
-
-
-# Segment kind codes of the array storage. The parameters of segment i fill
-# column i of a (4, segments) array: (level, 0, 0, 0) for a constant,
-# (x0, y0, slope, 0) for an affine and (scale, rate, origin, offset) for an
-# exponential piece, so equal columns and codes mean equal segments.
-_CONST, _AFFINE, _EXP = 0, 1, 2
-
-
-def _seg_row(seg: Segment) -> tuple:
-    """Kind code and parameter column of a segment."""
-    if isinstance(seg, ConstSeg):
-        return (_CONST, seg.level, 0.0, 0.0, 0.0)
-    if isinstance(seg, AffineSeg):
-        return (_AFFINE, seg.x0, seg.y0, seg.slope, 0.0)
-    return (_EXP, seg.scale, seg.rate, seg.origin, seg.offset)
-
-
-def _seg_obj(code: int, a: float, b: float, c: float, d: float) -> Segment:
-    if code == _CONST:
-        return ConstSeg(a)
-    if code == _AFFINE:
-        return AffineSeg(a, b, c)
-    return ExpSeg(a, b, c, d)
+def _seg_monotone(kind: int, a, b, c, d) -> bool:
+    if kind == _AFFINE:
+        return c >= 0.0
+    if kind == _EXP:
+        return a * b >= 0.0
+    return True
 
 
 def _nan_error() -> InvalidRangeError:
     return InvalidRangeError("a distribution function cannot be evaluated at nan")
 
 
+# ---------------------------------------------------------------------------
+# the distribution function itself
+
+
 class DistFn:
     """Piecewise-analytic monotone function with explicit one-sided limits.
 
-    segments has one more entry than points: segments[i] lives on the open
-    interval (x_{i-1}, x_i) with virtual endpoints at -inf and +inf. A DistFn
-    with no breakpoints is a constant; the constant-c function models mass at
-    -inf (c = 1: a shock that is almost surely below everything) and is the
-    only standardization exception, every non-constant DistFn has limit 0 at
-    -inf. The limit at +inf may be below 1 (defective upper tail).
+    There is one segment more than there are breakpoints: segment i lives
+    on the open interval (x_{i-1}, x_i) with virtual endpoints at -inf and
+    +inf. A DistFn with no breakpoints is a constant; the constant-c
+    function models mass at -inf (c = 1: a shock that is almost surely below
+    everything) and is the only standardization exception, every
+    non-constant DistFn has limit 0 at -inf. The limit at +inf may be below
+    1 (defective upper tail).
 
-    Arrays are the storage of record: the breakpoint abscissas, a (left,
-    value, right) row each, one kind code per segment and the segment
-    parameters in columns. ``points`` and ``segments`` are tuples of
-    ``Breakpoint`` and segment objects, built on first use (or kept as
-    given to the constructor), and the scalar evaluators read Python lists
-    that are also built on first use. Equality compares the arrays, which
-    is the same as comparing ``points`` and ``segments``; the hash agrees
-    with it, 0.0 and -0.0 included.
+    The storage is arrays: the breakpoint abscissas, a (left, value, right)
+    row each, one kind code per segment and the segment parameters in
+    columns. The scalar evaluators read Python lists built from them on
+    first use. Equality compares the arrays; the hash agrees with it, 0.0
+    and -0.0 included. ``piecewise_cdf`` builds any DistFn from tuples, and
+    the repr is that call.
     """
 
     __slots__ = (
         "_xp", "_xa", "_tri", "_kind", "_par", "_const", "_levels", "_curved",
-        "_points", "_segments", "_xs", "_lists", "_hash",
+        "_xs", "_lists", "_hash",
     )
-
-    def __init__(self, points, segments):
-        pts, segs = tuple(points), tuple(segments)
-        n = len(pts)
-        if len(segs) != n + 1:
-            raise InvalidParameterError("need exactly len(points)+1 segments")
-        rows = np.fromiter(chain.from_iterable(map(_ROW, pts)), float, 4 * n).reshape(n, 4).T
-        cols = np.array(list(map(_seg_row, segs)), dtype=float).T.copy()
-        self._store(rows[0], rows[1:], cols[0].astype(np.int8), cols[1:])
-        self._points, self._segments = pts, segs
-        self._validate()
 
     @classmethod
     def _from_arrays(cls, xs, limits, kind, par) -> "DistFn":
-        """The array constructor: breakpoints xs, the (3, breakpoints) array
-        of their left limits, values and right limits, segment kind codes
-        and the (4, segments) parameter array."""
+        """The constructor: breakpoints xs, the (3, breakpoints) array of
+        their left limits, values and right limits, segment kind codes and
+        the (4, segments) parameter array."""
         d = cls.__new__(cls)
         d._store(xs, limits, kind, par)
         d._validate()
@@ -233,7 +187,11 @@ class DistFn:
         self._xp, self._xa, self._tri = xp, xp[:n], tri
         self._kind, self._par, self._const, self._curved = kind, par, const, curved
         self._levels = np.where(const, par[0], np.nan) if curved else par[0]
-        self._points = self._segments = self._xs = self._lists = self._hash = None
+        self._xs = self._lists = self._hash = None
+
+    def _column(self, i: int) -> tuple:
+        # segment i as the arguments of the segment rules: kind, a, b, c, d
+        return (int(self._kind[i]), *self._par[:, i].tolist())
 
     def _validate(self) -> None:
         # the exact validity conditions, raising on the first violation in
@@ -248,15 +206,16 @@ class DistFn:
             raise InvalidParameterError("breakpoints must be strictly increasing")
         ordered = (0.0 <= left) & (left <= value) & (value <= right) & (right <= 1.0)
         if np.count_nonzero(ordered) < n:
-            p = self._point(int((~ordered).argmax()))
+            k = int((~ordered).argmax())
             raise InvalidParameterError(
-                f"breakpoint at {p.x}: need 0 <= left <= value <= right <= 1"
+                f"breakpoint at {xa[k].item()}: need 0 <= left <= value <= right <= 1"
             )
         crossing = right[:-1] > left[1:] + EXACT_TOL
         if np.count_nonzero(crossing):
-            a, b = self._point(int(crossing.argmax())), self._point(int(crossing.argmax()) + 1)
+            k = int(crossing.argmax())
             raise InvalidParameterError(
-                f"not monotone across ({a.x}, {b.x}): {a.right} > {b.left}"
+                f"not monotone across ({xa[k].item()}, {xa[k + 1].item()}): "
+                f"{right[k].item()} > {left[k + 1].item()}"
             )
         const, levels = self._const, self._levels
         if not n:
@@ -279,29 +238,29 @@ class DistFn:
     def _check_segment(self, i: int) -> None:
         # monotonicity and end values of segment i against the adjacent limits
         n = self._xa.size
-        lo = self._point(i - 1).x if i else -INF
-        hi = self._point(i).x if i < n else INF
-        seg = self._segment(i)
-        if not _seg_monotone(seg):
+        lo = self._xa[i - 1].item() if i else -INF
+        hi = self._xa[i].item() if i < n else INF
+        seg = self._column(i)
+        if not _seg_monotone(*seg):
             raise InvalidParameterError(f"segment on ({lo}, {hi}) is decreasing")
-        tol = EXACT_TOL if isinstance(seg, ConstSeg) else ANALYTIC_TOL
-        lo_val = _seg_end(seg, lo, -1)
-        hi_val = _seg_end(seg, hi, +1)
-        want_lo = 0.0 if i == 0 else self._point(i - 1).right
+        tol = EXACT_TOL if seg[0] == _CONST else ANALYTIC_TOL
+        lo_val = _seg_end(*seg, lo)
+        hi_val = _seg_end(*seg, hi)
+        want_lo = self._tri[2, i - 1].item() if i else 0.0
         if not abs(lo_val - want_lo) <= tol:
             raise InvalidParameterError(
                 f"segment on ({lo}, {hi}) starts at {lo_val}, expected {want_lo}"
             )
         if i < n:
-            if not abs(hi_val - self._point(i).left) <= tol:
+            want_hi = self._tri[0, i].item()
+            if not abs(hi_val - want_hi) <= tol:
                 raise InvalidParameterError(
-                    f"segment on ({lo}, {hi}) ends at {hi_val}, "
-                    f"expected {self._point(i).left}"
+                    f"segment on ({lo}, {hi}) ends at {hi_val}, expected {want_hi}"
                 )
         elif not hi_val <= 1.0 + tol:
             raise InvalidParameterError("upper tail exceeds 1")
 
-    # -- equality and the object views --------------------------------------
+    # -- equality -----------------------------------------------------------
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -321,42 +280,21 @@ class DistFn:
         return self._hash
 
     def __repr__(self):
-        return f"DistFn(points={self.points!r}, segments={self.segments!r})"
-
-    @property
-    def points(self) -> tuple[Breakpoint, ...]:
-        if self._points is None:
-            self._points = tuple(map(Breakpoint, self._xa.tolist(), *self._tri[:, :-1].tolist()))
-        return self._points
-
-    @property
-    def segments(self) -> tuple[Segment, ...]:
-        if self._segments is None:
-            if self._curved:
-                self._segments = tuple(map(_seg_obj, self._kind.tolist(), *self._par.tolist()))
-            else:
-                self._segments = tuple(map(ConstSeg, self._par[0].tolist()))
-        return self._segments
-
-    def _point(self, k: int) -> Breakpoint:
-        # one breakpoint, without building all of them
-        if self._points is not None:
-            return self._points[k]
-        return Breakpoint(float(self._xa[k]), *self._tri[:, k].tolist())
-
-    def _segment(self, i: int) -> Segment:
-        if self._segments is not None:
-            return self._segments[i]
-        return _seg_obj(int(self._kind[i]), *self._par[:, i].tolist())
+        points = list(zip(self._xa.tolist(), *self._tri[:, :-1].tolist()))
+        segments = [
+            (_TAGS[k], *column[: _WIDTHS[k]])
+            for k, column in zip(self._kind.tolist(), self._par.T.tolist())
+        ]
+        return f"piecewise_cdf({points!r}, {segments!r})"
 
     # -- evaluation ---------------------------------------------------------
 
     def _scalars(self) -> tuple:
         # breakpoints, left limits, values, right limits, segment levels and
-        # (on curved functions) segments as Python sequences: bisect and
-        # list indexing beat numpy scalar access
+        # (on curved functions) segment columns as Python sequences: bisect
+        # and list indexing beat numpy scalar access
         if self._lists is None:
-            segs = self.segments if self._curved else None
+            segs = list(zip(self._kind.tolist(), *self._par.tolist())) if self._curved else None
             self._lists = (self.breakpoints, *self._tri.tolist(), self._levels.tolist(), segs)
         return self._lists
 
@@ -376,8 +314,7 @@ class DistFn:
             level = lists[4][i]
             if level == level:
                 return level
-            seg = lists[5][i]
-            return seg_value(seg, x) if math.isfinite(x) else seg_tail(seg, 1 if x > 0.0 else -1)
+            return _seg_end(*lists[5][i], x)
 
         return evaluate
 
@@ -393,9 +330,10 @@ class DistFn:
         """Elementwise left limits, values or right limits (side -1, 0, +1).
 
         side broadcasts against xs. Constant segments are looked up, points
-        on analytic segments go through the scalar formula one by one, so
-        every entry equals eval/left_limit/right_limit bit for bit. nan
-        raises InvalidRangeError, as in the scalar evaluators.
+        on analytic segments go through the segment formula with array
+        arithmetic around math.exp, so every entry equals
+        eval/left_limit/right_limit bit for bit. nan raises
+        InvalidRangeError, as in the scalar evaluators.
         """
         arr = np.asarray(xs, dtype=float)
         if np.count_nonzero(np.isnan(arr)):
@@ -403,12 +341,18 @@ class DistFn:
         i = self._xa.searchsorted(arr)
         seg_vals = np.asarray(self._levels[i])
         if self._curved:
-            segs = self.segments
-            curve = (~self._const[i]).ravel().nonzero()[0]
-            flat, idx = arr.ravel(), i.ravel()
-            for k, x, j in zip(curve.tolist(), flat[curve].tolist(), idx[curve].tolist()):
-                seg_vals.flat[k] = _seg_end(segs[j], x, 1 if x > 0.0 else -1)
+            flat, idx, vals = arr.ravel(), np.ravel(i), seg_vals.reshape(-1)
+            curve = ~self._const[idx]
+            ends = curve & np.isinf(flat)
+            curve &= ~ends
+            j = idx[curve]
+            vals[curve] = _seg_values(self._kind[j], self._par[:, j], flat[curve])
+            vals[ends] = [self._tail(x) for x in flat[ends].tolist()]
         return np.where(self._xp[i] == arr, self._tri[side + 1, i], seg_vals)
+
+    def _tail(self, side: float) -> float:
+        # the limit at -inf (side < 0) or +inf (side > 0)
+        return _seg_tail(*self._column(-1 if side > 0 else 0), side)
 
     # -- structure ----------------------------------------------------------
 
@@ -429,17 +373,17 @@ class DistFn:
 
     @property
     def final(self) -> float:
-        # the limit at +inf, read without building the scalar lists
-        if self._kind[-1] == _CONST:
-            return float(self._par[0, -1])
-        return seg_tail(self._segment(-1), +1)
+        """The limit at +inf."""
+        return self._tail(1) if self._curved else self._levels[-1].item()
 
     def is_proper(self, tol: float = EXACT_TOL) -> bool:
         return self.final >= 1.0 - tol
 
     @classmethod
     def constant(cls, level: float) -> "DistFn":
-        return cls((), (ConstSeg(float(level)),))
+        par = np.zeros((4, 1))
+        par[0] = float(level)
+        return cls._from_arrays(np.empty(0), np.empty((3, 0)), np.zeros(1, dtype=np.int8), par)
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +395,7 @@ def pointmass_cdf(at) -> DistFn:
     at = float(at)
     if not math.isfinite(at):
         raise InvalidParameterError("pointmass needs a finite location")
-    return DistFn((Breakpoint(at, 0.0, 1.0, 1.0),), (ConstSeg(0.0), ConstSeg(1.0)))
+    return _atom_cdf(np.array([at]), np.ones(1))
 
 
 def step_cdf(atoms) -> DistFn:
@@ -478,20 +422,31 @@ def exponential_cdf(rate, shift=0.0) -> DistFn:
         raise InvalidParameterError("exponential rate must be positive and finite")
     if not math.isfinite(shift):
         raise InvalidParameterError("exponential shift must be finite")
-    return DistFn(
-        (Breakpoint(shift, 0.0, 0.0, 0.0),), (ConstSeg(0.0), ExpSeg(1.0, rate, shift, 0.0))
-    )
+    par = np.array([[0.0, 1.0], [0.0, rate], [0.0, shift], [0.0, 0.0]])
+    kind = np.array([_CONST, _EXP], dtype=np.int8)
+    return DistFn._from_arrays(np.array([shift]), np.zeros((3, 1)), kind, par)
 
 
-def _seg_from_tuple(t) -> Segment:
+def exponential_params(f: DistFn) -> tuple[float, float] | None:
+    """(rate, shift) when f is exactly an exponential_cdf, else None."""
+    if f._kind.tolist() != [_CONST, _EXP]:
+        return None
+    level, scale, rate, origin, offset = f._par[0, 0], *f._par[:, 1].tolist()
+    shift = f._xa[0].item()
+    if level == 0.0 and scale == 1.0 and offset == 0.0 and origin == shift:
+        return (rate, shift)
+    return None
+
+
+def _seg_from_tuple(t) -> tuple:
+    # the kind code and parameter column of a ("const", level), ("affine",
+    # x0, y0, slope) or ("exp", scale, rate, origin, offset) tuple
     tag = t[0]
-    if tag == "const":
-        return ConstSeg(float(t[1]))
-    if tag == "affine":
-        return AffineSeg(float(t[1]), float(t[2]), float(t[3]))
-    if tag == "exp":
-        return ExpSeg(float(t[1]), float(t[2]), float(t[3]), float(t[4]))
-    raise InvalidParameterError(f"unknown segment tag {tag!r}")
+    if tag not in _TAGS:
+        raise InvalidParameterError(f"unknown segment tag {tag!r}")
+    kind = _TAGS.index(tag)
+    column = [float(t[k]) for k in range(1, _WIDTHS[kind] + 1)]
+    return (kind, *column, *[0.0] * (4 - len(column)))
 
 
 def piecewise_cdf(breakpoints, segments) -> DistFn:
@@ -500,7 +455,14 @@ def piecewise_cdf(breakpoints, segments) -> DistFn:
     origin, offset); every number is converted before anything is built."""
     bps = [tuple(map(float, bp)) for bp in breakpoints]
     segs = [tuple(seg) for seg in segments]
-    return DistFn([Breakpoint(*bp) for bp in bps], map(_seg_from_tuple, segs))
+    for bp in bps:
+        if len(bp) != 4:
+            raise TypeError(f"a breakpoint is (x, left, value, right), not {len(bp)} numbers")
+    rows = np.array(list(map(_seg_from_tuple, segs)), dtype=float).reshape(-1, 5).T
+    if len(segs) != len(bps) + 1:
+        raise InvalidParameterError("need exactly len(points)+1 segments")
+    cols = np.array(bps, dtype=float).reshape(-1, 4).T
+    return DistFn._from_arrays(cols[0], cols[1:], rows[0].astype(np.int8), rows[1:].copy())
 
 
 def _atom_cdf(xs: np.ndarray, masses: np.ndarray) -> DistFn:
@@ -572,15 +534,16 @@ def _merged_xs(f: DistFn, g: DistFn) -> np.ndarray:
     return np.sort(np.concatenate((fa, ga[fa[pos] != ga])))
 
 
-def _scale_shift(seg: Segment, k: float, d: float) -> Segment:
+def _scale_shift(seg: tuple, k: float, d: float) -> tuple:
     # k*seg + d with k >= 0
-    if isinstance(seg, ConstSeg):
-        return ConstSeg(k * seg.level + d)
+    kind, a, b, c, e = seg
+    if kind == _CONST:
+        return (_CONST, k * a + d, 0.0, 0.0, 0.0)
     if k == 0.0:
-        return ConstSeg(d)
-    if isinstance(seg, AffineSeg):
-        return AffineSeg(seg.x0, k * seg.y0 + d, k * seg.slope)
-    return ExpSeg(k * seg.scale, seg.rate, seg.origin, k * seg.offset + d)
+        return (_CONST, d, 0.0, 0.0, 0.0)
+    if kind == _AFFINE:
+        return (_AFFINE, a, k * b + d, k * c, 0.0)
+    return (_EXP, k * a, b, c, k * e + d)
 
 
 # Each pointwise op is affine in one operand when the other is a constant
@@ -601,18 +564,18 @@ def _comix_coef(c):
 
 
 def _combined_segment(
-    a: Segment, b: Segment, lo: float, hi: float,
+    a: tuple, b: tuple, lo: float, hi: float,
     name: str, coef_f: Callable, coef_g: Callable, pair: Callable | None,
-) -> Segment:
+) -> tuple:
     # the op named name of segment a of f and b of g on (lo, hi)
-    if isinstance(a, ConstSeg):
-        return _scale_shift(b, *coef_f(a.level))
-    if isinstance(b, ConstSeg):
-        return _scale_shift(a, *coef_g(b.level))
+    if a[0] == _CONST:
+        return _scale_shift(b, *coef_f(a[1]))
+    if b[0] == _CONST:
+        return _scale_shift(a, *coef_g(b[1]))
     seg = pair(a, b, lo) if pair is not None else None
     if seg is None:
         raise UnsupportedSegmentPairError(
-            f"{name} of {type(a).__name__} and {type(b).__name__} on ({lo}, {hi}) "
+            f"{name} of {_TAGS[a[0]]} and {_TAGS[b[0]]} on ({lo}, {hi}) "
             "leaves the closed segment family; discretize one operand"
         )
     return seg
@@ -663,12 +626,10 @@ def _combine(
     if f._curved or g._curved:
         for j in (~(f._const[fi] & g._const[gi])).nonzero()[0].tolist():
             lo = float(xs[j - 1]) if j else -INF
-            seg = _combined_segment(
-                f._segment(int(fi[j])), g._segment(int(gi[j])), lo, float(his[j]),
+            kind[j], *par[:, j] = _combined_segment(
+                f._column(fi[j]), g._column(gi[j]), lo, float(his[j]),
                 name, coef_f, coef_g, pair,
             )
-            code, *column = _seg_row(seg)
-            kind[j], par[:, j] = code, column
     return _simplified(DistFn._from_arrays(xs, limits, kind, par))
 
 
@@ -704,26 +665,14 @@ def blend(f: DistFn, g: DistFn, t: float) -> DistFn:
     if not (0.0 <= t <= 1.0):
         raise InvalidParameterError("blend weight must lie in [0, 1]")
 
-    def pair(a: Segment, b: Segment, lo: float) -> Segment | None:
-        if isinstance(a, AffineSeg) and isinstance(b, AffineSeg):
+    def pair(a: tuple, b: tuple, lo: float) -> tuple | None:
+        (ka, a0, a1, a2, a3), (kb, b0, b1, b2, b3) = a, b
+        if ka == kb == _AFFINE:
             # affine pieces only live on bounded intervals
-            return AffineSeg(
-                lo,
-                t * seg_value(a, lo) + (1.0 - t) * seg_value(b, lo),
-                t * a.slope + (1.0 - t) * b.slope,
-            )
-        if (
-            isinstance(a, ExpSeg)
-            and isinstance(b, ExpSeg)
-            and a.rate == b.rate
-            and a.origin == b.origin
-        ):
-            return ExpSeg(
-                t * a.scale + (1.0 - t) * b.scale,
-                a.rate,
-                a.origin,
-                t * a.offset + (1.0 - t) * b.offset,
-            )
+            y0 = t * _seg_value(*a, lo) + (1.0 - t) * _seg_value(*b, lo)
+            return (_AFFINE, lo, y0, t * a2 + (1.0 - t) * b2, 0.0)
+        if ka == kb == _EXP and a1 == b1 and a2 == b2:
+            return (_EXP, t * a0 + (1.0 - t) * b0, a1, a2, t * a3 + (1.0 - t) * b3)
         return None
 
     return _combine(
@@ -738,20 +687,15 @@ def reverse(f: DistFn) -> DistFn:
     Swaps the roles of the one-sided limits (a cadlag step becomes caglad) and
     mirrors exponential pieces; total and exact on the whole segment family.
     """
-    pts = tuple(
-        Breakpoint(-p.x, 1.0 - p.right, 1.0 - p.value, 1.0 - p.left)
-        for p in reversed(f.points)
-    )
-    segs = tuple(_reverse_seg(s) for s in reversed(f.segments))
-    return DistFn(pts, segs)
-
-
-def _reverse_seg(seg: Segment) -> Segment:
-    if isinstance(seg, ConstSeg):
-        return ConstSeg(1.0 - seg.level)
-    if isinstance(seg, AffineSeg):
-        return AffineSeg(-seg.x0, 1.0 - seg.y0, seg.slope)
-    return ExpSeg(-seg.scale, -seg.rate, -seg.origin, 1.0 - seg.offset)
+    kind, par = f._kind[::-1].copy(), f._par[:, ::-1].copy()
+    # x0 of an affine piece, scale, rate and origin of an exponential one
+    # change sign; the level, y0 or offset becomes 1 minus it
+    par[0, kind != _CONST] *= -1.0
+    par[1:3, kind == _EXP] *= -1.0
+    level = np.choose(kind, (0, 1, 3))
+    cols = np.arange(kind.size)
+    par[level, cols] = 1.0 - par[level, cols]
+    return DistFn._from_arrays(-f._xa[::-1], 1.0 - f._tri[::-1, -2::-1], kind, par)
 
 
 # ---------------------------------------------------------------------------
@@ -827,6 +771,77 @@ def first_violation(f: DistFn, g: DistFn, tol: float = 0.0):
         return None
     k = int(bad.argmax())
     return (float(xs[k]), int(sides[k]), float(fv[k]), float(gv[k]))
+
+
+# ---------------------------------------------------------------------------
+# inversion
+
+
+def _invert(f: DistFn, j: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """The x on segment j[k] of f where it takes the value us[k], for each k;
+    each segment rises through its value. The arithmetic runs array-wise
+    around ``math.log``, which gives the same bits on every machine, where
+    ``np.log`` may round differently with the CPU and the numpy version."""
+    kind, (a, b, c, d) = f._kind[j], f._par[:, j]
+    exp = kind == _EXP
+    with np.errstate(all="ignore"):
+        t = 1.0 - (us - d) / a
+        bad = (kind == _CONST) | (exp & (t <= 0.0))
+        if np.count_nonzero(bad):
+            k = int(bad.argmax())
+            edges = np.concatenate(([-INF], f._xa, [INF]))
+            lo, hi = edges[j[k]].item(), edges[j[k] + 1].item()
+            where = "a flat segment " if kind[k] == _CONST else ""
+            raise InvalidRangeError(f"value {us[k].item()} not attained on {where}({lo}, {hi})")
+        logs = np.array(list(map(math.log, np.where(exp, t, 1.0).tolist())), dtype=float)
+        return np.where(exp, c - logs / b, a + (us - b) / c)
+
+
+def locate_many(f: DistFn, us) -> np.ndarray:
+    """The smallest x with f(x-) <= u <= f(x+), for each u; breakpoints win
+    ties. The breakpoint or segment of each u is looked up with array code,
+    and points on segments are inverted by ``_invert``."""
+    us = np.asarray(us, dtype=float)
+    # the first breakpoint whose right limit reaches u; the running maximum
+    # keeps that order where the limits dip within EXACT_TOL
+    i = np.searchsorted(np.maximum.accumulate(f._tri[2, :-1]), us)
+    out = f._xp[i]
+    on = (i == f._xa.size) | (f._tri[0, i] > us)
+    if np.count_nonzero(on):
+        out[on] = _invert(f, i[on], us[on])
+    return out
+
+
+def locate(f: DistFn, u: float) -> float:
+    """locate_many on the one level u."""
+    return locate_many(f, [u])[0].item()
+
+
+def admissible_anchors(base: DistFn, u: float) -> list[float]:
+    """All admissible anchor points for u: matching breakpoints, plus an
+    interior point of every segment whose closure attains u."""
+    out = []
+    xs = base.breakpoints
+    bounds = (-INF,) + xs + (INF,)
+    for x in xs:
+        if base.left_limit(x) <= u <= base.right_limit(x):
+            out.append(x)
+    for i in range(len(xs) + 1):
+        lo, hi = bounds[i], bounds[i + 1]
+        lo_val = base.right_limit(lo) if math.isfinite(lo) else base.eval(lo)
+        hi_val = base.left_limit(hi) if math.isfinite(hi) else base.eval(hi)
+        if not lo_val <= u <= hi_val:
+            continue
+        if base._kind[i] == _CONST:
+            if math.isfinite(lo) and math.isfinite(hi):
+                out.append((lo + hi) / 2.0)
+            elif math.isfinite(lo):
+                out.append(lo + 1.0)
+            elif math.isfinite(hi):
+                out.append(hi - 1.0)
+        elif lo_val < u < hi_val:
+            out.append(_invert(base, np.array([i]), np.array([u])).item())
+    return sorted(set(out))
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,6 @@ directly from the inputs and serve as an independent cross-check.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .distfn import (
@@ -33,12 +31,10 @@ from .distfn import (
     EXACT_TOL,
     INF,
     LIMIT_SIDES,
-    AffineSeg,
-    ConstSeg,
     DistFn,
-    ExpSeg,
     comix,
     comix_value,
+    locate,
     ordered_probes,
     product,
 )
@@ -394,55 +390,6 @@ def _from_composite(f: DistFn, first: DistFn, fz: DistFn, kind: str) -> Generato
 # direct closed-form evaluators (independent of the knot construction)
 
 
-def _invert_segment(seg, u: float, lo: float, hi: float) -> float:
-    # solve seg(x) = u on (lo, hi); the segment is strictly increasing here
-    if isinstance(seg, AffineSeg):
-        return seg.x0 + (u - seg.y0) / seg.slope
-    if isinstance(seg, ExpSeg):
-        t = 1.0 - (u - seg.offset) / seg.scale
-        if t <= 0.0:
-            raise InvalidRangeError(f"value {u} not attained on ({lo}, {hi})")
-        return seg.origin - math.log(t) / seg.rate
-    raise InvalidRangeError(f"value {u} not attained on a flat segment ({lo}, {hi})")
-
-
-def locate(f: DistFn, u: float) -> float:
-    """Smallest x0 with f(x0-) <= u <= f(x0+); breakpoints win ties."""
-    xs, (left, _, right) = f._xa, f._tri[:, :-1]
-    reached = np.flatnonzero(right >= u)
-    if not reached.size:
-        return _invert_segment(f._segment(-1), u, float(xs[-1]) if xs.size else -INF, INF)
-    i = int(reached[0])
-    if left[i] <= u:
-        return float(xs[i])
-    return _invert_segment(f._segment(i), u, float(xs[i - 1]) if i > 0 else -INF, float(xs[i]))
-
-
-def locate_many(f: DistFn, us) -> np.ndarray:
-    """locate(f, u) for each u, bit for bit.
-
-    The breakpoint or segment of each u is looked up with array code; each
-    point on a segment is then inverted by ``_invert_segment``, whose
-    ``math.log`` gives the same bits on every machine, where ``np.log`` may
-    round differently with the CPU and the numpy version.
-    """
-    us = np.asarray(us, dtype=float)
-    xs, (left, _, right) = f._xa, f._tri[:, :-1]
-    # the first breakpoint whose right limit reaches u; the running maximum
-    # keeps that order where the limits dip within EXACT_TOL
-    i = np.searchsorted(np.maximum.accumulate(right), us)
-    at_point = i < xs.size
-    at_point[at_point] = left[i[at_point]] <= us[at_point]
-    out = np.empty(us.shape)
-    out[at_point] = xs[i[at_point]]
-    bounds = np.concatenate(([-INF], xs, [INF])).tolist()
-    segments = f.segments
-    for k in np.flatnonzero(~at_point).tolist():
-        j = int(i[k])
-        out[k] = _invert_segment(segments[j], float(us[k]), bounds[j], bounds[j + 1])
-    return out
-
-
 def formula_phi(fx: DistFn, fz: DistFn, u: float, x0: float | None = None) -> float:
     """The five-case closed form for phi, evaluated straight from F_X, F_Z.
 
@@ -491,33 +438,6 @@ def formula_chi(fy: DistFn, fz: DistFn, w: float, y0: float | None = None) -> fl
         # w <= w_u < 1 forces F_Z(y0) < 1
         return (w - fzv) / (1.0 - fzv)
     return fyr
-
-
-def admissible_anchors(base: DistFn, u: float) -> list[float]:
-    """All admissible anchor points for u: matching breakpoints, plus an
-    interior point of every segment whose closure attains u."""
-    out = []
-    xs = base.breakpoints
-    bounds = (-INF,) + xs + (INF,)
-    for x in xs:
-        if base.left_limit(x) <= u <= base.right_limit(x):
-            out.append(x)
-    for i, seg in enumerate(base.segments):
-        lo, hi = bounds[i], bounds[i + 1]
-        lo_val = base.right_limit(lo) if math.isfinite(lo) else base.eval(lo)
-        hi_val = base.left_limit(hi) if math.isfinite(hi) else base.eval(hi)
-        if not lo_val <= u <= hi_val:
-            continue
-        if isinstance(seg, ConstSeg):
-            if math.isfinite(lo) and math.isfinite(hi):
-                out.append((lo + hi) / 2.0)
-            elif math.isfinite(lo):
-                out.append(lo + 1.0)
-            elif math.isfinite(hi):
-                out.append(hi - 1.0)
-        elif lo_val < u < hi_val:
-            out.append(_invert_segment(seg, u, lo, hi))
-    return sorted(set(out))
 
 
 # ---------------------------------------------------------------------------

@@ -48,14 +48,15 @@ from .copulas import BivariateBound, check_copula_axioms, copula_grid
 from .distfn import (
     ANALYTIC_TOL,
     EXACT_TOL,
-    ConstSeg,
     DistFn,
-    ExpSeg,
     blend,
     comix,
     comix_value,
     exponential_cdf,
+    exponential_params,
     first_violation,
+    locate,
+    locate_many,
     product,
     step_approximation,
     step_cdf,
@@ -73,8 +74,6 @@ from .generators import (
     check_generator,
     check_order,
     chi_from_composite,
-    locate,
-    locate_many,
     phi_from_composite,
 )
 from .imprecise import (
@@ -180,10 +179,6 @@ class ScenarioResult:
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    @property
-    def failed(self) -> list[str]:
-        return [c.name for c in self.checks if not c.passed]
-
     def to_report(self) -> dict:
         return {
             "model": self.model,
@@ -238,23 +233,6 @@ def thin(xs: np.ndarray, cap: int) -> np.ndarray:
     return xs[idx]
 
 
-def _exp_params(f: DistFn) -> Optional[tuple[float, float]]:
-    """(rate, shift) when f is exactly a shifted exponential CDF, else None."""
-    if len(f.breakpoints) == 1:
-        bp = f.points[0]
-        head, tail = f.segments
-        if (
-            isinstance(head, ConstSeg)
-            and head.level == 0.0
-            and isinstance(tail, ExpSeg)
-            and tail.scale == 1.0
-            and tail.offset == 0.0
-            and tail.origin == bp.x
-        ):
-            return (tail.rate, bp.x)
-    return None
-
-
 def _member_distfns(lo: DistFn, up: DistFn, ts=MEMBER_WEIGHTS) -> tuple[list[DistFn], str]:
     """Interior members of the p-box (lo, up), one per weight in ts.
 
@@ -269,7 +247,7 @@ def _member_distfns(lo: DistFn, up: DistFn, ts=MEMBER_WEIGHTS) -> tuple[list[Dis
         return [blend(lo, up, t) for t in ts], "mixture members"
     except UnsupportedSegmentPairError:
         pass
-    lo_exp, up_exp = _exp_params(lo), _exp_params(up)
+    lo_exp, up_exp = exponential_params(lo), exponential_params(up)
     if lo_exp is not None and up_exp is not None and lo_exp[1] == up_exp[1]:
         members = [exponential_cdf(t * lo_exp[0] + (1.0 - t) * up_exp[0], lo_exp[1]) for t in ts]
         return members, "rate-interpolated members"

@@ -1,10 +1,10 @@
-"""Array storage of DistFn and Generator: the object views round-trip.
+"""Array storage of DistFn and Generator: the tuple forms round-trip.
 
-Arrays are the storage of record; `points`, `segments` and `knots` are
-built from them on first use. Rebuilding either type from its object view
-through the public constructor must give an equal object with an equal hash
-and bit-identical arrays, and the scalar evaluators must agree with the
-array ones bit for bit, on nan included.
+Arrays are the storage of record. A DistFn rebuilt by ``piecewise_cdf``
+from the breakpoint and segment tuples read off its arrays, and a Generator
+rebuilt from its ``knots``, must be equal objects with equal hashes and
+bit-identical arrays, and the scalar evaluators must agree with the array
+ones bit for bit, on nan included.
 """
 
 import json
@@ -16,9 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shockbox.distfn import (
-    AffineSeg,
-    Breakpoint,
-    ConstSeg,
     DistFn,
     blend,
     comix,
@@ -88,22 +85,39 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+TAGS = ("const", "affine", "exp")
+
+
+def pieces(d):
+    """The piecewise_cdf arguments of d, read from its arrays: a kind code
+    per segment, and per segment a column of four parameters of which the
+    first 1, 3 or 4 are used."""
+    points = list(zip(d._xa.tolist(), *d._tri[:, :-1].tolist()))
+    widths = (1, 3, 4)
+    segments = [
+        (TAGS[k], *column[: widths[k]]) for k, column in zip(d._kind.tolist(), d._par.T.tolist())
+    ]
+    return points, segments
+
+
 @given(distfns())
 @settings(max_examples=150, deadline=None)
-def test_distfn_round_trips_through_points_and_segments(d):
-    again = DistFn(d.points, d.segments)
+def test_distfn_round_trips_through_piecewise_tuples(d):
+    points, segments = pieces(d)
+    again = piecewise_cdf(points, segments)
     assert again == d and d == again
     assert hash(again) == hash(d)
     for name in ("_xp", "_tri", "_kind", "_par", "_levels"):
         assert same_bits(getattr(again, name), getattr(d, name)), name
-    assert again.points == d.points and again.segments == d.segments
-    assert again.breakpoints == d.breakpoints == tuple(p.x for p in d.points)
+    assert pieces(again) == (points, segments)
+    assert again.breakpoints == d.breakpoints == tuple(x for x, *_ in points)
+    assert repr(d) == f"piecewise_cdf({points!r}, {segments!r})"
 
 
 @given(distfns(), distfns())
 @settings(max_examples=100, deadline=None)
-def test_distfn_equality_is_equality_of_the_object_views(f, g):
-    assert (f == g) == ((f.points, f.segments) == (g.points, g.segments))
+def test_distfn_equality_is_equality_of_the_piecewise_tuples(f, g):
+    assert (f == g) == (pieces(f) == pieces(g))
     if f == g:
         assert hash(f) == hash(g)
 
@@ -187,9 +201,9 @@ def test_nan_levels_and_segment_ends_are_rejected():
     with pytest.raises(InvalidParameterError, match="starts at nan, expected 0.5"):
         law_from_json(json.loads(NAN_LEVEL_LAW))
     with pytest.raises(InvalidParameterError, match="a breakpoint-free DistFn"):
-        DistFn((), (ConstSeg(math.nan),))
-    bp = Breakpoint(0.0, 0.0, 1.0, 1.0)
+        piecewise_cdf([], [("const", math.nan)])
+    bp = (0.0, 0.0, 1.0, 1.0)
     with pytest.raises(InvalidParameterError, match="starts at nan, expected 1.0"):
-        DistFn((bp,), (ConstSeg(0.0), ConstSeg(math.nan)))
+        piecewise_cdf([bp], [("const", 0.0), ("const", math.nan)])
     with pytest.raises(InvalidParameterError, match="ends at nan, expected 0.0"):
-        DistFn((bp,), (AffineSeg(math.nan, 0.0, 0.0), ConstSeg(1.0)))
+        piecewise_cdf([bp], [("affine", math.nan, 0.0, 0.0), ("const", 1.0)])

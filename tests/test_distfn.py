@@ -1,6 +1,5 @@
 """Distribution-function algebra: exactness and structure of DistFn."""
 
-import dataclasses
 import math
 from bisect import bisect_left
 
@@ -12,7 +11,6 @@ from hypothesis import strategies as st
 from shockbox.distfn import (
     EXACT_TOL,
     INF,
-    ConstSeg,
     DistFn,
     blend,
     comix,
@@ -21,6 +19,7 @@ from shockbox.distfn import (
     first_violation,
     law_from_json,
     ordered_probes,
+    piecewise_cdf,
     pointmass_cdf,
     product,
     reverse,
@@ -194,9 +193,9 @@ def test_product_of_two_exponentials_is_unsupported():
 @pytest.mark.parametrize(
     "op, message",
     [
-        (product, "product of ExpSeg and ExpSeg on (0.5, inf)"),
-        (comix, "comixture of ExpSeg and ExpSeg on (0.5, inf)"),
-        (lambda f, g: blend(f, g, 0.25), "blend of ExpSeg and ExpSeg on (0.5, inf)"),
+        (product, "product of exp and exp on (0.5, inf)"),
+        (comix, "comixture of exp and exp on (0.5, inf)"),
+        (lambda f, g: blend(f, g, 0.25), "blend of exp and exp on (0.5, inf)"),
     ],
     ids=["product", "comixture", "blend"],
 )
@@ -403,9 +402,10 @@ def test_constant_levels_match_the_segment_ops(f, g, t):
         for x in probe_points(f, g):
             if x in f.breakpoints or x in g.breakpoints or math.isinf(x):
                 continue
-            a = f.segments[bisect_left(f.breakpoints, x)]
-            b = g.segments[bisect_left(g.breakpoints, x)]
-            assert h.eval(x) == seg_op(a, b, -INF, INF).level
+            a = f._column(bisect_left(f.breakpoints, x))
+            b = g._column(bisect_left(g.breakpoints, x))
+            kind, level, *_ = seg_op(a, b, -INF, INF)
+            assert kind == 0 and h.eval(x) == level
 
 
 @given(steps(), steps())
@@ -427,56 +427,62 @@ def test_first_violation_matches_a_scalar_probe_scan(f, g):
     assert first_violation(f, g) == want
 
 
-def reference_validation_error(points, segments):
-    """The DistFn validity conditions as a scalar scan; the first message or None."""
-    xs = [p.x for p in points]
-    if len(segments) != len(points) + 1:
+FIELDS = ("x", "left", "value", "right")
+
+
+def reference_validation_error(points, levels):
+    """The validity conditions of a step DistFn as a scalar scan over its
+    (x, left, value, right) breakpoints and segment levels; the first
+    message or None."""
+    xs = [x for x, *_ in points]
+    if len(levels) != len(points) + 1:
         return "need exactly len(points)+1 segments"
     if not all(math.isfinite(x) for x in xs):
         return "breakpoints must be finite"
     if any(a >= b for a, b in zip(xs, xs[1:])):
         return "breakpoints must be strictly increasing"
-    for p in points:
-        if not (0.0 <= p.left <= p.value <= p.right <= 1.0):
-            return f"breakpoint at {p.x}: need 0 <= left <= value <= right <= 1"
-    for a, b in zip(points, points[1:]):
-        if a.right > b.left + EXACT_TOL:
-            return f"not monotone across ({a.x}, {b.x}): {a.right} > {b.left}"
+    for x, left, value, right in points:
+        if not (0.0 <= left <= value <= right <= 1.0):
+            return f"breakpoint at {x}: need 0 <= left <= value <= right <= 1"
+    for (xa, _, _, right), (xb, left, _, _) in zip(points, points[1:]):
+        if right > left + EXACT_TOL:
+            return f"not monotone across ({xa}, {xb}): {right} > {left}"
     bounds = [-INF, *xs, INF]
-    for i, seg in enumerate(segments):
+    for i, level in enumerate(levels):
         lo, hi = bounds[i], bounds[i + 1]
-        want_lo = 0.0 if i == 0 else points[i - 1].right
+        want_lo = 0.0 if i == 0 else points[i - 1][3]
         if not xs:
-            return None if 0.0 <= seg.level <= 1.0 else "a breakpoint-free DistFn must be a constant in [0,1]"
-        if not abs(seg.level - want_lo) <= EXACT_TOL:
-            return f"segment on ({lo}, {hi}) starts at {seg.level}, expected {want_lo}"
-        if i < len(xs) and not abs(seg.level - points[i].left) <= EXACT_TOL:
-            return f"segment on ({lo}, {hi}) ends at {seg.level}, expected {points[i].left}"
-        if i == len(xs) and not seg.level <= 1.0 + EXACT_TOL:
+            return None if 0.0 <= level <= 1.0 else "a breakpoint-free DistFn must be a constant in [0,1]"
+        if not abs(level - want_lo) <= EXACT_TOL:
+            return f"segment on ({lo}, {hi}) starts at {level}, expected {want_lo}"
+        if i < len(xs) and not abs(level - points[i][1]) <= EXACT_TOL:
+            return f"segment on ({lo}, {hi}) ends at {level}, expected {points[i][1]}"
+        if i == len(xs) and not level <= 1.0 + EXACT_TOL:
             return "upper tail exceeds 1"
     return None
 
 
 @given(
     steps(),
-    st.sampled_from(["x", "left", "value", "right", "level"]),
+    st.sampled_from([*FIELDS, "level"]),
     st.integers(0, 6),
     st.sampled_from([-0.5, -1e-13, 1e-13, 0.25, 2.0, math.nan]),
 )
 @settings(max_examples=300, deadline=None)
 def test_validation_matches_the_reference_scan(f, field, k, delta):
-    points, segments = list(f.points), list(f.segments)
+    # the breakpoints and levels of f, read from its arrays, with one
+    # number moved by delta, rebuilt through piecewise_cdf
+    points = [list(p) for p in zip(f._xa.tolist(), *f._tri[:, :-1].tolist())]
+    levels = f._par[0].tolist()
     if field == "level":
-        k %= len(segments)
-        segments[k] = ConstSeg(segments[k].level + delta)
+        levels[k % len(levels)] += delta
     else:
-        k %= len(points)
-        p = points[k]
-        points[k] = dataclasses.replace(p, **{field: getattr(p, field) + delta})
-    want = reference_validation_error(points, segments)
+        points[k % len(points)][FIELDS.index(field)] += delta
+    segments = [("const", level) for level in levels]
+    want = reference_validation_error(points, levels)
     if want is None:
-        DistFn(tuple(points), tuple(segments))
+        piecewise_cdf(points, segments)
     else:
         with pytest.raises(InvalidParameterError) as got:
-            DistFn(tuple(points), tuple(segments))
+            piecewise_cdf(points, segments)
         assert str(got.value) == want

@@ -14,6 +14,7 @@ from shockbox.cli import load_scenario
 from shockbox.distfn import (
     INF,
     LIMIT_SIDES,
+    admissible_anchors,
     comix,
     exponential_cdf,
     pointmass_cdf,
@@ -31,7 +32,6 @@ from shockbox.generators import (
     _chi_gap_extremes,
     _dedupe_knots,
     _phi_gap_extremes,
-    admissible_anchors,
     associated_envelope_gaps,
     blend_generators,
     build_chi,

@@ -1,14 +1,18 @@
 """Every public def and class of the package is used by the package.
 
 A public name is a top-level def or class of ``src/shockbox``, or a method
-of one of its classes, whose name does not start with an underscore. It
-counts as used when it is read, as a name, an attribute or an imported
-name, anywhere in ``src/shockbox``, or when ``bench/tracing.py`` wraps it
-(its ``TARGETS``). A method that overrides one of a base class from
-outside the package (``argparse.ArgumentParser.error``) is called by that
-class and is not counted. A name that only tests call is API kept for the
-tests; it goes, and the test states what it needs itself. ``ALLOWED``
-lists the few kept on purpose, each with its reason.
+or property of one of its classes, whose name does not start with an
+underscore. A top-level name counts as used when it is read, as a name, an
+attribute or an imported name, anywhere in ``src/shockbox``. A method
+counts as used only when it is read as an attribute there
+(``obj.method``): a local variable of the same spelling does not use it.
+``bench/tracing.py``'s ``TARGETS`` use what they wrap: a function by its
+name, a ``Class.method`` target that class's method only. A method that
+overrides one of a base class from outside the package
+(``argparse.ArgumentParser.error``) is called by that class and is not
+counted. A name that only tests call is API kept for the tests; it goes,
+and the test states what it needs itself. ``ALLOWED`` lists the few kept on
+purpose, each with its reason.
 """
 
 import ast
@@ -25,6 +29,7 @@ ALLOWED = {
     "chi_star": "the star transform of the paper, checked against its identity",
     "reverse": "the reversal of a law, part of the CDF algebra the tests exercise",
     "eval_copula": "scalar copula evaluation, the tests' reference for copula_grid",
+    "JointTable.at": "staircase lookup of the enumerated joint CDF, the tests' exact oracle",
 }
 
 
@@ -40,31 +45,48 @@ def inherited(module: str, name: str) -> set[str]:
 
 
 def public_defs(trees) -> dict[str, str]:
-    """Public top-level defs and classes and their public methods: name -> where."""
+    """Public top-level defs and classes, and public methods as
+    ``Class.method``: name -> where."""
     found = {}
     for path, tree in trees:
         for node in tree.body:
-            nodes = [node]
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if not node.name.startswith("_"):
+                found.setdefault(node.name, f"{path.name}:{node.lineno}")
             if isinstance(node, ast.ClassDef):
                 hooks = inherited(path.stem, node.name)
-                nodes.extend(item for item in node.body if getattr(item, "name", None) not in hooks)
-            for item in nodes:
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                    if not item.name.startswith("_"):
-                        found.setdefault(item.name, f"{path.name}:{item.lineno}")
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                        if not item.name.startswith("_") and item.name not in hooks:
+                            found.setdefault(f"{node.name}.{item.name}", f"{path.name}:{item.lineno}")
     return found
 
 
+def attribute_reads(trees) -> set[str]:
+    """Every name read as an attribute, ``obj.name``."""
+    return {
+        node.attr
+        for _, tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
 def traced_names() -> set[str]:
-    return {part for _, attr, *_ in load_targets() for part in attr.split(".")}
+    # a Class.method target reads the class and that one method
+    return {name for _, attr, *_ in load_targets() for name in (attr, attr.partition(".")[0])}
 
 
 def unused(trees, traced) -> list[str]:
     _, used = defined_and_used(trees)
+    attributes = attribute_reads(trees)
     return sorted(
         f"{name} ({where})"
         for name, where in public_defs(trees).items()
-        if name not in used and name not in traced and name not in ALLOWED
+        if (name.rpartition(".")[2] not in attributes if "." in name else name not in used)
+        and name not in traced
+        and name not in ALLOWED
     )
 
 
@@ -89,7 +111,24 @@ def test_the_scan_finds_a_public_method_only_tests_call():
     )
     trees = [(PACKAGE / "example.py", ast.parse(source))]
     assert [entry.split()[0] for entry in unused(trees, {"traced"})] == [
+        "Box.spare",
         "build",
-        "spare",
         "spare_function",
+    ]
+
+
+def test_the_scan_resolves_methods_per_class():
+    # a local variable does not use the method it is spelt like, and a
+    # traced Class.method covers that class's method only
+    source = (
+        "def fold(rows):\n    failed = [r for r in rows]\n    return failed, Crate().size\n\n"
+        "class Crate:\n    @property\n    def size(self):\n        return 1\n\n"
+        "    @property\n    def failed(self):\n        return []\n\n"
+        "    def at(self):\n        return 2\n\n"
+        "class Bound:\n    def at(self):\n        return 3\n"
+    )
+    trees = [(PACKAGE / "example.py", ast.parse(source))]
+    assert [entry.split()[0] for entry in unused(trees, {"fold", "Bound", "Bound.at"})] == [
+        "Crate.at",
+        "Crate.failed",
     ]
