@@ -462,7 +462,7 @@ def piecewise_cdf(breakpoints, segments) -> DistFn:
     if len(segs) != len(bps) + 1:
         raise InvalidParameterError("need exactly len(points)+1 segments")
     cols = np.array(bps, dtype=float).reshape(-1, 4).T
-    return DistFn._from_arrays(cols[0], cols[1:], rows[0].astype(np.int8), rows[1:].copy())
+    return DistFn._from_arrays(cols[0], cols[1:], rows[0].astype(np.int8), rows[1:])
 
 
 def _atom_cdf(xs: np.ndarray, masses: np.ndarray) -> DistFn:

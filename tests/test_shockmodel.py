@@ -328,6 +328,14 @@ CUT_LAWS = {
 }
 
 
+# the inverse of the piece origin - log(1 - (u - offset) / scale) / rate of
+# the continuous laws, written out with math.log
+INVERSES = {
+    "exponential": lambda u: 0.0 - math.log(1.0 - (u - 0.0) / 1.0) / 1.5,
+    "shifted": lambda u: -2.0 - math.log(1.0 - (u - 0.0) / 1.0) / 0.7,
+}
+
+
 @pytest.mark.parametrize("name", sorted(CUT_LAWS))
 def test_equal_mass_cuts_are_located_bit_for_bit_and_split_the_mass(name):
     f, start, hi = CUT_LAWS[name]
@@ -336,6 +344,9 @@ def test_equal_mass_cuts_are_located_bit_for_bit_and_split_the_mass(name):
     us = low + (high - low) * (np.arange(1, n) / n)
     located = np.array([locate(f, u) for u in us.tolist()])
     assert locate_many(f, us).tobytes() == located.tobytes()
+    if name in INVERSES:
+        want = np.array([INVERSES[name](u) for u in us.tolist()])
+        assert located.tobytes() == want.tobytes()
     # levels equal to a limit at a breakpoint: the ties locate breaks
     ties = [v for x in f.breakpoints for v in f.triple(x)]
     assert locate_many(f, ties).tolist() == [locate(f, u) for u in ties]
