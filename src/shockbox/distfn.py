@@ -784,14 +784,17 @@ def _invert(f: DistFn, j: np.ndarray, us: np.ndarray) -> np.ndarray:
     ``np.log`` may round differently with the CPU and the numpy version."""
     kind, (a, b, c, d) = f._kind[j], f._par[:, j]
     exp = kind == _EXP
+    # a constant, or an affine piece of slope 0 between limits that differ
+    # within the validation tolerance
+    flat = (kind == _CONST) | ((kind == _AFFINE) & (c == 0.0))
     with np.errstate(all="ignore"):
         t = 1.0 - (us - d) / a
-        bad = (kind == _CONST) | (exp & (t <= 0.0))
+        bad = flat | (exp & (t <= 0.0))
         if np.count_nonzero(bad):
             k = int(bad.argmax())
             edges = np.concatenate(([-INF], f._xa, [INF]))
             lo, hi = edges[j[k]].item(), edges[j[k] + 1].item()
-            where = "a flat segment " if kind[k] == _CONST else ""
+            where = "a flat segment " if flat[k] else ""
             raise InvalidRangeError(f"value {us[k].item()} not attained on {where}({lo}, {hi})")
         logs = np.array(list(map(math.log, np.where(exp, t, 1.0).tolist())), dtype=float)
         return np.where(exp, c - logs / b, a + (us - b) / c)

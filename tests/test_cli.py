@@ -244,6 +244,25 @@ def test_a_decreasing_exponential_piece_exits_two(tmp_path, capsys):
     assert not (tmp_path / "report.json").exists()
 
 
+def test_a_level_inside_a_flat_affine_piece_exits_two(tmp_path, capsys):
+    # the piece of slope 0 at 7e-10 meets the limits 0 and 1.5e-9 within the
+    # analytic tolerance, so the law is valid, but the level 1e-9 the probe
+    # grid locates lies on no point of it; inverting the piece divided by
+    # its slope of 0 and ended in a traceback
+    raw = read_json(D1)
+    raw["y"] = {
+        "type": "piecewise",
+        "breakpoints": [[0, 0, 0, 0], [1, 1.5e-9, 1, 1]],
+        "segments": [["const", 0], ["affine", 0, 7e-10, 0], ["const", 1]],
+    }
+    bad = tmp_path / "law.json"
+    bad.write_text(json.dumps(raw))
+    assert main(["pipeline", "--scenario", str(bad), "--out", str(tmp_path)]) == 2
+    message = "value 1e-09 not attained on a flat segment (0.0, 1.0)"
+    assert capsys.readouterr().err == f"shockbox: {message}\n"
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_an_exponential_shift_near_the_float_limit_runs(tmp_path, capsys):
     # the probes of the exponential piece beyond 1e308 used to overflow,
     # with a RuntimeWarning, which the test configuration turns into an error
