@@ -72,7 +72,8 @@ DEFAULT_SEARCH_GRID = 51
 MAX_SEARCH_GRID = (MAX_GRID + 1) // 2
 # search keeps every finding (about 1.3 KB of JSON each) until it writes the
 # summary, and scans about 200 scenarios a second per worker process (one per
-# usable CPU) at the default grid
+# usable CPU) at the default grid on a 2-core VM: the scan is pruned or
+# certified away, and building the scenarios and generators is most of it
 MAX_SEARCH_COUNT = 100_000
 
 
@@ -265,7 +266,7 @@ def search_scenario(seed: int, index: int, grid: int, tol: float) -> dict | None
     witnesses = search_ic_violation(pair, n=grid, tol=tol)
     if not witnesses:
         return None
-    rescan = search_ic_violation(pair, n=2 * grid - 1, tol=tol, first=True)
+    rescan = search_ic_violation(pair, n=2 * grid - 1, tol=tol)
     doubled = {w.condition for w in rescan}
     return {
         "scenario_index": index,
@@ -287,19 +288,21 @@ def cmd_search(cfg: RunConfig) -> int:
 
     The same-corner pair composes into the bivariate bounds but is not in
     general an imprecise copula on the unit square; this command gathers
-    grid evidence. Each witness is re-verified two ways: recomputed directly
-    on its rectangle, and re-found by a scan at doubled resolution. That
-    scan only has to say which conditions fail, so its rectangle scan stops
-    once all four rectangle conditions are violated.
+    grid evidence. A pair whose smallest gap upC - lowC, less the slack of
+    the volume-plus-gap split, is at least -tol passes without a scan, and
+    a pair with an order violation scans only the rows that can hold a
+    worst rectangle (the ``imprecise`` module docstring). Each witness is
+    re-verified two ways: recomputed directly on its rectangle, and
+    re-found by the same scan at doubled resolution.
 
     The doubled grid, np.linspace(0, 1, 2n - 1), holds the n-point grid bit
     for bit at its even indices: linspace's points are k * fl(1/(n - 1))
     with the last set to 1, and fl(1/(2n - 2)) is fl(1/(n - 1))/2 exactly
     (a test pins this for every n up to MAX_SEARCH_GRID). copula_grid is
     elementwise, so the rescan sees every witness rectangle with the same
-    corner values. ``reverified_doubled_grid`` can therefore be false only
-    when the rescan's order of addition rounds a witness value that lies
-    within rounding of -tol to the other side.
+    corner values, and the scan's value of a rectangle depends on those
+    alone. The rescan's minimum of each condition is therefore at most the
+    witness's value, and ``reverified_doubled_grid`` is true.
 
     The scenarios run on forked worker processes, one per usable CPU, in
     ordered chunks; the findings are merged by scenario index, so the

@@ -63,6 +63,7 @@ from .distfn import (
 )
 from .errors import (
     InvalidParameterError,
+    InvalidRangeError,
     MassSumError,
     NonProperInputError,
     UnsupportedSegmentPairError,
@@ -201,8 +202,14 @@ def probe_xs(fns, n: int = 201) -> np.ndarray:
     for f in fns:
         points.extend(f.breakpoints)
         if f.final > 0.0:
-            points.append(locate(f, min(1e-9, f.final / 2.0)))
-            points.append(locate(f, f.final * (1.0 - 1e-9)))
+            for level in (min(1e-9, f.final / 2.0), f.final * (1.0 - 1e-9)):
+                try:
+                    points.append(locate(f, level))
+                except InvalidRangeError:
+                    # the level falls between the limits of a flat piece,
+                    # which the validation tolerance lets differ; the
+                    # piece's breakpoints are probes already
+                    pass
     if not points:
         points = [0.0]
     lo, hi = min(points), max(points)

@@ -1,6 +1,8 @@
 """Imprecise copulas: bound pairs, rectangle conditions, families, coherence."""
 
+import math
 from dataclasses import asdict
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -24,8 +26,13 @@ from shockbox.imprecise import (
     CopulaFamily,
     CopulaPair,
     ViolationWitness,
+    _candidate_rows,
+    _certified,
     _collapsed_scan,
     _ic_scan,
+    _pruned_scan,
+    _split_slack,
+    _swept_scan,
     check_bivariate_pbox_conditions,
     check_imprecise_copula,
     coherence_witness,
@@ -185,17 +192,17 @@ def reference_row_scan(low, up):
 
 
 def split_value(low, up, name, rect):
-    """One condition on one rectangle in the row scan's arithmetic: the
-    p(i2, j2) term plus the q(i2, j1) term."""
+    """One condition on one rectangle of nested lists of floats, in the row
+    scan's arithmetic: the p(i2, j2) term plus the q(i2, j1) term."""
     i1, i2, j1, j2 = rect
     l1, l2, u1, u2 = low[i1], low[i2], up[i1], up[i2]
     p, q = {
-        "IC1": (l2 - l1, u1 - l2),
-        "IC2": (u2 - l1, l1 - l2),
-        "IC3": (u2 - l1, u1 - u2),
-        "IC4": (u2 - u1, u1 - l2),
+        "IC1": (l2[j2] - l1[j2], u1[j1] - l2[j1]),
+        "IC2": (u2[j2] - l1[j2], l1[j1] - l2[j1]),
+        "IC3": (u2[j2] - l1[j2], u1[j1] - u2[j1]),
+        "IC4": (u2[j2] - u1[j2], u1[j1] - l2[j1]),
     }[name]
-    return float(p[j2] + q[j1])
+    return p + q
 
 
 def scan_bits(result):
@@ -203,21 +210,12 @@ def scan_bits(result):
     return {name: (np.float64(value).tobytes(), rect) for name, (value, rect) in result.items()}
 
 
-# the conditions' names on the transposed grids
-TRANSPOSED = {"IC1": "IC1", "IC2": "IC2", "IC3": "IC4", "IC4": "IC3"}
-
-
-def assert_stop_scan_confirms(low, up, reference, tol):
-    """A stopped scan finds the violated conditions of the full one, each
-    with a real rectangle's value; returns whether some value is not the
-    worst. The scan sweeps the transposed grids, so a value is the row
-    scan's arithmetic on the transposed rectangle."""
-    scan = _ic_scan(low, up, stop=-tol)
-    violated = {name for name, (value, _) in reference.items() if value < -tol}
-    assert {name for name, (value, _) in scan.items() if value < -tol} == violated
-    for name, (value, (i1, i2, j1, j2)) in scan.items():
-        assert split_value(low.T, up.T, TRANSPOSED[name], (j1, j2, i1, i2)) == value
-    return any(scan[name][0] > reference[name][0] for name in violated)
+def all_paths(low, up):
+    """The scan's result by each path: the dispatch, the sweep, and the
+    row pairs of the candidate rows S, whatever their number."""
+    rows = _candidate_rows(low, up, math.inf)
+    assert rows is not None and len(rows) > 0
+    return [_ic_scan(low, up), _swept_scan(low, up), _pruned_scan(low, up, rows)]
 
 
 def eighths_grids():
@@ -259,48 +257,24 @@ def random_grids():
 def test_ic_scan_matches_the_plain_enumeration():
     for low, up in eighths_grids():
         reference = reference_ic_scan(low, up)
-        assert _ic_scan(low, up) == reference, (low, up)
+        for scan in all_paths(low, up):
+            assert scan == reference, (low, up)
         assert reference_row_scan(low, up) == reference, (low, up)
 
 
 def test_ic_scan_matches_the_row_scan_bit_for_bit():
     for low, up in random_grids():
-        assert scan_bits(_ic_scan(low, up)) == scan_bits(reference_row_scan(low, up)), low.shape
-
-
-def swept_minima(low, up, tol):
-    """Each condition's minimum over the rectangles with i2 <= k, for the
-    first k at which all four are below -tol (None if there is none)."""
-    for k in range(low.shape[0]):
-        prefix = reference_ic_scan(low[: k + 1], up[: k + 1])
-        if all(value < -tol for value, _ in prefix.values()):
-            return {name: value for name, (value, _) in prefix.items()}
-    return None
-
-
-# a tolerance of 1/8 puts values exactly at -tol, which are no violations
-@pytest.mark.parametrize("tol", [1e-9, 0.125])
-def test_ic_scan_with_stop_confirms_the_same_violations(tol):
-    stopped_early = 0
-    for low, up in eighths_grids():
-        stopped_early += assert_stop_scan_confirms(low, up, reference_ic_scan(low, up), tol)
-        # the scan stops after the first u2 that confirms all four
-        minima = swept_minima(low, up, tol)
-        if minima is not None:
-            scan = _ic_scan(low, up, stop=-tol)
-            assert {name: value for name, (value, _) in scan.items()} == minima
-    for low, up in random_grids():
-        stopped_early += assert_stop_scan_confirms(low, up, reference_row_scan(low, up), tol)
-    # the stop is exercised: some scans return violations that are not the worst
-    assert stopped_early > 0
+        reference = scan_bits(reference_row_scan(low, up))
+        for scan in all_paths(low, up):
+            assert scan_bits(scan) == reference, low.shape
 
 
 def test_ic_scan_matches_the_row_scan_on_the_packaged_scenarios(monkeypatch):
     scanned = []
 
-    def recording_scan(low, up, stop=-np.inf):
+    def recording_scan(low, up):
         scanned.append((low, up))
-        return _ic_scan(low, up, stop)
+        return _ic_scan(low, up)
 
     monkeypatch.setattr(imprecise, "_ic_scan", recording_scan)
     for path in sorted(SCENARIOS.glob("*.json")):
@@ -331,13 +305,6 @@ def search_grids():
 def test_ic_scan_matches_the_row_scan_on_search_scenarios(search_grids):
     for low, up, reference in search_grids:
         assert scan_bits(_ic_scan(low, up)) == scan_bits(reference)
-
-
-def test_ic_scan_with_stop_on_search_scenarios(search_grids):
-    stopped_early = 0
-    for low, up, reference in search_grids:
-        stopped_early += assert_stop_scan_confirms(low, up, reference, EXACT_TOL)
-    assert stopped_early > 0
 
 
 # few values, so that cells tie and whole rows and columns repeat; 0.0 and
@@ -371,14 +338,260 @@ def test_collapsed_scan_is_the_full_scan_bit_for_bit(grids):
     assert scan_bits(_collapsed_scan(low, up)) == scan_bits(_ic_scan(low, up))
 
 
-def test_first_keeps_every_verdict():
-    for pair in (same_corner_pair(), maxmin_pair(), CopulaPair(maxmin_pair().up, maxmin_pair().low)):
-        full = check_imprecise_copula(pair, n=51, tol=1e-12)
-        first = check_imprecise_copula(pair, n=51, tol=1e-12, first=True)
-        assert [(c.name, c.passed) for c in first] == [(c.name, c.passed) for c in full]
-        assert {w.condition for w in search_ic_violation(pair, n=51, first=True)} == {
-            w.condition for w in search_ic_violation(pair, n=51)
-        }
+# -- the volume-plus-gap split: pruning and the certificate -------------------
+
+
+@st.composite
+def lemma_grids(draw):
+    """A pair of n x m grids, 2 <= n, m <= 12: multiples of 1/64 scaled by a
+    power of two (dyadic), or floats scaled by a non-dyadic factor."""
+    n, m = draw(st.integers(2, 12)), draw(st.integers(2, 12))
+    if draw(st.booleans()):
+        values = st.integers(-64, 64).map(lambda k: k / 64)
+        scale = 2.0 ** draw(st.integers(-40, 40))
+    else:
+        values = st.floats(-1.0, 1.0)
+        scale = draw(st.sampled_from([1.0, 1 / 3, 7.1e-5, 3.3e4]))
+    cells = st.lists(values, min_size=n * m, max_size=n * m)
+    low = np.array(draw(cells)).reshape(n, m) * scale
+    return low, np.array(draw(cells)).reshape(n, m) * scale
+
+
+@given(lemma_grids())
+@settings(max_examples=60, deadline=None)
+def test_each_condition_is_a_volume_plus_a_gap_within_its_rounding(grids):
+    """IC1 = V_low(R) + gap(u1, v1), IC2 = V_low(R) + gap(u2, v2), IC3 =
+    V_up(R) + gap(u1, v2) and IC4 = V_up(R) + gap(u2, v1), in exact
+    arithmetic; the split's floats are within 9uK of it, at least fl(gap)
+    at the corner minus the slack, and fl(gap) on a degenerate rectangle.
+
+    Every float is an integer multiple of 1/D, with D the largest
+    denominator of the grid values as fractions: a rounded sum of them is
+    coarser, not finer. So the exact values are integers times 1/D."""
+    low, up = grids
+    n, m = low.shape
+    low_f, up_f = low.tolist(), up.tolist()
+    ratios = [Fraction(x) for row in low_f + up_f for x in row]
+    scale = max(abs(r) for r in ratios)
+    den = max(r.denominator for r in ratios)
+
+    def exact(x: float) -> int:
+        numerator, denominator = x.as_integer_ratio()
+        assert den % denominator == 0
+        return numerator * (den // denominator)
+
+    exact_low = [[exact(x) for x in row] for row in low_f]
+    exact_up = [[exact(x) for x in row] for row in up_f]
+    # the bounds times D, rounded down: an integer is within one of them
+    # exactly when it is within its floor
+    rounding = math.floor(9 * Fraction(imprecise._UNIT_ROUNDOFF) * scale * den)
+    slack = math.floor(Fraction(_split_slack(low, up)) * den)
+    for i1 in range(n):
+        for i2 in range(i1, n):
+            for j1 in range(m):
+                for j2 in range(j1, m):
+                    volume_low, volume_up = (
+                        g[i2][j2] - g[i2][j1] - g[i1][j2] + g[i1][j1] for g in (exact_low, exact_up)
+                    )
+                    corners = {
+                        "IC1": (volume_low, i1, j1),
+                        "IC2": (volume_low, i2, j2),
+                        "IC3": (volume_up, i1, j2),
+                        "IC4": (volume_up, i2, j1),
+                    }
+                    for name, (volume, i, j) in corners.items():
+                        value = split_value(low_f, up_f, name, (i1, i2, j1, j2))
+                        gap = up_f[i][j] - low_f[i][j]
+                        error = exact(value) - volume - (exact_up[i][j] - exact_low[i][j])
+                        assert abs(error) <= rounding, (name, (i1, i2, j1, j2))
+                        assert exact(value) >= exact(gap) - slack
+                        if i1 == i2 and j1 == j2:
+                            assert value == gap
+
+
+@st.composite
+def tied_gap_grids(draw):
+    """A pair of grids, square or not, whose smallest gap is attained on two
+    rows or more, with signed zeros; multiples of 1/8, so up = low + gap
+    exactly."""
+    n, m = draw(st.integers(2, 9)), draw(st.integers(2, 9))
+    eighths = st.sampled_from([-0.0, 0.0, 0.125, 0.25, 0.5, 0.875, 1.0])
+    low = np.array(draw(st.lists(eighths, min_size=n * m, max_size=n * m))).reshape(n, m)
+    gaps = st.sampled_from([-0.0, 0.0, 0.125, 0.25])
+    gap = np.array(draw(st.lists(gaps, min_size=n * m, max_size=n * m))).reshape(n, m)
+    rows = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=n, unique=True))
+    cols = draw(st.lists(st.integers(0, m - 1), min_size=len(rows), max_size=len(rows)))
+    gap[rows, cols] = -0.125
+    return low, low + gap, rows
+
+
+@given(tied_gap_grids())
+@settings(max_examples=200, deadline=None)
+def test_pruned_scan_is_the_sweep_with_the_gap_minimum_tied_across_rows(grids):
+    low, up, tied = grids
+    assert set(tied) <= set(_candidate_rows(low, up, math.inf).tolist())
+    reference = scan_bits(_swept_scan(low, up))
+    for scan in all_paths(low, up):
+        assert scan_bits(scan) == reference
+
+
+@given(repeated_grids())
+@settings(max_examples=200, deadline=None)
+def test_pruned_scan_is_the_sweep_on_signed_zeros_and_repeats(grids):
+    low, up = grids
+    reference = scan_bits(_swept_scan(low, up))
+    for scan in all_paths(low, up):
+        assert scan_bits(scan) == reference
+
+
+def test_a_grid_value_that_is_not_finite_takes_the_sweep():
+    low, up = np.zeros((4, 4)), np.ones((4, 4))
+    up[0, 3] = -1.0
+    assert _candidate_rows(low, up, math.inf).tolist() == [0]
+    for bad in (np.inf, np.nan):
+        up[2, 2] = bad
+        assert _candidate_rows(low, up, math.inf) is None
+        assert not _certified(low, up, 1.0)
+
+
+def search_pair(seed: int, index: int) -> CopulaPair:
+    """The same-corner pair ``search`` scans for scenario ``[seed, index]``."""
+    s = random_discrete_scenario([seed, index], model="maxmin", grid=51)
+    x, y, z = s.x_pbox, s.y_pbox, s.z
+    phis = build_phi(x.lower, z), build_phi(x.upper, z)
+    chis = build_chi(y.lower, z), build_chi(y.upper, z)
+    return CopulaFamily("maxmin", *phis, *chis).same_corner
+
+
+def unit_grids(pair, n):
+    us = np.linspace(0.0, 1.0, n)
+    return copula_grid(pair.low, us, us), copula_grid(pair.up, us, us)
+
+
+# search's default tolerance
+SEARCH_TOL = 1e-9
+
+
+@pytest.fixture(scope="module")
+def unpinned_search_pairs():
+    """The pairs of the 1,000 scenarios of search seeds 3 and 5, seeds that
+    no digest or other test pins."""
+    return {seed: [search_pair(seed, index) for index in range(1000)] for seed in (3, 5)}
+
+
+def test_pruned_scan_is_the_sweep_on_search_grids(unpinned_search_pairs, monkeypatch):
+    """Every pair with an order violation at n = 51 among the first 450 of
+    each seed, at n = 51 and at the rescan's n = 101: each scan takes the
+    pruned path and returns the sweep's bits."""
+    pruned = []
+
+    def recording_pruned_scan(low, up, rows):
+        pruned.append(len(rows))
+        return _pruned_scan(low, up, rows)
+
+    monkeypatch.setattr(imprecise, "_pruned_scan", recording_pruned_scan)
+    grids = 0
+    for pairs in unpinned_search_pairs.values():
+        for pair in pairs[:450]:
+            low, up = unit_grids(pair, 51)
+            if float(np.min(up - low)) >= -SEARCH_TOL:
+                continue
+            for n in (51, 101):
+                low, up = unit_grids(pair, n)
+                assert scan_bits(_ic_scan(low, up)) == scan_bits(_swept_scan(low, up))
+                grids += 1
+    assert grids >= 1000
+    assert len(pruned) == grids
+    # S holds the corner rows of the worst rectangles, mostly one row
+    assert max(pruned) <= 2
+
+
+def test_the_certificate_never_passes_a_violating_search_pair(unpinned_search_pairs):
+    certified = 0
+    for pairs in unpinned_search_pairs.values():
+        for pair in pairs:
+            low, up = unit_grids(pair, 51)
+            if _certified(low, up, SEARCH_TOL):
+                certified += 1
+                values = [value for value, _ in _swept_scan(low, up).values()]
+                assert min(values + [float(np.min(up - low))]) >= -SEARCH_TOL
+    # it covers most passing pairs, about two in five of all
+    assert certified >= 700
+
+
+def test_search_finds_the_failing_checks_of_the_grid():
+    for seed in (3, 5):
+        for index in range(60):
+            pair = search_pair(seed, index)
+            for n in (21, 51):
+                expected = [
+                    c.witness
+                    for c in check_imprecise_copula(pair, n=n, tol=SEARCH_TOL)
+                    if not c.passed and isinstance(c.witness, ViolationWitness)
+                ]
+                assert search_ic_violation(pair, n=n, tol=SEARCH_TOL) == expected
+
+
+def certificate_edge_grids(tol):
+    """Grid pairs whose smallest gap M lies a few ulps from -tol, from -tol
+    plus a negative cell volume, and from -tol plus the slack s; the
+    negative cell volumes are about the rounding part of s or larger."""
+    grids = []
+    for delta in (0.0, 2.0**-66, 2.0**-60, 2.0**-50):
+        low = np.zeros((5, 4))
+        # cells (1, 2) and (2, 1) get volume -delta
+        low[2, 2] = delta
+        slack = _split_slack(low, low - tol)
+        for anchor in (-tol, -tol + delta, -tol + slack, -tol + 2 * slack):
+            c = anchor
+            for _ in range(3):
+                c = np.nextafter(c, -np.inf)
+            for _ in range(7):
+                grids.append((low, low + c))
+                c = np.nextafter(c, np.inf)
+    return grids
+
+
+# found by a seeded search over small grids of decimals: no computed cell
+# volume is negative, yet the rounding of the split puts a rectangle more
+# than one ulp below M (first pair), or a worst rectangle's corner on a row
+# whose gap exceeds M by more than one ulp (second pair)
+ROUNDING_GRIDS = (
+    ([[0.45, 0.13], [0.4, 0.2]], [[0.75, -0.07], [0.4, 0.7]]),
+    (
+        [[0.7, 0.4], [0.3, 0.2], [0.4, 0.7]],
+        [[1.2, 0.8], [0.09999999999999998, 0.19999999999999996], [0.19999999999999996, 0.7999999999999998]],
+    ),
+)
+
+
+def test_the_slack_covers_the_rounding_of_the_split():
+    grids = [tuple(np.array(g) for g in pair) for pair in ROUNDING_GRIDS]
+    for low, up in grids:
+        for grid in (low, up):
+            assert np.min(np.diff(np.diff(grid, axis=0), axis=1)) >= 0.0
+    (low, up), (low2, up2) = grids
+    floor = float(np.min(up - low))
+    tol = -np.nextafter(floor, -np.inf)
+    assert min(value for value, _ in _swept_scan(low, up).values()) < -tol
+    assert not _certified(low, up, tol)
+    sweep = scan_bits(_swept_scan(low2, up2))
+    gaps = np.min(up2 - low2, axis=1)
+    near_floor = np.flatnonzero(gaps <= np.nextafter(np.min(gaps), np.inf))
+    assert scan_bits(_pruned_scan(low2, up2, near_floor)) != sweep
+    assert scan_bits(_pruned_scan(low2, up2, _candidate_rows(low2, up2, math.inf))) == sweep
+
+
+@pytest.mark.parametrize("tol", [2.0**-20, 1e-9])
+def test_the_certificate_on_edge_grids(tol):
+    certified = failing = 0
+    for low, up in certificate_edge_grids(tol):
+        worst = min([v for v, _ in _swept_scan(low, up).values()] + [float(np.min(up - low))])
+        failing += worst < -tol
+        if _certified(low, up, tol):
+            certified += 1
+            assert worst >= -tol
+    assert certified > 0 and failing > 0
 
 
 def test_violation_witness_validation_and_serialization():
