@@ -10,7 +10,8 @@ Three subcommands, each taking only the options it reads:
   emit      export generator tables, copula surfaces, marginal bounds and
             bivariate-bound surfaces as CSV.
 
-Malformed configuration or scenario input exits 2. All outputs are
+Malformed configuration or scenario input exits 2, and so does an --out
+that cannot be a directory, before any work. All outputs are
 deterministic for a fixed seed (sorted keys, no timestamps, shortest
 round-trip float formatting) and written atomically: content goes to a
 temporary file in the target directory which is renamed over the final
@@ -153,9 +154,19 @@ def load_scenario(path: Path, grid_override: int | None = None) -> Scenario:
         raise ConfigError(str(exc)) from exc
 
 
+def _make_output_dir(out: Path) -> None:
+    """Create the output directory and its parents. Each command calls it
+    once its input has loaded and before any work, so a malformed input
+    leaves no directory behind and an unusable path (a file, or a path under
+    a file) exits 2 at once."""
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use {out} as the output directory: {exc.strerror}") from exc
+
+
 def _write_atomic(path: Path, text) -> None:
     """Write a str, or a ``_CsvTable`` slab by slab, through a temporary file."""
-    path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
@@ -245,6 +256,7 @@ def cmd_pipeline(cfg: RunConfig) -> int:
     if cfg.scenario is None:
         raise ConfigError("pipeline needs --scenario")
     scenario = load_scenario(cfg.scenario, cfg.grid)
+    _make_output_dir(cfg.out)
     result = run_scenario(scenario, tol=cfg.tol)
     _write_atomic(cfg.out / "report.json", _json_text(result.to_report()))
     if cfg.fmt == "csv":
@@ -313,6 +325,7 @@ def cmd_search(cfg: RunConfig) -> int:
     """
     import multiprocessing
 
+    _make_output_dir(cfg.out)
     grid = cfg.grid if cfg.grid is not None else DEFAULT_SEARCH_GRID
     scan = functools.partial(search_scenario, cfg.seed, grid=grid, tol=cfg.tol)
     workers = min(_usable_cpus(), cfg.count)
@@ -351,6 +364,7 @@ def cmd_emit(cfg: RunConfig) -> int:
     if cfg.scenario is None:
         raise ConfigError("emit needs --scenario")
     scenario = load_scenario(cfg.scenario, cfg.grid)
+    _make_output_dir(cfg.out)
     result = run_scenario(scenario, tol=cfg.tol)
     n = scenario.grid
     grid_us = _unit_grid(n)

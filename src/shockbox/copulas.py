@@ -109,12 +109,6 @@ def _copula_at(c, u: float, v: float) -> float:
     raise InvalidParameterError(f"not a copula specification: {type(c).__name__}")
 
 
-def eval_copula(c, u: float, v: float) -> float:
-    if not (0.0 <= u <= 1.0 and 0.0 <= v <= 1.0):
-        raise InvalidRangeError(f"copula argument ({u}, {v}) outside the unit square")
-    return _copula_at(c, float(u), float(v))
-
-
 def check_copula_axioms(c, n: int = 101, tol: float = EXACT_TOL) -> list[Check]:
     """Boundary conditions on grid samples and 2-increasingness on all cells.
 

@@ -8,17 +8,17 @@ constant, an affine piece, or an exponential-CDF piece
 ``scale*(1 - exp(-rate*(x - origin))) + offset``.
 
 Step functions (all segments constant) form the exact engine: products,
-comixtures, blends, reversals and order checks on them are carried out in
-closed form with no sampling error. Exponential pieces stay exact as long as
-every pointwise combination keeps one factor constant per interval; anything
-else raises ``UnsupportedSegmentPairError`` and the caller discretizes.
+comixtures, blends and order checks on them are carried out in closed form
+with no sampling error. Exponential pieces stay exact as long as every
+pointwise combination keeps one factor constant per interval; anything else
+raises ``UnsupportedSegmentPairError`` and the caller discretizes.
 
 A ``DistFn`` is stored as numpy arrays: breakpoints, left limits, values and
 right limits, a kind code per segment and the segment parameters in columns.
 That is the only form of a segment. Each segment rule (value, tail,
-monotonicity, scale-shift, the pair rules, reversal, inversion) is written
-once on the kind code and the parameter column; every constructor builds
-arrays and passes them to ``DistFn._from_arrays``. Exponential pieces are
+monotonicity, scale-shift, the pair rules, inversion) is written once on
+the kind code and the parameter column; every constructor builds arrays and
+passes them to ``DistFn._from_arrays``. Exponential pieces are
 evaluated with array arithmetic around ``math.exp``, so array and scalar
 evaluation agree bit for bit, on every machine.
 """
@@ -61,9 +61,9 @@ LIMIT_SIDES.setflags(write=False)
 # for a constant, (x0, y0, slope, 0) for an affine piece and (scale, rate,
 # origin, offset) for an exponential piece, so equal columns and codes mean
 # equal segments. The rate of an exponential piece may be negative (a
-# mirrored piece, from reverse() or a piecewise law); the piece is monotone
-# non-decreasing iff scale*rate >= 0. _TAGS are the JSON tags of the kinds and
-# _WIDTHS the number of parameters each tag takes.
+# mirrored piece of a piecewise law); the piece is monotone non-decreasing
+# iff scale*rate >= 0. _TAGS are the JSON tags of the kinds and _WIDTHS the
+# number of parameters each tag takes.
 
 _CONST, _AFFINE, _EXP = 0, 1, 2
 _TAGS = ("const", "affine", "exp")
@@ -323,9 +323,6 @@ class DistFn:
     right_limit = _scalar_evaluator(3)
     del _scalar_evaluator
 
-    def triple(self, x: float) -> tuple[float, float, float]:
-        return (self.left_limit(x), self.eval(x), self.right_limit(x))
-
     def eval_many(self, xs, side=0) -> np.ndarray:
         """Elementwise left limits, values or right limits (side -1, 0, +1).
 
@@ -581,24 +578,20 @@ def _combined_segment(
     return seg
 
 
-def _simplified(d: DistFn) -> DistFn:
-    # drop breakpoints that carry no information: flat triple and the same
-    # analytic piece on both sides (validity already ties the piece to the
-    # triple, so no value re-check is needed)
-    tri = d._tri[:, :-1]
-    flat = (tri[0] == tri[1]) & (tri[1] == tri[2])
+def _simplified(xs, limits, kind, par) -> tuple:
+    # the arrays of _from_arrays without the breakpoints that carry no
+    # information: flat triple and the same analytic piece on both sides
+    # (validity ties the piece to the triple, so no value re-check is needed)
+    flat = (limits[0] == limits[1]) & (limits[1] == limits[2])
     if not np.count_nonzero(flat):
-        return d
+        return xs, limits, kind, par
     # equal kind codes and parameter columns: equal segments
-    kind, par = d._kind, d._par
     same = (kind[:-1] == kind[1:]) & (par[:, :-1] == par[:, 1:]).all(axis=0)
     keep = (~(flat & same)).nonzero()[0]
-    if keep.size == d._xa.size:
-        return d
-    if not keep.size and not d._const[0]:
-        return d
+    if keep.size == xs.size or (not keep.size and kind[0] != _CONST):
+        return xs, limits, kind, par
     segs = np.concatenate(([0], keep + 1))
-    return DistFn._from_arrays(d._xa[keep], tri[:, keep], kind[segs], par[:, segs])
+    return xs[keep], limits[:, keep], kind[segs], par[:, segs]
 
 
 def _combine(
@@ -630,7 +623,7 @@ def _combine(
                 f._column(fi[j]), g._column(gi[j]), lo, float(his[j]),
                 name, coef_f, coef_g, pair,
             )
-    return _simplified(DistFn._from_arrays(xs, limits, kind, par))
+    return DistFn._from_arrays(*_simplified(xs, limits, kind, par))
 
 
 def comix_value(a, b):
@@ -679,23 +672,6 @@ def blend(f: DistFn, g: DistFn, t: float) -> DistFn:
         f, g, "blend", lambda a, b: t * a + (1.0 - t) * b,
         lambda c: (1.0 - t, t * c), lambda c: (t, (1.0 - t) * c), pair,
     )
-
-
-def reverse(f: DistFn) -> DistFn:
-    """The reverse distribution function x -> 1 - f(-x).
-
-    Swaps the roles of the one-sided limits (a cadlag step becomes caglad) and
-    mirrors exponential pieces; total and exact on the whole segment family.
-    """
-    kind, par = f._kind[::-1].copy(), f._par[:, ::-1].copy()
-    # x0 of an affine piece, scale, rate and origin of an exponential one
-    # change sign; the level, y0 or offset becomes 1 minus it
-    par[0, kind != _CONST] *= -1.0
-    par[1:3, kind == _EXP] *= -1.0
-    level = np.choose(kind, (0, 1, 3))
-    cols = np.arange(kind.size)
-    par[level, cols] = 1.0 - par[level, cols]
-    return DistFn._from_arrays(-f._xa[::-1], 1.0 - f._tri[::-1, -2::-1], kind, par)
 
 
 # ---------------------------------------------------------------------------
@@ -818,33 +794,6 @@ def locate_many(f: DistFn, us) -> np.ndarray:
 def locate(f: DistFn, u: float) -> float:
     """locate_many on the one level u."""
     return locate_many(f, [u])[0].item()
-
-
-def admissible_anchors(base: DistFn, u: float) -> list[float]:
-    """All admissible anchor points for u: matching breakpoints, plus an
-    interior point of every segment whose closure attains u."""
-    out = []
-    xs = base.breakpoints
-    bounds = (-INF,) + xs + (INF,)
-    for x in xs:
-        if base.left_limit(x) <= u <= base.right_limit(x):
-            out.append(x)
-    for i in range(len(xs) + 1):
-        lo, hi = bounds[i], bounds[i + 1]
-        lo_val = base.right_limit(lo) if math.isfinite(lo) else base.eval(lo)
-        hi_val = base.left_limit(hi) if math.isfinite(hi) else base.eval(hi)
-        if not lo_val <= u <= hi_val:
-            continue
-        if base._kind[i] == _CONST:
-            if math.isfinite(lo) and math.isfinite(hi):
-                out.append((lo + hi) / 2.0)
-            elif math.isfinite(lo):
-                out.append(lo + 1.0)
-            elif math.isfinite(hi):
-                out.append(hi - 1.0)
-        elif lo_val < u < hi_val:
-            out.append(_invert(base, np.array([i]), np.array([u])).item())
-    return sorted(set(out))
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,9 @@ The construction walks the breakpoints of the composite CDF (the product
 F_X*F_Z, or the comixture for chi) and emits a four-knot cluster per
 breakpoint; affine interpolation between the resulting knots reproduces the
 piecewise closed form exactly, because between breakpoints exactly one factor
-of the composite varies. formula_phi/formula_chi evaluate that closed form
-directly from the inputs and serve as an independent cross-check.
+of the composite varies. The tests evaluate that closed form, and the star
+transforms, directly from the inputs in their reference module
+(``tests/reference.py``), an independent cross-check.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .distfn import (
     DistFn,
     comix,
     comix_value,
-    locate,
     ordered_probes,
     product,
 )
@@ -147,22 +147,6 @@ class Generator:
     @classmethod
     def identity(cls, kind: str) -> "Generator":
         return cls(kind, ((0.0, 0.0), (1.0, 1.0)))
-
-
-def phi_star(g: Generator, u: float) -> float:
-    """g(u)/u, with the value inf at u = 0 (codomain [1, inf])."""
-    if u == 0.0:
-        return INF
-    return g.eval(u) / u
-
-
-def chi_star(g: Generator, w: float) -> float:
-    """(1 - g(w)) / (w - g(w)); inf wherever the denominator vanishes."""
-    y = g.eval(w)
-    den = w - y
-    if den <= 0.0:
-        return INF
-    return (1.0 - y) / den
 
 
 # ---------------------------------------------------------------------------
@@ -384,60 +368,6 @@ def _from_composite(f: DistFn, first: DistFn, fz: DistFn, kind: str) -> Generato
     ys = np.concatenate((at0, ys, at1))
     us, ys = _dedupe_knots(_monotone_us(us), ys)
     return Generator._from_arrays(kind, us, ys)
-
-
-# ---------------------------------------------------------------------------
-# direct closed-form evaluators (independent of the knot construction)
-
-
-def formula_phi(fx: DistFn, fz: DistFn, u: float, x0: float | None = None) -> float:
-    """The five-case closed form for phi, evaluated straight from F_X, F_Z.
-
-    x0 may be pinned to any admissible point to exercise well-definedness;
-    by default the smallest admissible one is used.
-    """
-    if u == 0.0:
-        return 0.0
-    if u == 1.0:
-        return 1.0
-    f = product(fx, fz)
-    if x0 is None:
-        x0 = locate(f, u)
-    fxl, _, fxr = fx.triple(x0)
-    fzv = fz.eval(x0)
-    u_l = fxl * fzv
-    u_u = fxr * fzv
-    if not (f.left_limit(x0) <= u <= f.right_limit(x0)):
-        raise InvalidRangeError(f"x0={x0} is not admissible for u={u}")
-    if u <= u_l:
-        return fxl
-    if u <= u_u:
-        # u <= u_u = F_X(x0+)F_Z(x0) with u > 0 forces F_Z(x0) > 0
-        return u / fzv
-    return fxr
-
-
-def formula_chi(fy: DistFn, fz: DistFn, w: float, y0: float | None = None) -> float:
-    """The five-case closed form for chi, evaluated straight from F_Y, F_Z."""
-    if w == 0.0:
-        return 0.0
-    if w == 1.0:
-        return 1.0
-    k = comix(fy, fz)
-    if y0 is None:
-        y0 = locate(k, w)
-    fyl, _, fyr = fy.triple(y0)
-    fzv = fz.eval(y0)
-    w_l = comix_value(fyl, fzv)
-    w_u = comix_value(fyr, fzv)
-    if not (k.left_limit(y0) <= w <= k.right_limit(y0)):
-        raise InvalidRangeError(f"y0={y0} is not admissible for w={w}")
-    if w <= w_l:
-        return fyl
-    if w <= w_u:
-        # w <= w_u < 1 forces F_Z(y0) < 1
-        return (w - fzv) / (1.0 - fzv)
-    return fyr
 
 
 # ---------------------------------------------------------------------------

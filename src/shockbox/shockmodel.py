@@ -38,7 +38,6 @@ sup-norm error of each discretized input.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
@@ -142,13 +141,25 @@ class Scenario:
         # a defective bound would otherwise fail late and differently per
         # model: in a max-type generator build, or, for y under max/min
         # (whose comixture with z is proper), in the oracle after every check
-        for label, box in (("x", self.x_pbox), ("y", self.y_pbox)):
-            for side, f in (("lower", box.lower), ("upper", box.upper)):
-                if not f.is_proper():
-                    raise NonProperInputError(
-                        f"the {side} bound of {label} must have a proper distribution, "
-                        f"its total mass is {f.final}"
-                    )
+        laws = [
+            (f"the {side} bound of {label}", f)
+            for label, box in (("x", self.x_pbox), ("y", self.y_pbox))
+            for side, f in (("lower", box.lower), ("upper", box.upper))
+        ]
+        for name, f in laws:
+            if not f.is_proper():
+                raise NonProperInputError(
+                    f"{name} must have a proper distribution, its total mass is {f.final}"
+                )
+        # a shock is real-valued. Validation holds a law with a breakpoint at
+        # 0 toward -inf, so a proper law without one is the constant 1, all
+        # of its mass at -inf, which would fail mid-run (in a blend, a
+        # comixture or the oracle) with a message that names no input
+        for name, f in [*laws, ("the common shock", self.z)]:
+            if not f.breakpoints:
+                raise NonProperInputError(
+                    f"{name} has all of its mass at -inf; a shock must be real-valued"
+                )
 
 
 @dataclass(frozen=True)
@@ -267,22 +278,12 @@ def _member_distfns(lo: DistFn, up: DistFn, ts=MEMBER_WEIGHTS) -> tuple[list[Dis
 
 @dataclass(frozen=True)
 class JointTable:
-    """Exact joint CDF of a discrete pair, tabulated on its support grid.
-
-    The joint law of two discrete variables is a step surface, so staircase
-    lookup makes `at` exact everywhere, not only at the tabulated corners.
-    """
+    """Exact joint CDF of a discrete pair at the corners of its support
+    grid: values[i][j] is P(first <= xs[i], second <= ys[j])."""
 
     xs: tuple[float, ...]
     ys: tuple[float, ...]
     values: tuple[tuple[float, ...], ...]
-
-    def at(self, x: float, y: float) -> float:
-        i = bisect_right(self.xs, x) - 1
-        j = bisect_right(self.ys, y) - 1
-        if i < 0 or j < 0:
-            return 0.0
-        return self.values[i][j]
 
 
 def _validated_atoms(atoms, label: str) -> list[tuple[float, float]]:

@@ -1,0 +1,149 @@
+"""Reference implementations the tests compare the library against.
+
+The paper's five-case closed forms for phi and chi, evaluated straight from
+the shock laws, its star transforms, the admissible anchor set of a level,
+the staircase lookup of an enumerated joint CDF and the reflection of a
+step law. None of them is called by a run; they live here so that a
+reference cannot share a later edit with the construction it checks.
+"""
+
+import math
+from bisect import bisect_right
+
+import numpy as np
+
+from shockbox.distfn import (
+    _CONST,
+    INF,
+    DistFn,
+    _invert,
+    comix,
+    comix_value,
+    locate,
+    piecewise_cdf,
+    product,
+)
+from shockbox.errors import InvalidRangeError
+
+
+def triple(f: DistFn, x: float) -> tuple[float, float, float]:
+    """Left limit, value and right limit of f at x."""
+    return (f.left_limit(x), f.eval(x), f.right_limit(x))
+
+
+def formula_phi(fx: DistFn, fz: DistFn, u: float, x0: float | None = None) -> float:
+    """The five-case closed form for phi, evaluated straight from F_X, F_Z.
+
+    x0 may be pinned to any admissible point to exercise well-definedness;
+    by default the smallest admissible one is used.
+    """
+    if u == 0.0:
+        return 0.0
+    if u == 1.0:
+        return 1.0
+    f = product(fx, fz)
+    if x0 is None:
+        x0 = locate(f, u)
+    fxl, _, fxr = triple(fx, x0)
+    fzv = fz.eval(x0)
+    u_l = fxl * fzv
+    u_u = fxr * fzv
+    if not (f.left_limit(x0) <= u <= f.right_limit(x0)):
+        raise InvalidRangeError(f"x0={x0} is not admissible for u={u}")
+    if u <= u_l:
+        return fxl
+    if u <= u_u:
+        # u <= u_u = F_X(x0+)F_Z(x0) with u > 0 forces F_Z(x0) > 0
+        return u / fzv
+    return fxr
+
+
+def formula_chi(fy: DistFn, fz: DistFn, w: float, y0: float | None = None) -> float:
+    """The five-case closed form for chi, evaluated straight from F_Y, F_Z."""
+    if w == 0.0:
+        return 0.0
+    if w == 1.0:
+        return 1.0
+    k = comix(fy, fz)
+    if y0 is None:
+        y0 = locate(k, w)
+    fyl, _, fyr = triple(fy, y0)
+    fzv = fz.eval(y0)
+    w_l = comix_value(fyl, fzv)
+    w_u = comix_value(fyr, fzv)
+    if not (k.left_limit(y0) <= w <= k.right_limit(y0)):
+        raise InvalidRangeError(f"y0={y0} is not admissible for w={w}")
+    if w <= w_l:
+        return fyl
+    if w <= w_u:
+        # w <= w_u < 1 forces F_Z(y0) < 1
+        return (w - fzv) / (1.0 - fzv)
+    return fyr
+
+
+def phi_star(g, u: float) -> float:
+    """g(u)/u, with the value inf at u = 0 (codomain [1, inf])."""
+    if u == 0.0:
+        return INF
+    return g.eval(u) / u
+
+
+def chi_star(g, w: float) -> float:
+    """(1 - g(w)) / (w - g(w)); inf wherever the denominator vanishes."""
+    y = g.eval(w)
+    den = w - y
+    if den <= 0.0:
+        return INF
+    return (1.0 - y) / den
+
+
+def admissible_anchors(base: DistFn, u: float) -> list[float]:
+    """All admissible anchor points for u: matching breakpoints, plus an
+    interior point of every segment whose closure attains u."""
+    out = []
+    xs = base.breakpoints
+    bounds = (-INF,) + xs + (INF,)
+    for x in xs:
+        if base.left_limit(x) <= u <= base.right_limit(x):
+            out.append(x)
+    for i in range(len(xs) + 1):
+        lo, hi = bounds[i], bounds[i + 1]
+        lo_val = base.right_limit(lo) if math.isfinite(lo) else base.eval(lo)
+        hi_val = base.left_limit(hi) if math.isfinite(hi) else base.eval(hi)
+        if not lo_val <= u <= hi_val:
+            continue
+        if base._kind[i] == _CONST:
+            if math.isfinite(lo) and math.isfinite(hi):
+                out.append((lo + hi) / 2.0)
+            elif math.isfinite(lo):
+                out.append(lo + 1.0)
+            elif math.isfinite(hi):
+                out.append(hi - 1.0)
+        elif lo_val < u < hi_val:
+            out.append(_invert(base, np.array([i]), np.array([u])).item())
+    return sorted(set(out))
+
+
+def table_at(table, x: float, y: float) -> float:
+    """The enumerated joint CDF of a ``shockmodel.JointTable`` at (x, y).
+
+    The joint law of two discrete variables is a step surface, so the
+    staircase lookup is exact everywhere, not only at the tabulated corners.
+    """
+    i = bisect_right(table.xs, x) - 1
+    j = bisect_right(table.ys, y) - 1
+    if i < 0 or j < 0:
+        return 0.0
+    return table.values[i][j]
+
+
+def reverse(f: DistFn) -> DistFn:
+    """The reverse x -> 1 - f(-x) of a step law: the breakpoints and the
+    segments come in reverse order, and the one-sided limits swap (a cadlag
+    step becomes caglad)."""
+    assert f.is_step
+    points = [
+        (-x, 1.0 - f.right_limit(x), 1.0 - f.eval(x), 1.0 - f.left_limit(x))
+        for x in reversed(f.breakpoints)
+    ]
+    return piecewise_cdf(points, [("const", 1.0 - level) for level in f._par[0, ::-1].tolist()])

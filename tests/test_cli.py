@@ -441,6 +441,57 @@ def test_defective_law_is_rejected_before_any_check(tmp_path, capsys, model):
     assert capsys.readouterr().err == f"shockbox: {message}\n"
 
 
+# the constant-1 law: a valid DistFn, all of whose mass lies at -inf
+MASS_AT_MINUS_INF = {"type": "piecewise", "breakpoints": [], "segments": [["const", 1.0]]}
+
+
+@pytest.mark.parametrize("model", ["marshall", "maxmin"])
+@pytest.mark.parametrize(
+    "key, name",
+    [
+        ("x", "the lower bound of x"),
+        ("x upper", "the upper bound of x"),
+        ("y", "the lower bound of y"),
+        ("z", "the common shock"),
+    ],
+)
+def test_mass_at_minus_inf_is_rejected_before_any_check(tmp_path, capsys, model, key, name):
+    raw = read_json(SCENARIOS / "marshall_exp.json")
+    raw["model"] = model
+    if key == "x upper":
+        raw["x"]["upper"] = MASS_AT_MINUS_INF
+    else:
+        raw[key] = MASS_AT_MINUS_INF
+    bad = tmp_path / "constant.json"
+    bad.write_text(json.dumps(raw))
+    assert main(["pipeline", "--scenario", str(bad), "--out", str(tmp_path / "out")]) == 2
+    message = f"{name} has all of its mass at -inf; a shock must be real-valued"
+    assert capsys.readouterr().err == f"shockbox: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["pipeline", "search", "emit"])
+@pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
+def test_an_unusable_out_exits_two_before_any_work(tmp_path, capsys, monkeypatch, command, under):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory")
+    out = blocker / "sub" if under else blocker
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the command started its work")
+
+    monkeypatch.setattr(cli, "run_scenario", no_work)
+    monkeypatch.setattr(cli, "random_discrete_scenario", no_work)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    args = ["--count", "3"] if command == "search" else ["--scenario", str(D1)]
+    assert main([command, *args, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"shockbox: cannot use {out} as the output directory: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert list(tmp_path.iterdir()) == [blocker]
+    assert blocker.read_text() == "not a directory"
+
+
 def test_nan_level_in_a_scenario_file_exits_two(tmp_path, capsys):
     raw = read_json(SCENARIOS / "d1_maxmin.json")
     raw["z"] = {

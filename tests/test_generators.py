@@ -14,12 +14,10 @@ from shockbox.cli import load_scenario
 from shockbox.distfn import (
     INF,
     LIMIT_SIDES,
-    admissible_anchors,
     comix,
     exponential_cdf,
     pointmass_cdf,
     product,
-    reverse,
     step_cdf,
 )
 from shockbox.errors import (
@@ -41,16 +39,14 @@ from shockbox.generators import (
     check_generator,
     check_order,
     chi_from_composite,
-    chi_star,
-    formula_chi,
-    formula_phi,
     is_valid_generator,
     phi_from_composite,
-    phi_star,
 )
 from shockbox.pbox import PBox
 from shockbox.reports import Check
 from shockbox.shockmodel import Scenario, _first_max, _gap_summary, _resolve_inputs
+
+from reference import admissible_anchors, chi_star, formula_chi, formula_phi, phi_star, reverse
 
 LN2 = math.log(2.0)
 

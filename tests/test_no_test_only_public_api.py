@@ -11,8 +11,8 @@ name, a ``Class.method`` target that class's method only. A method that
 overrides one of a base class from outside the package
 (``argparse.ArgumentParser.error``) is called by that class and is not
 counted. A name that only tests call is API kept for the tests; it goes,
-and the test states what it needs itself. ``ALLOWED`` lists the few kept on
-purpose, each with its reason.
+and the test states what it needs itself, in ``tests/reference.py`` when it
+is a reference the tests compare against. No name is exempt.
 """
 
 import ast
@@ -20,17 +20,6 @@ import importlib
 
 from test_bench_targets import load_targets
 from test_no_dead_private_code import PACKAGE, defined_and_used
-
-ALLOWED = {
-    "formula_phi": "closed-form reference of the phi construction, the tests' oracle",
-    "formula_chi": "closed-form reference of the chi construction, the tests' oracle",
-    "admissible_anchors": "the defining anchor set of a generator, stated for the tests",
-    "phi_star": "the star transform of the paper, checked against its identity",
-    "chi_star": "the star transform of the paper, checked against its identity",
-    "reverse": "the reversal of a law, part of the CDF algebra the tests exercise",
-    "eval_copula": "scalar copula evaluation, the tests' reference for copula_grid",
-    "JointTable.at": "staircase lookup of the enumerated joint CDF, the tests' exact oracle",
-}
 
 
 def inherited(module: str, name: str) -> set[str]:
@@ -86,7 +75,6 @@ def unused(trees, traced) -> list[str]:
         for name, where in public_defs(trees).items()
         if (name.rpartition(".")[2] not in attributes if "." in name else name not in used)
         and name not in traced
-        and name not in ALLOWED
     )
 
 
@@ -94,11 +82,6 @@ def test_every_public_def_is_used_in_the_package():
     trees = [(path, ast.parse(path.read_text())) for path in sorted(PACKAGE.glob("*.py"))]
     assert public_defs(trees), "no public names found; is the package path right?"
     assert not unused(trees, traced_names())
-
-
-def test_every_allowed_name_is_still_defined():
-    trees = [(path, ast.parse(path.read_text())) for path in sorted(PACKAGE.glob("*.py"))]
-    assert sorted(set(ALLOWED) - set(public_defs(trees))) == []
 
 
 def test_the_scan_finds_a_public_method_only_tests_call():

@@ -9,7 +9,7 @@ import pytest
 import shockbox.distfn as distfn
 import shockbox.shockmodel as sm
 from shockbox.cli import load_scenario
-from shockbox.copulas import BivariateBound
+from shockbox.copulas import BivariateBound, copula_grid
 from shockbox.distfn import (
     EXACT_TOL,
     INF,
@@ -37,6 +37,8 @@ from shockbox.shockmodel import (
     random_discrete_scenario,
     run_scenario,
 )
+
+from reference import table_at, triple
 
 X_ATOMS_LOW = [(1.0, 0.2), (2.0, 0.8)]
 X_ATOMS_UP = [(1.0, 0.5), (2.0, 0.5)]
@@ -90,14 +92,14 @@ def exponential_scenario(model, grid=101):
 
 def test_oracle_discrete_example_values():
     marshall = oracle_joint(X_ATOMS_UP, Y_ATOMS, Z_ATOMS, "marshall")
-    assert marshall.at(1.5, 1.5) == 0.2
-    assert marshall.at(INF, INF) == 1.0
+    assert table_at(marshall, 1.5, 1.5) == 0.2
+    assert table_at(marshall, INF, INF) == 1.0
     # staircase lookup is exact off the tabulated corners too
-    assert marshall.at(1.7, 2.9) == marshall.at(1.5, 1.5)
-    assert marshall.at(0.9, 5.0) == 0.0
+    assert table_at(marshall, 1.7, 2.9) == table_at(marshall, 1.5, 1.5)
+    assert table_at(marshall, 0.9, 5.0) == 0.0
     maxmin = oracle_joint(X_ATOMS_UP, Y_ATOMS, Z_ATOMS, "maxmin")
-    assert maxmin.at(1.5, 0.9) == 0.2
-    assert maxmin.at(-1.0, 2.0) == 0.0
+    assert table_at(maxmin, 1.5, 0.9) == 0.2
+    assert table_at(maxmin, -1.0, 2.0) == 0.0
 
 
 def test_oracle_with_degenerate_shock_is_the_independent_joint():
@@ -123,8 +125,8 @@ def test_oracle_validation():
 
 def test_joint_table_below_support():
     t = JointTable((1.0,), (2.0,), ((1.0,),))
-    assert t.at(0.0, 5.0) == 0.0
-    assert t.at(5.0, 0.0) == 0.0
+    assert table_at(t, 0.0, 5.0) == 0.0
+    assert table_at(t, 5.0, 0.0) == 0.0
 
 
 def test_compare_oracle_flags_a_wrong_composition():
@@ -348,7 +350,7 @@ def test_equal_mass_cuts_are_located_bit_for_bit_and_split_the_mass(name):
         want = np.array([INVERSES[name](u) for u in us.tolist()])
         assert located.tobytes() == want.tobytes()
     # levels equal to a limit at a breakpoint: the ties locate breaks
-    ties = [v for x in f.breakpoints for v in f.triple(x)]
+    ties = [v for x in f.breakpoints for v in triple(f, x)]
     assert locate_many(f, ties).tolist() == [locate(f, u) for u in ties]
     inside = located[(located > start) & (located < hi)]
     cuts = sm._equal_mass_cuts(f, start, hi)
@@ -426,6 +428,55 @@ def test_random_scenarios_verify_for_both_models():
             assert res.all_passed, (model, index, failed(res))
             oracle = next((c for c in res.checks if c.name == "oracle-agreement"), None)
             assert oracle is not None and oracle.value <= 1e-12
+
+
+# -- metamorphic relations on seeded discrete scenarios --------------------------
+
+
+def check_rows(res):
+    return [(c.name, c.passed, c.value) for c in res.checks]
+
+
+def test_exchanging_x_and_y_under_max_max_transposes_the_copula_pair():
+    # C(u, v) = min(v phi(u), u psi(v)): with X and Y swapped phi and psi
+    # swap, and the grids of both bounds transpose bit for bit
+    us = np.linspace(0.0, 1.0, 41)
+    for index in range(20):
+        s = random_discrete_scenario([99, index], model="marshall", grid=41)
+        res = run_scenario(s)
+        swapped = run_scenario(Scenario(s.y_pbox, s.x_pbox, s.z, "marshall", grid=41))
+        pairs = res.family.pair, swapped.family.pair
+        for a, b in ((pairs[0].low, pairs[1].low), (pairs[0].up, pairs[1].up)):
+            assert copula_grid(b, us, us).tobytes() == copula_grid(a, us, us).T.tobytes(), index
+        assert [c[:2] for c in check_rows(swapped)] == [c[:2] for c in check_rows(res)], index
+
+
+INCREASING_MAPS = {"cubic": lambda x: x**3 + x, "affine": lambda x: 2.0 * x - 7.0, "exp": math.exp}
+
+
+def moved_law(f, h):
+    return step_cdf([(h(x), m) for x, m in zip(f.breakpoints, f.jumps.tolist())])
+
+
+@pytest.mark.parametrize("model", ["marshall", "maxmin"])
+@pytest.mark.parametrize("name", INCREASING_MAPS)
+def test_an_increasing_map_of_every_atom_keeps_the_copulas_and_every_check_value(model, name):
+    # a copula is invariant under strictly increasing maps of its variables
+    # (Nelsen, An Introduction to Copulas, Thm 2.4.3): on dyadic step laws
+    # the generators, every check and the bounds H are the same bit for bit,
+    # H read at the moved points
+    h = INCREASING_MAPS[name]
+    xs = np.arange(-1, 26) * 0.25  # the atoms 0.5, ..., 6 and a point between each two
+    moved_xs = np.array([h(x) for x in xs.tolist()])
+    for index in range(10):
+        s = random_discrete_scenario([99, index], model=model, grid=41)
+        boxes = [PBox(moved_law(b.lower, h), moved_law(b.upper, h)) for b in (s.x_pbox, s.y_pbox)]
+        res = run_scenario(s)
+        moved = run_scenario(Scenario(*boxes, moved_law(s.z, h), model, grid=41))
+        assert moved.family == res.family, index
+        assert check_rows(moved) == check_rows(res), index
+        for a, b in ((res.low_h, moved.low_h), (res.up_h, moved.up_h)):
+            assert b.at_many(moved_xs, moved_xs).tobytes() == a.at_many(xs, xs).tobytes(), index
 
 
 # -- array evaluation against element-wise BivariateBound.at -------------------
