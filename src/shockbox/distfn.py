@@ -467,7 +467,8 @@ def _atom_cdf(xs: np.ndarray, masses: np.ndarray) -> DistFn:
 
     The running sum is clamped at 1; a clamp only ever fires from the first
     sum above 1 on, so clamping the plain cumulative sum gives the same
-    levels as clamping at every step.
+    levels as clamping at every step. Masses that ``is_proper`` accepts end
+    at exactly 1, or a comixture would stop an ulp short of 1.
     """
     total = math.fsum(masses.tolist())
     if total > 1.0 + EXACT_TOL:
@@ -475,6 +476,8 @@ def _atom_cdf(xs: np.ndarray, masses: np.ndarray) -> DistFn:
     par = np.zeros((4, xs.size + 1))
     levels = par[0]
     np.minimum(np.cumsum(masses), 1.0, out=levels[1:])
+    if total >= 1.0 - EXACT_TOL:
+        levels[-1] = 1.0
     limits = np.empty((3, xs.size))
     limits[0] = levels[:-1]
     limits[1:] = levels[1:]

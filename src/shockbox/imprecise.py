@@ -83,7 +83,7 @@ from .copulas import (
     Rect,
     copula_grid,
 )
-from .distfn import ANALYTIC_TOL, EXACT_TOL, INF
+from .distfn import EXACT_TOL, INF
 from .errors import InvalidParameterError
 from .generators import Generator, blend_generators, is_valid_generator
 from .reports import Check
@@ -585,16 +585,14 @@ def coherence_witness(
     suffices that every member lies between them on an n x n grid. The
     members are the 3 x 3 grid of MEMBER_WEIGHTS, five seeded random weight
     pairs, and the caller's extra_members (taken as given). Each distinct
-    blended generator is built and validated once; a member with a blend
-    that fails its validity conditions is excluded from the family and
+    blended generator is built and validated once, at tol; a member with a
+    blend that fails its validity conditions is excluded from the family and
     skipped (counted in the note). The envelope copulas' own axioms and
     generators are left to the callers' dedicated checks.
     """
-    gen_tol = max(tol, ANALYTIC_TOL)
-
     def valid_blends(low: Generator, up: Generator, ts) -> list:
         blends = [blend_generators(low, up, float(t)) for t in ts]
-        return [g if is_valid_generator(g, gen_tol) else None for g in blends]
+        return [g if is_valid_generator(g, tol) else None for g in blends]
 
     def members(pairs) -> list[CopulaSpec]:
         return [family.copula(p, q) for p, q in pairs if p is not None and q is not None]

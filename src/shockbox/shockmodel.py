@@ -356,18 +356,14 @@ def _saturation_cap(y_bounds: tuple[DistFn, DistFn], z: DistFn, lo: float, hi: f
     bound.  Points where either survival is exactly zero are safe: the
     composite is exactly one there.
     """
-    for x in np.linspace(lo, hi, 2049)[1:]:
-        xf = float(x)
-        sz = 1.0 - z.eval(xf)
-        if sz <= 0.0:
-            continue
-        for fy in y_bounds:
-            sy = 1.0 - fy.eval(xf)
-            if sy <= 0.0:
-                continue
-            if sy * sz <= COMIX_SATURATION or sy <= COMIX_SURVIVAL_FLOOR:
-                return xf
-    return hi
+    xs = np.linspace(lo, hi, 2049)[1:]
+    sz = 1.0 - z.eval_many(xs)
+    hit = np.zeros(xs.size, dtype=bool)
+    for fy in y_bounds:
+        sy = 1.0 - fy.eval_many(xs)
+        hit |= (sy > 0.0) & ((sy * sz <= COMIX_SATURATION) | (sy <= COMIX_SURVIVAL_FLOOR))
+    hit &= sz > 0.0
+    return float(xs[hit.argmax()]) if np.count_nonzero(hit) else hi
 
 
 def _onset(f: DistFn, mass: float, lo: float, hi: float) -> float:
@@ -437,9 +433,7 @@ def _resolve_inputs(s: Scenario) -> tuple[dict[str, DistFn], tuple[DistFn, ...],
         for key, f in fns.items()
         if not f.is_step
     }
-    # one grid for all laws: on a grid of its own per law, generator
-    # validity failed on some max/min scenarios through the chi* rounding
-    # defect that a strict xfail in the tests records. The point just below
+    # one grid for all laws, the union of their cuts. The point just below
     # hi leaves the atom at hi only the tail beyond the cap.
     cuts = [_equal_mass_cuts(fns[key], start, hi) for key, start in starts.items()]
     grid = np.unique(np.concatenate([[np.nextafter(hi, -np.inf), hi], *cuts]))

@@ -1,14 +1,17 @@
 """Reference implementations the tests compare the library against.
 
 The paper's five-case closed forms for phi and chi, evaluated straight from
-the shock laws, its star transforms, the admissible anchor set of a level,
-the staircase lookup of an enumerated joint CDF and the reflection of a
-step law. None of them is called by a run; they live here so that a
-reference cannot share a later edit with the construction it checks.
+the shock laws, its star transforms, the validity conditions and the order
+of generators decided exactly in rational arithmetic, the admissible anchor
+set of a level, the staircase lookup of an enumerated joint CDF and the
+reflection of a step law. None of them is called by a run; they live here
+so that a reference cannot share a later edit with the construction it
+checks.
 """
 
 import math
 from bisect import bisect_right
+from fractions import Fraction
 
 import numpy as np
 
@@ -95,6 +98,65 @@ def chi_star(g, w: float) -> float:
     if den <= 0.0:
         return INF
     return (1.0 - y) / den
+
+
+def _exact_knots(g) -> list[tuple[Fraction, Fraction]]:
+    return [(Fraction(u), Fraction(y)) for u, y in g.knots]
+
+
+def _with_midpoints(knots):
+    # the knots of a piecewise-affine branch and the midpoint of each piece
+    out = [knots[0]]
+    for (a, ya), (b, yb) in zip(knots, knots[1:]):
+        out += [((a + b) / 2, (ya + yb) / 2), (b, yb)]
+    return out
+
+
+def exact_generator_verdicts(g) -> dict[str, bool]:
+    """The validity conditions of g, decided in exact rational arithmetic
+    from their definitions, by name as ``check_generator`` reports them.
+
+    g is its knots, affine between them, with its kind's jump convention
+    (phi(0) = 0, chi(1) = 1). The star ratio is g(u)/u on (0, 1] for phi and
+    psi, and (1 - g(w))/(w - g(w)) on [0, 1) for chi, inf where w <= g(w).
+    On a piece where the ratio has no pole inside, it is a Mobius function,
+    which is monotone, so consecutive values at the knots and the midpoints
+    decide every condition. Above the identity the chi ratio has no
+    meaning; there only the below-identity verdict counts.
+    """
+    points = _with_midpoints(_exact_knots(g))
+    if g.kind == "chi":
+        points[-1] = (points[-1][0], Fraction(1))
+    else:
+        points[0] = (points[0][0], Fraction(0))
+    ys = [y for _, y in points]
+    verdicts = {
+        "non-decreasing": all(p <= q for p, q in zip(ys, ys[1:])),
+        "boundary-values": ys[0] == 0 and ys[-1] == 1,
+    }
+    if g.kind == "chi":
+        verdicts["below-identity"] = all(y <= w for w, y in points)
+        stars = [INF if w <= y else (1 - y) / (w - y) for w, y in points if w < 1]
+    else:
+        stars = [y / u for u, y in points if u > 0]
+    verdicts["star-non-increasing"] = all(p >= q for p, q in zip(stars, stars[1:]))
+    return verdicts
+
+
+def exact_order_verdict(g1, g2) -> bool:
+    """Whether g1 <= g2 on all of (0, 1), in exact rational arithmetic: the
+    continuous branches compared at the merged knots and midpoints, between
+    which both are affine."""
+
+    def branch(knots, u):
+        for (a, ya), (b, yb) in zip(knots, knots[1:]):
+            if a <= u <= b:
+                return ya + (yb - ya) * (u - a) / (b - a)
+
+    k1, k2 = _exact_knots(g1), _exact_knots(g2)
+    us = sorted({u for u, _ in k1 + k2})
+    us = sorted(set(us) | {(a + b) / 2 for a, b in zip(us, us[1:])})
+    return all(branch(k1, u) <= branch(k2, u) for u in us)
 
 
 def admissible_anchors(base: DistFn, u: float) -> list[float]:

@@ -441,6 +441,48 @@ def test_defective_law_is_rejected_before_any_check(tmp_path, capsys, model):
     assert capsys.readouterr().err == f"shockbox: {message}\n"
 
 
+NEAR_PROPER = {
+    # the lower y law's mass is 1 - 2**-53, within the properness tolerance:
+    # unless the law ends at exactly 1, its comixture with z rounds to 1 at 4
+    # while F_Y stays below 1, and star-identity fails with 0.25
+    "one_ulp_short_y": {
+        "y": {
+            "lower": {"type": "discrete", "atoms": [[4.0, 0.9999999999999999]]},
+            "upper": {"type": "discrete", "atoms": [[0.5, 0.5], [4.0, 0.5]]},
+        },
+        "z": {"type": "discrete", "atoms": [[3.0, 0.25], [5.0, 0.75]]},
+    },
+    # the z masses accumulate to 1 - 2**-53: unless z ends at exactly 1, the
+    # chi build of the 0.5 mixture member meets two values at u = 1 - 2**-53
+    "one_ulp_short_z": {
+        "y": {
+            "lower": {"type": "discrete", "atoms": [[4.0, 0.5], [5.5, 0.5]]},
+            "upper": {
+                "type": "discrete",
+                "atoms": [
+                    [1.5, 0.2270540409696962],
+                    [2.0, 0.560005866234428],
+                    [5.0, 0.0779427533245185],
+                    [5.5, 0.13499733947135728],
+                ],
+            },
+        },
+        "z": {"type": "discrete", "atoms": [[1.5, 0.7], [3.0, 0.2], [4.5, 0.1]]},
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEAR_PROPER))
+def test_a_law_an_ulp_short_of_mass_one_passes_every_check(tmp_path, capsys, name):
+    raw = {"model": "maxmin", "x": {"type": "pointmass", "at": 4.0}, "grid": 41}
+    scenario = tmp_path / "near.json"
+    scenario.write_text(json.dumps({**raw, **NEAR_PROPER[name]}))
+    assert main(["pipeline", "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
+    report = read_json(tmp_path / "out" / "report.json")
+    assert [c["name"] for c in report["checks"] if not c["passed"]] == []
+
+
 # the constant-1 law: a valid DistFn, all of whose mass lies at -inf
 MASS_AT_MINUS_INF = {"type": "piecewise", "breakpoints": [], "segments": [["const", 1.0]]}
 
@@ -504,6 +546,37 @@ def test_nan_level_in_a_scenario_file_exits_two(tmp_path, capsys):
     assert main(["pipeline", "--scenario", str(bad), "--out", str(tmp_path / "out")]) == 2
     assert "starts at nan" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def moved_law(law, h):
+    """A discrete or point-mass law, or a p-box of them, with every atom at h(x)."""
+    if "lower" in law:
+        return {side: moved_law(law[side], h) for side in ("lower", "upper")}
+    if law["type"] == "pointmass":
+        return {**law, "at": h(law["at"])}
+    return {**law, "atoms": [[h(x), m] for x, m in law["atoms"]]}
+
+
+@pytest.mark.parametrize("name", ["d1_discrete", "d1_maxmin"])
+def test_an_increasing_map_of_every_atom_keeps_the_report(tmp_path, name):
+    # copulas are invariant under strictly increasing maps of the variables;
+    # outside info, only the passing bound-order witness moves: it is the
+    # first point of the probe grid, where every point has low_h - up_h = 0
+    raw = read_json(SCENARIOS / f"{name}.json")
+    moved = {**raw, **{key: moved_law(raw[key], lambda x: x**3 + x) for key in "xyz"}}
+    reports = []
+    for label, spec in (("before", raw), ("after", moved)):
+        scenario = tmp_path / f"{label}.json"
+        scenario.write_text(json.dumps(spec))
+        out = tmp_path / label
+        assert main(["pipeline", "--scenario", str(scenario), "--out", str(out), "--grid", "41"]) == 0
+        report = read_json(out / "report.json")
+        del report["info"]
+        for check in report["checks"]:
+            if check["name"] == "bound-order":
+                del check["witness"]
+        reports.append(report)
+    assert reports[0] == reports[1]
 
 
 def test_negative_rate_exponential_piece_runs_through_the_pipeline(tmp_path):

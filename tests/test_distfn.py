@@ -161,6 +161,16 @@ def test_step_cdf_is_cadlag_at_atoms():
     assert triple(f, 2.0) == (0.25, 1.0, 1.0)
 
 
+def test_a_law_accepted_as_proper_ends_at_exactly_one():
+    # 0.7 + 0.2 + 0.1 accumulates to 1 - 2**-53; 1 - 5e-13 is within EXACT_TOL
+    for atoms in ([(1.5, 0.7), (3.0, 0.2), (4.5, 0.1)], [(4.0, 0.9999999999999999)]):
+        f = step_cdf(atoms)
+        assert f.final == 1.0 and triple(f, atoms[-1][0])[1:] == (1.0, 1.0)
+    assert step_cdf([(0.0, 0.5), (1.0, 0.5 - 5e-13)]).final == 1.0
+    assert step_cdf([(0.0, 0.5), (1.0, 0.5 - 2e-12)]).final == 1.0 - 2e-12
+    assert step_cdf([(0.0, 0.5)]).final == 0.5
+
+
 def test_discrete_mass_validation():
     with pytest.raises(InvalidParameterError):
         step_cdf([(1.0, 0.6), (2.0, 0.6)])

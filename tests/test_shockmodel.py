@@ -430,6 +430,47 @@ def test_random_scenarios_verify_for_both_models():
             assert oracle is not None and oracle.value <= 1e-12
 
 
+def non_dyadic_scenario(seed, model):
+    """1-4 atoms at half-integers in [0.5, 6] with normalised random masses,
+    which may sum to 1 minus an ulp; p-box bounds are the pointwise min and
+    max of two such laws, as random_discrete_scenario builds them."""
+    rng = np.random.default_rng(seed)
+
+    def law():
+        k = int(rng.integers(1, 5))
+        support = np.sort(rng.choice(np.arange(1, 13) * 0.5, size=k, replace=False))
+        weights = rng.random(k)
+        return step_cdf(list(zip(support.tolist(), (weights / weights.sum()).tolist())))
+
+    def pbox():
+        a, b = law(), law()
+        points = sorted(set(a.breakpoints) | set(b.breakpoints))
+
+        def from_cums(cums):
+            atoms, prev = [], 0.0
+            for x, c in zip(points, cums):
+                if c - prev > 0.0:
+                    atoms.append((x, c - prev))
+                    prev = c
+            return step_cdf(atoms)
+
+        lower = from_cums([min(a.eval(x), b.eval(x)) for x in points])
+        return PBox(lower, from_cums([max(a.eval(x), b.eval(x)) for x in points]))
+
+    return Scenario(pbox(), pbox(), law(), model, grid=41)
+
+
+def test_non_dyadic_step_scenarios_pass_every_check():
+    # under max/min these hold laws an ulp short of mass 1, and chi
+    # generators and blends close to the identity
+    for index in range(100):
+        for model in ("marshall", "maxmin"):
+            res = run_scenario(non_dyadic_scenario([777, index], model), tol=1e-9)
+            assert failed(res) == [], (index, model)
+            sandwich = next(c for c in res.checks if c.name == "copula-sandwich")
+            assert "(0 invalid blends skipped)" in sandwich.note, (index, model)
+
+
 # -- metamorphic relations on seeded discrete scenarios --------------------------
 
 
@@ -451,7 +492,15 @@ def test_exchanging_x_and_y_under_max_max_transposes_the_copula_pair():
         assert [c[:2] for c in check_rows(swapped)] == [c[:2] for c in check_rows(res)], index
 
 
-INCREASING_MAPS = {"cubic": lambda x: x**3 + x, "affine": lambda x: 2.0 * x - 7.0, "exp": math.exp}
+# the last three put breakpoints closer together than probe_xs's 1e-7 offset
+INCREASING_MAPS = {
+    "cubic": lambda x: x**3 + x,
+    "affine": lambda x: 2.0 * x - 7.0,
+    "exp": math.exp,
+    "tiny": lambda x: 1e-9 * x,
+    "offset": lambda x: 5.0 + 1e-12 * x,
+    "dyadic": lambda x: 2.0**-40 * x,
+}
 
 
 def moved_law(f, h):
