@@ -40,8 +40,9 @@ from .errors import (
 
 INF = math.inf
 
-# Exact-engine assertions use EXACT_TOL; anything that went through exp() or a
-# discretization uses ANALYTIC_TOL.
+# Exact-engine assertions use EXACT_TOL; the end values of analytic segments,
+# which go through exp(), and a generator's values met twice at one knot use
+# ANALYTIC_TOL. The checks of a run use the tolerance their caller gives.
 EXACT_TOL = 1e-12
 ANALYTIC_TOL = 1e-9
 
@@ -154,7 +155,8 @@ class DistFn:
     columns. The scalar evaluators read Python lists built from them on
     first use. Equality compares the arrays; the hash agrees with it, 0.0
     and -0.0 included. ``piecewise_cdf`` builds any DistFn from tuples, and
-    the repr is that call.
+    the repr is that call (a final constant level that ``is_proper``
+    accepts comes back as exactly 1).
     """
 
     __slots__ = (
@@ -459,7 +461,22 @@ def piecewise_cdf(breakpoints, segments) -> DistFn:
     if len(segs) != len(bps) + 1:
         raise InvalidParameterError("need exactly len(points)+1 segments")
     cols = np.array(bps, dtype=float).reshape(-1, 4).T
-    return DistFn._from_arrays(cols[0], cols[1:], rows[0].astype(np.int8), rows[1:])
+    kind, par, limits = rows[0].astype(np.int8), rows[1:], cols[1:]
+    _end_proper_at_one(limits, kind, par)
+    return DistFn._from_arrays(cols[0], limits, kind, par)
+
+
+def _end_proper_at_one(limits: np.ndarray, kind: np.ndarray, par: np.ndarray) -> None:
+    """Make a law whose final constant level ``is_proper`` accepts end at
+    exactly 1, or a comixture would stop an ulp short of 1: the level, and
+    the value and right limit of the last breakpoint where they reach it,
+    become 1 in place."""
+    final = par[0, -1]
+    if kind[-1] == _CONST and 1.0 - EXACT_TOL <= final < 1.0:
+        par[0, -1] = 1.0
+        if limits.shape[1]:
+            last = limits[1:, -1]
+            last[(last >= final) & (last < 1.0)] = 1.0
 
 
 def _atom_cdf(xs: np.ndarray, masses: np.ndarray) -> DistFn:
@@ -467,8 +484,7 @@ def _atom_cdf(xs: np.ndarray, masses: np.ndarray) -> DistFn:
 
     The running sum is clamped at 1; a clamp only ever fires from the first
     sum above 1 on, so clamping the plain cumulative sum gives the same
-    levels as clamping at every step. Masses that ``is_proper`` accepts end
-    at exactly 1, or a comixture would stop an ulp short of 1.
+    levels as clamping at every step.
     """
     total = math.fsum(masses.tolist())
     if total > 1.0 + EXACT_TOL:
@@ -476,12 +492,12 @@ def _atom_cdf(xs: np.ndarray, masses: np.ndarray) -> DistFn:
     par = np.zeros((4, xs.size + 1))
     levels = par[0]
     np.minimum(np.cumsum(masses), 1.0, out=levels[1:])
-    if total >= 1.0 - EXACT_TOL:
-        levels[-1] = 1.0
     limits = np.empty((3, xs.size))
     limits[0] = levels[:-1]
     limits[1:] = levels[1:]
-    return DistFn._from_arrays(xs, limits, np.zeros(xs.size + 1, dtype=np.int8), par)
+    kind = np.zeros(xs.size + 1, dtype=np.int8)
+    _end_proper_at_one(limits, kind, par)
+    return DistFn._from_arrays(xs, limits, kind, par)
 
 
 def _reject_booleans(value) -> None:

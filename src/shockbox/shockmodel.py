@@ -27,13 +27,11 @@ Scenarios whose input laws the exact piecewise engine cannot multiply (for
 instance two exponential factors) are re-run on a step discretization with
 equal-mass atoms (Williamson & Downs, Probabilistic arithmetic I, IJAR 4,
 1990). Each continuous law is cut into DISCRETIZATION_ATOMS cells of equal
-mass on its own range [start, hi], where z starts at its onset and every
-other law at the low end of the pooled probe range. The cuts of all laws,
-one more point just below hi and hi itself form one common grid, and each
-law is stepped on the grid points at or above its start. An atom then holds
-at most one cell of its law, the mass below its start, or the tail beyond
-the cap hi. The reported bound is the largest atom, which bounds the
-sup-norm error of each discretized input.
+mass on the pooled probe range [lo, hi]. The cuts of all laws, one more
+point just below hi and hi itself form one common grid, and each law is
+stepped on its points. An atom then holds at most one cell of its law, the
+mass below lo, or the tail beyond the cap hi. The reported bound is the
+largest atom, which bounds the sup-norm error of each discretized input.
 """
 
 from __future__ import annotations
@@ -45,7 +43,6 @@ import numpy as np
 
 from .copulas import BivariateBound, check_copula_axioms, copula_grid
 from .distfn import (
-    ANALYTIC_TOL,
     EXACT_TOL,
     DistFn,
     blend,
@@ -100,17 +97,12 @@ DISCRETIZATION_ATOMS = 1_000
 # the default atom count.
 COMIX_SATURATION = 1e-12
 
-# Floor for 1 - F_Y alone.  Grid abscissae near 1 carry ulp(1)-sized absolute
-# rounding, and the min-type ratio conditions divide by 1 - F_Y, so the
-# verified generator picks up spurious slack of about ulp(1) / (1 - F_Y);
-# 1e-6 keeps that three decades under the tolerance used for approximated
-# inputs.
+# Floor for 1 - F_Y alone.  Past it chi's knots crowd toward 1 - s with s
+# near COMIX_SATURATION, and `association` reads chi there between knots a
+# few ulps apart: with a floor of 1e-8 or none, the all-exponential max/min
+# scenario with rates (1, 2), (1, 3) and z rate 2 at grid 31 fails
+# `association` by 4.5e-12 at tol 1e-12, and it passes with 1e-6.
 COMIX_SURVIVAL_FLOOR = 1e-6
-
-# The mirror effect at the other end: ratio conditions for both model types
-# divide by F_Z, so the common-shock grid starts where F_Z has this much
-# mass rather than at the pooled probe range.
-Z_ONSET_MASS = 1e-5
 
 ORACLE_MAX_ATOMS = 12
 
@@ -350,11 +342,11 @@ def _saturation_cap(y_bounds: tuple[DistFn, DistFn], z: DistFn, lo: float, hi: f
 
     Past the returned point either the joint survival sits between zero and
     COMIX_SATURATION, where 1 - (1 - F_Y)(1 - F_Z) can no longer separate
-    distinct F_Y values, or 1 - F_Y alone drops under COMIX_SURVIVAL_FLOOR
-    and the ratio conditions lose their headroom.  Mass beyond the cap folds
-    into the final grid atom and shows up in the reported discretization
-    bound.  Points where either survival is exactly zero are safe: the
-    composite is exactly one there.
+    distinct F_Y values, or 1 - F_Y alone drops under COMIX_SURVIVAL_FLOOR,
+    where `association` loses its read of chi near 1.  Mass beyond the cap
+    folds into the final grid atom and shows up in the reported
+    discretization bound.  Points where either survival is exactly zero are
+    safe: the composite is exactly one there.
     """
     xs = np.linspace(lo, hi, 2049)[1:]
     sz = 1.0 - z.eval_many(xs)
@@ -366,26 +358,13 @@ def _saturation_cap(y_bounds: tuple[DistFn, DistFn], z: DistFn, lo: float, hi: f
     return float(xs[hit.argmax()]) if np.count_nonzero(hit) else hi
 
 
-def _onset(f: DistFn, mass: float, lo: float, hi: float) -> float:
-    """Largest grid start x in [lo, hi] with f(x) still below mass."""
-    if f.eval(lo) >= mass:
-        return lo
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if f.eval(mid) < mass:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
-def _equal_mass_cuts(f: DistFn, start: float, hi: float) -> np.ndarray:
-    """start and the cuts that split f's mass on [start, hi] into
+def _equal_mass_cuts(f: DistFn, lo: float, hi: float) -> np.ndarray:
+    """lo and the cuts that split f's mass on [lo, hi] into
     DISCRETIZATION_ATOMS cells of equal mass, at the points locate gives."""
-    low, high = f.eval(start), f.eval(hi)
+    low, high = f.eval(lo), f.eval(hi)
     us = low + (high - low) * (np.arange(1, DISCRETIZATION_ATOMS) / DISCRETIZATION_ATOMS)
     cuts = locate_many(f, us)
-    return np.concatenate(([start], cuts[(cuts > start) & (cuts < hi)]))
+    return np.concatenate(([lo], cuts[(cuts > lo) & (cuts < hi)]))
 
 
 def _second_composite(fy: DistFn, fz: DistFn, model: str) -> DistFn:
@@ -428,19 +407,15 @@ def _resolve_inputs(s: Scenario) -> tuple[dict[str, DistFn], tuple[DistFn, ...],
     lo, hi = float(xs[0]), float(xs[-1])
     if s.model == "maxmin":
         hi = _saturation_cap((fns["y_lo"], fns["y_up"]), fns["z"], lo, hi)
-    starts = {
-        key: _onset(f, Z_ONSET_MASS, lo, hi) if key == "z" else lo
-        for key, f in fns.items()
-        if not f.is_step
-    }
+    continuous = [key for key, f in fns.items() if not f.is_step]
     # one grid for all laws, the union of their cuts. The point just below
     # hi leaves the atom at hi only the tail beyond the cap.
-    cuts = [_equal_mass_cuts(fns[key], start, hi) for key, start in starts.items()]
+    cuts = [_equal_mass_cuts(fns[key], lo, hi) for key in continuous]
     grid = np.unique(np.concatenate([[np.nextafter(hi, -np.inf), hi], *cuts]))
     bound = 0.0
     out = dict(fns)
-    for key, start in starts.items():
-        approx = step_approximation(fns[key], grid[grid >= start])
+    for key in continuous:
+        approx = step_approximation(fns[key], grid)
         out[key] = approx
         jumps = approx.jumps
         if jumps.size:
@@ -459,11 +434,6 @@ def _fold(name: str, subs: list[Check], extra_note: str = "") -> Check:
     if failed:
         notes.append("failed: " + ", ".join(failed))
     return Check(name, passed, value=value, witness=witness, note="; ".join(notes))
-
-
-def _star_lhs(f_vals: np.ndarray, phi: Generator) -> np.ndarray:
-    phi_vals = phi.eval_many(f_vals)
-    return np.divide(f_vals, phi_vals, out=np.zeros_like(f_vals), where=phi_vals > 0.0)
 
 
 GAP_FIELDS = ("lo", "hi", "canonical", "least", "greatest")
@@ -528,27 +498,28 @@ def _generator_order(rows, tol: float) -> Check:
 
 
 def _star_identity(rows, xs: np.ndarray, maxmin: bool, tol: float) -> Check:
+    # F / phi(F) = F_Z equals K / psi(K) under max/max and (K - chi(K)) /
+    # (1 - chi(K)) under max/min; compared cross-multiplied, without a
+    # division. Both sides are then phi(F)(1 - chi(K))F_Z, or phi(F)psi(K)F_Z:
+    # the value is on the absolute scale H is reported on, and weaker where
+    # F or 1 - chi(K) (psi(K)) is small
     subs = []
     for label, (_, phi, f, _), (_, comp, k, _) in zip(("low", "up"), rows[:2], rows[2:]):
-        fv = f.eval_many(xs)
-        sv = k.eval_many(xs)
-        lhs = _star_lhs(fv, phi)
+        fv, kv = f.eval_many(xs), k.eval_many(xs)
+        phi_v, comp_v = phi.eval_many(fv), comp.eval_many(kv)
         if maxmin:
-            chi_vals = comp.eval_many(sv)
-            den = 1.0 - chi_vals
-            rhs = np.divide(sv - chi_vals, den, out=np.zeros_like(sv), where=den > 0.0)
-            mask = (fv > 0.0) & (sv < 1.0)
+            devs = np.abs(fv * (1.0 - comp_v) - phi_v * (kv - comp_v))
         else:
-            rhs = _star_lhs(sv, comp)
-            mask = (fv > 0.0) & (sv > 0.0)
-        if mask.any():
-            devs = np.abs(lhs - rhs) * mask
-            i = int(np.argmax(devs))
-            dev = float(devs[i])
-            subs.append(Check(label, dev <= tol, value=dev, witness=(float(xs[i]),)))
-        else:
-            subs.append(Check(label, True, value=0.0, note="empty admissible domain"))
-    note = "compared as the reciprocal ratios, both equal to the common-shock CDF"
+            devs = np.abs(fv * comp_v - kv * phi_v)
+        i = int(np.argmax(devs))
+        dev = float(devs[i])
+        subs.append(Check(label, dev <= tol, value=dev, witness=(float(xs[i]),)))
+    if maxmin:
+        note = "F(1 - chi(K)) vs phi(F)(K - chi(K)): both are phi(F)(1 - chi(K))F_Z"
+        note += ", so the value is weaker where F or 1 - chi(K) is small"
+    else:
+        note = "F psi(K) vs K phi(F): both are phi(F)psi(K)F_Z"
+        note += ", so the value is weaker where F or psi(K) is small"
     return _fold("star-identity", subs, note)
 
 
@@ -674,11 +645,7 @@ def _same_corner_scan(h_pair: CopulaPair, grid: int, tol: float) -> dict:
 
 def _run(s: Scenario, tol: float) -> ScenarioResult:
     fns, (low_f, up_f, low_second, up_second), info = _resolve_inputs(s)
-    if info.get("discretized"):
-        # approximated inputs live on rounded float grids; the ratio
-        # conditions amplify that rounding up to the analytic tolerance,
-        # which is the precision claimed for this mode anyway
-        tol = max(tol, ANALYTIC_TOL)
+    info["tol"] = tol
     fx_lo, fx_up, fy_lo, fy_up, fz = (fns[k] for k in ("x_lo", "x_up", "y_lo", "y_up", "z"))
     maxmin = s.model == "maxmin"
 

@@ -469,6 +469,47 @@ NEAR_PROPER = {
         },
         "z": {"type": "discrete", "atoms": [[1.5, 0.7], [3.0, 0.2], [4.5, 0.1]]},
     },
+    # the same two laws written as piecewise levels: they end at exactly 1 by
+    # the same rule as the step laws
+    "one_ulp_short_y_piecewise": {
+        "y": {
+            "lower": {
+                "type": "piecewise",
+                "breakpoints": [[4.0, 0.0, 0.9999999999999999, 0.9999999999999999]],
+                "segments": [["const", 0.0], ["const", 0.9999999999999999]],
+            },
+            "upper": {"type": "discrete", "atoms": [[0.5, 0.5], [4.0, 0.5]]},
+        },
+        "z": {"type": "discrete", "atoms": [[3.0, 0.25], [5.0, 0.75]]},
+    },
+    "one_ulp_short_z_piecewise": {
+        "y": {
+            "lower": {"type": "discrete", "atoms": [[4.0, 0.5], [5.5, 0.5]]},
+            "upper": {
+                "type": "discrete",
+                "atoms": [
+                    [1.5, 0.2270540409696962],
+                    [2.0, 0.560005866234428],
+                    [5.0, 0.0779427533245185],
+                    [5.5, 0.13499733947135728],
+                ],
+            },
+        },
+        "z": {
+            "type": "piecewise",
+            "breakpoints": [
+                [1.5, 0.0, 0.7, 0.7],
+                [3.0, 0.7, 0.8999999999999999, 0.8999999999999999],
+                [4.5, 0.8999999999999999, 0.9999999999999999, 0.9999999999999999],
+            ],
+            "segments": [
+                ["const", 0.0],
+                ["const", 0.7],
+                ["const", 0.8999999999999999],
+                ["const", 0.9999999999999999],
+            ],
+        },
+    },
 }
 
 

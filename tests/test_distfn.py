@@ -169,6 +169,21 @@ def test_a_law_accepted_as_proper_ends_at_exactly_one():
     assert step_cdf([(0.0, 0.5), (1.0, 0.5 - 5e-13)]).final == 1.0
     assert step_cdf([(0.0, 0.5), (1.0, 0.5 - 2e-12)]).final == 1.0 - 2e-12
     assert step_cdf([(0.0, 0.5)]).final == 0.5
+    # piecewise levels take the same rule
+    short = 0.9999999999999999
+    f = piecewise_cdf([(4.0, 0.0, short, short)], [("const", 0.0), ("const", short)])
+    assert f.final == 1.0 and triple(f, 4.0) == (0.0, 1.0, 1.0)
+    # only the last breakpoint's value and right limit move: its left limit
+    # and the earlier levels keep theirs
+    points = [(1.0, 0.0, short, short), (2.0, short, short, short)]
+    g = piecewise_cdf(points, [("const", 0.0), ("const", short), ("const", short)])
+    assert g.final == 1.0 and triple(g, 1.0) == (0.0, short, short)
+    assert triple(g, 2.0) == (short, 1.0, 1.0)
+    # a final level outside EXACT_TOL, or an analytic last segment, is kept
+    far = 1.0 - 2e-12
+    assert piecewise_cdf([(0.0, 0.0, far, far)], [("const", 0.0), ("const", far)]).final == far
+    curved = piecewise_cdf([(0.0, 0.0, 0.0, 0.0)], [("const", 0.0), ("exp", short, 1.0, 0.0, 0.0)])
+    assert curved.final == short
 
 
 def test_discrete_mass_validation():

@@ -33,7 +33,7 @@ DISCRETIZED = {
             "z": _exponential(1.887),
             "grid": 101,
         },
-        "4867f1f1d306d7e298b140ff71b8e9b320371d80646bf5ade99a3f018fb60736",
+        "e394bb84a585a3d2cd78a4bc2f5554961ba633cbdb11ceac6d5914205957ceb7",
     ),
     "maxmin": (
         {
@@ -43,29 +43,29 @@ DISCRETIZED = {
             "z": _exponential(1.4247),
             "grid": 101,
         },
-        "b9d9859a8713fc85fd7814b8f88215d466964d198236505032ea8ac98fdfff3f",
+        "af3fa1c99d3a22b64192d8ebd73dfa97b758a9529fd87da39bc4d09f22ee4248",
     ),
 }
 
 # report.json, h_surface.csv and copula_surface.csv of `--format csv`
 PACKAGED = {
     "d1_discrete": (
-        "9de68976599674e5c49ad0e6d888c4d7b96a734e19e2180b5c184f493e46c7ff",
+        "107646477b5d7678e36648e435d7261acbbe2b098026f0d28d233542fbca1443",
         "be2382dd74507c8ea82500f96e9dcc3e6c2fe17f8904a4e3f819fb8463b439d6",
         "3256937ddbafae35124de5ff2020d746293f835bc9400abc06742e7c4eeb6b74",
     ),
     "d1_maxmin": (
-        "9a8569a16549f14676935e9e1ac75a1fe1276cacbf4ef3046450a6d0d90c3bdf",
+        "7b8c662d66f0a1052f245d6ba1865a1005a9bbd1c3e5acad3ee619fdfd06064e",
         "41e87f7bd5ecaf4bf378f14ca1f7eff8b94b5859ad4a1c558d375d5855a547b8",
         "fddab894aa6c8b2d088096e7f89747197870061b26471a8cb58f24e529e1a9f9",
     ),
     "marshall_exp": (
-        "fc6ecb205fdba07ac5ddb7bf7eb5374566decf538bd5602936d8d3d400fd5886",
+        "f5627e3866a4c03a918f22c5419cab0b6c06f32d72cf6a7fec8f1b3d508d817c",
         "eccd724f3744f926399dbc2c2b91e1db5d7087fe05386c2c1a2f6217a51a3659",
         "09d69dba131c4a96dcb5766b61abda3d06567e41f69b0a8f99f4a3c58e7e28a3",
     ),
     "maxmin_exp": (
-        "3e9badff4868ab5f95ecd79e4ce474b941ffc2f5751891866bd5f81f5321814b",
+        "85a0667e636a08a507f9aef3b25947b22e14f48efe9278237c6d69001f706a23",
         "155a77b23efe7032140090913b054c57b763a837bd47631415ce764a8ad9fac2",
         "9c38d74d5d0d28f4300f16e60cadff6ebb561e619e9c941b69106d282cdcf8ae",
     ),

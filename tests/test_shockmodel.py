@@ -25,6 +25,7 @@ from shockbox.errors import (
     MassSumError,
     NonProperInputError,
 )
+from shockbox.generators import Generator
 from shockbox.distfn import locate, locate_many
 from shockbox.imprecise import check_bivariate_pbox_conditions
 from shockbox.pbox import PBox
@@ -263,7 +264,7 @@ def test_discretized_bounds_are_within_three_deltas_of_the_closed_forms(
     # (max/max) or a product with a convex combination (max/min) of [0, 1]
     # factors, so the composed bounds are within delta_X + delta_Y + delta_Z
     x, y = exponential_pbox(*x_rates), exponential_pbox(*y_rates)
-    res = run_scenario(Scenario(x, y, exponential_cdf(z_rate), model), tol=1e-9)
+    res = run_scenario(Scenario(x, y, exponential_cdf(z_rate), model))
     assert res.info["discretized"] is True
     assert res.all_passed, failed(res)
     delta = res.info["discretization_bound"]
@@ -282,6 +283,39 @@ def test_discretized_bounds_are_within_three_deltas_of_the_closed_forms(
         assert np.max(np.abs(bound.at_many(ps, ps) - want)) <= 3.0 * delta
 
 
+@pytest.mark.parametrize("model, x_rates, y_rates, z_rate", BENCH_DISCRETIZED[:2])
+def test_star_identity_sees_a_generator_knot_moved_by_1e_9(model, x_rates, y_rates, z_rate):
+    # the identity is compared cross-multiplied, on the scale of
+    # phi(F)(1 - chi(K))F_Z or phi(F)psi(K)F_Z; where the composite is in
+    # [0.1, 0.9] that scale is large enough for a 1e-9 move to show at 1e-12
+    x, y = exponential_pbox(*x_rates), exponential_pbox(*y_rates)
+    res = run_scenario(Scenario(x, y, exponential_cdf(z_rate), model))
+    assert res.info["discretized"] is True
+    family, maxmin = res.family, model == "maxmin"
+    rows = [
+        ("low_phi", family.low_phi, res.low_f, None),
+        ("up_phi", family.up_phi, res.up_f, None),
+        ("low_companion", family.low_second, res.low_second, None),
+        ("up_companion", family.up_second, res.up_second, None),
+    ]
+    xs = sm.thin(sm.probe_xs([res.low_f, res.up_f, res.low_second, res.up_second]), 4001)
+    assert sm._star_identity(rows, xs, maxmin, EXACT_TOL).passed
+    for i, (label, g, composite, _) in enumerate(rows):
+        cv = composite.eval_many(xs)
+        inside = np.flatnonzero((cv >= 0.1) & (cv <= 0.9))
+        us, ys = np.array(g.knot_us), np.array([y for _, y in g.knots])
+        for p in inside[np.linspace(0, inside.size - 1, 10).astype(int)]:
+            k = 1 + int(np.argmin(np.abs(us[1:-1] - cv[p])))
+            for step in (1e-9, -1e-9):
+                moved = ys.copy()
+                moved[k] += step
+                knots = list(zip(us.tolist(), moved.tolist()))
+                mutated = list(rows)
+                mutated[i] = (label, Generator(g.kind, knots), composite, None)
+                check = sm._star_identity(mutated, xs, maxmin, EXACT_TOL)
+                assert not check.passed, (label, us[k], step)
+
+
 def scaled_bench_scenario(model, x_rates, y_rates, z_rate, factor):
     x = exponential_pbox(*(rate * factor for rate in x_rates))
     y = exponential_pbox(*(rate * factor for rate in y_rates))
@@ -295,10 +329,10 @@ def test_power_of_two_rate_scaling_leaves_every_check_value_unchanged(
     # multiplying every rate by 2**k divides every x by 2**k, exactly: the
     # equal-mass cuts, the composites and the discretization scale, and
     # everything on [0, 1] (the generators and every check value) is unchanged
-    base = run_scenario(scaled_bench_scenario(model, x_rates, y_rates, z_rate, 1.0), tol=1e-9)
+    base = run_scenario(scaled_bench_scenario(model, x_rates, y_rates, z_rate, 1.0))
     assert base.info["discretized"] is True
     for factor in (2.0, 0.25):
-        res = run_scenario(scaled_bench_scenario(model, x_rates, y_rates, z_rate, factor), tol=1e-9)
+        res = run_scenario(scaled_bench_scenario(model, x_rates, y_rates, z_rate, factor))
         assert [(c.name, c.passed, c.value) for c in res.checks] == [
             (c.name, c.passed, c.value) for c in base.checks
         ]
