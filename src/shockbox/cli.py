@@ -300,12 +300,14 @@ def cmd_search(cfg: RunConfig) -> int:
 
     The same-corner pair composes into the bivariate bounds but is not in
     general an imprecise copula on the unit square; this command gathers
-    grid evidence. A pair whose smallest gap upC - lowC, less the slack of
-    the volume-plus-gap split, is at least -tol passes without a scan, and
-    a pair with an order violation scans only the rows that can hold a
-    worst rectangle (the ``imprecise`` module docstring). Each witness is
-    re-verified two ways: recomputed directly on its rectangle, and
-    re-found by the same scan at doubled resolution.
+    grid evidence with the rectangle checks of ``check_imprecise_copula``.
+    Like every rectangle check of a ``pipeline`` run, they pass a pair
+    without a scan when its smallest gap upC - lowC, less the slack of the
+    volume-plus-gap split, is at least -tol, and a pair with an order
+    violation scans only the rows that can hold a worst rectangle (the
+    ``imprecise`` module docstring). Each witness is re-verified two ways:
+    recomputed directly on its rectangle, and re-found by the same scan at
+    doubled resolution.
 
     The doubled grid, np.linspace(0, 1, 2n - 1), holds the n-point grid bit
     for bit at its even indices: linspace's points are k * fl(1/(n - 1))

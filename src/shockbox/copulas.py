@@ -109,6 +109,19 @@ def _copula_at(c, u: float, v: float) -> float:
     raise InvalidParameterError(f"not a copula specification: {type(c).__name__}")
 
 
+def _edge_check(name: str, u_edge, v_edge, us: np.ndarray, edge: float, tol: float) -> Check:
+    """A boundary condition on the edges u = edge, with deviations u_edge at
+    the points (edge, us[k]), and v = edge, with v_edge at (us[k], edge).
+    The witness is the first point of the largest deviation, on the edge
+    u = edge when both attain it."""
+    i, j = int(np.argmax(u_edge)), int(np.argmax(v_edge))
+    if v_edge[j] > u_edge[i]:
+        value, where = float(v_edge[j]), (float(us[j]), edge)
+    else:
+        value, where = float(u_edge[i]), (edge, float(us[i]))
+    return Check(name, value <= tol, value=value, witness=where)
+
+
 def check_copula_axioms(c, n: int = 101, tol: float = EXACT_TOL) -> list[Check]:
     """Boundary conditions on grid samples and 2-increasingness on all cells.
 
@@ -121,22 +134,10 @@ def check_copula_axioms(c, n: int = 101, tol: float = EXACT_TOL) -> list[Check]:
     us = np.linspace(0.0, 1.0, n)
     g = copula_grid(c, us, us)
 
-    edge_dev = np.maximum(np.abs(g[0, :]), np.abs(g[:, 0]))
-    i = int(np.argmax(edge_dev))
-    grounded = Check(
-        "grounded",
-        float(edge_dev[i]) <= tol,
-        value=float(edge_dev[i]),
-        witness=(0.0, float(us[i])),
-    )
-
-    margin_dev = np.maximum(np.abs(g[:, -1] - us), np.abs(g[-1, :] - us))
-    i = int(np.argmax(margin_dev))
-    margins = Check(
-        "uniform-margins",
-        float(margin_dev[i]) <= tol,
-        value=float(margin_dev[i]),
-        witness=(float(us[i]), 1.0),
+    # C(0, v) = C(u, 0) = 0, and C(1, v) = v, C(u, 1) = u
+    grounded = _edge_check("grounded", np.abs(g[0, :]), np.abs(g[:, 0]), us, 0.0, tol)
+    margins = _edge_check(
+        "uniform-margins", np.abs(g[-1, :] - us), np.abs(g[:, -1] - us), us, 1.0, tol
     )
 
     cells = g[1:, 1:] + g[:-1, :-1] - g[1:, :-1] - g[:-1, 1:]

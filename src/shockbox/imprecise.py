@@ -29,28 +29,45 @@ low) there, so the value is fl(gap) at that point. Every condition's
 minimum over the grid is therefore at most M = min fl(gap).
 
 (b) A lower bound on every rectangle. Let u = 2^-53 and K = max |grid
-value|. A float sum or difference x is off its exact value by at most
-u|x|, and |a - b| <= 2K, so the computed value is at least the exact one
-minus (2 + 2 + 4(1 + u))uK <= 9uK, and the exact gap at a point is at least
-its fl(gap) minus 2uK. A cell volume computed as a difference of two
-differences, c, is off the exact one by at most 9uK too. The exact volume
-of R is the sum of the exact volumes of its cells, at least the sum over
-all cells of min(c, 0) - 9uK. So every rectangle's computed value is at
-least fl(gap) at its corner minus the slack
+value|. A float sum or difference of x and y is (x +- y)(1 + e) and also
+(x +- y)/(1 + e') for some |e|, |e'| <= u, the standard model of float
+arithmetic (Higham, Accuracy and Stability of Numerical Algorithms, 2.2).
+By the first form, and |a - b| <= 2K, the computed value is at least the
+exact one minus (2 + 2 + 4(1 + u))uK <= 9uK, and the exact gap at a point
+is at least its fl(gap) minus 2uK.
 
-    s = sum over both bounds and all cells of (max(-c, 0) + 9uK) + 11uK,
+A cell volume is computed from the two rounded row differences d =
+fl(G[i+1, j] - G[i, j]) and d' = fl(G[i+1, j+1] - G[i, j+1]) as c =
+fl(d' - d), as np.diff(np.diff(G, axis=0), axis=1) does. By the second
+form the exact differences are d(1 + e1) and d'(1 + e2), and d' - d =
+c(1 + e3), so the exact volume V = c + c e3 + d' e2 - d e1 is within
+u(|c| + |d| + |d'|) of c, on any grid, monotone or not. The exact
+volume of R is the sum of the exact volumes of its cells, at least the
+sum over all cells of min(c, 0) - u(|c| + |d| + |d'|), and a row
+difference enters two cells at most. So the exact value of every condition on every rectangle is at
+least fl(gap) at its corner minus those cell terms and 2uK, and its
+computed value at least that minus 9uK more: both are at least fl(gap) at
+the corner minus the slack
 
-which ``_split_slack`` computes, rounded up. Both facts hold for the
-degenerate rectangles too, whose volume is 0.
+    s = sum over both bounds of (sum over cells of max(-c, 0)
+        + u(sum over cells of |c| + 2 sum of |d|)) + 11uK,
+
+which ``_split_slack`` computes, rounded up. On an m-column grid whose
+columns are monotone the row differences of a column add up to at most
+K, so the rounding part of s is about 2umK per bound. Both facts hold for
+the degenerate rectangles too, whose volume is 0.
 
 Hence a worst rectangle of a condition, whose value is at most M, has
 fl(gap) <= M + s at its corner, and its corner row (i1 for IC1 and IC3, i2
 for IC2 and IC4) is one of the rows S whose smallest fl(gap) is at most
 M + s. When S is small ``_ic_scan`` evaluates only the row pairs with
 their corner row in S. And when M - s >= -tol no condition, and not the
-order, fails on the grid: ``search_ic_violation`` then returns without a
-scan. For a copula pair the gap is 0 on the column v = 0, so every row is
-in S and the whole grid is swept.
+order, fails on the grid: every rectangle check (``_ic_checks``, behind
+``check_imprecise_copula``, ``check_bivariate_pbox_conditions`` and
+``search_ic_violation``) then passes without a scan, with M - s as the
+value of each condition. For a copula pair the gap is 0 on the column
+v = 0, so M <= 0 and every row is in S: the pair is certified when s <=
+tol, and otherwise the whole grid is swept.
 
 The same four inequality shapes are necessary conditions for a pair of
 standardized bivariate distribution functions to be a coherent bivariate
@@ -155,47 +172,59 @@ PRUNE_ROW_SHARE = 0.4
 _Scan = dict[str, tuple[float, tuple[int, int, int, int]]]
 
 
-def _gap_floor(low: np.ndarray, up: np.ndarray) -> tuple[np.ndarray, float]:
-    """Each row's smallest fl(up - low), and M, the smallest of all."""
-    rows = np.min(up - low, axis=1)
-    return rows, float(np.min(rows))
+@dataclass(frozen=True)
+class _Split:
+    """The volume-plus-gap split's bounds on a pair of grids (the module
+    docstring): each row's smallest fl(up - low), their smallest M, and the
+    slack s."""
+
+    gaps: np.ndarray
+    floor: float
+    slack: float
+
+    @property
+    def bound(self) -> float:
+        """M - s rounded down: the real M - s is at least the float below
+        fl(M - s). No rectangle's condition value is below it."""
+        return float(np.nextafter(self.floor - self.slack, -math.inf))
+
+
+def _split(low: np.ndarray, up: np.ndarray) -> _Split:
+    gaps = np.min(up - low, axis=1)
+    return _Split(gaps, float(np.min(gaps)), _split_slack(low, up))
 
 
 def _split_slack(low: np.ndarray, up: np.ndarray) -> float:
     """The slack s of the module docstring, rounded up: no rectangle's
-    computed condition value lies below fl(gap) at its corner minus s.
-    inf when a grid value is not finite."""
+    condition value lies below fl(gap) at its corner minus s. inf when a
+    grid value is not finite."""
     scale = max(float(np.max(np.abs(low))), float(np.max(np.abs(up))))
     if not math.isfinite(scale):
         return math.inf
-    negative = 0.0
+    negative = magnitudes = 0.0
     for grid in (low, up):
-        cells = np.diff(np.diff(grid, axis=0), axis=1)
+        rows = grid[1:] - grid[:-1]
+        cells = rows[:, 1:] - rows[:, :-1]
         negative -= float(np.sum(np.minimum(cells, 0.0)))
-    cells = 2 * (low.shape[0] - 1) * (low.shape[1] - 1)
-    rounding = (9 * cells + 11) * _UNIT_ROUNDOFF * max(scale, _MIN_SCALE)
+        magnitudes += float(np.sum(np.abs(cells))) + 2 * float(np.sum(np.abs(rows)))
+    rounding = _UNIT_ROUNDOFF * (magnitudes + 11 * max(scale, _MIN_SCALE))
     # the sums above are off by far less than a relative 2^-20
     return (negative + rounding) * (1.0 + 2.0**-20)
 
 
-def _candidate_rows(low: np.ndarray, up: np.ndarray, limit: float) -> np.ndarray | None:
+def _candidate_rows(split: _Split, limit: float) -> np.ndarray | None:
     """The candidate rows S of the module docstring, or None when more than
-    ``limit`` rows are in S or a grid value is not finite. The rows that
-    attain M are counted before any cell volume is computed."""
-    gaps, floor = _gap_floor(low, up)
-    if np.count_nonzero(gaps == floor) > limit:
+    ``limit`` rows are in S or s is not finite."""
+    if not split.slack < math.inf:
         return None
-    slack = _split_slack(low, up)
-    rows = np.flatnonzero(gaps <= np.nextafter(floor + slack, math.inf))
-    return rows if slack < math.inf and len(rows) <= limit else None
+    rows = np.flatnonzero(split.gaps <= np.nextafter(split.floor + split.slack, math.inf))
+    return rows if len(rows) <= limit else None
 
 
-def _certified(low: np.ndarray, up: np.ndarray, tol: float) -> bool:
+def _certified(split: _Split, tol: float) -> bool:
     """Whether M - s >= -tol (the module docstring): then no rectangle's
     condition value, and no point's order, is below -tol on the grids."""
-    floor = _gap_floor(low, up)[1]
-    # the real M - s is at least the float below fl(M - s)
-    return floor >= -tol and np.nextafter(floor - _split_slack(low, up), -math.inf) >= -tol
+    return split.bound >= -tol
 
 
 def _worst_on_row_pair(grids, name: str, i1: int, i2: int) -> tuple[float, tuple[int, int, int, int]]:
@@ -285,7 +314,7 @@ def _pruned_scan(low: np.ndarray, up: np.ndarray, rows: np.ndarray) -> _Scan:
     return found
 
 
-def _ic_scan(low: np.ndarray, up: np.ndarray) -> _Scan:
+def _ic_scan(low: np.ndarray, up: np.ndarray, split: _Split) -> _Scan:
     """Minimum of each mixed rectangle inequality over all grid rectangles.
 
     On the row pair (i1, i2) every condition splits as p(j2) + q(j1) with
@@ -293,14 +322,13 @@ def _ic_scan(low: np.ndarray, up: np.ndarray) -> _Scan:
     minimum over j2 of p(j2) plus the running minimum of q up to j2.
 
     Only the row pairs whose corner row lies in the candidate rows S of the
-    module docstring can hold a worst rectangle. When S has at most
-    ``PRUNE_ROW_SHARE`` of the rows, only those pairs are evaluated
-    (``_pruned_scan``), in O(|S| n m) time: a pair with an order violation
-    has its gap minimum on one row or a few. Otherwise every pair is
-    evaluated (``_swept_scan``), in O(n^2 m): every copula pair, whose gap
-    is 0 on the column v = 0, takes the sweep, and the rows attaining M are
-    counted before any cell volume is computed. Either way the values are
-    those of the row-by-row split, bit for bit.
+    module docstring, taken from ``split``, can hold a worst rectangle.
+    When S has at most ``PRUNE_ROW_SHARE`` of the rows, only those pairs
+    are evaluated (``_pruned_scan``), in O(|S| n m) time: a pair with an
+    order violation has its gap minimum on one row or a few. Otherwise
+    every pair is evaluated (``_swept_scan``), in O(n^2 m): every copula
+    pair, whose gap is 0 on the column v = 0, takes the sweep. Either way
+    the values are those of the row-by-row split, bit for bit.
 
     Ties resolve to the first worst rectangle in scan order (i1, then i2,
     then j2, then j1 ascending), which makes reported witnesses
@@ -309,10 +337,29 @@ def _ic_scan(low: np.ndarray, up: np.ndarray) -> _Scan:
 
     Returns condition -> (min value, (i1, i2, j1, j2) attaining it).
     """
-    rows = _candidate_rows(low, up, PRUNE_ROW_SHARE * low.shape[0])
+    rows = _candidate_rows(split, PRUNE_ROW_SHARE * low.shape[0])
     if rows is None:
         return _swept_scan(low, up)
     return _pruned_scan(low, up, rows)
+
+
+def _ic_checks(low: np.ndarray, up: np.ndarray, tol: float, witness) -> list[Check]:
+    """The four mixed-inequality checks on a pair of grids.
+
+    When M - s >= -tol (the module docstring) each passes without a scan,
+    with the certified lower bound M - s, rounded down, as its value and no
+    witness. Otherwise each is its minimum over every rectangle
+    (``_ic_scan``), with witness(name, value, (i1, i2, j1, j2)) at its first
+    worst rectangle. Either way the value is at most M, the smallest
+    fl(up - low), which is the order check's value.
+    """
+    split = _split(low, up)
+    if _certified(split, tol):
+        return [Check(name, True, value=split.bound) for name in _SPLITS]
+    return [
+        Check(name, value >= -tol, value=value, witness=witness(name, value, corners))
+        for name, (value, corners) in _ic_scan(low, up, split).items()
+    ]
 
 
 def _boundary_deviation(grid: np.ndarray, us: np.ndarray, vs: np.ndarray) -> tuple[float, tuple[float, float]]:
@@ -344,51 +391,50 @@ def _unit_grids(pair: CopulaPair, n: int) -> tuple[np.ndarray, np.ndarray, np.nd
     return us, copula_grid(pair.low, us, us), copula_grid(pair.up, us, us)
 
 
-def _grid_checks(us: np.ndarray, low: np.ndarray, up: np.ndarray, tol: float) -> list[Check]:
-    checks = []
-    for name, grid in (("low-boundary", low), ("up-boundary", up)):
-        dev, where = _boundary_deviation(grid, us, us)
-        checks.append(Check(name, dev <= tol, value=dev, witness=where))
-
+def _violation_checks(us: np.ndarray, low: np.ndarray, up: np.ndarray, tol: float) -> list[Check]:
+    """The order and the four mixed rectangle inequalities on the grids,
+    with ``ViolationWitness`` records."""
     diff = up - low
     i, j = np.unravel_index(int(np.argmin(diff)), diff.shape)
     order_val = float(diff[i, j])
-    checks.append(
-        Check(
+    order = Check(
+        "order",
+        order_val >= -tol,
+        value=order_val,
+        witness=ViolationWitness(
+            Rect(float(us[i]), float(us[i]), float(us[j]), float(us[j])),
             "order",
-            order_val >= -tol,
-            value=order_val,
-            witness=ViolationWitness(
-                Rect(float(us[i]), float(us[i]), float(us[j]), float(us[j])),
-                "order",
-                order_val,
-            ),
-        )
+            order_val,
+        ),
     )
 
-    for name, (value, (i1, i2, j1, j2)) in _ic_scan(low, up).items():
+    def witness(name: str, value: float, corners) -> ViolationWitness:
+        i1, i2, j1, j2 = corners
         rect = Rect(float(us[i1]), float(us[i2]), float(us[j1]), float(us[j2]))
-        checks.append(
-            Check(
-                name,
-                value >= -tol,
-                value=value,
-                witness=ViolationWitness(rect, name, value),
-            )
-        )
-    return checks
+        return ViolationWitness(rect, name, value)
+
+    return [order] + _ic_checks(low, up, tol, witness)
 
 
 def check_imprecise_copula(pair: CopulaPair, n: int = 101, tol: float = EXACT_TOL) -> list[Check]:
     """Test the defining conditions of an imprecise copula on an n x n grid.
 
     Produces one check per condition: boundary conditions for each bound,
-    pointwise order, and the four mixed rectangle inequalities, each the
-    minimum over every grid rectangle (``_ic_scan``). Witnesses are
-    ``ViolationWitness`` records (populated also for passing checks, as the
-    attaining rectangle of the minimum).
+    with the (u, v) of the worst deviation as witness, pointwise order, and
+    the four mixed rectangle inequalities (``_ic_checks``), with
+    ``ViolationWitness`` records. A scanned inequality check has one also
+    when it passes, the attaining rectangle of its minimum over every grid
+    rectangle. When the smallest gap upC - lowC less the slack of the
+    volume-plus-gap split, M - s, is at least -tol, the inequalities pass
+    without a scan: each carries M - s as its value and no witness (the
+    module docstring).
     """
-    return _grid_checks(*_unit_grids(pair, n), tol)
+    us, low, up = _unit_grids(pair, n)
+    checks = []
+    for name, grid in (("low-boundary", low), ("up-boundary", up)):
+        dev, where = _boundary_deviation(grid, us, us)
+        checks.append(Check(name, dev <= tol, value=dev, witness=where))
+    return checks + _violation_checks(us, low, up, tol)
 
 
 def search_ic_violation(pair: CopulaPair, n: int = 51, tol: float = EXACT_TOL) -> list[ViolationWitness]:
@@ -399,20 +445,11 @@ def search_ic_violation(pair: CopulaPair, n: int = 51, tol: float = EXACT_TOL) -
     here is grid evidence, not a certificate of failure at all scales;
     callers re-verify at higher resolution before treating it as one.
 
-    The pair passes without a scan when M - s >= -tol (the module
-    docstring): then every rectangle's value, and the order, is at least
-    -tol. Otherwise the witnesses are those of ``check_imprecise_copula``
-    on the same grids, computed once.
+    The witnesses are those of ``check_imprecise_copula`` on the same
+    grids, so a pair with M - s >= -tol (the module docstring) passes
+    without a scan.
     """
-    us, low, up = _unit_grids(pair, n)
-    if _certified(low, up, tol):
-        return []
-    witnesses = []
-    for check in _grid_checks(us, low, up, tol):
-        if check.passed or not isinstance(check.witness, ViolationWitness):
-            continue
-        witnesses.append(check.witness)
-    return witnesses
+    return [c.witness for c in _violation_checks(*_unit_grids(pair, n), tol) if not c.passed]
 
 
 def verify_witness(pair: CopulaPair, witness: ViolationWitness, tol: float = EXACT_TOL) -> bool:
@@ -445,27 +482,6 @@ def _run_starts(low: np.ndarray, up: np.ndarray, axis: int) -> np.ndarray:
     return np.flatnonzero(np.concatenate(([True], ~same)))
 
 
-def _collapsed_scan(low: np.ndarray, up: np.ndarray) -> _Scan:
-    """``_ic_scan(low, up)``, run on one row and column per run of repeats.
-
-    A rectangle's value depends only on the contents of its two rows and
-    two columns, and a repeat is equal bit for bit to the start of its run,
-    so the scan's running minima see the same floats, each once per run
-    instead of once per repeat. Each witness index maps back to the first
-    row or column of its run, which is also the first in the scan's tie
-    order (i1, i2, j2, j1): moving any index of a worst rectangle to the
-    start of its run keeps i1 <= i2 and j1 <= j2 (for a degenerate
-    rectangle inside one run too) and the value, so the first worst
-    rectangle of the full grids indexes run starts only.
-    """
-    rows, cols = _run_starts(low, up, 0), _run_starts(low, up, 1)
-    cells = np.ix_(rows, cols)
-    results = {}
-    for name, (value, (i1, i2, j1, j2)) in _ic_scan(low[cells], up[cells]).items():
-        results[name] = (value, (int(rows[i1]), int(rows[i2]), int(cols[j1]), int(cols[j2])))
-    return results
-
-
 def check_bivariate_pbox_conditions(
     low_h: BivariateBound,
     up_h: BivariateBound,
@@ -484,10 +500,20 @@ def check_bivariate_pbox_conditions(
 
     With step marginals the bounds are constant between breakpoints, so
     the probe grid repeats the same few rows and columns. The rectangle
-    scan runs on the grids with each run of consecutive rows that are equal
-    bit for bit in both bounds (int64 views, so 0.0 and -0.0 differ) kept
-    once, and the same for columns (``_collapsed_scan``): its values and
-    witnesses are those of the full scan.
+    checks (``_ic_checks``) run on the grids with each run of consecutive
+    rows that are equal bit for bit in both bounds (int64 views, so 0.0 and
+    -0.0 differ) kept once, and the same for columns. A rectangle's value
+    depends only on the contents of its two rows and two columns, and a
+    repeat is equal bit for bit to the start of its run, so the collapsed
+    grids hold every rectangle value of the full ones and the same M, and
+    their certificate holds for the full grids. A scan sees the same
+    floats, each once per run instead of once per repeat, and each witness
+    index maps back to the first row or column of its run. That is also the
+    first in the scan's tie order (i1, i2, j2, j1): moving any index of a
+    worst rectangle to the start of its run keeps i1 <= i2 and j1 <= j2
+    (for a degenerate rectangle inside one run too) and the value, so the
+    first worst rectangle of the full grids indexes run starts only. The
+    values and witnesses are those of the full grids.
     """
     xs = np.concatenate(([-INF], np.asarray(xs, dtype=float), [INF]))
     ys = np.concatenate(([-INF], np.asarray(ys, dtype=float), [INF]))
@@ -520,10 +546,15 @@ def check_bivariate_pbox_conditions(
         )
     )
 
-    for name, (value, (i1, i2, j1, j2)) in _collapsed_scan(low, up).items():
-        witness = ((float(xs[i1]), float(xs[i2])), (float(ys[j1]), float(ys[j2])))
-        checks.append(Check(name, value >= -tol, value=value, witness=witness))
-    return checks
+    rows, cols = _run_starts(low, up, 0), _run_starts(low, up, 1)
+
+    def witness(name: str, value: float, corners) -> tuple:
+        i1, i2, j1, j2 = corners
+        x1, x2, y1, y2 = xs[rows[i1]], xs[rows[i2]], ys[cols[j1]], ys[cols[j2]]
+        return ((float(x1), float(x2)), (float(y1), float(y2)))
+
+    cells = np.ix_(rows, cols)
+    return checks + _ic_checks(low[cells], up[cells], tol, witness)
 
 
 @dataclass(frozen=True)

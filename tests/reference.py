@@ -2,7 +2,8 @@
 
 The paper's five-case closed forms for phi and chi, evaluated straight from
 the shock laws, its star transforms, the validity conditions and the order
-of generators decided exactly in rational arithmetic, the admissible anchor
+of generators decided exactly in rational arithmetic, the mixed rectangle
+inequalities' minima on small grids in the same way, the admissible anchor
 set of a level, the staircase lookup of an enumerated joint CDF and the
 reflection of a step law. None of them is called by a run; they live here
 so that a reference cannot share a later edit with the construction it
@@ -157,6 +158,40 @@ def exact_order_verdict(g1, g2) -> bool:
     us = sorted({u for u, _ in k1 + k2})
     us = sorted(set(us) | {(a + b) / 2 for a, b in zip(us, us[1:])})
     return all(branch(k1, u) <= branch(k2, u) for u in us)
+
+
+def exact_ic_minima(low, up) -> dict[str, Fraction]:
+    """The exact minimum of each mixed rectangle inequality over every
+    rectangle i1 <= i2, j1 <= j2 of a pair of float grids, in rational
+    arithmetic, each condition written out as the ``imprecise`` module
+    docstring gives it. Every float is an integer multiple of 1/D, with D
+    the largest denominator of the grid values as fractions, so the sums
+    run on those integers. Meant for grids of at most 11 x 11: it visits
+    all O(n^2 m^2) rectangles."""
+    rows = np.asarray(low).tolist() + np.asarray(up).tolist()
+    ratios = [[Fraction(x) for x in row] for row in rows]
+    den = max(r.denominator for row in ratios for r in row)
+    ints = [[r.numerator * (den // r.denominator) for r in row] for row in ratios]
+    n = len(ints) // 2
+    lo, hi = ints[:n], ints[n:]
+    m = len(lo[0])
+    best = {}
+    for i1 in range(n):
+        for i2 in range(i1, n):
+            for j1 in range(m):
+                for j2 in range(j1, m):
+                    l11, l12, l21, l22 = lo[i1][j1], lo[i1][j2], lo[i2][j1], lo[i2][j2]
+                    u11, u12, u21, u22 = hi[i1][j1], hi[i1][j2], hi[i2][j1], hi[i2][j2]
+                    values = {
+                        "IC1": l22 + u11 - l21 - l12,
+                        "IC2": u22 + l11 - l21 - l12,
+                        "IC3": u22 + u11 - u21 - l12,
+                        "IC4": u22 + u11 - l21 - u12,
+                    }
+                    for name, value in values.items():
+                        if name not in best or value < best[name]:
+                            best[name] = value
+    return {name: Fraction(value, den) for name, value in best.items()}
 
 
 def admissible_anchors(base: DistFn, u: float) -> list[float]:

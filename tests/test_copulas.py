@@ -108,6 +108,27 @@ def test_axioms_flag_bad_margins_before_anything_else():
     assert checks["grounded"].passed
 
 
+@pytest.mark.parametrize(
+    "chi, name, witness, value",
+    [
+        # C(u, 1) = u exactly, and C(1, v) = v + 0.1 min(1 - v, v - chi(v))
+        # misses v = 0.5 by 0.025
+        (((0.0, 0.0), (0.5, 0.25), (1.0, 1.0)), "uniform-margins", (1.0, 0.5), 0.025),
+        # C(0, v) = 0, and C(u, 0) = min(u, 0.01u) misses most at u = 1
+        (((0.0, 0.1), (1.0, 1.0)), "grounded", (1.0, 0.0), 0.01),
+    ],
+)
+def test_axiom_witnesses_name_the_edge_that_misses(chi, name, witness, value):
+    c = MaxminCopula(Generator("phi", ((0.0, 0.0), (1.0, 0.9))), Generator("chi", chi))
+    check = {ch.name: ch for ch in check_copula_axioms(c, n=5)}[name]
+    assert not check.passed
+    assert check.witness == witness
+    assert check.value == pytest.approx(value, rel=1e-12)
+    # on every edge of the square a copula is min(u, v)
+    u, v = witness
+    assert abs(copula_grid(c, np.array([u]), np.array([v]))[0, 0] - min(u, v)) == check.value
+
+
 def test_axioms_flag_genuine_rectangle_violation():
     # a chi that fails its star condition produces a negative cell volume
     # even though groundedness and margins survive

@@ -1,17 +1,20 @@
 """Imprecise copulas: bound pairs, rectangle conditions, families, coherence."""
 
+import importlib.util
+import json
 import math
+import sys
 from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from shockbox import imprecise
-from shockbox.cli import load_scenario
+from shockbox.cli import DEFAULT_TOL, load_scenario
 from shockbox.copulas import (
     BivariateBound,
     MarshallCopula,
@@ -28,9 +31,10 @@ from shockbox.imprecise import (
     ViolationWitness,
     _candidate_rows,
     _certified,
-    _collapsed_scan,
     _ic_scan,
     _pruned_scan,
+    _run_starts,
+    _split,
     _split_slack,
     _swept_scan,
     check_bivariate_pbox_conditions,
@@ -39,7 +43,9 @@ from shockbox.imprecise import (
     search_ic_violation,
     verify_witness,
 )
-from shockbox.shockmodel import random_discrete_scenario, run_scenario
+from shockbox.shockmodel import MAX_GRID, probe_xs, random_discrete_scenario, run_scenario, thin
+
+from reference import exact_ic_minima
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -210,12 +216,17 @@ def scan_bits(result):
     return {name: (np.float64(value).tobytes(), rect) for name, (value, rect) in result.items()}
 
 
+def scan(low, up):
+    """The scan as an uncertified rectangle check runs it."""
+    return _ic_scan(low, up, _split(low, up))
+
+
 def all_paths(low, up):
     """The scan's result by each path: the dispatch, the sweep, and the
     row pairs of the candidate rows S, whatever their number."""
-    rows = _candidate_rows(low, up, math.inf)
+    rows = _candidate_rows(_split(low, up), math.inf)
     assert rows is not None and len(rows) > 0
-    return [_ic_scan(low, up), _swept_scan(low, up), _pruned_scan(low, up, rows)]
+    return [scan(low, up), _swept_scan(low, up), _pruned_scan(low, up, rows)]
 
 
 def eighths_grids():
@@ -269,21 +280,31 @@ def test_ic_scan_matches_the_row_scan_bit_for_bit():
             assert scan_bits(scan) == reference, low.shape
 
 
-def test_ic_scan_matches_the_row_scan_on_the_packaged_scenarios(monkeypatch):
-    scanned = []
-
-    def recording_scan(low, up):
-        scanned.append((low, up))
-        return _ic_scan(low, up)
-
-    monkeypatch.setattr(imprecise, "_ic_scan", recording_scan)
+def packaged_grids():
+    """The grid pairs the rectangle checks of the packaged scenarios take:
+    per scenario the imprecise pair's, the bivariate p-box's H grids with
+    each run of repeated rows and columns kept once and, for max/min, the
+    same-corner search's."""
+    grids = []
     for path in sorted(SCENARIOS.glob("*.json")):
-        run_scenario(load_scenario(path))
-    # per scenario the imprecise pair, the H grid and, for max/min, the
-    # same-corner search
-    assert len(scanned) == 10
-    for low, up in scanned:
-        assert scan_bits(_ic_scan(low, up)) == scan_bits(reference_row_scan(low, up)), low.shape
+        s = load_scenario(path)
+        res = run_scenario(s)
+        grids.append(unit_grids(res.family.pair, s.grid))
+        fns = [s.x_pbox.lower, s.x_pbox.upper, s.y_pbox.lower, s.y_pbox.upper, s.z]
+        xs = np.concatenate(([-INF], thin(thin(probe_xs(fns), 4001), 160), [INF]))
+        low, up = res.low_h.at_many(xs, xs), res.up_h.at_many(xs, xs)
+        cells = np.ix_(_run_starts(low, up, 0), _run_starts(low, up, 1))
+        grids.append((low[cells], up[cells]))
+        if s.model == "maxmin":
+            grids.append(unit_grids(res.family.same_corner, min(51, s.grid)))
+    return grids
+
+
+def test_ic_scan_matches_the_row_scan_on_the_packaged_scenarios():
+    grids = packaged_grids()
+    assert len(grids) == 10
+    for low, up in grids:
+        assert scan_bits(scan(low, up)) == scan_bits(reference_row_scan(low, up)), low.shape
 
 
 @pytest.fixture(scope="module")
@@ -304,7 +325,7 @@ def search_grids():
 
 def test_ic_scan_matches_the_row_scan_on_search_scenarios(search_grids):
     for low, up, reference in search_grids:
-        assert scan_bits(_ic_scan(low, up)) == scan_bits(reference)
+        assert scan_bits(scan(low, up)) == scan_bits(reference)
 
 
 # few values, so that cells tie and whole rows and columns repeat; 0.0 and
@@ -331,11 +352,36 @@ def repeated_grids(draw):
     return low[rows][:, cols], up[rows][:, cols]
 
 
+class GridBound:
+    """A bivariate bound given by its values on the probe grid, points at
+    infinity included."""
+
+    def __init__(self, grid):
+        self.grid = grid
+
+    def at_many(self, xs, ys):
+        assert self.grid.shape == (len(xs), len(ys))
+        return self.grid
+
+
 @given(repeated_grids())
 @settings(max_examples=300, deadline=None)
-def test_collapsed_scan_is_the_full_scan_bit_for_bit(grids):
+def test_the_bivariate_pbox_scan_of_the_collapsed_grids_is_the_full_scan(grids):
     low, up = grids
-    assert scan_bits(_collapsed_scan(low, up)) == scan_bits(_ic_scan(low, up))
+    n, m = low.shape
+    assume(n >= 2 and m >= 2)
+    xs, ys = np.arange(1.0, n - 1), np.arange(1.0, m - 1)
+    labels_x = np.concatenate(([-INF], xs, [INF]))
+    labels_y = np.concatenate(([-INF], ys, [INF]))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(imprecise, "_certified", lambda *args: False)
+        checks = check_bivariate_pbox_conditions(GridBound(low), GridBound(up), xs, ys)
+    found = {c.name: (c.value, c.witness) for c in checks if c.name.startswith("IC")}
+    expected = {
+        name: (value, ((labels_x[i1], labels_x[i2]), (labels_y[j1], labels_y[j2])))
+        for name, (value, (i1, i2, j1, j2)) in scan(low, up).items()
+    }
+    assert scan_bits(found) == scan_bits(expected)
 
 
 # -- the volume-plus-gap split: pruning and the certificate -------------------
@@ -429,7 +475,7 @@ def tied_gap_grids(draw):
 @settings(max_examples=200, deadline=None)
 def test_pruned_scan_is_the_sweep_with_the_gap_minimum_tied_across_rows(grids):
     low, up, tied = grids
-    assert set(tied) <= set(_candidate_rows(low, up, math.inf).tolist())
+    assert set(tied) <= set(_candidate_rows(_split(low, up), math.inf).tolist())
     reference = scan_bits(_swept_scan(low, up))
     for scan in all_paths(low, up):
         assert scan_bits(scan) == reference
@@ -447,11 +493,11 @@ def test_pruned_scan_is_the_sweep_on_signed_zeros_and_repeats(grids):
 def test_a_grid_value_that_is_not_finite_takes_the_sweep():
     low, up = np.zeros((4, 4)), np.ones((4, 4))
     up[0, 3] = -1.0
-    assert _candidate_rows(low, up, math.inf).tolist() == [0]
+    assert _candidate_rows(_split(low, up), math.inf).tolist() == [0]
     for bad in (np.inf, np.nan):
         up[2, 2] = bad
-        assert _candidate_rows(low, up, math.inf) is None
-        assert not _certified(low, up, 1.0)
+        assert _candidate_rows(_split(low, up), math.inf) is None
+        assert not _certified(_split(low, up), 1.0)
 
 
 def search_pair(seed: int, index: int) -> CopulaPair:
@@ -498,7 +544,7 @@ def test_pruned_scan_is_the_sweep_on_search_grids(unpinned_search_pairs, monkeyp
                 continue
             for n in (51, 101):
                 low, up = unit_grids(pair, n)
-                assert scan_bits(_ic_scan(low, up)) == scan_bits(_swept_scan(low, up))
+                assert scan_bits(scan(low, up)) == scan_bits(_swept_scan(low, up))
                 grids += 1
     assert grids >= 1000
     assert len(pruned) == grids
@@ -511,7 +557,7 @@ def test_the_certificate_never_passes_a_violating_search_pair(unpinned_search_pa
     for pairs in unpinned_search_pairs.values():
         for pair in pairs:
             low, up = unit_grids(pair, 51)
-            if _certified(low, up, SEARCH_TOL):
+            if _certified(_split(low, up), SEARCH_TOL):
                 certified += 1
                 values = [value for value, _ in _swept_scan(low, up).values()]
                 assert min(values + [float(np.min(up - low))]) >= -SEARCH_TOL
@@ -574,12 +620,12 @@ def test_the_slack_covers_the_rounding_of_the_split():
     floor = float(np.min(up - low))
     tol = -np.nextafter(floor, -np.inf)
     assert min(value for value, _ in _swept_scan(low, up).values()) < -tol
-    assert not _certified(low, up, tol)
+    assert not _certified(_split(low, up), tol)
     sweep = scan_bits(_swept_scan(low2, up2))
     gaps = np.min(up2 - low2, axis=1)
     near_floor = np.flatnonzero(gaps <= np.nextafter(np.min(gaps), np.inf))
     assert scan_bits(_pruned_scan(low2, up2, near_floor)) != sweep
-    assert scan_bits(_pruned_scan(low2, up2, _candidate_rows(low2, up2, math.inf))) == sweep
+    assert scan_bits(_pruned_scan(low2, up2, _candidate_rows(_split(low2, up2), math.inf))) == sweep
 
 
 @pytest.mark.parametrize("tol", [2.0**-20, 1e-9])
@@ -588,10 +634,157 @@ def test_the_certificate_on_edge_grids(tol):
     for low, up in certificate_edge_grids(tol):
         worst = min([v for v, _ in _swept_scan(low, up).values()] + [float(np.min(up - low))])
         failing += worst < -tol
-        if _certified(low, up, tol):
+        if _certified(_split(low, up), tol):
             certified += 1
             assert worst >= -tol
     assert certified > 0 and failing > 0
+
+
+def tie_rounding_grid(n=11, m=4):
+    """A grid whose computed cell volumes are all 0 while its exact ones
+    are -2u or 2u. Rows alternate near 0.9375 and -0.9375, where floats are
+    u apart, so every row difference is an odd multiple of u that rounds to
+    the same multiple of 4u, 1.875 in size: down by u in the even columns,
+    up by u in the odd ones. The rectangle from column 0 to column 1 over
+    all rows has exact volume -2u(n - 1), about 2(n - 1)/11 times the 11uK
+    part of the slack."""
+    u = imprecise._UNIT_ROUNDOFF
+    grid = np.empty((n, m))
+    for j in range(m):
+        col, shift = [0.9375], u if j % 2 == 0 else -u
+        for i in range(n - 1):
+            # every sum is exact: the result is a multiple of u in (-1, 1)
+            col.append(col[-1] + (-1.875 if i % 2 == 0 else 1.875) + shift)
+        grid[:, j] = col
+    return grid
+
+
+def soundness_grids():
+    """Grid pairs of at most 11 x 11 for the exact check of the certificate.
+
+    The imprecise and same-corner pairs of the packaged scenarios at n = 11;
+    seeded random pairs, monotone and not, whose gap is nudged to a few ulps
+    above -1e-12 or -1e-9 in one cell; a pair whose rows repeat, so that s
+    is its 11uK term alone and fl(up - low) rounds up in every column; and
+    the tie-rounding grid, whose rounding the cell volumes do not show."""
+    grids = []
+    for path in sorted(SCENARIOS.glob("*.json")):
+        family = run_scenario(load_scenario(path)).family
+        grids += [unit_grids(family.pair, 11), unit_grids(family.same_corner, 11)]
+    rng = np.random.default_rng(2015)
+    for _ in range(40):
+        n, m = (int(k) for k in rng.integers(2, 12, size=2))
+        low = rng.random((n, m))
+        if rng.random() < 0.5:
+            low = np.cumsum(np.cumsum(low, axis=0), axis=1) / (n * m)
+        gap = rng.random((n, m)) * 10.0 ** -rng.integers(3, 15)
+        i, j = rng.integers(0, n), rng.integers(0, m)
+        gap[i, j] = -float(rng.choice([1e-12, 1e-9]))
+        for _ in range(int(rng.integers(0, 4))):
+            gap[i, j] = np.nextafter(gap[i, j], np.inf)
+        grids.append((low, low + gap))
+    # fl(0.9 - 0.1) = 0.8 is the smallest gap, and above the exact one
+    low, up = np.array([0.1, 0.1, 0.05, 0.0]), np.array([0.9, 1.0, 0.95, 1.0])
+    grids.append((np.tile(low, (5, 1)), np.tile(up, (5, 1))))
+    tie = tie_rounding_grid()
+    grids.append((tie, tie.copy()))
+    return grids
+
+
+def ulps_around(x, k=3):
+    """x and the k floats on either side of it."""
+    out, below, above = [x], x, x
+    for _ in range(k):
+        below, above = np.nextafter(below, -np.inf), np.nextafter(above, np.inf)
+        out += [below, above]
+    return out
+
+
+def test_the_certificate_bounds_every_rectangle_in_exact_arithmetic():
+    """The exact minimum of every condition over all rectangles is at
+    least M - s, and whenever M - s >= -tol each minimum of the scan is at
+    least -tol. tol runs over the tightest tolerance that certifies the
+    pair, -(M - s) rounded down, and a few ulps either side of it and of
+    1e-12 and 1e-9."""
+    certified = 0
+    for low, up in soundness_grids():
+        split = _split(low, up)
+        edge = -split.bound
+        tols = ulps_around(edge) + ulps_around(1e-12) + ulps_around(1e-9)
+        passing = [tol for tol in tols if _certified(split, tol)]
+        assert edge in passing
+        certified += len(passing)
+        exact = exact_ic_minima(low, up)
+        assert min(exact.values()) >= Fraction(split.floor) - Fraction(split.slack), low.shape
+        worst = min(value for value, _ in scan(low, up).values())
+        assert all(worst >= -tol for tol in passing), low.shape
+    assert certified >= 200
+
+
+def bench_workloads():
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up there
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def agreement_scenarios(tmp_path_factory):
+    """The packaged scenarios and those of benchmark seeds 1-4: the step
+    scenarios of the `exact` workload and the all-exponential ones of
+    `discretized`."""
+    workloads = bench_workloads()
+    work = tmp_path_factory.mktemp("scenarios")
+    specs = {}
+    for seed in range(1, 5):
+        for i, model in enumerate(("marshall", "maxmin", "marshall", "maxmin")):
+            specs[f"step_{seed}_{i}"] = workloads.discrete_scenario(seed, i, model)
+        for i, model in enumerate(("marshall", "maxmin")):
+            specs[f"exp_{seed}_{i}"] = workloads.exponential_scenario(seed, i, model)
+    paths = sorted(SCENARIOS.glob("*.json"))
+    for label, spec in specs.items():
+        paths.append(work / f"{label}.json")
+        paths[-1].write_text(json.dumps(spec))
+    return [load_scenario(path) for path in paths]
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-12])
+def test_the_certificate_leaves_every_folded_check_as_the_scan_has_it(agreement_scenarios, tol):
+    """A certified rectangle check reports M - s and no witness where the
+    scan reports its minimum and the rectangle; the folded checks and the
+    same-corner search do not see the difference."""
+    certified = []
+    for s in agreement_scenarios:
+        default = run_scenario(s, tol=tol)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(imprecise, "_certified", lambda *args: False)
+            scanned = run_scenario(s, tol=tol)
+        assert default.checks == scanned.checks
+        assert default.info == scanned.info
+        certified.append(_certified(_split(*unit_grids(default.family.pair, s.grid)), tol))
+    # every imprecise pair is certified, so both runs differ in each of them
+    assert len(certified) == 28 and all(certified)
+
+
+@pytest.mark.parametrize("name", ["d1_maxmin", "maxmin_exp"])
+def test_the_largest_grid_passes_on_the_certificate_alone(name, monkeypatch):
+    """At the command line's default tolerance. At 1e-12 these pairs take
+    the sweep: the negative computed cell volumes of their flat regions
+    alone add up to 2e-12 and 4e-12 at n = 1001."""
+    def no_scan(*args):
+        raise AssertionError("scanned")
+
+    pair = run_scenario(load_scenario(SCENARIOS / f"{name}.json")).family.pair
+    monkeypatch.setattr(imprecise, "_swept_scan", no_scan)
+    monkeypatch.setattr(imprecise, "_pruned_scan", no_scan)
+    checks = check_imprecise_copula(pair, n=MAX_GRID, tol=DEFAULT_TOL)
+    assert all(c.passed for c in checks), [c.name for c in checks if not c.passed]
+    for c in checks:
+        if c.name.startswith("IC"):
+            assert c.witness is None and -1e-11 < c.value < 0.0
 
 
 def test_violation_witness_validation_and_serialization():
