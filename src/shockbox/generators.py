@@ -110,9 +110,10 @@ class Generator:
     def _store(self, kind: str, us: np.ndarray, ys: np.ndarray) -> None:
         if us[0] != 0.0 or us[-1] != 1.0:
             raise InvalidParameterError("generator knots must span [0, 1]")
-        if np.count_nonzero(us[1:] <= us[:-1]):
+        # written so that a nan knot fails the comparison and is rejected
+        if np.count_nonzero(~(us[1:] > us[:-1])):
             raise InvalidParameterError("knot abscissas must be strictly increasing")
-        if np.count_nonzero(ys < 0.0) or np.count_nonzero(ys > 1.0):
+        if np.count_nonzero(~((0.0 <= ys) & (ys <= 1.0))):
             raise InvalidParameterError("knot values must lie in [0, 1]")
         self._kind, self._us, self._ys = kind, us, ys
         self._knots = self._hash = None

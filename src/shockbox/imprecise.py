@@ -60,14 +60,15 @@ the degenerate rectangles too, whose volume is 0.
 Hence a worst rectangle of a condition, whose value is at most M, has
 fl(gap) <= M + s at its corner, and its corner row (i1 for IC1 and IC3, i2
 for IC2 and IC4) is one of the rows S whose smallest fl(gap) is at most
-M + s. When S is small ``_ic_scan`` evaluates only the row pairs with
-their corner row in S. And when M - s >= -tol no condition, and not the
-order, fails on the grid: every rectangle check (``_ic_checks``, behind
-``check_imprecise_copula``, ``check_bivariate_pbox_conditions`` and
-``search_ic_violation``) then passes without a scan, with M - s as the
-value of each condition. For a copula pair the gap is 0 on the column
-v = 0, so M <= 0 and every row is in S: the pair is certified when s <=
-tol, and otherwise the whole grid is swept.
+M + s. ``_ic_scan`` evaluates only the row pairs with their corner row in
+S, and every row pair when s is not finite. And when M - s >= -tol no
+condition, and not the order, fails on the grid: every rectangle check
+(``_ic_checks``, behind ``check_imprecise_copula``,
+``check_bivariate_pbox_conditions`` and ``search_ic_violation``) then
+passes without a scan, with M - s as the value of each condition. For a
+copula pair the gap is 0 on the column v = 0, so M <= 0 and every row is
+in S: the pair is certified when s <= tol, and otherwise every row pair
+is evaluated.
 
 The same four inequality shapes are necessary conditions for a pair of
 standardized bivariate distribution functions to be a coherent bivariate
@@ -154,20 +155,10 @@ _SPLITS = {
 }
 # the conditions whose gap corner lies on row i1; the others have it on i2
 _CORNER_ON_I1 = ("IC1", "IC3")
-# the sweep's four best-value planes: IC1 and IC4 are indexed (i1, i2),
-# IC2 and IC3 (i2, i1)
-_PLANES = ("IC1", "IC4", "IC2", "IC3")
 # the unit roundoff u of the module docstring
 _UNIT_ROUNDOFF = 2.0**-53
 # K is floored here so that u * K stays a normal float
 _MIN_SCALE = 2.0**-960
-# _ic_scan evaluates the row pairs of the candidate rows instead of sweeping
-# the grid while they are at most this share of the rows. A candidate row
-# costs 4 x 6 numpy calls on arrays of at most n x m, the sweep 7 calls on
-# n x n planes per column. On one core of a 2-core VM (Python 3.11, numpy
-# 2.4) the two took the same time at 20 candidate rows of a 51 x 51 grid
-# (3.0 ms) and at 43 of a 101 x 101 grid (14 ms).
-PRUNE_ROW_SHARE = 0.4
 
 _Scan = dict[str, tuple[float, tuple[int, int, int, int]]]
 
@@ -212,13 +203,12 @@ def _split_slack(low: np.ndarray, up: np.ndarray) -> float:
     return (negative + rounding) * (1.0 + 2.0**-20)
 
 
-def _candidate_rows(split: _Split, limit: float) -> np.ndarray | None:
-    """The candidate rows S of the module docstring, or None when more than
-    ``limit`` rows are in S or s is not finite."""
+def _candidate_rows(split: _Split) -> np.ndarray:
+    """The candidate rows S of the module docstring, or every row when s is
+    not finite."""
     if not split.slack < math.inf:
-        return None
-    rows = np.flatnonzero(split.gaps <= np.nextafter(split.floor + split.slack, math.inf))
-    return rows if len(rows) <= limit else None
+        return np.arange(len(split.gaps))
+    return np.flatnonzero(split.gaps <= np.nextafter(split.floor + split.slack, math.inf))
 
 
 def _certified(split: _Split, tol: float) -> bool:
@@ -239,51 +229,6 @@ def _worst_on_row_pair(grids, name: str, i1: int, i2: int) -> tuple[float, tuple
     return float(total[j2]), (i1, i2, j1, j2)
 
 
-def _swept_scan(low: np.ndarray, up: np.ndarray) -> _Scan:
-    """``_ic_scan`` on every row pair, in one sweep over the columns.
-
-    The scan keeps n x n planes indexed by row pairs: three running minima
-    and each condition's best value so far. At column j, with D_G[a, b] =
-    G[b, j] - G[a, j] for G in (low, up) and Q[a, b] = up[a, j] - low[b, j],
-    the planes read as a = i1, b = i2 give IC1 = D_low + runmin Q and IC4 =
-    D_up + runmin Q, and read as a = i2, b = i1 they give IC2 = Q + runmin
-    D_low and IC3 = Q + runmin D_up. A column is seven elementwise
-    operations on those planes, so an n x m grid takes O(n^2 m) time and
-    O(n^2 + nm) memory, never an n^3 array.
-    """
-    n, m = low.shape
-    # column j of low and of up, contiguous: (m, 2, n)
-    cols = np.stack((low.T, up.T), axis=1)
-    # Q, D_low and D_up at the current column
-    planes = np.empty((3, n, n))
-    q, d = planes[0], planes[1:]
-    # their running minima, then the best IC1, IC4, IC2 and IC3 so far
-    state = np.full((7, n, n), np.inf)
-    run, best = state[:3], state[3:]
-    for j in range(m):
-        col = cols[j]
-        np.subtract(col[1][:, None], col[0][None, :], out=q)
-        np.subtract(col[:, None, :], col[:, :, None], out=d)
-        np.minimum(run, planes, out=run)
-        np.add(d, run[0], out=d)
-        np.minimum(d, best[:2], out=best[:2])
-        np.add(q, run[1:], out=d)
-        np.minimum(d, best[2:], out=best[2:])
-
-    # the rectangles that are not i1 <= i2 never win
-    index = np.arange(n)
-    upper = index[:, None] <= index
-    np.copyto(best[:2], np.inf, where=~upper)
-    np.copyto(best[2:], np.inf, where=~upper.T)
-    found = {}
-    for k, name in enumerate(_PLANES):
-        plane = best[k] if k < 2 else best[k].T
-        # the first minimum in row-major order: first i1, then first i2
-        i1, i2 = divmod(int(np.argmin(plane)), n)
-        found[name] = _worst_on_row_pair((low, up), name, i1, i2)
-    return {name: found[name] for name in _SPLITS}
-
-
 def _pruned_scan(low: np.ndarray, up: np.ndarray, rows: np.ndarray) -> _Scan:
     """``_ic_scan`` on the row pairs whose corner row is in ``rows``.
 
@@ -291,13 +236,14 @@ def _pruned_scan(low: np.ndarray, up: np.ndarray, rows: np.ndarray) -> _Scan:
     ``rows`` (the module docstring), so the first worst row pair in
     row-major order is among those evaluated. A pair's best value is the
     row-by-row split's, the minimum over j2 of p(j2) plus the running
-    minimum of q, so values and witnesses are the sweep's bit for bit.
+    minimum of q. A nan value ranks below every number, as np.argmin ranks
+    it, so on a grid with nan values the worst row pair is the first one in
+    row-major order whose best value is nan.
     """
-    n = low.shape[0]
     grids = (low, up)
     found = {}
     for name, (x, y, v, w) in _SPLITS.items():
-        worst = (math.inf, (n, n))
+        ranks = []
         for r in rows.tolist():
             if name in _CORNER_ON_I1:
                 p = grids[x][r:] - grids[y][r]
@@ -308,9 +254,10 @@ def _pruned_scan(low: np.ndarray, up: np.ndarray, rows: np.ndarray) -> _Scan:
             values = np.min(p + np.minimum.accumulate(q, axis=1), axis=1)
             k = int(np.argmin(values))
             pair = (r, r + k) if name in _CORNER_ON_I1 else (k, r)
+            value = float(values[k])
             # equal values tie-break on the first pair in row-major order
-            worst = min(worst, (float(values[k]), pair))
-        found[name] = _worst_on_row_pair(grids, name, *worst[1])
+            ranks.append((0, 0.0, pair) if math.isnan(value) else (1, value, pair))
+        found[name] = _worst_on_row_pair(grids, name, *min(ranks)[2])
     return found
 
 
@@ -322,13 +269,12 @@ def _ic_scan(low: np.ndarray, up: np.ndarray, split: _Split) -> _Scan:
     minimum over j2 of p(j2) plus the running minimum of q up to j2.
 
     Only the row pairs whose corner row lies in the candidate rows S of the
-    module docstring, taken from ``split``, can hold a worst rectangle.
-    When S has at most ``PRUNE_ROW_SHARE`` of the rows, only those pairs
-    are evaluated (``_pruned_scan``), in O(|S| n m) time: a pair with an
-    order violation has its gap minimum on one row or a few. Otherwise
-    every pair is evaluated (``_swept_scan``), in O(n^2 m): every copula
-    pair, whose gap is 0 on the column v = 0, takes the sweep. Either way
-    the values are those of the row-by-row split, bit for bit.
+    module docstring, taken from ``split``, can hold a worst rectangle, and
+    only those are evaluated (``_pruned_scan``), in O(|S| n m) time and
+    O(n m) memory. A pair with an order violation has its gap minimum on
+    one row or a few. Every row is in S for a copula pair, whose gap is 0
+    on the column v = 0, and for a grid with a value that is not finite:
+    the scan then takes O(n^2 m) time.
 
     Ties resolve to the first worst rectangle in scan order (i1, then i2,
     then j2, then j1 ascending), which makes reported witnesses
@@ -337,10 +283,7 @@ def _ic_scan(low: np.ndarray, up: np.ndarray, split: _Split) -> _Scan:
 
     Returns condition -> (min value, (i1, i2, j1, j2) attaining it).
     """
-    rows = _candidate_rows(split, PRUNE_ROW_SHARE * low.shape[0])
-    if rows is None:
-        return _swept_scan(low, up)
-    return _pruned_scan(low, up, rows)
+    return _pruned_scan(low, up, _candidate_rows(split))
 
 
 def _ic_checks(low: np.ndarray, up: np.ndarray, tol: float, witness) -> list[Check]:

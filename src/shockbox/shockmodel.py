@@ -108,8 +108,9 @@ ORACLE_MAX_ATOMS = 12
 
 # Largest grid resolution a scenario may ask for. The checks hold a few
 # n x n copula surfaces at once (8 MB each at n = 1001), and the rectangle
-# scan takes O(n^3) time: at n = 1001 it took 19 s on a 2-core Xeon VM, and
-# a whole `pipeline --grid 1001` run took 32 s with a 193 MB peak RSS.
+# scan of a copula pair that the certificate misses takes O(n^3) time: on
+# `d1_maxmin` at --tol 1e-12 and n = 1001 it took 24 s on a 2-core VM, and
+# the whole `pipeline --grid 1001` run 25-29 s with a 117 MB peak RSS.
 MAX_GRID = 1001
 
 

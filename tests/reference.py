@@ -3,7 +3,8 @@
 The paper's five-case closed forms for phi and chi, evaluated straight from
 the shock laws, its star transforms, the validity conditions and the order
 of generators decided exactly in rational arithmetic, the mixed rectangle
-inequalities' minima on small grids in the same way, the admissible anchor
+inequalities' minima on small grids in the same way and by a column sweep
+over every row pair in float arithmetic, the admissible anchor
 set of a level, the staircase lookup of an enumerated joint CDF and the
 reflection of a step law. None of them is called by a run; they live here
 so that a reference cannot share a later edit with the construction it
@@ -28,6 +29,7 @@ from shockbox.distfn import (
     product,
 )
 from shockbox.errors import InvalidRangeError
+from shockbox.imprecise import _SPLITS, _worst_on_row_pair
 
 
 def triple(f: DistFn, x: float) -> tuple[float, float, float]:
@@ -192,6 +194,56 @@ def exact_ic_minima(low, up) -> dict[str, Fraction]:
                         if name not in best or value < best[name]:
                             best[name] = value
     return {name: Fraction(value, den) for name, value in best.items()}
+
+
+# the sweep's four best-value planes: IC1 and IC4 are indexed (i1, i2),
+# IC2 and IC3 (i2, i1)
+_PLANES = ("IC1", "IC4", "IC2", "IC3")
+
+
+def swept_scan(low: np.ndarray, up: np.ndarray) -> dict:
+    """``_ic_scan`` on every row pair, in one sweep over the columns.
+
+    The scan keeps n x n planes indexed by row pairs: three running minima
+    and each condition's best value so far. At column j, with D_G[a, b] =
+    G[b, j] - G[a, j] for G in (low, up) and Q[a, b] = up[a, j] - low[b, j],
+    the planes read as a = i1, b = i2 give IC1 = D_low + runmin Q and IC4 =
+    D_up + runmin Q, and read as a = i2, b = i1 they give IC2 = Q + runmin
+    D_low and IC3 = Q + runmin D_up. A column is seven elementwise
+    operations on those planes, so an n x m grid takes O(n^2 m) time and
+    O(n^2 + nm) memory, never an n^3 array.
+    """
+    n, m = low.shape
+    # column j of low and of up, contiguous: (m, 2, n)
+    cols = np.stack((low.T, up.T), axis=1)
+    # Q, D_low and D_up at the current column
+    planes = np.empty((3, n, n))
+    q, d = planes[0], planes[1:]
+    # their running minima, then the best IC1, IC4, IC2 and IC3 so far
+    state = np.full((7, n, n), np.inf)
+    run, best = state[:3], state[3:]
+    for j in range(m):
+        col = cols[j]
+        np.subtract(col[1][:, None], col[0][None, :], out=q)
+        np.subtract(col[:, None, :], col[:, :, None], out=d)
+        np.minimum(run, planes, out=run)
+        np.add(d, run[0], out=d)
+        np.minimum(d, best[:2], out=best[:2])
+        np.add(q, run[1:], out=d)
+        np.minimum(d, best[2:], out=best[2:])
+
+    # the rectangles that are not i1 <= i2 never win
+    index = np.arange(n)
+    upper = index[:, None] <= index
+    np.copyto(best[:2], np.inf, where=~upper)
+    np.copyto(best[2:], np.inf, where=~upper.T)
+    found = {}
+    for k, name in enumerate(_PLANES):
+        plane = best[k] if k < 2 else best[k].T
+        # the first minimum in row-major order: first i1, then first i2
+        i1, i2 = divmod(int(np.argmin(plane)), n)
+        found[name] = _worst_on_row_pair((low, up), name, i1, i2)
+    return {name: found[name] for name in _SPLITS}
 
 
 def admissible_anchors(base: DistFn, u: float) -> list[float]:

@@ -384,7 +384,7 @@ def test_an_option_the_subcommand_does_not_read_exits_two(tmp_path, capsys, monk
     [
         ["pipeline", "--scenario", str(D1), "--grid", str(cli.MAX_GRID + 1)],
         ["emit", "--scenario", str(D1), "--grid", str(cli.MAX_GRID + 1)],
-        ["search", "--grid", str(cli.MAX_SEARCH_GRID + 1)],
+        ["search", "--grid", str(cli.MAX_GRID + 1)],
         ["search", "--count", str(cli.MAX_SEARCH_COUNT + 1)],
     ],
     ids=["pipeline-grid", "emit-grid", "search-grid", "search-count"],
@@ -410,17 +410,16 @@ def test_oversized_grid_in_a_scenario_file_exits_two(tmp_path, capsys, monkeypat
     assert f"between 2 and {cli.MAX_GRID}" in err
 
 
-def test_size_limits_are_inclusive_and_fit_the_doubled_search_grid():
-    cli.RunConfig(command="pipeline", grid=cli.MAX_GRID)
-    cli.RunConfig(command="search", grid=cli.MAX_SEARCH_GRID, count=cli.MAX_SEARCH_COUNT)
-    assert 2 * cli.MAX_SEARCH_GRID - 1 <= cli.MAX_GRID
+def test_size_limits_are_inclusive():
+    for command in cli.COMMANDS:
+        cli.RunConfig(command=command, grid=cli.MAX_GRID, count=cli.MAX_SEARCH_COUNT)
 
 
 def test_the_doubled_search_grid_holds_the_search_grid_bit_for_bit():
-    # search re-scans each finding on 2n - 1 points; every other point of
-    # that grid is the n-point grid, so each witness rectangle is rescanned
-    # at the same corners
-    for n in range(2, cli.MAX_SEARCH_GRID + 1):
+    # every other point of the 2n - 1 point grid is the n-point grid, so a
+    # search finding's doubled-grid scan sees each witness rectangle at the
+    # same corners (cmd_search's docstring)
+    for n in range(2, cli.MAX_GRID + 1):
         doubled = np.linspace(0.0, 1.0, 2 * n - 1)[::2]
         assert doubled.tobytes() == np.linspace(0.0, 1.0, n).tobytes(), n
 
@@ -685,6 +684,32 @@ def test_search_scans_the_pipelines_same_corner_pair(monkeypatch):
         pair = scanned.pop()
         assert (pair.low.phi, pair.low.chi) == (expected.low.phi, expected.low.chi)
         assert (pair.up.phi, pair.up.chi) == (expected.up.phi, expected.up.chi)
+
+
+def test_every_finding_is_found_again_on_the_doubled_grid(monkeypatch):
+    """search writes reverified_doubled_grid as true without a rescan; the
+    rescan on 2n - 1 points finds each witness's condition again, at a
+    value no larger, on every finding of a 100-scenario search."""
+    scan = cli.search_ic_violation
+    scanned = []
+
+    def record(pair, **kwargs):
+        scanned.append(pair)
+        return scan(pair, **kwargs)
+
+    monkeypatch.setattr(cli, "search_ic_violation", record)
+    findings = 0
+    for index in range(100):
+        finding = cli.search_scenario(42, index, grid=51, tol=cli.DEFAULT_TOL)
+        if finding is None:
+            continue
+        findings += 1
+        assert finding["reverified_doubled_grid"] is True
+        rescan = scan(scanned[-1], n=101, tol=cli.DEFAULT_TOL)
+        doubled = {w.condition: w.value for w in rescan}
+        for w in finding["witnesses"]:
+            assert doubled[w["condition"]] <= w["value"], (index, w)
+    assert findings >= 40
 
 
 def test_search_is_deterministic_and_reverifies_findings(tmp_path):

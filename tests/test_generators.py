@@ -253,6 +253,16 @@ def test_generator_input_validation():
         Generator.identity("phi").eval(1.5)
 
 
+@pytest.mark.parametrize(
+    "knots",
+    [((0.0, 0.0), (0.5, math.nan), (1.0, 1.0)), ((0.0, 0.0), (math.nan, 0.5), (1.0, 1.0))],
+    ids=["nan-value", "nan-abscissa"],
+)
+def test_a_nan_knot_is_rejected(knots):
+    with pytest.raises(InvalidParameterError):
+        Generator("phi", knots)
+
+
 def test_build_rejects_defective_inputs():
     with pytest.raises(NonProperInputError):
         build_phi(step_cdf([(1.0, 0.5)]), Z_POINT)

@@ -36,7 +36,6 @@ from shockbox.imprecise import (
     _run_starts,
     _split,
     _split_slack,
-    _swept_scan,
     check_bivariate_pbox_conditions,
     check_imprecise_copula,
     coherence_witness,
@@ -45,7 +44,7 @@ from shockbox.imprecise import (
 )
 from shockbox.shockmodel import MAX_GRID, probe_xs, random_discrete_scenario, run_scenario, thin
 
-from reference import exact_ic_minima
+from reference import exact_ic_minima, swept_scan
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -222,11 +221,9 @@ def scan(low, up):
 
 
 def all_paths(low, up):
-    """The scan's result by each path: the dispatch, the sweep, and the
-    row pairs of the candidate rows S, whatever their number."""
-    rows = _candidate_rows(_split(low, up), math.inf)
-    assert rows is not None and len(rows) > 0
-    return [scan(low, up), _swept_scan(low, up), _pruned_scan(low, up, rows)]
+    """The scan's result and the reference column sweep's over every row
+    pair."""
+    return [scan(low, up), swept_scan(low, up)]
 
 
 def eighths_grids():
@@ -475,29 +472,58 @@ def tied_gap_grids(draw):
 @settings(max_examples=200, deadline=None)
 def test_pruned_scan_is_the_sweep_with_the_gap_minimum_tied_across_rows(grids):
     low, up, tied = grids
-    assert set(tied) <= set(_candidate_rows(_split(low, up), math.inf).tolist())
-    reference = scan_bits(_swept_scan(low, up))
-    for scan in all_paths(low, up):
-        assert scan_bits(scan) == reference
+    assert set(tied) <= set(_candidate_rows(_split(low, up)).tolist())
+    assert scan_bits(scan(low, up)) == scan_bits(swept_scan(low, up))
 
 
 @given(repeated_grids())
 @settings(max_examples=200, deadline=None)
 def test_pruned_scan_is_the_sweep_on_signed_zeros_and_repeats(grids):
     low, up = grids
-    reference = scan_bits(_swept_scan(low, up))
-    for scan in all_paths(low, up):
-        assert scan_bits(scan) == reference
+    assert scan_bits(scan(low, up)) == scan_bits(swept_scan(low, up))
 
 
-def test_a_grid_value_that_is_not_finite_takes_the_sweep():
+def test_a_grid_value_that_is_not_finite_scans_every_row():
     low, up = np.zeros((4, 4)), np.ones((4, 4))
     up[0, 3] = -1.0
-    assert _candidate_rows(_split(low, up), math.inf).tolist() == [0]
-    for bad in (np.inf, np.nan):
+    assert _candidate_rows(_split(low, up)).tolist() == [0]
+    for bad in (np.inf, -np.inf, np.nan):
         up[2, 2] = bad
-        assert _candidate_rows(_split(low, up), math.inf) is None
+        assert _candidate_rows(_split(low, up)).tolist() == [0, 1, 2, 3]
         assert not _certified(_split(low, up), 1.0)
+
+
+def non_finite_grids():
+    """Seeded pairs of n x m grids, n and m in 2..8, with values of a few
+    eighths and one to four cells set to inf, -inf or nan: sums of those
+    give every kind of float, nan included, and whole row pairs of nan."""
+    rng = np.random.default_rng(1015)
+    values = np.array([0.0, 0.125, 0.5, 1.0, np.inf, -np.inf, np.nan])
+    grids = []
+    for _ in range(600):
+        shape = tuple(int(k) for k in rng.integers(2, 9, size=2))
+        pair = [rng.integers(0, 9, size=shape) / 8 for _ in range(2)]
+        for _ in range(int(rng.integers(1, 5))):
+            grid = pair[int(rng.integers(0, 2))]
+            grid[tuple(rng.integers(0, shape))] = values[rng.integers(4, 7)]
+        if rng.random() < 0.1:
+            # a row of nan: every row pair through it is nan
+            pair[0][int(rng.integers(0, shape[0]))] = np.nan
+        grids.append(tuple(pair))
+    return grids
+
+
+def test_the_scan_of_a_grid_that_is_not_finite_is_the_sweep():
+    """nan ranks below every number in the sweep's np.minimum and
+    np.argmin, and the scan ranks it so too. inf - inf is nan, with numpy's
+    warning silenced."""
+    kinds = set()
+    for low, up in non_finite_grids():
+        with np.errstate(invalid="ignore"):
+            result, reference = scan(low, up), swept_scan(low, up)
+        assert scan_bits(result) == scan_bits(reference), (low, up)
+        kinds |= {"nan" if math.isnan(v) else "inf" if math.isinf(v) else "finite" for v, _ in result.values()}
+    assert kinds == {"nan", "inf", "finite"}
 
 
 def search_pair(seed: int, index: int) -> CopulaPair:
@@ -527,8 +553,8 @@ def unpinned_search_pairs():
 
 def test_pruned_scan_is_the_sweep_on_search_grids(unpinned_search_pairs, monkeypatch):
     """Every pair with an order violation at n = 51 among the first 450 of
-    each seed, at n = 51 and at the rescan's n = 101: each scan takes the
-    pruned path and returns the sweep's bits."""
+    each seed, at n = 51 and at n = 101: each scan evaluates the row pairs
+    of one or two candidate rows and returns the sweep's bits."""
     pruned = []
 
     def recording_pruned_scan(low, up, rows):
@@ -544,7 +570,7 @@ def test_pruned_scan_is_the_sweep_on_search_grids(unpinned_search_pairs, monkeyp
                 continue
             for n in (51, 101):
                 low, up = unit_grids(pair, n)
-                assert scan_bits(scan(low, up)) == scan_bits(_swept_scan(low, up))
+                assert scan_bits(scan(low, up)) == scan_bits(swept_scan(low, up))
                 grids += 1
     assert grids >= 1000
     assert len(pruned) == grids
@@ -559,7 +585,7 @@ def test_the_certificate_never_passes_a_violating_search_pair(unpinned_search_pa
             low, up = unit_grids(pair, 51)
             if _certified(_split(low, up), SEARCH_TOL):
                 certified += 1
-                values = [value for value, _ in _swept_scan(low, up).values()]
+                values = [value for value, _ in swept_scan(low, up).values()]
                 assert min(values + [float(np.min(up - low))]) >= -SEARCH_TOL
     # it covers most passing pairs, about two in five of all
     assert certified >= 700
@@ -619,20 +645,20 @@ def test_the_slack_covers_the_rounding_of_the_split():
     (low, up), (low2, up2) = grids
     floor = float(np.min(up - low))
     tol = -np.nextafter(floor, -np.inf)
-    assert min(value for value, _ in _swept_scan(low, up).values()) < -tol
+    assert min(value for value, _ in swept_scan(low, up).values()) < -tol
     assert not _certified(_split(low, up), tol)
-    sweep = scan_bits(_swept_scan(low2, up2))
+    sweep = scan_bits(swept_scan(low2, up2))
     gaps = np.min(up2 - low2, axis=1)
     near_floor = np.flatnonzero(gaps <= np.nextafter(np.min(gaps), np.inf))
     assert scan_bits(_pruned_scan(low2, up2, near_floor)) != sweep
-    assert scan_bits(_pruned_scan(low2, up2, _candidate_rows(_split(low2, up2), math.inf))) == sweep
+    assert scan_bits(_pruned_scan(low2, up2, _candidate_rows(_split(low2, up2)))) == sweep
 
 
 @pytest.mark.parametrize("tol", [2.0**-20, 1e-9])
 def test_the_certificate_on_edge_grids(tol):
     certified = failing = 0
     for low, up in certificate_edge_grids(tol):
-        worst = min([v for v, _ in _swept_scan(low, up).values()] + [float(np.min(up - low))])
+        worst = min([v for v, _ in swept_scan(low, up).values()] + [float(np.min(up - low))])
         failing += worst < -tol
         if _certified(_split(low, up), tol):
             certified += 1
@@ -771,14 +797,13 @@ def test_the_certificate_leaves_every_folded_check_as_the_scan_has_it(agreement_
 
 @pytest.mark.parametrize("name", ["d1_maxmin", "maxmin_exp"])
 def test_the_largest_grid_passes_on_the_certificate_alone(name, monkeypatch):
-    """At the command line's default tolerance. At 1e-12 these pairs take
-    the sweep: the negative computed cell volumes of their flat regions
-    alone add up to 2e-12 and 4e-12 at n = 1001."""
+    """At the command line's default tolerance. At 1e-12 these pairs are
+    scanned over every row pair: the negative computed cell volumes of
+    their flat regions alone add up to 2e-12 and 4e-12 at n = 1001."""
     def no_scan(*args):
         raise AssertionError("scanned")
 
     pair = run_scenario(load_scenario(SCENARIOS / f"{name}.json")).family.pair
-    monkeypatch.setattr(imprecise, "_swept_scan", no_scan)
     monkeypatch.setattr(imprecise, "_pruned_scan", no_scan)
     checks = check_imprecise_copula(pair, n=MAX_GRID, tol=DEFAULT_TOL)
     assert all(c.passed for c in checks), [c.name for c in checks if not c.passed]
