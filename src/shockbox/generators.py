@@ -1,28 +1,30 @@
 """Copula generators built from shock distribution functions.
 
-Three kinds of generators appear: phi and psi link the max-type marginals to
-their idiosyncratic shocks via g(F) = F_X on {F > 0}, chi links the min-type
-marginal via chi(K) = F_Y on {K < 1}. Each is piecewise affine on [0, 1] and
-continuous except for a single permitted jump: phi/psi may jump at 0, chi may
-jump at 1. The knot list stores the continuous branch; eval() supplies the
-jump endpoint by convention (phi(0) = 0, chi(1) = 1).
+Generators come in two kinds, one per jump convention. A phi-kind
+generator links a max-type marginal to its idiosyncratic shock via
+g(F) = F_X on {F > 0}; both max-type slots, the paper's phi and psi, take
+one. A chi-kind generator links the min-type marginal via chi(K) = F_Y on
+{K < 1}. Each is piecewise affine on [0, 1] and continuous except for a
+single permitted jump: phi may jump at 0, chi may jump at 1. The knot list
+stores the continuous branch; eval() supplies the jump endpoint by
+convention (phi(0) = 0, chi(1) = 1).
 
 Validity conditions, checked by check_generator:
-  phi/psi: non-decreasing, g(0) = 0, g(1) = 1, and u -> g(u)/u non-increasing
-           on (0, 1] (hence g >= id).
-  chi:     non-decreasing, g(0) = 0, g(1) = 1, g(w) <= w, and
-           w -> (1 - g(w)) / (w - g(w)) non-increasing on [0, 1), with value
-           inf wherever the denominator vanishes.
+  phi: non-decreasing, g(0) = 0, g(1) = 1, and u -> g(u)/u non-increasing
+       on (0, 1] (hence g >= id).
+  chi: non-decreasing, g(0) = 0, g(1) = 1, g(w) <= w, and
+       w -> (1 - g(w)) / (w - g(w)) non-increasing on [0, 1), with value
+       inf wherever the denominator vanishes.
 
 check_generator and check_order read the stored knots alone. g is affine
 between knots, so monotonicity, the identity bound and the order of two
 branches (on their merged knots) are decided by knot values. On a piece
-[a, b] each star ratio is N/D with N and D affine: N = g, D = u (phi/psi),
-or N = 1 - g, D = w - g (chi). N'D - ND' is constant there (its derivative
+[a, b] each star ratio is N/D with N and D affine: N = g, D = u (phi), or
+N = 1 - g, D = w - g (chi). N'D - ND' is constant there (its derivative
 is 0), so the ratio is monotone on the piece and non-increasing iff
 (b - a)(N'D - ND') <= 0, which at the ends reads
-  phi/psi: a*g(b) - b*g(a) <= 0,
-  chi:     (g(b) - g(a))(1 - a) - (1 - g(a))(b - a) <= 0,
+  phi: a*g(b) - b*g(a) <= 0,
+  chi: (g(b) - g(a))(1 - a) - (1 - g(a))(b - a) <= 0,
 linear in g and free of division. Where w = g, chi* is inf: a piece leaving
 the identity gives (s - 1)(1 - a)(b - a) < 0 (s its slope), one running
 onto it at b < 1 gives (a - g(a))(1 - b) > 0. The ratio is continuous along
@@ -31,7 +33,7 @@ Each piece's left side, its excess, must be at most tol.
 
 The excess is D(a)D(b)(ratio(b) - ratio(a)), for phi a*b times the ratio's
 rise over the piece, so tol admits a rise of tol/(D(a)D(b)): large near
-u = 0 (phi, psi) and near the identity (chi). The excess is affine in g and
+u = 0 (phi) and near the identity (chi). The excess is affine in g and
 scales with the length of a sub-piece, so on the merged knots a blend
 t*g1 + (1 - t)*g2 of valid generators has an exact excess <= 0, which the
 rounding of its knot values moves by a few ulps of 1. The ratio magnifies
@@ -41,8 +43,8 @@ blend with D near 6e-5 (tests).
 An excess e does not bound the copula's rectangle sums by O(e). With
 a = 2^-20 and b = 2^-19, phi through (0, 0), (a, a), (b, 1.5b) and (1, 1)
 has the excess 2^-40 and passes at tol 1e-12; with the valid psi(v) =
-min(1.5v, 1), the Marshall copula gives [a, b] x [2/3, 1] the volume
--a/3 = -2e/(3b), about -3.2e-7.
+min(1.5v, 1) in the second slot, the Marshall copula gives [a, b] x
+[2/3, 1] the volume -a/3 = -2e/(3b), about -3.2e-7.
 
 The construction walks the breakpoints of the composite CDF (the product
 F_X*F_Z, or the comixture for chi) and emits a four-knot cluster per
@@ -75,7 +77,7 @@ from .errors import (
 )
 from .reports import Check
 
-_KINDS = ("phi", "psi", "chi")
+_KINDS = ("phi", "chi")
 
 
 class Generator:
@@ -92,8 +94,6 @@ class Generator:
     __slots__ = ("_kind", "_us", "_ys", "_knots", "_hash")
 
     def __init__(self, kind: str, knots):
-        if kind not in _KINDS:
-            raise InvalidParameterError(f"unknown generator kind {kind!r}")
         if len(knots) < 2:
             raise InvalidParameterError("a generator needs at least 2 knots")
         us, ys = np.array(knots, dtype=float).reshape(-1, 2).T.copy()
@@ -108,6 +108,8 @@ class Generator:
         return g
 
     def _store(self, kind: str, us: np.ndarray, ys: np.ndarray) -> None:
+        if kind not in _KINDS:
+            raise InvalidParameterError(f"unknown generator kind {kind!r}")
         if us[0] != 0.0 or us[-1] != 1.0:
             raise InvalidParameterError("generator knots must span [0, 1]")
         # written so that a nan knot fails the comparison and is rejected
@@ -165,7 +167,7 @@ class Generator:
         eval bit for bit (both interpolate with ``np.interp``)."""
         arr = np.asarray(us, dtype=float)
         out = np.interp(arr, self._us, self._ys)
-        if self._kind in ("phi", "psi"):
+        if self._kind == "phi":
             out = np.where(arr == 0.0, 0.0, out)
         else:
             out = np.where(arr == 1.0, 1.0, out)
@@ -202,7 +204,7 @@ def check_generator(g: Generator, tol: float = EXACT_TOL) -> list[Check]:
     end_dev = max(abs(g0), abs(g1 - 1.0))
     checks.append(Check("boundary-values", end_dev <= tol, value=end_dev, witness=(g0, g1)))
 
-    if g.kind in ("phi", "psi"):
+    if g.kind == "phi":
         excess = a * yb - b * ya
     else:
         above = np.flatnonzero(ys > us + tol)
@@ -223,13 +225,13 @@ def check_association(
 ) -> Check:
     """Verify g(base(x)) = target(x) on the admissible domain.
 
-    The domain excludes base = 0 for phi/psi and base = 1 for chi, where the
+    The domain excludes base = 0 for phi and base = 1 for chi, where the
     defining relation places no constraint. Probes cover all breakpoints of
     both inputs, their one-sided limits, and segment-interior samples.
     """
     xs, sides = ordered_probes(base, target)
     b = base.eval_many(xs, sides)
-    admissible = b > 0.0 if g.kind in ("phi", "psi") else b < 1.0
+    admissible = b > 0.0 if g.kind == "phi" else b < 1.0
     devs = np.where(admissible, np.abs(g.eval_many(b) - target.eval_many(xs, sides)), 0.0)
     k = int(np.argmax(devs))
     worst = float(devs[k])
@@ -303,56 +305,44 @@ def _dedupe_knots(us: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return us[starts], ys[starts]
 
 
-def _require_proper(f: DistFn, label: str) -> None:
-    if f.final < 1.0 - EXACT_TOL:
-        raise NonProperInputError(f"{label} has total mass {f.final} < 1")
-
-
-def build_phi(fx: DistFn, fz: DistFn, kind: str = "phi") -> Generator:
+def build_phi(fx: DistFn, fz: DistFn) -> Generator:
     """Generator with phi(F) = F_X for F = F_X*F_Z, extended canonically."""
-    return phi_from_composite(product(fx, fz), fx, fz, kind)
+    return from_composite(product(fx, fz), fx, fz, "phi")
 
 
 def build_psi(fy: DistFn, fz: DistFn) -> Generator:
-    """Same construction as build_phi for the second max-type marginal."""
-    return build_phi(fy, fz, kind="psi")
+    """build_phi for the second max-type marginal: psi is phi-kind."""
+    return from_composite(product(fy, fz), fy, fz, "phi")
 
 
 def build_chi(fy: DistFn, fz: DistFn) -> Generator:
     """Generator with chi(K) = F_Y for K = F_Y + F_Z - F_Y*F_Z."""
-    return chi_from_composite(comix(fy, fz), fy, fz)
+    return from_composite(comix(fy, fz), fy, fz, "chi")
 
 
-def phi_from_composite(f: DistFn, fx: DistFn, fz: DistFn, kind: str = "phi") -> Generator:
-    """build_phi from the composite f = product(fx, fz) the caller already has.
+def from_composite(f: DistFn, first: DistFn, fz: DistFn, kind: str) -> Generator:
+    """The generator of the given kind from the composite f the caller
+    already has: f = product(first, fz) for phi, comix(first, fz) for chi.
 
-    Per breakpoint x0 of F the knots are (F(x0-), F_X(x0-)),
+    phi: per breakpoint x0 of F the knots are (F(x0-), F_X(x0-)),
     (F_X(x0-)F_Z(x0), F_X(x0-)), (F_X(x0+)F_Z(x0), F_X(x0+)) and
     (F(x0+), F_X(x0+)); the chord of the middle pair is the ray u/F_Z(x0).
     Between breakpoints one factor of F is constant, so chords joining
-    adjacent clusters reproduce phi exactly as well.
-    """
-    return _from_composite(f, fx, fz, kind)
+    adjacent clusters reproduce phi exactly as well. The end knots are
+    (0, F_X(-inf)) and (1, 1).
 
-
-def chi_from_composite(k: DistFn, fy: DistFn, fz: DistFn) -> Generator:
-    """build_chi from the composite k = comix(fy, fz) the caller already has.
-
-    Mirror image of phi_from_composite under x -> -x, g -> 1 - g: per
-    breakpoint y0 of K the cluster is (K(y0-), F_Y(y0-)),
+    chi, the mirror image under x -> -x, g -> 1 - g: per breakpoint y0 of K
+    the cluster is (K(y0-), F_Y(y0-)),
     (F_Y(y0-) + F_Z(y0) - F_Y(y0-)F_Z(y0), F_Y(y0-)),
     (F_Y(y0+) + F_Z(y0) - F_Y(y0+)F_Z(y0), F_Y(y0+)), (K(y0+), F_Y(y0+));
-    the middle chord is the line (w - F_Z(y0)) / (1 - F_Z(y0)).
+    the middle chord is the line (w - F_Z(y0)) / (1 - F_Z(y0)). The end
+    knots are (0, 0) and (1, F_Y(+inf)).
     """
-    return _from_composite(k, fy, fz, "chi")
-
-
-def _from_composite(f: DistFn, first: DistFn, fz: DistFn, kind: str) -> Generator:
-    # the clusters of phi_from_composite and chi_from_composite; the kind
-    # picks the corner op of the composite and the end knots: (0, F_X(-inf))
-    # and (1, 1) for phi/psi, (0, 0) and (1, F_Y(+inf)) for chi
     chi = kind == "chi"
-    _require_proper(f, f"the composite {'min' if chi else 'max'}-type CDF")
+    if not f.is_proper():
+        raise NonProperInputError(
+            f"the composite {'min' if chi else 'max'}-type CDF has total mass {f.final} < 1"
+        )
     if not f._xa.size:
         return Generator.identity(kind)
     xs = f._xa
@@ -419,7 +409,7 @@ def associated_envelope_gaps(
     """Where the canonical construction has room against the literal extremes.
 
     The defining relation pins a generator only on the image of its composite
-    CDF base (product(first, fz) for phi/psi, comix(first, fz) for chi); on
+    CDF base (product(first, fz) for phi, comix(first, fz) for chi); on
     jump gaps the admissible values form an interval. This probe computes
     that interval at every gap midpoint. Purely informational: a positive
     slack means the canonical extension is not the pointwise least (or
@@ -433,7 +423,7 @@ def associated_envelope_gaps(
     from the monotonicity and star constraints anchored at the attained
     values on both sides of the gap.
     """
-    extremes = _phi_gap_extremes if g.kind in ("phi", "psi") else _chi_gap_extremes
+    extremes = _phi_gap_extremes if g.kind == "phi" else _chi_gap_extremes
     # two gaps per breakpoint, (left, value) then (value, right)
     xs = base._xa
     left, val, right = base.eval_many(xs, LIMIT_SIDES)

@@ -87,7 +87,7 @@ elsewhere, by ``check_copula_axioms`` and ``check_generator``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 from typing import Sequence
 
@@ -99,12 +99,15 @@ from .copulas import (
     MarshallCopula,
     MaxminCopula,
     Rect,
+    check_boundary_conditions,
     copula_grid,
 )
 from .distfn import EXACT_TOL, INF
 from .errors import InvalidParameterError
 from .generators import Generator, blend_generators, is_valid_generator
 from .reports import Check
+
+MODELS = ("marshall", "maxmin")
 
 _CONDITIONS = ("IC1", "IC2", "IC3", "IC4", "order")
 
@@ -189,7 +192,8 @@ def _split_slack(low: np.ndarray, up: np.ndarray) -> float:
     """The slack s of the module docstring, rounded up: no rectangle's
     condition value lies below fl(gap) at its corner minus s. inf when a
     grid value is not finite."""
-    scale = max(float(np.max(np.abs(low))), float(np.max(np.abs(up))))
+    # np.maximum, unlike max(), passes a nan on
+    scale = float(np.maximum(np.max(np.abs(low)), np.max(np.abs(up))))
     if not math.isfinite(scale):
         return math.inf
     negative = magnitudes = 0.0
@@ -287,97 +291,70 @@ def _ic_scan(low: np.ndarray, up: np.ndarray, split: _Split) -> _Scan:
 
 
 def _ic_checks(low: np.ndarray, up: np.ndarray, tol: float, witness) -> list[Check]:
-    """The four mixed-inequality checks on a pair of grids.
+    """The order and the four mixed-inequality checks on a pair of grids.
 
-    When M - s >= -tol (the module docstring) each passes without a scan,
-    with the certified lower bound M - s, rounded down, as its value and no
-    witness. Otherwise each is its minimum over every rectangle
+    The order is up - low at its first minimum (i, j) in row-major order, a
+    nan first, as np.argmin finds it: in the first row whose minimum, its
+    entry of split.gaps, is the least, at that row's first minimum. Its
+    witness is witness("order", value, (i, i, j, j)).
+
+    When M - s >= -tol (the module docstring) each inequality passes without
+    a scan, with the certified lower bound M - s, rounded down, as its value
+    and no witness. Otherwise each is its minimum over every rectangle
     (``_ic_scan``), with witness(name, value, (i1, i2, j1, j2)) at its first
     worst rectangle. Either way the value is at most M, the smallest
-    fl(up - low), which is the order check's value.
+    fl(up - low), which is the order's value.
     """
     split = _split(low, up)
+    i = int(np.argmin(split.gaps))
+    j = int(np.argmin(up[i] - low[i]))
+    value = float(up[i, j] - low[i, j])
+    where = witness("order", value, (i, i, j, j))
+    order = Check("order", value >= -tol, value=value, witness=where)
     if _certified(split, tol):
-        return [Check(name, True, value=split.bound) for name in _SPLITS]
-    return [
+        return [order] + [Check(name, True, value=split.bound) for name in _SPLITS]
+    return [order] + [
         Check(name, value >= -tol, value=value, witness=witness(name, value, corners))
         for name, (value, corners) in _ic_scan(low, up, split).items()
     ]
 
 
-def _boundary_deviation(grid: np.ndarray, us: np.ndarray, vs: np.ndarray) -> tuple[float, tuple[float, float]]:
-    """Worst absolute deviation from the copula boundary conditions.
-
-    Checks C(u,0) = C(0,v) = 0, C(u,1) = u and C(1,v) = v on the grid edges.
-    Returns (deviation, (u, v) where it is attained).
-    """
-    worst = 0.0
-    where = (0.0, 0.0)
-    edges = (
-        (np.abs(grid[:, 0]), us, np.full_like(us, vs[0])),
-        (np.abs(grid[0, :]), np.full_like(vs, us[0]), vs),
-        (np.abs(grid[:, -1] - us), us, np.full_like(us, vs[-1])),
-        (np.abs(grid[-1, :] - vs), np.full_like(vs, us[-1]), vs),
-    )
-    for devs, eus, evs in edges:
-        k = int(np.argmax(devs))
-        if float(devs[k]) > worst:
-            worst = float(devs[k])
-            where = (float(eus[k]), float(evs[k]))
-    return worst, where
-
-
-def _unit_grids(pair: CopulaPair, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _unit_checks(pair: CopulaPair, n: int, tol: float) -> tuple[np.ndarray, tuple, list[Check]]:
+    """The grids of the pair's bounds on the n x n unit grid, and their
+    rectangle checks (``_ic_checks``) with ``ViolationWitness`` records."""
     if n < 2:
         raise InvalidParameterError("grid needs at least two points per axis")
     us = np.linspace(0.0, 1.0, n)
-    return us, copula_grid(pair.low, us, us), copula_grid(pair.up, us, us)
-
-
-def _violation_checks(us: np.ndarray, low: np.ndarray, up: np.ndarray, tol: float) -> list[Check]:
-    """The order and the four mixed rectangle inequalities on the grids,
-    with ``ViolationWitness`` records."""
-    diff = up - low
-    i, j = np.unravel_index(int(np.argmin(diff)), diff.shape)
-    order_val = float(diff[i, j])
-    order = Check(
-        "order",
-        order_val >= -tol,
-        value=order_val,
-        witness=ViolationWitness(
-            Rect(float(us[i]), float(us[i]), float(us[j]), float(us[j])),
-            "order",
-            order_val,
-        ),
-    )
+    low, up = copula_grid(pair.low, us, us), copula_grid(pair.up, us, us)
 
     def witness(name: str, value: float, corners) -> ViolationWitness:
-        i1, i2, j1, j2 = corners
-        rect = Rect(float(us[i1]), float(us[i2]), float(us[j1]), float(us[j2]))
-        return ViolationWitness(rect, name, value)
+        # (i1, i2, j1, j2) are the rectangle's (u1, u2, v1, v2)
+        return ViolationWitness(Rect(*(float(us[k]) for k in corners)), name, value)
 
-    return [order] + _ic_checks(low, up, tol, witness)
+    return us, (low, up), _ic_checks(low, up, tol, witness)
 
 
 def check_imprecise_copula(pair: CopulaPair, n: int = 101, tol: float = EXACT_TOL) -> list[Check]:
     """Test the defining conditions of an imprecise copula on an n x n grid.
 
-    Produces one check per condition: boundary conditions for each bound,
-    with the (u, v) of the worst deviation as witness, pointwise order, and
-    the four mixed rectangle inequalities (``_ic_checks``), with
-    ``ViolationWitness`` records. A scanned inequality check has one also
-    when it passes, the attaining rectangle of its minimum over every grid
-    rectangle. When the smallest gap upC - lowC less the slack of the
-    volume-plus-gap split, M - s, is at least -tol, the inequalities pass
-    without a scan: each carries M - s as its value and no witness (the
-    module docstring).
+    Produces one check per condition: the copula boundary conditions of
+    each bound (``check_boundary_conditions``, named ``low:grounded``,
+    ``low:uniform-margins``, ``up:grounded`` and ``up:uniform-margins``),
+    pointwise order, and the four mixed rectangle inequalities
+    (``_ic_checks``), with ``ViolationWitness`` records. A scanned
+    inequality check has one also when it passes, the attaining rectangle
+    of its minimum over every grid rectangle. When the smallest gap
+    upC - lowC less the slack of the volume-plus-gap split, M - s, is at
+    least -tol, the inequalities pass without a scan: each carries M - s as
+    its value and no witness (the module docstring).
     """
-    us, low, up = _unit_grids(pair, n)
-    checks = []
-    for name, grid in (("low-boundary", low), ("up-boundary", up)):
-        dev, where = _boundary_deviation(grid, us, us)
-        checks.append(Check(name, dev <= tol, value=dev, witness=where))
-    return checks + _violation_checks(us, low, up, tol)
+    us, grids, checks = _unit_checks(pair, n, tol)
+    bounds = [
+        replace(c, name=f"{label}:{c.name}")
+        for label, grid in zip(("low", "up"), grids)
+        for c in check_boundary_conditions(grid, us, tol)
+    ]
+    return bounds + checks
 
 
 def search_ic_violation(pair: CopulaPair, n: int = 51, tol: float = EXACT_TOL) -> list[ViolationWitness]:
@@ -392,7 +369,7 @@ def search_ic_violation(pair: CopulaPair, n: int = 51, tol: float = EXACT_TOL) -
     grids, so a pair with M - s >= -tol (the module docstring) passes
     without a scan.
     """
-    return [c.witness for c in _violation_checks(*_unit_grids(pair, n), tol) if not c.passed]
+    return [c.witness for c in _unit_checks(pair, n, tol)[2] if not c.passed]
 
 
 def verify_witness(pair: CopulaPair, witness: ViolationWitness, tol: float = EXACT_TOL) -> bool:
@@ -442,21 +419,25 @@ def check_bivariate_pbox_conditions(
     conditions and unbounded rectangles are exercised.
 
     With step marginals the bounds are constant between breakpoints, so
-    the probe grid repeats the same few rows and columns. The rectangle
-    checks (``_ic_checks``) run on the grids with each run of consecutive
-    rows that are equal bit for bit in both bounds (int64 views, so 0.0 and
-    -0.0 differ) kept once, and the same for columns. A rectangle's value
-    depends only on the contents of its two rows and two columns, and a
-    repeat is equal bit for bit to the start of its run, so the collapsed
-    grids hold every rectangle value of the full ones and the same M, and
-    their certificate holds for the full grids. A scan sees the same
-    floats, each once per run instead of once per repeat, and each witness
-    index maps back to the first row or column of its run. That is also the
-    first in the scan's tie order (i1, i2, j2, j1): moving any index of a
-    worst rectangle to the start of its run keeps i1 <= i2 and j1 <= j2
+    the probe grid repeats the same few rows and columns. The order and the
+    rectangle checks (``_ic_checks``) run on the grids with each run of
+    consecutive rows that are equal bit for bit in both bounds (int64
+    views, so 0.0 and -0.0 differ) kept once, and the same for columns. A
+    rectangle's value depends only on the contents of its two rows and two
+    columns, and a point's order on its row and column; a repeat is equal
+    bit for bit to the start of its run, so the collapsed grids hold every
+    rectangle and order value of the full ones and the same M, and their
+    certificate holds for the full grids. A scan, and the order's search,
+    see the same floats, each once per run instead of once per repeat, and
+    each witness index maps back to the first row or column of its run.
+    That is also the first in the tie orders, (i1, i2, j2, j1) for the
+    scan and row-major for the order: moving any index of a worst
+    rectangle or point to the start of its run keeps i1 <= i2 and j1 <= j2
     (for a degenerate rectangle inside one run too) and the value, so the
-    first worst rectangle of the full grids indexes run starts only. The
-    values and witnesses are those of the full grids.
+    first worst rectangle or point of the full grids indexes run starts
+    only. The values and witnesses are those of the full grids; the
+    order's witness is the degenerate rectangle ((x, x), (y, y)) at its
+    point.
     """
     xs = np.concatenate(([-INF], np.asarray(xs, dtype=float), [INF]))
     ys = np.concatenate(([-INF], np.asarray(ys, dtype=float), [INF]))
@@ -477,17 +458,6 @@ def check_bivariate_pbox_conditions(
             float(np.min(np.diff(grid, axis=1))),
         )
         checks.append(Check(name, worst >= -tol, value=worst))
-
-    diff = up - low
-    i, j = np.unravel_index(int(np.argmin(diff)), diff.shape)
-    checks.append(
-        Check(
-            "order",
-            float(diff[i, j]) >= -tol,
-            value=float(diff[i, j]),
-            witness=(float(xs[i]), float(ys[j])),
-        )
-    )
 
     rows, cols = _run_starts(low, up, 0), _run_starts(low, up, 1)
 
@@ -518,8 +488,8 @@ class CopulaFamily:
     up_second: Generator
 
     def __post_init__(self) -> None:
-        if self.model not in ("marshall", "maxmin"):
-            raise InvalidParameterError(f"unknown model {self.model!r}")
+        if self.model not in MODELS:
+            raise InvalidParameterError(f"unknown model {self.model!r}, expected one of {MODELS}")
         if self.low_second.kind != self.up_second.kind:
             raise InvalidParameterError("second-slot generators must share their kind")
         # the copulas check that each generator's kind fits its slot

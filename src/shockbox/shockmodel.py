@@ -65,16 +65,15 @@ from .errors import (
     UnsupportedSegmentPairError,
 )
 from .generators import (
-    Generator,
     associated_envelope_gaps,
     check_association,
     check_generator,
     check_order,
-    chi_from_composite,
-    phi_from_composite,
+    from_composite,
 )
 from .imprecise import (
     MEMBER_WEIGHTS,
+    MODELS,
     CopulaFamily,
     CopulaPair,
     check_bivariate_pbox_conditions,
@@ -85,8 +84,6 @@ from .imprecise import (
 )
 from .pbox import PBox
 from .reports import Check
-
-MODELS = ("marshall", "maxmin")
 
 DISCRETIZATION_ATOMS = 1_000
 
@@ -465,10 +462,6 @@ def _gap_summary(gaps) -> dict:
     }
 
 
-def _companion(k: DistFn, fy: DistFn, fz: DistFn, maxmin: bool) -> Generator:
-    return chi_from_composite(k, fy, fz) if maxmin else phi_from_composite(k, fy, fz, kind="psi")
-
-
 def _h_grids(low_h: BivariateBound, up_h: BivariateBound, rows, fz: DistFn, grid: int) -> tuple:
     """Probe abscissas gx and gy, and low_h and up_h on gx x gy."""
     fx_lo, fx_up, fy_lo, fy_up = (row[3] for row in rows)
@@ -649,12 +642,14 @@ def _run(s: Scenario, tol: float) -> ScenarioResult:
     info["tol"] = tol
     fx_lo, fx_up, fy_lo, fy_up, fz = (fns[k] for k in ("x_lo", "x_up", "y_lo", "y_up", "z"))
     maxmin = s.model == "maxmin"
+    # the companion is chi under max/min, and psi, a phi-kind generator, under max/max
+    second_kind = "chi" if maxmin else "phi"
 
     # a composite shared by two bounds or members is one generator too
-    low_phi = phi_from_composite(low_f, fx_lo, fz)
-    up_phi = low_phi if up_f is low_f else phi_from_composite(up_f, fx_up, fz)
-    low_comp = _companion(low_second, fy_lo, fz, maxmin)
-    up_comp = low_comp if up_second is low_second else _companion(up_second, fy_up, fz, maxmin)
+    low_phi = from_composite(low_f, fx_lo, fz, "phi")
+    up_phi = low_phi if up_f is low_f else from_composite(up_f, fx_up, fz, "phi")
+    low_comp = from_composite(low_second, fy_lo, fz, second_kind)
+    up_comp = low_comp if up_second is low_second else from_composite(up_second, fy_up, fz, second_kind)
     family = CopulaFamily(s.model, low_phi, up_phi, low_comp, up_comp)
     imprecise_pair, h_pair = family.pair, family.same_corner
     low_h = BivariateBound(h_pair.low, low_f, low_second)
@@ -673,8 +668,8 @@ def _run(s: Scenario, tol: float) -> ScenarioResult:
     y_ks = [low_second if m == fy_lo else _second_composite(m, fz, s.model) for m in y_members]
     input_members = [
         family.copula(
-            low_phi if f_m is low_f else phi_from_composite(f_m, fx_m, fz),
-            low_comp if k_m is low_second else _companion(k_m, fy_m, fz, maxmin),
+            low_phi if f_m is low_f else from_composite(f_m, fx_m, fz, "phi"),
+            low_comp if k_m is low_second else from_composite(k_m, fy_m, fz, second_kind),
         )
         for fx_m, f_m, fy_m, k_m in zip(x_members, x_fs, y_members, y_ks)
     ]

@@ -124,11 +124,9 @@ def test_distfn_equality_is_equality_of_the_piecewise_tuples(f, g):
 
 @st.composite
 def generators(draw):
-    kind = draw(st.sampled_from(["phi", "psi", "chi"]))
+    kind = draw(st.sampled_from(["phi", "chi"]))
     build = build_chi if kind == "chi" else build_phi
     g = build(draw(step_fns(4)), draw(step_fns(3)))
-    if kind == "psi":
-        g = Generator("psi", g.knots)
     if not draw(st.booleans()):
         return g
     h = build(draw(step_fns(4)), draw(step_fns(3)))

@@ -27,7 +27,7 @@ Z_POINT = pointmass_cdf(1.5)
 
 def product_copula():
     # the independence copula arises from identity generators
-    return MarshallCopula(Generator.identity("phi"), Generator.identity("psi"))
+    return MarshallCopula(Generator.identity("phi"), Generator.identity("phi"))
 
 
 def comonotone_maxmin():
@@ -48,11 +48,22 @@ def test_rect_validation():
 
 def test_slot_kind_validation():
     with pytest.raises(InvalidParameterError):
-        MarshallCopula(Generator.identity("chi"), Generator.identity("psi"))
+        MarshallCopula(Generator.identity("chi"), Generator.identity("phi"))
     with pytest.raises(InvalidParameterError):
         MaxminCopula(Generator.identity("phi"), Generator.identity("phi"))
-    # psi fits either max-type slot
-    MarshallCopula(Generator.identity("psi"), Generator.identity("phi"))
+    with pytest.raises(InvalidParameterError):
+        MaxminCopula(Generator.identity("chi"), Generator.identity("chi"))
+
+
+def test_psi_is_a_phi_kind_generator():
+    # the two max-type generators share one kind and one jump convention
+    with pytest.raises(InvalidParameterError):
+        Generator("psi", ((0.0, 0.0), (1.0, 1.0)))
+    with pytest.raises(InvalidParameterError):
+        MarshallCopula(Generator.identity("phi"), Generator.identity("chi"))
+    psi = build_psi(Y_STEP, Z_POINT)
+    assert psi == build_phi(Y_STEP, Z_POINT)
+    assert MarshallCopula(Generator.identity("phi"), psi).psi.kind == "phi"
 
 
 def test_product_copula_values_and_volume():
@@ -101,7 +112,7 @@ def test_axioms_flag_bad_margins_before_anything_else():
     # phi(u) = u**2 breaks phi(1-) association with a uniform margin:
     # C(u, 1) = min(u**2, u) = u**2 != u
     bad = Generator("phi", ((0.0, 0.0), (0.25, 0.0625), (0.5, 0.25), (1.0, 1.0)))
-    c = MarshallCopula(bad, Generator.identity("psi"))
+    c = MarshallCopula(bad, Generator.identity("phi"))
     checks = {ch.name: ch for ch in check_copula_axioms(c, n=51)}
     assert not checks["uniform-margins"].passed
     assert checks["uniform-margins"].value > 0.01

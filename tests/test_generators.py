@@ -14,6 +14,7 @@ from shockbox.cli import load_scenario
 from shockbox.distfn import (
     INF,
     LIMIT_SIDES,
+    DistFn,
     comix,
     exponential_cdf,
     pointmass_cdf,
@@ -38,9 +39,8 @@ from shockbox.generators import (
     check_association,
     check_generator,
     check_order,
-    chi_from_composite,
+    from_composite,
     is_valid_generator,
-    phi_from_composite,
 )
 from shockbox.pbox import PBox
 from shockbox.reports import Check
@@ -211,8 +211,19 @@ def test_star_transform_values():
 # -- validity checks and their failure modes ----------------------------------
 
 
+def test_a_composite_without_breakpoints_gives_the_identity():
+    one, half = DistFn.constant(1.0), DistFn.constant(0.5)
+    assert build_phi(one, one) == Generator.identity("phi")
+    assert build_psi(one, one) == Generator.identity("phi")
+    assert build_chi(one, one) == Generator.identity("chi")
+    # product 0.25 and comixture 0.75: both composites are defective
+    for build in (build_phi, build_psi, build_chi):
+        with pytest.raises(NonProperInputError):
+            build(half, half)
+
+
 def test_check_generator_passes_on_identity():
-    for kind in ("phi", "psi", "chi"):
+    for kind in ("phi", "chi"):
         assert is_valid_generator(Generator.identity(kind))
 
 
@@ -371,7 +382,7 @@ class GapRecord:
 
 def reference_envelope_gaps(g, first, fz):
     """The gap probe with one record per gap, building its own composite."""
-    if g.kind in ("phi", "psi"):
+    if g.kind == "phi":
         base = product(first, fz)
         extremes = _phi_gap_extremes
     else:
@@ -424,17 +435,12 @@ def scenario_generators(s):
     """(generator, composite, first factor, z) for the four generators of s."""
     fns, (low_f, up_f, low_second, up_second), _ = _resolve_inputs(s)
     fz = fns["z"]
-    if s.model == "maxmin":
-        def companion(k, fy):
-            return chi_from_composite(k, fy, fz)
-    else:
-        def companion(k, fy):
-            return phi_from_composite(k, fy, fz, kind="psi")
+    second_kind = "chi" if s.model == "maxmin" else "phi"
     return [
-        (phi_from_composite(low_f, fns["x_lo"], fz), low_f, fns["x_lo"], fz),
-        (phi_from_composite(up_f, fns["x_up"], fz), up_f, fns["x_up"], fz),
-        (companion(low_second, fns["y_lo"]), low_second, fns["y_lo"], fz),
-        (companion(up_second, fns["y_up"]), up_second, fns["y_up"], fz),
+        (from_composite(low_f, fns["x_lo"], fz, "phi"), low_f, fns["x_lo"], fz),
+        (from_composite(up_f, fns["x_up"], fz, "phi"), up_f, fns["x_up"], fz),
+        (from_composite(low_second, fns["y_lo"], fz, second_kind), low_second, fns["y_lo"], fz),
+        (from_composite(up_second, fns["y_up"], fz, second_kind), up_second, fns["y_up"], fz),
     ]
 
 
@@ -468,14 +474,11 @@ def test_gap_summary_matches_the_record_probe_on_discretized_scenarios(x, y, z_r
     assert min(counts) > 1000
 
 
-@given(st.sampled_from(["phi", "psi", "chi"]), steps(), steps())
+@given(st.sampled_from(["phi", "chi"]), steps(), steps())
 @settings(max_examples=150, deadline=None)
 def test_gap_summary_matches_the_record_probe_on_step_inputs(kind, first, fz):
     base = comix(first, fz) if kind == "chi" else product(first, fz)
-    if kind == "chi":
-        g = chi_from_composite(base, first, fz)
-    else:
-        g = phi_from_composite(base, first, fz, kind=kind)
+    g = from_composite(base, first, fz, kind)
     assert_gap_summary_matches_the_reference(g, base, first, fz)
 
 
@@ -483,7 +486,7 @@ def test_gap_summary_without_gaps_is_zero():
     # a continuous composite: F_X is 0 where the point mass of Z sits
     fx, fz = exponential_cdf(1.0), pointmass_cdf(0.0)
     f = product(fx, fz)
-    got = assert_gap_summary_matches_the_reference(phi_from_composite(f, fx, fz), f, fx, fz)
+    got = assert_gap_summary_matches_the_reference(from_composite(f, fx, fz, "phi"), f, fx, fz)
     assert got["count"] == 0 and got["examples"] == []
     for key in ("max_slack_below", "max_slack_above"):
         assert struct.pack("<d", got[key]) == struct.pack("<d", 0.0)
@@ -514,7 +517,7 @@ def scalar_check_generator(g, tol):
     g0, g1 = g.eval(0.0), g.eval(1.0)
     end_dev = max(abs(g0), abs(g1 - 1.0))
     checks.append(Check("boundary-values", end_dev <= tol, value=end_dev, witness=(g0, g1)))
-    if g.kind in ("phi", "psi"):
+    if g.kind == "phi":
         rise = first_piece(lambda a, ya, b, yb: a * yb - b * ya)
     else:
         above = next((u for u, y in g.knots if y > u + tol), None)
@@ -543,7 +546,7 @@ def generators(draw, kind=None):
     """Built generators, some with one knot value moved to a multiple of
     1/64 or by 2**-30 or 2**-40, across the tolerances in use; every value
     stays dyadic, with few enough bits that the per-piece products are exact."""
-    kind = kind or draw(st.sampled_from(["phi", "psi", "chi"]))
+    kind = kind or draw(st.sampled_from(["phi", "chi"]))
     build = build_chi if kind == "chi" else build_phi
     g = build(draw(steps(4)), draw(steps(3)))
     knots = list(g.knots)
@@ -562,7 +565,7 @@ def generators(draw, kind=None):
 @st.composite
 def blends(draw):
     """Blends of two generators of one kind at a weight that is not dyadic."""
-    kind = draw(st.sampled_from(["phi", "psi", "chi"]))
+    kind = draw(st.sampled_from(["phi", "chi"]))
     return blend_generators(draw(generators(kind)), draw(generators(kind)), 0.3)
 
 
@@ -592,7 +595,7 @@ def test_check_generator_at_tol_zero_is_the_exact_ratio_definition(g):
     assert got == want
 
 
-@given(st.sampled_from(["phi", "psi", "chi"]).flatmap(lambda k: st.tuples(generators(k), generators(k))))
+@given(st.sampled_from(["phi", "chi"]).flatmap(lambda k: st.tuples(generators(k), generators(k))))
 @settings(max_examples=300, deadline=None)
 def test_check_order_at_tol_zero_is_the_exact_order(pair):
     g1, g2 = pair

@@ -52,8 +52,8 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 # idiosyncratic shocks, common shock at the median of the slowest)
 LOW_PHI = Generator("phi", ((0.0, 0.5), (0.5, 0.5), (1.0, 1.0)))
 UP_PHI = Generator("phi", ((0.0, 0.75), (0.75, 0.75), (1.0, 1.0)))
-LOW_PSI = Generator("psi", ((0.0, 0.5), (0.5, 0.5), (1.0, 1.0)))
-UP_PSI = Generator("psi", ((0.0, 0.875), (0.875, 0.875), (1.0, 1.0)))
+LOW_PSI = Generator("phi", ((0.0, 0.5), (0.5, 0.5), (1.0, 1.0)))
+UP_PSI = Generator("phi", ((0.0, 0.875), (0.875, 0.875), (1.0, 1.0)))
 LOW_CHI = Generator("chi", ((0.0, 0.0), (0.5, 0.5), (1.0, 0.5)))
 UP_CHI = Generator("chi", ((0.0, 0.0), (0.875, 0.875), (1.0, 0.875)))
 
@@ -87,8 +87,10 @@ def test_envelope_pairs_satisfy_all_conditions():
         checks = check_imprecise_copula(pair, n=51, tol=1e-12)
         assert all(c.passed for c in checks), [c.name for c in checks if not c.passed]
         assert {c.name for c in checks} == {
-            "low-boundary",
-            "up-boundary",
+            "low:grounded",
+            "low:uniform-margins",
+            "up:grounded",
+            "up:uniform-margins",
             "order",
             "IC1",
             "IC2",
@@ -491,6 +493,10 @@ def test_a_grid_value_that_is_not_finite_scans_every_row():
         up[2, 2] = bad
         assert _candidate_rows(_split(low, up)).tolist() == [0, 1, 2, 3]
         assert not _certified(_split(low, up), 1.0)
+    # a single row has no cell whose sum would carry a nan of up alone
+    up = np.array([[1.0, np.nan]])
+    assert _candidate_rows(_split(np.zeros((1, 2)), up)).tolist() == [0]
+    assert not _certified(_split(np.zeros((1, 2)), up), 1.0)
 
 
 def non_finite_grids():
@@ -524,6 +530,56 @@ def test_the_scan_of_a_grid_that_is_not_finite_is_the_sweep():
         assert scan_bits(result) == scan_bits(reference), (low, up)
         kinds |= {"nan" if math.isnan(v) else "inf" if math.isinf(v) else "finite" for v, _ in result.values()}
     assert kinds == {"nan", "inf", "finite"}
+
+
+def order_grids():
+    """Seeded pairs of n x n grids, n in 2..10, whose rows and columns come
+    in runs of repeats, with ties of 0.0 and -0.0 and some inf, -inf and
+    nan cells: up - low holds every kind of float and ties of signed
+    zeros."""
+    rng = np.random.default_rng(2410)
+    values = np.array([0.0, -0.0, 0.25, 1.0, np.inf, -np.inf, np.nan])
+    weights = [0.3, 0.3, 0.15, 0.15, 0.03, 0.03, 0.04]
+    grids = []
+    while len(grids) < 500:
+        k = int(rng.integers(1, 6))
+        runs = np.repeat(np.arange(k), rng.integers(1, 3, size=k))
+        if runs.size < 2:
+            continue
+        low, up = (rng.choice(values, size=(k, k), p=weights) for _ in range(2))
+        grids.append((low[runs][:, runs], up[runs][:, runs]))
+    return grids
+
+
+def test_the_order_of_both_rectangle_checks_is_the_argmin_of_the_full_difference():
+    """The order check reads the row minima of the split and, in the
+    bivariate check, the collapsed grids; its value and point are the
+    first minimum of up - low in row-major order, nan first, bit for bit."""
+    kinds = set()
+    for low, up in order_grids():
+        n = low.shape[0]
+        with np.errstate(invalid="ignore"):
+            diff = up - low
+            i, j = np.unravel_index(int(np.argmin(diff)), diff.shape)
+            want = np.float64(diff[i, j]).tobytes()
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(imprecise, "copula_grid", lambda grid, us, vs: grid)
+                unit = {c.name: c for c in check_imprecise_copula(CopulaPair(low, up), n=n)}
+            xs = np.arange(1.0, n - 1)
+            pbox = {c.name: c for c in check_bivariate_pbox_conditions(GridBound(low), GridBound(up), xs, xs)}
+        us = np.linspace(0.0, 1.0, n)
+        order = unit["order"]
+        assert np.float64(order.value).tobytes() == want
+        assert order.witness.rectangle == Rect(us[i], us[i], us[j], us[j])
+        assert order.witness.condition == "order"
+        assert np.float64(order.witness.value).tobytes() == want
+        labels = np.concatenate(([-INF], xs, [INF]))
+        order = pbox["order"]
+        assert np.float64(order.value).tobytes() == want
+        assert order.witness == ((labels[i], labels[i]), (labels[j], labels[j]))
+        value = float(diff[i, j])
+        kinds.add("nan" if math.isnan(value) else "zero" if value == 0.0 else "other")
+    assert kinds == {"nan", "zero", "other"}
 
 
 def search_pair(seed: int, index: int) -> CopulaPair:
@@ -909,7 +965,9 @@ def test_pbox_conditions_flag_swapped_bounds():
     low_h, up_h = discrete_h_bounds()
     checks = {c.name: c for c in check_bivariate_pbox_conditions(up_h, low_h, PROBES, PROBES)}
     assert not checks["order"].passed
-    x, y = checks["order"].witness
+    # the order's witness is the degenerate rectangle at its point
+    (x, x2), (y, y2) = checks["order"].witness
+    assert (x, y) == (x2, y2)
     assert up_h.at(x, y) - low_h.at(x, y) > 0.0
 
 

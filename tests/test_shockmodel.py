@@ -675,13 +675,12 @@ def test_packaged_run_builds_each_composite_once(name, monkeypatch):
 def generator_builds(monkeypatch, s):
     """run_scenario(s) and the number of generators built from composites."""
     calls = []
-    for name in ("phi_from_composite", "chi_from_composite"):
 
-        def counted(*args, _build=getattr(sm, name), **kwargs):
-            calls.append(None)
-            return _build(*args, **kwargs)
+    def counted(*args, _build=sm.from_composite, **kwargs):
+        calls.append(None)
+        return _build(*args, **kwargs)
 
-        monkeypatch.setattr(sm, name, counted)
+    monkeypatch.setattr(sm, "from_composite", counted)
     run_scenario(s)
     return len(calls)
 
