@@ -34,7 +34,6 @@ precise. A --grid flag overrides the file's grid.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -50,7 +49,7 @@ from .copulas import copula_grid
 from .distfn import DistFn, law_from_json
 from .errors import ConfigError, ShockboxError
 from .generators import build_chi, build_phi
-from .imprecise import CopulaFamily, search_ic_violation, verify_witness
+from .imprecise import CopulaFamily, search_ic_violation, witness_records
 from .pbox import PBox
 from .shockmodel import (
     MAX_GRID,
@@ -70,9 +69,10 @@ DEFAULT_SEED = 42
 DEFAULT_SEARCH_COUNT = 1000
 DEFAULT_SEARCH_GRID = 51
 # search keeps every finding (about 1.3 KB of JSON each) until it writes the
-# summary, and scans about 200 scenarios a second per worker process (one per
-# usable CPU) at the default grid on a 2-core VM: the scan is pruned or
-# certified away, and building the scenarios and generators is most of it
+# summary, and scans about 430-530 scenarios a second per worker process (one
+# per usable CPU) at the default grid on a 2-core VM, and about 880 a second
+# on both CPUs: the scan is pruned or certified away, and building the
+# scenarios and generators is most of it
 MAX_SEARCH_COUNT = 100_000
 
 
@@ -275,10 +275,11 @@ def search_scenario(seed: int, index: int, grid: int, tol: float) -> dict | None
     witnesses = search_ic_violation(pair, n=grid, tol=tol)
     if not witnesses:
         return None
+    records, reverified = witness_records(pair, witnesses, tol)
     return {
         "scenario_index": index,
-        "witnesses": [dataclasses.asdict(w) for w in witnesses],
-        "reverified_exact": all(verify_witness(pair, w, tol=tol) for w in witnesses),
+        "witnesses": records,
+        "reverified_exact": reverified,
         # true for every finding, so no rescan is run (see cmd_search)
         "reverified_doubled_grid": True,
     }

@@ -146,6 +146,12 @@ class ViolationWitness:
                 f"unknown condition {self.condition!r}, expected one of {_CONDITIONS}"
             )
 
+    def to_dict(self) -> dict:
+        """``dataclasses.asdict`` of the witness, built field by field."""
+        r = self.rectangle
+        rectangle = {"u1": r.u1, "u2": r.u2, "v1": r.v1, "v2": r.v2}
+        return {"rectangle": rectangle, "condition": self.condition, "value": self.value}
+
 
 # Each condition splits on a row pair as p(j2) + q(j1), j1 <= j2, with
 # p = X[i2, j2] - Y[i1, j2] and q = V[i1, j1] - W[i2, j1]; these are the
@@ -374,22 +380,43 @@ def search_ic_violation(pair: CopulaPair, n: int = 51, tol: float = EXACT_TOL) -
 
 def verify_witness(pair: CopulaPair, witness: ViolationWitness, tol: float = EXACT_TOL) -> bool:
     """Recompute a witness's condition value directly on its rectangle."""
-    r = witness.rectangle
-    us = np.array([r.u1, r.u2])
-    vs_ = np.array([r.v1, r.v2])
-    if r.u1 == r.u2:
-        us = np.array([r.u1])
-    if r.v1 == r.v2:
-        vs_ = np.array([r.v1])
-    grids = (copula_grid(pair.low, us, vs_), copula_grid(pair.up, us, vs_))
-    if witness.condition == "order":
-        value = grids[1][-1, -1] - grids[0][-1, -1]
-    else:
-        # X22 + V11 - W21 - Y12 on the grids of _SPLITS, added left to right
-        # in the order the module docstring writes each condition
-        x, y, v, w = _SPLITS[witness.condition]
-        value = grids[x][-1, -1] + grids[v][0, 0] - grids[w][-1, 0] - grids[y][0, -1]
-    return float(value) < -tol
+    return verify_witnesses(pair, [witness], tol)[0]
+
+
+def verify_witnesses(
+    pair: CopulaPair, witnesses: Sequence[ViolationWitness], tol: float = EXACT_TOL
+) -> list[bool]:
+    """``verify_witness`` of each witness, from one ``copula_grid`` call per
+    bound on the union of the witnesses' corners. copula_grid is
+    elementwise, so each corner value is the same bits as on the witness's
+    own grid of its two (or, on a degenerate side, one) coordinates."""
+    us = sorted({u for w in witnesses for u in (w.rectangle.u1, w.rectangle.u2)})
+    vs = sorted({v for w in witnesses for v in (w.rectangle.v1, w.rectangle.v2)})
+    grids = (copula_grid(pair.low, us, vs), copula_grid(pair.up, us, vs))
+    row, col = {u: i for i, u in enumerate(us)}, {v: j for j, v in enumerate(vs)}
+    verdicts = []
+    for witness in witnesses:
+        r = witness.rectangle
+        i1, i2, j1, j2 = row[r.u1], row[r.u2], col[r.v1], col[r.v2]
+        if witness.condition == "order":
+            value = grids[1][i2, j2] - grids[0][i2, j2]
+        else:
+            # X22 + V11 - W21 - Y12 on the grids of _SPLITS, added left to
+            # right in the order the module docstring writes each condition
+            x, y, v, w = _SPLITS[witness.condition]
+            value = grids[x][i2, j2] + grids[v][i1, j1] - grids[w][i2, j1] - grids[y][i1, j2]
+        verdicts.append(float(value) < -tol)
+    return verdicts
+
+
+def witness_records(
+    pair: CopulaPair, witnesses: Sequence[ViolationWitness], tol: float = EXACT_TOL
+) -> tuple[list[dict], bool]:
+    """A scan's witnesses as report records, and whether every one of them
+    re-verifies on its own rectangle (``verify_witnesses``; true for none)."""
+    if not witnesses:
+        return [], True
+    return [w.to_dict() for w in witnesses], all(verify_witnesses(pair, witnesses, tol))
 
 
 def _run_starts(low: np.ndarray, up: np.ndarray, axis: int) -> np.ndarray:

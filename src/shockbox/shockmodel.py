@@ -36,7 +36,7 @@ largest atom, which bounds the sup-norm error of each discretized input.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -48,6 +48,7 @@ from .distfn import (
     blend,
     comix,
     comix_value,
+    cumulative_cdf,
     exponential_cdf,
     exponential_params,
     first_violation,
@@ -55,7 +56,6 @@ from .distfn import (
     locate_many,
     product,
     step_approximation,
-    step_cdf,
 )
 from .errors import (
     InvalidParameterError,
@@ -80,7 +80,7 @@ from .imprecise import (
     check_imprecise_copula,
     coherence_witness,
     search_ic_violation,
-    verify_witness,
+    witness_records,
 )
 from .pbox import PBox
 from .reports import Check
@@ -631,10 +631,8 @@ def _outer_containment(pair: CopulaPair, h_pair: CopulaPair, grid: int, tol: flo
 
 def _same_corner_scan(h_pair: CopulaPair, grid: int, tol: float) -> dict:
     scan = search_ic_violation(h_pair, n=min(51, grid), tol=tol)
-    return {
-        "violations": [asdict(w) for w in scan],
-        "reverified": all(verify_witness(h_pair, w, tol=tol) for w in scan),
-    }
+    violations, reverified = witness_records(h_pair, scan, tol)
+    return {"violations": violations, "reverified": reverified}
 
 
 def _run(s: Scenario, tol: float) -> ScenarioResult:
@@ -739,31 +737,33 @@ def random_discrete_scenario(
     Supports are half-integer points, masses multiples of 1/64, so every
     derived quantity stays exactly representable. P-box bounds come from the
     pointwise min/max of two random step CDFs, which keeps them ordered.
+
+    A step law is drawn as the array of its cumulative mass, in 64ths, at
+    the half units 0, 1/2, ..., 6: the sorted cuts and then 64 at its sorted
+    support. The lower and upper bounds of a p-box are the elementwise min
+    and max of two such arrays, and each law is built once from its exact
+    levels at the points where they rise.
     """
     rng = np.random.default_rng(seed)
 
-    def random_step(atom_cap: int) -> DistFn:
+    def random_step(atom_cap: int) -> np.ndarray:
         k = int(rng.integers(1, atom_cap + 1))
-        support = np.sort(rng.choice(np.arange(1, 13) * 0.5, size=k, replace=False))
-        cuts = np.sort(rng.choice(np.arange(1, 64), size=k - 1, replace=False)) if k > 1 else []
-        edges = np.concatenate(([0], cuts, [64]))
-        masses = np.diff(edges) / 64.0
-        return step_cdf([(float(x), float(m)) for x, m in zip(support, masses)])
+        support = np.sort(rng.choice(12, size=k, replace=False)) + 1
+        cums = np.zeros(13, dtype=int)
+        cums[support[-1]] = 64
+        if k > 1:
+            cums[support[:-1]] = np.sort(rng.choice(63, size=k - 1, replace=False)) + 1
+        return np.maximum.accumulate(cums)
 
     def random_pbox() -> PBox:
         a, b = random_step(max_atoms), random_step(max_atoms)
-        points = sorted(set(a.breakpoints).union(b.breakpoints))
+        return PBox(_step_law(np.minimum(a, b)), _step_law(np.maximum(a, b)))
 
-        def from_cums(cums):
-            atoms, prev = [], 0.0
-            for x, c in zip(points, cums):
-                if c - prev > 0.0:
-                    atoms.append((x, c - prev))
-                    prev = c
-            return step_cdf(atoms)
+    return Scenario(random_pbox(), random_pbox(), _step_law(random_step(max_atoms)), model, grid)
 
-        lower = from_cums([min(a.eval(x), b.eval(x)) for x in points])
-        upper = from_cums([max(a.eval(x), b.eval(x)) for x in points])
-        return PBox(lower, upper)
 
-    return Scenario(random_pbox(), random_pbox(), random_step(max_atoms), model, grid)
+def _step_law(cums: np.ndarray) -> DistFn:
+    """The step CDF of cumulative mass cums[h]/64 from h/2 on, for the
+    cumulative 64ths cums at the half units h = 0, 1, ..., with cums[0] = 0."""
+    at = (cums[1:] > cums[:-1]).nonzero()[0] + 1
+    return cumulative_cdf(at * 0.5, cums[at] / 64.0)

@@ -5,8 +5,10 @@ the shock laws, its star transforms, the validity conditions and the order
 of generators decided exactly in rational arithmetic, the mixed rectangle
 inequalities' minima on small grids in the same way and by a column sweep
 over every row pair in float arithmetic, the admissible anchor
-set of a level, the staircase lookup of an enumerated joint CDF and the
-reflection of a step law. None of them is called by a run; they live here
+set of a level, the staircase lookup of an enumerated joint CDF, the
+reflection of a step law, the search's scenario generator written atom
+by atom with scalar reads and a witness's condition value written out
+corner by corner. None of them is called by a run; they live here
 so that a reference cannot share a later edit with the construction it
 checks.
 """
@@ -17,6 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from shockbox.copulas import copula_grid
 from shockbox.distfn import (
     _CONST,
     INF,
@@ -27,9 +30,12 @@ from shockbox.distfn import (
     locate,
     piecewise_cdf,
     product,
+    step_cdf,
 )
 from shockbox.errors import InvalidRangeError
 from shockbox.imprecise import _SPLITS, _worst_on_row_pair
+from shockbox.pbox import PBox
+from shockbox.shockmodel import Scenario
 
 
 def triple(f: DistFn, x: float) -> tuple[float, float, float]:
@@ -296,3 +302,57 @@ def reverse(f: DistFn) -> DistFn:
         for x in reversed(f.breakpoints)
     ]
     return piecewise_cdf(points, [("const", 1.0 - level) for level in f._par[0, ::-1].tolist()])
+
+
+def scalar_random_discrete_scenario(
+    seed, model: str = "maxmin", max_atoms: int = 4, grid: int = 51
+) -> Scenario:
+    """``shockmodel.random_discrete_scenario`` as atom lists: each step law
+    through ``step_cdf`` from its (location, mass) atoms, and each p-box
+    bound from the scalar values of two such laws at their merged
+    breakpoints, with the same draws in the same order."""
+    rng = np.random.default_rng(seed)
+
+    def random_step(atom_cap: int) -> DistFn:
+        k = int(rng.integers(1, atom_cap + 1))
+        support = np.sort(rng.choice(np.arange(1, 13) * 0.5, size=k, replace=False))
+        cuts = np.sort(rng.choice(np.arange(1, 64), size=k - 1, replace=False)) if k > 1 else []
+        edges = np.concatenate(([0], cuts, [64]))
+        masses = np.diff(edges) / 64.0
+        return step_cdf([(float(x), float(m)) for x, m in zip(support, masses)])
+
+    def random_pbox() -> PBox:
+        a, b = random_step(max_atoms), random_step(max_atoms)
+        points = sorted(set(a.breakpoints).union(b.breakpoints))
+
+        def from_cums(cums):
+            atoms, prev = [], 0.0
+            for x, c in zip(points, cums):
+                if c - prev > 0.0:
+                    atoms.append((x, c - prev))
+                    prev = c
+            return step_cdf(atoms)
+
+        lower = from_cums([min(a.eval(x), b.eval(x)) for x in points])
+        upper = from_cums([max(a.eval(x), b.eval(x)) for x in points])
+        return PBox(lower, upper)
+
+    return Scenario(random_pbox(), random_pbox(), random_step(max_atoms), model, grid)
+
+
+def reference_witness_value(pair, r, condition):
+    """verify_witness's value with each condition written out, corner by
+    corner, in the order the ``imprecise`` module docstring gives, on the
+    grid of the witness's own coordinates."""
+    us = np.array([r.u1] if r.u1 == r.u2 else [r.u1, r.u2])
+    vs = np.array([r.v1] if r.v1 == r.v2 else [r.v1, r.v2])
+    low, up = copula_grid(pair.low, us, vs), copula_grid(pair.up, us, vs)
+    l11, l12, l21, l22 = low[0, 0], low[0, -1], low[-1, 0], low[-1, -1]
+    u11, u12, u21, u22 = up[0, 0], up[0, -1], up[-1, 0], up[-1, -1]
+    return float({
+        "IC1": l22 + u11 - l21 - l12,
+        "IC2": u22 + l11 - l21 - l12,
+        "IC3": u22 + u11 - u21 - l12,
+        "IC4": u22 + u11 - l21 - u12,
+        "order": u22 - l22,
+    }[condition])

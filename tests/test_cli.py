@@ -19,12 +19,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shockbox.cli as cli
+from shockbox import imprecise
 from shockbox.cli import load_scenario, main
-from shockbox.distfn import step_cdf
+from shockbox.distfn import DistFn, step_cdf
 from shockbox.errors import ConfigError, InvalidParameterError, NonProperInputError
+from shockbox.imprecise import verify_witness, verify_witnesses, witness_records
 from shockbox.pbox import PBox
 from shockbox.reports import Check
 from shockbox.shockmodel import Scenario, random_discrete_scenario, run_scenario
+
+from reference import reference_witness_value
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 ALL_SCENARIOS = sorted(SCENARIOS.glob("*.json"))
@@ -710,6 +714,67 @@ def test_every_finding_is_found_again_on_the_doubled_grid(monkeypatch):
         for w in finding["witnesses"]:
             assert doubled[w["condition"]] <= w["value"], (index, w)
     assert findings >= 40
+
+
+def test_a_search_scenario_builds_at_most_nine_laws(monkeypatch):
+    # the five input laws and the four composites; each DistFn constructor
+    # ends in DistFn._from_arrays
+    built = []
+    from_arrays = DistFn._from_arrays.__func__
+
+    def counted(cls, *args):
+        built.append(cls)
+        return from_arrays(cls, *args)
+
+    monkeypatch.setattr(DistFn, "_from_arrays", classmethod(counted))
+    for index in range(100):
+        built.clear()
+        cli.search_scenario(42, index, grid=51, tol=cli.DEFAULT_TOL)
+        assert 0 < len(built) <= 9, (index, len(built))
+
+
+def test_a_findings_witnesses_reverify_from_one_grid_per_bound(monkeypatch):
+    """On every finding of search --seed 42 --count 200: its records are
+    dataclasses.asdict of its witnesses, the batched re-verification takes
+    two copula_grid calls whatever the witness count, and its verdicts are
+    those of verify_witness and of the written-out conditions on each
+    witness's own grid."""
+    scan = cli.search_ic_violation
+    scanned = []
+
+    def record(pair, **kwargs):
+        scanned.append((pair, scan(pair, **kwargs)))
+        return scanned[-1][1]
+
+    monkeypatch.setattr(cli, "search_ic_violation", record)
+    grid_calls = []
+    real_grid = imprecise.copula_grid
+
+    def counted_grid(c, us, vs):
+        grid_calls.append(len(us) * len(vs))
+        return real_grid(c, us, vs)
+
+    tol = cli.DEFAULT_TOL
+    witness_counts = set()
+    for index in range(200):
+        finding = cli.search_scenario(42, index, grid=51, tol=tol)
+        pair, witnesses = scanned.pop()
+        if finding is None:
+            continue
+        witness_counts.add(len(witnesses))
+        want = [verify_witness(pair, w, tol) for w in witnesses]
+        assert want == [
+            reference_witness_value(pair, w.rectangle, w.condition) < -tol for w in witnesses
+        ]
+        assert verify_witnesses(pair, witnesses, tol) == want
+        grid_calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(imprecise, "copula_grid", counted_grid)
+            records, reverified = witness_records(pair, witnesses, tol)
+        assert len(grid_calls) == 2
+        assert records == [dataclasses.asdict(w) for w in witnesses] == finding["witnesses"]
+        assert reverified is all(want) is finding["reverified_exact"]
+    assert max(witness_counts) >= 3
 
 
 def test_search_is_deterministic_and_reverifies_findings(tmp_path):

@@ -15,6 +15,7 @@ from shockbox.distfn import (
     blend,
     comix,
     comix_value,
+    cumulative_cdf,
     exponential_cdf,
     first_violation,
     law_from_json,
@@ -30,7 +31,7 @@ from shockbox.errors import (
     InvalidRangeError,
     UnsupportedSegmentPairError,
 )
-from shockbox.distfn import _combined_segment, _comix_coef, _product_coef
+from shockbox.distfn import _combined_segment, _comix_coef, _product_coef, _step_probe_values
 
 from reference import triple
 
@@ -481,6 +482,19 @@ def reference_validation_error(points, levels):
     return None
 
 
+def assert_validates_as_the_reference(points, levels):
+    # the step law of the breakpoints and levels through piecewise_cdf
+    # builds, or raises the reference scan's message
+    want = reference_validation_error(points, levels)
+    segments = [("const", level) for level in levels]
+    if want is None:
+        piecewise_cdf(points, segments)
+    else:
+        with pytest.raises(InvalidParameterError) as got:
+            piecewise_cdf(points, segments)
+        assert str(got.value) == want
+
+
 @given(
     steps(),
     st.sampled_from([*FIELDS, "level"]),
@@ -497,11 +511,93 @@ def test_validation_matches_the_reference_scan(f, field, k, delta):
         levels[k % len(levels)] += delta
     else:
         points[k % len(points)][FIELDS.index(field)] += delta
-    segments = [("const", level) for level in levels]
-    want = reference_validation_error(points, levels)
-    if want is None:
-        piecewise_cdf(points, segments)
-    else:
-        with pytest.raises(InvalidParameterError) as got:
-            piecewise_cdf(points, segments)
-        assert str(got.value) == want
+    assert_validates_as_the_reference(points, levels)
+
+
+# breakpoints where an interval between two of them, or beyond the last,
+# holds no float, and a few ordinary ones
+_MAX = float(np.finfo(float).max)
+TIGHT_XS = [
+    -_MAX, -1.0, -0.0, 5e-324, 0.5, math.nextafter(0.5, INF), 1.0, math.nextafter(1.0, -INF),
+    2.0, 1e308, math.nextafter(_MAX, -INF), _MAX,
+]
+
+
+@st.composite
+def tight_steps(draw):
+    xs = draw(st.lists(st.sampled_from(TIGHT_XS), min_size=1, max_size=6, unique=True))
+    cuts = draw(st.lists(st.integers(1, 63), min_size=len(xs) - 1, max_size=len(xs) - 1, unique=True))
+    edges = [0, *sorted(cuts), 64]
+    return step_cdf([(x, (b - a) / 64.0) for x, a, b in zip(xs, edges, edges[1:])])
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+@given(st.one_of(steps(), tight_steps()), st.one_of(steps(), tight_steps()))
+@settings(max_examples=300, deadline=None)
+def test_step_pairs_are_read_at_the_ordered_probes(f, g):
+    # the values and the first violation of eval_many at every probe, as
+    # first_violation took them before it read step pairs off their arrays
+    xs, sides = ordered_probes(f, g)
+    fv, gv = f.eval_many(xs, sides), g.eval_many(xs, sides)
+    assert [bits(v) for v in _step_probe_values(f, g)] == [bits(fv), bits(gv)]
+    bad = np.flatnonzero(fv > gv)
+    want = None
+    if bad.size:
+        k = bad[0]
+        want = (float(xs[k]), int(sides[k]), float(fv[k]), float(gv[k]))
+    assert first_violation(f, g) == want
+
+
+def test_constant_step_pair_probes():
+    zero, one = DistFn.constant(0.0), DistFn.constant(1.0)
+    assert bits(np.concatenate(_step_probe_values(zero, one))) == bits([0.0] * 3 + [1.0] * 3)
+    assert first_violation(one, zero) == (-INF, 0, 1.0, 0.0)
+
+
+def test_a_tight_interval_probes_the_breakpoint_below_it():
+    # no float lies between 0.5 and the next one up, so the interval's
+    # sample is 0.5 itself, where f has the value 1/4, not the level 3/4
+    up = math.nextafter(0.5, INF)
+    points = [(0.5, 0.0, 0.25, 0.75), (up, 0.75, 0.75, 1.0)]
+    f = piecewise_cdf(points, [("const", c) for c in (0.0, 0.75, 1.0)])
+    xs, sides = ordered_probes(f, f)
+    assert (xs[5], sides[5]) == (0.5, 0)
+    fv, _ = _step_probe_values(f, f)
+    assert fv[5] == 0.25
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        [(INF, 0.0, 1.0, 1.0)],
+        [(1.0, 0.0, 0.5, 0.5), (INF, 0.5, 1.0, 1.0)],
+        [(-INF, 0.0, 0.5, 0.5), (1.0, 0.5, 1.0, 1.0)],
+        [(math.nan, 0.0, 1.0, 1.0)],
+        [(1.0, 0.0, 0.5, 0.5), (1.0, 0.5, 1.0, 1.0)],
+        [(1.0, 0.0, 0.5, 1.5)],
+        [(1.0, 0.0, 0.5, 0.5), (2.0, 0.5, 1.0, 0.75)],
+        [(1.0, 0.0, 0.5, 0.5 + 1e-13), (2.0, 0.5, 1.0, 1.0)],
+        [(1.0, -0.0, 0.5, 0.5), (2.0, 0.5, 1.0, 1.0)],
+        [(1.0, 0.25, 0.5, 0.5), (2.0, 0.5, 1.0, 1.0)],
+        [(1.0, -0.25, 0.5, 0.5), (2.0, 0.5, 1.0, 1.0)],
+    ],
+)
+def test_validation_of_breakpoints_off_the_plain_step_path(points):
+    # infinite and nan ends, repeated breakpoints, limits out of order or
+    # off their levels by less than the tolerance, a first level and left
+    # limit off 0 together: each law is decided by the full scan, with the
+    # reference scan's message. Each level is the limit at its ends.
+    assert_validates_as_the_reference(points, [points[0][1], *[p[3] for p in points]])
+
+
+def test_cumulative_cdf_is_the_atom_cdf_of_its_rises():
+    xs = np.array([0.5, 1.0, 3.0])
+    f = cumulative_cdf(xs, np.array([0.25, 0.625, 1.0]))
+    assert f == step_cdf([(0.5, 0.25), (1.0, 0.375), (3.0, 0.375)])
+    with pytest.raises(InvalidParameterError, match="strictly increasing"):
+        cumulative_cdf(xs[::-1].copy(), np.array([0.25, 0.625, 1.0]))
+    with pytest.raises(InvalidParameterError, match="need 0 <= left"):
+        cumulative_cdf(xs, np.array([0.25, 0.625, 1.5]))

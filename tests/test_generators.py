@@ -535,8 +535,25 @@ def branch(g, u):
 
 
 def scalar_check_order(g1, g2, tol):
+    """check_order as a plain-Python scan of the merged knots: a knot value
+    against the other generator's piece, cross-multiplied by its length."""
+    knots1, knots2 = dict(g1.knots), dict(g2.knots)
+
+    def piece(g, u):
+        # the knots (a, ya), (b, yb) of g's piece with a < u < b
+        return next(((a, ya), (b, yb)) for (a, ya), (b, yb) in zip(g.knots, g.knots[1:]) if a < u < b)
+
+    def above(u):
+        if u in knots1 and u in knots2:
+            return knots1[u] > knots2[u] + tol
+        if u in knots1:
+            (c, yc), (d, yd) = piece(g2, u)
+            return ((knots1[u] - tol) - yc) * (d - c) > (yd - yc) * (u - c)
+        (a, ya), (b, yb) = piece(g1, u)
+        return (yb - ya) * (u - a) > ((knots2[u] + tol) - ya) * (b - a)
+
     for u in sorted(set(g1.knot_us) | set(g2.knot_us)):
-        if branch(g1, u) > branch(g2, u) + tol:
+        if above(u):
             return Check("order", False, value=branch(g1, u) - branch(g2, u), witness=u)
     return Check("order", True, value=0.0)
 
@@ -601,6 +618,21 @@ def test_check_order_at_tol_zero_is_the_exact_order(pair):
     g1, g2 = pair
     assert check_order(g1, g2, 0.0).passed == exact_order_verdict(g1, g2)
     assert check_order(g2, g1, 0.0).passed == exact_order_verdict(g2, g1)
+
+
+def test_check_order_is_exact_where_two_chi_generators_touch():
+    # g1 meets g2's chord at 0.246337890625; interpolating g2 there with
+    # np.interp put g1 above it by 1.7e-18
+    g1 = Generator(
+        "chi",
+        ((0.0, 0.0), (0.234375, 0.0), (0.246337890625, 0.015625), (0.26171875, 0.015625), (1.0, 1.0)),
+    )
+    g2 = Generator("chi", ((0.0, 0.0), (0.234375, 0.0), (1.0, 1.0)))
+    assert exact_order_verdict(g1, g2) and not exact_order_verdict(g2, g1)
+    assert check_order(g1, g2, 0.0) == Check("order", True, value=0.0)
+    assert check_order(g1, g2, 0.0) == scalar_check_order(g1, g2, 0.0)
+    assert not check_order(g2, g1, 0.0).passed
+    assert check_order(g2, g1, 0.0) == scalar_check_order(g2, g1, 0.0)
 
 
 def test_failing_checks_name_the_first_bad_piece():

@@ -44,7 +44,7 @@ from shockbox.imprecise import (
 )
 from shockbox.shockmodel import MAX_GRID, probe_xs, random_discrete_scenario, run_scenario, thin
 
-from reference import exact_ic_minima, swept_scan
+from reference import exact_ic_minima, reference_witness_value, swept_scan
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -881,23 +881,6 @@ def test_verify_witness_rejects_a_non_violating_rectangle():
     pair = maxmin_pair()
     fake = ViolationWitness(Rect(0.2, 0.6, 0.3, 0.8), "IC1", -1.0)
     assert not verify_witness(pair, fake)
-
-
-def reference_witness_value(pair, r, condition):
-    """verify_witness's value with each condition written out, corner by
-    corner, in the order the module docstring gives."""
-    us = np.array([r.u1] if r.u1 == r.u2 else [r.u1, r.u2])
-    vs = np.array([r.v1] if r.v1 == r.v2 else [r.v1, r.v2])
-    low, up = copula_grid(pair.low, us, vs), copula_grid(pair.up, us, vs)
-    l11, l12, l21, l22 = low[0, 0], low[0, -1], low[-1, 0], low[-1, -1]
-    u11, u12, u21, u22 = up[0, 0], up[0, -1], up[-1, 0], up[-1, -1]
-    return float({
-        "IC1": l22 + u11 - l21 - l12,
-        "IC2": u22 + l11 - l21 - l12,
-        "IC3": u22 + u11 - u21 - l12,
-        "IC4": u22 + u11 - l21 - u12,
-        "order": u22 - l22,
-    }[condition])
 
 
 unit_floats = st.floats(0.0, 1.0) | st.sampled_from([0.0, 0.1, 0.3, 0.5, 1.0])

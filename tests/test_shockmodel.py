@@ -39,7 +39,7 @@ from shockbox.shockmodel import (
     run_scenario,
 )
 
-from reference import table_at, triple
+from reference import scalar_random_discrete_scenario, table_at, triple
 
 X_ATOMS_LOW = [(1.0, 0.2), (2.0, 0.8)]
 X_ATOMS_UP = [(1.0, 0.5), (2.0, 0.5)]
@@ -452,6 +452,24 @@ def test_random_scenario_is_seed_deterministic():
     assert a == b
     c = random_discrete_scenario([7, 2])
     assert c != a
+
+
+def scenario_laws(s):
+    return (s.x_pbox.lower, s.x_pbox.upper, s.y_pbox.lower, s.y_pbox.upper, s.z)
+
+
+@pytest.mark.parametrize("seed", [42, 7, 2026])
+def test_random_scenarios_are_the_scalar_reference_laws(seed):
+    # 700 scenarios of each seed at the search's atom cap, and 20 more at
+    # each of the caps 1, 8 and 12: 2,280 (seed, index) pairs in all
+    pairs = [(index, 4) for index in range(700)]
+    pairs += [(index, cap) for cap in (1, 8, 12) for index in range(20)]
+    for index, cap in pairs:
+        got = random_discrete_scenario([seed, index], max_atoms=cap)
+        want = scalar_random_discrete_scenario([seed, index], max_atoms=cap)
+        assert got == want, (seed, index, cap)
+        for f, g in zip(scenario_laws(got), scenario_laws(want)):
+            assert f == g and repr(f) == repr(g), (seed, index, cap)
 
 
 def test_random_scenarios_verify_for_both_models():
