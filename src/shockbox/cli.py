@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -48,7 +49,6 @@ import numpy as np
 from .copulas import copula_grid
 from .distfn import DistFn, law_from_json
 from .errors import ConfigError, ShockboxError
-from .generators import build_chi, build_phi
 from .imprecise import CopulaFamily, search_ic_violation, witness_records
 from .pbox import PBox
 from .shockmodel import (
@@ -56,8 +56,9 @@ from .shockmodel import (
     Scenario,
     ScenarioResult,
     probe_xs,
-    random_discrete_scenario,
+    random_step_draws,
     run_scenario,
+    search_generators,
     thin,
 )
 
@@ -69,11 +70,12 @@ DEFAULT_SEED = 42
 DEFAULT_SEARCH_COUNT = 1000
 DEFAULT_SEARCH_GRID = 51
 # search keeps every finding (about 1.3 KB of JSON each) until it writes the
-# summary, and scans about 430-530 scenarios a second per worker process (one
-# per usable CPU) at the default grid on a 2-core VM, and about 880 a second
-# on both CPUs: the scan is pruned or certified away, and building the
-# scenarios and generators is most of it
+# summary. On a 2-core VM it scans about 1,200 scenarios a second in one
+# process at the default grid and 2,100 on both CPUs; --count 100000 took
+# 43 s with a 750 MB peak RSS, most of it the findings and their JSON
 MAX_SEARCH_COUNT = 100_000
+# scenarios per range of a search, whose arrays take a few hundred KB whatever the count
+SEARCH_RANGE = 64
 
 
 @dataclass(frozen=True)
@@ -261,28 +263,27 @@ def cmd_pipeline(cfg: RunConfig) -> int:
     return 0 if result.all_passed else 1
 
 
-def search_scenario(seed: int, index: int, grid: int, tol: float) -> dict | None:
-    """Scan search scenario ``index`` of ``seed``; its finding, or None if it passes.
-
-    The scenario is seeded by ``[seed, index]`` and shares no state with any
-    other, so scenarios can run in any order and in any process.
+def search_range(seed: int, start: int, stop: int, grid: int, tol: float) -> list[dict]:
+    """The findings of search scenarios start, ..., stop - 1 of ``seed``, in
+    index order. Scenario ``index`` is seeded by ``[seed, index]`` and shares
+    no state with any other, so ranges can run in any order and in any
+    process; a range's generators are built together (``search_generators``).
     """
-    scenario = random_discrete_scenario([seed, index], model="maxmin", grid=grid)
-    x, y, z = scenario.x_pbox, scenario.y_pbox, scenario.z
-    phis = build_phi(x.lower, z), build_phi(x.upper, z)
-    chis = build_chi(y.lower, z), build_chi(y.upper, z)
-    pair = CopulaFamily("maxmin", *phis, *chis).same_corner
-    witnesses = search_ic_violation(pair, n=grid, tol=tol)
-    if not witnesses:
-        return None
-    records, reverified = witness_records(pair, witnesses, tol)
-    return {
-        "scenario_index": index,
-        "witnesses": records,
-        "reverified_exact": reverified,
-        # true for every finding, so no rescan is run (see cmd_search)
-        "reverified_doubled_grid": True,
-    }
+    draws = np.array([random_step_draws([seed, index]) for index in range(start, stop)])
+    findings = []
+    for index, generators in zip(range(start, stop), search_generators(draws)):
+        pair = CopulaFamily("maxmin", *generators).same_corner
+        witnesses = search_ic_violation(pair, n=grid, tol=tol)
+        if witnesses:
+            records, reverified = witness_records(pair, witnesses, tol)
+            findings.append({
+                "scenario_index": index,
+                "witnesses": records,
+                "reverified_exact": reverified,
+                # true for every finding, so no rescan is run (see cmd_search)
+                "reverified_doubled_grid": True,
+            })
+    return findings
 
 
 def _usable_cpus() -> int:
@@ -317,29 +318,29 @@ def cmd_search(cfg: RunConfig) -> int:
     condition is therefore at most the witness's value (a test runs it on
     the findings of one search).
 
-    The scenarios run on forked worker processes, one per usable CPU, in
-    ordered chunks; the findings are merged by scenario index, so the
-    summary is the same bytes as a single-process run. With one usable CPU,
-    fewer than two scenarios or no fork start method they run in this
-    process. An error in any scenario ends the search before anything is
-    written.
+    The indices 0, ..., count - 1 are cut into ranges of SEARCH_RANGE
+    (``search_range``), which run on forked worker processes, one per usable
+    CPU, or, with one usable CPU, one range or no fork start method, one
+    after another in this process. Either way the findings are merged in
+    index order, so the summary is the same bytes. An error in any scenario
+    ends the search before anything is written.
     """
     import multiprocessing
 
     _make_output_dir(cfg.out)
     grid = cfg.grid if cfg.grid is not None else DEFAULT_SEARCH_GRID
-    scan = functools.partial(search_scenario, cfg.seed, grid=grid, tol=cfg.tol)
-    workers = min(_usable_cpus(), cfg.count)
+    scan = functools.partial(search_range, cfg.seed, grid=grid, tol=cfg.tol)
+    ranges = [(i, min(i + SEARCH_RANGE, cfg.count)) for i in range(0, cfg.count, SEARCH_RANGE)]
+    workers = min(_usable_cpus(), len(ranges))
     # fork, not spawn: a worker starts from this process's memory instead of
     # importing numpy and shockbox again. The scan makes no BLAS call, so a
     # BLAS thread pool running at fork time is never used in a worker.
     if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
-        chunk = max(1, cfg.count // (8 * workers))
         with multiprocessing.get_context("fork").Pool(workers) as pool:
-            results = pool.map(scan, range(cfg.count), chunksize=chunk)
+            results = pool.starmap(scan, ranges, chunksize=1)
     else:
-        results = list(map(scan, range(cfg.count)))
-    findings = [finding for finding in results if finding is not None]
+        results = list(itertools.starmap(scan, ranges))
+    findings = [finding for found in results for finding in found]
     by_condition: dict[str, int] = {}
     for finding in findings:
         for w in finding["witnesses"]:

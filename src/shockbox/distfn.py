@@ -195,34 +195,11 @@ class DistFn:
         # segment i as the arguments of the segment rules: kind, a, b, c, d
         return (int(self._kind[i]), *self._par[:, i].tolist())
 
-    def _plain_step(self) -> bool:
-        # a step function with finite increasing breakpoints, its limits
-        # non-decreasing from 0 to at most 1 in (left, value, right) order
-        # and each constant level equal to the limits at both of its ends
-        # meets every condition of _validate; this is decided in a few array
-        # operations, where the full scan takes many more on a small law
-        n = self._xa.size
-        if self._curved or not n:
-            return False
-        xa, tri, levels = self._xa, self._tri, self._levels
-        chain = tri.T.ravel()  # l0, v0, r0, l1, ..., r_{n-1}, then the pad 1, 1, 1
-        return (
-            math.isfinite(xa[0])
-            and math.isfinite(xa[-1])
-            and levels[0] == 0.0
-            and np.count_nonzero(xa[1:] > xa[:-1]) == n - 1
-            and np.count_nonzero(chain[1:] >= chain[:-1]) == 3 * n + 2
-            and np.count_nonzero(levels[:-1] == tri[0, :-1]) == n
-            and np.count_nonzero(levels[1:] == tri[2, :-1]) == n
-        )
-
     def _validate(self) -> None:
         # the exact validity conditions, raising on the first violation in
         # the order: finiteness, order of x, each triple, monotonicity across
         # breakpoints, then each segment in interval order; a nan level or end
         # value fails every tolerance test
-        if self._plain_step():
-            return
         n = self._xa.size
         xa, (left, value, right) = self._xa, self._tri[:, :-1]
         if np.count_nonzero(np.isfinite(xa)) < n:
@@ -785,52 +762,15 @@ def first_violation(f: DistFn, g: DistFn, tol: float = 0.0):
     """First probe (x, side, f(x), g(x)) where f exceeds g, or None.
 
     Exact for constant/affine pairs (endpoint comparison decides); intervals
-    touching an exponential piece are sampled at 17 interior points. On a
-    pair of step functions the values at the probes are read off the stored
-    levels and limits (``_step_probe_values``), and the probe abscissas are
-    computed only for a violation.
+    touching an exponential piece are sampled at 17 interior points.
     """
-    steps = not (f._curved or g._curved)
-    if steps:
-        fv, gv = _step_probe_values(f, g)
-    else:
-        xs, sides = ordered_probes(f, g)
-        fv, gv = f.eval_many(xs, sides), g.eval_many(xs, sides)
+    xs, sides = ordered_probes(f, g)
+    fv, gv = f.eval_many(xs, sides), g.eval_many(xs, sides)
     bad = fv > gv + tol
     if not np.count_nonzero(bad):
         return None
     k = int(bad.argmax())
-    if steps:
-        xs, sides = ordered_probes(f, g)
     return (float(xs[k]), int(sides[k]), float(fv[k]), float(gv[k]))
-
-
-def _step_probe_values(f: DistFn, g: DistFn) -> tuple[np.ndarray, np.ndarray]:
-    """eval_many of the step functions f and g at ``ordered_probes(f, g)``,
-    without the probe abscissas: -inf, then per interval of the merged
-    breakpoints its sample and the closing breakpoint's left limit, value
-    and right limit, then +inf. A sample strictly inside an interval takes
-    the level there. An interval that holds no float, (x, next float up)
-    or (largest float, inf), has its sample on x, which takes the value
-    at x."""
-    xs = _merged_xs(f, g)
-    with np.errstate(over="ignore"):
-        tight = np.nextafter(xs, INF) == np.append(xs[1:], INF)
-
-    def values(fn: DistFn) -> np.ndarray:
-        i = fn._xa.searchsorted(xs)
-        levels = fn._levels
-        rows = np.empty((xs.size + 1, 4))
-        rows[:-1, 0] = levels[i]
-        rows[-1, 0] = levels[-1]
-        rows[:-1, 1:] = np.where(fn._xp[i] == xs, fn._tri[:, i], levels[i]).T
-        if np.count_nonzero(tight):
-            rows[1:, 0][tight] = rows[:-1, 2][tight]
-        out = np.empty(4 * xs.size + 3)
-        out[0], out[1:-1], out[-1] = levels[0], rows.ravel()[:-3], levels[-1]
-        return out
-
-    return values(f), values(g)
 
 
 # ---------------------------------------------------------------------------

@@ -302,12 +302,13 @@ def _monotone_us(us: np.ndarray) -> np.ndarray:
 
 def _dedupe_knots(us: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # collisions at 0 keep the last value (the right limit of the jump), at 1
-    # the first (the left limit); interior collisions must agree
+    # the first (the left limit); interior collisions must agree. The knots
+    # of several generators may come end to end: each ends at 1 and starts
+    # at 0, so no run spans two of them
     new_run = np.empty(us.size, dtype=bool)
     new_run[0] = True
     np.not_equal(us[1:], us[:-1], out=new_run[1:])
-    starts = new_run.nonzero()[0]
-    run_first = starts[new_run.cumsum() - 1]
+    run_first = new_run.nonzero()[0][new_run.cumsum() - 1]
     clash = np.abs(ys[run_first] - ys) > ANALYTIC_TOL
     clash &= (us != 0.0) & (us != 1.0)
     if np.count_nonzero(clash):
@@ -316,10 +317,9 @@ def _dedupe_knots(us: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarra
             f"inconsistent generator value at interior knot u={float(us[k])}: "
             f"{float(ys[run_first[k]])} vs {float(ys[k])}"
         )
-    # the last knot of the run at 0, the first of every other run
-    if us[0] == 0.0:
-        starts[0] = starts[1] - 1 if starts.size > 1 else us.size - 1
-    return us[starts], ys[starts]
+    # the last knot of a run at 0, the first of every other run
+    keep = np.where(us == 0.0, np.append(new_run[1:], True), new_run)
+    return us[keep], ys[keep]
 
 
 def build_phi(fx: DistFn, fz: DistFn) -> Generator:
@@ -381,6 +381,49 @@ def from_composite(f: DistFn, first: DistFn, fz: DistFn, kind: str) -> Generator
     ys = np.concatenate(([at0], ys, [at1]))
     us, ys = _dedupe_knots(_monotone_us(us), ys)
     return Generator._from_arrays(kind, us, ys)
+
+
+def lattice_generators(first: np.ndarray, fz: np.ndarray, chi: np.ndarray) -> list[Generator]:
+    """``from_composite`` of many pairs of step laws at once, on their lattice.
+
+    Row r of the integer arrays first and fz holds two step CDFs in 64ths:
+    column 0 the level below the first of their common points, column h
+    the level from the h-th on; chi[r] picks the kind. The composite is
+    F*Z (phi) or 64F + 64Z - F*Z (chi) in 4096ths. Every knot is an integer
+    over 4096 and one over 64, as are the products and comixtures that
+    from_composite takes in floats, exactly, so the knots are the same
+    floats. Of each jump's cluster the value, right corner and right limit
+    coincide (a step CDF's value is its right limit) and come once.
+    """
+
+    def composite(f, z):
+        return np.where(chi[:, None], 64 * (f + z) - f * z, f * z)
+
+    comp = composite(first, fz)
+    short = comp[:, -1] != 4096
+    if np.count_nonzero(short):
+        r = int(short.argmax())
+        raise NonProperInputError(
+            f"the composite {'min' if chi[r] else 'max'}-type CDF has total mass "
+            f"{comp[r, -1] / 4096} < 1"
+        )
+    g, lo, hi, fl = chi.size, comp[:, :-1], comp[:, 1:], first[:, :-1]
+    # per row the end knots of from_composite, and a cluster at each jump of comp
+    cluster = np.stack((lo, composite(fl, fz[:, 1:]), hi, fl, fl, first[:, 1:]), axis=2)
+    us, ys = (np.pad(cluster[..., i : i + 3].reshape(g, -1), ((0, 0), (1, 1))) for i in (0, 3))
+    us[:, -1] = 4096
+    ys[:, 0], ys[:, -1] = np.where(chi, 0, first[:, 0]), np.where(chi, first[:, -1], 64)
+    present = np.pad(np.repeat(hi > lo, 3, axis=1), ((0, 0), (1, 1)), constant_values=True)
+    us, ys = us[present], ys[present]
+    # each row rises from 0 to 4096, so the rows laid end to end fall g - 1 times
+    if np.count_nonzero(us[1:] < us[:-1]) != g - 1:
+        raise InvalidParameterError("generator knot abscissas must be non-decreasing")
+    us, ys = _dedupe_knots(us / 4096.0, ys / 64.0)
+    starts = np.flatnonzero(us == 0.0)[1:]  # each row keeps one knot at 0
+    return [
+        Generator._from_arrays("chi" if c else "phi", u, y)
+        for c, u, y in zip(chi.tolist(), np.split(us, starts), np.split(ys, starts))
+    ]
 
 
 # ---------------------------------------------------------------------------

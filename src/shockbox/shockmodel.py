@@ -65,11 +65,13 @@ from .errors import (
     UnsupportedSegmentPairError,
 )
 from .generators import (
+    Generator,
     associated_envelope_gaps,
     check_association,
     check_generator,
     check_order,
     from_composite,
+    lattice_generators,
 )
 from .imprecise import (
     MEMBER_WEIGHTS,
@@ -729,6 +731,28 @@ def run_scenario(s: Scenario, tol: float = EXACT_TOL) -> ScenarioResult:
 # random scenarios for batch searches
 
 
+def random_step_draws(seed, max_atoms: int = 4) -> np.ndarray:
+    """The laws of ``random_discrete_scenario(seed, max_atoms=max_atoms)``.
+
+    A step law is drawn as the array of its cumulative mass, in 64ths, at
+    the half units 0, 1/2, ..., 6: the sorted cuts and then 64 at its sorted
+    support, at most max_atoms points of 1/2, ..., 6. Two laws are drawn for
+    x, two for y and one for z. The (5, 13) array holds the lower and upper
+    bound of x, their elementwise min and max, then those of y, then z.
+    """
+    rng = np.random.default_rng(seed)
+    draws = np.zeros((5, 13), dtype=int)
+    for cums in draws:
+        k = int(rng.integers(1, max_atoms + 1))
+        support = np.sort(rng.choice(12, size=k, replace=False)) + 1
+        cums[support[-1]] = 64
+        if k > 1:
+            cums[support[:-1]] = np.sort(rng.choice(63, size=k - 1, replace=False)) + 1
+    draws = np.maximum.accumulate(draws, axis=1)
+    draws[:4] = np.sort(draws[:4].reshape(2, 2, 13), axis=1).reshape(4, 13)
+    return draws
+
+
 def random_discrete_scenario(
     seed, model: str = "maxmin", max_atoms: int = 4, grid: int = 51
 ) -> Scenario:
@@ -737,29 +761,20 @@ def random_discrete_scenario(
     Supports are half-integer points, masses multiples of 1/64, so every
     derived quantity stays exactly representable. P-box bounds come from the
     pointwise min/max of two random step CDFs, which keeps them ordered.
-
-    A step law is drawn as the array of its cumulative mass, in 64ths, at
-    the half units 0, 1/2, ..., 6: the sorted cuts and then 64 at its sorted
-    support. The lower and upper bounds of a p-box are the elementwise min
-    and max of two such arrays, and each law is built once from its exact
-    levels at the points where they rise.
+    Each law is built once from its exact levels in ``random_step_draws``.
     """
-    rng = np.random.default_rng(seed)
+    xl, xu, yl, yu, z = map(_step_law, random_step_draws(seed, max_atoms))
+    return Scenario(PBox(xl, xu), PBox(yl, yu), z, model, grid)
 
-    def random_step(atom_cap: int) -> np.ndarray:
-        k = int(rng.integers(1, atom_cap + 1))
-        support = np.sort(rng.choice(12, size=k, replace=False)) + 1
-        cums = np.zeros(13, dtype=int)
-        cums[support[-1]] = 64
-        if k > 1:
-            cums[support[:-1]] = np.sort(rng.choice(63, size=k - 1, replace=False)) + 1
-        return np.maximum.accumulate(cums)
 
-    def random_pbox() -> PBox:
-        a, b = random_step(max_atoms), random_step(max_atoms)
-        return PBox(_step_law(np.minimum(a, b)), _step_law(np.maximum(a, b)))
-
-    return Scenario(random_pbox(), random_pbox(), _step_law(random_step(max_atoms)), model, grid)
+def search_generators(draws: np.ndarray) -> list[tuple[Generator, ...]]:
+    """Per scenario of a (k, 5, 13) stack of ``random_step_draws``, its
+    generators in the order of ``CopulaFamily``: those build_phi and
+    build_chi give its bounds with z, built by ``lattice_generators``."""
+    k = len(draws)
+    z, chi = np.repeat(draws[:, 4], 4, axis=0), np.tile([False, False, True, True], k)
+    gens = lattice_generators(draws[:, :4].reshape(4 * k, 13), z, chi)
+    return [tuple(gens[i : i + 4]) for i in range(0, 4 * k, 4)]
 
 
 def _step_law(cums: np.ndarray) -> DistFn:

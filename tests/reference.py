@@ -7,8 +7,9 @@ inequalities' minima on small grids in the same way and by a column sweep
 over every row pair in float arithmetic, the admissible anchor
 set of a level, the staircase lookup of an enumerated joint CDF, the
 reflection of a step law, the search's scenario generator written atom
-by atom with scalar reads and a witness's condition value written out
-corner by corner. None of them is called by a run; they live here
+by atom with scalar reads, a witness's condition value written out
+corner by corner, and in rational arithmetic from the search's integer
+draws alone. None of them is called by a run; they live here
 so that a reference cannot share a later edit with the construction it
 checks.
 """
@@ -35,7 +36,7 @@ from shockbox.distfn import (
 from shockbox.errors import InvalidRangeError
 from shockbox.imprecise import _SPLITS, _worst_on_row_pair
 from shockbox.pbox import PBox
-from shockbox.shockmodel import Scenario
+from shockbox.shockmodel import Scenario, random_step_draws
 
 
 def triple(f: DistFn, x: float) -> tuple[float, float, float]:
@@ -356,3 +357,58 @@ def reference_witness_value(pair, r, condition):
         "IC4": u22 + u11 - l21 - u12,
         "order": u22 - l22,
     }[condition])
+
+
+def exact_lattice_generator(first, fz, kind: str):
+    """The generator of the given kind of two step laws of cumulative 64ths
+    at common points (integer lists; entry 0 is the level below the first
+    point), as a function of a Fraction. Its knots are the clusters of the
+    ``generators`` module docstring at each jump of the composite, the
+    product (phi) or the comixture (chi), in rationals; where knots share
+    an abscissa, 0 takes the last, 1 the first and the interior ones agree."""
+    chi = kind == "chi"
+
+    def composite(f, z):
+        return 64 * f + 64 * z - f * z if chi else f * z
+
+    knots = [(0, 0 if chi else first[0])]
+    for h in range(1, len(first)):
+        lo, hi = composite(first[h - 1], fz[h - 1]), composite(first[h], fz[h])
+        if hi > lo:
+            corner = composite(first[h - 1], fz[h])
+            knots += [(lo, first[h - 1]), (corner, first[h - 1]), (hi, first[h])]
+    knots.append((4096, first[-1] if chi else 64))
+    knots = [(Fraction(u, 4096), Fraction(y, 64)) for u, y in knots]
+
+    def g(u: Fraction) -> Fraction:
+        if u == (1 if chi else 0):
+            return u
+        j = next(j for j, (a, _) in enumerate(knots) if a >= u)
+        if knots[j][0] == u:
+            return knots[j][1]
+        (a, ya), (b, yb) = knots[j - 1], knots[j]
+        return ya + (yb - ya) * (u - a) / (b - a)
+
+    return g
+
+
+def exact_search_witness_value(seed, index, rectangle: dict, condition: str) -> Fraction:
+    """A search witness's condition value on the same-corner pair of scenario
+    ``index`` of ``seed``, in rational arithmetic: the maxmin copula
+    uv + min(u(1 - v), (phi(u) - u)(v - chi(v))) of generators built from
+    the scenario's drawn integers, at the float corners taken exactly."""
+    x_lo, x_up, y_lo, y_up, z = random_step_draws([seed, index]).tolist()
+
+    def copula(fx, fy):
+        phi, chi = exact_lattice_generator(fx, z, "phi"), exact_lattice_generator(fy, z, "chi")
+        return lambda u, v: u * v + min(u * (1 - v), (phi(u) - u) * (v - chi(v)))
+
+    low, up = copula(x_lo, y_lo), copula(x_up, y_up)
+    u1, u2, v1, v2 = (Fraction(rectangle[k]) for k in ("u1", "u2", "v1", "v2"))
+    return {
+        "IC1": lambda: low(u2, v2) + up(u1, v1) - low(u2, v1) - low(u1, v2),
+        "IC2": lambda: up(u2, v2) + low(u1, v1) - low(u2, v1) - low(u1, v2),
+        "IC3": lambda: up(u2, v2) + up(u1, v1) - up(u2, v1) - low(u1, v2),
+        "IC4": lambda: up(u2, v2) + up(u1, v1) - low(u2, v1) - up(u1, v2),
+        "order": lambda: up(u2, v2) - low(u2, v2),
+    }[condition]()

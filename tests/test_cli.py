@@ -11,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,7 @@ from shockbox.pbox import PBox
 from shockbox.reports import Check
 from shockbox.shockmodel import Scenario, random_discrete_scenario, run_scenario
 
-from reference import reference_witness_value
+from reference import exact_search_witness_value, reference_witness_value
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 ALL_SCENARIOS = sorted(SCENARIOS.glob("*.json"))
@@ -376,7 +377,7 @@ def _refuse_to_run(*args, **kwargs):
 )
 def test_an_option_the_subcommand_does_not_read_exits_two(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.setattr(cli, "run_scenario", _refuse_to_run)
-    monkeypatch.setattr(cli, "random_discrete_scenario", _refuse_to_run)
+    monkeypatch.setattr(cli, "random_step_draws", _refuse_to_run)
     assert main(argv + ["--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("shockbox: unrecognized arguments: ") and err.count("\n") == 1
@@ -395,7 +396,7 @@ def test_an_option_the_subcommand_does_not_read_exits_two(tmp_path, capsys, monk
 )
 def test_oversized_grid_or_count_exits_two(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.setattr(cli, "run_scenario", _refuse_to_run)
-    monkeypatch.setattr(cli, "random_discrete_scenario", _refuse_to_run)
+    monkeypatch.setattr(cli, "random_step_draws", _refuse_to_run)
     assert main(argv + ["--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("shockbox: ") and err.count("\n") == 1
@@ -567,7 +568,7 @@ def test_an_unusable_out_exits_two_before_any_work(tmp_path, capsys, monkeypatch
         raise AssertionError("the command started its work")
 
     monkeypatch.setattr(cli, "run_scenario", no_work)
-    monkeypatch.setattr(cli, "random_discrete_scenario", no_work)
+    monkeypatch.setattr(cli, "random_step_draws", no_work)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
     args = ["--count", "3"] if command == "search" else ["--scenario", str(D1)]
     assert main([command, *args, "--out", str(out)]) == 2
@@ -682,7 +683,7 @@ def test_search_scans_the_pipelines_same_corner_pair(monkeypatch):
 
     monkeypatch.setattr(cli, "search_ic_violation", record)
     for i in range(20):
-        assert cli.search_scenario(42, i, grid=51, tol=1e-9) is None
+        assert cli.search_range(42, i, i + 1, grid=51, tol=1e-9) == []
         scenario = random_discrete_scenario([42, i], model="maxmin", grid=51)
         expected = run_scenario(scenario).family.same_corner
         pair = scanned.pop()
@@ -704,9 +705,10 @@ def test_every_finding_is_found_again_on_the_doubled_grid(monkeypatch):
     monkeypatch.setattr(cli, "search_ic_violation", record)
     findings = 0
     for index in range(100):
-        finding = cli.search_scenario(42, index, grid=51, tol=cli.DEFAULT_TOL)
-        if finding is None:
+        found = cli.search_range(42, index, index + 1, grid=51, tol=cli.DEFAULT_TOL)
+        if not found:
             continue
+        (finding,) = found
         findings += 1
         assert finding["reverified_doubled_grid"] is True
         rescan = scan(scanned[-1], n=101, tol=cli.DEFAULT_TOL)
@@ -716,21 +718,16 @@ def test_every_finding_is_found_again_on_the_doubled_grid(monkeypatch):
     assert findings >= 40
 
 
-def test_a_search_scenario_builds_at_most_nine_laws(monkeypatch):
-    # the five input laws and the four composites; each DistFn constructor
-    # ends in DistFn._from_arrays
-    built = []
-    from_arrays = DistFn._from_arrays.__func__
+def test_a_search_builds_no_distfn(tmp_path, monkeypatch):
+    # every DistFn constructor ends in DistFn._from_arrays; search builds
+    # its generators from the drawn integer arrays alone
+    def refuse(cls, *args):
+        raise AssertionError("search built a DistFn")
 
-    def counted(cls, *args):
-        built.append(cls)
-        return from_arrays(cls, *args)
-
-    monkeypatch.setattr(DistFn, "_from_arrays", classmethod(counted))
-    for index in range(100):
-        built.clear()
-        cli.search_scenario(42, index, grid=51, tol=cli.DEFAULT_TOL)
-        assert 0 < len(built) <= 9, (index, len(built))
+    monkeypatch.setattr(DistFn, "_from_arrays", classmethod(refuse))
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    assert main(["search", "--count", "100", "--grid", "21", "--out", str(tmp_path)]) == 0
+    assert read_json(tmp_path / "search_summary.json")["scenarios_with_violations"] > 0
 
 
 def test_a_findings_witnesses_reverify_from_one_grid_per_bound(monkeypatch):
@@ -757,10 +754,11 @@ def test_a_findings_witnesses_reverify_from_one_grid_per_bound(monkeypatch):
     tol = cli.DEFAULT_TOL
     witness_counts = set()
     for index in range(200):
-        finding = cli.search_scenario(42, index, grid=51, tol=tol)
+        found = cli.search_range(42, index, index + 1, grid=51, tol=tol)
         pair, witnesses = scanned.pop()
-        if finding is None:
+        if not found:
             continue
+        (finding,) = found
         witness_counts.add(len(witnesses))
         want = [verify_witness(pair, w, tol) for w in witnesses]
         assert want == [
@@ -775,6 +773,22 @@ def test_a_findings_witnesses_reverify_from_one_grid_per_bound(monkeypatch):
         assert records == [dataclasses.asdict(w) for w in witnesses] == finding["witnesses"]
         assert reverified is all(want) is finding["reverified_exact"]
     assert max(witness_counts) >= 3
+
+
+@pytest.mark.parametrize("seed", [42, 7, 2026])
+def test_every_search_witness_violates_in_exact_arithmetic(tmp_path, seed):
+    """Each witness of search --count 200 --grid 51 violates its condition
+    with the generators built in rationals from the drawn integers, and its
+    float value is within a few ulps of 1 of the exact one."""
+    args = ["search", "--count", "200", "--grid", "51", "--seed", str(seed)]
+    assert main(args + ["--out", str(tmp_path)]) == 0
+    findings = read_json(tmp_path / "search_summary.json")["findings"]
+    witnesses = [(f["scenario_index"], w) for f in findings for w in f["witnesses"]]
+    assert len(witnesses) > 500
+    for index, w in witnesses:
+        exact = exact_search_witness_value(seed, index, w["rectangle"], w["condition"])
+        assert exact < 0, (index, w)
+        assert abs(Fraction(w["value"]) - exact) <= 4 * 2.0**-52, (index, w)
 
 
 def test_search_is_deterministic_and_reverifies_findings(tmp_path):
@@ -808,7 +822,7 @@ def test_search_rejects_negative_count(tmp_path):
 
 
 def test_negative_seed_exits_two_before_any_scenario(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "random_discrete_scenario", _refuse_to_run)
+    monkeypatch.setattr(cli, "random_step_draws", _refuse_to_run)
     assert main(["search", "--count", "2", "--seed", "-1", "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == "shockbox: seed must be non-negative\n"
     assert list(tmp_path.iterdir()) == []
@@ -822,7 +836,7 @@ def test_negative_seed_exits_two_before_any_scenario(tmp_path, capsys, monkeypat
 )
 def test_non_finite_or_non_positive_tolerance_exits_two(tmp_path, capsys, monkeypatch, argv, tol):
     monkeypatch.setattr(cli, "run_scenario", _refuse_to_run)
-    monkeypatch.setattr(cli, "random_discrete_scenario", _refuse_to_run)
+    monkeypatch.setattr(cli, "random_step_draws", _refuse_to_run)
     assert main(argv + [f"--tol={tol}", "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == "shockbox: tolerance must be positive and finite\n"
     assert list(tmp_path.iterdir()) == []
@@ -831,6 +845,8 @@ def test_non_finite_or_non_positive_tolerance_exits_two(tmp_path, capsys, monkey
 @pytest.mark.parametrize("seed", [42, 7, 2026])
 def test_worker_processes_and_one_process_write_the_same_summary(tmp_path, monkeypatch, seed):
     args = ["search", "--count", "60", "--grid", "21", "--seed", str(seed)]
+    # ranges of 7, so each worker's findings come from several ranges
+    monkeypatch.setattr(cli, "SEARCH_RANGE", 7)
     # two workers even on a one-CPU machine, so the pool path always runs
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     assert main(args + ["--out", str(tmp_path / "pool")]) == 0
@@ -841,8 +857,23 @@ def test_worker_processes_and_one_process_write_the_same_summary(tmp_path, monke
     assert read_json(tmp_path / "pool" / "search_summary.json")["scenarios_with_violations"] > 0
 
 
+@pytest.mark.parametrize("seed", [42, 2026])
+def test_range_lengths_leave_the_summary_unchanged(tmp_path, monkeypatch, seed):
+    # lengths 1 and 7 and the default; 200 is not a multiple of 7 or of the
+    # default, so the last range is a partial one
+    args = ["search", "--count", "200", "--grid", "51", "--seed", str(seed)]
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    texts = []
+    for length in (1, 7, cli.SEARCH_RANGE):
+        monkeypatch.setattr(cli, "SEARCH_RANGE", length)
+        assert main(args + ["--out", str(tmp_path / str(length))]) == 0
+        texts.append((tmp_path / str(length) / "search_summary.json").read_bytes())
+    assert texts[0] == texts[1] == texts[2]
+    assert json.loads(texts[0])["scenarios_with_violations"] > 50
+
+
 def test_an_error_in_a_worker_exits_two_and_writes_nothing(tmp_path, capsys, monkeypatch):
-    real = cli.random_discrete_scenario
+    real = cli.random_step_draws
 
     def fail_at_index_17(seed, *args, **kwargs):
         if seed[1] == 17:
@@ -850,7 +881,8 @@ def test_an_error_in_a_worker_exits_two_and_writes_nothing(tmp_path, capsys, mon
         return real(seed, *args, **kwargs)
 
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(cli, "random_discrete_scenario", fail_at_index_17)
+    monkeypatch.setattr(cli, "SEARCH_RANGE", 7)
+    monkeypatch.setattr(cli, "random_step_draws", fail_at_index_17)
     assert main(["search", "--count", "40", "--grid", "21", "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == "shockbox: scenario 17 is malformed\n"
     assert list(tmp_path.iterdir()) == []

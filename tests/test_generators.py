@@ -41,6 +41,7 @@ from shockbox.generators import (
     check_order,
     from_composite,
     is_valid_generator,
+    lattice_generators,
 )
 from shockbox.pbox import PBox
 from shockbox.reports import Check
@@ -691,3 +692,56 @@ def test_dedupe_knots_matches_the_reference(raw):
         return
     got_us, got_ys = _dedupe_knots(us, ys)
     assert list(zip(got_us.tolist(), got_ys.tolist())) == want
+
+
+@given(
+    st.lists(
+        st.lists(
+            st.tuples(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.integers(0, 4).map(lambda i: i / 4)),
+            min_size=1,
+            max_size=6,
+        ),
+        min_size=1,
+        max_size=4,
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_dedupe_knots_of_rows_laid_end_to_end(rows):
+    # each row runs from a knot at 0 to one at 1; the rows laid end to end
+    # dedupe as each row on its own, the first clash raising
+    rows = [[(0.0, 0.0), *sorted(row, key=lambda k: k[0]), (1.0, 1.0)] for row in rows]
+    flat = [knot for row in rows for knot in row]
+    us, ys = np.array(flat).T
+    try:
+        want = [knot for row in rows for knot in reference_dedupe_knots(row)]
+    except InvalidParameterError as exc:
+        with pytest.raises(InvalidParameterError) as got:
+            _dedupe_knots(us, ys)
+        assert str(got.value) == str(exc)
+        return
+    got_us, got_ys = _dedupe_knots(us, ys)
+    assert list(zip(got_us.tolist(), got_ys.tolist())) == want
+
+
+def lattice_row(*levels):
+    return np.array([levels])
+
+
+def test_lattice_generators_check_the_lattice():
+    proper = lattice_row(0, 32, 64)
+    # a composite short of 4096 raises as from_composite does
+    half = lattice_row(0, 16, 32)
+    for chi, message in ((False, "max-type CDF has total mass 0.25"), (True, "min-type CDF has total mass 0.75")):
+        with pytest.raises(NonProperInputError, match=f"the composite {message} < 1"):
+            lattice_generators(half, half, np.array([chi]))
+    # falling composite levels
+    with pytest.raises(InvalidParameterError, match="non-decreasing"):
+        lattice_generators(lattice_row(0, 48, 32, 64), lattice_row(0, 64, 64, 64), np.array([False]))
+    # F*Z flat at 2/4096 while F rises from 1 to 2: two values at one interior knot
+    with pytest.raises(InvalidParameterError, match="inconsistent generator value at interior knot"):
+        lattice_generators(lattice_row(0, 1, 2, 64), lattice_row(0, 2, 1, 64), np.array([False]))
+    # a row of each kind, laid end to end
+    phi, chi = lattice_generators(np.vstack((proper, proper)), np.vstack((proper, proper)), np.array([False, True]))
+    f = step_cdf([(1.0, 0.5), (2.0, 0.5)])
+    assert (phi.kind, phi.knots) == ("phi", build_phi(f, f).knots)
+    assert (chi.kind, chi.knots) == ("chi", build_chi(f, f).knots)

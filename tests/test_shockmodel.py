@@ -25,7 +25,7 @@ from shockbox.errors import (
     MassSumError,
     NonProperInputError,
 )
-from shockbox.generators import Generator
+from shockbox.generators import Generator, build_chi, build_phi
 from shockbox.distfn import locate, locate_many
 from shockbox.imprecise import check_bivariate_pbox_conditions
 from shockbox.pbox import PBox
@@ -36,7 +36,9 @@ from shockbox.shockmodel import (
     compare_oracle,
     oracle_joint,
     random_discrete_scenario,
+    random_step_draws,
     run_scenario,
+    search_generators,
 )
 
 from reference import scalar_random_discrete_scenario, table_at, triple
@@ -470,6 +472,26 @@ def test_random_scenarios_are_the_scalar_reference_laws(seed):
         assert got == want, (seed, index, cap)
         for f, g in zip(scenario_laws(got), scenario_laws(want)):
             assert f == g and repr(f) == repr(g), (seed, index, cap)
+
+
+def bits(g: Generator) -> tuple:
+    return g.kind, g._us.tobytes(), g._ys.tobytes()
+
+
+@pytest.mark.parametrize("seed", [42, 7, 2026, 1])
+def test_search_generators_are_the_distfn_builds_bit_for_bit(seed):
+    # 500 scenarios of each seed, 2,000 (seed, index) pairs and 8,000
+    # generators in all, against build_phi and build_chi on the laws of
+    # random_discrete_scenario; the stack is split in ranges of 1 to 300
+    draws = np.array([random_step_draws([seed, index]) for index in range(500)])
+    got = []
+    for start, stop in [(0, 1), (1, 8), (8, 200), (200, 500)]:
+        got += search_generators(draws[start:stop])
+    for index, generators in enumerate(got):
+        s = random_discrete_scenario([seed, index])
+        x, y, z = s.x_pbox, s.y_pbox, s.z
+        want = build_phi(x.lower, z), build_phi(x.upper, z), build_chi(y.lower, z), build_chi(y.upper, z)
+        assert list(map(bits, generators)) == list(map(bits, want)), (seed, index)
 
 
 def test_random_scenarios_verify_for_both_models():
