@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import os
@@ -46,10 +45,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .copulas import copula_grid
+from .copulas import copula_grid, copula_values
 from .distfn import DistFn, law_from_json
 from .errors import ConfigError, ShockboxError
-from .imprecise import CopulaFamily, search_ic_violation, witness_records
+from .imprecise import CopulaFamily, search_stack_violations, witness_records
 from .pbox import PBox
 from .shockmodel import (
     MAX_GRID,
@@ -69,13 +68,19 @@ DEFAULT_TOL = 1e-9
 DEFAULT_SEED = 42
 DEFAULT_SEARCH_COUNT = 1000
 DEFAULT_SEARCH_GRID = 51
-# search keeps every finding (about 1.3 KB of JSON each) until it writes the
-# summary. On a 2-core VM it scans about 1,200 scenarios a second in one
-# process at the default grid and 2,100 on both CPUs; --count 100000 took
-# 43 s with a 750 MB peak RSS, most of it the findings and their JSON
+# search writes each range's findings (about 1.3 KB of JSON each) as the
+# range finishes, so its memory does not grow with the count: on a 2-core VM
+# --count 100000 --grid 51 took 27 s, with a peak RSS of 32 MB in the parent
+# and 36 MB in each worker, and wrote a summary of 74 MB
 MAX_SEARCH_COUNT = 100_000
 # scenarios per range of a search, whose arrays take a few hundred KB whatever the count
 SEARCH_RANGE = 64
+# grid cells of a stack of a range's copula grids: 16 pairs at the default
+# grid, one pair from grid 145 on. On a 2-core VM a one-process search
+# --count 1000 took 0.41-0.45 s with stacks of 16 pairs, against 0.49-0.51 s
+# with stacks of 64 and a 5 MB higher peak RSS: the certificate passes over
+# each stack several times, and a stack of 16 (330 KB a grid) stays in cache
+SEARCH_STACK_CELLS = 16 * DEFAULT_SEARCH_GRID**2
 
 
 @dataclass(frozen=True)
@@ -177,8 +182,12 @@ def _write_atomic(path: Path, text) -> None:
         raise
 
 
+# spaces per nesting level of every JSON file written
+JSON_INDENT = 2
+
+
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return json.dumps(obj, indent=JSON_INDENT, sort_keys=True) + "\n"
 
 
 # rows per slab of a written CSV table: the text of one slab of a four-column
@@ -267,23 +276,101 @@ def search_range(seed: int, start: int, stop: int, grid: int, tol: float) -> lis
     """The findings of search scenarios start, ..., stop - 1 of ``seed``, in
     index order. Scenario ``index`` is seeded by ``[seed, index]`` and shares
     no state with any other, so ranges can run in any order and in any
-    process; a range's generators are built together (``search_generators``).
+    process; a range's generators are built together (``search_generators``)
+    and its same-corner pairs are checked as stacks of grids
+    (``search_stack_violations``) of at most SEARCH_STACK_CELLS cells.
     """
     draws = np.array([random_step_draws([seed, index]) for index in range(start, stop)])
+    generators = search_generators(draws)
+    us = np.linspace(0.0, 1.0, grid)
+    # per scenario (low_phi, up_phi, low_chi, up_chi) at us
+    values = np.array([[g.eval_many(us) for g in gens] for gens in generators])
+    stack = max(1, SEARCH_STACK_CELLS // grid**2)
     findings = []
-    for index, generators in zip(range(start, stop), search_generators(draws)):
-        pair = CopulaFamily("maxmin", *generators).same_corner
-        witnesses = search_ic_violation(pair, n=grid, tol=tol)
-        if witnesses:
+    for first in range(0, len(values), stack):
+        # (low, up) of the same-corner pairs, shape (2, scenarios, grid, grid)
+        part = values[first : first + stack].swapaxes(0, 1)
+        low, up = copula_values("maxmin", us, part[0:2], us, part[2:4])
+        for k, witnesses in search_stack_violations(low, up, us, tol):
+            pair = CopulaFamily("maxmin", *generators[first + k]).same_corner
             records, reverified = witness_records(pair, witnesses, tol)
             findings.append({
-                "scenario_index": index,
+                "scenario_index": start + first + k,
                 "witnesses": records,
                 "reverified_exact": reverified,
                 # true for every finding, so no rescan is run (see cmd_search)
                 "reverified_doubled_grid": True,
             })
     return findings
+
+
+def _encoded_findings(findings: list[dict]) -> tuple[str, int, dict]:
+    """A range's findings as ``_SearchSummary`` takes them: their items in
+    the summary's text, their number, and their witnesses' number per
+    condition. The items are as _json_text writes those of a list that is
+    a value of the summary dict: each on new lines at the indent of the
+    list's items, with commas between them."""
+    pad = "\n" + " " * (2 * JSON_INDENT)
+    text = ",".join(
+        pad + json.dumps(finding, indent=JSON_INDENT, sort_keys=True).replace("\n", pad)
+        for finding in findings
+    )
+    by_condition: dict[str, int] = {}
+    for finding in findings:
+        for w in finding["witnesses"]:
+            by_condition[w["condition"]] = by_condition.get(w["condition"], 0) + 1
+    return text, len(findings), by_condition
+
+
+def _encoded_range(seed: int, span: tuple[int, int], grid: int, tol: float):
+    """``search_range`` of the scenarios span = (start, stop), encoded in
+    the worker that ran it (``_encoded_findings``)."""
+    return _encoded_findings(search_range(seed, *span, grid=grid, tol=tol))
+
+
+class _SearchSummary:
+    """The text of search_summary.json, produced as the ranges' encoded
+    findings (``_encoded_findings``) arrive, in index order.
+
+    It is the _json_text of the summary dict: ``fields``, the findings of
+    every range, ``scenarios_with_violations`` and
+    ``violations_by_condition``. _json_text sorts the keys, and "findings"
+    sorts after "command", the one key before it, and before the two counts,
+    so the text up to the findings' items is known at the start and the text
+    after them once the last range is in. Iterating yields that head, each
+    range's items and the tail; ``len`` is the number of characters yielded
+    so far, the whole text's once iterated.
+    """
+
+    def __init__(self, fields: dict, ranges) -> None:
+        self._fields, self._ranges, self._size = fields, ranges, 0
+
+    def _around_findings(self, found: int, by_condition: dict) -> tuple[str, str]:
+        """The summary's text before and after its findings' items."""
+        counts = {"scenarios_with_violations": found, "violations_by_condition": by_condition}
+        text = _json_text({**self._fields, **counts, "findings": []})
+        cut = text.index('"findings": [') + len('"findings": [')
+        # a list with items closes on a line of its own
+        close = "\n" + " " * JSON_INDENT if found else ""
+        return text[:cut], close + text[cut:]
+
+    def _pieces(self):
+        yield self._around_findings(0, {})[0]
+        found, by_condition = 0, {}
+        for text, count, conditions in self._ranges:
+            yield ("," if found and count else "") + text
+            found += count
+            for name, n in conditions.items():
+                by_condition[name] = by_condition.get(name, 0) + n
+        yield self._around_findings(found, by_condition)[1]
+
+    def __iter__(self):
+        for piece in self._pieces():
+            self._size += len(piece)
+            yield piece
+
+    def __len__(self) -> int:
+        return self._size
 
 
 def _usable_cpus() -> int:
@@ -318,34 +405,29 @@ def cmd_search(cfg: RunConfig) -> int:
     condition is therefore at most the witness's value (a test runs it on
     the findings of one search).
 
-    The indices 0, ..., count - 1 are cut into ranges of SEARCH_RANGE
-    (``search_range``), which run on forked worker processes, one per usable
-    CPU, or, with one usable CPU, one range or no fork start method, one
-    after another in this process. Either way the findings are merged in
-    index order, so the summary is the same bytes. An error in any scenario
-    ends the search before anything is written.
+    The indices 0, ..., count - 1 are cut into ranges of SEARCH_RANGE, which
+    run on forked worker processes, one per usable CPU, or, with one usable
+    CPU, one range or no fork start method, one after another in this
+    process. A range checks its scenarios as stacks of grids: one
+    certificate for the stack, then a scan of each pair it does not pass,
+    which on the pinned seeds is each pair with an order violation
+    (``search_range``). It returns its findings already encoded as the
+    summary's JSON text (``_encoded_range``), so the workers, not this
+    process, run the indenting encoder. This process takes the ranges in
+    index order as they finish and streams them into the summary's
+    temporary file (``_SearchSummary``), so it holds the text of a range or
+    a few, not every finding, and the summary is the same bytes however the
+    ranges ran. An error in any scenario ends the search and removes the
+    temporary file, so nothing is written.
     """
     import multiprocessing
 
     _make_output_dir(cfg.out)
     grid = cfg.grid if cfg.grid is not None else DEFAULT_SEARCH_GRID
-    scan = functools.partial(search_range, cfg.seed, grid=grid, tol=cfg.tol)
-    ranges = [(i, min(i + SEARCH_RANGE, cfg.count)) for i in range(0, cfg.count, SEARCH_RANGE)]
-    workers = min(_usable_cpus(), len(ranges))
-    # fork, not spawn: a worker starts from this process's memory instead of
-    # importing numpy and shockbox again. The scan makes no BLAS call, so a
-    # BLAS thread pool running at fork time is never used in a worker.
-    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            results = pool.starmap(scan, ranges, chunksize=1)
-    else:
-        results = list(itertools.starmap(scan, ranges))
-    findings = [finding for found in results for finding in found]
-    by_condition: dict[str, int] = {}
-    for finding in findings:
-        for w in finding["witnesses"]:
-            by_condition[w["condition"]] = by_condition.get(w["condition"], 0) + 1
-    summary = {
+    scan = functools.partial(_encoded_range, cfg.seed, grid=grid, tol=cfg.tol)
+    spans = [(i, min(i + SEARCH_RANGE, cfg.count)) for i in range(0, cfg.count, SEARCH_RANGE)]
+    workers = min(_usable_cpus(), len(spans))
+    fields = {
         "command": "search",
         "model": "maxmin",
         "pair": "same-corner",
@@ -353,11 +435,16 @@ def cmd_search(cfg: RunConfig) -> int:
         "grid": grid,
         "tol": cfg.tol,
         "seed": cfg.seed,
-        "scenarios_with_violations": len(findings),
-        "violations_by_condition": by_condition,
-        "findings": findings,
     }
-    _write_atomic(cfg.out / "search_summary.json", _json_text(summary))
+    path = cfg.out / "search_summary.json"
+    # fork, not spawn: a worker starts from this process's memory instead of
+    # importing numpy and shockbox again. The scan makes no BLAS call, so a
+    # BLAS thread pool running at fork time is never used in a worker.
+    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
+            _write_atomic(path, _SearchSummary(fields, pool.imap(scan, spans, chunksize=1)))
+    else:
+        _write_atomic(path, _SearchSummary(fields, map(scan, spans)))
     return 0
 
 

@@ -71,20 +71,33 @@ class MaxminCopula:
 CopulaSpec = Union[MarshallCopula, MaxminCopula]
 
 
+def copula_values(model: str, us, first, vs, second) -> np.ndarray:
+    """The model's copula on us x vs from its generators' values, first at
+    us and second at vs: rows indexed by us, columns by vs. Every argument
+    may carry leading axes, which broadcast, so one call gives a stack of
+    grids. Each value is the same float as in a grid of one pair: a product
+    of a row factor and a column factor is one rounding, as in np.outer.
+    The stack-sized results are computed in place; a float sum is the same
+    in either order."""
+    u, v = us[..., :, None], vs[..., None, :]
+    f, s = first[..., :, None], second[..., None, :]
+    if model == "marshall":
+        out = f * v
+        return np.minimum(out, u * s, out=out)
+    out = (f - u) * (v - s)
+    np.minimum(u * (1.0 - v), out, out=out)
+    out += u * v
+    return out
+
+
 def copula_grid(c, us, vs) -> np.ndarray:
     """Matrix of copula values, rows indexed by us and columns by vs."""
     us = np.asarray(us, dtype=float)
     vs = np.asarray(vs, dtype=float)
     if isinstance(c, MarshallCopula):
-        return np.minimum(
-            np.outer(c.phi.eval_many(us), vs), np.outer(us, c.psi.eval_many(vs))
-        )
+        return copula_values("marshall", us, c.phi.eval_many(us), vs, c.psi.eval_many(vs))
     if isinstance(c, MaxminCopula):
-        phi = c.phi.eval_many(us)
-        chi = c.chi.eval_many(vs)
-        return np.outer(us, vs) + np.minimum(
-            np.outer(us, 1.0 - vs), np.outer(phi - us, vs - chi)
-        )
+        return copula_values("maxmin", us, c.phi.eval_many(us), vs, c.chi.eval_many(vs))
     raise InvalidParameterError(f"not a copula specification: {type(c).__name__}")
 
 

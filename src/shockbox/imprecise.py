@@ -70,6 +70,22 @@ copula pair the gap is 0 on the column v = 0, so M <= 0 and every row is
 in S: the pair is certified when s <= tol, and otherwise every row pair
 is evaluated.
 
+The certificate and S only choose the work; the witnesses of the failing
+conditions do not depend on the slack, as long as it is at least the
+bound above. A pair certified by such a slack has no condition value
+below -tol, so a scan of it would report no failure either. A pair that
+is scanned gets, for any such slack, an S that holds the corner row of
+every worst rectangle, and the scan returns the first worst rectangle in
+row-major order among the row pairs through S, which is the first of all
+row pairs; a larger slack adds rows, not witnesses. ``_split`` takes
+grids of shape (..., n, m), one pair per leading index (a pair of (n, m)
+grids is a stack of one), so its sums over a stack may round otherwise
+than over each pair alone without changing a witness, and without
+changing ``search_summary.json``, which records only failures. Only the
+value a certified check reports, M - s, shows the slack's bits; the
+stack's sums are those of each pair alone (a test compares them bit for
+bit), so a pipeline report is unchanged too.
+
 The same four inequality shapes are necessary conditions for a pair of
 standardized bivariate distribution functions to be a coherent bivariate
 p-box; ``check_bivariate_pbox_conditions`` applies them on a real-plane grid
@@ -174,43 +190,58 @@ _Scan = dict[str, tuple[float, tuple[int, int, int, int]]]
 
 @dataclass(frozen=True)
 class _Split:
-    """The volume-plus-gap split's bounds on a pair of grids (the module
-    docstring): each row's smallest fl(up - low), their smallest M, and the
-    slack s."""
+    """The volume-plus-gap split's bounds on a stack of pairs of grids (the
+    module docstring): each row's smallest fl(up - low), their smallest M,
+    and the slack s, per pair. A pair of (n, m) grids is a stack of one,
+    whose M and s are numpy scalars."""
 
     gaps: np.ndarray
-    floor: float
-    slack: float
+    floor: np.ndarray
+    slack: np.ndarray
+
+    def __getitem__(self, k) -> "_Split":
+        """The split of pair k of the stack."""
+        return _Split(self.gaps[k], self.floor[k], self.slack[k])
 
     @property
-    def bound(self) -> float:
+    def bound(self) -> np.ndarray:
         """M - s rounded down: the real M - s is at least the float below
         fl(M - s). No rectangle's condition value is below it."""
-        return float(np.nextafter(self.floor - self.slack, -math.inf))
+        return np.nextafter(self.floor - self.slack, -math.inf)
 
 
 def _split(low: np.ndarray, up: np.ndarray) -> _Split:
-    gaps = np.min(up - low, axis=1)
-    return _Split(gaps, float(np.min(gaps)), _split_slack(low, up))
+    """The split of grids of shape (..., n, m); each of the leading indices
+    names one pair, whose values are those of that pair alone."""
+    gaps = np.min(up - low, axis=-1)
+    return _Split(gaps, np.min(gaps, axis=-1), _split_slack(low, up))
 
 
-def _split_slack(low: np.ndarray, up: np.ndarray) -> float:
-    """The slack s of the module docstring, rounded up: no rectangle's
-    condition value lies below fl(gap) at its corner minus s. inf when a
-    grid value is not finite."""
+def _split_slack(low: np.ndarray, up: np.ndarray) -> np.ndarray:
+    """The slack s of the module docstring, rounded up, per pair: no
+    rectangle's condition value lies below fl(gap) at its corner minus s.
+    inf for a pair with a grid value that is not finite."""
+    cells_of = (-2, -1)
     # np.maximum, unlike max(), passes a nan on
-    scale = float(np.maximum(np.max(np.abs(low)), np.max(np.abs(up))))
-    if not math.isfinite(scale):
-        return math.inf
+    scale = np.maximum(np.max(np.abs(low), axis=cells_of), np.max(np.abs(up), axis=cells_of))
+    finite = np.isfinite(scale)
+    if not finite.all():
+        # the sums below would meet inf - inf; only the finite pairs need them
+        low, up = (np.where(finite[..., None, None], grid, 0.0) for grid in (low, up))
     negative = magnitudes = 0.0
     for grid in (low, up):
-        rows = grid[1:] - grid[:-1]
-        cells = rows[:, 1:] - rows[:, :-1]
-        negative -= float(np.sum(np.minimum(cells, 0.0)))
-        magnitudes += float(np.sum(np.abs(cells))) + 2 * float(np.sum(np.abs(rows)))
-    rounding = _UNIT_ROUNDOFF * (magnitudes + 11 * max(scale, _MIN_SCALE))
+        rows = grid[..., 1:, :] - grid[..., :-1, :]
+        cells = rows[..., 1:] - rows[..., :-1]
+        negative = negative - np.sum(np.minimum(cells, 0.0), axis=cells_of)
+        # in place: a stack's differences are its largest arrays
+        cells, rows = np.abs(cells, out=cells), np.abs(rows, out=rows)
+        magnitudes = magnitudes + (
+            np.sum(cells, axis=cells_of) + 2 * np.sum(rows, axis=cells_of)
+        )
+    rounding = _UNIT_ROUNDOFF * (magnitudes + 11 * np.maximum(scale, _MIN_SCALE))
     # the sums above are off by far less than a relative 2^-20
-    return (negative + rounding) * (1.0 + 2.0**-20)
+    # [()] makes the slack of a stack of one a numpy scalar, as M is
+    return np.where(finite, (negative + rounding) * (1.0 + 2.0**-20), math.inf)[()]
 
 
 def _candidate_rows(split: _Split) -> np.ndarray:
@@ -221,9 +252,10 @@ def _candidate_rows(split: _Split) -> np.ndarray:
     return np.flatnonzero(split.gaps <= np.nextafter(split.floor + split.slack, math.inf))
 
 
-def _certified(split: _Split, tol: float) -> bool:
-    """Whether M - s >= -tol (the module docstring): then no rectangle's
-    condition value, and no point's order, is below -tol on the grids."""
+def _certified(split: _Split, tol: float) -> np.ndarray:
+    """Whether M - s >= -tol (the module docstring), per pair: then no
+    rectangle's condition value, and no point's order, is below -tol on its
+    grids."""
     return split.bound >= -tol
 
 
@@ -296,8 +328,9 @@ def _ic_scan(low: np.ndarray, up: np.ndarray, split: _Split) -> _Scan:
     return _pruned_scan(low, up, _candidate_rows(split))
 
 
-def _ic_checks(low: np.ndarray, up: np.ndarray, tol: float, witness) -> list[Check]:
-    """The order and the four mixed-inequality checks on a pair of grids.
+def _ic_checks(low: np.ndarray, up: np.ndarray, split: _Split, tol: float, witness) -> list[Check]:
+    """The order and the four mixed-inequality checks on a pair of grids,
+    with ``split`` their ``_split``.
 
     The order is up - low at its first minimum (i, j) in row-major order, a
     nan first, as np.argmin finds it: in the first row whose minimum, its
@@ -311,33 +344,35 @@ def _ic_checks(low: np.ndarray, up: np.ndarray, tol: float, witness) -> list[Che
     worst rectangle. Either way the value is at most M, the smallest
     fl(up - low), which is the order's value.
     """
-    split = _split(low, up)
     i = int(np.argmin(split.gaps))
     j = int(np.argmin(up[i] - low[i]))
     value = float(up[i, j] - low[i, j])
     where = witness("order", value, (i, i, j, j))
     order = Check("order", value >= -tol, value=value, witness=where)
     if _certified(split, tol):
-        return [order] + [Check(name, True, value=split.bound) for name in _SPLITS]
+        return [order] + [Check(name, True, value=float(split.bound)) for name in _SPLITS]
     return [order] + [
         Check(name, value >= -tol, value=value, witness=witness(name, value, corners))
         for name, (value, corners) in _ic_scan(low, up, split).items()
     ]
 
 
-def _unit_checks(pair: CopulaPair, n: int, tol: float) -> tuple[np.ndarray, tuple, list[Check]]:
-    """The grids of the pair's bounds on the n x n unit grid, and their
-    rectangle checks (``_ic_checks``) with ``ViolationWitness`` records."""
+def _unit_grids(pair: CopulaPair, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The n x n unit grid's points us, and the pair's bounds' grids on it."""
     if n < 2:
         raise InvalidParameterError("grid needs at least two points per axis")
     us = np.linspace(0.0, 1.0, n)
-    low, up = copula_grid(pair.low, us, us), copula_grid(pair.up, us, us)
+    return us, copula_grid(pair.low, us, us), copula_grid(pair.up, us, us)
+
+
+def _unit_witness(us: np.ndarray):
+    """The witness maker of ``_ic_checks`` on grids over us x us."""
 
     def witness(name: str, value: float, corners) -> ViolationWitness:
         # (i1, i2, j1, j2) are the rectangle's (u1, u2, v1, v2)
         return ViolationWitness(Rect(*(float(us[k]) for k in corners)), name, value)
 
-    return us, (low, up), _ic_checks(low, up, tol, witness)
+    return witness
 
 
 def check_imprecise_copula(pair: CopulaPair, n: int = 101, tol: float = EXACT_TOL) -> list[Check]:
@@ -354,13 +389,13 @@ def check_imprecise_copula(pair: CopulaPair, n: int = 101, tol: float = EXACT_TO
     least -tol, the inequalities pass without a scan: each carries M - s as
     its value and no witness (the module docstring).
     """
-    us, grids, checks = _unit_checks(pair, n, tol)
+    us, low, up = _unit_grids(pair, n)
     bounds = [
         replace(c, name=f"{label}:{c.name}")
-        for label, grid in zip(("low", "up"), grids)
+        for label, grid in (("low", low), ("up", up))
         for c in check_boundary_conditions(grid, us, tol)
     ]
-    return bounds + checks
+    return bounds + _ic_checks(low, up, _split(low, up), tol, _unit_witness(us))
 
 
 def search_ic_violation(pair: CopulaPair, n: int = 51, tol: float = EXACT_TOL) -> list[ViolationWitness]:
@@ -373,9 +408,35 @@ def search_ic_violation(pair: CopulaPair, n: int = 51, tol: float = EXACT_TOL) -
 
     The witnesses are those of ``check_imprecise_copula`` on the same
     grids, so a pair with M - s >= -tol (the module docstring) passes
-    without a scan.
+    without a scan. The pair is checked as a stack of one
+    (``search_stack_violations``).
     """
-    return [c.witness for c in _unit_checks(pair, n, tol)[2] if not c.passed]
+    us, low, up = _unit_grids(pair, n)
+    found = search_stack_violations(low[None], up[None], us, tol)
+    return found[0][1] if found else []
+
+
+def search_stack_violations(
+    low: np.ndarray, up: np.ndarray, us: np.ndarray, tol: float = EXACT_TOL
+) -> list[tuple[int, list[ViolationWitness]]]:
+    """``search_ic_violation`` of each pair of a stack of grids on us x us.
+
+    low[k] and up[k] are the bounds' grids of pair k; the result holds
+    (k, witnesses) for each pair with a witness, in stack order. One
+    ``_split`` of the whole stack gives each pair its own gaps, M and s, the
+    floats of its split alone. A pair with M - s >= -tol has no witness and
+    is done without a ``Check``; only the others go on to ``_ic_checks``,
+    with their entry of the split, and are scanned there.
+    """
+    split = _split(low, up)
+    witness = _unit_witness(us)
+    found = []
+    for k in np.flatnonzero(~_certified(split, tol)).tolist():
+        checks = _ic_checks(low[k], up[k], split[k], tol, witness)
+        witnesses = [c.witness for c in checks if not c.passed]
+        if witnesses:
+            found.append((k, witnesses))
+    return found
 
 
 def verify_witness(pair: CopulaPair, witness: ViolationWitness, tol: float = EXACT_TOL) -> bool:
@@ -493,8 +554,8 @@ def check_bivariate_pbox_conditions(
         x1, x2, y1, y2 = xs[rows[i1]], xs[rows[i2]], ys[cols[j1]], ys[cols[j2]]
         return ((float(x1), float(x2)), (float(y1), float(y2)))
 
-    cells = np.ix_(rows, cols)
-    return checks + _ic_checks(low[cells], up[cells], tol, witness)
+    low, up = low[np.ix_(rows, cols)], up[np.ix_(rows, cols)]
+    return checks + _ic_checks(low, up, _split(low, up), tol, witness)
 
 
 @dataclass(frozen=True)

@@ -22,12 +22,25 @@ from hypothesis import strategies as st
 import shockbox.cli as cli
 from shockbox import imprecise
 from shockbox.cli import load_scenario, main
+from shockbox.copulas import copula_grid
 from shockbox.distfn import DistFn, step_cdf
 from shockbox.errors import ConfigError, InvalidParameterError, NonProperInputError
-from shockbox.imprecise import verify_witness, verify_witnesses, witness_records
+from shockbox.imprecise import (
+    CopulaFamily,
+    search_ic_violation,
+    verify_witness,
+    verify_witnesses,
+    witness_records,
+)
 from shockbox.pbox import PBox
 from shockbox.reports import Check
-from shockbox.shockmodel import Scenario, random_discrete_scenario, run_scenario
+from shockbox.shockmodel import (
+    Scenario,
+    random_discrete_scenario,
+    random_step_draws,
+    run_scenario,
+    search_generators,
+)
 
 from reference import exact_search_witness_value, reference_witness_value
 
@@ -674,48 +687,69 @@ def test_full_search_summaries_match_the_recorded_digests(tmp_path, seed):
     assert hashlib.sha256(text).hexdigest() == digest
 
 
-def test_search_scans_the_pipelines_same_corner_pair(monkeypatch):
-    scanned = []
+def search_pair(seed: int, index: int):
+    """The same-corner pair of search scenario index of seed, from its own
+    draws."""
+    generators = search_generators(np.array([random_step_draws([seed, index])]))[0]
+    return CopulaFamily("maxmin", *generators).same_corner
 
-    def record(pair, **kwargs):
-        scanned.append(pair)
+
+def test_search_scans_the_pipelines_same_corner_pair(monkeypatch):
+    # the stack of grids search checks holds, bit for bit, the grids of the
+    # pipeline's same-corner pair of each scenario
+    stacks = []
+
+    def record(low, up, us, tol):
+        stacks.append((low, up, us))
         return []
 
-    monkeypatch.setattr(cli, "search_ic_violation", record)
+    monkeypatch.setattr(cli, "search_stack_violations", record)
+    assert cli.search_range(42, 0, 20, grid=51, tol=1e-9) == []
+    low, up = (np.concatenate([stack[i] for stack in stacks]) for i in (0, 1))
+    us = stacks[0][2]
+    assert low.shape == up.shape == (20, 51, 51)
+    assert us.tobytes() == np.linspace(0.0, 1.0, 51).tobytes()
     for i in range(20):
-        assert cli.search_range(42, i, i + 1, grid=51, tol=1e-9) == []
         scenario = random_discrete_scenario([42, i], model="maxmin", grid=51)
         expected = run_scenario(scenario).family.same_corner
-        pair = scanned.pop()
-        assert (pair.low.phi, pair.low.chi) == (expected.low.phi, expected.low.chi)
-        assert (pair.up.phi, pair.up.chi) == (expected.up.phi, expected.up.chi)
+        assert low[i].tobytes() == copula_grid(expected.low, us, us).tobytes(), i
+        assert up[i].tobytes() == copula_grid(expected.up, us, us).tobytes(), i
 
 
-def test_every_finding_is_found_again_on_the_doubled_grid(monkeypatch):
+@pytest.mark.parametrize("grid, count, stacks", [(51, 64, [16] * 4), (101, 42, [4] * 10 + [2])])
+def test_a_range_is_checked_in_stacks_of_bounded_size(monkeypatch, grid, count, stacks):
+    # no stack holds more than SEARCH_STACK_CELLS cells, and the stacks'
+    # findings are those of one scenario at a time
+    sizes = []
+    real = cli.search_stack_violations
+
+    def record(low, up, us, tol):
+        sizes.append(len(low))
+        return real(low, up, us, tol)
+
+    monkeypatch.setattr(cli, "search_stack_violations", record)
+    found = cli.search_range(7, 0, count, grid=grid, tol=cli.DEFAULT_TOL)
+    assert sizes == stacks
+    assert max(sizes) * grid**2 <= cli.SEARCH_STACK_CELLS
+    monkeypatch.setattr(cli, "search_stack_violations", real)
+    alone = [cli.search_range(7, i, i + 1, grid=grid, tol=cli.DEFAULT_TOL) for i in range(count)]
+    assert found == [f for one in alone for f in one]
+    assert len(found) > 10
+
+
+def test_every_finding_is_found_again_on_the_doubled_grid():
     """search writes reverified_doubled_grid as true without a rescan; the
     rescan on 2n - 1 points finds each witness's condition again, at a
     value no larger, on every finding of a 100-scenario search."""
-    scan = cli.search_ic_violation
-    scanned = []
-
-    def record(pair, **kwargs):
-        scanned.append(pair)
-        return scan(pair, **kwargs)
-
-    monkeypatch.setattr(cli, "search_ic_violation", record)
-    findings = 0
-    for index in range(100):
-        found = cli.search_range(42, index, index + 1, grid=51, tol=cli.DEFAULT_TOL)
-        if not found:
-            continue
-        (finding,) = found
-        findings += 1
+    findings = cli.search_range(42, 0, 100, grid=51, tol=cli.DEFAULT_TOL)
+    for finding in findings:
         assert finding["reverified_doubled_grid"] is True
-        rescan = scan(scanned[-1], n=101, tol=cli.DEFAULT_TOL)
+        pair = search_pair(42, finding["scenario_index"])
+        rescan = search_ic_violation(pair, n=101, tol=cli.DEFAULT_TOL)
         doubled = {w.condition: w.value for w in rescan}
         for w in finding["witnesses"]:
-            assert doubled[w["condition"]] <= w["value"], (index, w)
-    assert findings >= 40
+            assert doubled[w["condition"]] <= w["value"], (finding["scenario_index"], w)
+    assert len(findings) >= 40
 
 
 def test_a_search_builds_no_distfn(tmp_path, monkeypatch):
@@ -731,19 +765,12 @@ def test_a_search_builds_no_distfn(tmp_path, monkeypatch):
 
 
 def test_a_findings_witnesses_reverify_from_one_grid_per_bound(monkeypatch):
-    """On every finding of search --seed 42 --count 200: its records are
-    dataclasses.asdict of its witnesses, the batched re-verification takes
-    two copula_grid calls whatever the witness count, and its verdicts are
+    """On every finding of search --seed 42 --count 200: its witnesses are
+    those of search_ic_violation on its pair alone, its records are
+    dataclasses.asdict of them, the batched re-verification takes two
+    copula_grid calls whatever the witness count, and its verdicts are
     those of verify_witness and of the written-out conditions on each
     witness's own grid."""
-    scan = cli.search_ic_violation
-    scanned = []
-
-    def record(pair, **kwargs):
-        scanned.append((pair, scan(pair, **kwargs)))
-        return scanned[-1][1]
-
-    monkeypatch.setattr(cli, "search_ic_violation", record)
     grid_calls = []
     real_grid = imprecise.copula_grid
 
@@ -753,12 +780,9 @@ def test_a_findings_witnesses_reverify_from_one_grid_per_bound(monkeypatch):
 
     tol = cli.DEFAULT_TOL
     witness_counts = set()
-    for index in range(200):
-        found = cli.search_range(42, index, index + 1, grid=51, tol=tol)
-        pair, witnesses = scanned.pop()
-        if not found:
-            continue
-        (finding,) = found
+    for finding in cli.search_range(42, 0, 200, grid=51, tol=tol):
+        pair = search_pair(42, finding["scenario_index"])
+        witnesses = search_ic_violation(pair, n=51, tol=tol)
         witness_counts.add(len(witnesses))
         want = [verify_witness(pair, w, tol) for w in witnesses]
         assert want == [
@@ -773,6 +797,34 @@ def test_a_findings_witnesses_reverify_from_one_grid_per_bound(monkeypatch):
         assert records == [dataclasses.asdict(w) for w in witnesses] == finding["witnesses"]
         assert reverified is all(want) is finding["reverified_exact"]
     assert max(witness_counts) >= 3
+
+
+def test_only_the_uncertified_scenarios_are_scanned(tmp_path, monkeypatch):
+    """In a 200-scenario search the rectangle checks, the scan and the
+    re-verification run once for each scenario with findings, and for no
+    scenario that the certificate passes: on these seeds every uncertified
+    scenario has a finding."""
+    calls = {}
+
+    def counted(name):
+        real = getattr(imprecise, name)
+
+        def count(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(imprecise, name, count)
+
+    for name in ("_ic_checks", "_ic_scan", "verify_witnesses"):
+        counted(name)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    for seed in (42, 7):
+        calls.update(_ic_checks=0, _ic_scan=0, verify_witnesses=0)
+        args = ["search", "--count", "200", "--grid", "51", "--seed", str(seed)]
+        assert main(args + ["--out", str(tmp_path / str(seed))]) == 0
+        found = read_json(tmp_path / str(seed) / "search_summary.json")["scenarios_with_violations"]
+        assert 50 < found < 200
+        assert calls == {"_ic_checks": found, "_ic_scan": found, "verify_witnesses": found}
 
 
 @pytest.mark.parametrize("seed", [42, 7, 2026])
@@ -885,6 +937,127 @@ def test_an_error_in_a_worker_exits_two_and_writes_nothing(tmp_path, capsys, mon
     monkeypatch.setattr(cli, "random_step_draws", fail_at_index_17)
     assert main(["search", "--count", "40", "--grid", "21", "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == "shockbox: scenario 17 is malformed\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def summary_fields(count: int) -> dict:
+    return {
+        "command": "search",
+        "model": "maxmin",
+        "pair": "same-corner",
+        "scenarios_scanned": count,
+        "grid": 51,
+        "tol": 1e-9,
+        "seed": 42,
+    }
+
+
+def streamed_summary(fields: dict, findings: list[dict], sizes: list[int]) -> tuple[str, int]:
+    """The summary streamed from ranges of the given numbers of findings,
+    and its len once iterated."""
+    assert sum(sizes) == len(findings)
+    starts = np.cumsum([0] + sizes).tolist()
+    ranges = [cli._encoded_findings(findings[a:b]) for a, b in zip(starts, starts[1:])]
+    stream = cli._SearchSummary(fields, iter(ranges))
+    text = "".join(stream)
+    return text, len(stream)
+
+
+def whole_summary(fields: dict, findings: list[dict]) -> str:
+    by_condition = {}
+    for f in findings:
+        for w in f["witnesses"]:
+            by_condition[w["condition"]] = by_condition.get(w["condition"], 0) + 1
+    summary = {
+        **fields,
+        "scenarios_with_violations": len(findings),
+        "violations_by_condition": by_condition,
+        "findings": findings,
+    }
+    return cli._json_text(summary)
+
+
+def a_finding(index: int, values: list[float], conditions: list[str]) -> dict:
+    witnesses = [
+        {
+            "rectangle": {"u1": 0.0, "u2": value, "v1": -0.0, "v2": 1.0},
+            "condition": condition,
+            "value": value,
+        }
+        for value, condition in zip(values, conditions)
+    ]
+    return {
+        "scenario_index": index,
+        "witnesses": witnesses,
+        "reverified_exact": index % 2 == 0,
+        "reverified_doubled_grid": True,
+    }
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [[], [0], [0, 0, 0], [1], [5], [64, 64, 3], [0, 2, 0, 0, 1, 0]],
+    ids=["no-range", "empty", "empty-ranges", "one-finding", "one-range", "partial-last", "gaps"],
+)
+def test_the_streamed_summary_is_the_json_text_of_the_whole_summary(sizes):
+    conditions = ["IC1", "IC2", "IC3", "IC4", "order"]
+    findings = [
+        a_finding(3 * i, [-(i + 1) / 7, -1e-9], [conditions[i % 5], conditions[(i + 2) % 5]])
+        for i in range(sum(sizes))
+    ]
+    fields = summary_fields(1000)
+    text, size = streamed_summary(fields, findings, sizes)
+    assert text == whole_summary(fields, findings)
+    assert size == len(text)
+
+
+witness_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16, -1e16, -1e-9]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(max_value=-0.0, allow_nan=False, allow_infinity=False, allow_subnormal=True),
+)
+
+
+@given(
+    st.lists(
+        st.lists(
+            st.tuples(witness_values, st.sampled_from(["IC1", "IC2", "IC3", "IC4", "order"])),
+            min_size=1,
+            max_size=5,
+        ),
+        max_size=12,
+    ),
+    st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_the_streamed_summary_keeps_every_witness_value(witness_lists, data):
+    findings = [
+        a_finding(i, [v for v, _ in ws], [c for _, c in ws]) for i, ws in enumerate(witness_lists)
+    ]
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(findings)), max_size=4)))
+    sizes = np.diff([0] + cuts + [len(findings)]).tolist()
+    fields = summary_fields(len(findings))
+    text, _ = streamed_summary(fields, findings, sizes)
+    assert text == whole_summary(fields, findings)
+    assert json.loads(text)["findings"] == findings
+
+
+def test_a_worker_error_mid_stream_leaves_no_file(tmp_path, capsys, monkeypatch):
+    # the last range fails while the summary streams into its temporary
+    # file, which is removed
+    real = cli.search_range
+
+    def fail_last(seed, start, stop, **kwargs):
+        if stop == 40:
+            assert [p.suffix for p in tmp_path.iterdir()] == [".tmp"]
+            raise InvalidParameterError("the last range failed")
+        return real(seed, start, stop, **kwargs)
+
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(cli, "SEARCH_RANGE", 7)
+    monkeypatch.setattr(cli, "search_range", fail_last)
+    assert main(["search", "--count", "40", "--grid", "21", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "shockbox: the last range failed\n"
     assert list(tmp_path.iterdir()) == []
 
 

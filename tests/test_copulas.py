@@ -13,11 +13,12 @@ from shockbox.copulas import (
     _copula_at,
     check_copula_axioms,
     copula_grid,
+    copula_values,
 )
 from shockbox.distfn import INF, comix, pointmass_cdf, product, step_cdf
 from shockbox.errors import InvalidParameterError, InvalidRangeError
 from shockbox.generators import Generator, build_chi, build_phi, build_psi
-from shockbox.shockmodel import random_discrete_scenario
+from shockbox.shockmodel import random_discrete_scenario, random_step_draws, search_generators
 
 X_LOW = step_cdf([(1.0, 0.2), (2.0, 0.8)])
 X_UP = step_cdf([(1.0, 0.5), (2.0, 0.5)])
@@ -218,3 +219,36 @@ def test_scalar_at_matches_at_many_bit_for_bit(roster):
     us = np.concatenate(([-0.0], us))
     scalar = [[_copula_at(cop, float(u), float(v)) for v in us] for u in us]
     assert _same_bits(scalar, copula_grid(cop, us, us))
+
+
+def outer_grid(c, us, vs) -> np.ndarray:
+    """The copula's grid in np.outer form."""
+    if isinstance(c, MarshallCopula):
+        return np.minimum(np.outer(c.phi.eval_many(us), vs), np.outer(us, c.psi.eval_many(vs)))
+    phi, chi = c.phi.eval_many(us), c.chi.eval_many(vs)
+    return np.outer(us, vs) + np.minimum(np.outer(us, 1.0 - vs), np.outer(phi - us, vs - chi))
+
+
+@pytest.mark.parametrize("model", ["marshall", "maxmin"])
+def test_a_stack_of_grids_is_each_pairs_copula_grid_bit_for_bit(model):
+    # the generators of 30 search scenarios; a Marshall copula takes the
+    # lower and upper phi, a max/min one a phi and a chi. -0.0 and the knots
+    # make ties of 0.0 and -0.0 in np.minimum; u and v differ in length
+    gens = search_generators(np.array([random_step_draws([5, i]) for i in range(30)]))
+    if model == "marshall":
+        copulas = [MarshallCopula(g[0], g[1]) for g in gens]
+    else:
+        copulas = [MaxminCopula(g[i], g[i + 2]) for i in (0, 1) for g in gens]
+    us = np.unique(np.concatenate([np.linspace(0.0, 1.0, 23), gens[0][0].knot_us]))
+    us = np.concatenate(([-0.0], us))
+    vs = np.linspace(0.0, 1.0, 17)
+    second = [c.psi if model == "marshall" else c.chi for c in copulas]
+    firsts = np.array([c.phi.eval_many(us) for c in copulas])
+    seconds = np.array([g.eval_many(vs) for g in second])
+    # two leading axes: (2, k) pairs as search stacks its low and up grids
+    k = len(copulas) // 2
+    stack = copula_values(model, us, firsts.reshape(2, k, -1), vs, seconds.reshape(2, k, -1))
+    assert stack.shape == (2, k, us.size, vs.size)
+    for c, grid in zip(copulas, stack.reshape(2 * k, us.size, vs.size)):
+        assert _same_bits(grid, copula_grid(c, us, vs))
+        assert _same_bits(grid, outer_grid(c, us, vs))

@@ -40,6 +40,7 @@ from shockbox.imprecise import (
     check_imprecise_copula,
     coherence_witness,
     search_ic_violation,
+    search_stack_violations,
     verify_witness,
 )
 from shockbox.shockmodel import MAX_GRID, probe_xs, random_discrete_scenario, run_scenario, thin
@@ -658,6 +659,73 @@ def test_search_finds_the_failing_checks_of_the_grid():
                     if not c.passed and isinstance(c.witness, ViolationWitness)
                 ]
                 assert search_ic_violation(pair, n=n, tol=SEARCH_TOL) == expected
+
+
+def stacked_unit_grids(pairs, n):
+    """us and the (k, n, n) stacks of the pairs' low and up grids."""
+    grids = [unit_grids(pair, n) for pair in pairs]
+    low, up = (np.array([g[i] for g in grids]) for i in (0, 1))
+    return np.linspace(0.0, 1.0, n), low, up
+
+
+def split_bits(split):
+    fields = (split.gaps, split.floor, split.slack)
+    return tuple(np.asarray(x, dtype=float).tobytes() for x in fields)
+
+
+def test_a_stacks_split_and_witnesses_are_each_pairs_alone(unpinned_search_pairs):
+    for pairs in unpinned_search_pairs.values():
+        us, low, up = stacked_unit_grids(pairs[:200], 51)
+        stack = _split(low, up)
+        for k in range(len(pairs[:200])):
+            assert split_bits(stack[k]) == split_bits(_split(low[k], up[k])), k
+        alone = [search_ic_violation(pair, n=51, tol=SEARCH_TOL) for pair in pairs[:200]]
+        found = search_stack_violations(low, up, us, SEARCH_TOL)
+        assert found == [(k, w) for k, w in enumerate(alone) if w]
+        assert len(found) > 50
+
+
+@st.composite
+def grid_stacks(draw):
+    """Two to five pairs of n x m grids of one shape, 2 <= n, m <= 9, of
+    floats in [-1, 1] at one scale per pair."""
+    n, m, k = draw(st.integers(2, 9)), draw(st.integers(2, 9)), draw(st.integers(2, 5))
+    cells = st.lists(st.floats(-1.0, 1.0), min_size=2 * n * m, max_size=2 * n * m)
+    scales = st.sampled_from([1.0, 1 / 3, 7.1e-5, 3.3e4, 2.0**-40])
+    pairs = [np.array(draw(cells)).reshape(2, n, m) * draw(scales) for _ in range(k)]
+    return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
+
+
+@given(grid_stacks())
+@settings(max_examples=200, deadline=None)
+def test_a_stacks_split_is_each_pairs_split_bit_for_bit(grids):
+    low, up = grids
+    stack = _split(low, up)
+    for k in range(len(low)):
+        assert split_bits(stack[k]) == split_bits(_split(low[k], up[k]))
+        assert bool(_certified(stack, 1e-9)[k]) == bool(_certified(_split(low[k], up[k]), 1e-9))
+
+
+def test_a_nan_in_one_pair_of_a_stack_leaves_the_others_alone(unpinned_search_pairs):
+    us, low, up = stacked_unit_grids(unpinned_search_pairs[5][:40], 51)
+    clean = _split(low, up)
+    found = search_stack_violations(low, up, us, SEARCH_TOL)
+    for k, cell in ((0, (0, 0)), (17, (25, 30)), (39, (50, 50))):
+        for side in (0, 1):
+            grids = [low, up]
+            grids[side] = grids[side].copy()
+            grids[side][k][cell] = np.nan
+            split = _split(*grids)
+            assert split.slack[k] == math.inf
+            for other in range(40):
+                if other != k:
+                    assert split_bits(split[other]) == split_bits(clean[other])
+            again = search_stack_violations(*grids, us, SEARCH_TOL)
+            assert [f for f in again if f[0] != k] == [f for f in found if f[0] != k]
+            # the pair with the nan is checked as it is alone (repr, as nan != nan)
+            alone = search_stack_violations(*(g[k : k + 1] for g in grids), us, SEARCH_TOL)
+            assert repr([w for i, w in again if i == k]) == repr([w for _, w in alone])
+            assert len(alone) == 1
 
 
 def certificate_edge_grids(tol):
