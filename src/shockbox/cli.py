@@ -45,7 +45,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .copulas import copula_grid, copula_values
+from .copulas import copula_grid, copula_values, unit_grid
 from .distfn import DistFn, law_from_json
 from .errors import ConfigError, ShockboxError
 from .imprecise import CopulaFamily, search_stack_violations, witness_records
@@ -236,7 +236,7 @@ class _CsvTable:
 # commands
 
 
-def _unit_grid(n: int) -> np.ndarray:
+def _csv_grid(n: int) -> np.ndarray:
     # arange/(n-1) rounds each i/(n-1) correctly, so decimal grids print as
     # decimals; linspace accumulates step rounding (0.20000000000000004).
     return np.arange(n, dtype=float) / (n - 1)
@@ -249,7 +249,7 @@ def _surface_table(header: list[str], low, up, us, vs) -> _CsvTable:
 
 
 def _write_surfaces(res: ScenarioResult, out: Path, n: int) -> list[Path]:
-    us = _unit_grid(n)
+    us = _csv_grid(n)
     pair = res.family.pair
     paths = [out / "copula_surface.csv", out / "h_surface.csv"]
     low, up = copula_grid(pair.low, us, us), copula_grid(pair.up, us, us)
@@ -282,7 +282,7 @@ def search_range(seed: int, start: int, stop: int, grid: int, tol: float) -> lis
     """
     draws = np.array([random_step_draws([seed, index]) for index in range(start, stop)])
     generators = search_generators(draws)
-    us = np.linspace(0.0, 1.0, grid)
+    us = unit_grid(grid)
     # per scenario (low_phi, up_phi, low_chi, up_chi) at us
     values = np.array([[g.eval_many(us) for g in gens] for gens in generators])
     stack = max(1, SEARCH_STACK_CELLS // grid**2)
@@ -395,13 +395,13 @@ def cmd_search(cfg: RunConfig) -> int:
 
     ``reverified_doubled_grid`` says that the same scan at doubled
     resolution would find each witness's condition again, and it is true
-    without running that scan. The doubled grid, np.linspace(0, 1, 2n - 1),
-    holds the n-point grid bit for bit at its even indices: linspace's
-    points are k * fl(1/(n - 1)) with the last set to 1, and fl(1/(2n - 2))
-    is fl(1/(n - 1))/2 exactly (a test pins this for every n up to
-    MAX_GRID). copula_grid is elementwise, so the doubled grid holds every
-    witness rectangle with the same corner values, and the scan's value of
-    a rectangle depends on those alone. The doubled scan's minimum of each
+    without running that scan. The doubled grid, unit_grid(2n - 1), holds
+    unit_grid(n) bit for bit at its even indices: the points of np.linspace,
+    which unit_grid returns, are k * fl(1/(n - 1)) with the last set to 1,
+    and fl(1/(2n - 2)) is fl(1/(n - 1))/2 exactly (a test pins this for
+    every n up to MAX_GRID). copula_grid is elementwise, so the doubled grid
+    holds every witness rectangle with the same corner values, and the
+    scan's value of a rectangle depends on those alone. The doubled scan's minimum of each
     condition is therefore at most the witness's value (a test runs it on
     the findings of one search).
 
@@ -456,7 +456,7 @@ def cmd_emit(cfg: RunConfig) -> int:
     _make_output_dir(cfg.out)
     result = run_scenario(scenario, tol=cfg.tol)
     n = scenario.grid
-    grid_us = _unit_grid(n)
+    grid_us = _csv_grid(n)
     family = result.family
     generators = (family.low_phi, family.up_phi, family.low_second, family.up_second)
     for name, gen in zip(("low_phi", "up_phi", "low_companion", "up_companion"), generators):

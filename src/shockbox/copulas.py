@@ -7,9 +7,11 @@ the quotient form everywhere (the min never exceeds either argument) and
 needs no special casing on the axes. The maxmin copula of (phi, chi) is
 ``uw + min(u(1-w), (phi(u)-u)(w-chi(w)))``.
 
-Constructors check that generator kinds match their slots (phi-kind in the
-max-type slots phi and psi, chi-kind in the min-type slot chi) but
-deliberately do not enforce the generator validity conditions: axiom
+A ``Copula`` is its model and two generators. Its constructor is the one
+check of a copula's model and slot kinds, read from ``SECOND_KIND``: the
+first slot holds a phi-kind generator under either model, the second a
+phi-kind psi under max/max and a chi-kind chi under max/min. It
+deliberately does not enforce the generator validity conditions: axiom
 checking on a copula built from a defective generator is exactly how such
 defects are detected.
 """
@@ -17,7 +19,6 @@ defects are detected.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -42,33 +43,37 @@ class Rect:
             raise InvalidRangeError(f"bad v-interval [{self.v1}, {self.v2}]")
 
 
-def _require_kind(copula: str, slot: str, g: Generator, kind: str) -> None:
-    if g.kind != kind:
-        raise InvalidParameterError(f"{copula} {slot} slot needs kind {kind}, got {g.kind}")
+# the kind of the second slot's generator under each model: psi, the second
+# marginal's generator under max/max, is phi-kind; chi under max/min is not
+SECOND_KIND = {"marshall": "phi", "maxmin": "chi"}
+MODELS = tuple(SECOND_KIND)
+
+
+def unit_grid(n: int) -> np.ndarray:
+    """The n points np.linspace(0, 1, n) of the unit interval, n >= 2."""
+    if n < 2:
+        raise InvalidParameterError("a unit grid needs at least 2 points")
+    return np.linspace(0.0, 1.0, n)
 
 
 @dataclass(frozen=True)
-class MarshallCopula:
-    # both slots are max-type: psi is the second marginal's phi-kind generator
+class Copula:
+    """The copula of a shock model: Marshall's C(phi, psi) under max/max
+    (``marshall``), the maxmin C(phi, chi) under max/min (``maxmin``)."""
+
+    model: str
     phi: Generator
-    psi: Generator
+    second: Generator
 
     def __post_init__(self):
-        _require_kind("Marshall", "phi", self.phi, "phi")
-        _require_kind("Marshall", "psi", self.psi, "phi")
-
-
-@dataclass(frozen=True)
-class MaxminCopula:
-    phi: Generator
-    chi: Generator
-
-    def __post_init__(self):
-        _require_kind("maxmin", "phi", self.phi, "phi")
-        _require_kind("maxmin", "chi", self.chi, "chi")
-
-
-CopulaSpec = Union[MarshallCopula, MaxminCopula]
+        if self.model not in SECOND_KIND:
+            raise InvalidParameterError(f"unknown model {self.model!r}, expected one of {MODELS}")
+        slots = (("phi", self.phi, "phi"), ("second", self.second, SECOND_KIND[self.model]))
+        for slot, g, kind in slots:
+            if g.kind != kind:
+                raise InvalidParameterError(
+                    f"{self.model} {slot} slot needs kind {kind}, got {g.kind}"
+                )
 
 
 def copula_values(model: str, us, first, vs, second) -> np.ndarray:
@@ -90,15 +95,11 @@ def copula_values(model: str, us, first, vs, second) -> np.ndarray:
     return out
 
 
-def copula_grid(c, us, vs) -> np.ndarray:
+def copula_grid(c: Copula, us, vs) -> np.ndarray:
     """Matrix of copula values, rows indexed by us and columns by vs."""
     us = np.asarray(us, dtype=float)
     vs = np.asarray(vs, dtype=float)
-    if isinstance(c, MarshallCopula):
-        return copula_values("marshall", us, c.phi.eval_many(us), vs, c.psi.eval_many(vs))
-    if isinstance(c, MaxminCopula):
-        return copula_values("maxmin", us, c.phi.eval_many(us), vs, c.chi.eval_many(vs))
-    raise InvalidParameterError(f"not a copula specification: {type(c).__name__}")
+    return copula_values(c.model, us, c.phi.eval_many(us), vs, c.second.eval_many(vs))
 
 
 def _np_min(a: float, b: float) -> float:
@@ -108,18 +109,16 @@ def _np_min(a: float, b: float) -> float:
     return a if a < b or a != a else b
 
 
-def _copula_at(c, u: float, v: float) -> float:
+def _copula_at(c: Copula, u: float, v: float) -> float:
     """copula_grid(c, [u], [v])[0, 0] with float arithmetic, bit for bit.
 
     No command runs this scalar path; it serves BivariateBound.at in loops:
     the 320,000 calls of acceptance criterion 7 (10 s limit) take 1.0-1.4 s
     here and 8.7-9.8 s through a one-point at_many (2-core VM).
     """
-    if isinstance(c, MarshallCopula):
-        return _np_min(c.phi._value(u) * v, u * c.psi._value(v))
-    if isinstance(c, MaxminCopula):
-        return u * v + _np_min(u * (1.0 - v), (c.phi._value(u) - u) * (v - c.chi._value(v)))
-    raise InvalidParameterError(f"not a copula specification: {type(c).__name__}")
+    if c.model == "marshall":
+        return _np_min(c.phi._value(u) * v, u * c.second._value(v))
+    return u * v + _np_min(u * (1.0 - v), (c.phi._value(u) - u) * (v - c.second._value(v)))
 
 
 def _edge_check(name: str, u_edge, v_edge, us: np.ndarray, edge: float, tol: float) -> Check:
@@ -146,16 +145,14 @@ def check_boundary_conditions(g: np.ndarray, us: np.ndarray, tol: float) -> list
     return [grounded, margins]
 
 
-def check_copula_axioms(c, n: int = 101, tol: float = EXACT_TOL) -> list[Check]:
+def check_copula_axioms(c: Copula, n: int = 101, tol: float = EXACT_TOL) -> list[Check]:
     """Boundary conditions on grid samples and 2-increasingness on all cells.
 
     Nonnegativity of every grid-cell volume is equivalent to nonnegativity of
     every grid rectangle, since rectangle volumes are sums of the cell
     volumes they tile; the reported worst rectangle is the worst single cell.
     """
-    if n < 2:
-        raise InvalidParameterError("axiom grid needs at least 2 points")
-    us = np.linspace(0.0, 1.0, n)
+    us = unit_grid(n)
     g = copula_grid(c, us, us)
 
     cells = g[1:, 1:] + g[:-1, :-1] - g[1:, :-1] - g[:-1, 1:]
@@ -178,7 +175,7 @@ class BivariateBound:
     monotone marginal substitution preserves both.
     """
 
-    copula: object
+    copula: Copula
     f: DistFn
     g: DistFn
 

@@ -44,10 +44,10 @@ c(1 + e3), so the exact volume V = c + c e3 + d' e2 - d e1 is within
 u(|c| + |d| + |d'|) of c, on any grid, monotone or not. The exact
 volume of R is the sum of the exact volumes of its cells, at least the
 sum over all cells of min(c, 0) - u(|c| + |d| + |d'|), and a row
-difference enters two cells at most. So the exact value of every condition on every rectangle is at
-least fl(gap) at its corner minus those cell terms and 2uK, and its
-computed value at least that minus 9uK more: both are at least fl(gap) at
-the corner minus the slack
+difference enters two cells at most. So the exact value of every
+condition on every rectangle is at least fl(gap) at its corner minus
+those cell terms and 2uK, and its computed value at least that minus 9uK
+more: both are at least fl(gap) at the corner minus the slack
 
     s = sum over both bounds of (sum over cells of max(-c, 0)
         + u(sum over cells of |c| + 2 sum of |d|)) + 11uK,
@@ -111,19 +111,16 @@ import numpy as np
 
 from .copulas import (
     BivariateBound,
-    CopulaSpec,
-    MarshallCopula,
-    MaxminCopula,
+    Copula,
     Rect,
     check_boundary_conditions,
     copula_grid,
+    unit_grid,
 )
 from .distfn import EXACT_TOL, INF
 from .errors import InvalidParameterError
 from .generators import Generator, blend_generators, is_valid_generator
 from .reports import Check
-
-MODELS = ("marshall", "maxmin")
 
 _CONDITIONS = ("IC1", "IC2", "IC3", "IC4", "order")
 
@@ -140,8 +137,8 @@ class CopulaPair:
     ``check_imprecise_copula`` to test the defining conditions.
     """
 
-    low: CopulaSpec
-    up: CopulaSpec
+    low: Copula
+    up: Copula
 
 
 @dataclass(frozen=True)
@@ -359,9 +356,7 @@ def _ic_checks(low: np.ndarray, up: np.ndarray, split: _Split, tol: float, witne
 
 def _unit_grids(pair: CopulaPair, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The n x n unit grid's points us, and the pair's bounds' grids on it."""
-    if n < 2:
-        raise InvalidParameterError("grid needs at least two points per axis")
-    us = np.linspace(0.0, 1.0, n)
+    us = unit_grid(n)
     return us, copula_grid(pair.low, us, us), copula_grid(pair.up, us, us)
 
 
@@ -576,18 +571,12 @@ class CopulaFamily:
     up_second: Generator
 
     def __post_init__(self) -> None:
-        if self.model not in MODELS:
-            raise InvalidParameterError(f"unknown model {self.model!r}, expected one of {MODELS}")
-        if self.low_second.kind != self.up_second.kind:
-            raise InvalidParameterError("second-slot generators must share their kind")
-        # the copulas check that each generator's kind fits its slot
+        # the same-corner copulas check the model and every generator's kind
         self.same_corner
 
-    def copula(self, phi: Generator, second: Generator) -> CopulaSpec:
+    def copula(self, phi: Generator, second: Generator) -> Copula:
         """The model's copula of a first and a second generator."""
-        if self.model == "maxmin":
-            return MaxminCopula(phi, second)
-        return MarshallCopula(phi, second)
+        return Copula(self.model, phi, second)
 
     @property
     def same_corner(self) -> CopulaPair:
@@ -606,7 +595,7 @@ class CopulaFamily:
 
 def coherence_witness(
     family: CopulaFamily,
-    extra_members: Sequence[CopulaSpec] = (),
+    extra_members: Sequence[Copula] = (),
     n: int = 101,
     tol: float = EXACT_TOL,
 ) -> Check:
@@ -626,7 +615,7 @@ def coherence_witness(
         blends = [blend_generators(low, up, float(t)) for t in ts]
         return [g if is_valid_generator(g, tol) else None for g in blends]
 
-    def members(pairs) -> list[CopulaSpec]:
+    def members(pairs) -> list[Copula]:
         return [family.copula(p, q) for p, q in pairs if p is not None and q is not None]
 
     grid_pairs = list(
@@ -645,7 +634,7 @@ def coherence_witness(
     skipped = sum(p is None or q is None for p, q in grid_pairs + drawn_pairs)
     stack = members(grid_pairs) + list(extra_members) + members(drawn_pairs)
 
-    us = np.linspace(0.0, 1.0, n)
+    us = unit_grid(n)
     bounds = family.pair
     low_grid, up_grid = copula_grid(bounds.low, us, us), copula_grid(bounds.up, us, us)
     worst = 0.0

@@ -41,7 +41,14 @@ from typing import Optional
 
 import numpy as np
 
-from .copulas import BivariateBound, check_copula_axioms, copula_grid
+from .copulas import (
+    MODELS,
+    SECOND_KIND,
+    BivariateBound,
+    check_copula_axioms,
+    copula_grid,
+    unit_grid,
+)
 from .distfn import (
     EXACT_TOL,
     DistFn,
@@ -75,7 +82,6 @@ from .generators import (
 )
 from .imprecise import (
     MEMBER_WEIGHTS,
-    MODELS,
     CopulaFamily,
     CopulaPair,
     check_bivariate_pbox_conditions,
@@ -622,7 +628,7 @@ def _oracle_agreement(low_h, up_h, rows, fz: DistFn, model: str, tol: float) -> 
 
 def _outer_containment(pair: CopulaPair, h_pair: CopulaPair, grid: int, tol: float) -> tuple:
     """The check, and the same-corner pair's gap inside the envelope pair."""
-    us = np.linspace(0.0, 1.0, grid)
+    us = unit_grid(grid)
     low, up = copula_grid(pair.low, us, us), copula_grid(pair.up, us, us)
     same_low, same_up = copula_grid(h_pair.low, us, us), copula_grid(h_pair.up, us, us)
     dev = max(float(np.max(low - same_low)), float(np.max(same_up - up)))
@@ -642,8 +648,7 @@ def _run(s: Scenario, tol: float) -> ScenarioResult:
     info["tol"] = tol
     fx_lo, fx_up, fy_lo, fy_up, fz = (fns[k] for k in ("x_lo", "x_up", "y_lo", "y_up", "z"))
     maxmin = s.model == "maxmin"
-    # the companion is chi under max/min, and psi, a phi-kind generator, under max/max
-    second_kind = "chi" if maxmin else "phi"
+    second_kind = SECOND_KIND[s.model]
 
     # a composite shared by two bounds or members is one generator too
     low_phi = from_composite(low_f, fx_lo, fz, "phi")

@@ -16,8 +16,7 @@ import numpy as np
 from shockbox.cli import main as cli_main
 from shockbox.copulas import (
     BivariateBound,
-    MarshallCopula,
-    MaxminCopula,
+    Copula,
     check_copula_axioms,
     copula_grid,
 )
@@ -169,20 +168,20 @@ def _axiom_roster():
     chis = build_chi(y_lo, z), build_chi(y_up, z)
     for phi in phis:
         for psi in psis:
-            yield MarshallCopula(phi, psi)
+            yield Copula("marshall", phi, psi)
         for chi in chis:
-            yield MaxminCopula(phi, chi)
+            yield Copula("maxmin", phi, chi)
 
     d1_phis = build_phi(D1_X_LO, D1_Z), build_phi(D1_X_UP, D1_Z)
     d1_psi = build_psi(D1_Y, D1_Z)
     d1_chi = build_chi(D1_Y, D1_Z)
     for phi in d1_phis:
-        yield MarshallCopula(phi, d1_psi)
-        yield MaxminCopula(phi, d1_chi)
+        yield Copula("marshall", phi, d1_psi)
+        yield Copula("maxmin", phi, d1_chi)
 
     for index in range(100):
         fx, fy, fz = association_triple(index)
-        yield MarshallCopula(build_phi(fx, fz), build_psi(fy, fz))
+        yield Copula("marshall", build_phi(fx, fz), build_psi(fy, fz))
 
     for index in range(200):
         s = ordered_pair_scenario(index)
@@ -190,7 +189,7 @@ def _axiom_roster():
         chis = build_chi(s.y_pbox.lower, s.z), build_chi(s.y_pbox.upper, s.z)
         for phi in phis:
             for chi in chis:
-                yield MaxminCopula(phi, chi)
+                yield Copula("maxmin", phi, chi)
 
 
 def test_criterion_4_every_constructed_copula_satisfies_the_axioms():
@@ -217,10 +216,10 @@ def test_criterion_5_composed_bounds_match_triple_enumeration():
             f = product(fx, fz)
             for model in ("marshall", "maxmin"):
                 if model == "marshall":
-                    cop = MarshallCopula(build_phi(fx, fz), build_psi(fy, fz))
+                    cop = Copula("marshall", build_phi(fx, fz), build_psi(fy, fz))
                     second = product(fy, fz)
                 else:
-                    cop = MaxminCopula(build_phi(fx, fz), build_chi(fy, fz))
+                    cop = Copula("maxmin", build_phi(fx, fz), build_chi(fy, fz))
                     second = comix(fy, fz)
                 h = BivariateBound(cop, f, second)
                 table = oracle_joint(atoms_of(fx), atoms_of(fy), atoms_of(fz), model)
@@ -281,10 +280,10 @@ def test_criterion_7_composed_bounds_equal_direct_formulas():
         grid = np.linspace(0.0, 7.0, 200)
         for model, fx, fy, fz in rosters:
             if model == "marshall":
-                cop = MarshallCopula(build_phi(fx, fz), build_psi(fy, fz))
+                cop = Copula("marshall", build_phi(fx, fz), build_psi(fy, fz))
                 second = product(fy, fz)
             else:
-                cop = MaxminCopula(build_phi(fx, fz), build_chi(fy, fz))
+                cop = Copula("maxmin", build_phi(fx, fz), build_chi(fy, fz))
                 second = comix(fy, fz)
             h = BivariateBound(cop, product(fx, fz), second)
             for x in grid:
@@ -301,8 +300,8 @@ def test_criterion_8_same_corner_pair_sits_inside_the_envelope():
         phi_lo, phi_up = build_phi(x_lo, z), build_phi(x_up, z)
         chi_lo, chi_up = build_chi(y_lo, z), build_chi(y_up, z)
         outer = CopulaFamily("maxmin", phi_lo, phi_up, chi_lo, chi_up).pair
-        same_low = MaxminCopula(phi_lo, chi_lo)
-        same_up = MaxminCopula(phi_up, chi_up)
+        same_low = Copula("maxmin", phi_lo, chi_lo)
+        same_up = Copula("maxmin", phi_up, chi_up)
 
         us = np.arange(101, dtype=float) / 100
         outer_low = copula_grid(outer.low, us, us)

@@ -7,8 +7,7 @@ import pytest
 
 from shockbox.copulas import (
     BivariateBound,
-    MarshallCopula,
-    MaxminCopula,
+    Copula,
     Rect,
     _copula_at,
     check_copula_axioms,
@@ -28,12 +27,13 @@ Z_POINT = pointmass_cdf(1.5)
 
 def product_copula():
     # the independence copula arises from identity generators
-    return MarshallCopula(Generator.identity("phi"), Generator.identity("phi"))
+    return Copula("marshall", Generator.identity("phi"), Generator.identity("phi"))
 
 
 def comonotone_maxmin():
     # a common shock dominating both components: phi pinned at 1, chi at 0
-    return MaxminCopula(
+    return Copula(
+        "maxmin",
         Generator("phi", ((0.0, 1.0), (1.0, 1.0))),
         Generator("chi", ((0.0, 0.0), (1.0, 0.0))),
     )
@@ -48,23 +48,30 @@ def test_rect_validation():
 
 
 def test_slot_kind_validation():
-    with pytest.raises(InvalidParameterError):
-        MarshallCopula(Generator.identity("chi"), Generator.identity("phi"))
-    with pytest.raises(InvalidParameterError):
-        MaxminCopula(Generator.identity("phi"), Generator.identity("phi"))
-    with pytest.raises(InvalidParameterError):
-        MaxminCopula(Generator.identity("chi"), Generator.identity("chi"))
+    phi, chi = Generator.identity("phi"), Generator.identity("chi")
+    # a chi-kind second slot under max/max, a phi-kind one under max/min
+    with pytest.raises(InvalidParameterError, match="marshall second slot needs kind phi"):
+        Copula("marshall", phi, chi)
+    with pytest.raises(InvalidParameterError, match="maxmin second slot needs kind chi"):
+        Copula("maxmin", phi, phi)
+    # a chi-kind first slot under either model
+    for model, second in (("marshall", phi), ("maxmin", chi)):
+        with pytest.raises(InvalidParameterError, match=f"{model} phi slot needs kind phi"):
+            Copula(model, chi, second)
+    with pytest.raises(InvalidParameterError, match="unknown model 'maxmax'"):
+        Copula("maxmax", phi, phi)
+    # the unknown model is rejected before its slots are read
+    with pytest.raises(InvalidParameterError, match="unknown model"):
+        Copula("maxmax", chi, chi)
 
 
 def test_psi_is_a_phi_kind_generator():
     # the two max-type generators share one kind and one jump convention
     with pytest.raises(InvalidParameterError):
         Generator("psi", ((0.0, 0.0), (1.0, 1.0)))
-    with pytest.raises(InvalidParameterError):
-        MarshallCopula(Generator.identity("phi"), Generator.identity("chi"))
     psi = build_psi(Y_STEP, Z_POINT)
     assert psi == build_phi(Y_STEP, Z_POINT)
-    assert MarshallCopula(Generator.identity("phi"), psi).psi.kind == "phi"
+    assert Copula("marshall", Generator.identity("phi"), psi).second.kind == "phi"
 
 
 def test_product_copula_values_and_volume():
@@ -75,7 +82,7 @@ def test_product_copula_values_and_volume():
 
 
 def test_identity_maxmin_is_the_product():
-    c = MaxminCopula(Generator.identity("phi"), Generator.identity("chi"))
+    c = Copula("maxmin", Generator.identity("phi"), Generator.identity("chi"))
     for u, w in ((0.3, 0.7), (0.8, 0.2), (0.5, 0.5), (1.0, 0.4)):
         assert _copula_at(c, u, w) == pytest.approx(u * w, abs=1e-15)
 
@@ -90,11 +97,11 @@ def test_dominant_shock_maxmin_is_comonotone():
 def test_discrete_example_copula_values():
     phi = build_phi(X_LOW, Z_POINT)  # max(0.2, u)
     psi = build_psi(Y_STEP, Z_POINT)
-    m = MarshallCopula(phi, psi)
+    m = Copula("marshall", phi, psi)
     # below both knees the min picks whichever branch is binding
     assert _copula_at(m, 0.1, 1.0) == pytest.approx(min(1.0 * 0.2, 0.1 * 1.0), abs=1e-15)
     chi = build_chi(Y_STEP, Z_POINT)  # min(w, 0.4)
-    mm = MaxminCopula(phi, chi)
+    mm = Copula("maxmin", phi, chi)
     u, w = 0.1, 0.9
     want = u * w + min(u * (1 - w), (max(0.2, u) - u) * (w - min(w, 0.4)))
     assert _copula_at(mm, u, w) == pytest.approx(want, abs=1e-15)
@@ -104,7 +111,7 @@ def test_axioms_pass_for_built_copulas():
     phi = build_phi(X_UP, Z_POINT)
     psi = build_psi(Y_STEP, Z_POINT)
     chi = build_chi(Y_STEP, Z_POINT)
-    for c in (MarshallCopula(phi, psi), MaxminCopula(phi, chi), product_copula()):
+    for c in (Copula("marshall", phi, psi), Copula("maxmin", phi, chi), product_copula()):
         checks = check_copula_axioms(c, n=101, tol=1e-12)
         assert all(ch.passed for ch in checks), [ch.name for ch in checks if not ch.passed]
 
@@ -113,7 +120,7 @@ def test_axioms_flag_bad_margins_before_anything_else():
     # phi(u) = u**2 breaks phi(1-) association with a uniform margin:
     # C(u, 1) = min(u**2, u) = u**2 != u
     bad = Generator("phi", ((0.0, 0.0), (0.25, 0.0625), (0.5, 0.25), (1.0, 1.0)))
-    c = MarshallCopula(bad, Generator.identity("phi"))
+    c = Copula("marshall", bad, Generator.identity("phi"))
     checks = {ch.name: ch for ch in check_copula_axioms(c, n=51)}
     assert not checks["uniform-margins"].passed
     assert checks["uniform-margins"].value > 0.01
@@ -131,7 +138,7 @@ def test_axioms_flag_bad_margins_before_anything_else():
     ],
 )
 def test_axiom_witnesses_name_the_edge_that_misses(chi, name, witness, value):
-    c = MaxminCopula(Generator("phi", ((0.0, 0.0), (1.0, 0.9))), Generator("chi", chi))
+    c = Copula("maxmin", Generator("phi", ((0.0, 0.0), (1.0, 0.9))), Generator("chi", chi))
     check = {ch.name: ch for ch in check_copula_axioms(c, n=5)}[name]
     assert not check.passed
     assert check.witness == witness
@@ -148,7 +155,7 @@ def test_axioms_flag_genuine_rectangle_violation():
         "chi", ((0.0, 0.0), (0.382, 0.0), (0.6, 0.44), (0.8, 0.76), (1.0, 1.0))
     )
     phi = Generator("phi", ((0.0, 0.5), (0.5, 0.5), (1.0, 1.0)))
-    c = MaxminCopula(phi, bad_chi)
+    c = Copula("maxmin", phi, bad_chi)
     checks = {ch.name: ch for ch in check_copula_axioms(c, n=101)}
     assert checks["grounded"].passed
     assert checks["uniform-margins"].passed
@@ -164,17 +171,10 @@ def test_axiom_grid_validation():
         check_copula_axioms(product_copula(), n=1)
 
 
-def test_copula_grid_rejects_unknown_objects():
-    with pytest.raises(InvalidParameterError):
-        copula_grid(object(), [0.0, 1.0], [0.0, 1.0])
-    with pytest.raises(InvalidParameterError):
-        _copula_at(object(), 0.5, 0.5)
-
-
 def test_sklar_composition_reaches_the_marginals():
     phi = build_phi(X_LOW, Z_POINT)
     psi = build_psi(Y_STEP, Z_POINT)
-    h = BivariateBound(MarshallCopula(phi, psi), step_cdf([(1.5, 1.0)]), Y_STEP)
+    h = BivariateBound(Copula("marshall", phi, psi), step_cdf([(1.5, 1.0)]), Y_STEP)
     assert h.at(-INF, 2.0) == 0.0
     assert h.at(INF, INF) == 1.0
     assert h.at(INF, 0.7) == Y_STEP.eval(0.7)
@@ -205,10 +205,10 @@ def _same_bits(a, b) -> bool:
 def test_scalar_at_matches_at_many_bit_for_bit(roster):
     model, fx, fy, fz = _formula_rosters()[roster]
     if model == "marshall":
-        cop = MarshallCopula(build_phi(fx, fz), build_psi(fy, fz))
+        cop = Copula("marshall", build_phi(fx, fz), build_psi(fy, fz))
         second = product(fy, fz)
     else:
-        cop = MaxminCopula(build_phi(fx, fz), build_chi(fy, fz))
+        cop = Copula("maxmin", build_phi(fx, fz), build_chi(fy, fz))
         second = comix(fy, fz)
     h = BivariateBound(cop, product(fx, fz), second)
     grid = np.linspace(0.0, 7.0, 29)
@@ -223,9 +223,9 @@ def test_scalar_at_matches_at_many_bit_for_bit(roster):
 
 def outer_grid(c, us, vs) -> np.ndarray:
     """The copula's grid in np.outer form."""
-    if isinstance(c, MarshallCopula):
-        return np.minimum(np.outer(c.phi.eval_many(us), vs), np.outer(us, c.psi.eval_many(vs)))
-    phi, chi = c.phi.eval_many(us), c.chi.eval_many(vs)
+    if c.model == "marshall":
+        return np.minimum(np.outer(c.phi.eval_many(us), vs), np.outer(us, c.second.eval_many(vs)))
+    phi, chi = c.phi.eval_many(us), c.second.eval_many(vs)
     return np.outer(us, vs) + np.minimum(np.outer(us, 1.0 - vs), np.outer(phi - us, vs - chi))
 
 
@@ -236,15 +236,14 @@ def test_a_stack_of_grids_is_each_pairs_copula_grid_bit_for_bit(model):
     # make ties of 0.0 and -0.0 in np.minimum; u and v differ in length
     gens = search_generators(np.array([random_step_draws([5, i]) for i in range(30)]))
     if model == "marshall":
-        copulas = [MarshallCopula(g[0], g[1]) for g in gens]
+        copulas = [Copula("marshall", g[0], g[1]) for g in gens]
     else:
-        copulas = [MaxminCopula(g[i], g[i + 2]) for i in (0, 1) for g in gens]
+        copulas = [Copula("maxmin", g[i], g[i + 2]) for i in (0, 1) for g in gens]
     us = np.unique(np.concatenate([np.linspace(0.0, 1.0, 23), gens[0][0].knot_us]))
     us = np.concatenate(([-0.0], us))
     vs = np.linspace(0.0, 1.0, 17)
-    second = [c.psi if model == "marshall" else c.chi for c in copulas]
     firsts = np.array([c.phi.eval_many(us) for c in copulas])
-    seconds = np.array([g.eval_many(vs) for g in second])
+    seconds = np.array([c.second.eval_many(vs) for c in copulas])
     # two leading axes: (2, k) pairs as search stacks its low and up grids
     k = len(copulas) // 2
     stack = copula_values(model, us, firsts.reshape(2, k, -1), vs, seconds.reshape(2, k, -1))

@@ -15,13 +15,7 @@ from hypothesis import strategies as st
 
 from shockbox import imprecise
 from shockbox.cli import DEFAULT_TOL, load_scenario
-from shockbox.copulas import (
-    BivariateBound,
-    MarshallCopula,
-    MaxminCopula,
-    Rect,
-    copula_grid,
-)
+from shockbox.copulas import MODELS, BivariateBound, Copula, Rect, copula_grid
 from shockbox.distfn import EXACT_TOL, INF, pointmass_cdf, product, step_cdf
 from shockbox.errors import InvalidParameterError
 from shockbox.generators import Generator, blend_generators, build_chi, build_phi, build_psi
@@ -66,20 +60,20 @@ Z_POINT = pointmass_cdf(1.5)
 
 def marshall_pair():
     return CopulaPair(
-        MarshallCopula(LOW_PHI, LOW_PSI), MarshallCopula(UP_PHI, UP_PSI)
+        Copula("marshall", LOW_PHI, LOW_PSI), Copula("marshall", UP_PHI, UP_PSI)
     )
 
 
 def maxmin_pair():
     # the second slot acts antitone, so the bounds sit at opposite corners
     return CopulaPair(
-        MaxminCopula(LOW_PHI, UP_CHI), MaxminCopula(UP_PHI, LOW_CHI)
+        Copula("maxmin", LOW_PHI, UP_CHI), Copula("maxmin", UP_PHI, LOW_CHI)
     )
 
 
 def same_corner_pair():
     return CopulaPair(
-        MaxminCopula(LOW_PHI, LOW_CHI), MaxminCopula(UP_PHI, UP_CHI)
+        Copula("maxmin", LOW_PHI, LOW_CHI), Copula("maxmin", UP_PHI, UP_CHI)
     )
 
 
@@ -101,7 +95,7 @@ def test_envelope_pairs_satisfy_all_conditions():
 
 
 def test_degenerate_pair_passes():
-    c = MarshallCopula(LOW_PHI, LOW_PSI)
+    c = Copula("marshall", LOW_PHI, LOW_PSI)
     checks = check_imprecise_copula(CopulaPair(c, c), n=31)
     assert all(ch.passed for ch in checks)
 
@@ -314,8 +308,8 @@ def search_grids():
     grids = []
     for index in range(50):
         s = random_discrete_scenario([2026, index], model="maxmin", grid=51)
-        low = MaxminCopula(build_phi(s.x_pbox.lower, s.z), build_chi(s.y_pbox.lower, s.z))
-        up = MaxminCopula(build_phi(s.x_pbox.upper, s.z), build_chi(s.y_pbox.upper, s.z))
+        low = Copula("maxmin", build_phi(s.x_pbox.lower, s.z), build_chi(s.y_pbox.lower, s.z))
+        up = Copula("maxmin", build_phi(s.x_pbox.upper, s.z), build_chi(s.y_pbox.upper, s.z))
         for n in (51, 101):
             us = np.linspace(0.0, 1.0, n)
             low_grid, up_grid = copula_grid(low, us, us), copula_grid(up, us, us)
@@ -994,8 +988,8 @@ def test_grid_validation():
 
 
 def discrete_h_bounds():
-    low_c = MarshallCopula(build_phi(X_LOW, Z_POINT), build_psi(Y_STEP, Z_POINT))
-    up_c = MarshallCopula(build_phi(X_UP, Z_POINT), build_psi(Y_STEP, Z_POINT))
+    low_c = Copula("marshall", build_phi(X_LOW, Z_POINT), build_psi(Y_STEP, Z_POINT))
+    up_c = Copula("marshall", build_phi(X_UP, Z_POINT), build_psi(Y_STEP, Z_POINT))
     low_h = BivariateBound(low_c, product(X_LOW, Z_POINT), product(Y_STEP, Z_POINT))
     up_h = BivariateBound(up_c, product(X_UP, Z_POINT), product(Y_STEP, Z_POINT))
     return low_h, up_h
@@ -1024,7 +1018,7 @@ def test_pbox_conditions_flag_swapped_bounds():
 
 def test_pbox_conditions_flag_defective_marginals():
     defective = step_cdf([(1.0, 0.45), (2.0, 0.45)])
-    low_c = MarshallCopula(build_phi(X_LOW, Z_POINT), build_psi(Y_STEP, Z_POINT))
+    low_c = Copula("marshall", build_phi(X_LOW, Z_POINT), build_psi(Y_STEP, Z_POINT))
     low_h = BivariateBound(low_c, product(X_LOW, Z_POINT), product(Y_STEP, Z_POINT))
     bad = BivariateBound(low_c, defective, product(Y_STEP, Z_POINT))
     checks = {c.name: c for c in check_bivariate_pbox_conditions(bad, low_h, PROBES, PROBES)}
@@ -1053,20 +1047,20 @@ def exp_maxmin_family():
 
 def test_family_corners():
     fam = exp_maxmin_family()
-    assert fam.pair.low == MaxminCopula(LOW_PHI, UP_CHI)
-    assert fam.pair.up == MaxminCopula(UP_PHI, LOW_CHI)
+    assert fam.pair.low == Copula("maxmin", LOW_PHI, UP_CHI)
+    assert fam.pair.up == Copula("maxmin", UP_PHI, LOW_CHI)
     assert fam.pair == maxmin_pair()
     assert fam.same_corner == same_corner_pair()
     mar = CopulaFamily("marshall", LOW_PHI, UP_PHI, LOW_PSI, UP_PSI)
-    assert mar.pair.low == MarshallCopula(LOW_PHI, LOW_PSI)
-    assert mar.pair.up == MarshallCopula(UP_PHI, UP_PSI)
+    assert mar.pair.low == Copula("marshall", LOW_PHI, LOW_PSI)
+    assert mar.pair.up == Copula("marshall", UP_PHI, UP_PSI)
     assert mar.same_corner == mar.pair
 
 
 def test_family_copula_is_the_model_copula():
-    assert exp_maxmin_family().copula(UP_PHI, LOW_CHI) == MaxminCopula(UP_PHI, LOW_CHI)
+    assert exp_maxmin_family().copula(UP_PHI, LOW_CHI) == Copula("maxmin", UP_PHI, LOW_CHI)
     mar = CopulaFamily("marshall", LOW_PHI, UP_PHI, LOW_PSI, UP_PSI)
-    assert mar.copula(UP_PHI, LOW_PSI) == MarshallCopula(UP_PHI, LOW_PSI)
+    assert mar.copula(UP_PHI, LOW_PSI) == Copula("marshall", UP_PHI, LOW_PSI)
     with pytest.raises(InvalidParameterError):
         mar.copula(UP_PHI, LOW_CHI)
 
@@ -1082,10 +1076,10 @@ def test_family_member_interpolates():
 
     # full weight on the low envelopes in both slots reproduces those knots
     low = member(1.0, 1.0)
-    assert isinstance(low, MaxminCopula)
+    assert low.model == "maxmin"
     for t in np.linspace(0.0, 1.0, 9):
         assert low.phi.eval(t) == LOW_PHI.eval(t)
-        assert low.chi.eval(t) == LOW_CHI.eval(t)
+        assert low.second.eval(t) == LOW_CHI.eval(t)
     mid = member(0.5, 0.5)
     assert mid.phi.eval(0.25) == pytest.approx(0.625, abs=1e-15)
 
@@ -1097,8 +1091,14 @@ def test_family_validation():
         CopulaFamily("maxmin", LOW_PHI, UP_PHI, LOW_PSI, UP_PSI)
     with pytest.raises(InvalidParameterError):
         CopulaFamily("marshall", LOW_CHI, UP_PHI, LOW_PSI, UP_PSI)
-    with pytest.raises(InvalidParameterError):
-        CopulaFamily("marshall", LOW_PHI, UP_PHI, LOW_PSI, UP_CHI)
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_family_second_generators_must_share_their_kind(model):
+    # one of the two same-corner copulas has a second slot of the wrong kind
+    for low, up in ((LOW_PSI, UP_CHI), (LOW_CHI, UP_PSI)):
+        with pytest.raises(InvalidParameterError, match=f"{model} second slot"):
+            CopulaFamily(model, LOW_PHI, UP_PHI, low, up)
 
 
 def test_coherence_witness_passes_for_the_example_family():
