@@ -45,10 +45,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .copulas import copula_grid, copula_values, unit_grid
+from .copulas import copula_grid, unit_grid
 from .distfn import DistFn, law_from_json
 from .errors import ConfigError, ShockboxError
-from .imprecise import CopulaFamily, search_stack_violations, witness_records
+from .imprecise import same_corner_findings
 from .pbox import PBox
 from .shockmodel import (
     MAX_GRID,
@@ -70,16 +70,17 @@ DEFAULT_SEARCH_COUNT = 1000
 DEFAULT_SEARCH_GRID = 51
 # search writes each range's findings (about 1.3 KB of JSON each) as the
 # range finishes, so its memory does not grow with the count: on a 2-core VM
-# --count 100000 --grid 51 took 27 s, with a peak RSS of 32 MB in the parent
-# and 36 MB in each worker, and wrote a summary of 74 MB
+# --count 100000 --grid 51 --seed 3 took 22 s, with a peak RSS of 32 MB in
+# the parent and 35 MB in each worker, and wrote a summary of 74 MB
 MAX_SEARCH_COUNT = 100_000
 # scenarios per range of a search, whose arrays take a few hundred KB whatever the count
 SEARCH_RANGE = 64
 # grid cells of a stack of a range's copula grids: 16 pairs at the default
-# grid, one pair from grid 145 on. On a 2-core VM a one-process search
-# --count 1000 took 0.41-0.45 s with stacks of 16 pairs, against 0.49-0.51 s
-# with stacks of 64 and a 5 MB higher peak RSS: the certificate passes over
-# each stack several times, and a stack of 16 (330 KB a grid) stays in cache
+# grid, one pair from grid 145 on. A stack is certified, and its witnesses
+# re-verified, at once. On a 2-core VM a one-process search --count 1000
+# took 0.41-0.45 s with stacks of 16 pairs, against 0.49-0.51 s with stacks
+# of 64 and a 5 MB higher peak RSS: the certificate passes over each stack
+# several times, and a stack of 16 (330 KB a grid) stays in cache
 SEARCH_STACK_CELLS = 16 * DEFAULT_SEARCH_GRID**2
 
 
@@ -276,24 +277,21 @@ def search_range(seed: int, start: int, stop: int, grid: int, tol: float) -> lis
     """The findings of search scenarios start, ..., stop - 1 of ``seed``, in
     index order. Scenario ``index`` is seeded by ``[seed, index]`` and shares
     no state with any other, so ranges can run in any order and in any
-    process; a range's generators are built together (``search_generators``)
-    and its same-corner pairs are checked as stacks of grids
-    (``search_stack_violations``) of at most SEARCH_STACK_CELLS cells.
+    process. The range stays in arrays: its generators are built together,
+    packed (``search_generators``), and evaluated on the grid row by row;
+    its same-corner pairs are checked, and their witnesses re-verified, as
+    stacks of grids (``same_corner_findings``) of at most SEARCH_STACK_CELLS
+    cells. No ``Generator`` or ``Copula`` object is built.
     """
     draws = np.array([random_step_draws([seed, index]) for index in range(start, stop)])
-    generators = search_generators(draws)
     us = unit_grid(grid)
     # per scenario (low_phi, up_phi, low_chi, up_chi) at us
-    values = np.array([[g.eval_many(us) for g in gens] for gens in generators])
+    values = search_generators(draws).eval_many(us).reshape(len(draws), 4, grid)
     stack = max(1, SEARCH_STACK_CELLS // grid**2)
     findings = []
     for first in range(0, len(values), stack):
-        # (low, up) of the same-corner pairs, shape (2, scenarios, grid, grid)
         part = values[first : first + stack].swapaxes(0, 1)
-        low, up = copula_values("maxmin", us, part[0:2], us, part[2:4])
-        for k, witnesses in search_stack_violations(low, up, us, tol):
-            pair = CopulaFamily("maxmin", *generators[first + k]).same_corner
-            records, reverified = witness_records(pair, witnesses, tol)
+        for k, records, reverified in same_corner_findings("maxmin", us, part, tol):
             findings.append({
                 "scenario_index": start + first + k,
                 "witnesses": records,
@@ -304,17 +302,68 @@ def search_range(seed: int, start: int, stop: int, grid: int, tol: float) -> lis
     return findings
 
 
+# json's spellings of the floats whose repr is not JSON
+_JSON_SPECIALS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _finding_templates() -> tuple[str, str, str]:
+    """The text of a finding and of one of its witnesses as _json_text
+    writes them in the summary, with %s for each value, and the close of a
+    finding's non-empty witness list: a finding is an item of the
+    summary's "findings" list, two levels deep, and its keys come in
+    sorted order."""
+
+    def pad(level: int) -> str:
+        return "\n" + " " * (JSON_INDENT * level)
+
+    finding = (
+        pad(2) + "{"
+        + pad(3) + '"reverified_doubled_grid": %s,'
+        + pad(3) + '"reverified_exact": %s,'
+        + pad(3) + '"scenario_index": %s,'
+        + pad(3) + '"witnesses": [%s'
+        + pad(2) + "}"
+    )
+    corners = ",".join(pad(6) + f'"{key}": %s' for key in ("u1", "u2", "v1", "v2"))
+    witness = (
+        pad(4) + "{"
+        + pad(5) + '"condition": %s,'
+        + pad(5) + '"rectangle": {' + corners + pad(5) + "},"
+        + pad(5) + '"value": %s'
+        + pad(4) + "}"
+    )
+    return finding, witness, pad(3) + "]"
+
+
+_FINDING_TEXT, _WITNESS_TEXT, _WITNESSES_CLOSE = _finding_templates()
+
+
+def _finding_text(finding: dict) -> str:
+    """A finding's item in the summary's text, as _json_text writes it,
+    from the templates of ``_finding_templates``: a float is its
+    float.__repr__, or json's spelling of nan and the infinities."""
+    witnesses = []
+    for w in finding["witnesses"]:
+        r = w["rectangle"]
+        numbers = [float.__repr__(x) for x in (r["u1"], r["u2"], r["v1"], r["v2"], w["value"])]
+        numbers = [_JSON_SPECIALS.get(text, text) for text in numbers]
+        witnesses.append(_WITNESS_TEXT % (json.dumps(w["condition"]), *numbers))
+    return _FINDING_TEXT % (
+        "true" if finding["reverified_doubled_grid"] else "false",
+        "true" if finding["reverified_exact"] else "false",
+        int.__repr__(finding["scenario_index"]),
+        ",".join(witnesses) + _WITNESSES_CLOSE if witnesses else "]",
+    )
+
+
 def _encoded_findings(findings: list[dict]) -> tuple[str, int, dict]:
     """A range's findings as ``_SearchSummary`` takes them: their items in
     the summary's text, their number, and their witnesses' number per
     condition. The items are as _json_text writes those of a list that is
     a value of the summary dict: each on new lines at the indent of the
-    list's items, with commas between them."""
-    pad = "\n" + " " * (2 * JSON_INDENT)
-    text = ",".join(
-        pad + json.dumps(finding, indent=JSON_INDENT, sort_keys=True).replace("\n", pad)
-        for finding in findings
-    )
+    list's items, with commas between them. Each is written from a
+    template (``_finding_text``), in place of the indenting encoder."""
+    text = ",".join(map(_finding_text, findings))
     by_condition: dict[str, int] = {}
     for finding in findings:
         for w in finding["witnesses"]:
@@ -391,7 +440,8 @@ def cmd_search(cfg: RunConfig) -> int:
     volume-plus-gap split, is at least -tol, and a pair with an order
     violation scans only the rows that can hold a worst rectangle (the
     ``imprecise`` module docstring). Each witness is re-verified by
-    recomputing it directly on its rectangle.
+    recomputing its condition on its rectangle from the generators' values
+    at its corners, all the witnesses of a stack of grids at once.
 
     ``reverified_doubled_grid`` says that the same scan at doubled
     resolution would find each witness's condition again, and it is true
@@ -408,17 +458,19 @@ def cmd_search(cfg: RunConfig) -> int:
     The indices 0, ..., count - 1 are cut into ranges of SEARCH_RANGE, which
     run on forked worker processes, one per usable CPU, or, with one usable
     CPU, one range or no fork start method, one after another in this
-    process. A range checks its scenarios as stacks of grids: one
+    process. A range stays in arrays, from its packed generators to the
+    text of its findings, and checks its scenarios as stacks of grids: one
     certificate for the stack, then a scan of each pair it does not pass,
-    which on the pinned seeds is each pair with an order violation
-    (``search_range``). It returns its findings already encoded as the
-    summary's JSON text (``_encoded_range``), so the workers, not this
-    process, run the indenting encoder. This process takes the ranges in
-    index order as they finish and streams them into the summary's
-    temporary file (``_SearchSummary``), so it holds the text of a range or
-    a few, not every finding, and the summary is the same bytes however the
-    ranges ran. An error in any scenario ends the search and removes the
-    temporary file, so nothing is written.
+    which on the pinned seeds is each pair with an order violation, then
+    one re-verification of the stack's witnesses (``search_range``). It
+    returns its findings already encoded as the summary's JSON text
+    (``_encoded_range``), written from a template in the layout of the
+    indenting encoder, in the workers, not this process. This process
+    takes the ranges in index order as they finish and streams them into
+    the summary's temporary file (``_SearchSummary``), so it holds the text
+    of a range or a few, not every finding, and the summary is the same
+    bytes however the ranges ran. An error in any scenario ends the search
+    and removes the temporary file, so nothing is written.
     """
     import multiprocessing
 

@@ -278,15 +278,21 @@ def blend_generators(a: Generator, b: Generator, t: float) -> Generator:
     blends of valid generators stay valid up to a few roundings (module
     docstring); downstream re-checks are defensive guards.
     """
+    return blends_at(a, b, (t,))[0]
+
+
+def blends_at(a: Generator, b: Generator, ts) -> list[Generator]:
+    """``blend_generators`` of a and b at each weight of ts, on one merged
+    knot set: the union and both interpolations are computed once."""
     if a.kind != b.kind:
         raise InvalidParameterError("can only blend generators of the same kind")
-    if not 0.0 <= t <= 1.0:
-        raise InvalidParameterError(f"blend weight {t} outside [0, 1]")
+    for t in ts:
+        if not 0.0 <= t <= 1.0:
+            raise InvalidParameterError(f"blend weight {t} outside [0, 1]")
     us = np.union1d(a._us, b._us)
     ya = np.interp(us, a._us, a._ys)
     yb = np.interp(us, b._us, b._ys)
-    ys = t * ya + (1.0 - t) * yb
-    return Generator._from_arrays(a.kind, us, ys)
+    return [Generator._from_arrays(a.kind, us, t * ya + (1.0 - t) * yb) for t in ts]
 
 
 # ---------------------------------------------------------------------------
@@ -383,8 +389,55 @@ def from_composite(f: DistFn, first: DistFn, fz: DistFn, kind: str) -> Generator
     return Generator._from_arrays(kind, us, ys)
 
 
-def lattice_generators(first: np.ndarray, fz: np.ndarray, chi: np.ndarray) -> list[Generator]:
-    """``from_composite`` of many pairs of step laws at once, on their lattice.
+class PackedGenerators:
+    """Many generators' knots laid end to end, without a ``Generator`` each.
+
+    Row r holds the abscissas us[starts[r]:starts[r + 1]] (the first row
+    starts at 0, the last runs to the end) and the values ys at the same
+    indices; it is chi-kind where chi[r] and phi-kind elsewhere. The
+    constructor checks Generator's rules on every row at once: each spans
+    [0, 1], its abscissas rise strictly and its values lie in [0, 1]. When
+    a row breaks one, the first such row is built as a Generator, which
+    raises its error, as building the rows one by one would.
+    """
+
+    __slots__ = ("chi", "us", "ys", "starts")
+
+    def __init__(self, chi: np.ndarray, us: np.ndarray, ys: np.ndarray, starts: np.ndarray) -> None:
+        ends = np.append(starts[1:], us.size)
+        span = (us[starts] != 0.0) | (us[ends - 1] != 1.0)
+        # written so that a nan knot fails the comparison and is rejected
+        falls = ~(us[1:] > us[:-1])
+        falls[starts[1:] - 1] = False  # where one row ends and the next starts
+        broken = ~((0.0 <= ys) & (ys <= 1.0))
+        broken[1:] |= falls
+        if np.count_nonzero(span) or np.count_nonzero(broken):
+            # the first row that breaks a span rule or holds a broken knot
+            rows = np.flatnonzero(span)[:1].tolist()
+            rows += (starts.searchsorted(np.flatnonzero(broken)[:1], "right") - 1).tolist()
+            r = min(rows)
+            row = slice(starts[r], ends[r])
+            # raises that row's error
+            Generator._from_arrays("chi" if chi[r] else "phi", us[row], ys[row])
+        self.chi, self.us, self.ys, self.starts = chi, us, ys, starts
+
+    def eval_many(self, grid: np.ndarray) -> np.ndarray:
+        """Row r of the result is row r's ``Generator.eval_many(grid)``, bit
+        for bit: ``np.interp`` on the row's knots, then the kind's endpoint
+        value, phi(0) = 0 or chi(1) = 1."""
+        grid = np.asarray(grid, dtype=float)
+        bounds = np.append(self.starts, self.us.size).tolist()
+        us, ys = self.us, self.ys
+        rows = [np.interp(grid, us[a:b], ys[a:b]) for a, b in zip(bounds, bounds[1:])]
+        out = np.array(rows).reshape(self.chi.size, grid.size)
+        out[~self.chi[:, None] & (grid == 0.0)] = 0.0
+        out[self.chi[:, None] & (grid == 1.0)] = 1.0
+        return out
+
+
+def lattice_generators(first: np.ndarray, fz: np.ndarray, chi: np.ndarray) -> PackedGenerators:
+    """``from_composite`` of many pairs of step laws at once, on their
+    lattice, as the rows of one ``PackedGenerators``.
 
     Row r of the integer arrays first and fz holds two step CDFs in 64ths:
     column 0 the level below the first of their common points, column h
@@ -419,11 +472,8 @@ def lattice_generators(first: np.ndarray, fz: np.ndarray, chi: np.ndarray) -> li
     if np.count_nonzero(us[1:] < us[:-1]) != g - 1:
         raise InvalidParameterError("generator knot abscissas must be non-decreasing")
     us, ys = _dedupe_knots(us / 4096.0, ys / 64.0)
-    starts = np.flatnonzero(us == 0.0)[1:]  # each row keeps one knot at 0
-    return [
-        Generator._from_arrays("chi" if c else "phi", u, y)
-        for c, u, y in zip(chi.tolist(), np.split(us, starts), np.split(ys, starts))
-    ]
+    # each row keeps one knot at 0, its first
+    return PackedGenerators(chi, us, ys, np.flatnonzero(us == 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -64,11 +64,11 @@ M + s. ``_ic_scan`` evaluates only the row pairs with their corner row in
 S, and every row pair when s is not finite. And when M - s >= -tol no
 condition, and not the order, fails on the grid: every rectangle check
 (``_ic_checks``, behind ``check_imprecise_copula``,
-``check_bivariate_pbox_conditions`` and ``search_ic_violation``) then
-passes without a scan, with M - s as the value of each condition. For a
-copula pair the gap is 0 on the column v = 0, so M <= 0 and every row is
-in S: the pair is certified when s <= tol, and otherwise every row pair
-is evaluated.
+``check_bivariate_pbox_conditions``, ``search_ic_violation`` and
+``same_corner_findings``) then passes without a scan, with M - s as the
+value of each condition. For a copula pair the gap is 0 on the column
+v = 0, so M <= 0 and every row is in S: the pair is certified when
+s <= tol, and otherwise every row pair is evaluated.
 
 The certificate and S only choose the work; the witnesses of the failing
 conditions do not depend on the slack, as long as it is at least the
@@ -115,11 +115,12 @@ from .copulas import (
     Rect,
     check_boundary_conditions,
     copula_grid,
+    copula_values,
     unit_grid,
 )
 from .distfn import EXACT_TOL, INF
 from .errors import InvalidParameterError
-from .generators import Generator, blend_generators, is_valid_generator
+from .generators import Generator, blends_at, is_valid_generator
 from .reports import Check
 
 _CONDITIONS = ("IC1", "IC2", "IC3", "IC4", "order")
@@ -404,34 +405,103 @@ def search_ic_violation(pair: CopulaPair, n: int = 51, tol: float = EXACT_TOL) -
     The witnesses are those of ``check_imprecise_copula`` on the same
     grids, so a pair with M - s >= -tol (the module docstring) passes
     without a scan. The pair is checked as a stack of one
-    (``search_stack_violations``).
+    (``_stack_failures``).
     """
     us, low, up = _unit_grids(pair, n)
-    found = search_stack_violations(low[None], up[None], us, tol)
-    return found[0][1] if found else []
+    found = _stack_failures(low[None], up[None], tol)
+    witness = _unit_witness(us)
+    return [witness(*f) for f in found[0][1]] if found else []
 
 
-def search_stack_violations(
-    low: np.ndarray, up: np.ndarray, us: np.ndarray, tol: float = EXACT_TOL
-) -> list[tuple[int, list[ViolationWitness]]]:
-    """``search_ic_violation`` of each pair of a stack of grids on us x us.
+def _failure(name: str, value: float, corners) -> tuple:
+    """The witness maker of ``_ic_checks`` that keeps the grid indices."""
+    return name, value, corners
 
-    low[k] and up[k] are the bounds' grids of pair k; the result holds
-    (k, witnesses) for each pair with a witness, in stack order. One
-    ``_split`` of the whole stack gives each pair its own gaps, M and s, the
-    floats of its split alone. A pair with M - s >= -tol has no witness and
-    is done without a ``Check``; only the others go on to ``_ic_checks``,
-    with their entry of the split, and are scanned there.
+
+def _stack_failures(low: np.ndarray, up: np.ndarray, tol: float) -> list[tuple[int, list]]:
+    """The failed checks of each pair of a stack of grids: (k, [(condition,
+    value, (i1, i2, j1, j2)), ...]) for each pair k with one, in stack
+    order, with the grid indices of each witness.
+
+    One ``_split`` of the whole stack gives each pair its own gaps, M and s,
+    the floats of its split alone. A pair with M - s >= -tol has no witness
+    and is done without a ``Check``; only the others go on to
+    ``_ic_checks``, with their entry of the split, and are scanned there.
     """
     split = _split(low, up)
-    witness = _unit_witness(us)
     found = []
     for k in np.flatnonzero(~_certified(split, tol)).tolist():
-        checks = _ic_checks(low[k], up[k], split[k], tol, witness)
-        witnesses = [c.witness for c in checks if not c.passed]
-        if witnesses:
-            found.append((k, witnesses))
+        checks = _ic_checks(low[k], up[k], split[k], tol, _failure)
+        failures = [c.witness for c in checks if not c.passed]
+        if failures:
+            found.append((k, failures))
     return found
+
+
+def same_corner_findings(
+    model: str, us: np.ndarray, values: np.ndarray, tol: float = EXACT_TOL
+) -> list[tuple[int, list[dict], bool]]:
+    """The rectangle checks of a stack of pairs on us x us, each witness
+    re-verified: (k, witness records, whether every witness re-verifies)
+    for each pair k with a witness, in stack order. A record is the
+    witness's ``ViolationWitness.to_dict``.
+
+    values[:, k] holds pair k's generators at us in ``CopulaFamily``'s
+    order, (low_phi, up_phi, low_second, up_second); the low bound is the
+    model's copula of the first and the third, the up bound of the second
+    and the fourth. One ``copula_values`` call grids the stack, whose
+    pairs ``_stack_failures`` checks, and the witnesses of the whole stack
+    re-verify together (``_reverified``), from their grid indices.
+    """
+    low, up = copula_values(model, us, values[0:2], us, values[2:4])
+    found = _stack_failures(low, up, tol)
+    failures = [f for _, fs in found for f in fs]
+    sizes = [len(fs) for _, fs in found]
+    pairs = np.repeat(np.array([k for k, _ in found], dtype=np.intp), sizes)
+    corners = np.array([c for _, _, c in failures], dtype=np.intp).reshape(-1, 4)
+    conditions = [name for name, _, _ in failures]
+    verdicts = _reverified((model, model), us, values, pairs, corners, conditions, tol).tolist()
+    points = us.tolist()
+
+    def record(name: str, value: float, corners) -> dict:
+        u1, u2, v1, v2 = (points[i] for i in corners)
+        rectangle = {"u1": u1, "u2": u2, "v1": v1, "v2": v2}
+        return {"rectangle": rectangle, "condition": name, "value": value}
+
+    findings, end = [], 0
+    for (k, fs), size in zip(found, sizes):
+        end += size
+        findings.append((k, [record(*f) for f in fs], all(verdicts[end - size : end])))
+    return findings
+
+
+def _reverified(models, us, values, pairs, corners, conditions, tol: float) -> np.ndarray:
+    """Whether each witness's condition value, recomputed on its rectangle,
+    is below -tol; the one re-verification of witnesses.
+
+    Witness i has the condition conditions[i] on the rectangle whose
+    corners are the points us[corners[i]], (u1, u2, v1, v2), and
+    values[:, pairs[i]] holds the generators of its pair at us, as in
+    ``same_corner_findings``. Each bound's values at every witness's four
+    corners come from one ``copula_values`` call under its model (models,
+    low then up), and each condition is X22 + V11 - W21 - Y12 on the grids
+    of ``_SPLITS``, added left to right in the order the module docstring
+    writes it; the order is up - low at (u2, v2).
+    """
+    iu, iv, row = corners[:, 0:2], corners[:, 2:4], pairs[:, None]
+    # (bound, witness, u corner, v corner)
+    grids = np.array([
+        copula_values(model, us[iu], values[b][row, iu], us[iv], values[b + 2][row, iv])
+        for model, b in zip(models, (0, 1))
+    ])
+    # the order's value is computed apart, so any grids stand in for its roles
+    picks = [_SPLITS.get(c, (0, 0, 0, 0)) for c in conditions]
+    x, y, v, w = np.array(picks, dtype=np.intp).reshape(-1, 4).T
+    i = np.arange(len(conditions))
+    value = grids[x, i, 1, 1] + grids[v, i, 0, 0] - grids[w, i, 1, 0] - grids[y, i, 0, 1]
+    order = np.array([c == "order" for c in conditions], dtype=bool)
+    value = np.where(order, grids[1, i, 1, 1] - grids[0, i, 1, 1], value)
+    return value < -tol
 
 
 def verify_witness(pair: CopulaPair, witness: ViolationWitness, tol: float = EXACT_TOL) -> bool:
@@ -442,37 +512,19 @@ def verify_witness(pair: CopulaPair, witness: ViolationWitness, tol: float = EXA
 def verify_witnesses(
     pair: CopulaPair, witnesses: Sequence[ViolationWitness], tol: float = EXACT_TOL
 ) -> list[bool]:
-    """``verify_witness`` of each witness, from one ``copula_grid`` call per
-    bound on the union of the witnesses' corners. copula_grid is
-    elementwise, so each corner value is the same bits as on the witness's
-    own grid of its two (or, on a degenerate side, one) coordinates."""
-    us = sorted({u for w in witnesses for u in (w.rectangle.u1, w.rectangle.u2)})
-    vs = sorted({v for w in witnesses for v in (w.rectangle.v1, w.rectangle.v2)})
-    grids = (copula_grid(pair.low, us, vs), copula_grid(pair.up, us, vs))
-    row, col = {u: i for i, u in enumerate(us)}, {v: j for j, v in enumerate(vs)}
-    verdicts = []
-    for witness in witnesses:
-        r = witness.rectangle
-        i1, i2, j1, j2 = row[r.u1], row[r.u2], col[r.v1], col[r.v2]
-        if witness.condition == "order":
-            value = grids[1][i2, j2] - grids[0][i2, j2]
-        else:
-            # X22 + V11 - W21 - Y12 on the grids of _SPLITS, added left to
-            # right in the order the module docstring writes each condition
-            x, y, v, w = _SPLITS[witness.condition]
-            value = grids[x][i2, j2] + grids[v][i1, j1] - grids[w][i2, j1] - grids[y][i1, j2]
-        verdicts.append(float(value) < -tol)
-    return verdicts
-
-
-def witness_records(
-    pair: CopulaPair, witnesses: Sequence[ViolationWitness], tol: float = EXACT_TOL
-) -> tuple[list[dict], bool]:
-    """A scan's witnesses as report records, and whether every one of them
-    re-verifies on its own rectangle (``verify_witnesses``; true for none)."""
-    if not witnesses:
-        return [], True
-    return [w.to_dict() for w in witnesses], all(verify_witnesses(pair, witnesses, tol))
+    """``verify_witness`` of each witness: ``_reverified`` with the pair's
+    generators evaluated on the union of the witnesses' coordinates, a
+    stack of one. Generator and copula values are elementwise, so each
+    corner value is the same bits as on the witness's own grid of its two
+    (or, on a degenerate side, one) coordinates."""
+    rects = [w.rectangle for w in witnesses]
+    points = np.array([(r.u1, r.u2, r.v1, r.v2) for r in rects], dtype=float)
+    us, corners = np.unique(points, return_inverse=True)
+    generators = (pair.low.phi, pair.up.phi, pair.low.second, pair.up.second)
+    values = np.array([g.eval_many(us) for g in generators])[:, None]
+    pairs = np.zeros(len(witnesses), dtype=np.intp)
+    models, conditions = (pair.low.model, pair.up.model), [w.condition for w in witnesses]
+    return _reverified(models, us, values, pairs, corners.reshape(-1, 4), conditions, tol).tolist()
 
 
 def _run_starts(low: np.ndarray, up: np.ndarray, axis: int) -> np.ndarray:
@@ -612,8 +664,8 @@ def coherence_witness(
     generators are left to the callers' dedicated checks.
     """
     def valid_blends(low: Generator, up: Generator, ts) -> list:
-        blends = [blend_generators(low, up, float(t)) for t in ts]
-        return [g if is_valid_generator(g, tol) else None for g in blends]
+        members = blends_at(low, up, [float(t) for t in ts])
+        return [g if is_valid_generator(g, tol) else None for g in members]
 
     def members(pairs) -> list[Copula]:
         return [family.copula(p, q) for p, q in pairs if p is not None and q is not None]

@@ -72,7 +72,7 @@ from .errors import (
     UnsupportedSegmentPairError,
 )
 from .generators import (
-    Generator,
+    PackedGenerators,
     associated_envelope_gaps,
     check_association,
     check_generator,
@@ -87,8 +87,7 @@ from .imprecise import (
     check_bivariate_pbox_conditions,
     check_imprecise_copula,
     coherence_witness,
-    search_ic_violation,
-    witness_records,
+    same_corner_findings,
 )
 from .pbox import PBox
 from .reports import Check
@@ -637,9 +636,14 @@ def _outer_containment(pair: CopulaPair, h_pair: CopulaPair, grid: int, tol: flo
     return Check("outer-containment", dev <= tol, value=dev, note=note), gap
 
 
-def _same_corner_scan(h_pair: CopulaPair, grid: int, tol: float) -> dict:
-    scan = search_ic_violation(h_pair, n=min(51, grid), tol=tol)
-    violations, reverified = witness_records(h_pair, scan, tol)
+def _same_corner_scan(family: CopulaFamily, grid: int, tol: float) -> dict:
+    """The same-corner pair's rectangle checks on a grid of at most 51
+    points, as search checks its pairs: a stack of one."""
+    us = unit_grid(min(51, grid))
+    generators = (family.low_phi, family.up_phi, family.low_second, family.up_second)
+    values = np.array([g.eval_many(us) for g in generators])[:, None]
+    found = same_corner_findings(family.model, us, values, tol)
+    _, violations, reverified = found[0] if found else (0, [], True)
     return {"violations": violations, "reverified": reverified}
 
 
@@ -704,7 +708,7 @@ def _run(s: Scenario, tol: float) -> ScenarioResult:
     if maxmin:
         outer, info["same_corner_gap"] = _outer_containment(imprecise_pair, h_pair, s.grid, tol)
         checks.append(outer)
-        info["same_corner_scan"] = _same_corner_scan(h_pair, s.grid, tol)
+        info["same_corner_scan"] = _same_corner_scan(family, s.grid, tol)
     info["generator_gaps"] = {
         label: _gap_summary(associated_envelope_gaps(g, k, f, fz)) for label, g, k, f in rows
     }
@@ -772,14 +776,14 @@ def random_discrete_scenario(
     return Scenario(PBox(xl, xu), PBox(yl, yu), z, model, grid)
 
 
-def search_generators(draws: np.ndarray) -> list[tuple[Generator, ...]]:
-    """Per scenario of a (k, 5, 13) stack of ``random_step_draws``, its
-    generators in the order of ``CopulaFamily``: those build_phi and
-    build_chi give its bounds with z, built by ``lattice_generators``."""
+def search_generators(draws: np.ndarray) -> PackedGenerators:
+    """The generators of a (k, 5, 13) stack of ``random_step_draws``, packed
+    (``lattice_generators``): rows 4i to 4i + 3 are scenario i's in the
+    order of ``CopulaFamily``, those build_phi and build_chi give its
+    bounds with z."""
     k = len(draws)
     z, chi = np.repeat(draws[:, 4], 4, axis=0), np.tile([False, False, True, True], k)
-    gens = lattice_generators(draws[:, :4].reshape(4 * k, 13), z, chi)
-    return [tuple(gens[i : i + 4]) for i in range(0, 4 * k, 4)]
+    return lattice_generators(draws[:, :4].reshape(4 * k, 13), z, chi)
 
 
 def _step_law(cums: np.ndarray) -> DistFn:

@@ -9,7 +9,8 @@ set of a level, the staircase lookup of an enumerated joint CDF, the
 reflection of a step law, the search's scenario generator written atom
 by atom with scalar reads, a witness's condition value written out
 corner by corner, and in rational arithmetic from the search's integer
-draws alone. None of them is called by a run; they live here
+draws alone, and packed generator rows as ``Generator`` objects. None of
+them is called by a run; they live here
 so that a reference cannot share a later edit with the construction it
 checks.
 """
@@ -34,9 +35,10 @@ from shockbox.distfn import (
     step_cdf,
 )
 from shockbox.errors import InvalidRangeError
+from shockbox.generators import Generator
 from shockbox.imprecise import _SPLITS, _worst_on_row_pair
 from shockbox.pbox import PBox
-from shockbox.shockmodel import Scenario, random_step_draws
+from shockbox.shockmodel import Scenario, random_step_draws, search_generators
 
 
 def triple(f: DistFn, x: float) -> tuple[float, float, float]:
@@ -357,6 +359,24 @@ def reference_witness_value(pair, r, condition):
         "IC4": u22 + u11 - l21 - u12,
         "order": u22 - l22,
     }[condition])
+
+
+def unpacked_generators(packed) -> list[Generator]:
+    """The rows of a ``PackedGenerators`` as Generator objects, in row
+    order, each on its own slices of the packed arrays."""
+    bounds = np.append(packed.starts, packed.us.size).tolist()
+    kinds = ["chi" if c else "phi" for c in packed.chi.tolist()]
+    return [
+        Generator._from_arrays(kind, packed.us[a:b], packed.ys[a:b])
+        for kind, a, b in zip(kinds, bounds, bounds[1:])
+    ]
+
+
+def search_generator_tuples(draws) -> list[tuple[Generator, ...]]:
+    """Per scenario of a stack of ``random_step_draws``, its four search
+    generators as objects, in the order of ``CopulaFamily``."""
+    gens = unpacked_generators(search_generators(np.asarray(draws)))
+    return [tuple(gens[i : i + 4]) for i in range(0, len(gens), 4)]
 
 
 def exact_lattice_generator(first, fz, kind: str):

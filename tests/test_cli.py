@@ -8,6 +8,7 @@ module entry point itself.
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -22,15 +23,15 @@ from hypothesis import strategies as st
 import shockbox.cli as cli
 from shockbox import imprecise
 from shockbox.cli import load_scenario, main
-from shockbox.copulas import copula_grid, unit_grid
+from shockbox.copulas import Copula, Rect, copula_grid, unit_grid
 from shockbox.distfn import DistFn, step_cdf
 from shockbox.errors import ConfigError, InvalidParameterError, NonProperInputError
+from shockbox.generators import Generator
 from shockbox.imprecise import (
     CopulaFamily,
     search_ic_violation,
     verify_witness,
     verify_witnesses,
-    witness_records,
 )
 from shockbox.pbox import PBox
 from shockbox.reports import Check
@@ -42,7 +43,7 @@ from shockbox.shockmodel import (
     search_generators,
 )
 
-from reference import exact_search_witness_value, reference_witness_value
+from reference import exact_search_witness_value, reference_witness_value, search_generator_tuples
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 ALL_SCENARIOS = sorted(SCENARIOS.glob("*.json"))
@@ -745,7 +746,7 @@ def test_full_search_summaries_match_the_recorded_digests(tmp_path, seed):
 def search_pair(seed: int, index: int):
     """The same-corner pair of search scenario index of seed, from its own
     draws."""
-    generators = search_generators(np.array([random_step_draws([seed, index])]))[0]
+    generators = search_generator_tuples([random_step_draws([seed, index])])[0]
     return CopulaFamily("maxmin", *generators).same_corner
 
 
@@ -754,16 +755,15 @@ def test_search_scans_the_pipelines_same_corner_pair(monkeypatch):
     # pipeline's same-corner pair of each scenario
     stacks = []
 
-    def record(low, up, us, tol):
-        stacks.append((low, up, us))
+    def record(low, up, tol):
+        stacks.append((low, up))
         return []
 
-    monkeypatch.setattr(cli, "search_stack_violations", record)
+    monkeypatch.setattr(imprecise, "_stack_failures", record)
     assert cli.search_range(42, 0, 20, grid=51, tol=1e-9) == []
     low, up = (np.concatenate([stack[i] for stack in stacks]) for i in (0, 1))
-    us = stacks[0][2]
+    us = np.linspace(0.0, 1.0, 51)
     assert low.shape == up.shape == (20, 51, 51)
-    assert us.tobytes() == np.linspace(0.0, 1.0, 51).tobytes()
     for i in range(20):
         scenario = random_discrete_scenario([42, i], model="maxmin", grid=51)
         expected = run_scenario(scenario).family.same_corner
@@ -776,17 +776,17 @@ def test_a_range_is_checked_in_stacks_of_bounded_size(monkeypatch, grid, count, 
     # no stack holds more than SEARCH_STACK_CELLS cells, and the stacks'
     # findings are those of one scenario at a time
     sizes = []
-    real = cli.search_stack_violations
+    real = imprecise._stack_failures
 
-    def record(low, up, us, tol):
+    def record(low, up, tol):
         sizes.append(len(low))
-        return real(low, up, us, tol)
+        return real(low, up, tol)
 
-    monkeypatch.setattr(cli, "search_stack_violations", record)
+    monkeypatch.setattr(imprecise, "_stack_failures", record)
     found = cli.search_range(7, 0, count, grid=grid, tol=cli.DEFAULT_TOL)
     assert sizes == stacks
     assert max(sizes) * grid**2 <= cli.SEARCH_STACK_CELLS
-    monkeypatch.setattr(cli, "search_stack_violations", real)
+    monkeypatch.setattr(imprecise, "_stack_failures", real)
     alone = [cli.search_range(7, i, i + 1, grid=grid, tol=cli.DEFAULT_TOL) for i in range(count)]
     assert found == [f for one in alone for f in one]
     assert len(found) > 10
@@ -819,24 +819,57 @@ def test_a_search_builds_no_distfn(tmp_path, monkeypatch):
     assert read_json(tmp_path / "search_summary.json")["scenarios_with_violations"] > 0
 
 
-def test_a_findings_witnesses_reverify_from_one_grid_per_bound(monkeypatch):
-    """On every finding of search --seed 42 --count 200: its witnesses are
-    those of search_ic_violation on its pair alone, its records are
-    dataclasses.asdict of them, the batched re-verification takes two
-    copula_grid calls whatever the witness count, and its verdicts are
-    those of verify_witness and of the written-out conditions on each
-    witness's own grid."""
-    grid_calls = []
-    real_grid = imprecise.copula_grid
+def test_a_search_builds_no_generator_or_copula(tmp_path, monkeypatch):
+    # a range stays in arrays: packed generators, stacked grids and a
+    # stacked re-verification, with no Generator or Copula object
+    def refuse(*args, **kwargs):
+        raise AssertionError("search built a generator or a copula")
 
-    def counted_grid(c, us, vs):
-        grid_calls.append(len(us) * len(vs))
-        return real_grid(c, us, vs)
+    monkeypatch.setattr(Generator, "__init__", refuse)
+    monkeypatch.setattr(Generator, "_from_arrays", classmethod(refuse))
+    monkeypatch.setattr(Copula, "__init__", refuse)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    assert main(["search", "--count", "100", "--grid", "51", "--out", str(tmp_path)]) == 0
+    assert read_json(tmp_path / "search_summary.json")["scenarios_with_violations"] > 40
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_a_findings_witnesses_reverify_from_one_grid_per_bound(monkeypatch, seed):
+    """On every finding of search --count 200 at seeds 42 and 7: its
+    witnesses are those of search_ic_violation on its pair alone, its
+    records are dataclasses.asdict of them, and its verdict is that of
+    verify_witnesses, verify_witness and the written-out conditions on each
+    witness's own grid. Each stack takes three copula_values calls, one for
+    its grids and one per bound for the corners of all its witnesses,
+    whatever their number, and no copula_grid call."""
+    calls = {"copula_values": [], "copula_grid": 0}
+    real_values, real_grid = imprecise.copula_values, imprecise.copula_grid
+
+    def counted_values(model, us, first, vs, second):
+        out = real_values(model, us, first, vs, second)
+        calls["copula_values"].append(out.shape)
+        return out
+
+    def counted_grid(*args):
+        calls["copula_grid"] += 1
+        return real_grid(*args)
 
     tol = cli.DEFAULT_TOL
+    with monkeypatch.context() as patch:
+        patch.setattr(imprecise, "copula_values", counted_values)
+        patch.setattr(imprecise, "copula_grid", counted_grid)
+        findings = cli.search_range(seed, 0, 200, grid=51, tol=tol)
+    stacks = 3 * 4 + 1  # stacks of 16 in ranges of 64, 64, 64 and 8
+    shapes = calls["copula_values"]
+    assert calls["copula_grid"] == 0 and len(shapes) == 3 * stacks
+    # per stack its (low, up) grids, then the low and the up corners
+    witnesses = [shape[0] for shape in shapes[1::3]]
+    assert witnesses == [shape[0] for shape in shapes[2::3]]
+    assert sum(witnesses) == sum(len(f["witnesses"]) for f in findings)
+    assert max(witnesses) >= 20
     witness_counts = set()
-    for finding in cli.search_range(42, 0, 200, grid=51, tol=tol):
-        pair = search_pair(42, finding["scenario_index"])
+    for finding in findings:
+        pair = search_pair(seed, finding["scenario_index"])
         witnesses = search_ic_violation(pair, n=51, tol=tol)
         witness_counts.add(len(witnesses))
         want = [verify_witness(pair, w, tol) for w in witnesses]
@@ -844,21 +877,17 @@ def test_a_findings_witnesses_reverify_from_one_grid_per_bound(monkeypatch):
             reference_witness_value(pair, w.rectangle, w.condition) < -tol for w in witnesses
         ]
         assert verify_witnesses(pair, witnesses, tol) == want
-        grid_calls.clear()
-        with monkeypatch.context() as patch:
-            patch.setattr(imprecise, "copula_grid", counted_grid)
-            records, reverified = witness_records(pair, witnesses, tol)
-        assert len(grid_calls) == 2
-        assert records == [dataclasses.asdict(w) for w in witnesses] == finding["witnesses"]
-        assert reverified is all(want) is finding["reverified_exact"]
+        assert [dataclasses.asdict(w) for w in witnesses] == finding["witnesses"]
+        assert all(want) is finding["reverified_exact"]
     assert max(witness_counts) >= 3
 
 
 def test_only_the_uncertified_scenarios_are_scanned(tmp_path, monkeypatch):
-    """In a 200-scenario search the rectangle checks, the scan and the
-    re-verification run once for each scenario with findings, and for no
-    scenario that the certificate passes: on these seeds every uncertified
-    scenario has a finding."""
+    """In a 200-scenario search the rectangle checks and the scan run once
+    for each scenario with findings, and for no scenario that the
+    certificate passes: on these seeds every uncertified scenario has a
+    finding. The re-verification runs once per stack and takes exactly the
+    witnesses of the summary, of those scenarios alone."""
     calls = {}
 
     def counted(name):
@@ -870,16 +899,75 @@ def test_only_the_uncertified_scenarios_are_scanned(tmp_path, monkeypatch):
 
         monkeypatch.setattr(imprecise, name, count)
 
-    for name in ("_ic_checks", "_ic_scan", "verify_witnesses"):
+    for name in ("_ic_checks", "_ic_scan"):
         counted(name)
+    reverified = []
+    real_reverified = imprecise._reverified
+
+    def record(models, us, values, pairs, corners, conditions, tol):
+        reverified.append(len(conditions))
+        return real_reverified(models, us, values, pairs, corners, conditions, tol)
+
+    monkeypatch.setattr(imprecise, "_reverified", record)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
     for seed in (42, 7):
-        calls.update(_ic_checks=0, _ic_scan=0, verify_witnesses=0)
+        calls.update(_ic_checks=0, _ic_scan=0)
+        reverified.clear()
         args = ["search", "--count", "200", "--grid", "51", "--seed", str(seed)]
         assert main(args + ["--out", str(tmp_path / str(seed))]) == 0
-        found = read_json(tmp_path / str(seed) / "search_summary.json")["scenarios_with_violations"]
+        summary = read_json(tmp_path / str(seed) / "search_summary.json")
+        found = summary["scenarios_with_violations"]
         assert 50 < found < 200
-        assert calls == {"_ic_checks": found, "_ic_scan": found, "verify_witnesses": found}
+        assert calls == {"_ic_checks": found, "_ic_scan": found}
+        # stacks of 16 in ranges of 64, 64, 64 and 8
+        assert len(reverified) == 13
+        assert sum(reverified) == sum(summary["violations_by_condition"].values())
+
+
+def test_a_stacks_verdicts_catch_a_value_above_tol_and_a_moved_corner(monkeypatch):
+    """Mutation checks of the stacked re-verification on the findings of a
+    100-scenario search. On the search's own generator values, each
+    witness's recomputed value is below -tol at tol = -value one ulp up and
+    not at tol = -value, the value written out corner by corner. And a
+    finding with one witness moved onto u = 0, where every condition's
+    value is 0, does not re-verify, while the others still do."""
+    tol = cli.DEFAULT_TOL
+    findings = cli.search_range(42, 0, 100, grid=51, tol=tol)
+    us = unit_grid(51)
+    for finding in findings:
+        index = finding["scenario_index"]
+        draws = np.array([random_step_draws([42, index])])
+        values = search_generators(draws).eval_many(us)[:, None]
+        pair = search_pair(42, index)
+        for w in finding["witnesses"]:
+            r = w["rectangle"]
+            corners = np.searchsorted(us, [[r["u1"], r["u2"], r["v1"], r["v2"]]])
+            value = reference_witness_value(pair, Rect(**r), w["condition"])
+            below = float(np.nextafter(value, np.inf))
+            for t, want in ((-value, False), (-below, True)):
+                pairs = np.zeros(1, dtype=np.intp)
+                got = imprecise._reverified(("maxmin",) * 2, us, values, pairs, corners, [w["condition"]], t)
+                assert got.tolist() == [want], (index, w, t)
+
+    moved = []
+    real = imprecise._stack_failures
+
+    def move_a_corner(low, up, tol):
+        found = real(low, up, tol)
+        for k, failures in found[::3]:
+            name, value, (i1, i2, j1, j2) = failures[-1]
+            failures[-1] = (name, value, (0, 0, j1, j2))
+            moved.append(k)
+        return found
+
+    monkeypatch.setattr(imprecise, "_stack_failures", move_a_corner)
+    mutated = cli.search_range(42, 0, 100, grid=51, tol=tol)
+    assert [f["scenario_index"] for f in mutated] == [f["scenario_index"] for f in findings]
+    flipped = [f["scenario_index"] for f, g in zip(findings, mutated) if f != g]
+    assert len(flipped) == len(moved) > 10
+    for f, g in zip(findings, mutated):
+        assert f["reverified_exact"] is True
+        assert g["reverified_exact"] is (f["scenario_index"] not in flipped)
 
 
 @pytest.mark.parametrize("seed", [42, 7, 2026])
@@ -1095,6 +1183,61 @@ def test_the_streamed_summary_keeps_every_witness_value(witness_lists, data):
     text, _ = streamed_summary(fields, findings, sizes)
     assert text == whole_summary(fields, findings)
     assert json.loads(text)["findings"] == findings
+
+
+CORNER_KEYS = ("u1", "u2", "v1", "v2")
+
+
+def compact(finding: dict) -> str:
+    return json.dumps(finding, sort_keys=True)
+
+
+# the floats a witness may hold, json's special spellings among them
+template_floats = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e-5, 1e16, 0.1]),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+)
+
+
+@st.composite
+def findings_of_every_shape(draw):
+    witnesses = draw(
+        st.lists(
+            st.fixed_dictionaries({
+                "rectangle": st.fixed_dictionaries({k: template_floats for k in CORNER_KEYS}),
+                "condition": st.sampled_from(["IC1", "IC2", "IC3", "IC4", "order"]),
+                "value": template_floats,
+            }),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    return {
+        "scenario_index": draw(st.integers(0, 99_999)),
+        "witnesses": witnesses,
+        "reverified_exact": draw(st.booleans()),
+        "reverified_doubled_grid": True,
+    }
+
+
+@given(st.lists(findings_of_every_shape(), max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_the_finding_template_writes_the_indenting_encoders_text(findings):
+    # each item is json.dumps(finding, indent=JSON_INDENT, sort_keys=True)
+    # at the indent of the summary's findings, byte for byte
+    text, count, _ = cli._encoded_findings(findings)
+    pad = "\n" + " " * (2 * cli.JSON_INDENT)
+    dumped = [json.dumps(f, indent=cli.JSON_INDENT, sort_keys=True) for f in findings]
+    assert text == ",".join(pad + item.replace("\n", pad) for item in dumped)
+    assert count == len(findings)
+    # and it round-trips through json.loads (NaN included, so compared as text)
+    loaded = json.loads("[" + text + "]")
+    assert list(map(compact, loaded)) == list(map(compact, findings))
+    signs = [
+        [math.copysign(1.0, w["value"]) for w in f["witnesses"] if not math.isnan(w["value"])]
+        for f in (*findings, *loaded)
+    ]
+    assert signs[: len(findings)] == signs[len(findings) :]
 
 
 def test_a_worker_error_mid_stream_leaves_no_file(tmp_path, capsys, monkeypatch):

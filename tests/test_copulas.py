@@ -17,7 +17,9 @@ from shockbox.copulas import (
 from shockbox.distfn import INF, comix, pointmass_cdf, product, step_cdf
 from shockbox.errors import InvalidParameterError, InvalidRangeError
 from shockbox.generators import Generator, build_chi, build_phi, build_psi
-from shockbox.shockmodel import random_discrete_scenario, random_step_draws, search_generators
+from shockbox.shockmodel import random_discrete_scenario, random_step_draws
+
+from reference import search_generator_tuples
 
 X_LOW = step_cdf([(1.0, 0.2), (2.0, 0.8)])
 X_UP = step_cdf([(1.0, 0.5), (2.0, 0.5)])
@@ -234,7 +236,7 @@ def test_a_stack_of_grids_is_each_pairs_copula_grid_bit_for_bit(model):
     # the generators of 30 search scenarios; a Marshall copula takes the
     # lower and upper phi, a max/min one a phi and a chi. -0.0 and the knots
     # make ties of 0.0 and -0.0 in np.minimum; u and v differ in length
-    gens = search_generators(np.array([random_step_draws([5, i]) for i in range(30)]))
+    gens = search_generator_tuples([random_step_draws([5, i]) for i in range(30)])
     if model == "marshall":
         copulas = [Copula("marshall", g[0], g[1]) for g in gens]
     else:

@@ -32,7 +32,9 @@ from shockbox.generators import (
     _dedupe_knots,
     _phi_gap_extremes,
     associated_envelope_gaps,
+    PackedGenerators,
     blend_generators,
+    blends_at,
     build_chi,
     build_phi,
     build_psi,
@@ -45,7 +47,14 @@ from shockbox.generators import (
 )
 from shockbox.pbox import PBox
 from shockbox.reports import Check
-from shockbox.shockmodel import Scenario, _first_max, _gap_summary, _resolve_inputs
+from shockbox.shockmodel import (
+    Scenario,
+    _first_max,
+    _gap_summary,
+    _resolve_inputs,
+    random_step_draws,
+    search_generators,
+)
 
 from reference import (
     admissible_anchors,
@@ -56,6 +65,7 @@ from reference import (
     formula_phi,
     phi_star,
     reverse,
+    unpacked_generators,
 )
 
 LN2 = math.log(2.0)
@@ -322,6 +332,19 @@ def test_blends_of_valid_generators_stay_valid(fa, fz, fb, t):
     for builder in (build_phi, build_chi):
         mix = blend_generators(builder(fa, fz), builder(fb, fz), t)
         assert is_valid_generator(mix, 1e-12)
+
+
+@pytest.mark.parametrize("builder", [build_phi, build_chi])
+def test_blends_on_one_merged_knot_set_are_each_weights_blend(builder):
+    # the weights of coherence_witness's members: MEMBER_WEIGHTS and drawn ones
+    low, up = builder(X_LOW, Z_POINT), builder(X_UP, Z_POINT)
+    ts = [0.25, 0.5, 0.75, *np.random.default_rng(42).uniform(size=5).tolist(), 0.0, 1.0]
+    for t, g in zip(ts, blends_at(low, up, ts)):
+        one = blend_generators(low, up, t)
+        assert g.kind == one.kind and g._us.tobytes() == one._us.tobytes()
+        assert g._ys.tobytes() == one._ys.tobytes(), t
+    with pytest.raises(InvalidParameterError, match="blend weight 1.5 outside"):
+        blends_at(low, up, [0.5, 1.5])
 
 
 def test_blend_of_chi_generators_near_the_identity_stays_valid():
@@ -741,7 +764,78 @@ def test_lattice_generators_check_the_lattice():
     with pytest.raises(InvalidParameterError, match="inconsistent generator value at interior knot"):
         lattice_generators(lattice_row(0, 1, 2, 64), lattice_row(0, 2, 1, 64), np.array([False]))
     # a row of each kind, laid end to end
-    phi, chi = lattice_generators(np.vstack((proper, proper)), np.vstack((proper, proper)), np.array([False, True]))
+    packed = lattice_generators(np.vstack((proper, proper)), np.vstack((proper, proper)), np.array([False, True]))
+    phi, chi = unpacked_generators(packed)
     f = step_cdf([(1.0, 0.5), (2.0, 0.5)])
     assert (phi.kind, phi.knots) == ("phi", build_phi(f, f).knots)
     assert (chi.kind, chi.knots) == ("chi", build_chi(f, f).knots)
+
+
+def packed(rows):
+    """PackedGenerators of rows (kind, us, ys), laid end to end."""
+    sizes = [len(us) for _, us, _ in rows]
+    return PackedGenerators(
+        np.array([kind == "chi" for kind, _, _ in rows]),
+        np.concatenate([us for _, us, _ in rows]),
+        np.concatenate([ys for _, _, ys in rows]),
+        np.cumsum([0] + sizes[:-1]),
+    )
+
+
+def perturbed(us, ys, how):
+    """A copy of one row's knots broken one way."""
+    us, ys = us.copy(), ys.copy()
+    if how == "unsorted":
+        us[[1, 2]] = us[[2, 1]]
+    elif how == "nan-knot":
+        us[1] = np.nan
+    elif how == "nan-value":
+        ys[1] = np.nan
+    elif how == "value-above-1":
+        ys[-2] = np.nextafter(1.0, 2.0)
+    elif how == "no-knot-at-0":
+        us, ys = us[1:], ys[1:]
+    elif how == "no-knot-at-1":
+        us, ys = us[:-1], ys[:-1]
+    return us, ys
+
+
+BREAKS = ["unsorted", "nan-knot", "nan-value", "value-above-1", "no-knot-at-0", "no-knot-at-1"]
+
+
+def search_rows(count: int = 30):
+    draws = np.array([random_step_draws([42, i]) for i in range(count)])
+    gens = unpacked_generators(search_generators(draws))
+    return [(g.kind, g._us, g._ys) for g in gens]
+
+
+@pytest.mark.parametrize("how", BREAKS)
+def test_packed_generators_reject_a_broken_row_as_a_generator_does(how):
+    rows = search_rows()
+    packed(rows)  # the unbroken rows pass
+    long_rows = [r for r, (_, us, _) in enumerate(rows) if us.size >= 4]
+    for r in (long_rows[0], long_rows[len(long_rows) // 2], long_rows[-1]):
+        kind, us, ys = rows[r]
+        broken = [*rows[:r], (kind, *perturbed(us, ys, how)), *rows[r + 1 :]]
+        with pytest.raises(InvalidParameterError) as want:
+            Generator._from_arrays(kind, *broken[r][1:])
+        with pytest.raises(InvalidParameterError) as got:
+            packed(broken)
+        assert str(got.value) == str(want.value), (how, r)
+
+
+@pytest.mark.parametrize("first", BREAKS)
+@pytest.mark.parametrize("second", BREAKS)
+def test_packed_generators_raise_the_first_broken_rows_error(first, second):
+    # two rows broken in different ways: the error is the earlier row's, as
+    # building the rows one by one would raise it
+    rows = search_rows()
+    a, b = [r for r, (_, us, _) in enumerate(rows) if us.size >= 4][:2]
+    broken = list(rows)
+    broken[a] = (rows[a][0], *perturbed(rows[a][1], rows[a][2], first))
+    broken[b] = (rows[b][0], *perturbed(rows[b][1], rows[b][2], second))
+    with pytest.raises(InvalidParameterError) as want:
+        Generator._from_arrays(broken[a][0], *broken[a][1:])
+    with pytest.raises(InvalidParameterError) as got:
+        packed(broken)
+    assert str(got.value) == str(want.value)

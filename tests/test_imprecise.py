@@ -34,7 +34,6 @@ from shockbox.imprecise import (
     check_imprecise_copula,
     coherence_witness,
     search_ic_violation,
-    search_stack_violations,
     verify_witness,
 )
 from shockbox.shockmodel import MAX_GRID, probe_xs, random_discrete_scenario, run_scenario, thin
@@ -662,6 +661,14 @@ def stacked_unit_grids(pairs, n):
     return np.linspace(0.0, 1.0, n), low, up
 
 
+def stack_violations(low, up, us):
+    """search_ic_violation of each pair of a stack of grids on us x us:
+    (k, witnesses) for each pair k with a witness, in stack order."""
+    witness = imprecise._unit_witness(us)
+    found = imprecise._stack_failures(low, up, SEARCH_TOL)
+    return [(k, [witness(*f) for f in failures]) for k, failures in found]
+
+
 def split_bits(split):
     fields = (split.gaps, split.floor, split.slack)
     return tuple(np.asarray(x, dtype=float).tobytes() for x in fields)
@@ -674,7 +681,7 @@ def test_a_stacks_split_and_witnesses_are_each_pairs_alone(unpinned_search_pairs
         for k in range(len(pairs[:200])):
             assert split_bits(stack[k]) == split_bits(_split(low[k], up[k])), k
         alone = [search_ic_violation(pair, n=51, tol=SEARCH_TOL) for pair in pairs[:200]]
-        found = search_stack_violations(low, up, us, SEARCH_TOL)
+        found = stack_violations(low, up, us)
         assert found == [(k, w) for k, w in enumerate(alone) if w]
         assert len(found) > 50
 
@@ -703,7 +710,7 @@ def test_a_stacks_split_is_each_pairs_split_bit_for_bit(grids):
 def test_a_nan_in_one_pair_of_a_stack_leaves_the_others_alone(unpinned_search_pairs):
     us, low, up = stacked_unit_grids(unpinned_search_pairs[5][:40], 51)
     clean = _split(low, up)
-    found = search_stack_violations(low, up, us, SEARCH_TOL)
+    found = stack_violations(low, up, us)
     for k, cell in ((0, (0, 0)), (17, (25, 30)), (39, (50, 50))):
         for side in (0, 1):
             grids = [low, up]
@@ -714,10 +721,10 @@ def test_a_nan_in_one_pair_of_a_stack_leaves_the_others_alone(unpinned_search_pa
             for other in range(40):
                 if other != k:
                     assert split_bits(split[other]) == split_bits(clean[other])
-            again = search_stack_violations(*grids, us, SEARCH_TOL)
+            again = stack_violations(*grids, us)
             assert [f for f in again if f[0] != k] == [f for f in found if f[0] != k]
             # the pair with the nan is checked as it is alone (repr, as nan != nan)
-            alone = search_stack_violations(*(g[k : k + 1] for g in grids), us, SEARCH_TOL)
+            alone = stack_violations(*(g[k : k + 1] for g in grids), us)
             assert repr([w for i, w in again if i == k]) == repr([w for _, w in alone])
             assert len(alone) == 1
 
