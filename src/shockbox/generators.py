@@ -270,20 +270,16 @@ def check_order(g1: Generator, g2: Generator, tol: float = 0.0) -> Check:
     return Check("order", True, value=0.0)
 
 
-def blend_generators(a: Generator, b: Generator, t: float) -> Generator:
-    """Pointwise convex combination t*a + (1-t)*b of same-kind generators.
+def blend_generators(a: Generator, b: Generator, ts) -> list[Generator]:
+    """Pointwise convex combinations t*a + (1-t)*b of same-kind generators,
+    one per weight t of ts, on one merged knot set: the union and both
+    interpolations are computed once.
 
     Blending acts on the continuous branches; the jump endpoints follow by
     the kind's convention. Each validity rule is linear in the generator, so
     blends of valid generators stay valid up to a few roundings (module
     docstring); downstream re-checks are defensive guards.
     """
-    return blends_at(a, b, (t,))[0]
-
-
-def blends_at(a: Generator, b: Generator, ts) -> list[Generator]:
-    """``blend_generators`` of a and b at each weight of ts, on one merged
-    knot set: the union and both interpolations are computed once."""
     if a.kind != b.kind:
         raise InvalidParameterError("can only blend generators of the same kind")
     for t in ts:

@@ -120,7 +120,7 @@ from .copulas import (
 )
 from .distfn import EXACT_TOL, INF
 from .errors import InvalidParameterError
-from .generators import Generator, blends_at, is_valid_generator
+from .generators import Generator, blend_generators, is_valid_generator
 from .reports import Check
 
 _CONDITIONS = ("IC1", "IC2", "IC3", "IC4", "order")
@@ -159,12 +159,6 @@ class ViolationWitness:
             raise InvalidParameterError(
                 f"unknown condition {self.condition!r}, expected one of {_CONDITIONS}"
             )
-
-    def to_dict(self) -> dict:
-        """``dataclasses.asdict`` of the witness, built field by field."""
-        r = self.rectangle
-        rectangle = {"u1": r.u1, "u2": r.u2, "v1": r.v1, "v2": r.v2}
-        return {"rectangle": rectangle, "condition": self.condition, "value": self.value}
 
 
 # Each condition splits on a row pair as p(j2) + q(j1), j1 <= j2, with
@@ -444,7 +438,7 @@ def same_corner_findings(
     """The rectangle checks of a stack of pairs on us x us, each witness
     re-verified: (k, witness records, whether every witness re-verifies)
     for each pair k with a witness, in stack order. A record is the
-    witness's ``ViolationWitness.to_dict``.
+    ``dataclasses.asdict`` of the witness's ``ViolationWitness``.
 
     values[:, k] holds pair k's generators at us in ``CopulaFamily``'s
     order, (low_phi, up_phi, low_second, up_second); the low bound is the
@@ -505,26 +499,16 @@ def _reverified(models, us, values, pairs, corners, conditions, tol: float) -> n
 
 
 def verify_witness(pair: CopulaPair, witness: ViolationWitness, tol: float = EXACT_TOL) -> bool:
-    """Recompute a witness's condition value directly on its rectangle."""
-    return verify_witnesses(pair, [witness], tol)[0]
-
-
-def verify_witnesses(
-    pair: CopulaPair, witnesses: Sequence[ViolationWitness], tol: float = EXACT_TOL
-) -> list[bool]:
-    """``verify_witness`` of each witness: ``_reverified`` with the pair's
-    generators evaluated on the union of the witnesses' coordinates, a
-    stack of one. Generator and copula values are elementwise, so each
-    corner value is the same bits as on the witness's own grid of its two
-    (or, on a degenerate side, one) coordinates."""
-    rects = [w.rectangle for w in witnesses]
-    points = np.array([(r.u1, r.u2, r.v1, r.v2) for r in rects], dtype=float)
-    us, corners = np.unique(points, return_inverse=True)
+    """Recompute a witness's condition value directly on its rectangle:
+    ``_reverified`` on a stack of one, with the pair's generators evaluated
+    at the rectangle's four coordinates (u1, u2, v1, v2)."""
+    r = witness.rectangle
+    us = np.array([r.u1, r.u2, r.v1, r.v2])
     generators = (pair.low.phi, pair.up.phi, pair.low.second, pair.up.second)
     values = np.array([g.eval_many(us) for g in generators])[:, None]
-    pairs = np.zeros(len(witnesses), dtype=np.intp)
-    models, conditions = (pair.low.model, pair.up.model), [w.condition for w in witnesses]
-    return _reverified(models, us, values, pairs, corners.reshape(-1, 4), conditions, tol).tolist()
+    models = (pair.low.model, pair.up.model)
+    corners, pairs = np.array([[0, 1, 2, 3]], dtype=np.intp), np.zeros(1, dtype=np.intp)
+    return bool(_reverified(models, us, values, pairs, corners, [witness.condition], tol)[0])
 
 
 def _run_starts(low: np.ndarray, up: np.ndarray, axis: int) -> np.ndarray:
@@ -664,7 +648,7 @@ def coherence_witness(
     generators are left to the callers' dedicated checks.
     """
     def valid_blends(low: Generator, up: Generator, ts) -> list:
-        members = blends_at(low, up, [float(t) for t in ts])
+        members = blend_generators(low, up, [float(t) for t in ts])
         return [g if is_valid_generator(g, tol) else None for g in members]
 
     def members(pairs) -> list[Copula]:

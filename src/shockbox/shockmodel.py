@@ -36,7 +36,7 @@ largest atom, which bounds the sup-norm error of each discretized input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -87,7 +87,8 @@ from .imprecise import (
     check_bivariate_pbox_conditions,
     check_imprecise_copula,
     coherence_witness,
-    same_corner_findings,
+    search_ic_violation,
+    verify_witness,
 )
 from .pbox import PBox
 from .reports import Check
@@ -353,7 +354,8 @@ def _saturation_cap(y_bounds: tuple[DistFn, DistFn], z: DistFn, lo: float, hi: f
     discretization bound.  Points where either survival is exactly zero are
     safe: the composite is exactly one there.
     """
-    xs = np.linspace(lo, hi, 2049)[1:]
+    # at half scale, as probe_xs sweeps: the width hi - lo may overflow
+    xs = 2.0 * np.linspace(lo / 2.0, hi / 2.0, 2049)[1:]
     sz = 1.0 - z.eval_many(xs)
     hit = np.zeros(xs.size, dtype=bool)
     for fy in y_bounds:
@@ -638,13 +640,13 @@ def _outer_containment(pair: CopulaPair, h_pair: CopulaPair, grid: int, tol: flo
 
 def _same_corner_scan(family: CopulaFamily, grid: int, tol: float) -> dict:
     """The same-corner pair's rectangle checks on a grid of at most 51
-    points, as search checks its pairs: a stack of one."""
-    us = unit_grid(min(51, grid))
-    generators = (family.low_phi, family.up_phi, family.low_second, family.up_second)
-    values = np.array([g.eval_many(us) for g in generators])[:, None]
-    found = same_corner_findings(family.model, us, values, tol)
-    _, violations, reverified = found[0] if found else (0, [], True)
-    return {"violations": violations, "reverified": reverified}
+    points, each witness re-verified on its rectangle."""
+    pair = family.same_corner
+    witnesses = search_ic_violation(pair, n=min(51, grid), tol=tol)
+    return {
+        "violations": [asdict(w) for w in witnesses],
+        "reverified": all(verify_witness(pair, w, tol) for w in witnesses),
+    }
 
 
 def _run(s: Scenario, tol: float) -> ScenarioResult:

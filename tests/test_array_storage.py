@@ -131,7 +131,7 @@ def generators(draw):
         return g
     h = build(draw(step_fns(4)), draw(step_fns(3)))
     h = Generator(kind, h.knots)
-    return blend_generators(g, h, draw(st.sampled_from([0.25, 0.5])))
+    return blend_generators(g, h, [draw(st.sampled_from([0.25, 0.5]))])[0]
 
 
 @given(generators())

@@ -34,7 +34,6 @@ from shockbox.generators import (
     associated_envelope_gaps,
     PackedGenerators,
     blend_generators,
-    blends_at,
     build_chi,
     build_phi,
     build_psi,
@@ -313,15 +312,15 @@ def test_order_rejects_mixed_kinds():
 def test_blend_interpolates_and_respects_weights():
     low_phi = build_phi(X_LOW, Z_POINT)
     up_phi = build_phi(X_UP, Z_POINT)
-    mid = blend_generators(low_phi, up_phi, 0.25)
+    mid = blend_generators(low_phi, up_phi, [0.25])[0]
     for u in (0.1, 0.3, 0.6, 0.9):
         want = 0.25 * max(0.2, u) + 0.75 * max(0.5, u)
         assert mid.eval(u) == pytest.approx(want, abs=1e-15)
     assert is_valid_generator(mid)
     with pytest.raises(InvalidParameterError):
-        blend_generators(low_phi, Generator.identity("chi"), 0.5)
+        blend_generators(low_phi, Generator.identity("chi"), [0.5])
     with pytest.raises(InvalidParameterError):
-        blend_generators(low_phi, up_phi, 1.5)
+        blend_generators(low_phi, up_phi, [1.5])
 
 
 @given(steps(3), steps(2), steps(3), st.sampled_from([0.25, 0.5, 0.75]))
@@ -330,7 +329,7 @@ def test_blends_of_valid_generators_stay_valid(fa, fz, fb, t):
     # each per-piece rule is linear in the generator, so convex combinations
     # inherit validity up to the rounding of the blend
     for builder in (build_phi, build_chi):
-        mix = blend_generators(builder(fa, fz), builder(fb, fz), t)
+        mix = blend_generators(builder(fa, fz), builder(fb, fz), [t])[0]
         assert is_valid_generator(mix, 1e-12)
 
 
@@ -339,12 +338,12 @@ def test_blends_on_one_merged_knot_set_are_each_weights_blend(builder):
     # the weights of coherence_witness's members: MEMBER_WEIGHTS and drawn ones
     low, up = builder(X_LOW, Z_POINT), builder(X_UP, Z_POINT)
     ts = [0.25, 0.5, 0.75, *np.random.default_rng(42).uniform(size=5).tolist(), 0.0, 1.0]
-    for t, g in zip(ts, blends_at(low, up, ts)):
-        one = blend_generators(low, up, t)
+    for t, g in zip(ts, blend_generators(low, up, ts)):
+        one = blend_generators(low, up, [t])[0]
         assert g.kind == one.kind and g._us.tobytes() == one._us.tobytes()
         assert g._ys.tobytes() == one._ys.tobytes(), t
     with pytest.raises(InvalidParameterError, match="blend weight 1.5 outside"):
-        blends_at(low, up, [0.5, 1.5])
+        blend_generators(low, up, [0.5, 1.5])
 
 
 def test_blend_of_chi_generators_near_the_identity_stays_valid():
@@ -355,7 +354,7 @@ def test_blend_of_chi_generators_near_the_identity_stays_valid():
     low = build_chi(step_cdf([(0.0, 1.0)]), fz)
     high = build_chi(step_cdf([(-0.5, 63 / 64), (0.0, 1 / 64)]), fz)
     assert is_valid_generator(low, 1e-12) and is_valid_generator(high, 1e-12)
-    assert is_valid_generator(blend_generators(low, high, 0.25), 1e-12)
+    assert is_valid_generator(blend_generators(low, high, [0.25])[0], 1e-12)
 
 
 # -- gap probe -----------------------------------------------------------------
@@ -607,7 +606,7 @@ def generators(draw, kind=None):
 def blends(draw):
     """Blends of two generators of one kind at a weight that is not dyadic."""
     kind = draw(st.sampled_from(["phi", "chi"]))
-    return blend_generators(draw(generators(kind)), draw(generators(kind)), 0.3)
+    return blend_generators(draw(generators(kind)), draw(generators(kind)), [0.3])[0]
 
 
 @given(st.one_of(generators(), blends()), st.sampled_from([0.0, 1e-12, 1e-9, 0.05]))

@@ -1077,8 +1077,8 @@ def test_family_member_interpolates():
 
     def member(t_phi, t_second):
         return fam.copula(
-            blend_generators(fam.low_phi, fam.up_phi, t_phi),
-            blend_generators(fam.low_second, fam.up_second, t_second),
+            blend_generators(fam.low_phi, fam.up_phi, [t_phi])[0],
+            blend_generators(fam.low_second, fam.up_second, [t_second])[0],
         )
 
     # full weight on the low envelopes in both slots reproduces those knots
