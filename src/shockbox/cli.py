@@ -55,9 +55,9 @@ from .shockmodel import (
     Scenario,
     ScenarioResult,
     probe_xs,
-    random_step_draws,
     run_scenario,
     search_generators,
+    search_step_draws,
     thin,
 )
 
@@ -70,8 +70,9 @@ DEFAULT_SEARCH_COUNT = 1000
 DEFAULT_SEARCH_GRID = 51
 # search writes each range's findings (about 1.3 KB of JSON each) as the
 # range finishes, so its memory does not grow with the count: on a 2-core VM
-# --count 100000 --grid 51 --seed 3 took 22 s, with a peak RSS of 32 MB in
-# the parent and 35 MB in each worker, and wrote a summary of 74 MB
+# (Python 3.11, numpy 2.4.6) --count 100000 --grid 51 --seed 3 took 14.5 s,
+# with a peak RSS of 32 MB in the parent and 35 MB in each worker, and wrote
+# a summary of 74 MB
 MAX_SEARCH_COUNT = 100_000
 # scenarios per range of a search, whose arrays take a few hundred KB whatever the count
 SEARCH_RANGE = 64
@@ -277,13 +278,16 @@ def search_range(seed: int, start: int, stop: int, grid: int, tol: float) -> lis
     """The findings of search scenarios start, ..., stop - 1 of ``seed``, in
     index order. Scenario ``index`` is seeded by ``[seed, index]`` and shares
     no state with any other, so ranges can run in any order and in any
-    process. The range stays in arrays: its generators are built together,
-    packed (``search_generators``), and evaluated on the grid row by row;
-    its same-corner pairs are checked, and their witnesses re-verified, as
+    process. The range stays in arrays. Its draws, those that
+    ``random_step_draws([seed, index])`` makes one scenario at a time, are
+    decoded together from the scenarios' raw PCG64 words
+    (``search_step_draws``); its generators are built together, packed
+    (``search_generators``), and evaluated on the grid row by row; its
+    same-corner pairs are checked, and their witnesses re-verified, as
     stacks of grids (``same_corner_findings``) of at most SEARCH_STACK_CELLS
     cells. No ``Generator`` or ``Copula`` object is built.
     """
-    draws = np.array([random_step_draws([seed, index]) for index in range(start, stop)])
+    draws = search_step_draws(seed, start, stop)
     us = unit_grid(grid)
     # per scenario (low_phi, up_phi, low_chi, up_chi) at us
     values = search_generators(draws).eval_many(us).reshape(len(draws), 4, grid)
@@ -458,14 +462,17 @@ def cmd_search(cfg: RunConfig) -> int:
     The indices 0, ..., count - 1 are cut into ranges of SEARCH_RANGE, which
     run on forked worker processes, one per usable CPU, or, with one usable
     CPU, one range or no fork start method, one after another in this
-    process. A range stays in arrays, from its packed generators to the
-    text of its findings, and checks its scenarios as stacks of grids: one
-    certificate for the stack, then a scan of each pair it does not pass,
-    which on the pinned seeds is each pair with an order violation, then
-    one re-verification of the stack's witnesses (``search_range``). It
-    returns its findings already encoded as the summary's JSON text
-    (``_encoded_range``), written from a template in the layout of the
-    indenting encoder, in the workers, not this process. This process
+    process. A range decodes its scenarios' draws from their raw PCG64
+    words, so the summary depends only on the SeedSequence and PCG64
+    streams, which NEP 19 keeps fixed across numpy versions. It stays in
+    arrays from those draws to the text of its findings, and checks its
+    scenarios as stacks of grids: one certificate for the stack, then a
+    scan of each pair it does not pass, which on the pinned seeds is each
+    pair with an order violation, then one re-verification of the stack's
+    witnesses (``search_range``). It returns its findings already encoded
+    as the summary's JSON text (``_encoded_range``), written from a
+    template in the layout of the indenting encoder, in the workers, not
+    this process. This process
     takes the ranges in index order as they finish and streams them into
     the summary's temporary file (``_SearchSummary``), so it holds the text
     of a range or a few, not every finding, and the summary is the same

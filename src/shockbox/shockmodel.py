@@ -750,6 +750,11 @@ def random_step_draws(seed, max_atoms: int = 4) -> np.ndarray:
     support, at most max_atoms points of 1/2, ..., 6. Two laws are drawn for
     x, two for y and one for z. The (5, 13) array holds the lower and upper
     bound of x, their elementwise min and max, then those of y, then z.
+
+    This draws through ``Generator.integers`` and ``Generator.choice``, one
+    scenario at a time. It is the reference that ``search_step_draws``
+    decodes, a range of scenarios at once, and the fallback for a search
+    scenario that runs out of words.
     """
     rng = np.random.default_rng(seed)
     draws = np.zeros((5, 13), dtype=int)
@@ -762,6 +767,110 @@ def random_step_draws(seed, max_atoms: int = 4) -> np.ndarray:
     draws = np.maximum.accumulate(draws, axis=1)
     draws[:4] = np.sort(draws[:4].reshape(2, 2, 13), axis=1).reshape(4, 13)
     return draws
+
+
+# raw PCG64 words decoded per search scenario: 96 half-words, of which a
+# scenario uses at most 65 (13 for each law of 4 atoms) unless a bounded
+# draw rejects one; a draw on [0, r] rejects with probability
+# (2^32 mod (r + 1)) / 2^32, below 1.5e-8 here
+SEARCH_WORDS = 48
+_LOW_HALF = np.uint64(0xFFFFFFFF)
+# per r = 0, ..., 63 the span r + 1 of a draw on [0, r] and 2^32 mod r + 1
+_SPANS = np.arange(1, 65, dtype=np.uint64)
+_FLOORS = np.uint64(1 << 32) % _SPANS
+
+
+def search_step_draws(seed: int, start: int, stop: int) -> np.ndarray:
+    """``random_step_draws([seed, index])`` for index = start, ..., stop - 1,
+    as one (stop - start, 5, 13) array. Each scenario's draws are decoded
+    from the first SEARCH_WORDS words of ``PCG64([seed, index])``, seeded
+    through ``SeedSequence([seed, index])``: the bit generator that
+    ``default_rng([seed, index])`` wraps (``decode_step_draws``). So they
+    depend only on the SeedSequence and PCG64 streams, which NEP 19 keeps
+    fixed across numpy versions. A scenario that would need more words is
+    drawn by ``random_step_draws``.
+    """
+    words = np.array(
+        [np.random.PCG64([seed, index]).random_raw(SEARCH_WORDS) for index in range(start, stop)],
+        dtype=np.uint64,
+    ).reshape(-1, SEARCH_WORDS)
+    draws, ran_out = decode_step_draws(words)
+    for row in ran_out.nonzero()[0]:
+        draws[row] = random_step_draws([seed, start + int(row)])
+    return draws
+
+
+def decode_step_draws(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, 5, 13) ``random_step_draws`` at max_atoms 4 of n generators
+    whose bit generators give the n rows of raw 64-bit words, and the mask
+    of the rows that needed more words than they have; those rows' draws
+    are meaningless.
+
+    This replays numpy's ``Generator`` on the words' 32-bit halves, low half
+    first as PCG64's buffered ``next_uint32`` gives them, on every row at
+    once with one half-word cursor per row:
+
+    * ``integers(1, 5)`` and every draw on [0, r] are Lemire's bounded draw
+      (ACM TOMACS 29(1), 2019): m = h * (r + 1) for the next half-word h,
+      taken again while the low 32 bits of m are below 2^32 mod (r + 1),
+      gives m >> 32. A draw on [0, 0] takes no word, so the rows past their
+      atom count draw on [0, 0] while the others draw;
+    * ``choice(n, k, replace=False)`` is Floyd's sample (Bentley & Floyd,
+      CACM 30(9), 1987): for j = n - k, ..., n - 1 a draw on [0, j], or j
+      itself when that value is already taken, then a shuffle of k - 1
+      draws on [0, i], i = k - 1, ..., 1. The sample is sorted, so the
+      shuffle only uses up words.
+
+    A rejected draw loops over the rejected rows only.
+    """
+    n, width = words.shape
+    end = 2 * width
+    # one more half-word per row, read by a row that has run out
+    halves = np.zeros((n, end + 1), dtype=np.uint64)
+    halves[:, 0:end:2] = words & _LOW_HALF
+    halves[:, 1:end:2] = words >> np.uint64(32)
+    halves = halves.ravel()
+    base = np.arange(n) * (end + 1)
+    cursor = np.zeros(n, dtype=np.int64)
+
+    def draw(r: np.ndarray) -> np.ndarray:
+        # per row a draw on [0, r[row]]
+        span, floor = _SPANS[r], _FLOORS[r]
+        m = halves[base + np.minimum(cursor, end)] * span
+        cursor[:] += r > 0
+        rejected = (m & _LOW_HALF) < floor
+        while rejected.any():
+            rows = rejected.nonzero()[0]
+            m[rows] = halves[base[rows] + np.minimum(cursor[rows], end)] * span[rows]
+            cursor[rows] += 1
+            rejected[rows] = ((m[rows] & _LOW_HALF) < floor[rows]) & (cursor[rows] <= end)
+        return (m >> np.uint64(32)).view(np.int64)
+
+    # per law its samples of support points (of 0..11) and of cut points (of
+    # 0..62), each padded with its population size. Sorted, a law of k atoms
+    # steps at support point t plus one to cut t plus one for t < k - 1, and
+    # to 64 at its last support point: a padded cut plus one is 64 too
+    support = np.full((n, 5, 4), 12)
+    cuts = np.full((n, 5, 3), 63)
+    for law in range(5):
+        k = 1 + draw(np.full(n, 3))
+        for pop, size, sample in ((12, k, support[:, law]), (63, k - 1, cuts[:, law])):
+            for t in range(sample.shape[1]):
+                j = pop - size + t
+                value = draw(np.where(t < size, j, 0))
+                taken = (sample[:, :t] == value[:, None]).any(axis=1)
+                sample[:, t] = np.where(t < size, np.where(taken, j, value), pop)
+            for t in range(1, sample.shape[1]):
+                draw(np.maximum(size - t, 0))
+    support.sort(axis=2)
+    cuts.sort(axis=2)
+    draws = np.zeros((n, 5, 14), dtype=int)
+    levels = np.concatenate((cuts + 1, np.full((n, 5, 1), 64)), axis=2)
+    # a padded point writes to column 13, which is dropped
+    np.put_along_axis(draws, support + 1, levels, axis=2)
+    draws = np.maximum.accumulate(draws[:, :, :13], axis=2)
+    draws[:, :4] = np.sort(draws[:, :4].reshape(n, 2, 2, 13), axis=2).reshape(n, 4, 13)
+    return draws, cursor > end
 
 
 def random_discrete_scenario(

@@ -390,7 +390,7 @@ def _refuse_to_run(*args, **kwargs):
 )
 def test_an_option_the_subcommand_does_not_read_exits_two(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.setattr(cli, "run_scenario", _refuse_to_run)
-    monkeypatch.setattr(cli, "random_step_draws", _refuse_to_run)
+    monkeypatch.setattr(cli, "search_step_draws", _refuse_to_run)
     assert main(argv + ["--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("shockbox: unrecognized arguments: ") and err.count("\n") == 1
@@ -409,7 +409,7 @@ def test_an_option_the_subcommand_does_not_read_exits_two(tmp_path, capsys, monk
 )
 def test_oversized_grid_or_count_exits_two(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.setattr(cli, "run_scenario", _refuse_to_run)
-    monkeypatch.setattr(cli, "random_step_draws", _refuse_to_run)
+    monkeypatch.setattr(cli, "search_step_draws", _refuse_to_run)
     assert main(argv + ["--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("shockbox: ") and err.count("\n") == 1
@@ -686,7 +686,7 @@ def test_an_unusable_out_exits_two_before_any_work(tmp_path, capsys, monkeypatch
         raise AssertionError("the command started its work")
 
     monkeypatch.setattr(cli, "run_scenario", no_work)
-    monkeypatch.setattr(cli, "random_step_draws", no_work)
+    monkeypatch.setattr(cli, "search_step_draws", no_work)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
     args = ["--count", "3"] if command == "search" else ["--scenario", str(D1)]
     assert main([command, *args, "--out", str(out)]) == 2
@@ -1065,7 +1065,7 @@ def test_search_rejects_negative_count(tmp_path):
 
 
 def test_negative_seed_exits_two_before_any_scenario(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "random_step_draws", _refuse_to_run)
+    monkeypatch.setattr(cli, "search_step_draws", _refuse_to_run)
     assert main(["search", "--count", "2", "--seed", "-1", "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == "shockbox: seed must be non-negative\n"
     assert list(tmp_path.iterdir()) == []
@@ -1079,7 +1079,7 @@ def test_negative_seed_exits_two_before_any_scenario(tmp_path, capsys, monkeypat
 )
 def test_non_finite_or_non_positive_tolerance_exits_two(tmp_path, capsys, monkeypatch, argv, tol):
     monkeypatch.setattr(cli, "run_scenario", _refuse_to_run)
-    monkeypatch.setattr(cli, "random_step_draws", _refuse_to_run)
+    monkeypatch.setattr(cli, "search_step_draws", _refuse_to_run)
     assert main(argv + [f"--tol={tol}", "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == "shockbox: tolerance must be positive and finite\n"
     assert list(tmp_path.iterdir()) == []
@@ -1116,16 +1116,16 @@ def test_range_lengths_leave_the_summary_unchanged(tmp_path, monkeypatch, seed):
 
 
 def test_an_error_in_a_worker_exits_two_and_writes_nothing(tmp_path, capsys, monkeypatch):
-    real = cli.random_step_draws
+    real = cli.search_step_draws
 
-    def fail_at_index_17(seed, *args, **kwargs):
-        if seed[1] == 17:
+    def fail_at_index_17(seed, start, stop):
+        if start <= 17 < stop:
             raise InvalidParameterError("scenario 17 is malformed")
-        return real(seed, *args, **kwargs)
+        return real(seed, start, stop)
 
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(cli, "SEARCH_RANGE", 7)
-    monkeypatch.setattr(cli, "random_step_draws", fail_at_index_17)
+    monkeypatch.setattr(cli, "search_step_draws", fail_at_index_17)
     assert main(["search", "--count", "40", "--grid", "21", "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == "shockbox: scenario 17 is malformed\n"
     assert list(tmp_path.iterdir()) == []

@@ -31,14 +31,17 @@ from shockbox.imprecise import check_bivariate_pbox_conditions
 from shockbox.pbox import PBox
 from shockbox.reports import Check
 from shockbox.shockmodel import (
+    SEARCH_WORDS,
     JointTable,
     Scenario,
     compare_oracle,
+    decode_step_draws,
     oracle_joint,
     random_discrete_scenario,
     random_step_draws,
     run_scenario,
     search_generators,
+    search_step_draws,
 )
 
 from reference import (
@@ -515,6 +518,109 @@ def test_packed_generators_evaluate_as_the_objects_bit_for_bit(seed):
         want = np.array([g.eval_many(us) for g in objects])
         assert got.shape == (2000, n)
         assert np.array_equal(got.view(np.int64), want.view(np.int64)), (seed, n)
+
+
+@pytest.mark.parametrize("seed", [42, 7, 2026, 3])
+def test_search_draws_are_the_generator_draws(seed):
+    # 2,000 scenarios of each seed, 8,000 in all, in ranges of 1, 7 and 64
+    # and a partial last range of 16
+    want = np.array([random_step_draws([seed, index]) for index in range(2000)])
+    bounds = [0, 1, 8, 15, *range(64, 2000, 64), 2000]
+    for start, stop in zip(bounds, bounds[1:]):
+        assert np.array_equal(search_step_draws(seed, start, stop), want[start:stop]), (seed, start)
+    assert search_step_draws(seed, 5, 5).shape == (0, 5, 13)
+
+
+@pytest.mark.parametrize("seed", [42, 7, 2026, 3])
+def test_search_draws_give_the_scalar_reference_laws(seed):
+    # the decoded laws of 100 scenarios of each seed against the atom-by-atom
+    # reference, which draws through Generator.integers and Generator.choice
+    for index, laws in enumerate(search_step_draws(seed, 0, 100)):
+        xl, xu, yl, yu, z = map(sm._step_law, laws)
+        got = Scenario(PBox(xl, xu), PBox(yl, yu), z, "maxmin", 51)
+        want = scalar_random_discrete_scenario([seed, index])
+        for f, g in zip(scenario_laws(got), scenario_laws(want)):
+            assert f == g and repr(f) == repr(g), (seed, index)
+
+
+PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+PCG64_INCREMENT = np.random.PCG64(0).state["state"]["inc"]
+
+
+def crafted_pcg64(word: int, at: int, hi: int) -> np.random.PCG64:
+    """A PCG64 whose raw word number ``at`` is ``word``. PCG64 steps its
+    128-bit LCG state and then outputs rotr64(hi ^ lo, hi >> 58) of the new
+    state: that state is taken with high half hi and the low half that
+    gives word, then stepped back at + 1 times with the inverse multiplier."""
+    rot = hi >> 58
+    lo = (((word << rot) | (word >> (64 - rot))) & (2**64 - 1)) ^ hi
+    state, inverse = (hi << 64) | lo, pow(PCG64_MULTIPLIER, -1, 2**128)
+    for _ in range(at + 1):
+        state = (state - PCG64_INCREMENT) * inverse % 2**128
+    bitgen = np.random.PCG64()
+    bitgen.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": PCG64_INCREMENT},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return bitgen
+
+
+# One crafted state per kind of bounded draw: (half-word index, its span
+# r + 1, the word holding it, that word's index, high half of the crafted
+# state, the first law's atom count). The first law draws its count from
+# half-word 0, its support on [0, 12 - k], ..., [0, 11], shuffles it with
+# k - 1 draws, then takes its k - 1 cuts from [0, 63 - k + 1], ..., [0, 62].
+# - count: 4 divides 2^32, so integers(1, 5) never rejects; half-word 2^31
+#   gives low bits 0, below the span, and is accepted.
+# - Floyd on 12: word 0 = 0 gives k = 1, then half-word 1, also 0, draws on
+#   [0, 11]: low bits 0 < 2^32 mod 12 = 4.
+# - Floyd on 63: k = 2 puts the first cut's draw on [0, 62] at half-word 4,
+#   and 63^-1 mod 2^32 gives low bits 1 < 2^32 mod 63 = 4.
+# - the shuffle: k = 3 puts the draw on [0, 2] at half-word 4, and 0 gives
+#   low bits 0 < 2^32 mod 3 = 1.
+# The high half of each crafted state was picked so that the words before
+# the crafted one give the atom count.
+CRAFTED = {
+    "count": (0, 4, 2**31 | 0x9E3779B9 << 32, 0, 0x5851F42D4C957F2D, 3),
+    "floyd-12": (1, 12, 0, 0, 0x5851F42D4C957F2D, 1),
+    "floyd-63": (4, 63, pow(63, -1, 2**32) | 0x9E3779B9 << 32, 2, 0x5851F42D4C957F33, 2),
+    "shuffle": (4, 3, 0x9E3779B9 << 32, 2, 0x5851F42D4C957F31, 3),
+}
+
+
+@pytest.mark.parametrize("kind", CRAFTED)
+def test_a_rejected_bounded_draw_decodes_as_the_generator_draws(kind):
+    half, span, word, at, hi, k = CRAFTED[kind]
+    words = crafted_pcg64(word, at, hi).random_raw(SEARCH_WORDS)
+    halves = np.stack([words & 0xFFFFFFFF, words >> 32], axis=1).ravel().tolist()
+    assert words[at] == word and 1 + (halves[0] * 4 >> 32) == k
+    leftover = halves[half] * span % 2**32
+    if kind == "count":
+        assert leftover < span and 2**32 % span == 0
+    else:
+        assert leftover < 2**32 % span
+    draws, ran_out = decode_step_draws(words[None])
+    assert not ran_out[0]
+    assert np.array_equal(draws[0], random_step_draws(crafted_pcg64(word, at, hi)))
+
+
+def test_a_row_that_runs_out_of_words_falls_back(monkeypatch):
+    # zero words reject forever: k = 1, then every draw on [0, 11] has low
+    # bits 0 < 4. The row is flagged, and search_step_draws draws it with
+    # random_step_draws.
+    decode = sm.decode_step_draws
+
+    def zero_row_3(words):
+        words[3] = 0
+        return decode(words)
+
+    monkeypatch.setattr(sm, "decode_step_draws", zero_row_3)
+    words = np.array([np.random.PCG64([7, i]).random_raw(SEARCH_WORDS) for i in range(5)])
+    assert zero_row_3(words)[1].tolist() == [False, False, False, True, False]
+    want = np.array([random_step_draws([7, index]) for index in range(10, 15)])
+    assert np.array_equal(search_step_draws(7, 10, 15), want)
 
 
 def test_random_scenarios_verify_for_both_models():
