@@ -78,10 +78,11 @@ MAX_SEARCH_COUNT = 100_000
 SEARCH_RANGE = 64
 # grid cells of a stack of a range's copula grids: 16 pairs at the default
 # grid, one pair from grid 145 on. A stack is certified, and its witnesses
-# re-verified, at once. On a 2-core VM a one-process search --count 1000
-# took 0.41-0.45 s with stacks of 16 pairs, against 0.49-0.51 s with stacks
-# of 64 and a 5 MB higher peak RSS: the certificate passes over each stack
-# several times, and a stack of 16 (330 KB a grid) stays in cache
+# re-verified, at once. On a 2-core VM (Python 3.11, numpy 2.4.6) a
+# one-process search --count 1000 --seed 42 took a median 0.317 s with
+# stacks of 16 pairs, against 0.332 s with stacks of 64 (16 interleaved runs
+# each), and peaked at 39 MB RSS against 44 MB: the certificate passes over
+# each stack several times, and a stack of 16 (330 KB a grid) stays in cache
 SEARCH_STACK_CELLS = 16 * DEFAULT_SEARCH_GRID**2
 
 

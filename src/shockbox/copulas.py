@@ -102,25 +102,6 @@ def copula_grid(c: Copula, us, vs) -> np.ndarray:
     return copula_values(c.model, us, c.phi.eval_many(us), vs, c.second.eval_many(vs))
 
 
-def _np_min(a: float, b: float) -> float:
-    # np.minimum on two floats: a only when a < b or a is nan, so a tie of
-    # 0.0 and -0.0 gives b (min() would give a); the rule of numpy 2.4.6,
-    # against which it was checked in both its scalar and its SIMD loops
-    return a if a < b or a != a else b
-
-
-def _copula_at(c: Copula, u: float, v: float) -> float:
-    """copula_grid(c, [u], [v])[0, 0] with float arithmetic, bit for bit.
-
-    No command runs this scalar path; it serves BivariateBound.at in loops:
-    the 320,000 calls of acceptance criterion 7 (10 s limit) take 1.0-1.4 s
-    here and 8.7-9.8 s through a one-point at_many (2-core VM).
-    """
-    if c.model == "marshall":
-        return _np_min(c.phi._value(u) * v, u * c.second._value(v))
-    return u * v + _np_min(u * (1.0 - v), (c.phi._value(u) - u) * (v - c.second._value(v)))
-
-
 def _edge_check(name: str, u_edge, v_edge, us: np.ndarray, edge: float, tol: float) -> Check:
     """A boundary condition on the edges u = edge, with deviations u_edge at
     the points (edge, us[k]), and v = edge, with v_edge at (us[k], edge).
@@ -180,7 +161,8 @@ class BivariateBound:
     g: DistFn
 
     def at(self, x: float, y: float) -> float:
-        return _copula_at(self.copula, self.f.eval(x), self.g.eval(y))
+        """H(x, y): at_many at one point."""
+        return self.at_many([x], [y]).item()
 
     def at_many(self, xs, ys) -> np.ndarray:
         return copula_grid(self.copula, self.f.eval_many(xs), self.g.eval_many(ys))

@@ -150,21 +150,14 @@ class Generator:
         return self._knots
 
     def eval(self, u: float) -> float:
+        """eval_many at one point u in [0, 1]."""
         if not (0.0 <= u <= 1.0):
             raise InvalidRangeError(f"generator argument {u} outside [0, 1]")
-        return self._value(u)
-
-    def _value(self, u: float) -> float:
-        # eval_many for one float, without the range check
-        if u == 0.0:
-            return float(self._ys[0]) if self._kind == "chi" else 0.0
-        if u == 1.0:
-            return 1.0 if self._kind == "chi" else float(self._ys[-1])
-        return float(np.interp(u, self._us, self._ys))
+        return self.eval_many(u).item()
 
     def eval_many(self, us) -> np.ndarray:
-        """Elementwise eval without the range check: every entry equals
-        eval bit for bit (both interpolate with ``np.interp``)."""
+        """The generator at each of us, without the range check: ``np.interp``
+        on the knots, with g(0) = 0 for phi and g(1) = 1 for chi."""
         arr = np.asarray(us, dtype=float)
         out = np.interp(arr, self._us, self._ys)
         if self._kind == "phi":
@@ -200,7 +193,7 @@ def check_generator(g: Generator, tol: float = EXACT_TOL) -> list[Check]:
     w = _first_piece(ya - yb, us, tol)
     checks = [Check("non-decreasing", w is None, witness=w)]
 
-    g0, g1 = g._value(0.0), g._value(1.0)
+    g0, g1 = g.eval_many([0.0, 1.0]).tolist()
     end_dev = max(abs(g0), abs(g1 - 1.0))
     checks.append(Check("boundary-values", end_dev <= tol, value=end_dev, witness=(g0, g1)))
 

@@ -251,50 +251,6 @@ def _certified(split: _Split, tol: float) -> np.ndarray:
     return split.bound >= -tol
 
 
-def _worst_on_row_pair(grids, name: str, i1: int, i2: int) -> tuple[float, tuple[int, int, int, int]]:
-    """A condition's first worst rectangle on the row pair (i1, i2): the
-    first j2, then the first j1, in the row-by-row split."""
-    x, y, v, w = _SPLITS[name]
-    p = grids[x][i2] - grids[y][i1]
-    q = grids[v][i1] - grids[w][i2]
-    total = p + np.minimum.accumulate(q)
-    j2 = int(np.argmin(total))
-    j1 = int(np.argmin(q[: j2 + 1]))
-    return float(total[j2]), (i1, i2, j1, j2)
-
-
-def _pruned_scan(low: np.ndarray, up: np.ndarray, rows: np.ndarray) -> _Scan:
-    """``_ic_scan`` on the row pairs whose corner row is in ``rows``.
-
-    Each condition's worst rectangles all have their corner row in
-    ``rows`` (the module docstring), so the first worst row pair in
-    row-major order is among those evaluated. A pair's best value is the
-    row-by-row split's, the minimum over j2 of p(j2) plus the running
-    minimum of q. A nan value ranks below every number, as np.argmin ranks
-    it, so on a grid with nan values the worst row pair is the first one in
-    row-major order whose best value is nan.
-    """
-    grids = (low, up)
-    found = {}
-    for name, (x, y, v, w) in _SPLITS.items():
-        ranks = []
-        for r in rows.tolist():
-            if name in _CORNER_ON_I1:
-                p = grids[x][r:] - grids[y][r]
-                q = grids[v][r] - grids[w][r:]
-            else:
-                p = grids[x][r] - grids[y][: r + 1]
-                q = grids[v][: r + 1] - grids[w][r]
-            values = np.min(p + np.minimum.accumulate(q, axis=1), axis=1)
-            k = int(np.argmin(values))
-            pair = (r, r + k) if name in _CORNER_ON_I1 else (k, r)
-            value = float(values[k])
-            # equal values tie-break on the first pair in row-major order
-            ranks.append((0, 0.0, pair) if math.isnan(value) else (1, value, pair))
-        found[name] = _worst_on_row_pair(grids, name, *min(ranks)[2])
-    return found
-
-
 def _ic_scan(low: np.ndarray, up: np.ndarray, split: _Split) -> _Scan:
     """Minimum of each mixed rectangle inequality over all grid rectangles.
 
@@ -303,8 +259,8 @@ def _ic_scan(low: np.ndarray, up: np.ndarray, split: _Split) -> _Scan:
     minimum over j2 of p(j2) plus the running minimum of q up to j2.
 
     Only the row pairs whose corner row lies in the candidate rows S of the
-    module docstring, taken from ``split``, can hold a worst rectangle, and
-    only those are evaluated (``_pruned_scan``), in O(|S| n m) time and
+    module docstring, taken from ``split`` (``_candidate_rows``), can hold a
+    worst rectangle, and only those are evaluated, in O(|S| n m) time and
     O(n m) memory. A pair with an order violation has its gap minimum on
     one row or a few. Every row is in S for a copula pair, whose gap is 0
     on the column v = 0, and for a grid with a value that is not finite:
@@ -312,12 +268,39 @@ def _ic_scan(low: np.ndarray, up: np.ndarray, split: _Split) -> _Scan:
 
     Ties resolve to the first worst rectangle in scan order (i1, then i2,
     then j2, then j1 ascending), which makes reported witnesses
-    deterministic: the first row pair in that order whose best value is the
-    minimum is rescanned alone for its j2 and j1.
+    deterministic; a nan value ranks below every number, as np.argmin ranks
+    it. A row pair's j2 is the first minimum of p plus the running minimum
+    of q, and the first worst row pair's j1 the first minimum of q up to j2.
 
     Returns condition -> (min value, (i1, i2, j1, j2) attaining it).
     """
-    return _pruned_scan(low, up, _candidate_rows(split))
+    grids = (low, up)
+    rows = _candidate_rows(split).tolist()
+    found = {}
+    for name, (x, y, v, w) in _SPLITS.items():
+        ranks = []
+        for r in rows:
+            # p plus q's running minimum, in the latter's place: with p and q
+            # temporaries at most three n x m arrays are alive at once. p
+            # stays the first operand, whose nan a sum of two nans keeps
+            if name in _CORNER_ON_I1:
+                total = np.minimum.accumulate(grids[v][r] - grids[w][r:], axis=1)
+                np.add(grids[x][r:] - grids[y][r], total, out=total)
+            else:
+                total = np.minimum.accumulate(grids[v][: r + 1] - grids[w][r], axis=1)
+                np.add(grids[x][r] - grids[y][: r + 1], total, out=total)
+            j2s = np.argmin(total, axis=1)
+            values = total[np.arange(len(j2s)), j2s]
+            k = int(np.argmin(values))
+            pair = (r, r + k) if name in _CORNER_ON_I1 else (k, r)
+            value = float(values[k])
+            # equal values tie-break on the first pair in row-major order
+            rank = (0, 0.0) if math.isnan(value) else (1, value)
+            ranks.append((*rank, pair, int(j2s[k]), value))
+        *_, (i1, i2), j2, value = min(ranks)
+        j1 = int(np.argmin(grids[v][i1, : j2 + 1] - grids[w][i2, : j2 + 1]))
+        found[name] = value, (i1, i2, j1, j2)
+    return found
 
 
 def _ic_checks(low: np.ndarray, up: np.ndarray, split: _Split, tol: float, witness) -> list[Check]:

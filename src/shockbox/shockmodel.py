@@ -114,8 +114,8 @@ ORACLE_MAX_ATOMS = 12
 # Largest grid resolution a scenario may ask for. The checks hold a few
 # n x n copula surfaces at once (8 MB each at n = 1001), and the rectangle
 # scan of a copula pair that the certificate misses takes O(n^3) time: on
-# `d1_maxmin` at --tol 1e-12 and n = 1001 it took 24 s on a 2-core VM, and
-# the whole `pipeline --grid 1001` run 25-29 s with a 117 MB peak RSS.
+# `d1_maxmin` at --tol 1e-12 and n = 1001 it took most of the whole
+# `pipeline --grid 1001` run: 17-26 s on a 2-core VM, with a 107 MB peak RSS.
 MAX_GRID = 1001
 
 

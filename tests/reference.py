@@ -4,13 +4,13 @@ The paper's five-case closed forms for phi and chi, evaluated straight from
 the shock laws, its star transforms, the validity conditions and the order
 of generators decided exactly in rational arithmetic, the mixed rectangle
 inequalities' minima on small grids in the same way and by a column sweep
-over every row pair in float arithmetic, the admissible anchor
-set of a level, the staircase lookup of an enumerated joint CDF, the
-reflection of a step law, the search's scenario generator written atom
-by atom with scalar reads, a witness's condition value written out
-corner by corner, and in rational arithmetic from the search's integer
-draws alone, and packed generator rows as ``Generator`` objects. None of
-them is called by a run; they live here
+over every row pair in float arithmetic, a copula's value at one point in
+scalar float arithmetic, the admissible anchor set of a level, the
+staircase lookup of an enumerated joint CDF, the reflection of a step law,
+the search's scenario generator written atom by atom with scalar reads, a
+witness's condition value written out corner by corner, and in rational
+arithmetic from the search's integer draws alone, and packed generator rows
+as ``Generator`` objects. None of them is called by a run; they live here
 so that a reference cannot share a later edit with the construction it
 checks.
 """
@@ -36,7 +36,6 @@ from shockbox.distfn import (
 )
 from shockbox.errors import InvalidRangeError
 from shockbox.generators import Generator
-from shockbox.imprecise import _SPLITS, _worst_on_row_pair
 from shockbox.pbox import PBox
 from shockbox.shockmodel import Scenario, random_step_draws, search_generators
 
@@ -209,6 +208,44 @@ def exact_ic_minima(low, up) -> dict[str, Fraction]:
 # IC2 and IC3 (i2, i1)
 _PLANES = ("IC1", "IC4", "IC2", "IC3")
 
+# each condition on the row pair (i1, i2) as p(j2) + q(j1), j1 <= j2: the
+# row differences p and q, in the order of the module docstring of imprecise
+_ROW_SPLITS = {
+    "IC1": lambda lo, hi, i1, i2: (lo[i2] - lo[i1], hi[i1] - lo[i2]),
+    "IC2": lambda lo, hi, i1, i2: (hi[i2] - lo[i1], lo[i1] - lo[i2]),
+    "IC3": lambda lo, hi, i1, i2: (hi[i2] - lo[i1], hi[i1] - hi[i2]),
+    "IC4": lambda lo, hi, i1, i2: (hi[i2] - hi[i1], hi[i1] - lo[i2]),
+}
+
+
+def np_min(a: float, b: float) -> float:
+    """np.minimum on two floats: a only when a < b or a is nan, so a tie of
+    0.0 and -0.0 gives b (min() would give a)."""
+    return a if a < b or a != a else b
+
+
+def _rank(value: float) -> tuple:
+    # np.argmin's order: a nan below every number, then the numbers
+    return (0, 0.0) if math.isnan(value) else (1, value)
+
+
+def first_worst_columns(low, up, name: str, i1: int, i2: int) -> tuple:
+    """A condition's first worst rectangle on the row pair (i1, i2), one
+    column at a time: the first j2 where p(j2) plus the running minimum of
+    q is least, and the first j1 <= j2 where q is least. The running
+    minimum is np.minimum.accumulate's, whose value on a tie of 0.0 and
+    -0.0 is the later one. Returns (value, (i1, i2, j1, j2))."""
+    p, q = (row.tolist() for row in _ROW_SPLITS[name](low, up, i1, i2))
+    best = run = first = j1 = j2 = None
+    for j, (pj, qj) in enumerate(zip(p, q)):
+        run = qj if run is None else np_min(run, qj)
+        if first is None or _rank(qj) < _rank(q[first]):
+            first = j
+        total = pj + run
+        if best is None or _rank(total) < _rank(best):
+            best, j1, j2 = total, first, j
+    return best, (i1, i2, j1, j2)
+
 
 def swept_scan(low: np.ndarray, up: np.ndarray) -> dict:
     """``_ic_scan`` on every row pair, in one sweep over the columns.
@@ -251,8 +288,17 @@ def swept_scan(low: np.ndarray, up: np.ndarray) -> dict:
         plane = best[k] if k < 2 else best[k].T
         # the first minimum in row-major order: first i1, then first i2
         i1, i2 = divmod(int(np.argmin(plane)), n)
-        found[name] = _worst_on_row_pair((low, up), name, i1, i2)
-    return {name: found[name] for name in _SPLITS}
+        found[name] = first_worst_columns(low, up, name, i1, i2)
+    return {name: found[name] for name in _ROW_SPLITS}
+
+
+def copula_at(c, u: float, v: float) -> float:
+    """The copula c at (u, v) in scalar float arithmetic, the formula of the
+    copulas module docstring term by term, with np.minimum's tie rule."""
+    first, second = c.phi.eval(u), c.second.eval(v)
+    if c.model == "marshall":
+        return np_min(first * v, u * second)
+    return u * v + np_min(u * (1.0 - v), (first - u) * (v - second))
 
 
 def admissible_anchors(base: DistFn, u: float) -> list[float]:

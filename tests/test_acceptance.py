@@ -286,10 +286,10 @@ def test_criterion_7_composed_bounds_equal_direct_formulas():
                 cop = Copula("maxmin", build_phi(fx, fz), build_chi(fy, fz))
                 second = comix(fy, fz)
             h = BivariateBound(cop, product(fx, fz), second)
-            for x in grid:
-                for y in grid:
-                    dev = abs(h.at(float(x), float(y)) - _direct_joint(model, fx, fy, fz, x, y))
-                    worst = max(worst, dev)
+            composed = h.at_many(grid, grid).tolist()
+            for x, row in zip(grid.tolist(), composed):
+                for y, value in zip(grid.tolist(), row):
+                    worst = max(worst, abs(value - _direct_joint(model, fx, fy, fz, x, y)))
         rec.ok = worst <= EXACT
         rec.detail = f"worst |composed - direct| {worst:.3e} over {len(rosters)} joint bounds"
 

@@ -37,7 +37,9 @@ def test_every_traced_attribute_resolves():
 def test_a_traced_maxmin_run_reaches_the_blend_search_and_witness_spans(tmp_path):
     # coherence_witness blends through blend_generators, and the same-corner
     # scan searches with search_ic_violation and re-verifies each witness
-    # with verify_witness: the names the tracer wraps
+    # with verify_witness: the names the tracer wraps. A scanned rectangle
+    # check runs _ic_scan on one pair's 2-D grids, whose shape the tracer's
+    # elements counter reads
     import shockbox
     from shockbox.cli import main
 
@@ -51,3 +53,5 @@ def test_a_traced_maxmin_run_reaches_the_blend_search_and_witness_spans(tmp_path
     spans = ("generators.blend", "imprecise.search", "imprecise.verify_witness")
     calls = {metric: tracer.cells[metric][1] for metric in spans}
     assert all(n > 0 for n in calls.values()), calls
+    _, scans, elements = tracer.cells["imprecise.ic_scan"]
+    assert scans >= 1 and elements > 0, (scans, elements)

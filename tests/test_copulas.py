@@ -9,12 +9,11 @@ from shockbox.copulas import (
     BivariateBound,
     Copula,
     Rect,
-    _copula_at,
     check_copula_axioms,
     copula_grid,
     copula_values,
 )
-from shockbox.distfn import INF, comix, pointmass_cdf, product, step_cdf
+from shockbox.distfn import INF, pointmass_cdf, step_cdf
 from shockbox.errors import InvalidParameterError, InvalidRangeError
 from shockbox.generators import Generator, build_chi, build_phi, build_psi
 from shockbox.shockmodel import random_discrete_scenario, random_step_draws
@@ -76,23 +75,28 @@ def test_psi_is_a_phi_kind_generator():
     assert Copula("marshall", Generator.identity("phi"), psi).second.kind == "phi"
 
 
+def at(c, u, v):
+    """The copula's value at one point, from copula_grid."""
+    return copula_grid(c, [u], [v])[0, 0]
+
+
 def test_product_copula_values_and_volume():
     c = product_copula()
-    assert _copula_at(c, 0.3, 0.7) == pytest.approx(0.21, abs=1e-15)
-    assert _copula_at(c, 0.0, 0.9) == 0.0
-    assert _copula_at(c, 1.0, 0.9) == 0.9
+    assert at(c, 0.3, 0.7) == pytest.approx(0.21, abs=1e-15)
+    assert at(c, 0.0, 0.9) == 0.0
+    assert at(c, 1.0, 0.9) == 0.9
 
 
 def test_identity_maxmin_is_the_product():
     c = Copula("maxmin", Generator.identity("phi"), Generator.identity("chi"))
     for u, w in ((0.3, 0.7), (0.8, 0.2), (0.5, 0.5), (1.0, 0.4)):
-        assert _copula_at(c, u, w) == pytest.approx(u * w, abs=1e-15)
+        assert at(c, u, w) == pytest.approx(u * w, abs=1e-15)
 
 
 def test_dominant_shock_maxmin_is_comonotone():
     c = comonotone_maxmin()
     for u, w in ((0.3, 0.7), (0.8, 0.2), (0.5, 0.5), (1.0, 0.4), (0.4, 1.0)):
-        assert _copula_at(c, u, w) == pytest.approx(min(u, w), abs=1e-15)
+        assert at(c, u, w) == pytest.approx(min(u, w), abs=1e-15)
     assert all(ch.passed for ch in check_copula_axioms(c, n=51))
 
 
@@ -101,12 +105,12 @@ def test_discrete_example_copula_values():
     psi = build_psi(Y_STEP, Z_POINT)
     m = Copula("marshall", phi, psi)
     # below both knees the min picks whichever branch is binding
-    assert _copula_at(m, 0.1, 1.0) == pytest.approx(min(1.0 * 0.2, 0.1 * 1.0), abs=1e-15)
+    assert at(m, 0.1, 1.0) == pytest.approx(min(1.0 * 0.2, 0.1 * 1.0), abs=1e-15)
     chi = build_chi(Y_STEP, Z_POINT)  # min(w, 0.4)
     mm = Copula("maxmin", phi, chi)
     u, w = 0.1, 0.9
     want = u * w + min(u * (1 - w), (max(0.2, u) - u) * (w - min(w, 0.4)))
-    assert _copula_at(mm, u, w) == pytest.approx(want, abs=1e-15)
+    assert at(mm, u, w) == pytest.approx(want, abs=1e-15)
 
 
 def test_axioms_pass_for_built_copulas():
@@ -204,23 +208,16 @@ def _same_bits(a, b) -> bool:
 
 
 @pytest.mark.parametrize("roster", range(8))
-def test_scalar_at_matches_at_many_bit_for_bit(roster):
+def test_copula_grid_is_the_outer_form_on_signed_zero_ties(roster):
     model, fx, fy, fz = _formula_rosters()[roster]
     if model == "marshall":
         cop = Copula("marshall", build_phi(fx, fz), build_psi(fy, fz))
-        second = product(fy, fz)
     else:
         cop = Copula("maxmin", build_phi(fx, fz), build_chi(fy, fz))
-        second = comix(fy, fz)
-    h = BivariateBound(cop, product(fx, fz), second)
-    grid = np.linspace(0.0, 7.0, 29)
-    scalar = [[h.at(float(x), float(y)) for y in grid] for x in grid]
-    assert _same_bits(scalar, h.at_many(grid, grid))
     # -0.0 makes copula_grid's np.minimum meet a tie of 0.0 and -0.0
     us = np.unique(np.concatenate([np.linspace(0.0, 1.0, 17), cop.phi.knot_us]))
     us = np.concatenate(([-0.0], us))
-    scalar = [[_copula_at(cop, float(u), float(v)) for v in us] for u in us]
-    assert _same_bits(scalar, copula_grid(cop, us, us))
+    assert _same_bits(copula_grid(cop, us, us), outer_grid(cop, us, us))
 
 
 def outer_grid(c, us, vs) -> np.ndarray:

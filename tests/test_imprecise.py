@@ -26,7 +26,6 @@ from shockbox.imprecise import (
     _candidate_rows,
     _certified,
     _ic_scan,
-    _pruned_scan,
     _run_starts,
     _split,
     _split_slack,
@@ -607,11 +606,12 @@ def test_pruned_scan_is_the_sweep_on_search_grids(unpinned_search_pairs, monkeyp
     of one or two candidate rows and returns the sweep's bits."""
     pruned = []
 
-    def recording_pruned_scan(low, up, rows):
+    def recording_candidate_rows(split):
+        rows = _candidate_rows(split)
         pruned.append(len(rows))
-        return _pruned_scan(low, up, rows)
+        return rows
 
-    monkeypatch.setattr(imprecise, "_pruned_scan", recording_pruned_scan)
+    monkeypatch.setattr(imprecise, "_candidate_rows", recording_candidate_rows)
     grids = 0
     for pairs in unpinned_search_pairs.values():
         for pair in pairs[:450]:
@@ -762,7 +762,7 @@ ROUNDING_GRIDS = (
 )
 
 
-def test_the_slack_covers_the_rounding_of_the_split():
+def test_the_slack_covers_the_rounding_of_the_split(monkeypatch):
     grids = [tuple(np.array(g) for g in pair) for pair in ROUNDING_GRIDS]
     for low, up in grids:
         for grid in (low, up):
@@ -775,8 +775,9 @@ def test_the_slack_covers_the_rounding_of_the_split():
     sweep = scan_bits(swept_scan(low2, up2))
     gaps = np.min(up2 - low2, axis=1)
     near_floor = np.flatnonzero(gaps <= np.nextafter(np.min(gaps), np.inf))
-    assert scan_bits(_pruned_scan(low2, up2, near_floor)) != sweep
-    assert scan_bits(_pruned_scan(low2, up2, _candidate_rows(_split(low2, up2)))) == sweep
+    assert scan_bits(scan(low2, up2)) == sweep
+    monkeypatch.setattr(imprecise, "_candidate_rows", lambda split: near_floor)
+    assert scan_bits(scan(low2, up2)) != sweep
 
 
 @pytest.mark.parametrize("tol", [2.0**-20, 1e-9])
@@ -929,7 +930,7 @@ def test_the_largest_grid_passes_on_the_certificate_alone(name, monkeypatch):
         raise AssertionError("scanned")
 
     pair = run_scenario(load_scenario(SCENARIOS / f"{name}.json")).family.pair
-    monkeypatch.setattr(imprecise, "_pruned_scan", no_scan)
+    monkeypatch.setattr(imprecise, "_candidate_rows", no_scan)
     checks = check_imprecise_copula(pair, n=MAX_GRID, tol=DEFAULT_TOL)
     assert all(c.passed for c in checks), [c.name for c in checks if not c.passed]
     for c in checks:
