@@ -482,6 +482,11 @@ def cmd_search(cfg: RunConfig) -> int:
     """
     import multiprocessing
 
+    # numpy loads numpy.random on first use; loaded here, before the fork,
+    # the workers share it instead of each importing it for its first range.
+    # Not at module level, where every command would pay for the import.
+    import numpy.random  # noqa: F401
+
     _make_output_dir(cfg.out)
     grid = cfg.grid if cfg.grid is not None else DEFAULT_SEARCH_GRID
     scan = functools.partial(_encoded_range, cfg.seed, grid=grid, tol=cfg.tol)
@@ -544,7 +549,10 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built on the first call to main, not at import, and kept: parsing
+    # leaves the parser as it was
     parser = _ArgumentParser(
         prog="shockbox",
         description="Shock-model copula bounds: run, search, export.",

@@ -337,7 +337,11 @@ class DistFn:
         arr = np.asarray(xs, dtype=float)
         if np.count_nonzero(np.isnan(arr)):
             raise _nan_error()
-        i = self._xa.searchsorted(arr)
+        return self._eval_located(arr, self._xa.searchsorted(arr), side)
+
+    def _eval_located(self, arr: np.ndarray, i: np.ndarray, side=0) -> np.ndarray:
+        # eval_many at the points arr, not nan, whose segment indices
+        # i = searchsorted(arr) the caller already knows
         seg_vals = np.asarray(self._levels[i])
         if self._curved:
             flat, idx, vals = arr.ravel(), np.ravel(i), seg_vals.reshape(-1)
@@ -626,17 +630,21 @@ def _combine(
     # value_op acts elementwise on arrays of limits; a pair of constant
     # segments gets the level _combined_segment would give it
     xs = _merged_xs(f, g)
-    limits = value_op(f.eval_many(xs, LIMIT_SIDES), g.eval_many(xs, LIMIT_SIDES))
+    # the segment of f (and of g) on each interval of the partition
+    # -inf < xs[0] < ... < xs[-1] < inf: xs contains f's breakpoints, so
+    # those below an interval's right end count the segments before it.
+    # That count is also eval_many's lookup at the breakpoint closing the
+    # interval, so each operand is read at xs without a second search.
+    his = np.append(xs, INF)
+    fi, gi = f._xa.searchsorted(his), g._xa.searchsorted(his)
+    limits = value_op(
+        f._eval_located(xs, fi[:-1], LIMIT_SIDES), g._eval_located(xs, gi[:-1], LIMIT_SIDES)
+    )
     left, value, right = limits
     # every value_op is monotone in both arguments, so any disorder in
     # the combined triple is last-ulp rounding; restore the invariant
     np.maximum(value, left, out=value)
     np.maximum(right, value, out=right)
-    # the segment of f (and of g) on each interval of the partition
-    # -inf < xs[0] < ... < xs[-1] < inf: xs contains f's breakpoints, so
-    # those below an interval's right end count the segments before it
-    his = np.append(xs, INF)
-    fi, gi = f._xa.searchsorted(his), g._xa.searchsorted(his)
     k, d = coef_f(f._levels[fi])
     kind = np.zeros(his.size, dtype=np.int8)
     par = np.zeros((4, his.size))
@@ -703,8 +711,10 @@ def blend(f: DistFn, g: DistFn, t: float) -> DistFn:
 # comparison and probing
 
 
-def ordered_probes(f: DistFn, g: DistFn) -> tuple[np.ndarray, np.ndarray]:
-    """Probe abscissas in increasing order with their sides in {-1, 0, +1}.
+def _ordered_probes(f: DistFn, g: DistFn) -> tuple:
+    """Probe abscissas in increasing order, their sides in {-1, 0, +1}, the
+    number of merged breakpoints below each probe, and the merged
+    breakpoints followed by +inf.
 
     -inf first, then per interval of the merged breakpoints its interior
     samples followed by the breakpoint's left limit, value and right limit,
@@ -712,7 +722,8 @@ def ordered_probes(f: DistFn, g: DistFn) -> tuple[np.ndarray, np.ndarray]:
     the outermost breakpoint) unless an exponential piece of f or g lives
     on it; then it gets 17 (evenly spaced, or 2**j beyond the ends). Beyond
     an end past 2**53 the steps are ulps of the end. Every sample lies
-    strictly inside its interval, unless no float does.
+    strictly inside its interval, unless no float does; then it is the
+    breakpoint below, and its count is one less than its interval's.
     """
     xs = _merged_xs(f, g)
     k = xs.size
@@ -750,12 +761,35 @@ def ordered_probes(f: DistFn, g: DistFn) -> tuple[np.ndarray, np.ndarray]:
     probe_x[:, width:] = hi
     probe_s = np.zeros(probe_x.shape, dtype=int)
     probe_s[:, width:] = (-1, 0, 1)
+    # row r counts r merged breakpoints below its samples and at the one
+    # closing it, less one at a sample that is the breakpoint below (below
+    # the first breakpoint such a sample is -inf, and the count stays 0)
+    rows = np.repeat(np.arange(k + 1)[:, None], width + 3, axis=1)
+    rows[1:, :width] -= samples[1:] <= lo[1:]
     used = np.arange(width + 3) < nn
     used[:-1, width:] = True
     return (
         np.concatenate(([-INF], probe_x[used], [INF])),
         np.concatenate(([0], probe_s[used], [0])),
+        np.concatenate(([0], rows[used], [k])),
+        hi[:, 0],
     )
+
+
+def probe_values(f: DistFn, g: DistFn) -> tuple:
+    """The ordered probes (x, side) of f and g, with f's and g's values
+    there: eval_many's at each probe, bit for bit.
+
+    Each function looks up its segment once per merged breakpoint. Its
+    breakpoints are among the merged ones, so below a probe with r merged
+    breakpoints below it lie as many of its breakpoints as below merged
+    breakpoint r (counting from 0; +inf past the last): eval_many's
+    searchsorted at the probe, read from that one lookup.
+    """
+    xs, sides, rows, his = _ordered_probes(f, g)
+    fv = f._eval_located(xs, f._xa.searchsorted(his)[rows], sides)
+    gv = g._eval_located(xs, g._xa.searchsorted(his)[rows], sides)
+    return xs, sides, fv, gv
 
 
 def first_violation(f: DistFn, g: DistFn, tol: float = 0.0):
@@ -764,8 +798,7 @@ def first_violation(f: DistFn, g: DistFn, tol: float = 0.0):
     Exact for constant/affine pairs (endpoint comparison decides); intervals
     touching an exponential piece are sampled at 17 interior points.
     """
-    xs, sides = ordered_probes(f, g)
-    fv, gv = f.eval_many(xs, sides), g.eval_many(xs, sides)
+    xs, sides, fv, gv = probe_values(f, g)
     bad = fv > gv + tol
     if not np.count_nonzero(bad):
         return None

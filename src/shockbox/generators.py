@@ -67,7 +67,7 @@ from .distfn import (
     DistFn,
     comix,
     comix_value,
-    ordered_probes,
+    probe_values,
     product,
 )
 from .errors import (
@@ -222,10 +222,9 @@ def check_association(
     defining relation places no constraint. Probes cover all breakpoints of
     both inputs, their one-sided limits, and segment-interior samples.
     """
-    xs, sides = ordered_probes(base, target)
-    b = base.eval_many(xs, sides)
+    xs, sides, b, t = probe_values(base, target)
     admissible = b > 0.0 if g.kind == "phi" else b < 1.0
-    devs = np.where(admissible, np.abs(g.eval_many(b) - target.eval_many(xs, sides)), 0.0)
+    devs = np.where(admissible, np.abs(g.eval_many(b) - t), 0.0)
     k = int(np.argmax(devs))
     worst = float(devs[k])
     where = (float(xs[k]), int(sides[k])) if worst > 0.0 else None

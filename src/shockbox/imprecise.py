@@ -129,6 +129,18 @@ _CONDITIONS = ("IC1", "IC2", "IC3", "IC4", "order")
 # checks; each resulting generator or law is re-validated, not assumed valid.
 MEMBER_WEIGHTS = (0.25, 0.5, 0.75)
 
+# The (phi, second) blend weights of the copula-sandwich check's five
+# drawn members: the floats of np.random.default_rng(42).uniform(size=(5, 2)),
+# written out because NEP 19 fixes the bit generator's stream but not how
+# Generator.uniform turns it into floats.
+SANDWICH_WEIGHTS = (
+    (0.7739560485559633, 0.4388784397520523),
+    (0.8585979199113825, 0.6973680290593639),
+    (0.09417734788764953, 0.9756223516367559),
+    (0.761139701990353, 0.7860643052769538),
+    (0.12811363267554587, 0.45038593789556713),
+)
+
 
 @dataclass(frozen=True)
 class CopulaPair:
@@ -623,12 +635,12 @@ def coherence_witness(
     Coherence demands the bounds be attained, not merely contain the family:
     here both bounds are themselves members (the corner copulas), so it
     suffices that every member lies between them on an n x n grid. The
-    members are the 3 x 3 grid of MEMBER_WEIGHTS, five seeded random weight
-    pairs, and the caller's extra_members (taken as given). Each distinct
-    blended generator is built and validated once, at tol; a member with a
-    blend that fails its validity conditions is excluded from the family and
-    skipped (counted in the note). The envelope copulas' own axioms and
-    generators are left to the callers' dedicated checks.
+    members are the 3 x 3 grid of MEMBER_WEIGHTS, the five weight pairs of
+    SANDWICH_WEIGHTS, and the caller's extra_members (taken as given). Each
+    distinct blended generator is built and validated once, at tol; a member
+    with a blend that fails its validity conditions is excluded from the
+    family and skipped (counted in the note). The envelope copulas' own
+    axioms and generators are left to the callers' dedicated checks.
     """
     def valid_blends(low: Generator, up: Generator, ts) -> list:
         members = blend_generators(low, up, [float(t) for t in ts])
@@ -643,11 +655,11 @@ def coherence_witness(
             valid_blends(family.low_second, family.up_second, MEMBER_WEIGHTS),
         )
     )
-    draws = np.random.default_rng(42).uniform(size=(5, 2))
+    phi_ts, second_ts = zip(*SANDWICH_WEIGHTS)
     drawn_pairs = list(
         zip(
-            valid_blends(family.low_phi, family.up_phi, draws[:, 0]),
-            valid_blends(family.low_second, family.up_second, draws[:, 1]),
+            valid_blends(family.low_phi, family.up_phi, phi_ts),
+            valid_blends(family.low_second, family.up_second, second_ts),
         )
     )
     skipped = sum(p is None or q is None for p, q in grid_pairs + drawn_pairs)

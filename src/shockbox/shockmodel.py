@@ -207,21 +207,24 @@ def probe_xs(fns, n: int = 201) -> np.ndarray:
     """Abscissas exercising every DistFn in fns: breakpoints with nearby
     offsets, an even sweep across the joint effective support, and padding
     beyond it so the zero and saturated regions are probed too."""
-    points: list[float] = []
+    parts: list = []
     for f in fns:
-        points.extend(f.breakpoints)
+        parts.append(f._xa)
         if f.final > 0.0:
             for level in (min(1e-9, f.final / 2.0), f.final * (1.0 - 1e-9)):
                 try:
-                    points.append(locate(f, level))
+                    parts.append((locate(f, level),))
                 except InvalidRangeError:
                     # the level falls between the limits of a flat piece,
                     # which the validation tolerance lets differ; the
                     # piece's breakpoints are probes already
                     pass
-    if not points:
-        points = [0.0]
-    lo, hi = min(points), max(points)
+    # laws on one discretization grid share their breakpoints: each
+    # distinct point is offset once
+    at = np.unique(np.concatenate([np.empty(0), *parts]))
+    if not at.size:
+        at = np.zeros(1)
+    lo, hi = float(at[0]), float(at[-1])
     if hi <= lo:
         hi = lo + 1.0
     # the padded ends stop at the largest finite float, and the sweep runs at
@@ -230,7 +233,6 @@ def probe_xs(fns, n: int = 201) -> np.ndarray:
     pad = 0.25 * (hi - lo)
     top = float(np.finfo(float).max)
     start, stop = max(lo - pad, -top), min(hi + pad, top)
-    at = np.asarray(points, dtype=float)
     # from 2**30 on, a 1e-7 offset rounds back onto the point; the next
     # float on that side (inside the finite range) still probes beside it
     below, above = at - 1e-7, at + 1e-7
@@ -579,18 +581,32 @@ def _bound_order(h_grids, tol: float) -> Check:
 
 
 def _direct_formula(rows, fz: DistFn, h_grids, maxmin: bool, tol: float) -> Check:
+    # each bound's closed form and deviation fill one grid in place, each
+    # ufunc taking its operands in the order of fxv * (fzy + fyv * (fzx -
+    # fzy)) or fxv * fyv * min(fzx, fzy); the F_Z grid in it is shared
     gx, gy, low, up = h_grids
     fzx = fz.eval_many(gx)[:, None]
     fzy = fz.eval_many(gy)[None, :]
+    if maxmin:
+        shared = fzx - fzy
+        below = gx[:, None] <= gy[None, :]
+    else:
+        shared = np.minimum(fzx, fzy)
+    devs = np.empty(low.shape)
     subs = []
     for label, grid, x_row, y_row in zip(("low", "up"), (low, up), rows[:2], rows[2:]):
         fxv = x_row[3].eval_many(gx)[:, None]
         fyv = y_row[3].eval_many(gy)[None, :]
         if maxmin:
-            direct = np.where(gx[:, None] <= gy[None, :], fxv * fzx, fxv * (fzy + fyv * (fzx - fzy)))
+            np.multiply(fyv, shared, out=devs)
+            np.add(fzy, devs, out=devs)
+            np.multiply(fxv, devs, out=devs)
+            np.copyto(devs, fxv * fzx, where=below)
         else:
-            direct = fxv * fyv * np.minimum(fzx, fzy)
-        devs = np.abs(grid - direct)
+            np.multiply(fxv, fyv, out=devs)
+            np.multiply(devs, shared, out=devs)
+        np.subtract(grid, devs, out=devs)
+        np.abs(devs, out=devs)
         i, j = np.unravel_index(int(np.argmax(devs)), devs.shape)
         dev = float(devs[i, j])
         subs.append(Check(label, dev <= tol, value=dev, witness=(float(gx[i]), float(gy[j]))))

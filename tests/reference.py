@@ -9,13 +9,15 @@ scalar float arithmetic, the admissible anchor set of a level, the
 staircase lookup of an enumerated joint CDF, the reflection of a step law,
 the search's scenario generator written atom by atom with scalar reads, a
 witness's condition value written out corner by corner, and in rational
-arithmetic from the search's integer draws alone, and packed generator rows
-as ``Generator`` objects. None of them is called by a run; they live here
+arithmetic from the search's integer draws alone, packed generator rows as
+``Generator`` objects, and the probe abscissas of a set of laws built in
+Python lists. None of them is called by a run; they live here
 so that a reference cannot share a later edit with the construction it
 checks.
 """
 
 import math
+import sys
 from bisect import bisect_right
 from fractions import Fraction
 
@@ -478,3 +480,33 @@ def exact_search_witness_value(seed, index, rectangle: dict, condition: str) -> 
         "IC4": lambda: up(u2, v2) + up(u1, v1) - low(u2, v1) - up(u1, v2),
         "order": lambda: up(u2, v2) - low(u2, v2),
     }[condition]()
+
+
+def reference_probe_xs(fns, n: int = 201) -> np.ndarray:
+    """shockmodel.probe_xs written over Python lists: every breakpoint and
+    located level of every law, repeats and all, each with its two offsets
+    (the next float where a 1e-7 offset rounds back onto it), and the even
+    sweep over the padded range, sorted without repeats."""
+    points = []
+    for f in fns:
+        points += f.breakpoints
+        if f.final > 0.0:
+            for level in (min(1e-9, f.final / 2.0), f.final * (1.0 - 1e-9)):
+                try:
+                    points.append(locate(f, level))
+                except InvalidRangeError:
+                    pass
+    points = points or [0.0]
+    lo, hi = min(points), max(points)
+    if hi <= lo:
+        hi = lo + 1.0
+    top = sys.float_info.max
+    pad = 0.25 * (hi - lo)
+    start, stop = max(lo - pad, -top), min(hi + pad, top)
+    probes = set(points)
+    for x in points:
+        below, above = x - 1e-7, x + 1e-7
+        probes.add(below if below != x else math.nextafter(x, -top))
+        probes.add(above if above != x else math.nextafter(x, top))
+    probes.update((2.0 * np.linspace(start / 2.0, stop / 2.0, n)).tolist())
+    return np.array(sorted(probes))

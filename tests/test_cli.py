@@ -1451,6 +1451,28 @@ def test_module_entry_point(tmp_path):
     assert (tmp_path / "report.json").exists()
 
 
+def test_pipeline_and_emit_leave_numpy_random_unloaded(tmp_path):
+    # the copula-sandwich weights are constants, so a fresh process that
+    # runs a discretized scenario never loads numpy.random; main builds its
+    # parser on the first call and parses every later call with it
+    code = """
+import sys
+import shockbox.cli as cli
+for command in ("pipeline", "emit"):
+    assert cli.main([command, "--scenario", sys.argv[1], "--out", sys.argv[2]]) == 0
+assert cli._build_parser() is cli._build_parser()
+assert "numpy.random" not in sys.modules
+"""
+    scenario = str(SCENARIOS / "maxmin_exp.json")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, scenario, str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=_entry_point_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_module_entry_point_search_matches_the_in_process_call(tmp_path):
     # under `python -m` the worker function lives in __main__, and the
     # workers must still find it

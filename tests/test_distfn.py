@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from shockbox.distfn import (
     EXACT_TOL,
     INF,
+    LIMIT_SIDES,
     DistFn,
     blend,
     comix,
@@ -19,9 +20,9 @@ from shockbox.distfn import (
     exponential_cdf,
     first_violation,
     law_from_json,
-    ordered_probes,
     piecewise_cdf,
     pointmass_cdf,
+    probe_values,
     product,
     step_approximation,
     step_cdf,
@@ -108,7 +109,7 @@ def test_ordered_probes_sample_strictly_inside_every_interval(shift):
     # used to overflow and the right-tail ones to round onto the breakpoint
     f = step_cdf([(1.0, 0.25), (2.0, 0.75)])
     z = exponential_cdf(1.0, shift)
-    xs, sides = ordered_probes(f, z)
+    xs, sides, _, _ = probe_values(f, z)
     assert np.all(xs[1:] >= xs[:-1])
     ends = [-INF, *sorted({*f.breakpoints, *z.breakpoints}), INF]
     samples = set(xs[sides == 0].tolist()) - set(ends)
@@ -538,12 +539,78 @@ def test_step_pairs_are_read_at_the_ordered_probes(f, g):
     # intervals and at the ends of the float range too
     side_fn = {-1: "left_limit", 0: "eval", 1: "right_limit"}
     want = None
-    for x, side in zip(*(v.tolist() for v in ordered_probes(f, g))):
+    for x, side in zip(*(v.tolist() for v in probe_values(f, g)[:2])):
         fv, gv = getattr(f, side_fn[side])(x), getattr(g, side_fn[side])(x)
         if fv > gv:
             want = (x, side, fv, gv)
             break
     assert first_violation(f, g) == want
+
+
+# breakpoints pairs of laws share: both zeros, tight intervals and the
+# ends of the float range for step laws, moderate ones for affine pieces
+# and exponential origins
+STEP_XS = [-_MAX, -1.0, -0.0, 0.0, 0.5, math.nextafter(0.5, INF), 1.0, 2.0**31, _MAX]
+RAMP_XS = [-2.0, -1.0, -0.0, 0.0, 0.5, math.nextafter(0.5, INF), 1.0, 1.5, 3.0]
+
+
+@st.composite
+def lookup_laws(draw):
+    # constant, one-breakpoint and step laws, affine ramps with jumps, and
+    # exponential laws
+    kind = draw(st.sampled_from(["constant", "pointmass", "step", "ramp", "exponential"]))
+    if kind == "constant":
+        return DistFn.constant(draw(st.sampled_from([0.0, 1.0])))
+    if kind == "pointmass":
+        return pointmass_cdf(draw(st.sampled_from(STEP_XS)))
+    if kind == "exponential":
+        return exponential_cdf(draw(st.sampled_from([0.5, 2.0])), draw(st.sampled_from(RAMP_XS)))
+    pool = STEP_XS if kind == "step" else RAMP_XS
+    xs = sorted(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5, unique=True)))
+    k = len(xs) - 1
+    cuts = draw(st.lists(st.integers(1, 63), min_size=k, max_size=k, unique=True))
+    levels = [c / 64.0 for c in sorted(cuts)] + [1.0]
+    if kind == "step":
+        return step_cdf([(x, b - a) for x, a, b in zip(xs, [0.0, *levels], levels)])
+    # a ramp rises from each level halfway to the next, then jumps; at a
+    # jump its value is either limit
+    points, segments, left = [], [("const", 0.0)], 0.0
+    for i, (x, level) in enumerate(zip(xs, levels)):
+        points.append((x, left, draw(st.sampled_from([left, level])), level))
+        if i + 1 == len(xs):
+            segments.append(("const", level))
+        elif draw(st.booleans()):
+            slope = (levels[i + 1] - level) / 2.0 / (xs[i + 1] - x)
+            segments.append(("affine", x, level, slope))
+            left = level + slope * (xs[i + 1] - x)
+        else:
+            segments.append(("const", level))
+            left = level
+    return piecewise_cdf(points, segments)
+
+
+@given(lookup_laws(), lookup_laws(), st.sampled_from([0.0, 0.3, 1.0]))
+@settings(max_examples=300, deadline=None)
+def test_one_lookup_per_merged_breakpoint_gives_eval_manys_bits(f, g, t):
+    # probe_values and the combinations look each law up once per merged
+    # breakpoint; every value they read is eval_many's at its point
+    xs, sides, fv, gv = probe_values(f, g)
+    assert fv.tobytes() == f.eval_many(xs, sides).tobytes()
+    assert gv.tobytes() == g.eval_many(xs, sides).tobytes()
+    ops = [(product, np.multiply), (comix, comix_value)]
+    if f.eval(-INF) == g.eval(-INF) == 0.0:
+        # a blend with the constant 1 would start above 0
+        ops.append((lambda a, b: blend(a, b, t), lambda a, b: t * a + (1.0 - t) * b))
+    for combine, value_op in ops:
+        try:
+            h = combine(f, g)
+        except UnsupportedSegmentPairError:
+            continue
+        at = np.array(h.breakpoints)
+        want = value_op(f.eval_many(at, LIMIT_SIDES), g.eval_many(at, LIMIT_SIDES))
+        np.maximum(want[1], want[0], out=want[1])
+        np.maximum(want[2], want[1], out=want[2])
+        assert h.eval_many(at, LIMIT_SIDES).tobytes() == want.tobytes()
 
 
 def test_constant_step_pair_probes():
@@ -557,9 +624,9 @@ def test_a_tight_interval_probes_the_breakpoint_below_it():
     up = math.nextafter(0.5, INF)
     points = [(0.5, 0.0, 0.25, 0.75), (up, 0.75, 0.75, 1.0)]
     f = piecewise_cdf(points, [("const", c) for c in (0.0, 0.75, 1.0)])
-    xs, sides = ordered_probes(f, f)
+    xs, sides, fv, _ = probe_values(f, f)
     assert (xs[5], sides[5]) == (0.5, 0)
-    assert f.eval_many(xs, sides)[5] == 0.25
+    assert f.eval_many(xs, sides)[5] == fv[5] == 0.25
 
 
 @pytest.mark.parametrize(

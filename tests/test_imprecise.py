@@ -31,6 +31,7 @@ from shockbox.imprecise import (
     _split_slack,
     check_bivariate_pbox_conditions,
     check_imprecise_copula,
+    SANDWICH_WEIGHTS,
     coherence_witness,
     search_ic_violation,
     verify_witness,
@@ -1116,6 +1117,13 @@ def test_coherence_witness_passes_for_the_example_family():
     assert check.value <= 1e-9 and check.witness is None
     # 3 x 3 weight grid plus 5 seeded draws, none skipped
     assert check.note == "14 members (0 invalid blends skipped)"
+
+
+def test_the_sandwich_weights_are_the_seeded_draws_bit_for_bit():
+    # the five drawn members' weights, written out, are the draws the check
+    # took from numpy's Generator at seed 42 when its reports were pinned
+    draws = np.random.default_rng(42).uniform(size=(5, 2))
+    assert np.array(SANDWICH_WEIGHTS).tobytes() == draws.tobytes()
 
 
 def test_coherence_witness_counts_extra_members():

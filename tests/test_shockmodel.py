@@ -13,6 +13,7 @@ from shockbox.copulas import BivariateBound, copula_grid
 from shockbox.distfn import (
     EXACT_TOL,
     INF,
+    DistFn,
     exponential_cdf,
     first_violation,
     piecewise_cdf,
@@ -46,6 +47,7 @@ from shockbox.shockmodel import (
 
 from reference import (
     copula_at,
+    reference_probe_xs,
     scalar_random_discrete_scenario,
     search_generator_tuples,
     table_at,
@@ -427,6 +429,41 @@ def test_probe_xs_probes_beside_far_breakpoints():
         for x in (a, b):
             k = far.tolist().index(x)
             assert (far[k - 1], far[k + 1]) == (np.nextafter(x, -INF), np.nextafter(x, INF))
+
+
+_MAX = float(np.finfo(float).max)
+# the level 1e-9 lies between the limits of this law's flat affine piece,
+# where locate raises
+FLAT = piecewise_cdf(
+    [(0.0, 0.0, 0.0, 0.0), (1.0, 1.5e-9, 1.0, 1.0)],
+    [("const", 0.0), ("affine", 0.0, 7e-10, 0.0), ("const", 1.0)],
+)
+GRID = np.linspace(-0.0, 6.0, 41)
+PROBE_LAWS = {
+    "one grid": [
+        step_approximation(exponential_cdf(rate), GRID) for rate in (0.5, 1.0, 2.0)
+    ] + [step_cdf([(x, 0.125) for x in GRID[5::5].tolist()])],
+    "past 2**30": [step_cdf([(2.0**31, 0.5), (2.0**40, 0.5)]), step_cdf([(1.2e9, 1.0)])],
+    "near the float limits": [
+        step_cdf([(-1.7e308, 0.25), (1.7e308, 0.75)]),
+        step_cdf([(-_MAX, 0.5), (_MAX, 0.5)]),
+        exponential_cdf(1.0, 1.5e308),
+    ],
+    "locate raises": [FLAT, step_cdf([(0.5, 1.0)])],
+    "both zeros": [pointmass_cdf(-0.0), step_cdf([(0.0, 0.5), (2.0, 0.5)])],
+    "constants": [DistFn.constant(0.0), DistFn.constant(1.0)],
+    "no laws": [],
+}
+
+
+@pytest.mark.parametrize("n", [2, 201])
+@pytest.mark.parametrize("name", sorted(PROBE_LAWS))
+def test_probe_xs_is_the_list_reference(name, n):
+    # each distinct point is offset once; the probes are those of every
+    # point of every law offset on its own
+    got = sm.probe_xs(PROBE_LAWS[name], n=n)
+    assert np.all(got[1:] > got[:-1])
+    assert got.tolist() == reference_probe_xs(PROBE_LAWS[name], n=n).tolist()
 
 
 # -- validation and dispatch ---------------------------------------------------
