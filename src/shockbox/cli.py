@@ -77,12 +77,13 @@ MAX_SEARCH_COUNT = 100_000
 # scenarios per range of a search, whose arrays take a few hundred KB whatever the count
 SEARCH_RANGE = 64
 # grid cells of a stack of a range's copula grids: 16 pairs at the default
-# grid, one pair from grid 145 on. A stack is certified, and its witnesses
-# re-verified, at once. On a 2-core VM (Python 3.11, numpy 2.4.6) a
-# one-process search --count 1000 --seed 42 took a median 0.317 s with
-# stacks of 16 pairs, against 0.332 s with stacks of 64 (16 interleaved runs
-# each), and peaked at 39 MB RSS against 44 MB: the certificate passes over
-# each stack several times, and a stack of 16 (330 KB a grid) stays in cache
+# grid, one pair from grid 145 on. A stack is certified, scanned and its
+# witnesses re-verified at once, in arrays allocated once per range. On a
+# 2-core VM (Python 3.11, numpy 2.4.6) a one-process search --count 1000
+# --seed 42 took a median 0.24 s with stacks of 16 pairs and 0.25 s with
+# stacks of 64 (4 interleaved processes of 5 runs each), and peaked at 41 MB
+# RSS against 48 MB: the certificate passes over each stack several times,
+# and a stack of 16 (330 KB a grid) stays in cache
 SEARCH_STACK_CELLS = 16 * DEFAULT_SEARCH_GRID**2
 
 
@@ -286,25 +287,26 @@ def search_range(seed: int, start: int, stop: int, grid: int, tol: float) -> lis
     (``search_generators``), and evaluated on the grid row by row; its
     same-corner pairs are checked, and their witnesses re-verified, as
     stacks of grids (``same_corner_findings``) of at most SEARCH_STACK_CELLS
-    cells. No ``Generator`` or ``Copula`` object is built.
+    cells, in arrays allocated once per range. No ``Generator`` or
+    ``Copula`` object is built.
     """
     draws = search_step_draws(seed, start, stop)
     us = unit_grid(grid)
     # per scenario (low_phi, up_phi, low_chi, up_chi) at us
     values = search_generators(draws).eval_many(us).reshape(len(draws), 4, grid)
     stack = max(1, SEARCH_STACK_CELLS // grid**2)
-    findings = []
-    for first in range(0, len(values), stack):
-        part = values[first : first + stack].swapaxes(0, 1)
-        for k, records, reverified in same_corner_findings("maxmin", us, part, tol):
-            findings.append({
-                "scenario_index": start + first + k,
-                "witnesses": records,
-                "reverified_exact": reverified,
-                # true for every finding, so no rescan is run (see cmd_search)
-                "reverified_doubled_grid": True,
-            })
-    return findings
+    return [
+        {
+            "scenario_index": start + k,
+            "witnesses": records,
+            "reverified_exact": reverified,
+            # true for every finding, so no rescan is run (see cmd_search)
+            "reverified_doubled_grid": True,
+        }
+        for k, records, reverified in same_corner_findings(
+            "maxmin", us, values.swapaxes(0, 1), stack, tol
+        )
+    ]
 
 
 # json's spellings of the floats whose repr is not JSON

@@ -76,21 +76,21 @@ class Copula:
                 )
 
 
-def copula_values(model: str, us, first, vs, second) -> np.ndarray:
+def copula_values(model: str, us, first, vs, second, out=None) -> np.ndarray:
     """The model's copula on us x vs from its generators' values, first at
     us and second at vs: rows indexed by us, columns by vs. Every argument
     may carry leading axes, which broadcast, so one call gives a stack of
     grids. Each value is the same float as in a grid of one pair: a product
     of a row factor and a column factor is one rounding, as in np.outer.
-    The stack-sized results are computed in place, and the max/min terms
-    u(1 - v) and uv share one temporary of the grid's shape; each ufunc
-    takes its operands in the order of the formula."""
+    The stack-sized results are computed in place, in out when it is given,
+    and the max/min terms u(1 - v) and uv share one temporary of the grid's
+    shape; each ufunc takes its operands in the order of the formula."""
     u, v = us[..., :, None], vs[..., None, :]
     f, s = first[..., :, None], second[..., None, :]
     if model == "marshall":
-        out = f * v
+        out = np.multiply(f, v, out=out)
         return np.minimum(out, u * s, out=out)
-    out = (f - u) * (v - s)
+    out = np.multiply(f - u, v - s, out=out)
     term = u * (1.0 - v)
     np.minimum(term, out, out=out)
     np.add(out, np.multiply(u, v, out=term), out=out)

@@ -78,8 +78,12 @@ def _exp_term(t: float) -> float:
 
 
 def _exp_terms(t: np.ndarray) -> np.ndarray:
-    # _exp_term elementwise: np.exp may round differently from math.exp
-    return np.array(list(map(_exp_term, t.tolist())), dtype=float)
+    # _exp_term elementwise: np.exp may round differently from math.exp. A
+    # nan is not below 700, so it gives inf, as in _exp_term
+    out = np.full(t.shape, INF)
+    below = t < 700.0
+    out[below] = list(map(math.exp, t[below].tolist()))
+    return out
 
 
 def _seg_value(kind: int, a, b, c, d, x, exp: Callable = _exp_term):

@@ -63,7 +63,7 @@ for IC2 and IC4) is one of the rows S whose smallest fl(gap) is at most
 M + s. ``_ic_scan`` evaluates only the row pairs with their corner row in
 S, and every row pair when s is not finite. And when M - s >= -tol no
 condition, and not the order, fails on the grid: every rectangle check
-(``_ic_checks``, behind ``check_imprecise_copula``,
+(``_ic_results``, behind ``check_imprecise_copula``,
 ``check_bivariate_pbox_conditions``, ``search_ic_violation`` and
 ``same_corner_findings``) then passes without a scan, with M - s as the
 value of each condition. For a copula pair the gap is 0 on the column
@@ -192,6 +192,28 @@ _MIN_SCALE = 2.0**-960
 _Scan = dict[str, tuple[float, tuple[int, int, int, int]]]
 
 
+class _Scratch:
+    """One float array that the grid-sized temporaries of a range's stacks
+    of up to P pairs of n x m grids reuse, allocated once, in slots of P n m
+    floats: 0 to 3 hold one step's temporaries, the split's and then the
+    scan's; 4 and 5, twice that size, the stack's grids and its uncertified
+    pairs' grids. A temporary is a contiguous prefix of its slot, so the
+    temporaries of a partial stack are leading-axis views. One array, not
+    one per slot, is one heap block that the next range's array reuses,
+    where smaller ones leave the heap fragmented and new memory is faulted
+    in for each range."""
+
+    _OFFSETS = (0, 1, 2, 3, 4, 6, 8)
+
+    def __init__(self, cells: int):
+        self._cells = cells
+        self._flat = np.empty(self._OFFSETS[-1] * cells)
+
+    def __call__(self, slot: int, shape) -> np.ndarray:
+        start, stop = (self._cells * k for k in self._OFFSETS[slot : slot + 2])
+        return self._flat[start:stop][: math.prod(shape)].reshape(shape)
+
+
 @dataclass(frozen=True)
 class _Split:
     """The volume-plus-gap split's bounds on a stack of pairs of grids (the
@@ -204,7 +226,7 @@ class _Split:
     slack: np.ndarray
 
     def __getitem__(self, k) -> "_Split":
-        """The split of pair k of the stack."""
+        """The split of pair k of the stack, or of the pairs k."""
         return _Split(self.gaps[k], self.floor[k], self.slack[k])
 
     @property
@@ -214,30 +236,42 @@ class _Split:
         return np.nextafter(self.floor - self.slack, -math.inf)
 
 
-def _split(low: np.ndarray, up: np.ndarray) -> _Split:
+def _split(low: np.ndarray, up: np.ndarray, scratch: _Scratch | None = None) -> _Split:
     """The split of grids of shape (..., n, m); each of the leading indices
-    names one pair, whose values are those of that pair alone."""
-    gaps = np.min(up - low, axis=-1)
-    return _Split(gaps, np.min(gaps, axis=-1), _split_slack(low, up))
+    names one pair, whose values are those of that pair alone. The
+    grid-sized temporaries are scratch's, or new arrays without it."""
+    scratch = scratch or _Scratch(low.size)
+    gap = np.subtract(up, low, out=scratch(0, low.shape))
+    # each row's first least value, or its first nan: np.min's value up to
+    # the sign of a zero, but np.argmin is several times faster on short rows
+    gaps = np.take_along_axis(gap, np.argmin(gap, axis=-1)[..., None], axis=-1)[..., 0]
+    return _Split(gaps, np.min(gaps, axis=-1), _split_slack(low, up, scratch))
 
 
-def _split_slack(low: np.ndarray, up: np.ndarray) -> np.ndarray:
+def _split_slack(low: np.ndarray, up: np.ndarray, scratch: _Scratch | None = None) -> np.ndarray:
     """The slack s of the module docstring, rounded up, per pair: no
     rectangle's condition value lies below fl(gap) at its corner minus s.
-    inf for a pair with a grid value that is not finite."""
+    inf for a pair with a grid value that is not finite. The absolute
+    values, differences and minima are scratch's arrays (``_Scratch``),
+    each C-contiguous in the shape of a new one, so the sums keep their
+    bits."""
     cells_of = (-2, -1)
+    *stack, n, m = low.shape
+    scratch = scratch or _Scratch(low.size)
+    # the largest |value| of each pair, from the largest and least values:
     # np.maximum, unlike max(), passes a nan on
-    scale = np.maximum(np.max(np.abs(low), axis=cells_of), np.max(np.abs(up), axis=cells_of))
+    extremes = [f(grid, axis=cells_of) for grid in (low, up) for f in (np.max, np.min)]
+    scale = np.maximum.reduce([extremes[0], -extremes[1], extremes[2], -extremes[3]])
     finite = np.isfinite(scale)
     if not finite.all():
         # the sums below would meet inf - inf; only the finite pairs need them
         low, up = (np.where(finite[..., None, None], grid, 0.0) for grid in (low, up))
     negative = magnitudes = 0.0
     for grid in (low, up):
-        rows = grid[..., 1:, :] - grid[..., :-1, :]
-        cells = rows[..., 1:] - rows[..., :-1]
-        negative = negative - np.sum(np.minimum(cells, 0.0), axis=cells_of)
-        # in place: a stack's differences are its largest arrays
+        rows = np.subtract(grid[..., 1:, :], grid[..., :-1, :], out=scratch(1, (*stack, n - 1, m)))
+        cells = np.subtract(rows[..., 1:], rows[..., :-1], out=scratch(2, (*stack, n - 1, m - 1)))
+        below = np.minimum(cells, 0.0, out=scratch(0, cells.shape))
+        negative = negative - np.sum(below, axis=cells_of)
         cells, rows = np.abs(cells, out=cells), np.abs(rows, out=rows)
         magnitudes = magnitudes + (
             np.sum(cells, axis=cells_of) + 2 * np.sum(rows, axis=cells_of)
@@ -249,11 +283,16 @@ def _split_slack(low: np.ndarray, up: np.ndarray) -> np.ndarray:
 
 
 def _candidate_rows(split: _Split) -> np.ndarray:
-    """The candidate rows S of the module docstring, or every row when s is
-    not finite."""
-    if not split.slack < math.inf:
-        return np.arange(len(split.gaps))
-    return np.flatnonzero(split.gaps <= np.nextafter(split.floor + split.slack, math.inf))
+    """The candidate rows S of the module docstring of each pair of the
+    split, or all its rows when its s is not finite, as indices into the
+    pairs' rows laid end to end: row r of pair k is k n + r. For a stack of
+    one these are the rows themselves."""
+    n = split.gaps.shape[-1]
+    gaps = split.gaps.reshape(-1, n)
+    slack = split.slack.reshape(-1, 1)
+    finite = slack < math.inf
+    limit = np.nextafter(split.floor.reshape(-1, 1) + np.where(finite, slack, 0.0), math.inf)
+    return np.flatnonzero((gaps <= limit) | ~finite)
 
 
 def _certified(split: _Split, tol: float) -> np.ndarray:
@@ -263,8 +302,13 @@ def _certified(split: _Split, tol: float) -> np.ndarray:
     return split.bound >= -tol
 
 
-def _ic_scan(low: np.ndarray, up: np.ndarray, split: _Split) -> _Scan:
-    """Minimum of each mixed rectangle inequality over all grid rectangles.
+def _ic_scan(
+    low: np.ndarray, up: np.ndarray, split: _Split, scratch: _Scratch | None = None
+) -> list[_Scan]:
+    """Minimum of each mixed rectangle inequality over all grid rectangles,
+    for each of P pairs of n x m grids: low and up hold the pairs' rows laid
+    end to end, (P n, m), and split is their ``_split``. A pair of (n, m)
+    grids is a stack of one.
 
     On the row pair (i1, i2) every condition splits as p(j2) + q(j1) with
     j1 <= j2 (``_SPLITS``), so its minimum over the pair's rectangles is the
@@ -272,11 +316,25 @@ def _ic_scan(low: np.ndarray, up: np.ndarray, split: _Split) -> _Scan:
 
     Only the row pairs whose corner row lies in the candidate rows S of the
     module docstring, taken from ``split`` (``_candidate_rows``), can hold a
-    worst rectangle, and only those are evaluated, in O(|S| n m) time and
-    O(n m) memory. A pair with an order violation has its gap minimum on
-    one row or a few. Every row is in S for a copula pair, whose gap is 0
-    on the column v = 0, and for a grid with a value that is not finite:
-    the scan then takes O(n^2 m) time.
+    worst rectangle, and only those are evaluated, in O(|S| n m) time per
+    pair. A pair with an order violation has its gap minimum on one row or
+    a few. Every row is in S for a copula pair, whose gap is 0 on the
+    column v = 0, and for a grid with a value that is not finite: the scan
+    then takes O(n^2 m) time.
+
+    All pairs are scanned at once, on ragged rows (a segmented scan:
+    Blelloch, "Scans as primitive parallel operations", IEEE Trans.
+    Computers 38(11), 1989). A candidate row r of a pair is the corner row
+    of the row pairs (r, i2), i2 >= r, of IC1 and IC3, and of (i1, r),
+    i1 <= r, of IC2 and IC4. Those row pairs of every pair, and only those,
+    are laid out one after another, and evaluated in blocks of at most P n
+    rows, so no temporary is larger than the grids; the temporaries are
+    scratch's (``_Scratch``). In every condition one grid is read at the
+    row that is not r (W and X at i2, or V and Y at i1), so the rows r of
+    both grids, gathered once, serve both conditions of a corner row's
+    group, and each condition gathers its one grid's other rows. Each
+    evaluated row pair takes the operations of a scan of its pair alone on
+    the same floats.
 
     Ties resolve to the first worst rectangle in scan order (i1, then i2,
     then j2, then j1 ascending), which makes reported witnesses
@@ -284,63 +342,177 @@ def _ic_scan(low: np.ndarray, up: np.ndarray, split: _Split) -> _Scan:
     it. A row pair's j2 is the first minimum of p plus the running minimum
     of q, and the first worst row pair's j1 the first minimum of q up to j2.
 
-    Returns condition -> (min value, (i1, i2, j1, j2) attaining it).
+    Returns, per pair, condition -> (min value, (i1, i2, j1, j2) attaining
+    it).
     """
+    n = split.gaps.shape[-1]
+    pairs, m = len(low) // n, low.shape[1]
+    scratch = scratch or _Scratch(low.size)
     grids = (low, up)
-    rows = _candidate_rows(split).tolist()
-    found = {}
-    for name, (x, y, v, w) in _SPLITS.items():
-        ranks = []
-        for r in rows:
-            # p plus q's running minimum, in the latter's place: with p and q
-            # temporaries at most three n x m arrays are alive at once. p
-            # stays the first operand, whose nan a sum of two nans keeps
-            if name in _CORNER_ON_I1:
-                total = np.minimum.accumulate(grids[v][r] - grids[w][r:], axis=1)
-                np.add(grids[x][r:] - grids[y][r], total, out=total)
-            else:
-                total = np.minimum.accumulate(grids[v][: r + 1] - grids[w][r], axis=1)
-                np.add(grids[x][r] - grids[y][: r + 1], total, out=total)
-            j2s = np.argmin(total, axis=1)
-            values = total[np.arange(len(j2s)), j2s]
-            k = int(np.argmin(values))
-            pair = (r, r + k) if name in _CORNER_ON_I1 else (k, r)
-            value = float(values[k])
-            # equal values tie-break on the first pair in row-major order
-            rank = (0, 0.0) if math.isnan(value) else (1, value)
-            ranks.append((*rank, pair, int(j2s[k]), value))
-        *_, (i1, i2), j2, value = min(ranks)
-        j1 = int(np.argmin(grids[v][i1, : j2 + 1] - grids[w][i2, : j2 + 1]))
-        found[name] = value, (i1, i2, j1, j2)
-    return found
+    rows = _candidate_rows(split)
+    corner = rows % n
+    block = pairs * n
+    places = np.arange(block)
+    names, worst = [], []
+    for on_i1 in (True, False):
+        group = [name for name in _SPLITS if (name in _CORNER_ON_I1) == on_i1]
+        # the row pairs of each candidate row r, (r, i2) with i2 >= r or
+        # (i1, r) with i1 <= r, laid out candidate row by candidate row
+        counts = n - corner if on_i1 else corner + 1
+        ends = np.cumsum(counts)
+        best = _FirstWorst(len(group), pairs, n)
+        values = np.empty((len(group), block))
+        j2s = np.empty((len(group), block), dtype=np.intp)
+        for lo in range(0, int(ends[-1]), block):
+            b = min(block, int(ends[-1]) - lo)
+            c = np.searchsorted(ends, lo + places[:b], side="right")
+            offset = lo + places[:b] - ends[c] + counts[c]
+            r = rows[c]
+            other = r + offset if on_i1 else r - corner[c] + offset
+            shape = (b, m)
+            # rows r of low and of up, read by both conditions
+            at_r = [
+                np.take(g, r, axis=0, out=scratch(s, shape), mode="clip")
+                for s, g in enumerate(grids)
+            ]
+            gathered, total = scratch(2, shape), scratch(3, shape)
+            for k, name in enumerate(group):
+                x, y, v, w = _SPLITS[name]
+                np.take(grids[w if on_i1 else v], other, axis=0, out=gathered, mode="clip")
+                # q = V[i1] - W[i2] and p = X[i2] - Y[i1]
+                q = (at_r[v], gathered) if on_i1 else (gathered, at_r[w])
+                p = (gathered, at_r[y]) if on_i1 else (at_r[x], gathered)
+                # p plus q's running minimum, in the latter's place. p stays
+                # the first operand, whose nan a sum of two nans keeps
+                np.minimum.accumulate(np.subtract(*q, out=total), axis=1, out=total)
+                np.add(np.subtract(*p, out=gathered), total, out=total)
+                np.argmin(total, axis=1, out=j2s[k, :b])
+                values[k, :b] = total[places[:b], j2s[k, :b]]
+            best.update(values[:, :b], j2s[:, :b], *((r, other) if on_i1 else (other, r)))
+        names += group
+        worst.append(best)
+
+    value = np.concatenate([best.value for best in worst])
+    key = np.concatenate([best.key for best in worst])
+    j2 = np.concatenate([best.j2 for best in worst])
+    i1, i2 = key // n, key // n - key // n % n + key % n
+    # j1, the first minimum of q up to j2: the later columns read +inf
+    splits = [_SPLITS[name] for name in names]
+    q = np.array([grids[v][i1[k]] - grids[w][i2[k]] for k, (*_, v, w) in enumerate(splits)])
+    j1 = np.argmin(np.where(np.arange(m) <= j2[..., None], q, math.inf), axis=-1)
+    rectangles = np.stack((i1 % n, i2 % n, j1, j2), axis=-1).tolist()
+    found = {
+        name: [(v, tuple(r)) for v, r in zip(values, corners)]
+        for name, values, corners in zip(names, value.tolist(), rectangles)
+    }
+    return [{name: found[name][k] for name in _SPLITS} for k in range(pairs)]
 
 
-def _ic_checks(low: np.ndarray, up: np.ndarray, split: _Split, tol: float, witness) -> list[Check]:
-    """The order and the four mixed-inequality checks on a pair of grids,
-    with ``split`` their ``_split``.
+class _FirstWorst:
+    """Each pair's first worst row pair so far, per condition of a corner
+    row's group (``_ic_scan``): its value, its key i1 n + i2 % n and its j2,
+    with i1 and i2 indices into the pairs' rows laid end to end. Keys order
+    row pairs row-major, pair by pair. A nan ranks below every number, as
+    np.argmin ranks it, and equal values rank by key."""
+
+    def __init__(self, conditions: int, pairs: int, n: int):
+        self.n = n
+        # the key of no row pair yet, above every key
+        self.past = pairs * n * n
+        self.value = np.full((conditions, pairs), math.inf)
+        self.key = np.full((conditions, pairs), self.past)
+        self.j2 = np.zeros((conditions, pairs), dtype=np.intp)
+
+    def update(self, values: np.ndarray, j2s: np.ndarray, i1: np.ndarray, i2: np.ndarray) -> None:
+        """Take in a block of evaluated row pairs (i1, i2), with each
+        condition's values and j2s: a pair's row pairs are one run of the
+        block."""
+        b = len(i1)
+        keys = i1 * self.n + i2 % self.n
+        pair = i1 // self.n
+        starts_run = np.empty(b, dtype=bool)
+        starts_run[0] = True
+        np.not_equal(pair[1:], pair[:-1], out=starts_run[1:])
+        starts = np.flatnonzero(starts_run)
+        run = np.cumsum(starts_run) - 1
+        worst = np.minimum.reduceat(values, starts, axis=1)[:, run]
+        ties = values == worst
+        ties |= np.isnan(values) & np.isnan(worst)
+        # each run's first worst row pair: the least key among its ties,
+        # with the row pair's place in the block in the low digits
+        tagged = np.where(ties, keys * b + np.arange(b), self.past * b)
+        first = np.minimum.reduceat(tagged, starts, axis=1) % b
+        conditions = np.arange(len(values))[:, None]
+        new, new_key, new_j2 = values[conditions, first], keys[first], j2s[conditions, first]
+        ks = pair[starts]
+        old_key = self.key[:, ks]
+        if (old_key < self.past).any():
+            # a pair whose row pairs began in a block before: the block's
+            # worst replaces that block's when it ranks lower, or the same
+            # with a lower key
+            old = self.value[:, ks]
+            same = (new == old) | (np.isnan(new) & np.isnan(old))
+            better = (new < old) | (np.isnan(new) & ~np.isnan(old)) | (same & (new_key < old_key))
+            new, new_key = np.where(better, new, old), np.where(better, new_key, old_key)
+            new_j2 = np.where(better, new_j2, self.j2[:, ks])
+        self.value[:, ks], self.key[:, ks], self.j2[:, ks] = new, new_key, new_j2
+
+
+def _ic_results(
+    low: np.ndarray, up: np.ndarray, split: _Split, tol: float, scratch: _Scratch | None = None
+) -> list[list[tuple]]:
+    """The order and the four mixed-inequality checks on each of P pairs of
+    n x m grids, laid end to end in low and up, (P n, m), with ``split``
+    their ``_split``; a pair of (n, m) grids is a stack of one. Per pair,
+    [(condition, value, corners), ...], the order first; a check passes
+    when its value is at least -tol.
 
     The order is up - low at its first minimum (i, j) in row-major order, a
     nan first, as np.argmin finds it: in the first row whose minimum, its
     entry of split.gaps, is the least, at that row's first minimum. Its
-    witness is witness("order", value, (i, i, j, j)).
+    corners are (i, i, j, j).
 
     When M - s >= -tol (the module docstring) each inequality passes without
     a scan, with the certified lower bound M - s, rounded down, as its value
-    and no witness. Otherwise each is its minimum over every rectangle
-    (``_ic_scan``), with witness(name, value, (i1, i2, j1, j2)) at its first
-    worst rectangle. Either way the value is at most M, the smallest
-    fl(up - low), which is the order's value.
+    and None as its corners. Otherwise each is its minimum over every
+    rectangle, with the grid indices (i1, i2, j1, j2) of its first worst
+    rectangle. Either way the value is at most M, the smallest
+    fl(up - low), which is the order's value. A stack with an uncertified
+    pair is scanned whole (``_ic_scan``, in scratch's arrays); a certified
+    pair's results in it stay those of the certificate.
     """
-    i = int(np.argmin(split.gaps))
-    j = int(np.argmin(up[i] - low[i]))
-    value = float(up[i, j] - low[i, j])
-    where = witness("order", value, (i, i, j, j))
-    order = Check("order", value >= -tol, value=value, witness=where)
-    if _certified(split, tol):
-        return [order] + [Check(name, True, value=float(split.bound)) for name in _SPLITS]
-    return [order] + [
-        Check(name, value >= -tol, value=value, witness=witness(name, value, corners))
-        for name, (value, corners) in _ic_scan(low, up, split).items()
+    gaps = split.gaps.reshape(-1, split.gaps.shape[-1])
+    pairs, n = gaps.shape
+    at = np.arange(pairs) * n + np.argmin(gaps, axis=1)
+    gap = up[at] - low[at]
+    j = np.argmin(gap, axis=1)
+    orders = zip((at % n).tolist(), j.tolist(), gap[np.arange(pairs), j].tolist())
+    certified = np.reshape(_certified(split, tol), -1).tolist()
+    bounds = np.reshape(split.bound, -1).tolist()
+    scans = [] if all(certified) else _ic_scan(low, up, split, scratch)
+    results = []
+    for k, (i, j, value) in enumerate(orders):
+        pair = [("order", value, (i, i, j, j))]
+        if certified[k]:
+            pair += [(name, bounds[k], None) for name in _SPLITS]
+        else:
+            pair += [(name, value, corners) for name, (value, corners) in scans[k].items()]
+        results.append(pair)
+    return results
+
+
+def _ic_checks(low: np.ndarray, up: np.ndarray, split: _Split, tol: float, witness) -> list[Check]:
+    """The order and the four mixed-inequality checks on a pair of grids,
+    with ``split`` their ``_split``: ``_ic_results`` on a stack of one, each
+    with witness(condition, value, corners) where it has corners."""
+    return [
+        Check(
+            name,
+            value >= -tol,
+            value=value,
+            witness=None if corners is None else witness(name, value, corners),
+        )
+        for name, value, corners in _ic_results(low, up, split, tol)[0]
     ]
 
 
@@ -402,54 +574,60 @@ def search_ic_violation(pair: CopulaPair, n: int = 51, tol: float = EXACT_TOL) -
     return [witness(*f) for f in found[0][1]] if found else []
 
 
-def _failure(name: str, value: float, corners) -> tuple:
-    """The witness maker of ``_ic_checks`` that keeps the grid indices."""
-    return name, value, corners
-
-
-def _stack_failures(low: np.ndarray, up: np.ndarray, tol: float) -> list[tuple[int, list]]:
-    """The failed checks of each pair of a stack of grids: (k, [(condition,
-    value, (i1, i2, j1, j2)), ...]) for each pair k with one, in stack
-    order, with the grid indices of each witness.
+def _stack_failures(
+    low: np.ndarray, up: np.ndarray, tol: float, scratch: _Scratch | None = None
+) -> list[tuple[int, list]]:
+    """The failed checks of each pair of a stack of grids (P, n, m): (k,
+    [(condition, value, (i1, i2, j1, j2)), ...]) for each pair k with one,
+    in stack order, with the grid indices of each witness.
 
     One ``_split`` of the whole stack gives each pair its own gaps, M and s,
     the floats of its split alone. A pair with M - s >= -tol has no witness
-    and is done without a ``Check``; only the others go on to
-    ``_ic_checks``, with their entry of the split, and are scanned there.
+    and is done without a ``Check``; the others are copied together, in
+    stack order, and go on to ``_ic_results`` as one stack, with their
+    entries of the split, and one scan. The temporaries are scratch's
+    (``_Scratch``).
     """
-    split = _split(low, up)
+    scratch = scratch or _Scratch(low.size)
+    split = _split(low, up, scratch)
+    scanned = np.flatnonzero(~_certified(split, tol))
+    if not len(scanned):
+        return []
+    if len(scanned) < len(low):
+        kept = scratch(5, (2, len(scanned), *low.shape[1:]))
+        low, up = (
+            np.take(grid, scanned, axis=0, out=out, mode="clip") for grid, out in zip((low, up), kept)
+        )
+        split = split[scanned]
+    m = low.shape[-1]
+    results = _ic_results(low.reshape(-1, m), up.reshape(-1, m), split, tol, scratch)
     found = []
-    for k in np.flatnonzero(~_certified(split, tol)).tolist():
-        checks = _ic_checks(low[k], up[k], split[k], tol, _failure)
-        failures = [c.witness for c in checks if not c.passed]
+    for k, pair in zip(scanned.tolist(), results):
+        failures = [result for result in pair if not result[1] >= -tol]
         if failures:
             found.append((k, failures))
     return found
 
 
 def same_corner_findings(
-    model: str, us: np.ndarray, values: np.ndarray, tol: float = EXACT_TOL
+    model: str, us: np.ndarray, values: np.ndarray, stack: int, tol: float = EXACT_TOL
 ) -> list[tuple[int, list[dict], bool]]:
-    """The rectangle checks of a stack of pairs on us x us, each witness
-    re-verified: (k, witness records, whether every witness re-verifies)
-    for each pair k with a witness, in stack order. A record is the
-    ``dataclasses.asdict`` of the witness's ``ViolationWitness``.
+    """The rectangle checks of pairs on us x us, each witness re-verified:
+    (k, witness records, whether every witness re-verifies) for each pair k
+    with a witness, in order. A record is the ``dataclasses.asdict`` of the
+    witness's ``ViolationWitness``.
 
     values[:, k] holds pair k's generators at us in ``CopulaFamily``'s
     order, (low_phi, up_phi, low_second, up_second); the low bound is the
     model's copula of the first and the third, the up bound of the second
-    and the fourth. One ``copula_values`` call grids the stack, whose
-    pairs ``_stack_failures`` checks, and the witnesses of the whole stack
-    re-verify together (``_reverified``), from their grid indices.
+    and the fourth. The pairs are checked in stacks of at most ``stack``,
+    in arrays allocated once per call (``_Scratch``): one ``copula_values``
+    call grids a stack, whose pairs ``_stack_failures`` checks, and the
+    witnesses of the whole stack re-verify together (``_reverified``), from
+    their grid indices.
     """
-    low, up = copula_values(model, us, values[0:2], us, values[2:4])
-    found = _stack_failures(low, up, tol)
-    failures = [f for _, fs in found for f in fs]
-    sizes = [len(fs) for _, fs in found]
-    pairs = np.repeat(np.array([k for k, _ in found], dtype=np.intp), sizes)
-    corners = np.array([c for _, _, c in failures], dtype=np.intp).reshape(-1, 4)
-    conditions = [name for name, _, _ in failures]
-    verdicts = _reverified((model, model), us, values, pairs, corners, conditions, tol).tolist()
+    n, count = len(us), values.shape[1]
+    scratch = _Scratch(min(stack, count) * n * n)
     points = us.tolist()
 
     def record(name: str, value: float, corners) -> dict:
@@ -457,10 +635,22 @@ def same_corner_findings(
         rectangle = {"u1": u1, "u2": u2, "v1": v1, "v2": v2}
         return {"rectangle": rectangle, "condition": name, "value": value}
 
-    findings, end = [], 0
-    for (k, fs), size in zip(found, sizes):
-        end += size
-        findings.append((k, [record(*f) for f in fs], all(verdicts[end - size : end])))
+    findings = []
+    for first in range(0, count, stack):
+        part = values[:, first : first + stack]
+        grids = scratch(4, (2, part.shape[1], n, n))
+        low, up = copula_values(model, us, part[0:2], us, part[2:4], out=grids)
+        found = _stack_failures(low, up, tol, scratch)
+        failures = [f for _, fs in found for f in fs]
+        sizes = [len(fs) for _, fs in found]
+        pairs = np.repeat(np.array([k for k, _ in found], dtype=np.intp), sizes)
+        corners = np.array([c for _, _, c in failures], dtype=np.intp).reshape(-1, 4)
+        conditions = [name for name, _, _ in failures]
+        verdicts = _reverified((model, model), us, part, pairs, corners, conditions, tol).tolist()
+        end = 0
+        for (k, fs), size in zip(found, sizes):
+            end += size
+            findings.append((first + k, [record(*f) for f in fs], all(verdicts[end - size : end])))
     return findings
 
 

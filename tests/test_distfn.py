@@ -32,7 +32,7 @@ from shockbox.errors import (
     InvalidRangeError,
     UnsupportedSegmentPairError,
 )
-from shockbox.distfn import _combined_segment, _comix_coef, _product_coef
+from shockbox.distfn import _combined_segment, _comix_coef, _exp_term, _exp_terms, _product_coef
 
 from reference import triple
 
@@ -661,3 +661,20 @@ def test_cumulative_cdf_is_the_atom_cdf_of_its_rises():
         cumulative_cdf(xs[::-1].copy(), np.array([0.25, 0.625, 1.0]))
     with pytest.raises(InvalidParameterError, match="need 0 <= left"):
         cumulative_cdf(xs, np.array([0.25, 0.625, 1.5]))
+
+
+def test_exp_terms_are_exp_term_elementwise_bit_for_bit():
+    # the points of the exponential pieces' arguments and the edges of
+    # _exp_term: signed nans and infinities, 700 and the float below it,
+    # and -745.2, where math.exp underflows to 0
+    rng = np.random.default_rng(700)
+    edges = [np.nan, -np.nan, np.inf, -np.inf, 700.0, np.nextafter(700.0, 0.0), -745.2, 0.0, -0.0]
+    t = np.concatenate((
+        edges,
+        rng.uniform(-800.0, 800.0, 10_000),
+        -rng.exponential(30.0, 10_000),
+        [np.nextafter(700.0, np.inf)],
+    ))
+    assert len(t) == 20_010
+    want = np.array([_exp_term(x) for x in t.tolist()])
+    assert _exp_terms(t).tobytes() == want.tobytes()

@@ -212,8 +212,10 @@ def scan_bits(result):
 
 
 def scan(low, up):
-    """The scan as an uncertified rectangle check runs it."""
-    return _ic_scan(low, up, _split(low, up))
+    """The scan as an uncertified rectangle check runs it: a stack of one,
+    whose one entry it returns."""
+    (found,) = _ic_scan(low, up, _split(low, up))
+    return found
 
 
 def all_paths(low, up):
@@ -685,6 +687,76 @@ def test_a_stacks_split_and_witnesses_are_each_pairs_alone(unpinned_search_pairs
         found = stack_violations(low, up, us)
         assert found == [(k, w) for k, w in enumerate(alone) if w]
         assert len(found) > 50
+
+
+# a pair of 9 x 7 grids in eighths whose every row is a candidate row and
+# whose first worst IC2 row pair, (0, 7), comes after (1, 6) in the order of
+# the candidate rows: IC2's row pairs of several candidate rows interleave in
+# row-major order. Digits are low in eighths, signs up - low in eighths
+INTERLEAVED_LOW = ("1101011", "0100010", "0000010", "1100001", "0111001", "0111011", "1001000", "1010011", "1100111")
+INTERLEAVED_GAP = ("--000+-", "0--+---", "--+00-+", "+----+0", "0-0+-+-", "-++-++0", "0+++0-+", "-0+--+-", "+++00+-")
+
+
+def hard_stack():
+    """A stack of six pairs of 9 x 7 grids: two candidate rows, an
+    uncertified copula pair (the product and the upper Frechet bound, every
+    row a candidate), the interleaved pair, a nan, signed zeros only, and a
+    certified pair."""
+    n, m = 9, 7
+    ramp = np.add.outer(np.arange(n), np.arange(m)) / 64
+    # a term per row has no cell volume, so the slack stays small
+    two_rows = ramp + np.where(np.isin(np.arange(n), (2, 6)), -0.125, 0.125)[:, None]
+    u, v = np.linspace(0.0, 1.0, n)[:, None], np.linspace(0.0, 1.0, m)[None, :]
+    interleaved = np.array([[int(c) for c in row] for row in INTERLEAVED_LOW]) / 8
+    signs = {"-": -1, "0": 0, "+": 1}
+    interleaved_up = interleaved + np.array([[signs[c] for c in row] for row in INTERLEAVED_GAP]) / 8
+    with_nan = ramp + np.eye(n, m) / 8
+    with_nan[4, 3] = np.nan
+    i, j = np.indices((n, m))
+    zeros = (np.where((3 * i + j) % 4 == 0, -0.0, 0.0), np.where((i + 2 * j) % 3 == 0, -0.0, 0.0))
+    pairs = [
+        (ramp, two_rows),
+        (u * v, np.minimum(u, v)),
+        (interleaved, interleaved_up),
+        (ramp, with_nan),
+        zeros,
+        (ramp, ramp + 0.25),
+    ]
+    return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
+
+
+def test_the_stacked_scan_of_a_hard_stack_is_each_pairs_sweep():
+    """One scan of the hard stack gives every pair the sweep's values and
+    witnesses bit for bit, and values within the rounding bound 9uK of the
+    module docstring of the exact minima."""
+    low, up = hard_stack()
+    n, m = low.shape[1:]
+    split = _split(low, up)
+    pair, corner = np.divmod(_candidate_rows(split), n)
+    assert corner[pair == 0].tolist() == [2, 6]
+    assert [np.count_nonzero(pair == k) for k in (1, 2, 3)] == [n, n, n]
+    # a slack is never 0, so only a pair with M > 0 is certified at tol 0
+    assert _certified(split, 0.0).tolist() == [False] * 5 + [True]
+    # blocks hold at most P n rows; the copula pair's row pairs (r, i2)
+    # start in the first block and end in the second
+    before = sum(n - r for r in corner[pair == 0].tolist())
+    assert before < len(low) * n < before + n * (n + 1) // 2
+    scans = _ic_scan(low.reshape(-1, m), up.reshape(-1, m), split)
+    assert len(scans) == len(low)
+    for k, found in enumerate(scans):
+        assert scan_bits(found) == scan_bits(swept_scan(low[k], up[k])), k
+    assert scans[2]["IC2"][1][:2] == (0, 7)
+    # on signed zeros every value ties at zero, and the bits of the sweep's
+    # signs match
+    assert all(v == 0.0 for v, _ in scans[4].values())
+    for k, found in enumerate(scans):
+        if k == 3:
+            continue  # the nan pair has no exact minima
+        exact = exact_ic_minima(low[k], up[k])
+        scale = max(float(np.max(np.abs(low[k]))), float(np.max(np.abs(up[k]))))
+        rounding = 9 * Fraction(imprecise._UNIT_ROUNDOFF) * Fraction(scale)
+        for name, (value, _) in found.items():
+            assert abs(Fraction(value) - exact[name]) <= rounding, (k, name)
 
 
 @st.composite
